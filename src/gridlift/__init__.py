@@ -65,6 +65,7 @@ from .verify import (
     make_certificate,
     verify_bounds,
     verify_combinatorics,
+    verify_convexity_exhaustive,
     verify_convexity_global,
     verify_convexity_stress,
 )
@@ -122,6 +123,7 @@ __all__ = [
     "tree_from_nested",
     "verify_bounds",
     "verify_combinatorics",
+    "verify_convexity_exhaustive",
     "verify_convexity_global",
     "verify_convexity_stress",
     "vertical_shifts",

@@ -91,7 +91,7 @@ def _cmd_realize(args) -> int:
     tree, graph = _parse_tree_or_graph(_read_input(args.input))
     if tree is not None:
         realization, report = run_pipeline(
-            tree, threads=args.threads, cross_check=not args.no_cross_check
+            tree, cross_check=not args.no_cross_check
         )
     else:
         base = None
@@ -101,7 +101,6 @@ def _cmd_realize(args) -> int:
             graph,
             dim=args.dim,
             base=base,
-            threads=args.threads,
             cross_check=not args.no_cross_check,
         )
     if args.report:
@@ -122,7 +121,7 @@ def _cmd_verify(args) -> int:
     tree = None
     if args.tree:
         tree = parse_tree(_read_input(args.tree))
-    cert = make_certificate(realization, tree, threads=args.threads)
+    cert = make_certificate(realization, tree)
     _write_output(args.output, json.dumps(jsonable(cert), sort_keys=True))
     return 0 if cert.ok else 3
 
@@ -173,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--dim", type=int, default=3, help="dimension for graph inputs")
     r.add_argument("--base", default=None,
                    help="comma-separated base facet vertex ids for graph inputs")
-    r.add_argument("--threads", type=int, default=1)
     r.add_argument("--no-cross-check", action="store_true",
                    help="skip the redundant incremental stress recomputation")
     r.set_defaults(func=_cmd_realize)
@@ -181,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="re-certify a realization JSON")
     v.add_argument("--input", default=None)
     v.add_argument("--tree", default=None, help="tree JSON for the combinatorial check")
-    v.add_argument("--threads", type=int, default=1)
     v.add_argument("--output", default=None)
     v.set_defaults(func=_cmd_verify)
 

@@ -54,7 +54,7 @@ def _pow_log(n: int, base_exponent: float) -> float:
 
 
 def run_pipeline(
-    tree: TreeRep, *, threads: int = 1, cross_check: bool = True
+    tree: TreeRep, *, cross_check: bool = True
 ) -> tuple[Realization, PipelineReport]:
     timing: dict[str, float] = {}
     clock = time.perf_counter
@@ -84,7 +84,7 @@ def run_pipeline(
     timing["round"] = clock() - t
 
     t = clock()
-    cert = make_certificate(realization, tree, threads=threads)
+    cert = make_certificate(realization, tree)
     if not cert.ok:
         raise StageInvariantError(
             "verify", "certificate failed: " + "; ".join(cert.witnesses)
@@ -143,7 +143,6 @@ def realize_graph(
     dim: int = 3,
     base: tuple[int, ...] | None = None,
     *,
-    threads: int = 1,
     cross_check: bool = True,
 ) -> tuple[Realization, PipelineReport, TreeRep]:
     """Recover the stacking tree from a 1-skeleton, then run the pipeline.
@@ -154,5 +153,5 @@ def realize_graph(
     if base is None:
         base = find_facet(g, dim)
     tree = tree_from_graph(g, dim, base)
-    realization, report = run_pipeline(tree, threads=threads, cross_check=cross_check)
+    realization, report = run_pipeline(tree, cross_check=cross_check)
     return realization, report, tree

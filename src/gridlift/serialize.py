@@ -13,6 +13,7 @@ from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 from .errors import InvalidInputError
+from .exact import _det_int
 from .flat import FlatComplex
 from .rounding import Realization
 from .verify import Certificate
@@ -61,7 +62,29 @@ def realization_to_json(r: Realization) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _vertex_ids(value, d: int, n: int, what: str) -> tuple[int, ...]:
+    """d distinct vertex ids in range(n), or InvalidInputError."""
+    if not isinstance(value, list) or len(value) != d:
+        raise InvalidInputError(f"{what} must list {d} vertex ids")
+    if not all(_is_int(v) and 0 <= v < n for v in value):
+        raise InvalidInputError(f"{what} has a vertex id outside 0..{n - 1}")
+    if len(set(value)) != d:
+        raise InvalidInputError(f"{what} repeats a vertex id")
+    return tuple(value)
+
+
 def realization_from_json(text: str | bytes) -> Realization:
+    """Parse a realization, accepting only what the verifier can certify.
+
+    Coordinates must be JSON integers (not floats, not booleans), every
+    facet and the base facet must list d distinct vertex ids in range, and
+    facet keys must be nonnegative integers (a negative key would alias the
+    base facet's key); anything else is an InvalidInputError.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -69,18 +92,43 @@ def realization_from_json(text: str | bytes) -> Realization:
     # accept the combined realize output {"realization": ..., "report": ...}
     if isinstance(doc, dict) and "dim" not in doc and "realization" in doc:
         doc = doc["realization"]
-    try:
-        d = doc["dim"]
-        coords = [tuple(int(c) for c in p) for p in doc["coords"]]
-        facets = {int(node): tuple(verts) for node, verts in doc["facets"]}
-        base = tuple(doc["base_facet"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise InvalidInputError(f"malformed realization JSON: {e}") from None
-    if any(len(p) != d for p in coords):
+    if not isinstance(doc, dict):
+        raise InvalidInputError("malformed realization JSON: not an object")
+    for key in ("dim", "coords", "facets", "base_facet"):
+        if key not in doc:
+            raise InvalidInputError(f"malformed realization JSON: missing {key!r}")
+    d, rows, facet_rows = doc["dim"], doc["coords"], doc["facets"]
+    if not _is_int(d) or d < 3:
+        raise InvalidInputError(f"dim must be an integer >= 3, got {d!r}")
+    if not isinstance(rows, list) or not all(isinstance(p, list) for p in rows):
+        raise InvalidInputError("coords must be a list of coordinate rows")
+    if any(len(p) != d for p in rows):
         raise InvalidInputError("every coordinate row must have length dim")
+    if not all(_is_int(c) for p in rows for c in p):
+        raise InvalidInputError("every coordinate must be an integer")
+    n = len(rows)
+    if not isinstance(facet_rows, list):
+        raise InvalidInputError("facets must be a list of [node, vertex ids] pairs")
+    facets = {}
+    for row in facet_rows:
+        if not (isinstance(row, list) and len(row) == 2 and _is_int(row[0])):
+            raise InvalidInputError("facets must be a list of [node, vertex ids] pairs")
+        node, verts = row
+        if node < 0:
+            raise InvalidInputError(f"facet key {node} is negative")
+        if node in facets:
+            raise InvalidInputError(f"facet {node} is listed twice")
+        facets[node] = _vertex_ids(verts, d, n, f"facet {node}")
+    base = _vertex_ids(doc["base_facet"], d, n, "base_facet")
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise InvalidInputError("metadata must be an object")
     meta = {}
-    for k, v in doc.get("metadata", {}).items():
+    for k, v in metadata.items():
         meta[k] = parse_rat(v) if isinstance(v, str) else v
+    if "R_eff" in meta and not (_is_int(meta["R_eff"]) and meta["R_eff"] > 0):
+        raise InvalidInputError("metadata R_eff must be a positive integer")
+    coords = [tuple(p) for p in rows]
     return Realization(d=d, coords=coords, facets=facets, base_facet=base, metadata=meta)
 
 
@@ -112,34 +160,27 @@ def emit_off(r: Realization) -> str:
     """OFF mesh for 3-dimensional realizations, facets oriented outward.
 
     A facet (a, b, c) is outward when the signed volume of (a, b, c, p) is
-    negative for interior p; summing that affine form over all vertices
-    gives the interior side's sign without picking a reference point.
+    negative for interior p. That volume is linear in p - a, so its sum over
+    all n vertices is the volume with the column (sum of p) - n a: the
+    interior side's sign without picking a reference point, in O(1) per face.
     """
     if r.d != 3:
         raise InvalidInputError(f"OFF output needs dimension 3, got {r.d}")
     coords = r.coords
     faces = [tuple(r.base_facet)] + [verts for _, verts in sorted(r.facets.items())]
+    n = len(coords)
+    sx, sy, sz = (sum(p[i] for p in coords) for i in range(3))
 
-    def vol(a, b, c, p) -> int:
-        ax, ay, az = coords[a]
-        m = [
-            [coords[b][0] - ax, coords[c][0] - ax, p[0] - ax],
-            [coords[b][1] - ay, coords[c][1] - ay, p[1] - ay],
-            [coords[b][2] - az, coords[c][2] - az, p[2] - az],
-        ]
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-
-    lines = ["OFF", f"{len(coords)} {len(faces)} 0"]
+    lines = ["OFF", f"{n} {len(faces)} 0"]
     for p in coords:
         lines.append(f"{p[0]} {p[1]} {p[2]}")
-    n = len(coords)
     for a, b, c in faces:
-        # vol is affine in p, so this sum is n times the volume at the mean
-        total = sum(vol(a, b, c, coords[v]) for v in range(n))
+        ax, ay, az = coords[a]
+        total = _det_int([
+            [coords[b][0] - ax, coords[c][0] - ax, sx - n * ax],
+            [coords[b][1] - ay, coords[c][1] - ay, sy - n * ay],
+            [coords[b][2] - az, coords[c][2] - az, sz - n * az],
+        ])
         if total == 0:
             raise InvalidInputError("degenerate facet orientation")
         if total > 0:

@@ -5,17 +5,26 @@ Two independent routes, deliberately kept apart:
 * stress route: recompute every ridge stress from the final coordinates
   and check interior ridges positive, base ridges negative, all heights
   nonnegative with the base flat at height zero;
-* global route: for every facet, build the supporting hyperplane from
-  cofactors and check that all other vertices lie strictly on one side.
+* global route: the linear-size convex-polytope checker of Mehlhorn,
+  Naeher, Seel, Seidel, Schilz, Schirra and Uhrig ("Checking geometric
+  programs or verification of geometric structures", Comput. Geom. 12,
+  1999). The facets must form a closed surface using every vertex, the
+  vertex centroid must lie strictly inside every facet hyperplane, the
+  surface must be strictly convex at every ridge, and the ray from the
+  centroid through the base facet must cross no other facet.
+
+`verify_convexity_exhaustive` is the textbook definition, every facet's
+hyperplane against every vertex, in O(F n) work. It is the reference the
+tests hold the global route to.
 
 On the class this pipeline emits (base flat at height zero, everything
-else strictly above, no degenerate shadows) the two agree; the certificate
-records both verdicts so disagreement is visible instead of masked.
+else strictly above, no degenerate shadows) the stress and global routes
+agree; the certificate records both verdicts so disagreement is visible
+instead of masked.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -72,14 +81,11 @@ def verify_convexity_stress(realization: Realization) -> tuple[bool, list[str]]:
     frac_coords = [tuple(Fraction(c) for c in p) for p in coords]
     ok = True
     for ridge, (k1, k2) in adjacency.items():
-        ridge_set = set(ridge)
         pts = [frac_coords[v] for v in ridge]
-        extras = []
-        for key in (k1, k2):
-            facet = realization.facet_vertices(key)
-            extras.append(next(v for v in facet if v not in ridge_set))
-        f1 = pts + [frac_coords[extras[0]]]
-        f2 = pts + [frac_coords[extras[1]]]
+        e1 = _extra_vertex(realization.facet_vertices(k1), ridge)
+        e2 = _extra_vertex(realization.facet_vertices(k2), ridge)
+        f1 = pts + [frac_coords[e1]]
+        f2 = pts + [frac_coords[e2]]
         is_base = BASE_FACET_KEY in (k1, k2)
         try:
             w = stress_of_ridge(pts, f1, f2, base_flag=is_base)
@@ -96,15 +102,57 @@ def verify_convexity_stress(realization: Realization) -> tuple[bool, list[str]]:
     return ok, witnesses
 
 
+def _extra_vertex(facet: tuple[int, ...], ridge: tuple[int, ...]) -> int:
+    """The vertex of `facet` that is not on `ridge`."""
+    return next(v for v in facet if v not in ridge)
+
+
+def _facets_in_order(realization: Realization) -> list[tuple[int, tuple[int, ...]]]:
+    """(key, vertex ids) for the base facet first, then by leaf node id."""
+    return [(BASE_FACET_KEY, realization.base_facet)] + sorted(
+        realization.facets.items()
+    )
+
+
+def _label(key: int) -> str:
+    return "base" if key == BASE_FACET_KEY else str(key)
+
+
+def _centroid(coords: list[tuple[int, ...]]) -> tuple[list[int], int]:
+    """The vertex centroid held homogeneous, as (sum of all vertices, n)."""
+    d = len(coords[0])
+    return [sum(p[i] for p in coords) for i in range(d)], len(coords)
+
+
+def _unused_vertex_witnesses(realization: Realization) -> list[str]:
+    used = set(realization.base_facet)
+    for verts in realization.facets.values():
+        used.update(verts)
+    return [
+        f"vertex {vid} lies on no facet"
+        for vid in range(len(realization.coords))
+        if vid not in used
+    ]
+
+
 def _facet_side_witnesses(
-    coords: list[tuple[int, ...]], facet: tuple[int, ...], key
-) -> list[str]:
+    coords: list[tuple[int, ...]],
+    facet: tuple[int, ...],
+    key: int,
+    probes,
+    centroid: tuple[list[int], int],
+) -> tuple[list[int] | None, list[str]]:
     """Supporting-hyperplane test for one facet, exact integer arithmetic.
 
     The affine form g(p) = det(facet columns + p, ones row) vanishes on the
     facet; cofactor expansion along the p column turns each vertex test into
-    a dot product. The reference sign comes from summing g over all
-    vertices, which equals n times g at the centroid.
+    a dot product. The interior side is the side of the vertex centroid o:
+    writing g(p) = a . p + c and holding o as (sum s, count n), the integer
+    n g(o) = a . s + n c equals the sum of g over all vertices.
+
+    Returns the coefficients of g, negated if need be so that g(o) < 0
+    (None when o lies on the hyperplane), and a witness for every probe
+    vertex not strictly on o's side.
     """
     d = len(coords[0])
     pts = [coords[v] for v in facet]
@@ -117,44 +165,121 @@ def _facet_side_witnesses(
         minor = _det_int([list(r) for r in rows])
         cof.append(minor if (i + d) % 2 == 0 else -minor)
 
-    def g(p: tuple[int, ...]) -> int:
-        return sum(cof[i] * p[i] for i in range(d)) + cof[d]
-
-    incident = set(facet)
-    total = 0
-    values = {}
-    for vid in range(len(coords)):
-        if vid in incident:
-            continue
-        values[vid] = g(coords[vid])
-        total += values[vid]
-    if total == 0:
-        return [f"facet {key}: vertices balance across its hyperplane"]
+    total, n = centroid
+    at_o = sum(cof[i] * total[i] for i in range(d)) + n * cof[d]
+    if at_o == 0:
+        return None, [f"facet {_label(key)}: vertices balance across its hyperplane"]
+    if at_o > 0:
+        cof = [-c for c in cof]
     witnesses = []
-    for vid, val in values.items():
-        if val == 0 or (val > 0) != (total > 0):
-            witnesses.append(f"facet {key}: vertex {vid} not strictly inside")
+    for vid in probes:
+        p = coords[vid]
+        if sum(cof[i] * p[i] for i in range(d)) + cof[d] >= 0:
+            witnesses.append(f"facet {_label(key)}: vertex {vid} not strictly inside")
+    return cof, witnesses
+
+
+def _ray_witnesses(
+    realization: Realization,
+    planes: dict[int, list[int]],
+    centroid: tuple[list[int], int],
+) -> list[str]:
+    """Facets other than the base that the ray from the centroid o through
+    the base facet's centroid c meets.
+
+    Scaled by n d, the direction c - o is n (sum of base) - d s and a facet
+    vertex q sits at n q - s relative to o, all integers. A facet whose
+    hyperplane is ahead on the ray is met when the direction lies in the
+    closed cone of its vertices seen from o: by Cramer's rule, replacing any
+    one cone generator by the direction never gives a determinant of the
+    opposite sign. A zero counts as a hit, so rays through ridges need no
+    genericity fallback.
+    """
+    coords = realization.coords
+    total, n = centroid
+    d = len(total)
+    base = realization.base_facet
+    direction = [n * sum(coords[v][i] for v in base) - d * total[i] for i in range(d)]
+    witnesses = []
+    for key, verts in realization.facets.items():
+        cof = planes[key]
+        if sum(cof[i] * direction[i] for i in range(d)) <= 0:
+            continue  # parallel to the hyperplane, or moving away from it
+        gens = [[n * coords[v][i] - total[i] for i in range(d)] for v in verts]
+        # _det_int works in place, so every call gets fresh rows
+        positive = _det_int([g[:] for g in gens]) > 0
+        for j in range(d):
+            det = _det_int([direction[:] if i == j else g[:] for i, g in enumerate(gens)])
+            if det != 0 and (det > 0) != positive:
+                break
+        else:
+            witnesses.append(
+                f"facet {key}: the ray from the centroid through the base facet "
+                f"crosses it"
+            )
     return witnesses
 
 
-def verify_convexity_global(
-    realization: Realization, threads: int = 1
-) -> tuple[bool, list[str]]:
-    """Every facet's hyperplane strictly supports all other vertices."""
+def _closed_surface_witnesses(realization: Realization) -> tuple[dict, list[str]]:
+    """Ridge -> its two facets, and a witness if the facets do not form a
+    closed surface (some ridge not in exactly two facets)."""
+    try:
+        return build_ridge_adjacency(
+            realization.d, realization.facets, realization.base_facet
+        ), []
+    except StageInvariantError as exc:
+        return {}, [f"facets form no closed surface: {exc}"]
+
+
+def verify_convexity_global(realization: Realization) -> tuple[bool, list[str]]:
+    """Linear-size certificate that the facets bound a convex polytope.
+
+    Checks, in O(F d^4) integer work: every ridge lies in exactly two
+    facets; every vertex lies on a facet; the vertex centroid o is strictly
+    off every facet hyperplane; at every ridge, each facet's extra vertex
+    lies strictly on o's side of the other facet's hyperplane; and the ray
+    from o through the base facet's centroid crosses no other facet.
+    """
+    adjacency, broken = _closed_surface_witnesses(realization)
+    witnesses = _unused_vertex_witnesses(realization) + broken
+    if broken:
+        return False, witnesses
+
+    # probes[key]: across each ridge of facet key, the other facet's extra vertex
+    probes: dict[int, list[int]] = {key: [] for key in realization.facets}
+    probes[BASE_FACET_KEY] = []
+    for ridge, (k1, k2) in adjacency.items():
+        probes[k1].append(_extra_vertex(realization.facet_vertices(k2), ridge))
+        probes[k2].append(_extra_vertex(realization.facet_vertices(k1), ridge))
+
     coords = realization.coords
-    items = [(realization.base_facet, "base")] + [
-        (verts, node) for node, verts in sorted(realization.facets.items())
-    ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = pool.map(
-                lambda it: _facet_side_witnesses(coords, it[0], it[1]), items
-            )
-            witnesses = [w for chunk in chunks for w in chunk]
-    else:
-        witnesses = [
-            w for verts, key in items for w in _facet_side_witnesses(coords, verts, key)
-        ]
+    centroid = _centroid(coords)
+    planes = {}
+    for key, verts in _facets_in_order(realization):
+        planes[key], wit = _facet_side_witnesses(
+            coords, verts, key, probes[key], centroid
+        )
+        witnesses += wit
+    if not witnesses:
+        witnesses = _ray_witnesses(realization, planes, centroid)
+    return not witnesses, witnesses
+
+
+def verify_convexity_exhaustive(realization: Realization) -> tuple[bool, list[str]]:
+    """Every facet's hyperplane strictly supports all other vertices.
+
+    The reference for verify_convexity_global, in O(F n) work. It also
+    requires a closed surface and every vertex on a facet: without them a
+    convex point set with a partial or padded facet list would pass.
+    """
+    witnesses = _unused_vertex_witnesses(realization)
+    witnesses += _closed_surface_witnesses(realization)[1]
+    coords = realization.coords
+    centroid = _centroid(coords)
+    for key, verts in _facets_in_order(realization):
+        incident = set(verts)
+        probes = [vid for vid in range(len(coords)) if vid not in incident]
+        witnesses += _facet_side_witnesses(coords, verts, key, probes, centroid)[1]
     return not witnesses, witnesses
 
 
@@ -186,6 +311,10 @@ def verify_combinatorics(
     }
     witnesses = []
     d = tree.dim
+    if len(realization.coords) != tree.n_vertices:
+        witnesses.append(
+            f"vertex count {len(realization.coords)}, expected {tree.n_vertices}"
+        )
     k = tree.interior_count
     want = k * (d - 1) + 2
     have = len(realization.facets) + 1
@@ -201,11 +330,10 @@ def verify_combinatorics(
 def make_certificate(
     realization: Realization,
     tree: TreeRep | None = None,
-    threads: int = 1,
     check_bounds: bool = True,
 ) -> Certificate:
     s_ok, s_wit = verify_convexity_stress(realization)
-    g_ok, g_wit = verify_convexity_global(realization, threads=threads)
+    g_ok, g_wit = verify_convexity_global(realization)
     witnesses = s_wit + g_wit
     b_ok = c_ok = None
     if check_bounds and "R_eff" in realization.metadata:

@@ -23,6 +23,7 @@ from gridlift import (
     realize_graph,
     run_pipeline,
     tree_from_graph,
+    verify_convexity_exhaustive,
     verify_convexity_global,
     verify_convexity_stress,
 )
@@ -137,15 +138,36 @@ def _corrupt(realization, style: str):
     coords = [list(p) for p in realization.coords]
     vid = len(coords) - 1
     if style == "spike":
-        coords[vid][2] += 10**9
+        coords[vid][-1] += 10**9
     elif style == "flatten":
-        coords[vid][2] = 0
+        coords[vid][-1] = 0
     elif style == "dip":
-        coords[vid][2] = -1
+        coords[vid][-1] = -1
     elif style == "duplicate":
         # merge the apex onto a base corner: coincident points, zero height
         coords[vid] = list(coords[0])
+    elif style == "lateral":
+        coords[vid][0] += 10**9
+    elif style == "sink":
+        # pull the apex down close to its facet plane but keep it positive
+        coords[vid][-1] = 1
+    elif style == "extra_vertex":
+        # a point strictly inside the polytope that lies on no facet
+        n = len(coords)
+        coords.append([sum(p[i] for p in coords) // n for i in range(len(coords[0]))])
+    elif style == "dropped_facet":
+        facets = dict(realization.facets)
+        del facets[min(facets)]
+        return dataclasses.replace(realization, facets=facets)
     return dataclasses.replace(realization, coords=[tuple(p) for p in coords])
+
+
+def _global_verdict(realization) -> bool:
+    """The linear global route, held to its exhaustive reference."""
+    g_ok, _ = verify_convexity_global(realization)
+    e_ok, _ = verify_convexity_exhaustive(realization)
+    assert g_ok == e_ok
+    return g_ok
 
 
 def test_criterion_4_dual_oracle_and_stress_routes():
@@ -157,8 +179,7 @@ def test_criterion_4_dual_oracle_and_stress_routes():
         tree = gen_tree("random", 3, k, seed=seed)
         realization, report = run_pipeline(tree, cross_check=True)
         s_ok, _ = verify_convexity_stress(realization)
-        g_ok, _ = verify_convexity_global(realization)
-        assert s_ok is True and g_ok is True
+        assert s_ok is True and _global_verdict(realization) is True
         agree += 1
 
     # explicit route comparison on fresh instances, every ridge exact
@@ -178,14 +199,36 @@ def test_criterion_4_dual_oracle_and_stress_routes():
         for style in ("spike", "flatten", "dip", "duplicate"):
             bad = _corrupt(realization, style)
             s_ok, _ = verify_convexity_stress(bad)
-            g_ok, _ = verify_convexity_global(bad)
             assert s_ok is False, (i, style)
-            assert g_ok is False, (i, style)
+            assert _global_verdict(bad) is False, (i, style)
             rejected += 1
     assert rejected == 100
+
+    # d = 3, 4, 5: positives, and every corruption style. The global routes
+    # agree on all of them. A lateral shove or a sunk apex can leave the
+    # polytope convex, so there only agreement is required. A sunk apex keeps
+    # its shadow and a positive height, inside the stress route's class, so
+    # that route must agree too; a shove can move the shadow off the base
+    higher = 0
+    for d in (3, 4, 5):
+        for i in range(20):
+            tree = gen_tree("random", d, 2 + i % 10, seed=9000 * d + i)
+            realization, _ = run_pipeline(tree)
+            assert _global_verdict(realization) is True
+            for style in ("spike", "flatten", "dip", "duplicate",
+                          "extra_vertex", "dropped_facet"):
+                assert _global_verdict(_corrupt(realization, style)) is False, (
+                    d, i, style)
+            _global_verdict(_corrupt(realization, "lateral"))
+            sunk = _corrupt(realization, "sink")
+            s_ok, _ = verify_convexity_stress(sunk)
+            assert s_ok == _global_verdict(sunk), (d, i)
+            higher += 1
     print(
         "criterion 4 PASS: oracles agree on 1000 positives and reject "
-        "100 corrupted negatives; stress routes match ridge-for-ridge"
+        "100 corrupted negatives; stress routes match ridge-for-ridge; "
+        f"linear and exhaustive global routes agree on {higher} d=3..5 "
+        "instances under 8 corruption styles"
     )
 
 

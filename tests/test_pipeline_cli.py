@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gridlift import (
+    BASE_FACET_KEY,
     emit_off,
     gen_tree,
     graph_from_tree,
@@ -230,6 +231,88 @@ class TestCli:
         cert = json.loads(capsys.readouterr().out)
         assert cert["ok"] is False
         assert cert["convex_by_stress"] is False
+
+    def test_verify_extra_vertex_fails(self, tmp_path, capsys):
+        tree = gen_tree("random", 3, 20, 3)
+        realization, _ = run_pipeline(tree)
+        doc = json.loads(realization_to_json(realization))
+        n = len(doc["coords"])
+        doc["coords"].append([sum(p[i] for p in doc["coords"]) // n for i in range(3)])
+        real_f = tmp_path / "real.json"
+        tree_f = tmp_path / "tree.json"
+        real_f.write_text(json.dumps(doc))
+        tree_f.write_text(tree.to_json())
+        assert main(["verify", "--input", str(real_f), "--tree", str(tree_f)]) == 3
+        cert = json.loads(capsys.readouterr().out)
+        assert cert["convex_global"] is False
+        assert cert["combinatorics_ok"] is False
+
+    @pytest.mark.parametrize("case", [
+        "vertex_id_out_of_range",
+        "negative_vertex_id",
+        "repeated_vertex_id",
+        "short_base_facet",
+        "facet_arity_2",
+        "half_integer_coordinate",
+        "float_coordinate",
+        "bool_coordinate",
+        "string_coordinate",
+        "short_coordinate_row",
+        "bool_dim",
+        "missing_facets",
+        "facet_not_a_pair",
+        "base_key_collision",
+        "negative_facet_key",
+        "metadata_not_object",
+        "r_eff_not_integer",
+        "not_an_object",
+    ])
+    def test_verify_malformed_realization_exit_2(self, tmp_path, tet_result,
+                                                 case, capsys):
+        realization, _ = tet_result
+        doc = json.loads(realization_to_json(realization))
+        if case == "vertex_id_out_of_range":
+            doc["facets"][0][1][0] = len(doc["coords"])
+        elif case == "negative_vertex_id":
+            doc["facets"][0][1][0] = -1
+        elif case == "repeated_vertex_id":
+            doc["facets"][0][1][1] = doc["facets"][0][1][0]
+        elif case == "short_base_facet":
+            doc["base_facet"] = doc["base_facet"][:2]
+        elif case == "facet_arity_2":
+            doc["facets"][0][1] = doc["facets"][0][1][:2]
+        elif case == "half_integer_coordinate":
+            doc["coords"][3][0] += 0.5
+        elif case == "float_coordinate":
+            doc["coords"][3][0] = float(doc["coords"][3][0])
+        elif case == "bool_coordinate":
+            doc["coords"][0][0] = False
+        elif case == "string_coordinate":
+            doc["coords"][0][0] = "0"
+        elif case == "short_coordinate_row":
+            doc["coords"][0] = doc["coords"][0][:2]
+        elif case == "bool_dim":
+            doc["dim"] = True
+        elif case == "missing_facets":
+            del doc["facets"]
+        elif case == "facet_not_a_pair":
+            doc["facets"][0] = doc["facets"][0][1]
+        elif case == "base_key_collision":
+            doc["facets"][0][0] = BASE_FACET_KEY
+        elif case == "negative_facet_key":
+            doc["facets"][0][0] = -7
+        elif case == "metadata_not_object":
+            doc["metadata"] = []
+        elif case == "r_eff_not_integer":
+            doc["metadata"]["R_eff"] = [4]
+        elif case == "not_an_object":
+            doc = [doc]
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        assert main(["verify", "--input", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_stats_table(self, capsys):
         assert main(["stats"]) == 0

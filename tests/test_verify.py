@@ -1,14 +1,20 @@
 import dataclasses
+import math
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridlift import (
+    Realization,
     gen_tree,
     make_certificate,
     parse_tree,
     run_pipeline,
     verify_bounds,
     verify_combinatorics,
+    verify_convexity_exhaustive,
     verify_convexity_global,
     verify_convexity_stress,
 )
@@ -22,6 +28,14 @@ def move_vertex(realization, vid, point):
     coords = [list(p) for p in realization.coords]
     coords[vid] = list(point)
     return with_coords(realization, coords)
+
+
+def global_verdicts(realization):
+    """(linear route, exhaustive route) verdicts; they must always agree."""
+    g_ok, _ = verify_convexity_global(realization)
+    e_ok, _ = verify_convexity_exhaustive(realization)
+    assert g_ok == e_ok
+    return g_ok
 
 
 class TestFixtureCertificate:
@@ -50,8 +64,7 @@ class TestStressOracle:
         assert any("below height zero" in w for w in witnesses)
         # the mirrored tetrahedron is still globally convex; the stress
         # certificate's height preconditions are what reject it
-        g_ok, _ = verify_convexity_global(bad)
-        assert g_ok is True
+        assert global_verdicts(bad) is True
 
     def test_apex_pushed_into_base(self, tet_result):
         realization, _ = tet_result
@@ -79,9 +92,8 @@ class TestOraclesAgreeOnCorruptions:
         x, y, z = instance.coords[vid]
         bad = move_vertex(instance, vid, (x, y, z + 10**9))
         s_ok, _ = verify_convexity_stress(bad)
-        g_ok, _ = verify_convexity_global(bad)
         assert s_ok is False
-        assert g_ok is False
+        assert global_verdicts(bad) is False
 
     def test_sink(self, instance):
         # pull an apex down close to its facet plane but keep it positive
@@ -89,17 +101,117 @@ class TestOraclesAgreeOnCorruptions:
         x, y, z = instance.coords[vid]
         bad = move_vertex(instance, vid, (x, y, 1))
         s_ok, _ = verify_convexity_stress(bad)
-        g_ok, _ = verify_convexity_global(bad)
-        assert s_ok == g_ok  # both verdicts, whatever they are, must agree
+        # all three verdicts, whatever they are, must agree
+        assert s_ok == global_verdicts(bad)
 
     def test_lateral_shove(self, instance):
         vid = len(instance.coords) - 1
         x, y, z = instance.coords[vid]
         bad = move_vertex(instance, vid, (x + 10**9, y, z))
         s_ok, _ = verify_convexity_stress(bad)
-        g_ok, _ = verify_convexity_global(bad)
         assert s_ok is False
-        assert g_ok is False
+        assert global_verdicts(bad) is False
+
+
+class TestGlobalRoutes:
+    """The linear global route against its exhaustive reference."""
+
+    def test_extra_vertex_inside(self):
+        # a 24th point strictly inside the 23-vertex polytope, on no facet
+        tree = gen_tree("random", 3, 20, 3)
+        realization, _ = run_pipeline(tree)
+        n = len(realization.coords)
+        inside = tuple(sum(p[i] for p in realization.coords) // n for i in range(3))
+        bad = with_coords(realization, list(realization.coords) + [inside])
+        for route in (verify_convexity_global, verify_convexity_exhaustive):
+            ok, witnesses = route(bad)
+            assert ok is False
+            assert witnesses == [f"vertex {n} lies on no facet"]
+        cert = make_certificate(bad, tree)
+        assert cert.ok is False
+        assert cert.combinatorics_ok is False
+        assert f"vertex count {n + 1}, expected {n}" in cert.witnesses
+
+    def test_dropped_facet(self, instance):
+        node = min(instance.facets)
+        facets = {k: v for k, v in instance.facets.items() if k != node}
+        bad = dataclasses.replace(instance, facets=facets)
+        assert global_verdicts(bad) is False
+        ok, witnesses = verify_convexity_global(bad)
+        assert any("facets form no closed surface" in w for w in witnesses)
+
+    def test_double_wound_surface_fails_only_the_ray(self):
+        # a bipyramid over the star heptagon {7/2}: every ridge lies in two
+        # facets and is strictly convex, the centroid is strictly inside
+        # every facet hyperplane, but the surface winds twice around it
+        ring = [
+            (round(1000 * math.cos(4 * math.pi * k / 7)),
+             round(1000 * math.sin(4 * math.pi * k / 7)), 0)
+            for k in range(7)
+        ]
+        top, bottom = 7, 8
+        coords = ring + [(0, 0, 1000), (0, 0, -1000)]
+        triangles = [(k, (k + 1) % 7, apex) for apex in (top, bottom) for k in range(7)]
+        surface = Realization(
+            d=3,
+            coords=coords,
+            facets={i: t for i, t in enumerate(triangles[1:])},
+            base_facet=triangles[0],
+            metadata={},
+        )
+        ok, witnesses = verify_convexity_global(surface)
+        assert ok is False
+        assert witnesses and all("the ray" in w for w in witnesses)
+        assert verify_convexity_exhaustive(surface)[0] is False
+
+    @pytest.mark.parametrize("d,k,seed", [(4, 6, 1), (4, 12, 2), (5, 5, 3), (5, 10, 4)])
+    def test_higher_dimensions(self, d, k, seed):
+        realization, _ = run_pipeline(gen_tree("random", d, k, seed))
+        assert global_verdicts(realization) is True
+        last = len(realization.coords) - 1
+        spike = list(realization.coords[last])
+        spike[-1] += 10**9
+        assert global_verdicts(move_vertex(realization, last, spike)) is False
+        lateral = list(realization.coords[last])
+        lateral[0] += 10**9
+        assert global_verdicts(move_vertex(realization, last, lateral)) is False
+        sink = list(realization.coords[last])
+        sink[-1] = 1
+        s_ok, _ = verify_convexity_stress(move_vertex(realization, last, sink))
+        assert s_ok == global_verdicts(move_vertex(realization, last, sink))
+
+
+@lru_cache(maxsize=None)
+def small_realization(d, k, seed):
+    return run_pipeline(gen_tree("random", d, k, seed))[0]
+
+
+@st.composite
+def moved_vertex(draw):
+    """A small realization with one vertex moved: by a small or large
+    offset, onto another vertex, or anywhere in a box around the polytope."""
+    d = draw(st.sampled_from([3, 4, 5]))
+    realization = small_realization(d, draw(st.integers(1, 8)), draw(st.integers(0, 3)))
+    coords = realization.coords
+    vid = draw(st.integers(0, len(coords) - 1))
+    span = max(max(p) for p in coords)
+    kind = draw(st.sampled_from(["offset", "onto", "box"]))
+    if kind == "offset":
+        scale = draw(st.sampled_from([1, 10, 1000, span]))
+        step = st.integers(-3, 3)
+        point = [c + scale * draw(step) for c in coords[vid]]
+    elif kind == "onto":
+        point = list(coords[draw(st.integers(0, len(coords) - 1))])
+    else:
+        point = [draw(st.integers(-span, 2 * span)) for _ in range(d)]
+    return move_vertex(realization, vid, point)
+
+
+class TestGlobalRoutesProperty:
+    @given(moved_vertex())
+    @settings(max_examples=150, deadline=None)
+    def test_one_moved_vertex_never_splits_the_routes(self, realization):
+        global_verdicts(realization)
 
 
 class TestBounds:
@@ -153,9 +265,9 @@ class TestAgreementSmoke:
         assert s_ok and g_ok
         assert s_wit == [] and g_wit == []
 
-    def test_threaded_matches_serial(self):
+    def test_exhaustive_matches_global(self):
         tree = gen_tree("random", 3, 15, seed=3)
         realization, _ = run_pipeline(tree)
-        assert verify_convexity_global(realization, threads=4) == verify_convexity_global(
+        assert verify_convexity_exhaustive(realization) == verify_convexity_global(
             realization
-        )
+        ) == (True, [])
