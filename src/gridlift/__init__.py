@@ -15,9 +15,7 @@ from .errors import (
 from .exact import (
     bracket,
     creasing,
-    creasing_by_heights,
     height_on_hyperplane,
-    project,
     stress_of_ridge,
 )
 from .flat import BASE_FACET_KEY, FlatComplex, base_simplex, build_flat
@@ -96,7 +94,6 @@ __all__ = [
     "check_balanced",
     "check_lift_bounds",
     "creasing",
-    "creasing_by_heights",
     "direct_stresses",
     "emit_off",
     "find_facet",
@@ -111,7 +108,6 @@ __all__ = [
     "parse_graph",
     "parse_tree",
     "perturb_flat",
-    "project",
     "realization_from_json",
     "realization_to_json",
     "realize_graph",

@@ -90,19 +90,12 @@ def _cmd_balance(args) -> int:
 def _cmd_realize(args) -> int:
     tree, graph = _parse_tree_or_graph(_read_input(args.input))
     if tree is not None:
-        realization, report = run_pipeline(
-            tree, cross_check=not args.no_cross_check
-        )
+        realization, report = run_pipeline(tree)
     else:
         base = None
         if args.base:
             base = tuple(int(t) for t in args.base.split(","))
-        realization, report, tree = realize_graph(
-            graph,
-            dim=args.dim,
-            base=base,
-            cross_check=not args.no_cross_check,
-        )
+        realization, report, tree = realize_graph(graph, dim=args.dim, base=base)
     if args.report:
         _write_output(args.report, report_to_json(report))
     if args.format == "off":
@@ -172,8 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--dim", type=int, default=3, help="dimension for graph inputs")
     r.add_argument("--base", default=None,
                    help="comma-separated base facet vertex ids for graph inputs")
-    r.add_argument("--no-cross-check", action="store_true",
-                   help="skip the redundant incremental stress recomputation")
     r.set_defaults(func=_cmd_realize)
 
     v = sub.add_parser("verify", help="re-certify a realization JSON")

@@ -8,21 +8,27 @@ volume of their simplex. On top of it sit:
 
 - height_on_hyperplane: the z-value of the hyperplane spanned by d lifted
   points above a given flat point,
-- creasing: how two lifted facets sharing a ridge fold along it, with two
-  algebraically equal evaluation routes kept side by side as a cross-check,
+- creasing: how two lifted facets sharing a ridge fold along it,
 - stress_of_ridge: the creasing with a fixed orientation convention, which
-  is the quantity whose sign pattern certifies convexity.
+  is the quantity whose sign pattern certifies convexity. It is the
+  per-ridge reference definition;
+- stress_table: the same stresses for every ridge of a lifted complex at
+  once, which is what the pipeline and the verifier evaluate.
 
 Determinants are computed fraction-free: each point is scaled to an integer
-homogeneous column and the integer determinant (Bareiss) is divided by the
-product of scales. This keeps Fraction normalization out of the O(k^3) loop.
+homogeneous column (p D, D), D the lcm of its denominators, and the integer
+determinant (Bareiss) is divided by the product of scales. This keeps
+Fraction normalization out of the O(k^3) loop. stress_table converts every
+vertex once per table, evaluates each facet's projected determinant
+("shadow") once, and then needs one (d+1)x(d+1) determinant and one
+Fraction per ridge.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Sequence
+from math import lcm, prod
+from typing import Callable, Sequence
 
 from .errors import GeometryError
 
@@ -30,7 +36,14 @@ Rat = Fraction
 Point = tuple[Fraction, ...]
 PointSeq = tuple[Point, ...]
 
+BASE_FACET_KEY = -1  # facet-table key for the base facet
+
 _ZERO = Fraction(0)
+
+# stress_of_ridge raises these; stress_table reports them per ridge
+FLAT_RIDGE = "flat degeneracy: facet extra point on ridge span"
+BASE_NOT_FLAT = "base_flag set but base facet is not identifiable by z = 0"
+NO_ORIENTATION = "no consistent left/right orientation for ridge"
 
 
 def as_point(values: Sequence) -> Point:
@@ -78,12 +91,30 @@ def _det_int(a: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def homogeneous_column(p: Sequence) -> list[int]:
+    """The integer column (p D, D), D the lcm of the denominators of p.
+
+    Scaling a bracket column by D multiplies the determinant by D, so an
+    integer determinant of such columns divided by the product of their
+    last entries is the rational bracket.
+    """
+    scale = 1
+    for c in p:
+        if isinstance(c, Fraction):
+            if c.denominator != 1:
+                scale = lcm(scale, c.denominator)
+        elif not isinstance(c, int):
+            raise GeometryError(f"non-rational coordinate {c!r}")
+    col = [c.numerator * (scale // c.denominator) for c in p]
+    col.append(scale)
+    return col
+
+
 def bracket(points: Sequence[Sequence]) -> Fraction:
     """Signed (k-1)!-scaled volume of k points in Q^{k-1}.
 
-    Columns are the points with an appended coordinate 1; scaling a column
-    to clear denominators multiplies the determinant by the scale, so the
-    integer determinant divided by the product of scales is exact.
+    Columns are the points with an appended coordinate 1, cleared of
+    denominators by homogeneous_column.
     """
     k = len(points)
     if k == 0:
@@ -96,41 +127,12 @@ def bracket(points: Sequence[Sequence]) -> Fraction:
             raise GeometryError(
                 f"bracket expects {k} points of dimension {dim}, got one of {len(p)}"
             )
-        scale = 1
-        ints_needed = False
-        for c in p:
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    scale = lcm(scale, c.denominator)
-                    ints_needed = True
-            elif not isinstance(c, int):
-                raise GeometryError(f"non-rational coordinate {c!r}")
-        if ints_needed:
-            col = [
-                (c.numerator * (scale // c.denominator))
-                if isinstance(c, Fraction)
-                else c * scale
-                for c in p
-            ]
-        else:
-            col = [c.numerator if isinstance(c, Fraction) else c for c in p]
-        col.append(scale)
-        denom *= scale
+        col = homogeneous_column(p)
+        denom *= col[-1]
         cols.append(col)
-    rows = [[cols[j][i] for j in range(k)] for i in range(k)]
-    d = _det_int(rows)
+    # a matrix and its transpose have the same determinant
+    d = _det_int(cols)
     return Fraction(d, denom) if denom != 1 else Fraction(d)
-
-
-def project(p: Sequence) -> Point:
-    """Drop the last coordinate."""
-    if len(p) < 2:
-        raise GeometryError("project requires dimension >= 2")
-    return as_point(p[:-1])
-
-
-def project_seq(points: Sequence[Sequence]) -> PointSeq:
-    return tuple(project(p) for p in points)
 
 
 def height_on_hyperplane(
@@ -165,7 +167,8 @@ def creasing(S: Sequence[Sequence], T: Sequence[Sequence]) -> Fraction:
     (the ridge). Evaluated as the bracket of T with the last point of S
     appended, divided by the product of the two projected facet brackets.
     Antisymmetric in (S, T); independent of which representative last
-    points are used on the two hyperplanes.
+    points are used on the two hyperplanes. The tests hold it against an
+    independently coded height-difference route.
     """
     _check_shared_ridge(S, T)
     bS = bracket([p[:-1] for p in S])
@@ -173,22 +176,6 @@ def creasing(S: Sequence[Sequence], T: Sequence[Sequence]) -> Fraction:
     if bS == 0 or bT == 0:
         raise GeometryError("creasing: vertical hyperplane")
     return bracket(list(T) + [tuple(S[-1])]) / (bT * bS)
-
-
-def creasing_by_heights(S: Sequence[Sequence], T: Sequence[Sequence]) -> Fraction:
-    """Same value as creasing(), via the height-difference route.
-
-    Measures the gap between the two hyperplanes above the projection of
-    S's last point, normalized by S's projected volume. Kept as an
-    independently coded cross-check of creasing(); property tests assert
-    exact agreement.
-    """
-    _check_shared_ridge(S, T)
-    r = project(S[-1])
-    bS = bracket([p[:-1] for p in S])
-    if bS == 0:
-        raise GeometryError("creasing: vertical hyperplane")
-    return (height_on_hyperplane(T, r) - height_on_hyperplane(S, r)) / bS
 
 
 def _check_shared_ridge(S, T) -> None:
@@ -227,21 +214,87 @@ def stress_of_ridge(
     for facet in (S_facet, T_facet):
         b = bracket(shadow_X + [facet[-1][:-1]])
         if b == 0:
-            raise GeometryError("flat degeneracy: facet extra point on ridge span")
+            raise GeometryError(FLAT_RIDGE)
         sides.append(b > 0)
     if base_flag:
         flat_S = all(p[-1] == 0 for p in S_facet)
         flat_T = all(p[-1] == 0 for p in T_facet)
         if flat_S == flat_T:
-            raise GeometryError(
-                "base_flag set but base facet is not identifiable by z = 0"
-            )
+            raise GeometryError(BASE_NOT_FLAT)
         # the base facet's left/right label is interchanged
         if flat_S:
             sides[0] = not sides[0]
         else:
             sides[1] = not sides[1]
     if sides[0] == sides[1]:
-        raise GeometryError("no consistent left/right orientation for ridge")
+        raise GeometryError(NO_ORIENTATION)
     left, right = (S_facet, T_facet) if sides[0] else (T_facet, S_facet)
     return creasing(left, right)
+
+
+def stress_table(
+    d: int,
+    columns: Sequence[Sequence[int]],
+    adjacency: dict[tuple[int, ...], tuple[int, int]],
+    facet_vertices: Callable[[int], tuple[int, ...]],
+) -> tuple[dict[tuple[int, ...], Fraction], dict[tuple[int, ...], str]]:
+    """stress_of_ridge for every ridge of a lifted complex, from integers.
+
+    columns[v] is homogeneous_column of lifted vertex v, (x D_v, z D_v, D_v).
+    adjacency maps each ridge to its two facet keys, and a ridge with the
+    key BASE_FACET_KEY is a base ridge (base_flag). Returns the stresses
+    and, for the ridges where stress_of_ridge would raise, its message
+    instead; both in adjacency order.
+
+    Dropping the z entry of the columns gives the integer shadow sigma of a
+    facet, its projected bracket times the product of its D_v. It is
+    evaluated once per facet in stored vertex order and signed for each
+    ridge by the parity of the reordering to (ridge..., extra vertex). With
+    left facet extra vertex s and right facet extra vertex t, the creasing
+    bracket(X, t, s) / (bracket shadow_left * bracket shadow_right) turns
+    into det(X, t, s) * prod(D_v, v in X) / (sigma_left * sigma_right).
+    """
+    shadows: dict[int, int] = {}
+    stresses: dict[tuple[int, ...], Fraction] = {}
+    failures: dict[tuple[int, ...], str] = {}
+    for ridge, keys in adjacency.items():
+        extras = []
+        sigmas = []
+        for key in keys:
+            facet = facet_vertices(key)
+            sigma = shadows.get(key)
+            if sigma is None:
+                sigma = _det_int([[*columns[v][: d - 1], columns[v][d]] for v in facet])
+                shadows[key] = sigma
+            j = next(i for i, v in enumerate(facet) if v not in ridge)
+            order = [facet.index(v) for v in ridge] + [j]
+            odd = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :]) % 2
+            extras.append(facet[j])
+            sigmas.append(-sigma if odd else sigma)
+        if sigmas[0] == 0 or sigmas[1] == 0:
+            failures[ridge] = FLAT_RIDGE
+            continue
+        sides = [sigmas[0] > 0, sigmas[1] > 0]
+        if BASE_FACET_KEY in keys:
+            ridge_flat = all(columns[v][d - 1] == 0 for v in ridge)
+            flat_S, flat_T = (ridge_flat and columns[e][d - 1] == 0 for e in extras)
+            if flat_S == flat_T:
+                failures[ridge] = BASE_NOT_FLAT
+                continue
+            # the base facet's left/right label is interchanged
+            if flat_S:
+                sides[0] = not sides[0]
+            else:
+                sides[1] = not sides[1]
+        if sides[0] == sides[1]:
+            failures[ridge] = NO_ORIENTATION
+            continue
+        left, right = (0, 1) if sides[0] else (1, 0)
+        rows = [list(columns[v]) for v in ridge]
+        rows.append(list(columns[extras[right]]))
+        rows.append(list(columns[extras[left]]))
+        stresses[ridge] = Fraction(
+            _det_int(rows) * prod(columns[v][d] for v in ridge),
+            sigmas[left] * sigmas[right],
+        )
+    return stresses, failures

@@ -16,10 +16,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvalidInputError, StageInvariantError
-from .exact import Point, bracket
+from .exact import BASE_FACET_KEY, Point, bracket
 from .trees import TreeRep, WeightedTree, facet_layout
-
-BASE_FACET_KEY = -1  # facet-table key for the base facet
 
 Ridge = tuple[int, ...]  # sorted vertex ids, length d-1
 FacetKey = int  # leaf node id, or BASE_FACET_KEY
@@ -135,7 +133,10 @@ def build_flat(wt: WeightedTree) -> FlatComplex:
         children = tree.nodes[v].children
         cw = [lam * wt.weight[c] for c in children]
         p = place_stacked_vertex([coords[u] for u in facet], cw, W)
-        assert stacked[v] == len(coords)
+        if stacked[v] != len(coords):
+            raise StageInvariantError(
+                "flat", f"node {v} stacks vertex {stacked[v]}, expected {len(coords)}", v
+            )
         coords.append(p)
         parent_bracket = node_brackets[v]
         for j, c in enumerate(children):

@@ -8,11 +8,14 @@ ridge stresses come out >= lam on interior ridges and strictly inside
 (-R_eff, 0) on base ridges.
 
 Stresses are computed from scratch per ridge (the creasing of its two
-facets), and independently by replaying the stackings with two local update
-rules: subdividing a facet creates the new interior ridges with a known
-positive stress and lowers each boundary ridge of the facet by the shift
-over the incident new facet's volume. The two routes agree exactly on every
-ridge; the pipeline asserts that agreement whenever it has the shift table.
+facets, by exact.stress_table from one integer homogeneous column per
+lifted vertex, one shadow determinant per facet and one creasing
+determinant per ridge), and independently by replaying the stackings with
+two local update rules: subdividing a facet creates the new interior
+ridges with a known positive stress and lowers each boundary ridge of the
+facet by the shift over the incident new facet's volume. The two routes
+agree exactly on every ridge of a shift-defined lifting; stress_map checks
+that agreement on the exact lift and on the perturbed relift.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidInputError, StageInvariantError
-from .exact import Point, bracket, height_on_hyperplane, stress_of_ridge
+from .errors import GeometryError, InvalidInputError, StageInvariantError
+from .exact import height_on_hyperplane, homogeneous_column, stress_table
 from .flat import BASE_FACET_KEY, FlatComplex, Ridge
 from .trees import TreeRep, WeightedTree
 
@@ -59,34 +62,31 @@ def lift_heights(flat: FlatComplex, zeta: dict[int, Fraction]) -> list[Fraction]
     zero = Fraction(0)
     z: list[Fraction] = [zero] * flat.d
     for node in flat.interior_order:
+        v = flat.stacked_vertex[node]
+        if v != len(z):
+            raise StageInvariantError(
+                "lifting", f"node {node} stacks vertex {v}, expected {len(z)}", node
+            )
         facet = flat.node_facets[node]
         lifted = [(*flat.coords[u], z[u]) for u in facet]
-        p = flat.coords[flat.stacked_vertex[node]]
-        base_height = height_on_hyperplane(lifted, p, flat.node_brackets[node])
-        assert flat.stacked_vertex[node] == len(z)
+        base_height = height_on_hyperplane(lifted, flat.coords[v], flat.node_brackets[node])
         z.append(base_height + zeta[node])
     return z
 
 
-def _lifted_point(flat: FlatComplex, z: list[Fraction], v: int) -> Point:
-    return (*flat.coords[v], z[v])
-
-
 def direct_stresses(flat: FlatComplex, z: list[Fraction]) -> dict[Ridge, Fraction]:
-    """Stress of every ridge, each from its own creasing evaluation."""
-    out: dict[Ridge, Fraction] = {}
-    for ridge, (k1, k2) in flat.ridge_adjacency.items():
-        ridge_set = set(ridge)
-        X = [_lifted_point(flat, z, v) for v in ridge]
-        extras = []
-        for key in (k1, k2):
-            facet = flat.facet_vertices(key)
-            extras.append(next(v for v in facet if v not in ridge_set))
-        S = X + [_lifted_point(flat, z, extras[0])]
-        T = X + [_lifted_point(flat, z, extras[1])]
-        base_flag = BASE_FACET_KEY in (k1, k2)
-        out[ridge] = stress_of_ridge(X, S, T, base_flag)
-    return out
+    """Stress of every ridge, each from its own creasing evaluation.
+
+    Raises the GeometryError of the first ridge, in adjacency order, whose
+    stress is undefined.
+    """
+    columns = [homogeneous_column((*p, h)) for p, h in zip(flat.coords, z)]
+    stresses, failures = stress_table(
+        flat.d, columns, flat.ridge_adjacency, flat.facet_vertices
+    )
+    if failures:
+        raise GeometryError(next(iter(failures.values())))
+    return stresses
 
 
 def incremental_stresses(
@@ -126,40 +126,33 @@ def incremental_stresses(
 def stress_map(
     flat: FlatComplex,
     z: list[Fraction],
-    tree: TreeRep | None = None,
-    zeta: dict[int, Fraction] | None = None,
+    tree: TreeRep,
+    zeta: dict[int, Fraction],
 ) -> dict[Ridge, Fraction]:
-    """Direct stresses; cross-validated against the incremental replay.
+    """Direct stresses, cross-validated against the incremental replay.
 
-    When the stacking tree and shift table are supplied, the incremental
-    route is computed too and any ridge disagreement raises, since the two
-    must match exactly for any shift-defined lifting.
+    Any ridge disagreement raises, since the two routes must match exactly
+    for any shift-defined lifting.
     """
     direct = direct_stresses(flat, z)
-    if tree is not None and zeta is not None:
-        incremental = incremental_stresses(flat, tree, zeta)
-        if set(incremental) != set(direct):
-            raise StageInvariantError("lifting", "stress tables cover different ridges")
-        for ridge, value in direct.items():
-            if incremental[ridge] != value:
-                raise StageInvariantError(
-                    "lifting",
-                    f"stress mismatch on ridge {ridge}: "
-                    f"direct {value}, incremental {incremental[ridge]}",
-                    ridge,
-                )
+    incremental = incremental_stresses(flat, tree, zeta)
+    if set(incremental) != set(direct):
+        raise StageInvariantError("lifting", "stress tables cover different ridges")
+    for ridge, value in direct.items():
+        if incremental[ridge] != value:
+            raise StageInvariantError(
+                "lifting",
+                f"stress mismatch on ridge {ridge}: "
+                f"direct {value}, incremental {incremental[ridge]}",
+                ridge,
+            )
     return direct
 
 
-def build_lifted(
-    flat: FlatComplex, wt: WeightedTree, cross_check: bool = True
-) -> LiftedComplex:
+def build_lifted(flat: FlatComplex, wt: WeightedTree) -> LiftedComplex:
     zeta = vertical_shifts(wt, flat.lam)
     z = lift_heights(flat, zeta)
-    stresses = stress_map(
-        flat, z, wt.tree if cross_check else None, zeta if cross_check else None
-    )
-    return LiftedComplex(flat, z, zeta, stresses)
+    return LiftedComplex(flat, z, zeta, stress_map(flat, z, wt.tree, zeta))
 
 
 def check_lift_bounds(lifted: LiftedComplex, R_eff: int) -> dict[str, Fraction]:

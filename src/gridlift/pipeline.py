@@ -53,9 +53,7 @@ def _pow_log(n: int, base_exponent: float) -> float:
     return float(n) ** base_exponent
 
 
-def run_pipeline(
-    tree: TreeRep, *, cross_check: bool = True
-) -> tuple[Realization, PipelineReport]:
+def run_pipeline(tree: TreeRep) -> tuple[Realization, PipelineReport]:
     timing: dict[str, float] = {}
     clock = time.perf_counter
 
@@ -69,7 +67,7 @@ def run_pipeline(
     timing["flat"] = clock() - t
 
     t = clock()
-    lifted = build_lifted(flat, wt, cross_check=cross_check)
+    lifted = build_lifted(flat, wt)
     lift_info = check_lift_bounds(lifted, flat.R_eff)
     timing["lift"] = clock() - t
 
@@ -78,9 +76,7 @@ def run_pipeline(
     perturbed = perturb_flat(flat, params.alpha)
     ratio_lo, ratio_hi = check_volume_ratios(flat, perturbed, params)
     zeta_adj = adjusted_shifts(perturbed, tree)
-    realization, round_info = round_and_scale(
-        perturbed, tree, zeta_adj, params, cross_check=cross_check
-    )
+    realization, round_info = round_and_scale(perturbed, tree, zeta_adj, params)
     timing["round"] = clock() - t
 
     t = clock()
@@ -142,8 +138,6 @@ def realize_graph(
     g: PolytopeGraph,
     dim: int = 3,
     base: tuple[int, ...] | None = None,
-    *,
-    cross_check: bool = True,
 ) -> tuple[Realization, PipelineReport, TreeRep]:
     """Recover the stacking tree from a 1-skeleton, then run the pipeline.
 
@@ -153,5 +147,5 @@ def realize_graph(
     if base is None:
         base = find_facet(g, dim)
     tree = tree_from_graph(g, dim, base)
-    realization, report = run_pipeline(tree, cross_check=cross_check)
+    realization, report = run_pipeline(tree)
     return realization, report, tree

@@ -133,17 +133,11 @@ def round_and_scale(
     tree: TreeRep,
     zeta_adj: dict[int, Fraction],
     params: GridParams,
-    cross_check: bool = True,
 ) -> tuple[Realization, dict]:
     """Relift on the perturbed complex, snap heights, scale to integers."""
     R_eff = params.R_eff
     z = lift_heights(perturbed, zeta_adj)
-    stresses = stress_map(
-        perturbed,
-        z,
-        tree if cross_check else None,
-        zeta_adj if cross_check else None,
-    )
+    stresses = stress_map(perturbed, z, tree, zeta_adj)
 
     min_interior = min_base = None
     for ridge, (k1, k2) in perturbed.ridge_adjacency.items():

@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .errors import InvalidInputError
 from .exact import _det_int
-from .flat import FlatComplex
 from .rounding import Realization
 from .verify import Certificate
 
@@ -141,19 +140,6 @@ def report_to_json(report, include_timing: bool = True) -> str:
     if not include_timing:
         doc.pop("timing", None)
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def flat_to_json(flat: FlatComplex) -> str:
-    doc = {
-        "dim": flat.d,
-        "L": flat.L,
-        "lambda": rat_str(flat.lam),
-        "R_eff": flat.R_eff,
-        "coords": [[rat_str(c) for c in p] for p in flat.coords],
-        "facets": [[node, list(v)] for node, v in sorted(flat.facets.items())],
-        "base_facet": list(flat.base_facet),
-    }
-    return json.dumps(doc, sort_keys=True)
 
 
 def emit_off(r: Realization) -> str:

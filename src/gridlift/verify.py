@@ -3,8 +3,10 @@
 Two independent routes, deliberately kept apart:
 
 * stress route: recompute every ridge stress from the final coordinates
-  and check interior ridges positive, base ridges negative, all heights
-  nonnegative with the base flat at height zero;
+  (exact.stress_table, with facet shadows taken from those coordinates,
+  never from the construction) and check interior ridges positive, base
+  ridges negative, all heights nonnegative with the base flat at height
+  zero;
 * global route: the linear-size convex-polytope checker of Mehlhorn,
   Naeher, Seel, Seidel, Schilz, Schirra and Uhrig ("Checking geometric
   programs or verification of geometric structures", Comput. Geom. 12,
@@ -26,10 +28,9 @@ instead of masked.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .errors import GeometryError, StageInvariantError
-from .exact import _det_int, stress_of_ridge
+from .errors import StageInvariantError
+from .exact import _det_int, homogeneous_column, stress_table
 from .flat import BASE_FACET_KEY, build_ridge_adjacency
 from .rounding import Realization
 from .trees import TreeRep, facet_layout
@@ -78,28 +79,19 @@ def verify_convexity_stress(realization: Realization) -> tuple[bool, list[str]]:
     except StageInvariantError as exc:
         return False, [f"ridge structure broken: {exc}"]
 
-    frac_coords = [tuple(Fraction(c) for c in p) for p in coords]
-    ok = True
+    columns = [homogeneous_column(p) for p in coords]
+    stresses, failures = stress_table(d, columns, adjacency, realization.facet_vertices)
     for ridge, (k1, k2) in adjacency.items():
-        pts = [frac_coords[v] for v in ridge]
-        e1 = _extra_vertex(realization.facet_vertices(k1), ridge)
-        e2 = _extra_vertex(realization.facet_vertices(k2), ridge)
-        f1 = pts + [frac_coords[e1]]
-        f2 = pts + [frac_coords[e2]]
-        is_base = BASE_FACET_KEY in (k1, k2)
-        try:
-            w = stress_of_ridge(pts, f1, f2, base_flag=is_base)
-        except GeometryError as exc:
-            witnesses.append(f"ridge {ridge}: {exc}")
-            ok = False
+        if ridge in failures:
+            witnesses.append(f"ridge {ridge}: {failures[ridge]}")
             continue
+        w = stresses[ridge]
+        is_base = BASE_FACET_KEY in (k1, k2)
         if is_base and w >= 0:
             witnesses.append(f"base ridge {ridge} has stress {w} >= 0")
-            ok = False
         elif not is_base and w <= 0:
             witnesses.append(f"interior ridge {ridge} has stress {w} <= 0")
-            ok = False
-    return ok, witnesses
+    return not witnesses, witnesses
 
 
 def _extra_vertex(facet: tuple[int, ...], ridge: tuple[int, ...]) -> int:

@@ -177,7 +177,7 @@ def test_criterion_4_dual_oracle_and_stress_routes():
     for seed in range(1000):
         k = 1 + seed % 9
         tree = gen_tree("random", 3, k, seed=seed)
-        realization, report = run_pipeline(tree, cross_check=True)
+        realization, report = run_pipeline(tree)
         s_ok, _ = verify_convexity_stress(realization)
         assert s_ok is True and _global_verdict(realization) is True
         agree += 1

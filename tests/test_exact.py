@@ -5,16 +5,48 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridlift import (
+    BASE_FACET_KEY,
     GeometryError,
+    balance_weights,
     bracket,
+    build_flat,
     creasing,
-    creasing_by_heights,
+    gen_tree,
     height_on_hyperplane,
-    project,
     stress_of_ridge,
 )
+from gridlift.exact import (
+    FLAT_RIDGE,
+    _check_shared_ridge,
+    homogeneous_column,
+    stress_table,
+)
+from gridlift.flat import build_ridge_adjacency
+from gridlift.lifting import lift_heights
 
 F = Fraction
+
+
+def project(p):
+    """Drop the last coordinate."""
+    if len(p) < 2:
+        raise GeometryError("project requires dimension >= 2")
+    return tuple(F(c) for c in p[:-1])
+
+
+def creasing_by_heights(S, T):
+    """Same value as creasing(), via the height-difference route.
+
+    Measures the gap between the two hyperplanes above the projection of
+    S's last point, normalized by S's projected volume: an independently
+    coded cross-check of creasing().
+    """
+    _check_shared_ridge(S, T)
+    r = project(S[-1])
+    bS = bracket([p[:-1] for p in S])
+    if bS == 0:
+        raise GeometryError("creasing: vertical hyperplane")
+    return (height_on_hyperplane(T, r) - height_on_hyperplane(S, r)) / bS
 
 
 def rationals(max_num=30, max_den=7):
@@ -229,3 +261,92 @@ class TestStressOfRidge:
         T = X + [(0, 2, 0)]
         with pytest.raises(GeometryError):
             stress_of_ridge(X, S, T)
+
+
+@st.composite
+def lifted_complexes(draw):
+    """A stacking complex in d = 3..5 with rational lifted vertices.
+
+    "lifted" keeps the flat embedding and lifts it with random positive
+    shifts, so every ridge has a stress; "random" draws every coordinate
+    (base heights zero unless `tilted`), so orientation failures occur,
+    and `collapse` puts one vertex's shadow onto another's, which makes
+    the shadows of their common facets degenerate. Facet vertex orders
+    are permuted, the base facet's too.
+    """
+    d = draw(st.sampled_from([3, 4, 5]))
+    tree = gen_tree("random", d, draw(st.integers(1, 4)), draw(st.integers(0, 20)))
+    flat = build_flat(balance_weights(tree))
+    n = len(flat.coords)
+    if draw(st.sampled_from(["lifted", "random"])) == "lifted":
+        zeta = {v: draw(rationals().filter(lambda q: q > 0)) for v in flat.interior_order}
+        z = lift_heights(flat, zeta)
+        points = [(*p, h) for p, h in zip(flat.coords, z)]
+    else:
+        tilted = draw(st.booleans())
+        points = [
+            tuple(draw(rationals()) for _ in range(d - 1))
+            + (draw(rationals()) if v >= d or tilted else F(0),)
+            for v in range(n)
+        ]
+    if draw(st.booleans()):
+        a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        points[a] = points[b][:-1] + points[a][-1:]
+    base = tuple(draw(st.permutations(flat.base_facet)))
+    facets = {k: tuple(draw(st.permutations(f))) for k, f in flat.facets.items()}
+    return d, points, base, facets
+
+
+def reference_stresses(points, adjacency, facet_vertices):
+    """stress_of_ridge per ridge: its value, or its GeometryError message."""
+    out = {}
+    for ridge, keys in adjacency.items():
+        X = [points[v] for v in ridge]
+        S, T = (
+            X + [points[next(v for v in facet_vertices(k) if v not in ridge)]]
+            for k in keys
+        )
+        try:
+            out[ridge] = stress_of_ridge(X, S, T, BASE_FACET_KEY in keys)
+        except GeometryError as exc:
+            out[ridge] = str(exc)
+    return out
+
+
+class TestStressTable:
+    @given(lifted_complexes())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_stress_of_ridge(self, complex_):
+        d, points, base, facets = complex_
+        adjacency = build_ridge_adjacency(d, facets, base)
+        table = {BASE_FACET_KEY: base, **facets}
+        columns = [homogeneous_column(p) for p in points]
+        stresses, failures = stress_table(d, columns, adjacency, table.__getitem__)
+        expected = reference_stresses(points, adjacency, table.__getitem__)
+        assert {**stresses, **failures} == expected
+        # adjacency order is kept, so witnesses come out in the same order
+        assert list(failures) == [r for r in adjacency if isinstance(expected[r], str)]
+
+    def test_tetrahedron(self, tet_lifted, tet_flat):
+        columns = [
+            homogeneous_column((*p, h)) for p, h in zip(tet_flat.coords, tet_lifted.z)
+        ]
+        stresses, failures = stress_table(
+            3, columns, tet_flat.ridge_adjacency, tet_flat.facet_vertices
+        )
+        assert failures == {}
+        assert stresses == tet_lifted.stresses
+
+    def test_degenerate_shadow_message(self):
+        # apex 3 lifted straight above base vertex 1: the shadows of both
+        # facets through 1 and 3 collapse onto the ridge span
+        points = [(0, 0, 0), (6, 0, 0), (0, 6, 0), (6, 0, 5)]
+        base = (0, 1, 2)
+        facets = {0: (3, 1, 2), 1: (0, 3, 2), 2: (0, 1, 3)}
+        adjacency = build_ridge_adjacency(3, facets, base)
+        table = {BASE_FACET_KEY: base, **facets}
+        columns = [homogeneous_column(p) for p in points]
+        _, failures = stress_table(3, columns, adjacency, table.__getitem__)
+        expected = reference_stresses(points, adjacency, table.__getitem__)
+        assert failures[(0, 3)] == FLAT_RIDGE == expected[(0, 3)]
+        assert {r: m for r, m in expected.items() if isinstance(m, str)} == failures

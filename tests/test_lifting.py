@@ -57,6 +57,14 @@ class TestHeights:
         z2 = lift_heights(tet_flat, {0: F(32, 9)})
         assert z2[3] == 2 * z1[3]
 
+    def test_stacked_vertex_off_by_one(self, tet_flat):
+        # an explicit raise, not an assert, so it also holds under python -O
+        shifted = {node: v + 1 for node, v in tet_flat.stacked_vertex.items()}
+        bad = dataclasses.replace(tet_flat, stacked_vertex=shifted)
+        with pytest.raises(StageInvariantError) as info:
+            lift_heights(bad, {0: F(16, 9)})
+        assert info.value.stage == "lifting"
+
 
 class TestStresses:
     def test_tetrahedron_values(self, tet_lifted):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -7,17 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridlift import (
+    BASE_FACET_KEY,
+    GeometryError,
     Realization,
     gen_tree,
     make_certificate,
     parse_tree,
     run_pipeline,
+    stress_of_ridge,
     verify_bounds,
     verify_combinatorics,
     verify_convexity_exhaustive,
     verify_convexity_global,
     verify_convexity_stress,
 )
+from gridlift.flat import build_ridge_adjacency
 
 
 def with_coords(realization, coords):
@@ -212,6 +217,88 @@ class TestGlobalRoutesProperty:
     @settings(max_examples=150, deadline=None)
     def test_one_moved_vertex_never_splits_the_routes(self, realization):
         global_verdicts(realization)
+
+
+def stress_route_by_reference(realization):
+    """verify_convexity_stress with one stress_of_ridge call per ridge."""
+    coords = realization.coords
+    base = realization.base_facet
+    witnesses = [f"vertex {v} below height zero" for v, p in enumerate(coords) if p[-1] < 0]
+    witnesses += [f"base vertex {v} not at height zero" for v in base if coords[v][-1] != 0]
+    witnesses += [
+        f"non-base vertex {v} at height zero"
+        for v, p in enumerate(coords)
+        if v not in base and p[-1] == 0
+    ]
+    if witnesses:
+        return False, witnesses
+    adjacency = build_ridge_adjacency(realization.d, realization.facets, base)
+    points = [tuple(Fraction(c) for c in p) for p in coords]
+    for ridge, keys in adjacency.items():
+        X = [points[v] for v in ridge]
+        S, T = (
+            X + [points[next(v for v in realization.facet_vertices(k) if v not in ridge)]]
+            for k in keys
+        )
+        is_base = BASE_FACET_KEY in keys
+        try:
+            w = stress_of_ridge(X, S, T, base_flag=is_base)
+        except GeometryError as exc:
+            witnesses.append(f"ridge {ridge}: {exc}")
+            continue
+        if is_base and w >= 0:
+            witnesses.append(f"base ridge {ridge} has stress {w} >= 0")
+        elif not is_base and w <= 0:
+            witnesses.append(f"interior ridge {ridge} has stress {w} <= 0")
+    return not witnesses, witnesses
+
+
+def corrupt_last_vertex(realization, style):
+    coords = [list(p) for p in realization.coords]
+    last = coords[-1]
+    if style == "spike":
+        last[-1] += 10**9
+    elif style == "sink":
+        last[-1] = 1
+    elif style == "lateral":
+        last[0] += 10**9
+    elif style == "flatten":
+        last[-1] = 0
+    elif style == "dip":
+        last[-1] = -1
+    elif style == "negate":
+        last[-1] = -last[-1]
+    elif style == "duplicate":
+        coords[-1] = list(coords[0])
+    elif style == "shadow_onto_base":
+        # keep the height, move the shadow onto base vertex 1
+        coords[-1] = list(coords[1][:-1]) + [last[-1]]
+    return with_coords(realization, coords)
+
+
+class TestStressRouteAgainstReference:
+    """The stress route's table kernel against per-ridge stress_of_ridge."""
+
+    @pytest.mark.parametrize(
+        "style",
+        ["none", "spike", "sink", "lateral", "flatten", "dip", "negate",
+         "duplicate", "shadow_onto_base"],
+    )
+    @pytest.mark.parametrize("d,k,seed", [(3, 8, 1), (4, 6, 1), (5, 5, 3)])
+    def test_corruptions_same_witnesses(self, d, k, seed, style):
+        bad = corrupt_last_vertex(small_realization(d, k, seed), style)
+        assert verify_convexity_stress(bad) == stress_route_by_reference(bad)
+
+    def test_shadow_onto_base_names_the_flat_ridges(self):
+        bad = corrupt_last_vertex(small_realization(3, 8, 1), "shadow_onto_base")
+        ok, witnesses = verify_convexity_stress(bad)
+        assert ok is False
+        assert any("flat degeneracy: facet extra point on ridge span" in w for w in witnesses)
+
+    @given(moved_vertex())
+    @settings(max_examples=100, deadline=None)
+    def test_one_moved_vertex_same_witnesses(self, realization):
+        assert verify_convexity_stress(realization) == stress_route_by_reference(realization)
 
 
 class TestBounds:
