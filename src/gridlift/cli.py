@@ -19,8 +19,10 @@ from .pipeline import realize_graph, run_pipeline
 from .serialize import emit_off, realization_from_json, realization_to_json, jsonable, report_to_json
 from .trees import (
     balance_weights,
+    dump_json,
     gen_lowerbound_graph,
     gen_tree,
+    load_json,
     parse_graph,
     parse_tree,
 )
@@ -63,10 +65,7 @@ def _cmd_gen(args) -> int:
 
 
 def _parse_tree_or_graph(text: str):
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InvalidInputError(f"invalid JSON: {e}") from None
+    obj = load_json(text)
     if isinstance(obj, dict) and "tree" in obj:
         return parse_tree(text), None
     if isinstance(obj, dict) and "edges" in obj:
@@ -83,8 +82,17 @@ def _cmd_balance(args) -> int:
         "weights": list(wt.weight),
         "root_weight": wt.root_weight,
     }
-    _write_output(args.output, json.dumps(doc))
+    _write_output(args.output, dump_json(doc))
     return 0
+
+
+def _parse_base(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise InvalidInputError(
+            f"--base must be comma-separated vertex ids, got {text!r}"
+        ) from None
 
 
 def _cmd_realize(args) -> int:
@@ -94,7 +102,7 @@ def _cmd_realize(args) -> int:
     else:
         base = None
         if args.base:
-            base = tuple(int(t) for t in args.base.split(","))
+            base = _parse_base(args.base)
         realization, report, tree = realize_graph(graph, dim=args.dim, base=base)
     if args.report:
         _write_output(args.report, report_to_json(report))

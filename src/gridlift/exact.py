@@ -12,22 +12,27 @@ volume of their simplex. On top of it sit:
 - stress_of_ridge: the creasing with a fixed orientation convention, which
   is the quantity whose sign pattern certifies convexity. It is the
   per-ridge reference definition;
-- stress_table: the same stresses for every ridge of a lifted complex at
-  once, which is what the pipeline and the verifier evaluate.
+- the flat stress plan: the same stresses for every ridge of a complex.
+  flat_stress_plan does all the work the heights leave alone, once per
+  flat complex, and plan_stresses lifts it by one set of heights. This is
+  what the pipeline and the verifier evaluate.
 
 Determinants are computed fraction-free: each point is scaled to an integer
 homogeneous column (p D, D), D the lcm of its denominators, and the integer
 determinant (Bareiss) is divided by the product of scales. This keeps
-Fraction normalization out of the O(k^3) loop. stress_table converts every
-vertex once per table, evaluates each facet's projected determinant
-("shadow") once, and then needs one (d+1)x(d+1) determinant and one
-Fraction per ridge.
+Fraction normalization out of the O(k^3) loop. maximal_minors gives all
+d+1 maximal minors of a d x (d+1) integer matrix from one fraction-free
+Gauss-Jordan elimination. A ridge's creasing determinant, expanded along
+its height column, is the dot product of the heights with those minors of
+the ridge's flat columns, and its two facet shadows are two of the minors;
+so the plan takes one elimination per ridge, and each lift of the complex
+one (d+1)-term dot product and one Fraction per ridge.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Callable, Sequence
 
 from .errors import GeometryError
@@ -40,7 +45,7 @@ BASE_FACET_KEY = -1  # facet-table key for the base facet
 
 _ZERO = Fraction(0)
 
-# stress_of_ridge raises these; stress_table reports them per ridge
+# stress_of_ridge raises these; plan_stresses reports them per ridge
 FLAT_RIDGE = "flat degeneracy: facet extra point on ridge span"
 BASE_NOT_FLAT = "base_flag set but base facet is not identifiable by z = 0"
 NO_ORIENTATION = "no consistent left/right orientation for ridge"
@@ -89,6 +94,63 @@ def _det_int(a: list[list[int]]) -> int:
             row_i[k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
+
+
+def maximal_minors(rows: Sequence[Sequence[int]]) -> list[int]:
+    """All d+1 maximal minors of a d x (d+1) integer matrix.
+
+    Entry j is the determinant of the matrix without its column j. One
+    fraction-free Gauss-Jordan elimination (Bareiss's exact division, on
+    the rows above each pivot too) takes [B | b], B the leading d x d
+    block, to [det(B) I | adj(B) b]. By Cramer's rule, entry j < d of
+    adj(B) b is the determinant of B with column j replaced by b, which is
+    minor j after moving b to the end past d-1-j columns. A singular B
+    falls back to one determinant per minor. At d = 3 the closed form from
+    the six 2 x 2 minors of the last two rows is cheaper than elimination.
+    """
+    d = len(rows)
+    if d == 3:
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = rows
+        s01 = b0 * c1 - b1 * c0
+        s02 = b0 * c2 - b2 * c0
+        s03 = b0 * c3 - b3 * c0
+        s12 = b1 * c2 - b2 * c1
+        s13 = b1 * c3 - b3 * c1
+        s23 = b2 * c3 - b3 * c2
+        return [
+            a1 * s23 - a2 * s13 + a3 * s12,
+            a0 * s23 - a2 * s03 + a3 * s02,
+            a0 * s13 - a1 * s03 + a3 * s01,
+            a0 * s12 - a1 * s02 + a2 * s01,
+        ]
+    a = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(d):
+        if a[k][k] == 0:
+            for i in range(k + 1, d):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return [
+                    _det_int([[*r[:j], *r[j + 1 :]] for r in rows]) for j in range(d + 1)
+                ]
+        pivot = a[k][k]
+        row_k = a[k]
+        for i in range(d):
+            if i != k:
+                row_i = a[i]
+                lead = row_i[k]
+                for j in range(k + 1, d + 1):
+                    row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
+        prev = pivot
+    minors = [
+        sign * r[d] if (d - 1 - j) % 2 == 0 else -sign * r[d] for j, r in enumerate(a)
+    ]
+    minors.append(sign * prev)
+    return minors
 
 
 def homogeneous_column(p: Sequence) -> list[int]:
@@ -232,69 +294,114 @@ def stress_of_ridge(
     return creasing(left, right)
 
 
-def stress_table(
+# A flat stress plan holds one tuple per ridge X, in adjacency order:
+#   (X, denominator, failure, base, e0, e1, c_0, ..., c_d)
+# e0 and e1 are the extra vertices of the ridge's two facets; the stress is
+# sum_j c_j z_j / denominator over the heights z of (X..., e0, e1). failure
+# is FLAT_RIDGE or NO_ORIENTATION when the heights cannot change it (else
+# None), and base marks a base ridge, whose base facet the heights tell.
+# Flat tuples keep the plan small: it is the largest object alive while
+# the perturbed complex is relifted.
+StressPlan = list[tuple]
+
+
+def flat_stress_plan(
     d: int,
-    columns: Sequence[Sequence[int]],
+    flat_coords: Sequence[Sequence],
     adjacency: dict[tuple[int, ...], tuple[int, int]],
     facet_vertices: Callable[[int], tuple[int, ...]],
-) -> tuple[dict[tuple[int, ...], Fraction], dict[tuple[int, ...], str]]:
-    """stress_of_ridge for every ridge of a lifted complex, from integers.
+) -> StressPlan:
+    """Everything of stress_of_ridge, on every ridge, that heights leave alone.
 
-    columns[v] is homogeneous_column of lifted vertex v, (x D_v, z D_v, D_v).
-    adjacency maps each ridge to its two facet keys, and a ridge with the
-    key BASE_FACET_KEY is a base ridge (base_flag). Returns the stresses
-    and, for the ridges where stress_of_ridge would raise, its message
-    instead; both in adjacency order.
+    flat_coords[v] is the horizontal position of vertex v, in Q^{d-1}.
+    adjacency maps each ridge X to its two facet keys; e0 and e1 are the
+    extra vertices of those facets, and a ridge with the key BASE_FACET_KEY
+    is a base ridge (base_flag). The plan lists the ridges in adjacency
+    order.
 
-    Dropping the z entry of the columns gives the integer shadow sigma of a
-    facet, its projected bracket times the product of its D_v. It is
-    evaluated once per facet in stored vertex order and signed for each
-    ridge by the parity of the reordering to (ridge..., extra vertex). With
-    left facet extra vertex s and right facet extra vertex t, the creasing
-    bracket(X, t, s) / (bracket shadow_left * bracket shadow_right) turns
-    into det(X, t, s) * prod(D_v, v in X) / (sigma_left * sigma_right).
+    With E_v the lcm of v's flat denominators, the flat homogeneous columns
+    (x E_v, E_v) of the d+1 vertices (X, e0, e1) have d+1 maximal minors,
+    m_j omitting the j-th vertex. Inserting the lifted entry z_j E_j before
+    the last entry of each column and expanding along that row gives the
+    creasing determinant
+
+        det(X, e0, e1) = sum_j (-1)^(j+d-1) E_j m_j z_j,
+
+    and both shadows are among the minors: sigma(X, e0) = m_d and
+    sigma(X, e1) = m_(d-1). The stress of (left, right), with left and
+    right extra vertices s and t, is det(X, t, s) prod(E_v, v in X) /
+    (sigma_left sigma_right): everything but one dot product with the
+    heights is fixed here. The shadows' signs decide left and right, except
+    that on a base ridge the heights must tell which facet is the base.
     """
-    shadows: dict[int, int] = {}
+    columns = [homogeneous_column(p) for p in flat_coords]
+    plan: StressPlan = []
+    for ridge, keys in adjacency.items():
+        base = BASE_FACET_KEY in keys
+        e0, e1 = (_extra_vertex(facet_vertices(k), ridge) for k in keys)
+        verts = (*ridge, e0, e1)
+        # rows are coordinates, so each minor omits one vertex
+        minors = maximal_minors(list(zip(*(columns[v] for v in verts))))
+        s0, s1 = minors[d], minors[d - 1]
+        if s0 == 0 or s1 == 0:
+            plan.append((ridge, 0, FLAT_RIDGE, base, e0, e1))
+            continue
+        # an interior ridge has its extra vertices on opposite sides; a base
+        # ridge on one side, and the base facet's left/right label flips
+        opposite = (s0 > 0) != (s1 > 0)
+        failure = None if opposite != base else NO_ORIENTATION
+        scale = prod(columns[v][-1] for v in ridge)
+        coeffs = [
+            (scale if (j + d) % 2 else -scale) * columns[v][-1] * minors[j]
+            for j, v in enumerate(verts)
+        ]
+        # left is e0 exactly when s0 > 0 (unless e0's facet is the base),
+        # and then det(X, t, s) = -det(X, e0, e1)
+        denom = -abs(s0) * s1
+        # the scales E_v largely cancel: keep the reduced ratio
+        g = gcd(*coeffs, denom)
+        plan.append((ridge, denom // g, failure, base, e0, e1, *(c // g for c in coeffs)))
+    return plan
+
+
+def _extra_vertex(facet: tuple[int, ...], ridge: tuple[int, ...]) -> int:
+    """The vertex of `facet` that is not on `ridge`."""
+    return next(v for v in facet if v not in ridge)
+
+
+def plan_stresses(
+    plan: StressPlan, heights: Sequence
+) -> tuple[dict[tuple[int, ...], Fraction], dict[tuple[int, ...], str]]:
+    """stress_of_ridge for every ridge of a plan, lifted by `heights`.
+
+    heights[v] is the rational height of vertex v. Returns the stresses
+    and, for the ridges where stress_of_ridge would raise, its message
+    instead; both in adjacency order. Each stress is one (d+1)-term dot
+    product over the common denominator of the ridge's heights, and one
+    Fraction.
+    """
+    nums = [h.numerator for h in heights]
+    dens = [h.denominator for h in heights]
     stresses: dict[tuple[int, ...], Fraction] = {}
     failures: dict[tuple[int, ...], str] = {}
-    for ridge, keys in adjacency.items():
-        extras = []
-        sigmas = []
-        for key in keys:
-            facet = facet_vertices(key)
-            sigma = shadows.get(key)
-            if sigma is None:
-                sigma = _det_int([[*columns[v][: d - 1], columns[v][d]] for v in facet])
-                shadows[key] = sigma
-            j = next(i for i, v in enumerate(facet) if v not in ridge)
-            order = [facet.index(v) for v in ridge] + [j]
-            odd = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :]) % 2
-            extras.append(facet[j])
-            sigmas.append(-sigma if odd else sigma)
-        if sigmas[0] == 0 or sigmas[1] == 0:
-            failures[ridge] = FLAT_RIDGE
-            continue
-        sides = [sigmas[0] > 0, sigmas[1] > 0]
-        if BASE_FACET_KEY in keys:
-            ridge_flat = all(columns[v][d - 1] == 0 for v in ridge)
-            flat_S, flat_T = (ridge_flat and columns[e][d - 1] == 0 for e in extras)
+    for ridge, denom, failure, base, e0, e1, *coeffs in plan:
+        if base and failure != FLAT_RIDGE:
+            # the base facet is the one lying entirely in z = 0
+            ridge_flat = not any(nums[v] for v in ridge)
+            flat_S = ridge_flat and nums[e0] == 0
+            flat_T = ridge_flat and nums[e1] == 0
             if flat_S == flat_T:
                 failures[ridge] = BASE_NOT_FLAT
                 continue
-            # the base facet's left/right label is interchanged
             if flat_S:
-                sides[0] = not sides[0]
-            else:
-                sides[1] = not sides[1]
-        if sides[0] == sides[1]:
-            failures[ridge] = NO_ORIENTATION
+                denom = -denom
+        if failure is not None:
+            failures[ridge] = failure
             continue
-        left, right = (0, 1) if sides[0] else (1, 0)
-        rows = [list(columns[v]) for v in ridge]
-        rows.append(list(columns[extras[right]]))
-        rows.append(list(columns[extras[left]]))
-        stresses[ridge] = Fraction(
-            _det_int(rows) * prod(columns[v][d] for v in ridge),
-            sigmas[left] * sigmas[right],
-        )
+        verts = (*ridge, e0, e1)
+        scale = lcm(*[dens[v] for v in verts])
+        total = 0
+        for c, v in zip(coeffs, verts):
+            total += c * nums[v] * (scale // dens[v])
+        stresses[ridge] = Fraction(total, denom * scale)
     return stresses, failures

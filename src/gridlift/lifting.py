@@ -8,14 +8,17 @@ ridge stresses come out >= lam on interior ridges and strictly inside
 (-R_eff, 0) on base ridges.
 
 Stresses are computed from scratch per ridge (the creasing of its two
-facets, by exact.stress_table from one integer homogeneous column per
-lifted vertex, one shadow determinant per facet and one creasing
-determinant per ridge), and independently by replaying the stackings with
-two local update rules: subdividing a facet creates the new interior
-ridges with a known positive stress and lowers each boundary ridge of the
-facet by the shift over the incident new facet's volume. The two routes
+facets, from the complex's flat stress plan: stress_plan takes one
+elimination per ridge from the flat coordinates, and each set of heights
+then costs one dot product per ridge), and independently by replaying the
+stackings with two local update rules: subdividing a facet creates the new
+interior ridges with a known positive stress and lowers each boundary ridge
+of the facet by the shift over the incident new facet's volume. The two routes
 agree exactly on every ridge of a shift-defined lifting; stress_map checks
-that agreement on the exact lift and on the perturbed relift.
+that agreement on the exact lift and on the perturbed relift. A plan is
+built by whoever lifts the complex and dropped with it: build_lifted for
+the exact complex, rounding.round_and_scale once for the perturbed one,
+whose relift and snapped heights share it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GeometryError, InvalidInputError, StageInvariantError
-from .exact import height_on_hyperplane, homogeneous_column, stress_table
+from .exact import (
+    StressPlan,
+    flat_stress_plan,
+    height_on_hyperplane,
+    plan_stresses,
+)
 from .flat import BASE_FACET_KEY, FlatComplex, Ridge
 from .trees import TreeRep, WeightedTree
 
@@ -46,11 +54,15 @@ def vertical_shifts(wt: WeightedTree, lam: Fraction) -> dict[int, Fraction]:
         hc = wt.heavy_child[v]
         lights = {wt.weight[c] for i, c in enumerate(ch) if i != hc}
         if len(lights) != 1:
-            raise InvalidInputError(f"unbalanced input: light children of node {v}")
+            raise StageInvariantError(
+                "lifting", f"unbalanced weights: light children of node {v}", v
+            )
         B = lam * lights.pop()
         A = lam * wt.weight[ch[hc]]
         if A < B:
-            raise InvalidInputError(f"unbalanced input: heavy child of node {v} too light")
+            raise StageInvariantError(
+                "lifting", f"unbalanced weights: heavy child of node {v} too light", v
+            )
         out[v] = A * B
     return out
 
@@ -74,16 +86,20 @@ def lift_heights(flat: FlatComplex, zeta: dict[int, Fraction]) -> list[Fraction]
     return z
 
 
-def direct_stresses(flat: FlatComplex, z: list[Fraction]) -> dict[Ridge, Fraction]:
+def stress_plan(flat: FlatComplex) -> StressPlan:
+    """The flat stress plan of a complex, for every lift of it."""
+    return flat_stress_plan(
+        flat.d, flat.coords, flat.ridge_adjacency, flat.facet_vertices
+    )
+
+
+def direct_stresses(plan: StressPlan, z: list[Fraction]) -> dict[Ridge, Fraction]:
     """Stress of every ridge, each from its own creasing evaluation.
 
     Raises the GeometryError of the first ridge, in adjacency order, whose
     stress is undefined.
     """
-    columns = [homogeneous_column((*p, h)) for p, h in zip(flat.coords, z)]
-    stresses, failures = stress_table(
-        flat.d, columns, flat.ridge_adjacency, flat.facet_vertices
-    )
+    stresses, failures = plan_stresses(plan, z)
     if failures:
         raise GeometryError(next(iter(failures.values())))
     return stresses
@@ -125,6 +141,7 @@ def incremental_stresses(
 
 def stress_map(
     flat: FlatComplex,
+    plan: StressPlan,
     z: list[Fraction],
     tree: TreeRep,
     zeta: dict[int, Fraction],
@@ -134,7 +151,7 @@ def stress_map(
     Any ridge disagreement raises, since the two routes must match exactly
     for any shift-defined lifting.
     """
-    direct = direct_stresses(flat, z)
+    direct = direct_stresses(plan, z)
     incremental = incremental_stresses(flat, tree, zeta)
     if set(incremental) != set(direct):
         raise StageInvariantError("lifting", "stress tables cover different ridges")
@@ -152,7 +169,8 @@ def stress_map(
 def build_lifted(flat: FlatComplex, wt: WeightedTree) -> LiftedComplex:
     zeta = vertical_shifts(wt, flat.lam)
     z = lift_heights(flat, zeta)
-    return LiftedComplex(flat, z, zeta, stress_map(flat, z, wt.tree, zeta))
+    stresses = stress_map(flat, stress_plan(flat), z, wt.tree, zeta)
+    return LiftedComplex(flat, z, zeta, stresses)
 
 
 def check_lift_bounds(lifted: LiftedComplex, R_eff: int) -> dict[str, Fraction]:

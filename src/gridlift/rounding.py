@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import InvalidInputError, StageInvariantError
 from .flat import BASE_FACET_KEY, FlatComplex, recompute_node_brackets
-from .lifting import lift_heights, direct_stresses, stress_map
+from .lifting import direct_stresses, lift_heights, stress_map, stress_plan
 from .trees import TreeRep
 
 
@@ -137,7 +137,9 @@ def round_and_scale(
     """Relift on the perturbed complex, snap heights, scale to integers."""
     R_eff = params.R_eff
     z = lift_heights(perturbed, zeta_adj)
-    stresses = stress_map(perturbed, z, tree, zeta_adj)
+    # one plan serves the relift and the snapped heights: same flat complex
+    plan = stress_plan(perturbed)
+    stresses = stress_map(perturbed, plan, z, tree, zeta_adj)
 
     min_interior = min_base = None
     for ridge, (k1, k2) in perturbed.ridge_adjacency.items():
@@ -160,7 +162,7 @@ def round_and_scale(
         raise StageInvariantError("rounding", f"z_max {z_max} outside (0, 2 R_eff^2)")
 
     z_snapped = [floor_to_multiple(h, params.alpha_z) for h in z]
-    final_stresses = direct_stresses(perturbed, z_snapped)
+    final_stresses = direct_stresses(plan, z_snapped)
     min_interior_final = None
     for ridge, (k1, k2) in perturbed.ridge_adjacency.items():
         w = final_stresses[ridge]

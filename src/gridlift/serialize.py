@@ -15,6 +15,7 @@ from fractions import Fraction
 from .errors import InvalidInputError
 from .exact import _det_int
 from .rounding import Realization
+from .trees import load_json
 from .verify import Certificate
 
 
@@ -84,10 +85,7 @@ def realization_from_json(text: str | bytes) -> Realization:
     facet keys must be nonnegative integers (a negative key would alias the
     base facet's key); anything else is an InvalidInputError.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InvalidInputError(f"invalid JSON: {e}") from None
+    doc = load_json(text)
     # accept the combined realize output {"realization": ..., "report": ...}
     if isinstance(doc, dict) and "dim" not in doc and "realization" in doc:
         doc = doc["realization"]

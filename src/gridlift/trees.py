@@ -20,10 +20,11 @@ the balanced tree is what the embedding stage turns into a grid resolution.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, StageInvariantError
 from .rng import SplitMix64
 
 Nested = None | list  # leaf | list of d children
@@ -79,7 +80,37 @@ class TreeRep:
         return out[self.root]
 
     def to_json(self) -> str:
-        return json.dumps({"dim": self.dim, "tree": self.to_nested()})
+        return dump_json({"dim": self.dim, "tree": self.to_nested()})
+
+
+def _nesting_limit() -> str:
+    return (
+        "the JSON nesting limit (the interpreter recursion limit, "
+        f"{sys.getrecursionlimit()})"
+    )
+
+
+def load_json(text: str | bytes) -> object:
+    """json.loads; malformed or too deeply nested text is invalid input."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise InvalidInputError(f"invalid JSON: {e}") from None
+    except RecursionError:
+        raise InvalidInputError(
+            f"invalid JSON: nested deeper than {_nesting_limit()}"
+        ) from None
+
+
+def dump_json(obj: object) -> str:
+    """json.dumps; a document nested too deeply to write is invalid input
+    (a nested tree nests one level per stacking on a path)."""
+    try:
+        return json.dumps(obj)
+    except RecursionError:
+        raise InvalidInputError(
+            f"cannot write JSON nested deeper than {_nesting_limit()}"
+        ) from None
 
 
 def tree_from_nested(dim: int, nested: Nested) -> TreeRep:
@@ -118,10 +149,7 @@ def tree_from_nested(dim: int, nested: Nested) -> TreeRep:
 
 def parse_tree(text: str | bytes) -> TreeRep:
     """Parse the JSON tree form {"dim": d, "tree": nested}."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InvalidInputError(f"invalid JSON: {e}") from None
+    obj = load_json(text)
     if not isinstance(obj, dict) or "dim" not in obj or "tree" not in obj:
         raise InvalidInputError('tree JSON must be {"dim": d, "tree": ...}')
     dim = obj["dim"]
@@ -293,22 +321,32 @@ def balance_weights(tree: TreeRep) -> WeightedTree:
 
 
 def check_balanced(wt: WeightedTree) -> None:
-    """Raise InvalidInputError unless wt satisfies the balance contract."""
+    """Raise StageInvariantError unless wt satisfies the balance contract.
+
+    The weights come from balance_weights, so a violation is a bug in the
+    balancing, not in the input.
+    """
     tree = wt.tree
     for v in range(len(tree.nodes)):
         if tree.is_leaf(v):
             if wt.weight[v] < 1:
-                raise InvalidInputError(f"leaf {v} has weight < 1")
+                raise StageInvariantError("balance", f"leaf {v} has weight < 1", v)
             continue
         ch = tree.nodes[v].children
         if wt.weight[v] != sum(wt.weight[c] for c in ch):
-            raise InvalidInputError(f"node {v} weight is not the sum of children")
+            raise StageInvariantError(
+                "balance", f"node {v} weight is not the sum of children", v
+            )
         hc = wt.heavy_child[v]
         lights = [wt.weight[c] for i, c in enumerate(ch) if i != hc]
         if len(set(lights)) != 1:
-            raise InvalidInputError(f"light children of {v} are unequal")
+            raise StageInvariantError(
+                "balance", f"light children of {v} are unequal", v
+            )
         if wt.weight[ch[hc]] < lights[0]:
-            raise InvalidInputError(f"heavy child of {v} is lighter than siblings")
+            raise StageInvariantError(
+                "balance", f"heavy child of {v} is lighter than siblings", v
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +456,7 @@ class PolytopeGraph:
         return sum(len(a) for a in self.adjacency) // 2
 
     def to_json(self) -> str:
-        return json.dumps({"n": self.n, "edges": self.edges()})
+        return dump_json({"n": self.n, "edges": self.edges()})
 
 
 def graph_from_edges(n: int, edges: Iterable[Sequence[int]]) -> PolytopeGraph:
@@ -433,10 +471,7 @@ def graph_from_edges(n: int, edges: Iterable[Sequence[int]]) -> PolytopeGraph:
 
 
 def parse_graph(text: str | bytes) -> PolytopeGraph:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InvalidInputError(f"invalid JSON: {e}") from None
+    obj = load_json(text)
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise InvalidInputError('graph JSON must be {"n": ..., "edges": [...]}')
     if not isinstance(obj["n"], int) or obj["n"] < 1:

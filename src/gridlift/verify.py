@@ -3,10 +3,10 @@
 Two independent routes, deliberately kept apart:
 
 * stress route: recompute every ridge stress from the final coordinates
-  (exact.stress_table, with facet shadows taken from those coordinates,
-  never from the construction) and check interior ridges positive, base
-  ridges negative, all heights nonnegative with the base flat at height
-  zero;
+  (a flat stress plan of their horizontal part, lifted by their heights,
+  never taken from the construction) and check interior ridges positive,
+  base ridges negative, all heights nonnegative with the base flat at
+  height zero;
 * global route: the linear-size convex-polytope checker of Mehlhorn,
   Naeher, Seel, Seidel, Schilz, Schirra and Uhrig ("Checking geometric
   programs or verification of geometric structures", Comput. Geom. 12,
@@ -30,7 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import StageInvariantError
-from .exact import _det_int, homogeneous_column, stress_table
+from .exact import (
+    _det_int,
+    _extra_vertex,
+    flat_stress_plan,
+    maximal_minors,
+    plan_stresses,
+)
 from .flat import BASE_FACET_KEY, build_ridge_adjacency
 from .rounding import Realization
 from .trees import TreeRep, facet_layout
@@ -79,8 +85,10 @@ def verify_convexity_stress(realization: Realization) -> tuple[bool, list[str]]:
     except StageInvariantError as exc:
         return False, [f"ridge structure broken: {exc}"]
 
-    columns = [homogeneous_column(p) for p in coords]
-    stresses, failures = stress_table(d, columns, adjacency, realization.facet_vertices)
+    plan = flat_stress_plan(
+        d, [p[:-1] for p in coords], adjacency, realization.facet_vertices
+    )
+    stresses, failures = plan_stresses(plan, [p[-1] for p in coords])
     for ridge, (k1, k2) in adjacency.items():
         if ridge in failures:
             witnesses.append(f"ridge {ridge}: {failures[ridge]}")
@@ -92,11 +100,6 @@ def verify_convexity_stress(realization: Realization) -> tuple[bool, list[str]]:
         elif not is_base and w <= 0:
             witnesses.append(f"interior ridge {ridge} has stress {w} <= 0")
     return not witnesses, witnesses
-
-
-def _extra_vertex(facet: tuple[int, ...], ridge: tuple[int, ...]) -> int:
-    """The vertex of `facet` that is not on `ridge`."""
-    return next(v for v in facet if v not in ridge)
 
 
 def _facets_in_order(realization: Realization) -> list[tuple[int, tuple[int, ...]]]:
@@ -147,15 +150,12 @@ def _facet_side_witnesses(
     vertex not strictly on o's side.
     """
     d = len(coords[0])
-    pts = [coords[v] for v in facet]
-    cof = []
-    # cofactor of row i in the (d+1)x(d+1) bracket, row d+1 being all ones
-    for i in range(d + 1):
-        rows = [[pts[j][r] for j in range(d)] for r in range(d) if r != i]
-        if i < d:
-            rows.append([1] * d)
-        minor = _det_int([list(r) for r in rows])
-        cof.append(minor if (i + d) % 2 == 0 else -minor)
+    # the cofactors of the bracket's p column are the maximal minors of the
+    # facet rows; with the ones entry first, the leading block is the
+    # facet's shadow, nonsingular unless the facet is vertical
+    minors = maximal_minors([[1, *coords[v]] for v in facet])
+    cof = [m if i % 2 else -m for i, m in enumerate(minors[1:])]
+    cof.append(minors[0])
 
     total, n = centroid
     at_o = sum(cof[i] * total[i] for i in range(d)) + n * cof[d]

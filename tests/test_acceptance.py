@@ -28,7 +28,7 @@ from gridlift import (
     verify_convexity_stress,
 )
 from gridlift.flat import build_flat
-from gridlift.lifting import lift_heights, vertical_shifts
+from gridlift.lifting import lift_heights, stress_plan, vertical_shifts
 
 F = Fraction
 
@@ -189,7 +189,9 @@ def test_criterion_4_dual_oracle_and_stress_routes():
         flat = build_flat(wt)
         zeta = vertical_shifts(wt, flat.lam)
         z = lift_heights(flat, zeta)
-        assert direct_stresses(flat, z) == incremental_stresses(flat, tree, zeta)
+        assert direct_stresses(stress_plan(flat), z) == incremental_stresses(
+            flat, tree, zeta
+        )
 
     # 100 corrupted negatives, both oracles must reject each one
     rejected = 0

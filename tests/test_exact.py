@@ -18,8 +18,10 @@ from gridlift import (
 from gridlift.exact import (
     FLAT_RIDGE,
     _check_shared_ridge,
-    homogeneous_column,
-    stress_table,
+    _det_int,
+    flat_stress_plan,
+    maximal_minors,
+    plan_stresses,
 )
 from gridlift.flat import build_ridge_adjacency
 from gridlift.lifting import lift_heights
@@ -313,6 +315,12 @@ def reference_stresses(points, adjacency, facet_vertices):
     return out
 
 
+def plan_table(d, points, adjacency, facet_vertices):
+    """plan_stresses of the flat plan of `points`, lifted by their last entries."""
+    plan = flat_stress_plan(d, [p[:-1] for p in points], adjacency, facet_vertices)
+    return plan_stresses(plan, [F(p[-1]) for p in points])
+
+
 class TestStressTable:
     @given(lifted_complexes())
     @settings(max_examples=150, deadline=None)
@@ -320,22 +328,33 @@ class TestStressTable:
         d, points, base, facets = complex_
         adjacency = build_ridge_adjacency(d, facets, base)
         table = {BASE_FACET_KEY: base, **facets}
-        columns = [homogeneous_column(p) for p in points]
-        stresses, failures = stress_table(d, columns, adjacency, table.__getitem__)
+        stresses, failures = plan_table(d, points, adjacency, table.__getitem__)
         expected = reference_stresses(points, adjacency, table.__getitem__)
         assert {**stresses, **failures} == expected
         # adjacency order is kept, so witnesses come out in the same order
         assert list(failures) == [r for r in adjacency if isinstance(expected[r], str)]
+        assert list(stresses) == [r for r in adjacency if r not in failures]
 
     def test_tetrahedron(self, tet_lifted, tet_flat):
-        columns = [
-            homogeneous_column((*p, h)) for p, h in zip(tet_flat.coords, tet_lifted.z)
-        ]
-        stresses, failures = stress_table(
-            3, columns, tet_flat.ridge_adjacency, tet_flat.facet_vertices
+        points = [(*p, h) for p, h in zip(tet_flat.coords, tet_lifted.z)]
+        stresses, failures = plan_table(
+            3, points, tet_flat.ridge_adjacency, tet_flat.facet_vertices
         )
         assert failures == {}
         assert stresses == tet_lifted.stresses
+
+    def test_one_plan_many_lifts(self, tet_flat):
+        # the plan holds nothing of the heights: every lift reads it afresh
+        plan = flat_stress_plan(
+            3, tet_flat.coords, tet_flat.ridge_adjacency, tet_flat.facet_vertices
+        )
+        for shift in (F(16, 9), F(32, 9), F(1, 7)):
+            z = lift_heights(tet_flat, {0: shift})
+            points = [(*p, h) for p, h in zip(tet_flat.coords, z)]
+            expected = reference_stresses(
+                points, tet_flat.ridge_adjacency, tet_flat.facet_vertices
+            )
+            assert plan_stresses(plan, z) == (expected, {})
 
     def test_degenerate_shadow_message(self):
         # apex 3 lifted straight above base vertex 1: the shadows of both
@@ -345,8 +364,51 @@ class TestStressTable:
         facets = {0: (3, 1, 2), 1: (0, 3, 2), 2: (0, 1, 3)}
         adjacency = build_ridge_adjacency(3, facets, base)
         table = {BASE_FACET_KEY: base, **facets}
-        columns = [homogeneous_column(p) for p in points]
-        _, failures = stress_table(3, columns, adjacency, table.__getitem__)
+        _, failures = plan_table(3, points, adjacency, table.__getitem__)
         expected = reference_stresses(points, adjacency, table.__getitem__)
         assert failures[(0, 3)] == FLAT_RIDGE == expected[(0, 3)]
         assert {r: m for r, m in expected.items() if isinstance(m, str)} == failures
+
+
+def minors_by_det(rows):
+    """One _det_int per maximal minor: the reference for maximal_minors."""
+    return [
+        _det_int([[*r[:j], *r[j + 1 :]] for r in rows]) for j in range(len(rows) + 1)
+    ]
+
+
+@st.composite
+def wide_matrices(draw):
+    """A d x (d+1) integer matrix, d = 3..6, often with a singular or
+    pivot-starved leading block so that row swaps and the fallback run."""
+    d = draw(st.integers(3, 6))
+    entries = st.integers(-(2**40), 2**40) | st.integers(-3, 3)
+    rows = [[draw(entries) for _ in range(d + 1)] for _ in range(d)]
+    shape = draw(st.sampled_from(["any", "zero_column", "dependent_rows", "zero_pivot"]))
+    if shape == "zero_column":
+        j = draw(st.integers(0, d - 1))
+        for r in rows:
+            r[j] = 0
+    elif shape == "dependent_rows":
+        # the leading block's rows dependent, the last column not
+        i, k = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
+        c = draw(st.integers(-3, 3))
+        rows[i][:d] = [c * x for x in rows[k][:d]]
+    elif shape == "zero_pivot":
+        rows[0][0] = 0
+    return rows
+
+
+class TestMaximalMinors:
+    @given(wide_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_one_det_per_minor(self, rows):
+        before = [r[:] for r in rows]
+        assert maximal_minors(rows) == minors_by_det(rows)
+        assert rows == before  # the input is left alone
+
+    def test_fallback_on_singular_leading_block(self):
+        rows = [[1, 2, 3, 4, 5], [2, 4, 6, 8, 1], [0, 1, 0, 2, 7], [3, 0, 1, 1, 1]]
+        minors = maximal_minors(rows)
+        assert minors[-1] == 0
+        assert minors == minors_by_det(rows)

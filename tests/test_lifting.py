@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from gridlift import (
-    InvalidInputError,
     StageInvariantError,
     balance_weights,
     build_flat,
@@ -15,7 +14,7 @@ from gridlift import (
     incremental_stresses,
     vertical_shifts,
 )
-from gridlift.lifting import lift_heights, stress_map
+from gridlift.lifting import lift_heights, stress_map, stress_plan
 
 F = Fraction
 
@@ -36,8 +35,9 @@ class TestVerticalShifts:
         bad[1], bad[6] = 2, 3  # unequal light children of the root
         bad[0] = bad[1] + bad[2] + bad[6]
         broken = dataclasses.replace(wt, weight=bad)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(StageInvariantError) as info:
             vertical_shifts(broken, F(3, 2))
+        assert info.value.stage == "lifting"
 
 
 class TestHeights:
@@ -76,7 +76,7 @@ class TestStresses:
 
     def test_doubling_shift_doubles_stress(self, tet_flat):
         z = lift_heights(tet_flat, {0: F(32, 9)})
-        st = direct_stresses(tet_flat, z)
+        st = direct_stresses(stress_plan(tet_flat), z)
         assert st[(0, 3)] == 8
         assert st[(0, 1)] == F(-8, 3)
 
@@ -89,7 +89,7 @@ class TestStresses:
         flat = build_flat(wt)
         zeta = vertical_shifts(wt, flat.lam)
         z = lift_heights(flat, zeta)
-        direct = direct_stresses(flat, z)
+        direct = direct_stresses(stress_plan(flat), z)
         incremental = incremental_stresses(flat, tree, zeta)
         assert direct == incremental
 
@@ -100,12 +100,16 @@ class TestStresses:
         flat = build_flat(wt)
         zeta = {v: F(3 + 2 * i, 7) for i, v in enumerate(flat.interior_order)}
         z = lift_heights(flat, zeta)
-        assert direct_stresses(flat, z) == incremental_stresses(flat, tree, zeta)
+        assert direct_stresses(stress_plan(flat), z) == incremental_stresses(
+            flat, tree, zeta
+        )
 
     def test_stress_map_cross_check_catches_mismatch(self, tet_flat, tet_weighted):
         z = lift_heights(tet_flat, {0: F(16, 9)})
         with pytest.raises(StageInvariantError):
-            stress_map(tet_flat, z, tet_weighted.tree, {0: F(17, 9)})
+            stress_map(
+                tet_flat, stress_plan(tet_flat), z, tet_weighted.tree, {0: F(17, 9)}
+            )
 
 
 class TestLiftGate:

@@ -216,6 +216,27 @@ class TestCli:
         assert main(["realize", "--input", str(bad)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("base", ["1,x", "1,,2", "0.5,1,2", "0,1,99", "1,2"])
+    def test_bad_base_exit_2(self, tmp_path, capsys, base):
+        graph_f = tmp_path / "b3.json"
+        assert main(["gen", "--shape", "b3", "--output", str(graph_f)]) == 0
+        assert main(["realize", "--input", str(graph_f), "--base", base]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_deep_tree_exit_2(self, tmp_path, capsys, tet_result):
+        # nested tree JSON nests one level per stacking of a serpentine chain
+        assert main(["gen", "--shape", "serpentine", "--n", "1500"]) == 2
+        assert "nesting limit" in capsys.readouterr().err
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"dim": 3, "tree": ' + "[" * 1500 + "]" * 1500 + "}")
+        for command in ("realize", "balance", "verify"):
+            assert main([command, "--input", str(deep)]) == 2
+            assert "nesting limit" in capsys.readouterr().err
+        real_f = tmp_path / "r.json"
+        real_f.write_text(realization_to_json(tet_result[0]))
+        assert main(["verify", "--input", str(real_f), "--tree", str(deep)]) == 2
+        assert "nesting limit" in capsys.readouterr().err
+
     def test_verify_failure_exit_code(self, tmp_path, tet_result, capsys):
         realization, _ = tet_result
         import dataclasses

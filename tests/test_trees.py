@@ -5,6 +5,7 @@ import pytest
 
 from gridlift import (
     InvalidInputError,
+    StageInvariantError,
     balance_weights,
     check_balanced,
     find_facet,
@@ -143,8 +144,9 @@ class TestBalance:
         import dataclasses
 
         broken = dataclasses.replace(wt, weight=bad)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(StageInvariantError) as info:
             check_balanced(broken)
+        assert info.value.stage == "balance"
 
 
 class TestGenerators:

@@ -22,7 +22,9 @@ from gridlift import (
     verify_convexity_global,
     verify_convexity_stress,
 )
+from gridlift.exact import _det_int
 from gridlift.flat import build_ridge_adjacency
+from gridlift.verify import _centroid, _facet_side_witnesses, _facets_in_order
 
 
 def with_coords(realization, coords):
@@ -217,6 +219,42 @@ class TestGlobalRoutesProperty:
     @settings(max_examples=150, deadline=None)
     def test_one_moved_vertex_never_splits_the_routes(self, realization):
         global_verdicts(realization)
+
+
+def plane_by_cofactors(coords, facet):
+    """The facet bracket's p-column cofactors, one _det_int per cofactor."""
+    d = len(coords[0])
+    pts = [coords[v] for v in facet]
+    cof = []
+    for i in range(d + 1):
+        rows = [[pts[j][r] for j in range(d)] for r in range(d) if r != i]
+        if i < d:
+            rows.append([1] * d)
+        minor = _det_int(rows)
+        cof.append(minor if (i + d) % 2 == 0 else -minor)
+    return cof
+
+
+class TestFacetPlanes:
+    @given(moved_vertex())
+    @settings(max_examples=100, deadline=None)
+    def test_planes_equal_per_cofactor_reference(self, realization):
+        coords = realization.coords
+        centroid = _centroid(coords)
+        total, n = centroid
+        for key, verts in _facets_in_order(realization):
+            ref = plane_by_cofactors(coords, verts)
+            at_o = sum(c * t for c, t in zip(ref, total)) + n * ref[-1]
+            expected = None if at_o == 0 else ref if at_o < 0 else [-c for c in ref]
+            got, _ = _facet_side_witnesses(coords, verts, key, [], centroid)
+            assert got == expected
+
+    def test_vertical_facet(self):
+        # a facet whose shadow is degenerate: maximal_minors falls back
+        coords = [(0, 0, 0), (4, 0, 0), (2, 0, 5), (1, 3, 1)]
+        ref = plane_by_cofactors(coords, (0, 1, 2))
+        got, _ = _facet_side_witnesses(coords, (0, 1, 2), 0, [], _centroid(coords))
+        assert got in (ref, [-c for c in ref]) and ref[-1] == 0
 
 
 def stress_route_by_reference(realization):
