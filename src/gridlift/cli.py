@@ -57,7 +57,7 @@ def _cmd_gen(args) -> int:
     elif args.shape in ("b3", "gamma"):
         if args.dim != 3:
             raise InvalidInputError(f"shape {args.shape} is 3-dimensional only")
-        g = gen_lowerbound_graph(args.shape, args.n, gadget=args.gadget)
+        g = gen_lowerbound_graph(args.shape, args.n)
         _write_output(args.output, g.to_json())
     else:
         raise InvalidInputError(f"unknown shape {args.shape!r}")
@@ -155,8 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=int, default=0,
                    help="vertex count (random/serpentine/gamma); rounds for balanced_rounds")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--gadget", default="serpentine",
-                   help="gadget tree shape for gamma")
     g.add_argument("--output", default=None)
     g.set_defaults(func=_cmd_gen)
 

@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvalidInputError, StageInvariantError
-from .exact import BASE_FACET_KEY, Point, bracket
-from .trees import TreeRep, WeightedTree, facet_layout
+from .exact import BASE_FACET_KEY, Point
+from .trees import WeightedTree, facet_layout
 
 Ridge = tuple[int, ...]  # sorted vertex ids, length d-1
 FacetKey = int  # leaf node id, or BASE_FACET_KEY
@@ -159,10 +159,3 @@ def build_flat(wt: WeightedTree) -> FlatComplex:
         R_eff=L ** (d - 1),
     )
 
-
-def recompute_node_brackets(flat: FlatComplex) -> dict[int, Fraction]:
-    """Facet brackets straight from coordinates (used after perturbation)."""
-    out: dict[int, Fraction] = {}
-    for node, facet in flat.node_facets.items():
-        out[node] = bracket([flat.coords[u] for u in facet])
-    return out

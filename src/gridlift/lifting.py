@@ -41,7 +41,6 @@ from .trees import TreeRep, WeightedTree
 class LiftedComplex:
     flat: FlatComplex
     z: list[Fraction]  # by vertex id; base vertices at 0
-    zeta: dict[int, Fraction]  # interior node id -> vertical shift
     stresses: dict[Ridge, Fraction]
 
 
@@ -170,7 +169,32 @@ def build_lifted(flat: FlatComplex, wt: WeightedTree) -> LiftedComplex:
     zeta = vertical_shifts(wt, flat.lam)
     z = lift_heights(flat, zeta)
     stresses = stress_map(flat, stress_plan(flat), z, wt.tree, zeta)
-    return LiftedComplex(flat, z, zeta, stresses)
+    return LiftedComplex(flat, z, stresses)
+
+
+Extremum = tuple[Fraction, Ridge]  # a stress and the ridge it belongs to
+
+
+def stress_extrema(
+    adjacency: dict[Ridge, tuple[int, int]], stresses: dict[Ridge, Fraction]
+) -> tuple[Extremum, Extremum, Extremum]:
+    """The least interior stress and the least and greatest base stress.
+
+    Every construction gate compares these three against its own bounds, so
+    a gate holds on all ridges exactly when it holds on them. Ties go to the
+    first ridge in adjacency order.
+    """
+    interior = base_lo = base_hi = None
+    for ridge, (k1, k2) in adjacency.items():
+        w = stresses[ridge]
+        if BASE_FACET_KEY in (k1, k2):
+            if base_lo is None or w < base_lo[0]:
+                base_lo = (w, ridge)
+            if base_hi is None or w > base_hi[0]:
+                base_hi = (w, ridge)
+        elif interior is None or w < interior[0]:
+            interior = (w, ridge)
+    return interior, base_lo, base_hi
 
 
 def check_lift_bounds(lifted: LiftedComplex, R_eff: int) -> dict[str, Fraction]:
@@ -180,28 +204,22 @@ def check_lift_bounds(lifted: LiftedComplex, R_eff: int) -> dict[str, Fraction]:
     bug, not an input problem, hence the stage error.
     """
     flat = lifted.flat
-    min_interior: Fraction | None = None
-    min_base: Fraction | None = None
-    max_base: Fraction | None = None
-    for ridge, (k1, k2) in flat.ridge_adjacency.items():
-        w = lifted.stresses[ridge]
-        if BASE_FACET_KEY in (k1, k2):
-            if not (-R_eff < w < 0):
-                raise StageInvariantError(
-                    "lifting", f"base ridge {ridge} stress {w} outside (-{R_eff}, 0)", ridge
-                )
-            min_base = w if min_base is None else min(min_base, w)
-            max_base = w if max_base is None else max(max_base, w)
-        else:
-            if w < 1:
-                raise StageInvariantError(
-                    "lifting", f"interior ridge {ridge} stress {w} below 1", ridge
-                )
-            min_interior = w if min_interior is None else min(min_interior, w)
+    (w_in, r_in), (w_lo, r_lo), (w_hi, r_hi) = stress_extrema(
+        flat.ridge_adjacency, lifted.stresses
+    )
+    if w_in < 1:
+        raise StageInvariantError(
+            "lifting", f"interior ridge {r_in} stress {w_in} below 1", r_in
+        )
+    for w, ridge in ((w_lo, r_lo), (w_hi, r_hi)):
+        if not -R_eff < w < 0:
+            raise StageInvariantError(
+                "lifting", f"base ridge {ridge} stress {w} outside (-{R_eff}, 0)", ridge
+            )
     if any(h <= 0 for h in lifted.z[flat.d :]):
         raise StageInvariantError("lifting", "non-base vertex at or below height 0")
     return {
-        "min_interior_stress": min_interior,
-        "min_base_stress": min_base,
-        "max_base_stress": max_base,
+        "min_interior_stress": w_in,
+        "min_base_stress": w_lo,
+        "max_base_stress": w_hi,
     }

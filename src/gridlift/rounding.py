@@ -16,19 +16,25 @@ raise stage errors rather than being reported as input problems.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import InvalidInputError, StageInvariantError
-from .flat import BASE_FACET_KEY, FlatComplex, recompute_node_brackets
-from .lifting import direct_stresses, lift_heights, stress_map, stress_plan
+from .exact import bracket
+from .flat import BASE_FACET_KEY, FlatComplex
+from .lifting import (
+    direct_stresses,
+    lift_heights,
+    stress_extrema,
+    stress_map,
+    stress_plan,
+)
 from .trees import TreeRep
 
 
 @dataclass
 class GridParams:
     d: int
-    L: int
     R_eff: int
     alpha: Fraction  # flat grid step
     alpha_z: Fraction  # height grid step
@@ -57,7 +63,7 @@ def grid_params(d: int, L: int, R_eff: int) -> GridParams:
     alpha = Fraction(1, 10 * spread * R_eff)
     alpha_z = Fraction(1, 3 * R_eff)
     wiggle = alpha * spread  # identically 1/(10 R_eff)
-    return GridParams(d, L, R_eff, alpha, alpha_z, 1 + wiggle, 1 - wiggle)
+    return GridParams(d, R_eff, alpha, alpha_z, 1 + wiggle, 1 - wiggle)
 
 
 def floor_to_multiple(x: Fraction, step: Fraction) -> Fraction:
@@ -69,22 +75,11 @@ def perturb_flat(flat: FlatComplex, alpha: Fraction) -> FlatComplex:
     coords = [
         tuple(floor_to_multiple(c, alpha) for c in p) for p in flat.coords
     ]
-    out = FlatComplex(
-        d=flat.d,
-        coords=coords,
-        facets=flat.facets,
-        base_facet=flat.base_facet,
-        ridge_adjacency=flat.ridge_adjacency,
-        node_facets=flat.node_facets,
-        node_brackets={},
-        stacked_vertex=flat.stacked_vertex,
-        interior_order=flat.interior_order,
-        L=flat.L,
-        lam=flat.lam,
-        R_eff=flat.R_eff,
-    )
-    out.node_brackets = recompute_node_brackets(out)
-    return out
+    brackets = {
+        node: bracket([coords[u] for u in facet])
+        for node, facet in flat.node_facets.items()
+    }
+    return replace(flat, coords=coords, node_brackets=brackets)
 
 
 def check_volume_ratios(
@@ -139,46 +134,36 @@ def round_and_scale(
     z = lift_heights(perturbed, zeta_adj)
     # one plan serves the relift and the snapped heights: same flat complex
     plan = stress_plan(perturbed)
-    stresses = stress_map(perturbed, plan, z, tree, zeta_adj)
-
-    min_interior = min_base = None
-    for ridge, (k1, k2) in perturbed.ridge_adjacency.items():
-        w = stresses[ridge]
-        if BASE_FACET_KEY in (k1, k2):
-            if not (-2 * R_eff < w < 0):
-                raise StageInvariantError(
-                    "rounding", f"perturbed base stress {w} outside (-2 R_eff, 0)", ridge
-                )
-            min_base = w if min_base is None else min(min_base, w)
-        else:
-            if w < Fraction(4, 5):
-                raise StageInvariantError(
-                    "rounding", f"perturbed interior stress {w} below 4/5", ridge
-                )
-            min_interior = w if min_interior is None else min(min_interior, w)
+    adjacency = perturbed.ridge_adjacency
+    (min_interior, r_in), (min_base, r_lo), (max_base, r_hi) = stress_extrema(
+        adjacency, stress_map(perturbed, plan, z, tree, zeta_adj)
+    )
+    if min_interior < Fraction(4, 5):
+        raise StageInvariantError(
+            "rounding", f"perturbed interior stress {min_interior} below 4/5", r_in
+        )
+    for w, ridge in ((min_base, r_lo), (max_base, r_hi)):
+        if not -2 * R_eff < w < 0:
+            raise StageInvariantError(
+                "rounding", f"perturbed base stress {w} outside (-2 R_eff, 0)", ridge
+            )
 
     z_max = max(z)
     if not (0 < z_max < 2 * R_eff * R_eff):
         raise StageInvariantError("rounding", f"z_max {z_max} outside (0, 2 R_eff^2)")
 
     z_snapped = [floor_to_multiple(h, params.alpha_z) for h in z]
-    final_stresses = direct_stresses(plan, z_snapped)
-    min_interior_final = None
-    for ridge, (k1, k2) in perturbed.ridge_adjacency.items():
-        w = final_stresses[ridge]
-        if BASE_FACET_KEY in (k1, k2):
-            if w >= 0:
-                raise StageInvariantError(
-                    "rounding", f"rounded base stress {w} not negative", ridge
-                )
-        else:
-            if w <= 0:
-                raise StageInvariantError(
-                    "rounding", f"rounded interior stress {w} not positive", ridge
-                )
-            min_interior_final = (
-                w if min_interior_final is None else min(min_interior_final, w)
-            )
+    (min_interior_final, r_in), _, (max_base_final, r_hi) = stress_extrema(
+        adjacency, direct_stresses(plan, z_snapped)
+    )
+    if min_interior_final <= 0:
+        raise StageInvariantError(
+            "rounding", f"rounded interior stress {min_interior_final} not positive", r_in
+        )
+    if max_base_final >= 0:
+        raise StageInvariantError(
+            "rounding", f"rounded base stress {max_base_final} not negative", r_hi
+        )
     if any(h <= 0 for h in z_snapped[perturbed.d :]):
         raise StageInvariantError("rounding", "non-base vertex rounded to height <= 0")
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import InvalidInputError
 from .exact import _det_int
 from .rounding import Realization
-from .trees import load_json
+from .trees import _is_int, load_json
 from .verify import Certificate
 
 
@@ -60,10 +60,6 @@ def realization_to_json(r: Realization) -> str:
         "metadata": jsonable(r.metadata),
     }
     return json.dumps(doc, sort_keys=True)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _vertex_ids(value, d: int, n: int, what: str) -> tuple[int, ...]:
@@ -129,12 +125,8 @@ def realization_from_json(text: str | bytes) -> Realization:
     return Realization(d=d, coords=coords, facets=facets, base_facet=base, metadata=meta)
 
 
-def report_to_dict(report) -> dict:
-    return jsonable(report)
-
-
 def report_to_json(report, include_timing: bool = True) -> str:
-    doc = report_to_dict(report)
+    doc = jsonable(report)
     if not include_timing:
         doc.pop("timing", None)
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))

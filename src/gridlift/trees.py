@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import InvalidInputError, StageInvariantError
 from .rng import SplitMix64
@@ -47,9 +47,6 @@ class TreeRep:
 
     def is_leaf(self, v: int) -> bool:
         return not self.nodes[v].children
-
-    def children(self, v: int) -> tuple[int, ...]:
-        return self.nodes[v].children
 
     @property
     def interior_ids(self) -> list[int]:
@@ -138,12 +135,6 @@ def tree_from_nested(dim: int, nested: Nested) -> TreeRep:
         nodes.append(TreeNode((), parent))
         for child in reversed(item):
             stack.append((child, vid))
-    # reversed stack insertion above appends children right-to-left; ids are
-    # preorder but the children tuples were built in visitation order, which
-    # is left-to-right because we reversed before pushing. Verify arity.
-    for v, nd in enumerate(nodes):
-        if nd.children and len(nd.children) != dim:
-            raise InvalidInputError("interior node with wrong arity")
     return TreeRep(dim, nodes)
 
 
@@ -177,24 +168,16 @@ class Caterpillar:
 
     path: tuple[int, ...]  # node ids, top to bottom; bottom is a leaf
     light_children: tuple[tuple[int, int], ...]  # (path node, light child id)
-    parent: int | None  # caterpillar index
 
 
-@dataclass
-class CaterpillarHierarchy:
-    caterpillars: list[Caterpillar]
-    root_index: int
-    height: int
-    index_of_top: dict[int, int]
-
-
-def heavy_paths(tree: TreeRep) -> tuple[dict[int, int], CaterpillarHierarchy]:
-    """Heavy-child table (interior node -> child index) and the hierarchy.
+def heavy_paths(tree: TreeRep) -> tuple[dict[int, int], list[Caterpillar]]:
+    """Heavy-child table (interior node -> child index) and the caterpillars.
 
     The heavy child maximizes subtree node count, ties going to the lowest
     child index. Following heavy children from any top node reaches a leaf;
     those maximal paths plus their incident light edges partition the edge
-    set into caterpillars.
+    set into caterpillars, listed by ascending top node id, so every
+    caterpillar comes after the one its top hangs from.
     """
     sizes = subtree_sizes(tree)
     heavy: dict[int, int] = {}
@@ -215,7 +198,6 @@ def heavy_paths(tree: TreeRep) -> tuple[dict[int, int], CaterpillarHierarchy]:
     tops.sort()
 
     cats: list[Caterpillar] = []
-    index_of_top: dict[int, int] = {}
     for top in tops:
         path = [top]
         light: list[tuple[int, int]] = []
@@ -227,27 +209,8 @@ def heavy_paths(tree: TreeRep) -> tuple[dict[int, int], CaterpillarHierarchy]:
                     light.append((v, c))
             v = ch[heavy[v]]
             path.append(v)
-        index_of_top[top] = len(cats)
-        cats.append(Caterpillar(tuple(path), tuple(light), None))
-
-    member_of: dict[int, int] = {}
-    for idx, cat in enumerate(cats):
-        for v in cat.path:
-            member_of[v] = idx
-    for idx, cat in enumerate(cats):
-        top = cat.path[0]
-        parent_node = tree.nodes[top].parent
-        cat.parent = None if parent_node is None else member_of[parent_node]
-
-    depth = [1] * len(cats)
-    height = 1 if cats else 0
-    order = sorted(range(len(cats)), key=lambda i: cats[i].path[0])
-    for i in order:
-        p = cats[i].parent
-        if p is not None:
-            depth[i] = depth[p] + 1
-            height = max(height, depth[i])
-    return heavy, CaterpillarHierarchy(cats, member_of[tree.root], height, index_of_top)
+        cats.append(Caterpillar(tuple(path), tuple(light)))
+    return heavy, cats
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +241,7 @@ def balance_weights(tree: TreeRep) -> WeightedTree:
     A single-interior path is a star of fresh leaves and is already balanced
     without that final padding.
     """
-    heavy, hier = heavy_paths(tree)
+    heavy, caterpillars = heavy_paths(tree)
     weight = [0] * len(tree.nodes)
     for v in tree.leaf_ids:
         weight[v] = 1
@@ -289,14 +252,8 @@ def balance_weights(tree: TreeRep) -> WeightedTree:
             u = tree.nodes[u].children[heavy[u]]
         weight[u] += delta
 
-    # children-before-parents order over the hierarchy
-    order = sorted(
-        range(len(hier.caterpillars)),
-        key=lambda i: hier.caterpillars[i].path[0],
-        reverse=True,
-    )
-    for idx in order:
-        cat = hier.caterpillars[idx]
+    # children before parents: a caterpillar's top comes after its parent's
+    for cat in reversed(caterpillars):
         interiors = [v for v in cat.path if not tree.is_leaf(v)]
         for v in reversed(interiors):
             weight[v] = sum(weight[c] for c in tree.nodes[v].children)
@@ -459,12 +416,27 @@ class PolytopeGraph:
         return dump_json({"n": self.n, "edges": self.edges()})
 
 
-def graph_from_edges(n: int, edges: Iterable[Sequence[int]]) -> PolytopeGraph:
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def graph_from_edges(n: int, edges: list[list[int]]) -> PolytopeGraph:
+    """Graph on vertices 0..n-1 from a list of [u, v] pairs of distinct ids;
+    any other shape or type (bools, floats, tuples) is invalid input."""
+    if not _is_int(n) or n < 1:
+        raise InvalidInputError("n must be a positive integer")
+    if not isinstance(edges, list):
+        raise InvalidInputError("edges must be a list of [u, v] pairs")
     adj: list[set[int]] = [set() for _ in range(n)]
     for e in edges:
-        u, v = e
-        if not (0 <= u < n and 0 <= v < n) or u == v:
+        if not (
+            isinstance(e, list)
+            and len(e) == 2
+            and all(_is_int(x) and 0 <= x < n for x in e)
+            and e[0] != e[1]
+        ):
             raise InvalidInputError(f"bad edge {e!r} for n={n}")
+        u, v = e
         adj[u].add(v)
         adj[v].add(u)
     return PolytopeGraph(n, adj)
@@ -474,8 +446,6 @@ def parse_graph(text: str | bytes) -> PolytopeGraph:
     obj = load_json(text)
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise InvalidInputError('graph JSON must be {"n": ..., "edges": [...]}')
-    if not isinstance(obj["n"], int) or obj["n"] < 1:
-        raise InvalidInputError("n must be a positive integer")
     return graph_from_edges(obj["n"], obj["edges"])
 
 
@@ -600,17 +570,15 @@ def _stack_face(
     return p
 
 
-def gen_lowerbound_graph(kind: str, n: int = 0, gadget: str = "serpentine") -> PolytopeGraph:
+def gen_lowerbound_graph(kind: str, n: int = 0) -> PolytopeGraph:
     """Hard-instance graph families in dimension 3.
 
     b3: the tetrahedron with every face stacked once per round, two rounds
     (20 vertices, 36 faces, the 12 newest of degree 3).
 
-    gamma: b3 with a gadget chain glued into each of the 36 faces. n must be
-    a positive multiple of 36; the n - 20 extra vertices are spread over the
-    faces as evenly as possible (lower face index first), each face
-    receiving a serpentine chain of stackings. The gadget shape is a
-    placeholder and configurable in principle; only "serpentine" exists.
+    gamma: b3 with a serpentine chain of stackings glued into each of the 36
+    faces. n must be a positive multiple of 36; the n - 20 extra vertices
+    are spread over the faces as evenly as possible (lower face index first).
     """
     adj: list[set[int]] = [set() for _ in range(4)]
     for u in range(4):
@@ -626,8 +594,6 @@ def gen_lowerbound_graph(kind: str, n: int = 0, gadget: str = "serpentine") -> P
         return PolytopeGraph(len(adj), adj, tuple(sorted(tuple(sorted(f)) for f in faces)))
     if kind != "gamma":
         raise InvalidInputError(f"unknown generator kind {kind!r}")
-    if gadget != "serpentine":
-        raise InvalidInputError(f"unknown gadget {gadget!r}")
     if n <= 0 or n % 36 != 0:
         raise InvalidInputError("gamma requires n to be a positive multiple of 36")
     extra = n - len(adj)  # n - 20 new vertices over 36 faces

@@ -275,12 +275,11 @@ def verify_convexity_exhaustive(realization: Realization) -> tuple[bool, list[st
     return not witnesses, witnesses
 
 
-def verify_bounds(
-    realization: Realization, R_eff: int | None = None, d: int | None = None
-) -> tuple[bool, list[str]]:
-    d = realization.d if d is None else d
-    if R_eff is None:
-        R_eff = realization.metadata["R_eff"]
+def verify_bounds(realization: Realization) -> tuple[bool, list[str]]:
+    """Every coordinate inside the paper's caps 10 d^2 R_eff^2 (horizontal)
+    and 6 R_eff^3 (height), with R_eff from the realization's metadata."""
+    d = realization.d
+    R_eff = realization.metadata["R_eff"]
     bound_xy = 10 * d * d * R_eff * R_eff
     bound_z = 6 * R_eff**3
     witnesses = []
@@ -320,15 +319,13 @@ def verify_combinatorics(
 
 
 def make_certificate(
-    realization: Realization,
-    tree: TreeRep | None = None,
-    check_bounds: bool = True,
+    realization: Realization, tree: TreeRep | None = None
 ) -> Certificate:
     s_ok, s_wit = verify_convexity_stress(realization)
     g_ok, g_wit = verify_convexity_global(realization)
     witnesses = s_wit + g_wit
     b_ok = c_ok = None
-    if check_bounds and "R_eff" in realization.metadata:
+    if "R_eff" in realization.metadata:
         b_ok, b_wit = verify_bounds(realization)
         witnesses += b_wit
     if tree is not None:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gridlift import (
+    BASE_FACET_KEY,
     StageInvariantError,
     balance_weights,
     build_flat,
@@ -14,7 +15,7 @@ from gridlift import (
     incremental_stresses,
     vertical_shifts,
 )
-from gridlift.lifting import lift_heights, stress_map, stress_plan
+from gridlift.lifting import lift_heights, stress_extrema, stress_map, stress_plan
 
 F = Fraction
 
@@ -136,3 +137,51 @@ class TestLiftGate:
         broken = dataclasses.replace(tet_lifted, stresses=bad)
         with pytest.raises(StageInvariantError):
             check_lift_bounds(broken, tet_flat.R_eff)
+
+    def test_gate_names_the_extreme_ridge(self, tet_lifted, tet_flat):
+        interior = [
+            r for r, keys in tet_flat.ridge_adjacency.items()
+            if BASE_FACET_KEY not in keys
+        ]
+        bad = dict(tet_lifted.stresses)
+        bad[interior[0]] = F(1, 2)
+        bad[interior[1]] = F(1, 3)
+        broken = dataclasses.replace(tet_lifted, stresses=bad)
+        with pytest.raises(StageInvariantError) as info:
+            check_lift_bounds(broken, tet_flat.R_eff)
+        assert info.value.stage == "lifting"
+        assert info.value.witness == interior[1]
+
+    @pytest.mark.parametrize("interior,base,ok", [
+        (F(1), F(-4, 3), True),  # the interior floor 1 is inclusive
+        (F(4), F(-4), False),  # base stress at -R_eff
+        (F(4), F(0), False),  # base stress at 0
+        (F(4), F(-399, 100), True),
+    ])
+    def test_gate_boundaries(self, tet_lifted, tet_flat, interior, base, ok):
+        assert tet_flat.R_eff == 4
+        adjacency = tet_flat.ridge_adjacency
+        bad = dict(tet_lifted.stresses)
+        ridge_in = next(r for r, keys in adjacency.items() if BASE_FACET_KEY not in keys)
+        ridge_base = next(r for r, keys in adjacency.items() if BASE_FACET_KEY in keys)
+        bad[ridge_in] = interior
+        bad[ridge_base] = base
+        broken = dataclasses.replace(tet_lifted, stresses=bad)
+        if ok:
+            info = check_lift_bounds(broken, tet_flat.R_eff)
+            assert info["min_interior_stress"] == interior
+            assert info["min_base_stress"] == min(base, F(-4, 3))
+        else:
+            with pytest.raises(StageInvariantError) as info:
+                check_lift_bounds(broken, tet_flat.R_eff)
+            assert info.value.witness == ridge_base
+
+
+class TestStressExtrema:
+    def test_ties_go_to_the_first_ridge(self):
+        adjacency = {(0, 1): (BASE_FACET_KEY, 5), (0, 2): (5, 6), (1, 2): (6, 7),
+                     (1, 3): (BASE_FACET_KEY, 7)}
+        stresses = {(0, 1): F(-1), (0, 2): F(3), (1, 2): F(3), (1, 3): F(-1)}
+        assert stress_extrema(adjacency, stresses) == (
+            (F(3), (0, 2)), (F(-1), (0, 1)), (F(-1), (0, 1))
+        )

@@ -210,11 +210,20 @@ class TestCli:
                      "--output", str(off_f)]) == 0
         assert off_f.read_text().startswith("OFF\n4 4 0\n")
 
-    def test_invalid_input_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("doc", [
+        pytest.param('{"dim": 2, "tree": [null, null]}', id="tree_dim_2"),
+        pytest.param('{"n": 4, "edges": [5]}', id="edge_not_a_list"),
+        pytest.param('{"n": 4, "edges": [[0, 1, 2]]}', id="edge_of_three"),
+        pytest.param('{"n": 4, "edges": [["a", "b"]]}', id="string_ids"),
+        pytest.param('{"n": 4, "edges": 5}', id="edges_not_a_list"),
+        pytest.param('{"n": 4, "edges": [[0.0, 1.0]]}', id="float_ids"),
+        pytest.param('{"n": true, "edges": [[0, 1]]}', id="bool_n"),
+    ])
+    def test_invalid_input_exit_code(self, tmp_path, capsys, doc):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"dim": 2, "tree": [null, null]}')
+        bad.write_text(doc)
         assert main(["realize", "--input", str(bad)]) == 2
-        capsys.readouterr()
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("base", ["1,x", "1,,2", "0.5,1,2", "0,1,99", "1,2"])
     def test_bad_base_exit_2(self, tmp_path, capsys, base):

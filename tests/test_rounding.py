@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 
 from gridlift import (
+    BASE_FACET_KEY,
     InvalidInputError,
+    StageInvariantError,
     adjusted_shifts,
     balance_weights,
     build_flat,
@@ -13,6 +15,7 @@ from gridlift import (
     round_and_scale,
     vertical_shifts,
 )
+from gridlift import rounding
 from gridlift.rounding import check_volume_ratios, floor_to_multiple
 
 F = Fraction
@@ -144,3 +147,33 @@ class TestRoundAndScale:
         assert info["max_z"] <= info["bound_z"]
         # base corner sits exactly at the coordinate bound
         assert info["max_xy"] == info["bound_xy"]
+
+    @pytest.mark.parametrize("gate,low,lower,message", [
+        ("stress_map", F(79, 100), F(1, 2), "below 4/5"),
+        ("direct_stresses", F(0), F(-1, 2), "not positive"),
+    ])
+    def test_gates_name_the_extreme_ridge(
+        self, monkeypatch, tet_flat, tet_weighted, gate, low, lower, message
+    ):
+        # lower two interior stresses after the relift (stress_map) or after
+        # snapping the heights (direct_stresses): the least one is the witness
+        tree = tet_weighted.tree
+        p = grid_params(3, tet_flat.L, tet_flat.R_eff)
+        pe = perturb_flat(tet_flat, p.alpha)
+        interior = [
+            r for r, keys in pe.ridge_adjacency.items() if BASE_FACET_KEY not in keys
+        ]
+        original = getattr(rounding, gate)
+
+        def tampered(*args):
+            out = dict(original(*args))
+            out[interior[0]] = low
+            out[interior[1]] = lower
+            return out
+
+        monkeypatch.setattr(rounding, gate, tampered)
+        with pytest.raises(StageInvariantError) as info:
+            round_and_scale(pe, tree, adjusted_shifts(pe, tree), p)
+        assert info.value.stage == "rounding"
+        assert message in str(info.value)
+        assert info.value.witness == interior[1]

@@ -74,20 +74,20 @@ class TestHeavyPaths:
     def test_two_stack_heavy(self, two_stack_tree):
         sizes = subtree_sizes(two_stack_tree)
         assert sizes[0] == 7
-        heavy, hier = heavy_paths(two_stack_tree)
+        heavy, caterpillars = heavy_paths(two_stack_tree)
         # second child (the interior one) is heavy at the root
         assert heavy[0] == 1
-        assert len(hier.caterpillars) == 1
-        cat = hier.caterpillars[0]
+        assert len(caterpillars) == 1
+        cat = caterpillars[0]
         assert cat.path[0] == 0
         assert len(cat.path) == 3  # root, inner node, one leaf
 
     def test_edge_partition(self):
         for seed in range(6):
             t = gen_tree("random", 3, 25, seed)
-            heavy, hier = heavy_paths(t)
+            heavy, caterpillars = heavy_paths(t)
             seen = set()
-            for cat in hier.caterpillars:
+            for cat in caterpillars:
                 for a, b in zip(cat.path, cat.path[1:]):
                     assert (a, b) not in seen
                     seen.add((a, b))
@@ -160,8 +160,8 @@ class TestGenerators:
     def test_serpentine_single_path(self):
         t = gen_tree("serpentine", 3, 5)
         assert t.interior_count == 5
-        heavy, hier = heavy_paths(t)
-        assert len(hier.caterpillars) == 1
+        heavy, caterpillars = heavy_paths(t)
+        assert len(caterpillars) == 1
 
     def test_balanced_rounds_counts(self):
         for d, rounds in [(3, 2), (3, 3), (4, 2)]:

@@ -347,9 +347,11 @@ class TestBounds:
 
     def test_explicit_parameters(self, tet_result):
         realization, _ = tet_result
-        ok, _ = verify_bounds(realization, R_eff=4, d=3)
-        assert ok is True
-        ok, witnesses = verify_bounds(realization, R_eff=3, d=3)
+        assert realization.metadata["R_eff"] == 4
+        tight = dataclasses.replace(
+            realization, metadata={**realization.metadata, "R_eff": 3}
+        )
+        ok, witnesses = verify_bounds(tight)
         assert ok is False
         assert witnesses
 
