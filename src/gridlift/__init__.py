@@ -20,7 +20,6 @@ from .exact import (
 )
 from .flat import BASE_FACET_KEY, FlatComplex, base_simplex, build_flat
 from .lifting import (
-    LiftedComplex,
     build_lifted,
     check_lift_bounds,
     direct_stresses,
@@ -78,7 +77,6 @@ __all__ = [
     "GridLiftError",
     "GridParams",
     "InvalidInputError",
-    "LiftedComplex",
     "PipelineReport",
     "PolytopeGraph",
     "Realization",

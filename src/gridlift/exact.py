@@ -7,7 +7,9 @@ points with a row of ones appended; it equals (k-1)! times the signed
 volume of their simplex. On top of it sit:
 
 - height_on_hyperplane: the z-value of the hyperplane spanned by d lifted
-  points above a given flat point,
+  points above a given flat point. It is the reference the lift is tested
+  against: the lift takes the same value from the facet brackets the flat
+  complex already holds, with no determinant of its own;
 - creasing: how two lifted facets sharing a ridge fold along it,
 - stress_of_ridge: the creasing with a fixed orientation convention, which
   is the quantity whose sign pattern certifies convexity. It is the
@@ -197,9 +199,7 @@ def bracket(points: Sequence[Sequence]) -> Fraction:
     return Fraction(d, denom) if denom != 1 else Fraction(d)
 
 
-def height_on_hyperplane(
-    facet: Sequence[Sequence], p: Sequence, facet_shadow: Fraction | None = None
-) -> Fraction:
+def height_on_hyperplane(facet: Sequence[Sequence], p: Sequence) -> Fraction:
     """Height of the hyperplane through d lifted points above flat point p.
 
     `facet` holds d points in Q^d whose projections span a nondegenerate
@@ -207,15 +207,8 @@ def height_on_hyperplane(
     (p, 0) appended, divided by the projected facet bracket. The sign
     convention makes the plane through the standard basis points of Q^3
     evaluate to 1 at the origin.
-
-    facet_shadow, if given, must equal the projected bracket of `facet` in
-    the same order (callers that cache facet volumes pass it to skip one
-    determinant).
     """
-    d = len(facet)
-    shadow = facet_shadow
-    if shadow is None:
-        shadow = bracket([p_[:-1] for p_ in facet])
+    shadow = bracket([p_[:-1] for p_ in facet])
     if shadow == 0:
         raise GeometryError("vertical hyperplane: projected facet is degenerate")
     lifted_p = tuple(p) + (_ZERO,)

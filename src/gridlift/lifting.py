@@ -5,7 +5,10 @@ of the facet it subdivides. The shift of a stacking is the product of the
 heavy child's and the (common) light children's rescaled weights, which is
 what makes every crease of the lifted surface land in a controlled range:
 ridge stresses come out >= lam on interior ridges and strictly inside
-(-R_eff, 0) on base ridges.
+(-R_eff, 0) on base ridges. The hyperplane's height above the new vertex
+weighs the facet's heights by the child-to-node bracket ratios the complex
+already holds (Cramer's rule: child j's facet is the node's facet with
+vertex j replaced by the new vertex), so the lift takes no determinant.
 
 Stresses are computed from scratch per ridge (the creasing of its two
 facets, from the complex's flat stress plan: stress_plan takes one
@@ -14,34 +17,19 @@ then costs one dot product per ridge), and independently by replaying the
 stackings with two local update rules: subdividing a facet creates the new
 interior ridges with a known positive stress and lowers each boundary ridge
 of the facet by the shift over the incident new facet's volume. The two routes
-agree exactly on every ridge of a shift-defined lifting; stress_map checks
-that agreement on the exact lift and on the perturbed relift. A plan is
-built by whoever lifts the complex and dropped with it: build_lifted for
-the exact complex, rounding.round_and_scale once for the perturbed one,
-whose relift and snapped heights share it.
+agree exactly on every ridge of a shift-defined lifting. build_lifted lifts
+by a set of shifts and checks that agreement, for the exact lift and the
+perturbed relift; it returns its plan for the snapped heights to reuse.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GeometryError, InvalidInputError, StageInvariantError
-from .exact import (
-    StressPlan,
-    flat_stress_plan,
-    height_on_hyperplane,
-    plan_stresses,
-)
+from .exact import StressPlan, flat_stress_plan, plan_stresses
 from .flat import BASE_FACET_KEY, FlatComplex, Ridge
 from .trees import TreeRep, WeightedTree
-
-
-@dataclass
-class LiftedComplex:
-    flat: FlatComplex
-    z: list[Fraction]  # by vertex id; base vertices at 0
-    stresses: dict[Ridge, Fraction]
 
 
 def vertical_shifts(wt: WeightedTree, lam: Fraction) -> dict[int, Fraction]:
@@ -66,22 +54,26 @@ def vertical_shifts(wt: WeightedTree, lam: Fraction) -> dict[int, Fraction]:
     return out
 
 
-def lift_heights(flat: FlatComplex, zeta: dict[int, Fraction]) -> list[Fraction]:
+def lift_heights(
+    flat: FlatComplex, tree: TreeRep, zeta: dict[int, Fraction]
+) -> list[Fraction]:
     """Replay the stackings, raising each new vertex by its shift."""
     if any(z <= 0 for z in zeta.values()):
         raise InvalidInputError("vertical shifts must be positive")
-    zero = Fraction(0)
-    z: list[Fraction] = [zero] * flat.d
+    brackets = flat.node_brackets
+    z: list[Fraction] = [Fraction(0)] * flat.d
     for node in flat.interior_order:
         v = flat.stacked_vertex[node]
         if v != len(z):
             raise StageInvariantError(
                 "lifting", f"node {node} stacks vertex {v}, expected {len(z)}", node
             )
-        facet = flat.node_facets[node]
-        lifted = [(*flat.coords[u], z[u]) for u in facet]
-        base_height = height_on_hyperplane(lifted, flat.coords[v], flat.node_brackets[node])
-        z.append(base_height + zeta[node])
+        shadow = brackets[node]
+        if shadow == 0:
+            raise GeometryError("vertical hyperplane: projected facet is degenerate")
+        children = tree.nodes[node].children
+        total = sum(brackets[c] * z[u] for c, u in zip(children, flat.node_facets[node]))
+        z.append(total / shadow + zeta[node])
     return z
 
 
@@ -165,11 +157,13 @@ def stress_map(
     return direct
 
 
-def build_lifted(flat: FlatComplex, wt: WeightedTree) -> LiftedComplex:
-    zeta = vertical_shifts(wt, flat.lam)
-    z = lift_heights(flat, zeta)
-    stresses = stress_map(flat, stress_plan(flat), z, wt.tree, zeta)
-    return LiftedComplex(flat, z, stresses)
+def build_lifted(
+    flat: FlatComplex, tree: TreeRep, zeta: dict[int, Fraction]
+) -> tuple[list[Fraction], StressPlan, dict[Ridge, Fraction]]:
+    """Heights by the shifts, the complex's stress plan, and the checked stresses."""
+    z = lift_heights(flat, tree, zeta)
+    plan = stress_plan(flat)
+    return z, plan, stress_map(flat, plan, z, tree, zeta)
 
 
 Extremum = tuple[Fraction, Ridge]  # a stress and the ridge it belongs to
@@ -197,15 +191,17 @@ def stress_extrema(
     return interior, base_lo, base_hi
 
 
-def check_lift_bounds(lifted: LiftedComplex, R_eff: int) -> dict[str, Fraction]:
+def check_lift_bounds(
+    flat: FlatComplex, z: list[Fraction], stresses: dict[Ridge, Fraction]
+) -> dict[str, Fraction]:
     """Stage gate: interior stresses >= 1, base stresses inside (-R_eff, 0).
 
     Returns the extrema for reporting; any violation is an implementation
     bug, not an input problem, hence the stage error.
     """
-    flat = lifted.flat
+    R_eff = flat.R_eff
     (w_in, r_in), (w_lo, r_lo), (w_hi, r_hi) = stress_extrema(
-        flat.ridge_adjacency, lifted.stresses
+        flat.ridge_adjacency, stresses
     )
     if w_in < 1:
         raise StageInvariantError(
@@ -216,7 +212,7 @@ def check_lift_bounds(lifted: LiftedComplex, R_eff: int) -> dict[str, Fraction]:
             raise StageInvariantError(
                 "lifting", f"base ridge {ridge} stress {w} outside (-{R_eff}, 0)", ridge
             )
-    if any(h <= 0 for h in lifted.z[flat.d :]):
+    if any(h <= 0 for h in z[flat.d :]):
         raise StageInvariantError("lifting", "non-base vertex at or below height 0")
     return {
         "min_interior_stress": w_in,

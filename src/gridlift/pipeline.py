@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import StageInvariantError
 from .flat import build_flat
-from .lifting import build_lifted, check_lift_bounds
+from .lifting import build_lifted, check_lift_bounds, vertical_shifts
 from .rounding import (
     Realization,
     adjusted_shifts,
@@ -62,9 +62,11 @@ def run_pipeline(tree: TreeRep) -> tuple[Realization, PipelineReport]:
     timing["flat"] = clock() - t
 
     t = clock()
+    z, plan, stresses = build_lifted(flat, tree, vertical_shifts(wt, flat.lam))
+    lift_info = check_lift_bounds(flat, z, stresses)
     # the exact lift is only gated: rounding starts again from the flat
-    # complex, so its heights and stresses are not kept past this point
-    lift_info = check_lift_bounds(build_lifted(flat, wt), flat.R_eff)
+    # complex, so its heights, plan and stresses are not kept past this point
+    del z, plan, stresses
     timing["lift"] = clock() - t
 
     t = clock()

@@ -422,11 +422,18 @@ def _is_int(x) -> bool:
 
 def graph_from_edges(n: int, edges: list[list[int]]) -> PolytopeGraph:
     """Graph on vertices 0..n-1 from a list of [u, v] pairs of distinct ids;
-    any other shape or type (bools, floats, tuples) is invalid input."""
+    any other shape or type (bools, floats, tuples), and fewer pairs than
+    any stacked polytope on n vertices has edges, is invalid input."""
     if not _is_int(n) or n < 1:
         raise InvalidInputError("n must be a positive integer")
     if not isinstance(edges, list):
         raise InvalidInputError("edges must be a list of [u, v] pairs")
+    # a stacked d-polytope has d n - d(d+1)/2 >= 3n - 6 edges for d >= 3;
+    # checked before allocating, since n alone can ask for any amount
+    if len(edges) < 3 * n - 6:
+        raise InvalidInputError(
+            f"{len(edges)} edges for n={n}: a stacked polytope has at least {3 * n - 6}"
+        )
     adj: list[set[int]] = [set() for _ in range(n)]
     for e in edges:
         if not (

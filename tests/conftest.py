@@ -6,6 +6,7 @@ from gridlift import (
     build_lifted,
     parse_tree,
     run_pipeline,
+    vertical_shifts,
 )
 
 TET_JSON = '{"dim": 3, "tree": [null, null, null]}'
@@ -29,7 +30,9 @@ def tet_flat(tet_weighted):
 
 @pytest.fixture(scope="session")
 def tet_lifted(tet_flat, tet_weighted):
-    return build_lifted(tet_flat, tet_weighted)
+    """Heights, plan and stresses of the tetrahedron's exact lift."""
+    zeta = vertical_shifts(tet_weighted, tet_flat.lam)
+    return build_lifted(tet_flat, tet_weighted.tree, zeta)
 
 
 @pytest.fixture(scope="session")

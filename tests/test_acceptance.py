@@ -188,7 +188,7 @@ def test_criterion_4_dual_oracle_and_stress_routes():
         wt = balance_weights(tree)
         flat = build_flat(wt)
         zeta = vertical_shifts(wt, flat.lam)
-        z = lift_heights(flat, zeta)
+        z = lift_heights(flat, tree, zeta)
         assert direct_stresses(stress_plan(flat), z) == incremental_stresses(
             flat, tree, zeta
         )

@@ -139,13 +139,6 @@ class TestProjectAndHeight:
         with pytest.raises(GeometryError):
             height_on_hyperplane(facet, (1, 0))
 
-    def test_cached_shadow(self):
-        facet = [(0, 0, 1), (4, 0, 3), (0, 4, 5)]
-        shadow = bracket([p[:-1] for p in facet])
-        assert height_on_hyperplane(facet, (1, 1), shadow) == height_on_hyperplane(
-            facet, (1, 1)
-        )
-
 
 def ridge_pairs_3d():
     """Two facets sharing a ridge, all shadows nondegenerate."""
@@ -282,7 +275,7 @@ def lifted_complexes(draw):
     n = len(flat.coords)
     if draw(st.sampled_from(["lifted", "random"])) == "lifted":
         zeta = {v: draw(rationals().filter(lambda q: q > 0)) for v in flat.interior_order}
-        z = lift_heights(flat, zeta)
+        z = lift_heights(flat, tree, zeta)
         points = [(*p, h) for p, h in zip(flat.coords, z)]
     else:
         tilted = draw(st.booleans())
@@ -336,20 +329,21 @@ class TestStressTable:
         assert list(stresses) == [r for r in adjacency if r not in failures]
 
     def test_tetrahedron(self, tet_lifted, tet_flat):
-        points = [(*p, h) for p, h in zip(tet_flat.coords, tet_lifted.z)]
+        z, _, lifted_stresses = tet_lifted
+        points = [(*p, h) for p, h in zip(tet_flat.coords, z)]
         stresses, failures = plan_table(
             3, points, tet_flat.ridge_adjacency, tet_flat.facet_vertices
         )
         assert failures == {}
-        assert stresses == tet_lifted.stresses
+        assert stresses == lifted_stresses
 
-    def test_one_plan_many_lifts(self, tet_flat):
+    def test_one_plan_many_lifts(self, tet_flat, tet_tree):
         # the plan holds nothing of the heights: every lift reads it afresh
         plan = flat_stress_plan(
             3, tet_flat.coords, tet_flat.ridge_adjacency, tet_flat.facet_vertices
         )
         for shift in (F(16, 9), F(32, 9), F(1, 7)):
-            z = lift_heights(tet_flat, {0: shift})
+            z = lift_heights(tet_flat, tet_tree, {0: shift})
             points = [(*p, h) for p, h in zip(tet_flat.coords, z)]
             expected = reference_stresses(
                 points, tet_flat.ridge_adjacency, tet_flat.facet_vertices

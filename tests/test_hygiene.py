@@ -40,3 +40,21 @@ def test_no_unused_imports(path):
 def test_detects_unused_import():
     source = "from dataclasses import dataclass, field\nimport os.path\n\n@dataclass\nclass A:\n    x: int\n"
     assert unused_imports(source) == ["line 1: field", "line 2: os"]
+
+
+def test_init_exports_what_it_imports():
+    # a name dropped from one list but not the other would linger as an export
+    tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    ]
+    exported = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    )
+    assert sorted(imported) == sorted(exported)

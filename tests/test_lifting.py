@@ -2,9 +2,12 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridlift import (
     BASE_FACET_KEY,
+    GeometryError,
     StageInvariantError,
     balance_weights,
     build_flat,
@@ -12,7 +15,10 @@ from gridlift import (
     check_lift_bounds,
     direct_stresses,
     gen_tree,
+    grid_params,
+    height_on_hyperplane,
     incremental_stresses,
+    perturb_flat,
     vertical_shifts,
 )
 from gridlift.lifting import lift_heights, stress_extrema, stress_map, stress_plan
@@ -43,40 +49,79 @@ class TestVerticalShifts:
 
 class TestHeights:
     def test_tetrahedron(self, tet_lifted):
-        assert tet_lifted.z == [0, 0, 0, F(16, 9)]
+        z, _, _ = tet_lifted
+        assert z == [0, 0, 0, F(16, 9)]
 
     def test_base_stays_flat(self):
         tree = gen_tree("random", 3, 12, seed=3)
         wt = balance_weights(tree)
         flat = build_flat(wt)
-        lifted = build_lifted(flat, wt)
-        assert lifted.z[:3] == [0, 0, 0]
-        assert all(h > 0 for h in lifted.z[3:])
+        z, _, _ = build_lifted(flat, tree, vertical_shifts(wt, flat.lam))
+        assert z[:3] == [0, 0, 0]
+        assert all(h > 0 for h in z[3:])
 
-    def test_heights_grow_with_shift(self, tet_flat):
-        z1 = lift_heights(tet_flat, {0: F(16, 9)})
-        z2 = lift_heights(tet_flat, {0: F(32, 9)})
+    def test_heights_grow_with_shift(self, tet_flat, tet_tree):
+        z1 = lift_heights(tet_flat, tet_tree, {0: F(16, 9)})
+        z2 = lift_heights(tet_flat, tet_tree, {0: F(32, 9)})
         assert z2[3] == 2 * z1[3]
 
-    def test_stacked_vertex_off_by_one(self, tet_flat):
+    def test_stacked_vertex_off_by_one(self, tet_flat, tet_tree):
         # an explicit raise, not an assert, so it also holds under python -O
         shifted = {node: v + 1 for node, v in tet_flat.stacked_vertex.items()}
         bad = dataclasses.replace(tet_flat, stacked_vertex=shifted)
         with pytest.raises(StageInvariantError) as info:
-            lift_heights(bad, {0: F(16, 9)})
+            lift_heights(bad, tet_tree, {0: F(16, 9)})
         assert info.value.stage == "lifting"
+
+
+def hyperplane_heights(flat, zeta):
+    """Per stacking, the height of the lifted facet's hyperplane above the
+    new vertex, from its own determinants, plus the shift."""
+    z = [F(0)] * flat.d
+    for node in flat.interior_order:
+        lifted = [(*flat.coords[u], z[u]) for u in flat.node_facets[node]]
+        p = flat.coords[flat.stacked_vertex[node]]
+        z.append(height_on_hyperplane(lifted, p) + zeta[node])
+    return z
+
+
+class TestBarycentricLift:
+    @given(
+        d=st.sampled_from([3, 4, 5]),
+        size=st.integers(1, 8),
+        seed=st.integers(0, 50),
+        shifts=st.lists(st.fractions(min_value=F(1, 50), max_value=20), min_size=8),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_hyperplane_reference(self, d, size, seed, shifts):
+        tree = gen_tree("random", d, size, seed)
+        flat = build_flat(balance_weights(tree))
+        perturbed = perturb_flat(flat, grid_params(d, flat.L, flat.R_eff).alpha)
+        zeta = dict(zip(flat.interior_order, shifts))
+        for complex_ in (flat, perturbed):
+            assert lift_heights(complex_, tree, zeta) == hyperplane_heights(
+                complex_, zeta
+            )
+
+    def test_zero_bracket_is_a_vertical_hyperplane(self, tet_flat, tet_tree):
+        brackets = {**tet_flat.node_brackets, 0: F(0)}
+        flat = dataclasses.replace(tet_flat, node_brackets=brackets)
+        with pytest.raises(
+            GeometryError, match="^vertical hyperplane: projected facet is degenerate$"
+        ):
+            lift_heights(flat, tet_tree, {0: F(16, 9)})
 
 
 class TestStresses:
     def test_tetrahedron_values(self, tet_lifted):
-        st = tet_lifted.stresses
+        _, _, st = tet_lifted
         for ridge in [(0, 3), (1, 3), (2, 3)]:
             assert st[ridge] == 4
         for ridge in [(0, 1), (0, 2), (1, 2)]:
             assert st[ridge] == F(-4, 3)
 
-    def test_doubling_shift_doubles_stress(self, tet_flat):
-        z = lift_heights(tet_flat, {0: F(32, 9)})
+    def test_doubling_shift_doubles_stress(self, tet_flat, tet_tree):
+        z = lift_heights(tet_flat, tet_tree, {0: F(32, 9)})
         st = direct_stresses(stress_plan(tet_flat), z)
         assert st[(0, 3)] == 8
         assert st[(0, 1)] == F(-8, 3)
@@ -89,7 +134,7 @@ class TestStresses:
         wt = balance_weights(tree)
         flat = build_flat(wt)
         zeta = vertical_shifts(wt, flat.lam)
-        z = lift_heights(flat, zeta)
+        z = lift_heights(flat, tree, zeta)
         direct = direct_stresses(stress_plan(flat), z)
         incremental = incremental_stresses(flat, tree, zeta)
         assert direct == incremental
@@ -100,22 +145,21 @@ class TestStresses:
         wt = balance_weights(tree)
         flat = build_flat(wt)
         zeta = {v: F(3 + 2 * i, 7) for i, v in enumerate(flat.interior_order)}
-        z = lift_heights(flat, zeta)
+        z = lift_heights(flat, tree, zeta)
         assert direct_stresses(stress_plan(flat), z) == incremental_stresses(
             flat, tree, zeta
         )
 
-    def test_stress_map_cross_check_catches_mismatch(self, tet_flat, tet_weighted):
-        z = lift_heights(tet_flat, {0: F(16, 9)})
+    def test_stress_map_cross_check_catches_mismatch(self, tet_flat, tet_tree):
+        z = lift_heights(tet_flat, tet_tree, {0: F(16, 9)})
         with pytest.raises(StageInvariantError):
-            stress_map(
-                tet_flat, stress_plan(tet_flat), z, tet_weighted.tree, {0: F(17, 9)}
-            )
+            stress_map(tet_flat, stress_plan(tet_flat), z, tet_tree, {0: F(17, 9)})
 
 
 class TestLiftGate:
     def test_tetrahedron_extrema(self, tet_lifted, tet_flat):
-        info = check_lift_bounds(tet_lifted, tet_flat.R_eff)
+        z, _, stresses = tet_lifted
+        info = check_lift_bounds(tet_flat, z, stresses)
         assert info["min_interior_stress"] == 4
         assert info["min_base_stress"] == F(-4, 3)
         assert info["max_base_stress"] == F(-4, 3)
@@ -125,30 +169,30 @@ class TestLiftGate:
         tree = gen_tree("random", d, size, seed)
         wt = balance_weights(tree)
         flat = build_flat(wt)
-        lifted = build_lifted(flat, wt)
-        info = check_lift_bounds(lifted, flat.R_eff)
+        z, _, stresses = build_lifted(flat, tree, vertical_shifts(wt, flat.lam))
+        info = check_lift_bounds(flat, z, stresses)
         assert info["min_interior_stress"] >= flat.lam >= 1
         assert -flat.R_eff < info["min_base_stress"]
         assert info["max_base_stress"] < 0
 
     def test_gate_rejects_tampered_stress(self, tet_lifted, tet_flat):
-        bad = dict(tet_lifted.stresses)
+        z, _, stresses = tet_lifted
+        bad = dict(stresses)
         bad[(0, 3)] = F(1, 2)
-        broken = dataclasses.replace(tet_lifted, stresses=bad)
         with pytest.raises(StageInvariantError):
-            check_lift_bounds(broken, tet_flat.R_eff)
+            check_lift_bounds(tet_flat, z, bad)
 
     def test_gate_names_the_extreme_ridge(self, tet_lifted, tet_flat):
         interior = [
             r for r, keys in tet_flat.ridge_adjacency.items()
             if BASE_FACET_KEY not in keys
         ]
-        bad = dict(tet_lifted.stresses)
+        z, _, stresses = tet_lifted
+        bad = dict(stresses)
         bad[interior[0]] = F(1, 2)
         bad[interior[1]] = F(1, 3)
-        broken = dataclasses.replace(tet_lifted, stresses=bad)
         with pytest.raises(StageInvariantError) as info:
-            check_lift_bounds(broken, tet_flat.R_eff)
+            check_lift_bounds(tet_flat, z, bad)
         assert info.value.stage == "lifting"
         assert info.value.witness == interior[1]
 
@@ -161,19 +205,19 @@ class TestLiftGate:
     def test_gate_boundaries(self, tet_lifted, tet_flat, interior, base, ok):
         assert tet_flat.R_eff == 4
         adjacency = tet_flat.ridge_adjacency
-        bad = dict(tet_lifted.stresses)
+        z, _, stresses = tet_lifted
+        bad = dict(stresses)
         ridge_in = next(r for r, keys in adjacency.items() if BASE_FACET_KEY not in keys)
         ridge_base = next(r for r, keys in adjacency.items() if BASE_FACET_KEY in keys)
         bad[ridge_in] = interior
         bad[ridge_base] = base
-        broken = dataclasses.replace(tet_lifted, stresses=bad)
         if ok:
-            info = check_lift_bounds(broken, tet_flat.R_eff)
+            info = check_lift_bounds(tet_flat, z, bad)
             assert info["min_interior_stress"] == interior
             assert info["min_base_stress"] == min(base, F(-4, 3))
         else:
             with pytest.raises(StageInvariantError) as info:
-                check_lift_bounds(broken, tet_flat.R_eff)
+                check_lift_bounds(tet_flat, z, bad)
             assert info.value.witness == ridge_base
 
 

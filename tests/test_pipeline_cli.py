@@ -218,6 +218,7 @@ class TestCli:
         pytest.param('{"n": 4, "edges": 5}', id="edges_not_a_list"),
         pytest.param('{"n": 4, "edges": [[0.0, 1.0]]}', id="float_ids"),
         pytest.param('{"n": true, "edges": [[0, 1]]}', id="bool_n"),
+        pytest.param('{"n": 200000, "edges": []}', id="too_few_edges"),
     ])
     def test_invalid_input_exit_code(self, tmp_path, capsys, doc):
         bad = tmp_path / "bad.json"

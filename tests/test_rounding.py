@@ -15,7 +15,7 @@ from gridlift import (
     round_and_scale,
     vertical_shifts,
 )
-from gridlift import rounding
+from gridlift import lifting, rounding
 from gridlift.rounding import check_volume_ratios, floor_to_multiple
 
 F = Fraction
@@ -155,15 +155,17 @@ class TestRoundAndScale:
     def test_gates_name_the_extreme_ridge(
         self, monkeypatch, tet_flat, tet_weighted, gate, low, lower, message
     ):
-        # lower two interior stresses after the relift (stress_map) or after
-        # snapping the heights (direct_stresses): the least one is the witness
+        # lower two interior stresses after the relift (stress_map, called by
+        # build_lifted) or after snapping the heights (direct_stresses): the
+        # least one is the witness
         tree = tet_weighted.tree
         p = grid_params(3, tet_flat.L, tet_flat.R_eff)
         pe = perturb_flat(tet_flat, p.alpha)
         interior = [
             r for r, keys in pe.ridge_adjacency.items() if BASE_FACET_KEY not in keys
         ]
-        original = getattr(rounding, gate)
+        module = lifting if gate == "stress_map" else rounding
+        original = getattr(module, gate)
 
         def tampered(*args):
             out = dict(original(*args))
@@ -171,7 +173,7 @@ class TestRoundAndScale:
             out[interior[1]] = lower
             return out
 
-        monkeypatch.setattr(rounding, gate, tampered)
+        monkeypatch.setattr(module, gate, tampered)
         with pytest.raises(StageInvariantError) as info:
             round_and_scale(pe, tree, adjusted_shifts(pe, tree), p)
         assert info.value.stage == "rounding"

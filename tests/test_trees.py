@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -226,6 +227,23 @@ class TestGraphs:
             parse_graph('{"edges": []}')
         with pytest.raises(InvalidInputError):
             parse_graph('{"n": 3, "edges": [[0, 3]]}')
+
+    @pytest.mark.parametrize("bad", [[0, 4], [1, 1], [0, True], [0.0, 1.0], [0, 1, 2]])
+    def test_bad_edge_among_enough(self, bad):
+        # six edges for n = 4 pass the edge count, so the edge itself is checked
+        edges = [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], bad]
+        with pytest.raises(InvalidInputError, match="bad edge"):
+            parse_graph(json.dumps({"n": 4, "edges": edges}))
+
+    def test_too_few_edges_rejected_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError, match="at least 599994"):
+                parse_graph('{"n": 200000, "edges": []}')
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestLowerBoundGraphs:
