@@ -41,6 +41,9 @@ CASES = {
     "tree-d4-random-n20": ("tree", ("random", 4, 16, 7)),
     "tree-d4-serpentine-n15": ("tree", ("serpentine", 4, 11, 0)),
     "tree-d5-random-n15": ("tree", ("random", 5, 10, 9)),
+    "tree-d6-random-n40": ("tree", ("random", 6, 34, 13)),
+    "tree-d7-random-n30": ("tree", ("random", 7, 23, 17)),
+    "tree-d3-serpentine-n300": ("tree", ("serpentine", 3, 297, 0)),
     "graph-b3": ("graph", lambda: gen_lowerbound_graph("b3")),
     "graph-gamma-36": ("graph", lambda: gen_lowerbound_graph("gamma", 36)),
     "graph-d3-random-n14": (
