@@ -3,7 +3,8 @@
 Subcommands: gen, balance, realize, verify, stats. Everything here is a
 thin shell over the library; inputs and outputs are JSON documents (or OFF
 meshes for 3-dimensional realizations). Exit codes: 0 success, 2 invalid
-input, 3 certificate or stage failure.
+input, 3 certificate or stage failure. A stage failure also prints its stage,
+message and witness as one JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -98,12 +99,15 @@ def _parse_base(text: str) -> tuple[int, ...]:
 def _cmd_realize(args) -> int:
     tree, graph = _parse_tree_or_graph(_read_input(args.input))
     if tree is not None:
+        if args.dim is not None and args.dim != tree.dim:
+            raise InvalidInputError(f"--dim {args.dim} contradicts the tree's dim {tree.dim}")
         realization, report = run_pipeline(tree)
     else:
         base = None
         if args.base:
             base = _parse_base(args.base)
-        realization, report, tree = realize_graph(graph, dim=args.dim, base=base)
+        dim = 3 if args.dim is None else args.dim
+        realization, report, tree = realize_graph(graph, dim=dim, base=base)
     if args.report:
         _write_output(args.report, report_to_json(report))
     if args.format == "off":
@@ -168,7 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--output", default=None)
     r.add_argument("--report", default=None, help="also write the report JSON here")
     r.add_argument("--format", choices=["json", "off"], default="json")
-    r.add_argument("--dim", type=int, default=3, help="dimension for graph inputs")
+    r.add_argument("--dim", type=int, default=None,
+                   help="dimension: 3 by default for graph inputs, the tree's own for trees")
     r.add_argument("--base", default=None,
                    help="comma-separated base facet vertex ids for graph inputs")
     r.set_defaults(func=_cmd_realize)
@@ -194,6 +199,9 @@ def main(argv=None) -> int:
         return 2
     except (StageInvariantError, GeometryError) as e:
         print(f"error: {e}", file=sys.stderr)
+        if isinstance(e, StageInvariantError):
+            failure = {"stage": e.stage, "message": e.message, "witness": jsonable(e.witness)}
+            print(json.dumps(failure, sort_keys=True), file=sys.stderr)
         return 3
 
 

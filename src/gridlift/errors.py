@@ -33,4 +33,5 @@ class StageInvariantError(GridLiftError):
     def __init__(self, stage: str, message: str, witness: object = None):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
+        self.message = message
         self.witness = witness

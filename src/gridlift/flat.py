@@ -28,12 +28,12 @@ class FlatComplex:
     """Flat embedded stacking complex over Q^{d-1}."""
 
     d: int
-    coords: list[Point]  # by vertex id
+    coords: list[Point]  # by vertex id; ints in grid units once perturbed
     facets: dict[int, tuple[int, ...]]  # leaf node id -> ordered vertex ids
     base_facet: tuple[int, ...]
     ridge_adjacency: dict[Ridge, tuple[FacetKey, FacetKey]]
     node_facets: dict[int, tuple[int, ...]]  # every node, incl. historical
-    node_brackets: dict[int, Fraction]  # signed bracket of each node facet
+    node_brackets: dict[int, Fraction]  # signed bracket of each node facet; ints once perturbed
     stacked_vertex: dict[int, int]  # interior node id -> vertex id
     interior_order: tuple[int, ...]  # preorder interior node ids
     L: int

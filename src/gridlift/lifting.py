@@ -115,7 +115,7 @@ def incremental_stresses(
     for node in flat.interior_order:
         facet = flat.node_facets[node]
         p = flat.stacked_vertex[node]
-        shift = zeta[node]
+        shift = Fraction(zeta[node])  # an int shift must not divide to a float
         children = tree.nodes[node].children
         cbr = [abs(flat.node_brackets[c]) for c in children]
         dbr = abs(flat.node_brackets[node])

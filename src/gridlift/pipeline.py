@@ -2,10 +2,11 @@
 
 Stage order is fixed: balance the face weights, embed flat over the
 rationals, lift with the vertical shifts, gate the exact stresses, snap to
-the coordinate grid, re-derive shifts on the perturbed complex, relift,
-gate again, snap heights, scale to integers, then certify from the final
-coordinates alone. Every stage keeps exact arithmetic; the report captures
-the extrema each gate saw so a run is auditable after the fact.
+the coordinate grid in integer grid units, re-derive shifts on the
+perturbed complex, relift, gate again, snap heights to integers, then
+certify from the final coordinates alone. Every stage keeps exact
+arithmetic; the report captures the extrema each gate saw so a run is
+auditable after the fact.
 """
 
 from __future__ import annotations

@@ -1,13 +1,19 @@
-"""Snap the exact embedding to a grid and scale to integers.
+"""Snap the exact embedding to a grid, in integer grid units.
 
-Two grids: flat coordinates are floored to multiples of alpha, chosen fine
-enough that every facet volume changes by a factor inside
-[1 - 1/(10 R_eff), 1 + 1/(10 R_eff)]; heights are recomputed with adjusted
-shifts (product of the two largest perturbed facet volumes of each
-stacking), checked against the ceiling 2 R_eff^2, then floored to multiples
-of alpha_z = 1/(3 R_eff). Multiplying by the inverse grid steps yields the
-integer realization; hard size caps bound the flat coordinates by
-10 d^2 R_eff^2 (attained by the base corners) and heights by 6 R_eff^3.
+Both grid steps are unit fractions, alpha = 1/inv and alpha_z = 1/inv_z.
+Flat coordinates are floored to the alpha-grid and kept as the integers
+X = floor(c / alpha); alpha is fine enough that every facet volume changes
+by a factor inside [1 - 1/(10 R_eff), 1 + 1/(10 R_eff)]. Every bracket of
+the perturbed complex is then an integer, the real bracket times
+s = inv^(d-1), and the adjusted shifts (product of the two largest
+perturbed facet volumes of each stacking) are the real ones times s^2. The
+relift by those shifts has heights times s^2 and stresses times s; the
+heights are checked against the ceiling 2 R_eff^2 and floored to the
+alpha_z-grid as the integers H = floor(h / alpha_z), so each output point
+is (X, H) with no rescaling. The factors s and s^2 stay implicit: every
+value the stage reports is converted back to real units exactly. Hard size
+caps bound the flat coordinates by 10 d^2 R_eff^2 (attained by the base
+corners) and heights by 6 R_eff^3.
 
 Every inequality checked here is guaranteed by construction, so failures
 raise stage errors rather than being reported as input problems.
@@ -15,13 +21,12 @@ raise stage errors rather than being reported as input problems.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import lifting
 from .errors import InvalidInputError, StageInvariantError
-from .exact import bracket
+from .exact import _det_int
 from .flat import BASE_FACET_KEY, FlatComplex
 from .lifting import build_lifted, direct_stresses, stress_extrema
 from .trees import TreeRep
@@ -35,8 +40,8 @@ lift_heights = lifting.lift_heights
 class GridParams:
     d: int
     R_eff: int
-    alpha: Fraction  # flat grid step
-    alpha_z: Fraction  # height grid step
+    alpha: Fraction  # flat grid step 1/inv; perturbed coords are in units of it
+    alpha_z: Fraction  # height grid step 1/inv_z; output heights are in units of it
     delta_plus: Fraction  # volume ratio ceiling, 1 + 1/(10 R_eff)
     delta_minus: Fraction  # volume ratio floor, 1 - 1/(10 R_eff)
 
@@ -65,17 +70,20 @@ def grid_params(d: int, L: int, R_eff: int) -> GridParams:
     return GridParams(d, R_eff, alpha, alpha_z, 1 + wiggle, 1 - wiggle)
 
 
-def floor_to_multiple(x: Fraction, step: Fraction) -> Fraction:
-    return math.floor(x / step) * step
-
-
 def perturb_flat(flat: FlatComplex, alpha: Fraction) -> FlatComplex:
-    """Floor every coordinate to the alpha-grid; brackets recomputed."""
-    coords = [
-        tuple(floor_to_multiple(c, alpha) for c in p) for p in flat.coords
-    ]
+    """Floor every coordinate to the alpha-grid, in integer grid units.
+
+    alpha = 1/inv is a unit fraction, as grid_params makes it. Vertex v
+    gets X_v = floor(c * inv) per coordinate c, and each node facet the
+    integer bracket of its grid points, which is its real bracket times
+    s = inv^(d-1).
+    """
+    if alpha.numerator != 1:
+        raise InvalidInputError(f"grid step must be a unit fraction, got {alpha}")
+    inv = alpha.denominator
+    coords = [tuple(c.numerator * inv // c.denominator for c in p) for p in flat.coords]
     brackets = {
-        node: bracket([coords[u] for u in facet])
+        node: _det_int([[*coords[u], 1] for u in facet])
         for node, facet in flat.node_facets.items()
     }
     return replace(flat, coords=coords, node_brackets=brackets)
@@ -84,22 +92,35 @@ def perturb_flat(flat: FlatComplex, alpha: Fraction) -> FlatComplex:
 def check_volume_ratios(
     exact: FlatComplex, perturbed: FlatComplex, params: GridParams
 ) -> tuple[Fraction, Fraction]:
-    """Every facet volume ratio must stay inside [delta_minus, delta_plus]."""
-    lo = hi = None
+    """Every facet volume ratio must stay inside [delta_minus, delta_plus].
+
+    A ratio is after / (s before), the perturbed bracket being in grid
+    units; it is compared by cross-multiplication and becomes a Fraction
+    only when reported.
+    """
+    s = params.alpha.denominator ** (params.d - 1)
+    lo_n, lo_d = params.delta_minus.numerator, params.delta_minus.denominator
+    hi_n, hi_d = params.delta_plus.numerator, params.delta_plus.denominator
+    lo = hi = None  # (numerator, denominator) of the extreme ratios
     for node, before in exact.node_brackets.items():
         after = perturbed.node_brackets[node]
         if after == 0 or (after > 0) != (before > 0):
             raise StageInvariantError(
                 "rounding", f"facet of node {node} flipped or collapsed", node
             )
-        ratio = after / before
-        if not (params.delta_minus <= ratio <= params.delta_plus):
+        num = abs(after) * before.denominator
+        den = s * abs(before.numerator)
+        if num * lo_d < lo_n * den or num * hi_d > hi_n * den:
             raise StageInvariantError(
-                "rounding", f"facet volume ratio {ratio} of node {node} out of range", node
+                "rounding",
+                f"facet volume ratio {Fraction(num, den)} of node {node} out of range",
+                node,
             )
-        lo = ratio if lo is None else min(lo, ratio)
-        hi = ratio if hi is None else max(hi, ratio)
-    return lo, hi
+        if lo is None or num * lo[1] < lo[0] * den:
+            lo = (num, den)
+        if hi is None or num * hi[1] > hi[0] * den:
+            hi = (num, den)
+    return Fraction(*lo), Fraction(*hi)
 
 
 def adjusted_shifts(perturbed: FlatComplex, tree: TreeRep) -> dict[int, Fraction]:
@@ -107,7 +128,9 @@ def adjusted_shifts(perturbed: FlatComplex, tree: TreeRep) -> dict[int, Fraction
 
     Ties break toward the lower child index. On an unperturbed complex this
     reproduces the original shifts, since the heavy and one light child are
-    the two largest by construction.
+    the two largest by construction. On a perturbed complex the brackets
+    are integers in grid units, and so are the shifts: the real shift
+    times s^2.
     """
     out: dict[int, Fraction] = {}
     for node in perturbed.interior_order:
@@ -128,8 +151,19 @@ def round_and_scale(
     zeta_adj: dict[int, Fraction],
     params: GridParams,
 ) -> tuple[Realization, dict]:
-    """Relift on the perturbed complex, snap heights, scale to integers."""
+    """Relift on the perturbed complex and snap its heights to integers.
+
+    The complex and the shifts are in grid units, so the relift's heights
+    are the real ones times s^2 and its stresses the real ones times s,
+    s = alpha^-(d-1). The gated extrema are divided back to real units
+    exactly, so each gate keeps its bound. The snapped heights are integers
+    in units of alpha_z, which makes every output point (X_v, H_v) integer
+    by construction; the snapped-stress gates only check signs.
+    """
     R_eff = params.R_eff
+    s = params.alpha.denominator ** (perturbed.d - 1)
+    s2 = s * s
+    inv_z = params.alpha_z.denominator
     # one plan serves the relift and the snapped heights: same flat complex
     z, plan, stresses = build_lifted(perturbed, tree, zeta_adj)
     adjacency = perturbed.ridge_adjacency
@@ -137,6 +171,10 @@ def round_and_scale(
         adjacency, stresses
     )
     del stresses  # freed before the snapped heights get their own table
+    # the gated extrema, back in real units
+    min_interior, min_base, max_base = (
+        Fraction(w, s) for w in (min_interior, min_base, max_base)
+    )
     if min_interior < Fraction(4, 5):
         raise StageInvariantError(
             "rounding", f"perturbed interior stress {min_interior} below 4/5", r_in
@@ -147,37 +185,32 @@ def round_and_scale(
                 "rounding", f"perturbed base stress {w} outside (-2 R_eff, 0)", ridge
             )
 
-    z_max = max(z)
+    z_max = Fraction(max(z), s2)
     if not (0 < z_max < 2 * R_eff * R_eff):
         raise StageInvariantError("rounding", f"z_max {z_max} outside (0, 2 R_eff^2)")
 
-    z_snapped = [floor_to_multiple(h, params.alpha_z) for h in z]
+    # floor(h / (s^2 alpha_z)): the real height in units of alpha_z
+    z_snapped = [h.numerator * inv_z // (h.denominator * s2) for h in z]
+    # on heights in units of alpha_z, a stress is the real one times inv_z / s
     (min_interior_final, r_in), _, (max_base_final, r_hi) = stress_extrema(
         adjacency, direct_stresses(plan, z_snapped)
     )
     if min_interior_final <= 0:
         raise StageInvariantError(
-            "rounding", f"rounded interior stress {min_interior_final} not positive", r_in
+            "rounding",
+            f"rounded interior stress {Fraction(min_interior_final * s, inv_z)} not positive",
+            r_in,
         )
     if max_base_final >= 0:
         raise StageInvariantError(
-            "rounding", f"rounded base stress {max_base_final} not negative", r_hi
+            "rounding",
+            f"rounded base stress {Fraction(max_base_final * s, inv_z)} not negative",
+            r_hi,
         )
     if any(h <= 0 for h in z_snapped[perturbed.d :]):
         raise StageInvariantError("rounding", "non-base vertex rounded to height <= 0")
 
-    coords_int: list[tuple[int, ...]] = []
-    for vid, p in enumerate(perturbed.coords):
-        scaled = []
-        for c in p:
-            q = c / params.alpha
-            if q.denominator != 1:
-                raise StageInvariantError("rounding", f"coordinate {c} not on grid")
-            scaled.append(q.numerator)
-        hq = z_snapped[vid] / params.alpha_z
-        if hq.denominator != 1:
-            raise StageInvariantError("rounding", f"height {z_snapped[vid]} not on grid")
-        coords_int.append(tuple(scaled + [hq.numerator]))
+    coords_int = [(*p, h) for p, h in zip(perturbed.coords, z_snapped)]
 
     bound_xy = 10 * params.d * params.d * R_eff * R_eff
     bound_z = 6 * R_eff**3
@@ -209,7 +242,7 @@ def round_and_scale(
         "min_base_stress": min_base,
         "min_interior_stress_ok": min_interior >= Fraction(4, 5),
         "z_max": z_max,
-        "min_interior_stress_rounded": min_interior_final,
+        "min_interior_stress_rounded": Fraction(min_interior_final * s, inv_z),
         "max_xy": max_xy,
         "max_z": max_z,
         "bound_xy": bound_xy,

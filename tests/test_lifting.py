@@ -9,6 +9,7 @@ from gridlift import (
     BASE_FACET_KEY,
     GeometryError,
     StageInvariantError,
+    adjusted_shifts,
     balance_weights,
     build_flat,
     build_lifted,
@@ -21,6 +22,7 @@ from gridlift import (
     perturb_flat,
     vertical_shifts,
 )
+from gridlift.exact import plan_stresses
 from gridlift.lifting import lift_heights, stress_extrema, stress_map, stress_plan
 
 F = Fraction
@@ -154,6 +156,23 @@ class TestStresses:
         z = lift_heights(tet_flat, tet_tree, {0: F(16, 9)})
         with pytest.raises(StageInvariantError):
             stress_map(tet_flat, stress_plan(tet_flat), z, tet_tree, {0: F(17, 9)})
+
+    @pytest.mark.parametrize("d,size,seed", [(3, 1, 0), (3, 12, 1), (4, 8, 2), (6, 5, 3)])
+    def test_integer_inputs_stay_exact(self, d, size, seed):
+        # integer brackets and shifts, as the rounding stage hands them over:
+        # an int / int anywhere here would make a height or stress a float
+        tree = gen_tree("random", d, size, seed)
+        flat = build_flat(balance_weights(tree))
+        pe = perturb_flat(flat, grid_params(d, flat.L, flat.R_eff).alpha)
+        zeta = adjusted_shifts(pe, tree)
+        assert all(type(b) is int for b in pe.node_brackets.values())
+        assert all(type(v) is int for v in zeta.values())
+        z = lift_heights(pe, tree, zeta)
+        plan = stress_plan(pe)
+        values = [*z, *incremental_stresses(pe, tree, zeta).values()]
+        values += plan_stresses(plan, z)[0].values()
+        values += plan_stresses(plan, [int(h) for h in z])[0].values()
+        assert all(isinstance(v, (Fraction, int)) for v in values)
 
 
 class TestLiftGate:

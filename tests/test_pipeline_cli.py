@@ -15,6 +15,7 @@ from gridlift import (
     report_to_json,
     run_pipeline,
 )
+from gridlift import rounding
 from gridlift.cli import main
 
 F = Fraction
@@ -225,6 +226,43 @@ class TestCli:
         bad.write_text(doc)
         assert main(["realize", "--input", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_dim_must_match_tree(self, tmp_path, capsys, tet_tree):
+        tree_f = tmp_path / "tet.json"
+        tree_f.write_text(tet_tree.to_json())
+        assert main(["realize", "--input", str(tree_f), "--dim", "5"]) == 2
+        assert capsys.readouterr().err.startswith("error: --dim 5 contradicts")
+        assert main(["realize", "--input", str(tree_f), "--dim", "3"]) == 0
+
+    def test_stage_failure_prints_json_line(self, tmp_path, capsys, monkeypatch, tet_tree):
+        # lower two interior stresses of the relift only: the rounding stage
+        # names the least one, and the CLI passes it on as JSON
+        original = rounding.build_lifted
+        ridges = []
+
+        def tampered(flat, *args):
+            z, plan, stresses = original(flat, *args)
+            interior = [
+                r for r, keys in flat.ridge_adjacency.items() if BASE_FACET_KEY not in keys
+            ]
+            ridges.extend(interior[:2])
+            stresses = dict(stresses)
+            stresses[interior[0]] = 0
+            stresses[interior[1]] = -1
+            return z, plan, stresses
+
+        monkeypatch.setattr(rounding, "build_lifted", tampered)
+        tree_f = tmp_path / "tet.json"
+        tree_f.write_text(tet_tree.to_json())
+        assert main(["realize", "--input", str(tree_f)]) == 3
+        error, failure, *rest = capsys.readouterr().err.splitlines()
+        assert error.startswith("error: [rounding] ")
+        assert rest == []
+        assert json.loads(failure) == {
+            "stage": "rounding",
+            "message": "perturbed interior stress -1/518400 below 4/5",
+            "witness": list(ridges[1]),
+        }
 
     @pytest.mark.parametrize("base", ["1,x", "1,,2", "0.5,1,2", "0,1,99", "1,2"])
     def test_bad_base_exit_2(self, tmp_path, capsys, base):

@@ -1,6 +1,10 @@
+import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridlift import (
     BASE_FACET_KEY,
@@ -16,9 +20,80 @@ from gridlift import (
     vertical_shifts,
 )
 from gridlift import lifting, rounding
-from gridlift.rounding import check_volume_ratios, floor_to_multiple
+from gridlift.exact import bracket
+from gridlift.lifting import build_lifted, direct_stresses, stress_extrema
+from gridlift.rounding import check_volume_ratios
 
 F = Fraction
+
+
+def reference_round(flat, tree, params):
+    """The round stage over Fractions, as a reference for the grid-unit route.
+
+    Perturb to multiples of alpha with real brackets, relift, floor the
+    heights to multiples of alpha_z, then scale by the inverse grid steps.
+    Returns the integer coordinates, the volume-ratio extrema and the
+    round report's values.
+    """
+
+    def floor_to_multiple(x, step):
+        return math.floor(x / step) * step
+
+    coords = [tuple(floor_to_multiple(c, params.alpha) for c in p) for p in flat.coords]
+    brackets = {
+        node: bracket([coords[u] for u in facet])
+        for node, facet in flat.node_facets.items()
+    }
+    pe = dataclasses.replace(flat, coords=coords, node_brackets=brackets)
+    ratios = [brackets[node] / b for node, b in flat.node_brackets.items()]
+    z, plan, stresses = build_lifted(pe, tree, adjusted_shifts(pe, tree))
+    (w_in, _), (w_lo, _), _ = stress_extrema(pe.ridge_adjacency, stresses)
+    z_snapped = [floor_to_multiple(h, params.alpha_z) for h in z]
+    (w_in_rounded, _), _, _ = stress_extrema(
+        pe.ridge_adjacency, direct_stresses(plan, z_snapped)
+    )
+    scaled = []
+    for p, h in zip(coords, z_snapped):
+        q = [c / params.alpha for c in p] + [h / params.alpha_z]
+        assert all(x.denominator == 1 for x in q)
+        scaled.append(tuple(x.numerator for x in q))
+    R_eff = params.R_eff
+    report = {
+        "min_interior_stress": w_in,
+        "min_base_stress": w_lo,
+        "min_interior_stress_ok": w_in >= F(4, 5),
+        "z_max": max(z),
+        "min_interior_stress_rounded": w_in_rounded,
+        "max_xy": max(c for p in scaled for c in p[:-1]),
+        "max_z": max(p[-1] for p in scaled),
+        "bound_xy": 10 * params.d**2 * R_eff**2,
+        "bound_z": 6 * R_eff**3,
+    }
+    return scaled, (min(ratios), max(ratios)), report
+
+
+class TestGridUnitsMatchReference:
+    @given(
+        shape=st.sampled_from(["random", "serpentine"]),
+        d=st.integers(3, 7),
+        size=st.integers(1, 20),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_identical_to_fraction_route(self, shape, d, size, seed):
+        tree = gen_tree(shape, d, size, seed)
+        flat = build_flat(balance_weights(tree))
+        params = grid_params(d, flat.L, flat.R_eff)
+        coords, ratios, report = reference_round(flat, tree, params)
+        pe = perturb_flat(flat, params.alpha)
+        assert check_volume_ratios(flat, pe, params) == ratios
+        realization, info = round_and_scale(pe, tree, adjusted_shifts(pe, tree), params)
+        assert realization.coords == coords
+        assert info == report
+        # same types too, so the serialized reports are the same bytes
+        assert {k: type(v) for k, v in info.items()} == {
+            k: type(v) for k, v in report.items()
+        }
 
 
 class TestGridParams:
@@ -41,29 +116,14 @@ class TestGridParams:
             grid_params(3, 1, 2)
 
 
-class TestFloor:
-    def test_fixture_value(self):
-        assert floor_to_multiple(F(1, 7), F(1, 720)) == F(102, 720)
-
-    def test_idempotent_on_grid(self):
-        assert floor_to_multiple(F(480, 720), F(1, 720)) == F(480, 720)
-
-    def test_integers_unchanged(self):
-        assert floor_to_multiple(F(3), F(1, 720)) == 3
-
-    def test_one_sided(self):
-        for num in range(0, 50, 7):
-            x = F(num, 13)
-            y = floor_to_multiple(x, F(1, 12))
-            assert 0 <= x - y < F(1, 12)
-
-
 class TestPerturb:
     def test_tet_lands_on_grid_unchanged(self, tet_flat):
         p = grid_params(3, tet_flat.L, tet_flat.R_eff)
         pe = perturb_flat(tet_flat, p.alpha)
-        assert pe.coords == tet_flat.coords
-        assert pe.node_brackets == tet_flat.node_brackets
+        assert pe.coords == [tuple(c / p.alpha for c in pt) for pt in tet_flat.coords]
+        # brackets in grid units: the real ones times s = alpha^-(d-1)
+        s = p.alpha ** -2
+        assert pe.node_brackets == {n: b * s for n, b in tet_flat.node_brackets.items()}
         lo, hi = check_volume_ratios(tet_flat, pe, p)
         assert lo == hi == 1
 
@@ -75,11 +135,16 @@ class TestPerturb:
         pe = perturb_flat(flat, p.alpha)
         for a, b in zip(pe.coords, flat.coords):
             for ca, cb in zip(a, b):
-                assert 0 <= cb - ca < p.alpha
+                assert type(ca) is int
+                assert 0 <= cb / p.alpha - ca < 1
         lo, hi = check_volume_ratios(flat, pe, p)
         assert p.delta_minus <= lo <= hi <= p.delta_plus
         for node, b in pe.node_brackets.items():
-            assert b > 0
+            assert type(b) is int and b > 0
+
+    def test_rejects_a_step_that_is_not_a_unit_fraction(self, tet_flat):
+        with pytest.raises(InvalidInputError, match="unit fraction"):
+            perturb_flat(tet_flat, F(2, 721))
 
 
 class TestAdjustedShifts:
@@ -103,9 +168,11 @@ class TestAdjustedShifts:
         pe = perturb_flat(flat, p.alpha)
         zeta = vertical_shifts(wt, flat.lam)
         adj = adjusted_shifts(pe, tree)
+        s2 = p.alpha ** (2 - 2 * d)  # the shifts are in grid units
         for node, zp in adj.items():
-            assert zp >= p.delta_minus**2 * zeta[node]
-            assert zp <= p.delta_plus**2 * zeta[node]
+            assert type(zp) is int
+            assert zp >= p.delta_minus**2 * zeta[node] * s2
+            assert zp <= p.delta_plus**2 * zeta[node] * s2
 
 
 class TestRoundAndScale:
@@ -114,7 +181,7 @@ class TestRoundAndScale:
         p = grid_params(3, tet_flat.L, tet_flat.R_eff)
         pe = perturb_flat(tet_flat, p.alpha)
         zeta = adjusted_shifts(pe, tree)
-        assert zeta == {0: F(16, 9)}
+        assert zeta == {0: F(16, 9) * 720**4}  # the real shift times s^2
         realization, info = round_and_scale(pe, tree, zeta, p)
         assert realization.coords == [
             (0, 0, 0),
@@ -148,9 +215,11 @@ class TestRoundAndScale:
         # base corner sits exactly at the coordinate bound
         assert info["max_xy"] == info["bound_xy"]
 
+    # the relift's stresses are in units of 1/s = 1/720^2 and the snapped
+    # ones in units of inv_z/s = 12/720^2; messages give real values
     @pytest.mark.parametrize("gate,low,lower,message", [
-        ("stress_map", F(79, 100), F(1, 2), "below 4/5"),
-        ("direct_stresses", F(0), F(-1, 2), "not positive"),
+        ("stress_map", F(79, 100) * 720**2, F(1, 2) * 720**2, "below 4/5"),
+        ("direct_stresses", F(0), F(-12, 720**2), "not positive"),
     ])
     def test_gates_name_the_extreme_ridge(
         self, monkeypatch, tet_flat, tet_weighted, gate, low, lower, message
@@ -178,4 +247,33 @@ class TestRoundAndScale:
             round_and_scale(pe, tree, adjusted_shifts(pe, tree), p)
         assert info.value.stage == "rounding"
         assert message in str(info.value)
+        assert ("stress 1/2 " if gate == "stress_map" else "stress -1 ") in str(info.value)
         assert info.value.witness == interior[1]
+
+    @pytest.mark.parametrize("excess,raises", [(0, False), (-1, True)])
+    def test_relift_gate_bound_is_in_grid_units(
+        self, monkeypatch, tet_flat, tet_weighted, excess, raises
+    ):
+        # an interior stress of exactly 4/5 in real units passes; one grid
+        # unit below it does not
+        tree = tet_weighted.tree
+        p = grid_params(3, tet_flat.L, tet_flat.R_eff)
+        pe = perturb_flat(tet_flat, p.alpha)
+        ridge = next(
+            r for r, keys in pe.ridge_adjacency.items() if BASE_FACET_KEY not in keys
+        )
+        original = lifting.stress_map
+
+        def tampered(*args):
+            out = dict(original(*args))
+            out[ridge] = F(4, 5) * 720**2 + excess
+            return out
+
+        monkeypatch.setattr(lifting, "stress_map", tampered)
+        if raises:
+            with pytest.raises(StageInvariantError, match="below 4/5") as info:
+                round_and_scale(pe, tree, adjusted_shifts(pe, tree), p)
+            assert info.value.witness == ridge
+        else:
+            _, report = round_and_scale(pe, tree, adjusted_shifts(pe, tree), p)
+            assert report["min_interior_stress"] == F(4, 5)
