@@ -18,7 +18,8 @@ from .exact import (
     height_on_hyperplane,
     stress_of_ridge,
 )
-from .flat import BASE_FACET_KEY, FlatComplex, base_simplex, build_flat
+from .facets import BASE_FACET_KEY, Realization
+from .flat import FlatComplex, base_simplex, build_flat
 from .lifting import (
     build_lifted,
     check_lift_bounds,
@@ -29,7 +30,6 @@ from .lifting import (
 from .pipeline import PipelineReport, realize_graph, run_pipeline
 from .rounding import (
     GridParams,
-    Realization,
     adjusted_shifts,
     grid_params,
     perturb_flat,

@@ -3,8 +3,9 @@
 Subcommands: gen, balance, realize, verify, stats. Everything here is a
 thin shell over the library; inputs and outputs are JSON documents (or OFF
 meshes for 3-dimensional realizations). Exit codes: 0 success, 2 invalid
-input, 3 certificate or stage failure. A stage failure also prints its stage,
-message and witness as one JSON line on stderr.
+input, 3 certificate, stage or geometry failure. A stage or geometry failure
+also prints its stage, message and witness as one JSON line on stderr; both
+are null for a geometry failure, which names no stage.
 """
 
 from __future__ import annotations
@@ -201,7 +202,9 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         if isinstance(e, StageInvariantError):
             failure = {"stage": e.stage, "message": e.message, "witness": jsonable(e.witness)}
-            print(json.dumps(failure, sort_keys=True), file=sys.stderr)
+        else:
+            failure = {"stage": None, "message": str(e), "witness": None}
+        print(json.dumps(failure, sort_keys=True), file=sys.stderr)
         return 3
 
 

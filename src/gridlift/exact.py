@@ -17,7 +17,8 @@ volume of their simplex. On top of it sit:
 - the flat stress plan: the same stresses for every ridge of a complex.
   flat_stress_plan does all the work the heights leave alone, once per
   flat complex, and plan_stresses lifts it by one set of heights. This is
-  what the pipeline and the verifier evaluate.
+  what the pipeline and the verifier evaluate. The plan takes its ridges
+  and facets in the facet-table format that the facets module defines.
 
 Determinants are computed fraction-free: each point is scaled to an integer
 homogeneous column (p D, D), D the lcm of its denominators, and the integer
@@ -38,12 +39,11 @@ from math import gcd, lcm, prod
 from typing import Callable, Sequence
 
 from .errors import GeometryError
+from .facets import BASE_FACET_KEY, extra_vertex
 
 Rat = Fraction
 Point = tuple[Fraction, ...]
 PointSeq = tuple[Point, ...]
-
-BASE_FACET_KEY = -1  # facet-table key for the base facet
 
 _ZERO = Fraction(0)
 
@@ -331,7 +331,7 @@ def flat_stress_plan(
     plan: StressPlan = []
     for ridge, keys in adjacency.items():
         base = BASE_FACET_KEY in keys
-        e0, e1 = (_extra_vertex(facet_vertices(k), ridge) for k in keys)
+        e0, e1 = (extra_vertex(facet_vertices(k), ridge) for k in keys)
         verts = (*ridge, e0, e1)
         # rows are coordinates, so each minor omits one vertex
         minors = maximal_minors(list(zip(*(columns[v] for v in verts))))
@@ -355,11 +355,6 @@ def flat_stress_plan(
         g = gcd(*coeffs, denom)
         plan.append((ridge, denom // g, failure, base, e0, e1, *(c // g for c in coeffs)))
     return plan
-
-
-def _extra_vertex(facet: tuple[int, ...], ridge: tuple[int, ...]) -> int:
-    """The vertex of `facet` that is not on `ridge`."""
-    return next(v for v in facet if v not in ridge)
 
 
 def plan_stresses(

@@ -1,0 +1,63 @@
+"""The facet table: how a stacked polytope's facets are keyed and stored.
+
+A facet table is a dict from leaf node id to the facet's ordered vertex ids,
+plus the base facet, held apart and addressed by the key BASE_FACET_KEY.
+The construction and the verifier both take the format from this module,
+so the certificate's trusted code needs nothing from the construction to
+know which facets meet at a ridge.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .errors import GeometryError
+
+BASE_FACET_KEY = -1  # facet-table key for the base facet
+
+Ridge = tuple[int, ...]  # sorted vertex ids, length d-1
+FacetKey = int  # leaf node id, or BASE_FACET_KEY
+
+
+@dataclass
+class Realization:
+    """Integer-coordinate realization of the stacked polytope."""
+
+    d: int
+    coords: list[tuple[int, ...]]  # by vertex id, length-d integer points
+    facets: dict[int, tuple[int, ...]]  # leaf node id -> vertex ids
+    base_facet: tuple[int, ...]
+    metadata: dict
+
+    def facet_vertices(self, key: FacetKey) -> tuple[int, ...]:
+        return self.base_facet if key == BASE_FACET_KEY else self.facets[key]
+
+
+def build_ridge_adjacency(
+    d: int,
+    facets: dict[int, tuple[int, ...]],
+    base_facet: tuple[int, ...],
+) -> dict[Ridge, tuple[FacetKey, FacetKey]]:
+    """Each ridge and the keys of its two facets, base facet first.
+
+    Raises GeometryError when some ridge does not lie in exactly two
+    facets, that is, when the facets form no closed surface.
+    """
+    incidence: dict[Ridge, list[FacetKey]] = {}
+    items: list[tuple[FacetKey, tuple[int, ...]]] = [(BASE_FACET_KEY, base_facet)]
+    items.extend(facets.items())
+    for key, facet in items:
+        for j in range(d):
+            ridge = tuple(sorted(facet[:j] + facet[j + 1 :]))
+            incidence.setdefault(ridge, []).append(key)
+    out: dict[Ridge, tuple[FacetKey, FacetKey]] = {}
+    for ridge, keys in incidence.items():
+        if len(keys) != 2:
+            raise GeometryError(f"ridge {ridge} lies in {len(keys)} facets")
+        out[ridge] = (keys[0], keys[1])
+    return out
+
+
+def extra_vertex(facet: tuple[int, ...], ridge: Ridge) -> int:
+    """The vertex of `facet` that is not on `ridge`."""
+    return next(v for v in facet if v not in ridge)

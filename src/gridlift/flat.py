@@ -6,7 +6,9 @@ base simplex with vertices 0, L*e_i has bracket exactly R_eff = L^{d-1}.
 Each stacking then places its new vertex at the weighted barycenter of the
 current facet, with the weight of child i multiplying the vertex that child
 i's facet drops. By multilinearity every facet's bracket equals lam times
-its face weight, exactly and with the root's (positive) sign.
+its face weight, exactly and with the root's (positive) sign. The leaf
+facets and the ridge table are kept in the facet-table format of the facets
+module.
 """
 
 from __future__ import annotations
@@ -15,12 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InvalidInputError, StageInvariantError
-from .exact import BASE_FACET_KEY, Point
+from .errors import GeometryError, InvalidInputError, StageInvariantError
+from .exact import Point
+from .facets import BASE_FACET_KEY, FacetKey, Ridge, build_ridge_adjacency
 from .trees import WeightedTree, facet_layout
-
-Ridge = tuple[int, ...]  # sorted vertex ids, length d-1
-FacetKey = int  # leaf node id, or BASE_FACET_KEY
 
 
 @dataclass
@@ -96,28 +96,6 @@ def place_stacked_vertex(
     return tuple(out)
 
 
-def build_ridge_adjacency(
-    d: int,
-    facets: dict[int, tuple[int, ...]],
-    base_facet: tuple[int, ...],
-) -> dict[Ridge, tuple[FacetKey, FacetKey]]:
-    incidence: dict[Ridge, list[FacetKey]] = {}
-    items: list[tuple[FacetKey, tuple[int, ...]]] = [(BASE_FACET_KEY, base_facet)]
-    items.extend(facets.items())
-    for key, facet in items:
-        for j in range(d):
-            ridge = tuple(sorted(facet[:j] + facet[j + 1 :]))
-            incidence.setdefault(ridge, []).append(key)
-    out: dict[Ridge, tuple[FacetKey, FacetKey]] = {}
-    for ridge, keys in incidence.items():
-        if len(keys) != 2:
-            raise StageInvariantError(
-                "flat", f"ridge {ridge} lies in {len(keys)} facets", ridge
-            )
-        out[ridge] = (keys[0], keys[1])
-    return out
-
-
 def build_flat(wt: WeightedTree) -> FlatComplex:
     """Embed the whole weighted tree; exact, deterministic."""
     tree = wt.tree
@@ -143,7 +121,10 @@ def build_flat(wt: WeightedTree) -> FlatComplex:
             node_brackets[c] = parent_bracket * cw[j] / W
     facets = {leaf: layout[leaf] for leaf in tree.leaf_ids}
     base_facet = tuple(range(d))
-    ridges = build_ridge_adjacency(d, facets, base_facet)
+    try:
+        ridges = build_ridge_adjacency(d, facets, base_facet)
+    except GeometryError as exc:
+        raise StageInvariantError("flat", str(exc)) from exc
     return FlatComplex(
         d=d,
         coords=coords,

@@ -28,7 +28,8 @@ from fractions import Fraction
 
 from .errors import GeometryError, InvalidInputError, StageInvariantError
 from .exact import StressPlan, flat_stress_plan, plan_stresses
-from .flat import BASE_FACET_KEY, FlatComplex, Ridge
+from .facets import BASE_FACET_KEY, Ridge
+from .flat import FlatComplex
 from .trees import TreeRep, WeightedTree
 
 

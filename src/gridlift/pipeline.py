@@ -16,10 +16,10 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import StageInvariantError
+from .facets import Realization
 from .flat import build_flat
 from .lifting import build_lifted, check_lift_bounds, vertical_shifts
 from .rounding import (
-    Realization,
     adjusted_shifts,
     check_volume_ratios,
     grid_params,

@@ -13,7 +13,9 @@ alpha_z-grid as the integers H = floor(h / alpha_z), so each output point
 is (X, H) with no rescaling. The factors s and s^2 stay implicit: every
 value the stage reports is converted back to real units exactly. Hard size
 caps bound the flat coordinates by 10 d^2 R_eff^2 (attained by the base
-corners) and heights by 6 R_eff^3.
+corners) and heights by 6 R_eff^3. The stage's output is a
+facets.Realization, the perturbed complex's facet table with the integer
+points.
 
 Every inequality checked here is guaranteed by construction, so failures
 raise stage errors rather than being reported as input problems.
@@ -27,7 +29,8 @@ from fractions import Fraction
 from . import lifting
 from .errors import InvalidInputError, StageInvariantError
 from .exact import _det_int
-from .flat import BASE_FACET_KEY, FlatComplex
+from .facets import Realization
+from .flat import FlatComplex
 from .lifting import build_lifted, direct_stresses, stress_extrema
 from .trees import TreeRep
 
@@ -44,20 +47,6 @@ class GridParams:
     alpha_z: Fraction  # height grid step 1/inv_z; output heights are in units of it
     delta_plus: Fraction  # volume ratio ceiling, 1 + 1/(10 R_eff)
     delta_minus: Fraction  # volume ratio floor, 1 - 1/(10 R_eff)
-
-
-@dataclass
-class Realization:
-    """Integer-coordinate realization of the stacked polytope."""
-
-    d: int
-    coords: list[tuple[int, ...]]  # by vertex id, length-d integer points
-    facets: dict[int, tuple[int, ...]]  # leaf node id -> vertex ids
-    base_facet: tuple[int, ...]
-    metadata: dict
-
-    def facet_vertices(self, key: int) -> tuple[int, ...]:
-        return self.base_facet if key == BASE_FACET_KEY else self.facets[key]
 
 
 def grid_params(d: int, L: int, R_eff: int) -> GridParams:

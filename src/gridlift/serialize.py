@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import InvalidInputError
 from .exact import _det_int
-from .rounding import Realization
+from .facets import Realization
 from .trees import _is_int, load_json
 from .verify import Certificate
 

@@ -19,6 +19,7 @@ the balanced tree is what the embedding stage turns into a grid resolution.
 
 from __future__ import annotations
 
+import heapq
 import json
 import sys
 from dataclasses import dataclass
@@ -502,23 +503,27 @@ def tree_from_graph(g: PolytopeGraph, dim: int, base: Sequence[int]) -> TreeRep:
         nb = list(adj[v])
         return all(nb[j] in adj[nb[i]] for i in range(d) for j in range(i + 1, d))
 
+    # Peel the smallest removable id first. Removing v changes only its
+    # neighbours' adjacency, so only their removability can change: a lazy
+    # min-heap holds every removable vertex, and stale entries are dropped
+    # when they surface.
     removals: list[tuple[int, frozenset[int]]] = []
-    candidates = sorted(alive - base_set)
+    heap = [v for v in range(g.n) if removable(v)]
+    heapq.heapify(heap)
     while len(alive) > d:
-        found = None
-        for v in candidates:
-            if v in alive and removable(v):
-                found = v
-                break
-        if found is None:
+        if not heap:
             raise InvalidInputError("not a stacked polytope w.r.t. the given base")
+        found = heapq.heappop(heap)
+        if not removable(found):  # stale; a peeled vertex has no neighbours
+            continue
         nbrs = frozenset(adj[found])
         removals.append((found, nbrs))
         for u in nbrs:
             adj[u].discard(found)
+            if removable(u):
+                heapq.heappush(heap, u)
         adj[found].clear()
         alive.discard(found)
-        candidates = sorted(alive - base_set)
     if alive != base_set or any(
         len(adj[v]) != d - 1 for v in alive
     ):

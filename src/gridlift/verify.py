@@ -23,22 +23,21 @@ On the class this pipeline emits (base flat at height zero, everything
 else strictly above, no degenerate shadows) the stress and global routes
 agree; the certificate records both verdicts so disagreement is visible
 instead of masked.
+
+The verifier imports from the package only errors, exact (the integer
+determinant kernels and the flat stress plan), facets (the facet-table
+format and the ridge table) and trees (the stacking replay that the
+combinatorial check compares against), so no construction stage is part of
+the code a certificate has to trust.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import StageInvariantError
-from .exact import (
-    _det_int,
-    _extra_vertex,
-    flat_stress_plan,
-    maximal_minors,
-    plan_stresses,
-)
-from .flat import BASE_FACET_KEY, build_ridge_adjacency
-from .rounding import Realization
+from .errors import GeometryError
+from .exact import _det_int, flat_stress_plan, maximal_minors, plan_stresses
+from .facets import BASE_FACET_KEY, Realization, build_ridge_adjacency, extra_vertex
 from .trees import TreeRep, facet_layout
 
 
@@ -82,7 +81,7 @@ def verify_convexity_stress(realization: Realization) -> tuple[bool, list[str]]:
 
     try:
         adjacency = build_ridge_adjacency(d, realization.facets, realization.base_facet)
-    except StageInvariantError as exc:
+    except GeometryError as exc:
         return False, [f"ridge structure broken: {exc}"]
 
     plan = flat_stress_plan(
@@ -219,7 +218,7 @@ def _closed_surface_witnesses(realization: Realization) -> tuple[dict, list[str]
         return build_ridge_adjacency(
             realization.d, realization.facets, realization.base_facet
         ), []
-    except StageInvariantError as exc:
+    except GeometryError as exc:
         return {}, [f"facets form no closed surface: {exc}"]
 
 
@@ -241,8 +240,8 @@ def verify_convexity_global(realization: Realization) -> tuple[bool, list[str]]:
     probes: dict[int, list[int]] = {key: [] for key in realization.facets}
     probes[BASE_FACET_KEY] = []
     for ridge, (k1, k2) in adjacency.items():
-        probes[k1].append(_extra_vertex(realization.facet_vertices(k2), ridge))
-        probes[k2].append(_extra_vertex(realization.facet_vertices(k1), ridge))
+        probes[k1].append(extra_vertex(realization.facet_vertices(k2), ridge))
+        probes[k2].append(extra_vertex(realization.facet_vertices(k1), ridge))
 
     coords = realization.coords
     centroid = _centroid(coords)

@@ -23,7 +23,7 @@ from gridlift.exact import (
     maximal_minors,
     plan_stresses,
 )
-from gridlift.flat import build_ridge_adjacency
+from gridlift.facets import build_ridge_adjacency
 from gridlift.lifting import lift_heights
 
 F = Fraction

@@ -5,12 +5,14 @@ import pytest
 from gridlift import (
     BASE_FACET_KEY,
     InvalidInputError,
+    StageInvariantError,
     balance_weights,
     base_simplex,
     bracket,
     build_flat,
     gen_tree,
 )
+from gridlift import flat
 from gridlift.flat import place_stacked_vertex
 
 F = Fraction
@@ -97,6 +99,20 @@ class TestTetFlat:
     def test_ridges(self, tet_flat):
         assert len(tet_flat.ridge_adjacency) == 6
         assert tet_flat.ridge_adjacency[(0, 1)] == (BASE_FACET_KEY, 3)
+
+    def test_open_surface_is_a_flat_stage_error(self, tet_weighted, monkeypatch):
+        # the layout drops leaf 1's facet and repeats leaf 2's in its place
+        original = flat.facet_layout
+
+        def drop_leaf(tree):
+            layout, stacked = original(tree)
+            return {**layout, 1: layout[2]}, stacked
+
+        monkeypatch.setattr(flat, "facet_layout", drop_leaf)
+        with pytest.raises(StageInvariantError) as info:
+            build_flat(tet_weighted)
+        assert info.value.stage == "flat"
+        assert info.value.message == "ridge (1, 2) lies in 1 facets"
 
 
 class TestTwoStackFlat:

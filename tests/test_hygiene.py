@@ -8,8 +8,10 @@ import pytest
 import gridlift
 
 PACKAGE_DIR = Path(gridlift.__file__).parent
+TESTS_DIR = Path(__file__).parent
 # __init__ imports names to re-export them
 MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(TESTS_DIR.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,9 +34,27 @@ def unused_imports(source: str) -> list[str]:
     ]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def package_imports(path: Path) -> set[str]:
+    """The package modules a module imports, as `from .x import y` or
+    `from . import x`."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out.update([node.module] if node.module else [a.name for a in node.names])
+    return out
+
+
+# test file stems (test_*, conftest) never clash with module stems
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_verify_imports_no_construction_stage():
+    # what a certificate trusts: verify and the modules it may import
+    trusted = {"errors", "exact", "facets", "trees"}
+    assert package_imports(PACKAGE_DIR / "verify.py") <= trusted
+    assert package_imports(PACKAGE_DIR / "facets.py") == {"errors"}
 
 
 def test_detects_unused_import():

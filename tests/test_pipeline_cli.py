@@ -5,17 +5,17 @@ import pytest
 
 from gridlift import (
     BASE_FACET_KEY,
+    GeometryError,
     emit_off,
     gen_tree,
     graph_from_tree,
-    parse_tree,
     realization_from_json,
     realization_to_json,
     realize_graph,
     report_to_json,
     run_pipeline,
 )
-from gridlift import rounding
+from gridlift import lifting, rounding
 from gridlift.cli import main
 
 F = Fraction
@@ -263,6 +263,22 @@ class TestCli:
             "message": "perturbed interior stress -1/518400 below 4/5",
             "witness": list(ridges[1]),
         }
+
+    def test_geometry_failure_prints_json_line(self, tmp_path, capsys, monkeypatch, tet_tree):
+        # a GeometryError names no stage and no witness, but still gets its line
+        message = "vertical hyperplane: projected facet is degenerate"
+
+        def degenerate(*args):
+            raise GeometryError(message)
+
+        monkeypatch.setattr(lifting, "lift_heights", degenerate)
+        tree_f = tmp_path / "tet.json"
+        tree_f.write_text(tet_tree.to_json())
+        assert main(["realize", "--input", str(tree_f)]) == 3
+        error, failure, *rest = capsys.readouterr().err.splitlines()
+        assert error == f"error: {message}"
+        assert rest == []
+        assert json.loads(failure) == {"stage": None, "message": message, "witness": None}
 
     @pytest.mark.parametrize("base", ["1,x", "1,,2", "0.5,1,2", "0,1,99", "1,2"])
     def test_bad_base_exit_2(self, tmp_path, capsys, base):

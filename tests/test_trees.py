@@ -1,11 +1,13 @@
 import json
 import math
+import random
 import tracemalloc
 
 import pytest
 
 from gridlift import (
     InvalidInputError,
+    PolytopeGraph,
     StageInvariantError,
     balance_weights,
     check_balanced,
@@ -19,11 +21,63 @@ from gridlift import (
     tree_from_graph,
     tree_from_nested,
 )
-from gridlift.trees import facet_layout, subtree_sizes
+from gridlift.trees import subtree_sizes
 
 
 def ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
+
+
+def reference_tree_from_graph(g, d, base):
+    """tree_from_graph by the quadratic scan: after every removal, re-sort
+    the remaining vertices and peel the smallest removable one."""
+    base = tuple(base)
+    adj = [set(a) for a in g.adjacency]
+    alive = set(range(g.n))
+    base_set = set(base)
+
+    def removable(v):
+        if v in base_set or len(adj[v]) != d:
+            return False
+        nb = list(adj[v])
+        return all(nb[j] in adj[nb[i]] for i in range(d) for j in range(i + 1, d))
+
+    removals = []
+    while len(alive) > d:
+        found = next((v for v in sorted(alive - base_set) if removable(v)), None)
+        if found is None:
+            raise InvalidInputError("not a stacked polytope w.r.t. the given base")
+        nbrs = frozenset(adj[found])
+        removals.append((found, nbrs))
+        for u in nbrs:
+            adj[u].discard(found)
+        adj[found].clear()
+        alive.discard(found)
+    if alive != base_set or any(len(adj[v]) != d - 1 for v in alive):
+        raise InvalidInputError("base does not span a facet of the graph")
+    top = [None]
+    placeholder = {frozenset(base): (base, top, 0)}
+    for v, nbrs in reversed(removals):
+        if nbrs not in placeholder:
+            raise InvalidInputError("not a stacked polytope w.r.t. the given base")
+        ordered, container, slot = placeholder.pop(nbrs)
+        children = [None] * d
+        container[slot] = children
+        for j in range(d):
+            child_facet = ordered[:j] + (v,) + ordered[j + 1 :]
+            placeholder[frozenset(child_facet)] = (child_facet, children, j)
+    return tree_from_nested(d, top[0])
+
+
+def relabelled_graph(tree, seed):
+    """The tree's 1-skeleton under a random vertex relabelling, and its base."""
+    g = graph_from_tree(tree)
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    adj = [set() for _ in range(g.n)]
+    for u, nbrs in enumerate(g.adjacency):
+        adj[perm[u]] = {perm[v] for v in nbrs}
+    return PolytopeGraph(g.n, adj), tuple(perm[v] for v in range(tree.dim))
 
 
 class TestParsing:
@@ -204,6 +258,25 @@ class TestGraphs:
             g2 = graph_from_tree(t2)
             assert g2.n == g.n
             assert sorted(map(len, g2.adjacency)) == sorted(map(len, g.adjacency))
+
+    @pytest.mark.parametrize("shape", ["random", "serpentine"])
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_peeling_matches_the_scan(self, shape, d):
+        # the heap peels the same smallest-id-first order as the old scan
+        def outcome(recover, g, base):
+            try:
+                return recover(g, d, base)
+            except InvalidInputError as exc:
+                return str(exc)
+
+        for seed in range(5):
+            g, base = relabelled_graph(gen_tree(shape, d, 60, seed), seed)
+            assert tree_from_graph(g, d, base) == reference_tree_from_graph(g, d, base)
+            # a base that is no facet: both reject it with the same message
+            other = base[1:] + (min(set(range(g.n)) - set(base)),)
+            rejected = outcome(tree_from_graph, g, other)
+            assert isinstance(rejected, str)
+            assert rejected == outcome(reference_tree_from_graph, g, other)
 
     def test_rejects_non_stacked(self):
         # octahedron: 4-regular, no degree-3 vertex to peel

@@ -23,7 +23,7 @@ from gridlift import (
     verify_convexity_stress,
 )
 from gridlift.exact import _det_int
-from gridlift.flat import build_ridge_adjacency
+from gridlift.facets import build_ridge_adjacency
 from gridlift.verify import _centroid, _facet_side_witnesses, _facets_in_order
 
 
@@ -146,6 +146,17 @@ class TestGlobalRoutes:
         assert global_verdicts(bad) is False
         ok, witnesses = verify_convexity_global(bad)
         assert any("facets form no closed surface" in w for w in witnesses)
+
+    def test_ridge_in_three_facets_names_no_stage(self, tet_result):
+        # the witness comes from the facet table alone, not a pipeline stage
+        realization, _ = tet_result
+        bad = dataclasses.replace(realization, facets={**realization.facets, 99: (1, 2, 3)})
+        assert verify_convexity_stress(bad) == (
+            False, ["ridge structure broken: ridge (1, 2) lies in 3 facets"]
+        )
+        assert verify_convexity_global(bad) == (
+            False, ["facets form no closed surface: ridge (1, 2) lies in 3 facets"]
+        )
 
     def test_double_wound_surface_fails_only_the_ray(self):
         # a bipyramid over the star heptagon {7/2}: every ridge lies in two
