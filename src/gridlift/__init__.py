@@ -21,20 +21,14 @@ from .exact import (
 from .facets import BASE_FACET_KEY, Realization
 from .flat import FlatComplex, base_simplex, build_flat
 from .lifting import (
+    adjusted_shifts,
     build_lifted,
     check_lift_bounds,
     direct_stresses,
     incremental_stresses,
-    vertical_shifts,
 )
 from .pipeline import PipelineReport, realize_graph, run_pipeline
-from .rounding import (
-    GridParams,
-    adjusted_shifts,
-    grid_params,
-    perturb_flat,
-    round_and_scale,
-)
+from .rounding import GridParams, grid_params, perturb_flat, round_and_scale
 from .serialize import (
     emit_off,
     realization_from_json,
@@ -120,5 +114,4 @@ __all__ = [
     "verify_convexity_exhaustive",
     "verify_convexity_global",
     "verify_convexity_stress",
-    "vertical_shifts",
 ]

@@ -41,7 +41,6 @@ from typing import Callable, Sequence
 from .errors import GeometryError
 from .facets import BASE_FACET_KEY, extra_vertex
 
-Rat = Fraction
 Point = tuple[Fraction, ...]
 PointSeq = tuple[Point, ...]
 

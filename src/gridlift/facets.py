@@ -19,8 +19,15 @@ Ridge = tuple[int, ...]  # sorted vertex ids, length d-1
 FacetKey = int  # leaf node id, or BASE_FACET_KEY
 
 
+class FacetTable:
+    """Facet lookup by key, for a class with `facets` and `base_facet`."""
+
+    def facet_vertices(self, key: FacetKey) -> tuple[int, ...]:
+        return self.base_facet if key == BASE_FACET_KEY else self.facets[key]
+
+
 @dataclass
-class Realization:
+class Realization(FacetTable):
     """Integer-coordinate realization of the stacked polytope."""
 
     d: int
@@ -28,9 +35,6 @@ class Realization:
     facets: dict[int, tuple[int, ...]]  # leaf node id -> vertex ids
     base_facet: tuple[int, ...]
     metadata: dict
-
-    def facet_vertices(self, key: FacetKey) -> tuple[int, ...]:
-        return self.base_facet if key == BASE_FACET_KEY else self.facets[key]
 
 
 def build_ridge_adjacency(

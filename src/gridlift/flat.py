@@ -6,7 +6,8 @@ base simplex with vertices 0, L*e_i has bracket exactly R_eff = L^{d-1}.
 Each stacking then places its new vertex at the weighted barycenter of the
 current facet, with the weight of child i multiplying the vertex that child
 i's facet drops. By multilinearity every facet's bracket equals lam times
-its face weight, exactly and with the root's (positive) sign. The leaf
+its face weight, exactly and with the root's (positive) sign, so
+node_brackets holds the positive lam * weight of every node. The leaf
 facets and the ridge table are kept in the facet-table format of the facets
 module.
 """
@@ -19,12 +20,12 @@ from typing import Sequence
 
 from .errors import GeometryError, InvalidInputError, StageInvariantError
 from .exact import Point
-from .facets import BASE_FACET_KEY, FacetKey, Ridge, build_ridge_adjacency
+from .facets import FacetKey, FacetTable, Ridge, build_ridge_adjacency
 from .trees import WeightedTree, facet_layout
 
 
 @dataclass
-class FlatComplex:
+class FlatComplex(FacetTable):
     """Flat embedded stacking complex over Q^{d-1}."""
 
     d: int
@@ -33,15 +34,12 @@ class FlatComplex:
     base_facet: tuple[int, ...]
     ridge_adjacency: dict[Ridge, tuple[FacetKey, FacetKey]]
     node_facets: dict[int, tuple[int, ...]]  # every node, incl. historical
-    node_brackets: dict[int, Fraction]  # signed bracket of each node facet; ints once perturbed
+    node_brackets: dict[int, Fraction]  # lam * weight of each node facet; ints once perturbed
     stacked_vertex: dict[int, int]  # interior node id -> vertex id
     interior_order: tuple[int, ...]  # preorder interior node ids
     L: int
     lam: Fraction
     R_eff: int
-
-    def facet_vertices(self, key: FacetKey) -> tuple[int, ...]:
-        return self.base_facet if key == BASE_FACET_KEY else self.facets[key]
 
 
 def _ceil_root(value: int, k: int) -> int:
@@ -116,9 +114,7 @@ def build_flat(wt: WeightedTree) -> FlatComplex:
                 "flat", f"node {v} stacks vertex {stacked[v]}, expected {len(coords)}", v
             )
         coords.append(p)
-        parent_bracket = node_brackets[v]
-        for j, c in enumerate(children):
-            node_brackets[c] = parent_bracket * cw[j] / W
+        node_brackets.update(zip(children, cw))
     facets = {leaf: layout[leaf] for leaf in tree.leaf_ids}
     base_facet = tuple(range(d))
     try:

@@ -1,14 +1,17 @@
 """Lifting the flat complex to heights, and ridge stresses two ways.
 
 Each stacking raises its new vertex by a vertical shift above the hyperplane
-of the facet it subdivides. The shift of a stacking is the product of the
-heavy child's and the (common) light children's rescaled weights, which is
-what makes every crease of the lifted surface land in a controlled range:
-ridge stresses come out >= lam on interior ridges and strictly inside
-(-R_eff, 0) on base ridges. The hyperplane's height above the new vertex
-weighs the facet's heights by the child-to-node bracket ratios the complex
-already holds (Cramer's rule: child j's facet is the node's facet with
-vertex j replaced by the new vertex), so the lift takes no determinant.
+of the facet it subdivides. One rule gives the shift, for the exact lift and
+the perturbed relift alike: the product of the two largest child brackets of
+the stacking. On the exact complex child c's bracket is lam * weight[c], so
+the shift is the heavy child's rescaled weight times the (common) light
+children's, which is what makes every crease of the lifted surface land in
+a controlled range: ridge stresses come out >= lam on interior ridges and
+strictly inside (-R_eff, 0) on base ridges. The hyperplane's height above
+the new vertex weighs the facet's heights by the child-to-node bracket
+ratios the complex already holds (Cramer's rule: child j's facet is the
+node's facet with vertex j replaced by the new vertex), so the lift takes no
+determinant.
 
 Stresses are computed from scratch per ridge (the creasing of its two
 facets, from the complex's flat stress plan: stress_plan takes one
@@ -30,29 +33,7 @@ from .errors import GeometryError, InvalidInputError, StageInvariantError
 from .exact import StressPlan, flat_stress_plan, plan_stresses
 from .facets import BASE_FACET_KEY, Ridge
 from .flat import FlatComplex
-from .trees import TreeRep, WeightedTree
-
-
-def vertical_shifts(wt: WeightedTree, lam: Fraction) -> dict[int, Fraction]:
-    """Shift of each stacking: rescaled heavy weight times light weight."""
-    tree = wt.tree
-    out: dict[int, Fraction] = {}
-    for v in tree.interior_ids:
-        ch = tree.nodes[v].children
-        hc = wt.heavy_child[v]
-        lights = {wt.weight[c] for i, c in enumerate(ch) if i != hc}
-        if len(lights) != 1:
-            raise StageInvariantError(
-                "lifting", f"unbalanced weights: light children of node {v}", v
-            )
-        B = lam * lights.pop()
-        A = lam * wt.weight[ch[hc]]
-        if A < B:
-            raise StageInvariantError(
-                "lifting", f"unbalanced weights: heavy child of node {v} too light", v
-            )
-        out[v] = A * B
-    return out
+from .trees import TreeRep
 
 
 def lift_heights(
@@ -156,6 +137,19 @@ def stress_map(
                 ridge,
             )
     return direct
+
+
+def adjusted_shifts(flat: FlatComplex, tree: TreeRep) -> dict[int, Fraction]:
+    """Shift of each stacking: the product of its two largest child brackets.
+
+    On a perturbed complex the brackets are integers in grid units, and so
+    are the shifts: the real ones times s^2.
+    """
+    out: dict[int, Fraction] = {}
+    for node in flat.interior_order:
+        vols = sorted(abs(flat.node_brackets[c]) for c in tree.nodes[node].children)
+        out[node] = vols[-1] * vols[-2]
+    return out
 
 
 def build_lifted(

@@ -1,12 +1,12 @@
 """End-to-end driver: tree (or graph) in, certified integer realization out.
 
 Stage order is fixed: balance the face weights, embed flat over the
-rationals, lift with the vertical shifts, gate the exact stresses, snap to
-the coordinate grid in integer grid units, re-derive shifts on the
-perturbed complex, relift, gate again, snap heights to integers, then
-certify from the final coordinates alone. Every stage keeps exact
-arithmetic; the report captures the extrema each gate saw so a run is
-auditable after the fact.
+rationals, lift by each stacking's shift (the product of its two largest
+child brackets), gate the exact stresses, snap to the coordinate grid in
+integer grid units, relift by the same rule on the perturbed brackets, gate
+again, snap heights to integers, then certify from the final coordinates
+alone. Every stage keeps exact arithmetic; the report captures the extrema
+each gate saw so a run is auditable after the fact.
 """
 
 from __future__ import annotations
@@ -18,14 +18,8 @@ from dataclasses import dataclass, field
 from .errors import StageInvariantError
 from .facets import Realization
 from .flat import build_flat
-from .lifting import build_lifted, check_lift_bounds, vertical_shifts
-from .rounding import (
-    adjusted_shifts,
-    check_volume_ratios,
-    grid_params,
-    perturb_flat,
-    round_and_scale,
-)
+from .lifting import adjusted_shifts, build_lifted, check_lift_bounds
+from .rounding import check_volume_ratios, grid_params, perturb_flat, round_and_scale
 from .trees import (
     PolytopeGraph,
     TreeRep,
@@ -63,7 +57,7 @@ def run_pipeline(tree: TreeRep) -> tuple[Realization, PipelineReport]:
     timing["flat"] = clock() - t
 
     t = clock()
-    z, plan, stresses = build_lifted(flat, tree, vertical_shifts(wt, flat.lam))
+    z, plan, stresses = build_lifted(flat, tree, adjusted_shifts(flat, tree))
     lift_info = check_lift_bounds(flat, z, stresses)
     # the exact lift is only gated: rounding starts again from the flat
     # complex, so its heights, plan and stresses are not kept past this point
@@ -74,8 +68,7 @@ def run_pipeline(tree: TreeRep) -> tuple[Realization, PipelineReport]:
     params = grid_params(tree.dim, flat.L, flat.R_eff)
     perturbed = perturb_flat(flat, params.alpha)
     ratio_lo, ratio_hi = check_volume_ratios(flat, perturbed, params)
-    zeta_adj = adjusted_shifts(perturbed, tree)
-    realization, round_info = round_and_scale(perturbed, tree, zeta_adj, params)
+    realization, round_info = round_and_scale(perturbed, tree, params)
     timing["round"] = clock() - t
 
     t = clock()

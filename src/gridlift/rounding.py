@@ -5,13 +5,14 @@ Flat coordinates are floored to the alpha-grid and kept as the integers
 X = floor(c / alpha); alpha is fine enough that every facet volume changes
 by a factor inside [1 - 1/(10 R_eff), 1 + 1/(10 R_eff)]. Every bracket of
 the perturbed complex is then an integer, the real bracket times
-s = inv^(d-1), and the adjusted shifts (product of the two largest
-perturbed facet volumes of each stacking) are the real ones times s^2. The
-relift by those shifts has heights times s^2 and stresses times s; the
-heights are checked against the ceiling 2 R_eff^2 and floored to the
-alpha_z-grid as the integers H = floor(h / alpha_z), so each output point
-is (X, H) with no rescaling. The factors s and s^2 stay implicit: every
-value the stage reports is converted back to real units exactly. Hard size
+s = inv^(d-1). round_and_scale relifts by this complex's own shifts
+(lifting.adjusted_shifts: the product of the two largest perturbed child
+brackets of each stacking), which are the real ones times s^2, so the
+relift has heights times s^2 and stresses times s; the heights are
+checked against the ceiling 2 R_eff^2 and floored to the alpha_z-grid as
+the integers H = floor(h / alpha_z), so each output point is (X, H) with
+no rescaling. The factors s and s^2 stay implicit: every value the stage
+reports is converted back to real units exactly. Hard size
 caps bound the flat coordinates by 10 d^2 R_eff^2 (attained by the base
 corners) and heights by 6 R_eff^3. The stage's output is a
 facets.Realization, the perturbed complex's facet table with the integer
@@ -31,7 +32,7 @@ from .errors import InvalidInputError, StageInvariantError
 from .exact import _det_int
 from .facets import Realization
 from .flat import FlatComplex
-from .lifting import build_lifted, direct_stresses, stress_extrema
+from .lifting import adjusted_shifts, build_lifted, direct_stresses, stress_extrema
 from .trees import TreeRep
 
 # Bound here though round_and_scale relifts through build_lifted: the
@@ -112,37 +113,13 @@ def check_volume_ratios(
     return Fraction(*lo), Fraction(*hi)
 
 
-def adjusted_shifts(perturbed: FlatComplex, tree: TreeRep) -> dict[int, Fraction]:
-    """Per stacking: product of the two largest new-facet volumes.
-
-    Ties break toward the lower child index. On an unperturbed complex this
-    reproduces the original shifts, since the heavy and one light child are
-    the two largest by construction. On a perturbed complex the brackets
-    are integers in grid units, and so are the shifts: the real shift
-    times s^2.
-    """
-    out: dict[int, Fraction] = {}
-    for node in perturbed.interior_order:
-        children = tree.nodes[node].children
-        ranked = sorted(
-            range(len(children)),
-            key=lambda i: (-abs(perturbed.node_brackets[children[i]]), i),
-        )
-        a = abs(perturbed.node_brackets[children[ranked[0]]])
-        b = abs(perturbed.node_brackets[children[ranked[1]]])
-        out[node] = a * b
-    return out
-
-
 def round_and_scale(
-    perturbed: FlatComplex,
-    tree: TreeRep,
-    zeta_adj: dict[int, Fraction],
-    params: GridParams,
+    perturbed: FlatComplex, tree: TreeRep, params: GridParams
 ) -> tuple[Realization, dict]:
     """Relift on the perturbed complex and snap its heights to integers.
 
-    The complex and the shifts are in grid units, so the relift's heights
+    The relift's shifts are those of the perturbed complex itself. The
+    complex and the shifts are in grid units, so the relift's heights
     are the real ones times s^2 and its stresses the real ones times s,
     s = alpha^-(d-1). The gated extrema are divided back to real units
     exactly, so each gate keeps its bound. The snapped heights are integers
@@ -154,7 +131,7 @@ def round_and_scale(
     s2 = s * s
     inv_z = params.alpha_z.denominator
     # one plan serves the relift and the snapped heights: same flat complex
-    z, plan, stresses = build_lifted(perturbed, tree, zeta_adj)
+    z, plan, stresses = build_lifted(perturbed, tree, adjusted_shifts(perturbed, tree))
     adjacency = perturbed.ridge_adjacency
     (min_interior, r_in), (min_base, r_lo), (max_base, r_hi) = stress_extrema(
         adjacency, stresses

@@ -1,12 +1,12 @@
 import pytest
 
 from gridlift import (
+    adjusted_shifts,
     balance_weights,
     build_flat,
     build_lifted,
     parse_tree,
     run_pipeline,
-    vertical_shifts,
 )
 
 TET_JSON = '{"dim": 3, "tree": [null, null, null]}'
@@ -29,10 +29,9 @@ def tet_flat(tet_weighted):
 
 
 @pytest.fixture(scope="session")
-def tet_lifted(tet_flat, tet_weighted):
+def tet_lifted(tet_flat, tet_tree):
     """Heights, plan and stresses of the tetrahedron's exact lift."""
-    zeta = vertical_shifts(tet_weighted, tet_flat.lam)
-    return build_lifted(tet_flat, tet_weighted.tree, zeta)
+    return build_lifted(tet_flat, tet_tree, adjusted_shifts(tet_flat, tet_tree))
 
 
 @pytest.fixture(scope="session")

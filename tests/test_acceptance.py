@@ -28,7 +28,7 @@ from gridlift import (
     verify_convexity_stress,
 )
 from gridlift.flat import build_flat
-from gridlift.lifting import lift_heights, stress_plan, vertical_shifts
+from gridlift.lifting import adjusted_shifts, lift_heights, stress_plan
 
 F = Fraction
 
@@ -185,9 +185,8 @@ def test_criterion_4_dual_oracle_and_stress_routes():
     # explicit route comparison on fresh instances, every ridge exact
     for seed in range(50):
         tree = gen_tree("random", 3, 4 + seed % 8, seed=7000 + seed)
-        wt = balance_weights(tree)
-        flat = build_flat(wt)
-        zeta = vertical_shifts(wt, flat.lam)
+        flat = build_flat(balance_weights(tree))
+        zeta = adjusted_shifts(flat, tree)
         z = lift_heights(flat, tree, zeta)
         assert direct_stresses(stress_plan(flat), z) == incremental_stresses(
             flat, tree, zeta

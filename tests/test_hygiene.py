@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: the standard library's ast."""
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ TESTS_DIR = Path(__file__).parent
 # __init__ imports names to re-export them
 MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted(TESTS_DIR.glob("*.py"))
+BENCHMARKS = sorted((TESTS_DIR.parent / "benchmarks").rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,6 +36,43 @@ def unused_imports(source: str) -> list[str]:
     ]
 
 
+def top_level_names(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each function, class and name assigned at top level,
+    dunders left out."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.extend(
+                (node.lineno, n.id)
+                for t in targets
+                for n in ast.walk(t)
+                if isinstance(n, ast.Name)
+            )
+    return [(line, name) for line, name in out if not name.startswith("__")]
+
+
+def read_names(source: str) -> set[str]:
+    """Names a module reads: loaded names, attributes and imported names."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+@functools.cache
+def names_read_anywhere() -> frozenset[str]:
+    paths = [PACKAGE_DIR / "__init__.py", *MODULES, *TESTS, *BENCHMARKS]
+    return frozenset().union(*(read_names(p.read_text()) for p in paths))
+
+
 def package_imports(path: Path) -> set[str]:
     """The package modules a module imports, as `from .x import y` or
     `from . import x`."""
@@ -48,6 +87,26 @@ def package_imports(path: Path) -> set[str]:
 @pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_top_level_name_is_read(path):
+    # a definition that nothing in the package, the tests or the benchmark
+    # reads is dead code
+    read = names_read_anywhere()
+    unread = [
+        f"line {line}: {name}"
+        for line, name in top_level_names(path.read_text())
+        if name not in read
+    ]
+    assert unread == []
+
+
+def test_detects_unread_name():
+    source = "X = 1\nY: int = 2\n__all__ = []\n\nclass A:\n    pass\n\ndef f():\n    return X\n"
+    assert top_level_names(source) == [(1, "X"), (2, "Y"), (5, "A"), (8, "f")]
+    assert read_names(source) >= {"X"}
+    assert {"Y", "A", "f"}.isdisjoint(read_names(source))
 
 
 def test_verify_imports_no_construction_stage():

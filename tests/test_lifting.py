@@ -20,7 +20,6 @@ from gridlift import (
     height_on_hyperplane,
     incremental_stresses,
     perturb_flat,
-    vertical_shifts,
 )
 from gridlift.exact import plan_stresses
 from gridlift.lifting import lift_heights, stress_extrema, stress_map, stress_plan
@@ -29,24 +28,13 @@ F = Fraction
 
 
 class TestVerticalShifts:
-    def test_tetrahedron(self, tet_flat, tet_weighted):
-        assert vertical_shifts(tet_weighted, tet_flat.lam) == {0: F(16, 9)}
+    def test_tetrahedron(self, tet_flat, tet_tree):
+        assert adjusted_shifts(tet_flat, tet_tree) == {0: F(16, 9)}
 
     def test_two_stack(self, two_stack_tree):
-        wt = balance_weights(two_stack_tree)
-        flat = build_flat(wt)
-        zeta = vertical_shifts(wt, flat.lam)
+        flat = build_flat(balance_weights(two_stack_tree))
+        zeta = adjusted_shifts(flat, two_stack_tree)
         assert zeta == {0: 9, 2: F(9, 2)}
-
-    def test_rejects_unbalanced(self, two_stack_tree):
-        wt = balance_weights(two_stack_tree)
-        bad = list(wt.weight)
-        bad[1], bad[6] = 2, 3  # unequal light children of the root
-        bad[0] = bad[1] + bad[2] + bad[6]
-        broken = dataclasses.replace(wt, weight=bad)
-        with pytest.raises(StageInvariantError) as info:
-            vertical_shifts(broken, F(3, 2))
-        assert info.value.stage == "lifting"
 
 
 class TestHeights:
@@ -56,9 +44,8 @@ class TestHeights:
 
     def test_base_stays_flat(self):
         tree = gen_tree("random", 3, 12, seed=3)
-        wt = balance_weights(tree)
-        flat = build_flat(wt)
-        z, _, _ = build_lifted(flat, tree, vertical_shifts(wt, flat.lam))
+        flat = build_flat(balance_weights(tree))
+        z, _, _ = build_lifted(flat, tree, adjusted_shifts(flat, tree))
         assert z[:3] == [0, 0, 0]
         assert all(h > 0 for h in z[3:])
 
@@ -133,9 +120,8 @@ class TestStresses:
     )
     def test_direct_equals_incremental(self, d, size, seed):
         tree = gen_tree("random", d, size, seed)
-        wt = balance_weights(tree)
-        flat = build_flat(wt)
-        zeta = vertical_shifts(wt, flat.lam)
+        flat = build_flat(balance_weights(tree))
+        zeta = adjusted_shifts(flat, tree)
         z = lift_heights(flat, tree, zeta)
         direct = direct_stresses(stress_plan(flat), z)
         incremental = incremental_stresses(flat, tree, zeta)
@@ -186,9 +172,8 @@ class TestLiftGate:
     @pytest.mark.parametrize("d,size,seed", [(3, 20, 5), (4, 10, 6), (5, 7, 7)])
     def test_interior_at_least_lambda(self, d, size, seed):
         tree = gen_tree("random", d, size, seed)
-        wt = balance_weights(tree)
-        flat = build_flat(wt)
-        z, _, stresses = build_lifted(flat, tree, vertical_shifts(wt, flat.lam))
+        flat = build_flat(balance_weights(tree))
+        z, _, stresses = build_lifted(flat, tree, adjusted_shifts(flat, tree))
         info = check_lift_bounds(flat, z, stresses)
         assert info["min_interior_stress"] >= flat.lam >= 1
         assert -flat.R_eff < info["min_base_stress"]

@@ -1,7 +1,13 @@
+import contextlib
+import copy
+import functools
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridlift import (
     BASE_FACET_KEY,
@@ -420,3 +426,133 @@ class TestCli:
         assert doc["n"] == 72
         assert main(["gen", "--shape", "gamma", "--n", "50",
                      "--output", str(g_f)]) == 2
+
+
+# -- fuzzing the CLI ---------------------------------------------------------
+
+# small valid inputs to mutate: (shape, dim, stackings, seed)
+SMALL_TREES = st.tuples(
+    st.sampled_from(["random", "serpentine"]),
+    st.integers(3, 4),
+    st.integers(1, 8),
+    st.integers(0, 3),
+)
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 6),
+    st.floats(-2, 6),
+    st.text(max_size=2),
+    st.lists(st.none(), max_size=5),
+    st.just({}),
+)
+
+
+@functools.cache
+def small_realization_doc(key):
+    realization, _ = run_pipeline(gen_tree(*key))
+    return json.loads(realization_to_json(realization))
+
+
+def json_paths(value, prefix=()):
+    """Every position in a JSON value, as the key path from its root."""
+    yield prefix
+    if isinstance(value, list):
+        items = enumerate(value)
+    elif isinstance(value, dict):
+        items = value.items()
+    else:
+        return
+    for key, child in items:
+        yield from json_paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_text(draw, doc):
+    """A JSON document with one to three positions replaced, deleted,
+    duplicated or, for an integer, nudged; sometimes cut short as text."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(json_paths(doc))[1:] or [None]))
+        if path is None:
+            break
+        *route, key = path
+        parent = functools.reduce(lambda v, k: v[k], route, doc)
+        action = draw(st.sampled_from(["replace", "delete", "duplicate", "nudge"]))
+        if action == "nudge":
+            if type(parent[key]) is int:
+                parent[key] += draw(st.integers(-2, 2))
+        elif action == "replace":
+            parent[key] = draw(JUNK)
+        elif action == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+    text = json.dumps(doc)
+    if draw(st.booleans()) and draw(st.booleans()):
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+def run_cli(argv):
+    """Exit code, stdout and stderr of one CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestCliFuzz:
+    @given(
+        key=SMALL_TREES,
+        as_graph=st.booleans(),
+        data=st.data(),
+        dim=st.one_of(st.none(), st.integers(-1, 5)),
+        base=st.one_of(
+            st.none(),
+            st.lists(st.integers(-1, 12), max_size=4).map(lambda ids: ",".join(map(str, ids))),
+            st.text(alphabet="0123,x -.", max_size=6),
+        ),
+        off=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_realize_mutated_documents(self, fuzz_dir, key, as_graph, data, dim, base, off):
+        tree = gen_tree(*key)
+        doc = json.loads(graph_from_tree(tree).to_json() if as_graph else tree.to_json())
+        text = data.draw(st.one_of(st.just(json.dumps(doc)), mutated_text(doc)))
+        doc_f = fuzz_dir / "doc.json"
+        doc_f.write_text(text)
+        argv = ["realize", "--input", str(doc_f)]
+        if dim is not None:
+            argv.append(f"--dim={dim}")
+        if base is not None:
+            argv.append(f"--base={base}")  # a value may start with "-"
+        if off:
+            argv += ["--format", "off"]
+        code, out, err = run_cli(argv)
+        if code == 0:
+            assert out.startswith("OFF\n" if off else "{")
+        else:
+            assert err.startswith("error: ")
+
+    @given(key=SMALL_TREES, data=st.data(), with_tree=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_verify_mutated_realizations(self, fuzz_dir, key, data, with_tree):
+        real_f = fuzz_dir / "real.json"
+        real_f.write_text(data.draw(mutated_text(small_realization_doc(key))))
+        argv = ["verify", "--input", str(real_f)]
+        if with_tree:
+            tree_f = fuzz_dir / "tree.json"
+            tree_f.write_text(gen_tree(*key).to_json())
+            argv += ["--tree", str(tree_f)]
+        code, out, err = run_cli(argv)
+        if out:  # a certificate, ok exactly when the exit code is 0
+            assert json.loads(out)["ok"] is (code == 0)
+        else:
+            assert code != 0 and err.startswith("error: ")

@@ -17,7 +17,6 @@ from gridlift import (
     grid_params,
     perturb_flat,
     round_and_scale,
-    vertical_shifts,
 )
 from gridlift import lifting, rounding
 from gridlift.exact import bracket
@@ -87,7 +86,7 @@ class TestGridUnitsMatchReference:
         coords, ratios, report = reference_round(flat, tree, params)
         pe = perturb_flat(flat, params.alpha)
         assert check_volume_ratios(flat, pe, params) == ratios
-        realization, info = round_and_scale(pe, tree, adjusted_shifts(pe, tree), params)
+        realization, info = round_and_scale(pe, tree, params)
         assert realization.coords == coords
         assert info == report
         # same types too, so the serialized reports are the same bytes
@@ -147,17 +146,35 @@ class TestPerturb:
             perturb_flat(tet_flat, F(2, 721))
 
 
+def heavy_times_light(wt, lam):
+    """The paper's shift of each stacking: the heavy child's rescaled weight
+    times a light child's."""
+    out = {}
+    for v in wt.tree.interior_ids:
+        children = wt.tree.nodes[v].children
+        hc = wt.heavy_child[v]
+        w_heavy = wt.weight[children[hc]]
+        w_light = wt.weight[children[1 if hc == 0 else 0]]
+        out[v] = (lam * w_heavy) * (lam * w_light)
+    return out
+
+
 class TestAdjustedShifts:
     def test_tet_reproduces_exact_shift(self, tet_flat, tet_weighted):
-        zeta = vertical_shifts(tet_weighted, tet_flat.lam)
-        assert adjusted_shifts(tet_flat, tet_weighted.tree) == zeta
+        zeta = heavy_times_light(tet_weighted, tet_flat.lam)
+        assert adjusted_shifts(tet_flat, tet_weighted.tree) == zeta == {0: F(16, 9)}
 
-    @pytest.mark.parametrize("d,size,seed", [(3, 15, 4), (4, 9, 5)])
-    def test_unperturbed_matches_vertical_shifts(self, d, size, seed):
-        tree = gen_tree("random", d, size, seed)
+    @pytest.mark.parametrize("d", range(3, 8))
+    @pytest.mark.parametrize(
+        "shape,size", [("random", 12), ("serpentine", 8), ("balanced_rounds", 2)]
+    )
+    def test_unperturbed_is_heavy_times_light(self, shape, size, d):
+        # on the exact complex each child bracket is lam * weight, so the two
+        # largest are the heavy child's and a light child's
+        tree = gen_tree(shape, d, size, seed=d)
         wt = balance_weights(tree)
         flat = build_flat(wt)
-        assert adjusted_shifts(flat, tree) == vertical_shifts(wt, flat.lam)
+        assert adjusted_shifts(flat, tree) == heavy_times_light(wt, flat.lam)
 
     @pytest.mark.parametrize("d,size,seed", [(3, 15, 4), (4, 9, 5)])
     def test_perturbed_shift_lower_bound(self, d, size, seed):
@@ -166,7 +183,7 @@ class TestAdjustedShifts:
         flat = build_flat(wt)
         p = grid_params(d, flat.L, flat.R_eff)
         pe = perturb_flat(flat, p.alpha)
-        zeta = vertical_shifts(wt, flat.lam)
+        zeta = heavy_times_light(wt, flat.lam)
         adj = adjusted_shifts(pe, tree)
         s2 = p.alpha ** (2 - 2 * d)  # the shifts are in grid units
         for node, zp in adj.items():
@@ -180,9 +197,9 @@ class TestRoundAndScale:
         tree = tet_weighted.tree
         p = grid_params(3, tet_flat.L, tet_flat.R_eff)
         pe = perturb_flat(tet_flat, p.alpha)
-        zeta = adjusted_shifts(pe, tree)
-        assert zeta == {0: F(16, 9) * 720**4}  # the real shift times s^2
-        realization, info = round_and_scale(pe, tree, zeta, p)
+        # the relift's shift: the real one times s^2
+        assert adjusted_shifts(pe, tree) == {0: F(16, 9) * 720**4}
+        realization, info = round_and_scale(pe, tree, p)
         assert realization.coords == [
             (0, 0, 0),
             (1440, 0, 0),
@@ -203,7 +220,7 @@ class TestRoundAndScale:
         flat = build_flat(wt)
         p = grid_params(d, flat.L, flat.R_eff)
         pe = perturb_flat(flat, p.alpha)
-        realization, info = round_and_scale(pe, tree, adjusted_shifts(pe, tree), p)
+        realization, info = round_and_scale(pe, tree, p)
         R_eff = flat.R_eff
         assert info["min_interior_stress"] >= F(4, 5)
         assert -2 * R_eff < info["min_base_stress"] < 0
@@ -244,7 +261,7 @@ class TestRoundAndScale:
 
         monkeypatch.setattr(module, gate, tampered)
         with pytest.raises(StageInvariantError) as info:
-            round_and_scale(pe, tree, adjusted_shifts(pe, tree), p)
+            round_and_scale(pe, tree, p)
         assert info.value.stage == "rounding"
         assert message in str(info.value)
         assert ("stress 1/2 " if gate == "stress_map" else "stress -1 ") in str(info.value)
@@ -272,8 +289,8 @@ class TestRoundAndScale:
         monkeypatch.setattr(lifting, "stress_map", tampered)
         if raises:
             with pytest.raises(StageInvariantError, match="below 4/5") as info:
-                round_and_scale(pe, tree, adjusted_shifts(pe, tree), p)
+                round_and_scale(pe, tree, p)
             assert info.value.witness == ridge
         else:
-            _, report = round_and_scale(pe, tree, adjusted_shifts(pe, tree), p)
+            _, report = round_and_scale(pe, tree, p)
             assert report["min_interior_stress"] == F(4, 5)

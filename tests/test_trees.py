@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -192,16 +193,24 @@ class TestBalance:
             wt = balance_weights(t)
             assert wt.root_weight <= (2 * d) ** ceil_log2(t.n_vertices)
 
-    def test_check_balanced_rejects(self, two_stack_tree):
+    # two_stack_tree: root 0 has children 1, 2, 6 (weights 1, 4, 1; heavy 2),
+    # node 2 has children 3, 4, 5 (weights 2, 1, 1; heavy 3)
+    @pytest.mark.parametrize("changes,witness,message", [
+        pytest.param({1: 2}, 0, "not the sum", id="sum"),
+        pytest.param({1: 2, 6: 3, 0: 9}, 0, "unequal", id="unequal_lights"),
+        pytest.param({4: 3, 5: 3, 2: 8, 0: 10}, 2, "lighter", id="heavy_lighter"),
+    ])
+    def test_check_balanced_rejects(self, two_stack_tree, changes, witness, message):
         wt = balance_weights(two_stack_tree)
+        assert wt.weight == [6, 1, 4, 2, 1, 1, 1]
         bad = list(wt.weight)
-        bad[1] += 1
-        import dataclasses
-
+        for node, weight in changes.items():
+            bad[node] = weight
         broken = dataclasses.replace(wt, weight=bad)
-        with pytest.raises(StageInvariantError) as info:
+        with pytest.raises(StageInvariantError, match=message) as info:
             check_balanced(broken)
         assert info.value.stage == "balance"
+        assert info.value.witness == witness
 
 
 class TestGenerators:
