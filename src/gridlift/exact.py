@@ -18,7 +18,10 @@ volume of their simplex. On top of it sit:
   flat_stress_plan does all the work the heights leave alone, once per
   flat complex, and plan_stresses lifts it by one set of heights. This is
   what the pipeline and the verifier evaluate. The plan takes its ridges
-  and facets in the facet-table format that the facets module defines.
+  and facets in the facet-table format that the facets module defines,
+  and the heights as integer numerators over positive denominators (or as
+  plain integers); its stresses are integer pairs (Pair), which callers
+  compare by cross-multiplication.
 
 Determinants are computed fraction-free: each point is scaled to an integer
 homogeneous column (p D, D), D the lcm of its denominators, and the integer
@@ -29,7 +32,7 @@ Gauss-Jordan elimination. A ridge's creasing determinant, expanded along
 its height column, is the dot product of the heights with those minors of
 the ridge's flat columns, and its two facet shadows are two of the minors;
 so the plan takes one elimination per ridge, and each lift of the complex
-one (d+1)-term dot product and one Fraction per ridge.
+one (d+1)-term integer dot product per ridge, with no Fraction built.
 """
 
 from __future__ import annotations
@@ -159,8 +162,11 @@ def homogeneous_column(p: Sequence) -> list[int]:
 
     Scaling a bracket column by D multiplies the determinant by D, so an
     integer determinant of such columns divided by the product of their
-    last entries is the rational bracket.
+    last entries is the rational bracket. A point of ints (grid units, or
+    the verifier's output) is its own column with D = 1.
     """
+    if all(type(c) is int for c in p):
+        return [*p, 1]
     scale = 1
     for c in p:
         if isinstance(c, Fraction):
@@ -286,11 +292,18 @@ def stress_of_ridge(
     return creasing(left, right)
 
 
+# A rational held as an integer pair (numerator, denominator), denominator
+# positive and the pair not necessarily in lowest terms: two pairs compare
+# by cross-multiplication, and a Fraction is made only for a value that is
+# reported.
+Pair = tuple[int, int]
+
 # A flat stress plan holds one tuple per ridge X, in adjacency order:
 #   (X, denominator, failure, base, e0, e1, c_0, ..., c_d)
 # e0 and e1 are the extra vertices of the ridge's two facets; the stress is
-# sum_j c_j z_j / denominator over the heights z of (X..., e0, e1). failure
-# is FLAT_RIDGE or NO_ORIENTATION when the heights cannot change it (else
+# sum_j c_j z_j / denominator over the heights z of (X..., e0, e1), and the
+# denominator is positive (a FLAT_RIDGE entry has 0 and no c_j). failure is
+# FLAT_RIDGE or NO_ORIENTATION when the heights cannot change it (else
 # None), and base marks a base ridge, whose base facet the heights tell.
 # Flat tuples keep the plan small: it is the largest object alive while
 # the perturbed complex is relifted.
@@ -350,26 +363,27 @@ def flat_stress_plan(
         # left is e0 exactly when s0 > 0 (unless e0's facet is the base),
         # and then det(X, t, s) = -det(X, e0, e1)
         denom = -abs(s0) * s1
-        # the scales E_v largely cancel: keep the reduced ratio
+        # the scales E_v largely cancel: keep the reduced ratio, over a
+        # positive denominator
         g = gcd(*coeffs, denom)
+        if denom < 0:
+            g = -g
         plan.append((ridge, denom // g, failure, base, e0, e1, *(c // g for c in coeffs)))
     return plan
 
 
 def plan_stresses(
-    plan: StressPlan, heights: Sequence
-) -> tuple[dict[tuple[int, ...], Fraction], dict[tuple[int, ...], str]]:
-    """stress_of_ridge for every ridge of a plan, lifted by `heights`.
+    plan: StressPlan, nums: Sequence[int], dens: Sequence[int] | None = None
+) -> tuple[dict[tuple[int, ...], Pair], dict[tuple[int, ...], str]]:
+    """stress_of_ridge for every ridge of a plan, lifted by heights.
 
-    heights[v] is the rational height of vertex v. Returns the stresses
-    and, for the ridges where stress_of_ridge would raise, its message
-    instead; both in adjacency order. Each stress is one (d+1)-term dot
-    product over the common denominator of the ridge's heights, and one
-    Fraction.
+    Vertex v's height is nums[v] / dens[v], dens positive; without dens the
+    heights are the integers nums. Returns the stresses as pairs and, for
+    the ridges where stress_of_ridge would raise, its message instead; both
+    in adjacency order. Each stress is one (d+1)-term dot product, over the
+    lcm of the ridge's height denominators when there are any.
     """
-    nums = [h.numerator for h in heights]
-    dens = [h.denominator for h in heights]
-    stresses: dict[tuple[int, ...], Fraction] = {}
+    stresses: dict[tuple[int, ...], Pair] = {}
     failures: dict[tuple[int, ...], str] = {}
     for ridge, denom, failure, base, e0, e1, *coeffs in plan:
         if base and failure != FLAT_RIDGE:
@@ -381,14 +395,20 @@ def plan_stresses(
                 failures[ridge] = BASE_NOT_FLAT
                 continue
             if flat_S:
-                denom = -denom
+                # left and right swap, and the stress changes sign
+                coeffs = [-c for c in coeffs]
         if failure is not None:
             failures[ridge] = failure
             continue
         verts = (*ridge, e0, e1)
-        scale = lcm(*[dens[v] for v in verts])
         total = 0
-        for c, v in zip(coeffs, verts):
-            total += c * nums[v] * (scale // dens[v])
-        stresses[ridge] = Fraction(total, denom * scale)
+        if dens is None:
+            for c, v in zip(coeffs, verts):
+                total += c * nums[v]
+        else:
+            scale = lcm(*[dens[v] for v in verts])
+            for c, v in zip(coeffs, verts):
+                total += c * nums[v] * (scale // dens[v])
+            denom *= scale
+        stresses[ridge] = (total, denom)
     return stresses, failures

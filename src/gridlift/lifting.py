@@ -23,40 +23,85 @@ of the facet by the shift over the incident new facet's volume. The two routes
 agree exactly on every ridge of a shift-defined lifting. build_lifted lifts
 by a set of shifts and checks that agreement, for the exact lift and the
 perturbed relift; it returns its plan for the snapped heights to reuse.
+
+Nothing between the brackets and the gates is a Fraction. The brackets are
+scaled to integers (a no-op on the perturbed complex, whose brackets are
+integer grid units), heights are integer numerators over positive
+denominators, each reduced by one gcd per stacking, and both stress routes
+give integer pairs (exact.Pair) that need not be in lowest terms. The
+cross-check compares them by cross-multiplication, and stress_extrema makes
+Fractions only of the three extrema that the gates compare and report.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import GeometryError, InvalidInputError, StageInvariantError
-from .exact import StressPlan, flat_stress_plan, plan_stresses
+from .exact import Pair, StressPlan, flat_stress_plan, plan_stresses
 from .facets import BASE_FACET_KEY, Ridge
 from .flat import FlatComplex
 from .trees import TreeRep
 
+# Heights as (numerators, denominators): vertex v is at nums[v] / dens[v],
+# each pair in lowest terms with a positive denominator.
+Heights = tuple[list[int], list[int]]
+
+
+def _integer_brackets(flat: FlatComplex) -> tuple[dict[int, int], int]:
+    """The node brackets scaled by k to integers, and k.
+
+    k is the lcm of their denominators: the exact complex's brackets are
+    lam * weight, Fractions; a perturbed complex's are integers, k = 1.
+    """
+    brackets = flat.node_brackets
+    if all(type(b) is int for b in brackets.values()):
+        return brackets, 1
+    k = lcm(*(b.denominator for b in brackets.values()))
+    return {node: b.numerator * (k // b.denominator) for node, b in brackets.items()}, k
+
 
 def lift_heights(
     flat: FlatComplex, tree: TreeRep, zeta: dict[int, Fraction]
-) -> list[Fraction]:
-    """Replay the stackings, raising each new vertex by its shift."""
+) -> Heights:
+    """Replay the stackings, raising each new vertex by its shift.
+
+    The new vertex's height over its facet is the facet's heights weighted
+    by the child-to-node bracket ratios, which a common scale of the
+    brackets leaves alone; each height is summed over the lcm of the facet's
+    denominators and reduced by one gcd.
+    """
     if any(z <= 0 for z in zeta.values()):
         raise InvalidInputError("vertical shifts must be positive")
-    brackets = flat.node_brackets
-    z: list[Fraction] = [Fraction(0)] * flat.d
+    brackets, _ = _integer_brackets(flat)
+    nums = [0] * flat.d
+    dens = [1] * flat.d
     for node in flat.interior_order:
         v = flat.stacked_vertex[node]
-        if v != len(z):
+        if v != len(nums):
             raise StageInvariantError(
-                "lifting", f"node {node} stacks vertex {v}, expected {len(z)}", node
+                "lifting", f"node {node} stacks vertex {v}, expected {len(nums)}", node
             )
         shadow = brackets[node]
         if shadow == 0:
             raise GeometryError("vertical hyperplane: projected facet is degenerate")
-        children = tree.nodes[node].children
-        total = sum(brackets[c] * z[u] for c, u in zip(children, flat.node_facets[node]))
-        z.append(total / shadow + zeta[node])
-    return z
+        facet = flat.node_facets[node]
+        den = lcm(*[dens[u] for u in facet])
+        total = 0
+        for c, u in zip(tree.nodes[node].children, facet):
+            total += brackets[c] * nums[u] * (den // dens[u])
+        # total / (shadow den) + p / q
+        shift = zeta[node]
+        q = shift.denominator
+        num = total * q + shift.numerator * shadow * den
+        den *= shadow * q
+        if den < 0:
+            num, den = -num, -den
+        g = gcd(num, den)
+        nums.append(num // g)
+        dens.append(den // g)
+    return nums, dens
 
 
 def stress_plan(flat: FlatComplex) -> StressPlan:
@@ -66,13 +111,16 @@ def stress_plan(flat: FlatComplex) -> StressPlan:
     )
 
 
-def direct_stresses(plan: StressPlan, z: list[Fraction]) -> dict[Ridge, Fraction]:
+def direct_stresses(
+    plan: StressPlan, nums: list[int], dens: list[int] | None = None
+) -> dict[Ridge, Pair]:
     """Stress of every ridge, each from its own creasing evaluation.
 
-    Raises the GeometryError of the first ridge, in adjacency order, whose
-    stress is undefined.
+    The heights are nums over dens, or the integers nums. Raises the
+    GeometryError of the first ridge, in adjacency order, whose stress is
+    undefined.
     """
-    stresses, failures = plan_stresses(plan, z)
+    stresses, failures = plan_stresses(plan, nums, dens)
     if failures:
         raise GeometryError(next(iter(failures.values())))
     return stresses
@@ -80,60 +128,73 @@ def direct_stresses(plan: StressPlan, z: list[Fraction]) -> dict[Ridge, Fraction
 
 def incremental_stresses(
     flat: FlatComplex, tree: TreeRep, zeta: dict[int, Fraction]
-) -> dict[Ridge, Fraction]:
+) -> dict[Ridge, Pair]:
     """Stress table built by replaying the stackings with local updates.
 
     Before the first stacking the surface is flat, so the base boundary
     ridges start at stress zero. Stacking with shift zeta on a facet D:
     every boundary ridge of D drops by zeta over the volume of its new
     incident facet; every ridge between two new facets S, T starts at
-    zeta * |D| / (|S| |T|).
+    zeta * |D| / (|S| |T|). With the brackets scaled to integers by k and
+    zeta = p / q, these are p k / (q |S|) and p k |D| / (q |S| |T|).
     """
-    st: dict[Ridge, Fraction] = {}
+    brackets, scale = _integer_brackets(flat)
+    st: dict[Ridge, Pair] = {}
     d = flat.d
     base = flat.base_facet
     for j in range(d):
-        st[tuple(sorted(base[:j] + base[j + 1 :]))] = Fraction(0)
+        st[tuple(sorted(base[:j] + base[j + 1 :]))] = (0, 1)
     for node in flat.interior_order:
         facet = flat.node_facets[node]
         p = flat.stacked_vertex[node]
-        shift = Fraction(zeta[node])  # an int shift must not divide to a float
-        children = tree.nodes[node].children
-        cbr = [abs(flat.node_brackets[c]) for c in children]
-        dbr = abs(flat.node_brackets[node])
+        shift = zeta[node]
+        num = shift.numerator * scale
+        q = shift.denominator
+        cbr = [abs(brackets[c]) for c in tree.nodes[node].children]
+        dbr = abs(brackets[node])
         for j in range(d):
             ridge = tuple(sorted(facet[:j] + facet[j + 1 :]))
-            st[ridge] -= shift / cbr[j]
+            a, b = st[ridge]
+            # the drop t / c in lowest terms, over the lcm of b and c: the
+            # drop is mostly an integer or shares the ridge's denominator,
+            # so a ridge that many stackings lower keeps a small one
+            c = q * cbr[j]
+            g = gcd(num, c)
+            t, c = num // g, c // g
+            g = gcd(b, c)
+            c //= g
+            st[ridge] = (a * c - t * (b // g), b * c)
         for i in range(d):
             for j in range(i + 1, d):
                 kept = [facet[k] for k in range(d) if k not in (i, j)]
                 ridge = tuple(sorted(kept + [p]))
-                st[ridge] = shift * dbr / (cbr[i] * cbr[j])
+                st[ridge] = (num * dbr, q * cbr[i] * cbr[j])
     return st
 
 
 def stress_map(
     flat: FlatComplex,
     plan: StressPlan,
-    z: list[Fraction],
+    z: Heights,
     tree: TreeRep,
     zeta: dict[int, Fraction],
-) -> dict[Ridge, Fraction]:
+) -> dict[Ridge, Pair]:
     """Direct stresses, cross-validated against the incremental replay.
 
     Any ridge disagreement raises, since the two routes must match exactly
-    for any shift-defined lifting.
+    for any shift-defined lifting. Pairs are compared by cross-multiplication.
     """
-    direct = direct_stresses(plan, z)
+    direct = direct_stresses(plan, *z)
     incremental = incremental_stresses(flat, tree, zeta)
     if set(incremental) != set(direct):
         raise StageInvariantError("lifting", "stress tables cover different ridges")
-    for ridge, value in direct.items():
-        if incremental[ridge] != value:
+    for ridge, (n1, d1) in direct.items():
+        n2, d2 = incremental[ridge]
+        if n1 * d2 != n2 * d1:
             raise StageInvariantError(
                 "lifting",
                 f"stress mismatch on ridge {ridge}: "
-                f"direct {value}, incremental {incremental[ridge]}",
+                f"direct {n1}/{d1}, incremental {n2}/{d2}",
                 ridge,
             )
     return direct
@@ -154,7 +215,7 @@ def adjusted_shifts(flat: FlatComplex, tree: TreeRep) -> dict[int, Fraction]:
 
 def build_lifted(
     flat: FlatComplex, tree: TreeRep, zeta: dict[int, Fraction]
-) -> tuple[list[Fraction], StressPlan, dict[Ridge, Fraction]]:
+) -> tuple[Heights, StressPlan, dict[Ridge, Pair]]:
     """Heights by the shifts, the complex's stress plan, and the checked stresses."""
     z = lift_heights(flat, tree, zeta)
     plan = stress_plan(flat)
@@ -165,29 +226,30 @@ Extremum = tuple[Fraction, Ridge]  # a stress and the ridge it belongs to
 
 
 def stress_extrema(
-    adjacency: dict[Ridge, tuple[int, int]], stresses: dict[Ridge, Fraction]
+    adjacency: dict[Ridge, tuple[int, int]], stresses: dict[Ridge, Pair]
 ) -> tuple[Extremum, Extremum, Extremum]:
     """The least interior stress and the least and greatest base stress.
 
     Every construction gate compares these three against its own bounds, so
-    a gate holds on all ridges exactly when it holds on them. Ties go to the
-    first ridge in adjacency order.
+    a gate holds on all ridges exactly when it holds on them. The pairs are
+    compared by cross-multiplication, and only the three extrema become
+    Fractions. Ties go to the first ridge in adjacency order.
     """
-    interior = base_lo = base_hi = None
+    interior = base_lo = base_hi = None  # (numerator, denominator, ridge)
     for ridge, (k1, k2) in adjacency.items():
-        w = stresses[ridge]
+        n, d = stresses[ridge]
         if BASE_FACET_KEY in (k1, k2):
-            if base_lo is None or w < base_lo[0]:
-                base_lo = (w, ridge)
-            if base_hi is None or w > base_hi[0]:
-                base_hi = (w, ridge)
-        elif interior is None or w < interior[0]:
-            interior = (w, ridge)
-    return interior, base_lo, base_hi
+            if base_lo is None or n * base_lo[1] < base_lo[0] * d:
+                base_lo = (n, d, ridge)
+            if base_hi is None or n * base_hi[1] > base_hi[0] * d:
+                base_hi = (n, d, ridge)
+        elif interior is None or n * interior[1] < interior[0] * d:
+            interior = (n, d, ridge)
+    return tuple((Fraction(n, d), ridge) for n, d, ridge in (interior, base_lo, base_hi))
 
 
 def check_lift_bounds(
-    flat: FlatComplex, z: list[Fraction], stresses: dict[Ridge, Fraction]
+    flat: FlatComplex, z: Heights, stresses: dict[Ridge, Pair]
 ) -> dict[str, Fraction]:
     """Stage gate: interior stresses >= 1, base stresses inside (-R_eff, 0).
 
@@ -207,7 +269,8 @@ def check_lift_bounds(
             raise StageInvariantError(
                 "lifting", f"base ridge {ridge} stress {w} outside (-{R_eff}, 0)", ridge
             )
-    if any(h <= 0 for h in z[flat.d :]):
+    nums, _ = z  # denominators are positive
+    if any(h <= 0 for h in nums[flat.d :]):
         raise StageInvariantError("lifting", "non-base vertex at or below height 0")
     return {
         "min_interior_stress": w_in,

@@ -11,12 +11,15 @@ brackets of each stacking), which are the real ones times s^2, so the
 relift has heights times s^2 and stresses times s; the heights are
 checked against the ceiling 2 R_eff^2 and floored to the alpha_z-grid as
 the integers H = floor(h / alpha_z), so each output point is (X, H) with
-no rescaling. The factors s and s^2 stay implicit: every value the stage
-reports is converted back to real units exactly. Hard size
-caps bound the flat coordinates by 10 d^2 R_eff^2 (attained by the base
-corners) and heights by 6 R_eff^3. The stage's output is a
-facets.Realization, the perturbed complex's facet table with the integer
-points.
+no rescaling. The relift's heights are integer numerators over
+denominators and its stresses integer pairs, so the stage finds the highest
+vertex by cross-multiplication and floors each height with one integer
+division. The factors s and s^2 stay implicit: every value the stage
+reports is converted back to real units exactly, and only those values
+become Fractions. Hard size caps bound the flat coordinates by
+10 d^2 R_eff^2 (attained by the base corners) and heights by 6 R_eff^3.
+The stage's output is a facets.Realization, the perturbed complex's facet
+table with the integer points.
 
 Every inequality checked here is guaranteed by construction, so failures
 raise stage errors rather than being reported as input problems.
@@ -151,12 +154,17 @@ def round_and_scale(
                 "rounding", f"perturbed base stress {w} outside (-2 R_eff, 0)", ridge
             )
 
-    z_max = Fraction(max(z), s2)
+    nums, dens = z
+    top, top_den = nums[0], dens[0]
+    for h, e in zip(nums, dens):
+        if h * top_den > top * e:
+            top, top_den = h, e
+    z_max = Fraction(top, top_den * s2)
     if not (0 < z_max < 2 * R_eff * R_eff):
         raise StageInvariantError("rounding", f"z_max {z_max} outside (0, 2 R_eff^2)")
 
     # floor(h / (s^2 alpha_z)): the real height in units of alpha_z
-    z_snapped = [h.numerator * inv_z // (h.denominator * s2) for h in z]
+    z_snapped = [h * inv_z // (e * s2) for h, e in zip(nums, dens)]
     # on heights in units of alpha_z, a stress is the real one times inv_z / s
     (min_interior_final, r_in), _, (max_base_final, r_hi) = stress_extrema(
         adjacency, direct_stresses(plan, z_snapped)

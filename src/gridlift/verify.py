@@ -3,10 +3,12 @@
 Two independent routes, deliberately kept apart:
 
 * stress route: recompute every ridge stress from the final coordinates
-  (a flat stress plan of their horizontal part, lifted by their heights,
-  never taken from the construction) and check interior ridges positive,
-  base ridges negative, all heights nonnegative with the base flat at
-  height zero;
+  (a flat stress plan of their horizontal part, lifted by their integer
+  heights, never taken from the construction) and check interior ridges
+  positive, base ridges negative, all heights nonnegative with the base
+  flat at height zero. Each stress is an integer pair over a positive
+  denominator, so its numerator's sign decides; a Fraction is made only
+  for a witness;
 * global route: the linear-size convex-polytope checker of Mehlhorn,
   Naeher, Seel, Seidel, Schilz, Schirra and Uhrig ("Checking geometric
   programs or verification of geometric structures", Comput. Geom. 12,
@@ -34,6 +36,7 @@ the code a certificate has to trust.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import GeometryError
 from .exact import _det_int, flat_stress_plan, maximal_minors, plan_stresses
@@ -92,12 +95,15 @@ def verify_convexity_stress(realization: Realization) -> tuple[bool, list[str]]:
         if ridge in failures:
             witnesses.append(f"ridge {ridge}: {failures[ridge]}")
             continue
-        w = stresses[ridge]
+        # the denominator is positive: the numerator's sign decides
+        num, den = stresses[ridge]
         is_base = BASE_FACET_KEY in (k1, k2)
-        if is_base and w >= 0:
-            witnesses.append(f"base ridge {ridge} has stress {w} >= 0")
-        elif not is_base and w <= 0:
-            witnesses.append(f"interior ridge {ridge} has stress {w} <= 0")
+        if is_base and num >= 0:
+            witnesses.append(f"base ridge {ridge} has stress {Fraction(num, den)} >= 0")
+        elif not is_base and num <= 0:
+            witnesses.append(
+                f"interior ridge {ridge} has stress {Fraction(num, den)} <= 0"
+            )
     return not witnesses, witnesses
 
 

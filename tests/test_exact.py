@@ -20,6 +20,7 @@ from gridlift.exact import (
     _check_shared_ridge,
     _det_int,
     flat_stress_plan,
+    homogeneous_column,
     maximal_minors,
     plan_stresses,
 )
@@ -104,6 +105,21 @@ class TestBracket:
     def test_translation_invariance(self, pts, shift):
         moved = [tuple(c + s for c, s in zip(p, shift)) for p in pts]
         assert bracket(moved) == bracket(pts)
+
+
+class TestHomogeneousColumn:
+    def test_ints_are_their_own_column(self):
+        assert homogeneous_column((3, -4, 0)) == [3, -4, 0, 1]
+
+    def test_clears_denominators(self):
+        assert homogeneous_column((F(1, 2), 3, F(-2, 3))) == [3, 18, -4, 6]
+        # a Fraction with denominator 1 and a bool count as integers
+        assert homogeneous_column((F(4), True)) == [4, 1, 1]
+
+    @pytest.mark.parametrize("point", [(1, 2.5), (1.0, 2), (F(1, 2), 0.5), (1, "2")])
+    def test_non_rational_coordinate_raises(self, point):
+        with pytest.raises(GeometryError, match="^non-rational coordinate "):
+            homogeneous_column(point)
 
 
 class TestProjectAndHeight:
@@ -275,8 +291,9 @@ def lifted_complexes(draw):
     n = len(flat.coords)
     if draw(st.sampled_from(["lifted", "random"])) == "lifted":
         zeta = {v: draw(rationals().filter(lambda q: q > 0)) for v in flat.interior_order}
-        z = lift_heights(flat, tree, zeta)
-        points = [(*p, h) for p, h in zip(flat.coords, z)]
+        points = [
+            (*p, F(n, e)) for p, n, e in zip(flat.coords, *lift_heights(flat, tree, zeta))
+        ]
     else:
         tilted = draw(st.booleans())
         points = [
@@ -308,10 +325,20 @@ def reference_stresses(points, adjacency, facet_vertices):
     return out
 
 
+def as_fractions(stresses):
+    return {ridge: F(*w) for ridge, w in stresses.items()}
+
+
 def plan_table(d, points, adjacency, facet_vertices):
-    """plan_stresses of the flat plan of `points`, lifted by their last entries."""
+    """plan_stresses of the flat plan of `points`, lifted by their last
+    entries, with the stress pairs as Fractions."""
     plan = flat_stress_plan(d, [p[:-1] for p in points], adjacency, facet_vertices)
-    return plan_stresses(plan, [F(p[-1]) for p in points])
+    heights = [F(p[-1]) for p in points]
+    stresses, failures = plan_stresses(
+        plan, [h.numerator for h in heights], [h.denominator for h in heights]
+    )
+    assert all(den > 0 for _, den in stresses.values())
+    return as_fractions(stresses), failures
 
 
 class TestStressTable:
@@ -330,12 +357,12 @@ class TestStressTable:
 
     def test_tetrahedron(self, tet_lifted, tet_flat):
         z, _, lifted_stresses = tet_lifted
-        points = [(*p, h) for p, h in zip(tet_flat.coords, z)]
+        points = [(*p, F(n, e)) for p, n, e in zip(tet_flat.coords, *z)]
         stresses, failures = plan_table(
             3, points, tet_flat.ridge_adjacency, tet_flat.facet_vertices
         )
         assert failures == {}
-        assert stresses == lifted_stresses
+        assert stresses == as_fractions(lifted_stresses)
 
     def test_one_plan_many_lifts(self, tet_flat, tet_tree):
         # the plan holds nothing of the heights: every lift reads it afresh
@@ -344,11 +371,12 @@ class TestStressTable:
         )
         for shift in (F(16, 9), F(32, 9), F(1, 7)):
             z = lift_heights(tet_flat, tet_tree, {0: shift})
-            points = [(*p, h) for p, h in zip(tet_flat.coords, z)]
+            points = [(*p, F(n, e)) for p, n, e in zip(tet_flat.coords, *z)]
             expected = reference_stresses(
                 points, tet_flat.ridge_adjacency, tet_flat.facet_vertices
             )
-            assert plan_stresses(plan, z) == (expected, {})
+            stresses, failures = plan_stresses(plan, *z)
+            assert (as_fractions(stresses), failures) == (expected, {})
 
     def test_degenerate_shadow_message(self):
         # apex 3 lifted straight above base vertex 1: the shadows of both

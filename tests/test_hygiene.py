@@ -109,6 +109,49 @@ def test_detects_unread_name():
     assert {"Y", "A", "f"}.isdisjoint(read_names(source))
 
 
+def names_in_body(source: str, function: str) -> set[str]:
+    """Names and attributes a top-level function's body mentions; its
+    signature's annotations left out."""
+    node = next(
+        n for n in ast.parse(source).body
+        if isinstance(n, ast.FunctionDef) and n.name == function
+    )
+    out = set()
+    for stmt in node.body:
+        for n in ast.walk(stmt):
+            if isinstance(n, ast.Name):
+                out.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                out.add(n.attr)
+    return out
+
+
+# heights and stresses are integer pairs from the brackets to the gates: a
+# Fraction in these bodies would bring back one normalisation per vertex or
+# per ridge
+@pytest.mark.parametrize("module,function", [
+    ("lifting", "lift_heights"),
+    ("lifting", "incremental_stresses"),
+    ("lifting", "stress_map"),
+    ("exact", "plan_stresses"),
+])
+def test_lift_kernels_build_no_fraction(module, function):
+    source = (PACKAGE_DIR / f"{module}.py").read_text()
+    assert "Fraction" not in names_in_body(source, function)
+
+
+def test_detects_fraction_in_body():
+    source = (
+        "import fractions\nfrom fractions import Fraction\n\n"
+        "def f(x: Fraction) -> Fraction:\n    return x\n\n"
+        "def g(x):\n    return Fraction(x)\n\n"
+        "def h(x):\n    return fractions.Fraction(x)\n"
+    )
+    assert "Fraction" not in names_in_body(source, "f")
+    assert "Fraction" in names_in_body(source, "g")
+    assert "Fraction" in names_in_body(source, "h")
+
+
 def test_verify_imports_no_construction_stage():
     # what a certificate trusts: verify and the modules it may import
     trusted = {"errors", "exact", "facets", "trees"}

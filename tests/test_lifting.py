@@ -21,10 +21,21 @@ from gridlift import (
     incremental_stresses,
     perturb_flat,
 )
-from gridlift.exact import plan_stresses
+from gridlift import lifting
+from gridlift.exact import plan_stresses, stress_of_ridge
 from gridlift.lifting import lift_heights, stress_extrema, stress_map, stress_plan
 
 F = Fraction
+
+
+def fractions(z):
+    """Heights held as (numerators, denominators), as Fractions."""
+    return [F(n, e) for n, e in zip(*z)]
+
+
+def table(stresses):
+    """A stress table of (numerator, denominator) pairs, as Fractions."""
+    return {ridge: F(*w) for ridge, w in stresses.items()}
 
 
 class TestVerticalShifts:
@@ -40,18 +51,19 @@ class TestVerticalShifts:
 class TestHeights:
     def test_tetrahedron(self, tet_lifted):
         z, _, _ = tet_lifted
-        assert z == [0, 0, 0, F(16, 9)]
+        assert z == ([0, 0, 0, 16], [1, 1, 1, 9])
 
     def test_base_stays_flat(self):
         tree = gen_tree("random", 3, 12, seed=3)
         flat = build_flat(balance_weights(tree))
-        z, _, _ = build_lifted(flat, tree, adjusted_shifts(flat, tree))
-        assert z[:3] == [0, 0, 0]
-        assert all(h > 0 for h in z[3:])
+        (nums, dens), _, _ = build_lifted(flat, tree, adjusted_shifts(flat, tree))
+        assert nums[:3] == [0, 0, 0]
+        assert all(h > 0 for h in nums[3:])
+        assert all(e > 0 for e in dens)
 
     def test_heights_grow_with_shift(self, tet_flat, tet_tree):
-        z1 = lift_heights(tet_flat, tet_tree, {0: F(16, 9)})
-        z2 = lift_heights(tet_flat, tet_tree, {0: F(32, 9)})
+        z1 = fractions(lift_heights(tet_flat, tet_tree, {0: F(16, 9)}))
+        z2 = fractions(lift_heights(tet_flat, tet_tree, {0: F(32, 9)}))
         assert z2[3] == 2 * z1[3]
 
     def test_stacked_vertex_off_by_one(self, tet_flat, tet_tree):
@@ -88,7 +100,7 @@ class TestBarycentricLift:
         perturbed = perturb_flat(flat, grid_params(d, flat.L, flat.R_eff).alpha)
         zeta = dict(zip(flat.interior_order, shifts))
         for complex_ in (flat, perturbed):
-            assert lift_heights(complex_, tree, zeta) == hyperplane_heights(
+            assert fractions(lift_heights(complex_, tree, zeta)) == hyperplane_heights(
                 complex_, zeta
             )
 
@@ -103,7 +115,7 @@ class TestBarycentricLift:
 
 class TestStresses:
     def test_tetrahedron_values(self, tet_lifted):
-        _, _, st = tet_lifted
+        st = table(tet_lifted[2])
         for ridge in [(0, 3), (1, 3), (2, 3)]:
             assert st[ridge] == 4
         for ridge in [(0, 1), (0, 2), (1, 2)]:
@@ -111,7 +123,7 @@ class TestStresses:
 
     def test_doubling_shift_doubles_stress(self, tet_flat, tet_tree):
         z = lift_heights(tet_flat, tet_tree, {0: F(32, 9)})
-        st = direct_stresses(stress_plan(tet_flat), z)
+        st = table(direct_stresses(stress_plan(tet_flat), *z))
         assert st[(0, 3)] == 8
         assert st[(0, 1)] == F(-8, 3)
 
@@ -123,9 +135,9 @@ class TestStresses:
         flat = build_flat(balance_weights(tree))
         zeta = adjusted_shifts(flat, tree)
         z = lift_heights(flat, tree, zeta)
-        direct = direct_stresses(stress_plan(flat), z)
+        direct = direct_stresses(stress_plan(flat), *z)
         incremental = incremental_stresses(flat, tree, zeta)
-        assert direct == incremental
+        assert table(direct) == table(incremental)
 
     def test_incremental_on_arbitrary_shifts(self):
         # agreement is not tied to the balanced shift values
@@ -134,8 +146,8 @@ class TestStresses:
         flat = build_flat(wt)
         zeta = {v: F(3 + 2 * i, 7) for i, v in enumerate(flat.interior_order)}
         z = lift_heights(flat, tree, zeta)
-        assert direct_stresses(stress_plan(flat), z) == incremental_stresses(
-            flat, tree, zeta
+        assert table(direct_stresses(stress_plan(flat), *z)) == table(
+            incremental_stresses(flat, tree, zeta)
         )
 
     def test_stress_map_cross_check_catches_mismatch(self, tet_flat, tet_tree):
@@ -146,19 +158,25 @@ class TestStresses:
     @pytest.mark.parametrize("d,size,seed", [(3, 1, 0), (3, 12, 1), (4, 8, 2), (6, 5, 3)])
     def test_integer_inputs_stay_exact(self, d, size, seed):
         # integer brackets and shifts, as the rounding stage hands them over:
-        # an int / int anywhere here would make a height or stress a float
+        # an int / int anywhere here would make a height or stress a float;
+        # the exact complex's Fraction brackets must come out as ints too
         tree = gen_tree("random", d, size, seed)
         flat = build_flat(balance_weights(tree))
         pe = perturb_flat(flat, grid_params(d, flat.L, flat.R_eff).alpha)
-        zeta = adjusted_shifts(pe, tree)
         assert all(type(b) is int for b in pe.node_brackets.values())
-        assert all(type(v) is int for v in zeta.values())
-        z = lift_heights(pe, tree, zeta)
-        plan = stress_plan(pe)
-        values = [*z, *incremental_stresses(pe, tree, zeta).values()]
-        values += plan_stresses(plan, z)[0].values()
-        values += plan_stresses(plan, [int(h) for h in z])[0].values()
-        assert all(isinstance(v, (Fraction, int)) for v in values)
+        for complex_ in (flat, pe):
+            zeta = adjusted_shifts(complex_, tree)
+            nums, dens = lift_heights(complex_, tree, zeta)
+            plan = stress_plan(complex_)
+            pairs = [
+                *incremental_stresses(complex_, tree, zeta).values(),
+                *plan_stresses(plan, nums, dens)[0].values(),
+                *plan_stresses(plan, [n // e for n, e in zip(nums, dens)])[0].values(),
+            ]
+            values = [*nums, *dens, *(x for pair in pairs for x in pair)]
+            assert all(type(v) is int for v in values)
+            assert all(e > 0 for e in dens)
+            assert all(den > 0 for _, den in pairs)
 
 
 class TestLiftGate:
@@ -182,7 +200,7 @@ class TestLiftGate:
     def test_gate_rejects_tampered_stress(self, tet_lifted, tet_flat):
         z, _, stresses = tet_lifted
         bad = dict(stresses)
-        bad[(0, 3)] = F(1, 2)
+        bad[(0, 3)] = (1, 2)
         with pytest.raises(StageInvariantError):
             check_lift_bounds(tet_flat, z, bad)
 
@@ -193,8 +211,8 @@ class TestLiftGate:
         ]
         z, _, stresses = tet_lifted
         bad = dict(stresses)
-        bad[interior[0]] = F(1, 2)
-        bad[interior[1]] = F(1, 3)
+        bad[interior[0]] = (1, 2)
+        bad[interior[1]] = (2, 6)
         with pytest.raises(StageInvariantError) as info:
             check_lift_bounds(tet_flat, z, bad)
         assert info.value.stage == "lifting"
@@ -213,8 +231,8 @@ class TestLiftGate:
         bad = dict(stresses)
         ridge_in = next(r for r, keys in adjacency.items() if BASE_FACET_KEY not in keys)
         ridge_base = next(r for r, keys in adjacency.items() if BASE_FACET_KEY in keys)
-        bad[ridge_in] = interior
-        bad[ridge_base] = base
+        bad[ridge_in] = (interior.numerator, interior.denominator)
+        bad[ridge_base] = (base.numerator, base.denominator)
         if ok:
             info = check_lift_bounds(tet_flat, z, bad)
             assert info["min_interior_stress"] == interior
@@ -226,10 +244,115 @@ class TestLiftGate:
 
 
 class TestStressExtrema:
+    ADJACENCY = {(0, 1): (BASE_FACET_KEY, 5), (0, 2): (5, 6), (1, 2): (6, 7),
+                 (1, 3): (BASE_FACET_KEY, 7)}
+
     def test_ties_go_to_the_first_ridge(self):
-        adjacency = {(0, 1): (BASE_FACET_KEY, 5), (0, 2): (5, 6), (1, 2): (6, 7),
-                     (1, 3): (BASE_FACET_KEY, 7)}
-        stresses = {(0, 1): F(-1), (0, 2): F(3), (1, 2): F(3), (1, 3): F(-1)}
-        assert stress_extrema(adjacency, stresses) == (
+        stresses = {(0, 1): (-1, 1), (0, 2): (3, 1), (1, 2): (3, 1), (1, 3): (-1, 1)}
+        assert stress_extrema(self.ADJACENCY, stresses) == (
             (F(3), (0, 2)), (F(-1), (0, 1)), (F(-1), (0, 1))
         )
+
+    def test_ties_between_differently_scaled_pairs(self):
+        # equal values, unequal pairs: the first ridge still wins each tie,
+        # and the extrema come out as reduced Fractions
+        stresses = {(0, 1): (-2, 6), (0, 2): (9, 3), (1, 2): (3, 1), (1, 3): (-7, 21)}
+        assert stress_extrema(self.ADJACENCY, stresses) == (
+            (F(3), (0, 2)), (F(-1, 3), (0, 1)), (F(-1, 3), (0, 1))
+        )
+        stresses = {(0, 1): (-7, 21), (0, 2): (3, 1), (1, 2): (9, 3), (1, 3): (-2, 6)}
+        assert stress_extrema(self.ADJACENCY, stresses) == (
+            (F(3), (0, 2)), (F(-1, 3), (0, 1)), (F(-1, 3), (0, 1))
+        )
+
+    def test_negative_stresses(self):
+        # cross-multiplication by positive denominators keeps the order of
+        # negative values: -5/2 < -7/3 < -1/1000
+        stresses = {(0, 1): (-7, 3), (0, 2): (-5, 2), (1, 2): (-1, 1000),
+                    (1, 3): (-5, 2)}
+        assert stress_extrema(self.ADJACENCY, stresses) == (
+            (F(-5, 2), (0, 2)), (F(-5, 2), (1, 3)), (F(-7, 3), (0, 1))
+        )
+
+
+class TestStressMapCrossCheck:
+    def test_one_numerator_unit_is_caught(self, monkeypatch, tet_flat, tet_tree):
+        zeta = adjusted_shifts(tet_flat, tet_tree)
+        z = lift_heights(tet_flat, tet_tree, zeta)
+        plan = stress_plan(tet_flat)
+        assert table(stress_map(tet_flat, plan, z, tet_tree, zeta)) == table(
+            direct_stresses(plan, *z)
+        )
+        original = lifting.incremental_stresses
+        ridge = (1, 3)
+
+        def off_by_one(*args):
+            out = dict(original(*args))
+            num, den = out[ridge]
+            out[ridge] = (num + 1, den)
+            return out
+
+        monkeypatch.setattr(lifting, "incremental_stresses", off_by_one)
+        with pytest.raises(StageInvariantError, match="stress mismatch") as info:
+            stress_map(tet_flat, plan, z, tet_tree, zeta)
+        assert info.value.stage == "lifting"
+        assert info.value.witness == ridge
+
+    def test_equal_values_in_different_terms_pass(self, monkeypatch, tet_flat, tet_tree):
+        # the routes need not agree on the pairs, only on their values
+        zeta = adjusted_shifts(tet_flat, tet_tree)
+        z = lift_heights(tet_flat, tet_tree, zeta)
+        plan = stress_plan(tet_flat)
+        original = lifting.incremental_stresses
+
+        def rescaled(*args):
+            return {r: (7 * n, 7 * d) for r, (n, d) in original(*args).items()}
+
+        monkeypatch.setattr(lifting, "incremental_stresses", rescaled)
+        assert table(stress_map(tet_flat, plan, z, tet_tree, zeta)) == table(
+            direct_stresses(plan, *z)
+        )
+
+
+def reference_table(complex_, heights):
+    """stress_of_ridge on every ridge of a complex lifted by Fraction heights:
+    the value, or the GeometryError message."""
+    points = [(*p, h) for p, h in zip(complex_.coords, heights)]
+    out = {}
+    for ridge, keys in complex_.ridge_adjacency.items():
+        X = [points[v] for v in ridge]
+        S, T = (
+            X + [points[next(v for v in complex_.facet_vertices(k) if v not in ridge)]]
+            for k in keys
+        )
+        try:
+            out[ridge] = stress_of_ridge(X, S, T, BASE_FACET_KEY in keys)
+        except GeometryError as exc:
+            out[ridge] = str(exc)
+    return out
+
+
+class TestPairsMatchFractionReferences:
+    """The integer-pair lift against the per-vertex and per-ridge Fraction
+    definitions, by exact rational equality."""
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    @pytest.mark.parametrize(
+        "shape,size", [("random", 9), ("serpentine", 7), ("balanced_rounds", 2)]
+    )
+    def test_exact_lift_and_perturbed_relift(self, shape, size, d):
+        tree = gen_tree(shape, d, size, seed=d)
+        flat = build_flat(balance_weights(tree))
+        perturbed = perturb_flat(flat, grid_params(d, flat.L, flat.R_eff).alpha)
+        for complex_ in (flat, perturbed):
+            zeta = adjusted_shifts(complex_, tree)
+            z, plan, stresses = build_lifted(complex_, tree, zeta)
+            heights = fractions(z)
+            assert heights == hyperplane_heights(complex_, zeta)
+            expected = reference_table(complex_, heights)
+            assert table(stresses) == expected
+            assert table(incremental_stresses(complex_, tree, zeta)) == expected
+            # integer heights take the plan's other path
+            floored = [n // e for n, e in zip(*z)]
+            pairs, failures = plan_stresses(plan, floored)
+            assert {**table(pairs), **failures} == reference_table(complex_, floored)

@@ -253,8 +253,8 @@ class TestCli:
             ]
             ridges.extend(interior[:2])
             stresses = dict(stresses)
-            stresses[interior[0]] = 0
-            stresses[interior[1]] = -1
+            stresses[interior[0]] = (0, 1)
+            stresses[interior[1]] = (-1, 1)
             return z, plan, stresses
 
         monkeypatch.setattr(rounding, "build_lifted", tampered)

@@ -45,11 +45,15 @@ def reference_round(flat, tree, params):
     }
     pe = dataclasses.replace(flat, coords=coords, node_brackets=brackets)
     ratios = [brackets[node] / b for node, b in flat.node_brackets.items()]
-    z, plan, stresses = build_lifted(pe, tree, adjusted_shifts(pe, tree))
+    (nums, dens), plan, stresses = build_lifted(pe, tree, adjusted_shifts(pe, tree))
+    z = [F(n, e) for n, e in zip(nums, dens)]
     (w_in, _), (w_lo, _), _ = stress_extrema(pe.ridge_adjacency, stresses)
     z_snapped = [floor_to_multiple(h, params.alpha_z) for h in z]
     (w_in_rounded, _), _, _ = stress_extrema(
-        pe.ridge_adjacency, direct_stresses(plan, z_snapped)
+        pe.ridge_adjacency,
+        direct_stresses(
+            plan, [h.numerator for h in z_snapped], [h.denominator for h in z_snapped]
+        ),
     )
     scaled = []
     for p, h in zip(coords, z_snapped):
@@ -255,8 +259,8 @@ class TestRoundAndScale:
 
         def tampered(*args):
             out = dict(original(*args))
-            out[interior[0]] = low
-            out[interior[1]] = lower
+            out[interior[0]] = (low.numerator, low.denominator)
+            out[interior[1]] = (lower.numerator, lower.denominator)
             return out
 
         monkeypatch.setattr(module, gate, tampered)
@@ -283,7 +287,7 @@ class TestRoundAndScale:
 
         def tampered(*args):
             out = dict(original(*args))
-            out[ridge] = F(4, 5) * 720**2 + excess
+            out[ridge] = (4 * 720**2 + 5 * excess, 5)  # 4/5 * 720^2 + excess
             return out
 
         monkeypatch.setattr(lifting, "stress_map", tampered)

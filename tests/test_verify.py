@@ -350,6 +350,22 @@ class TestStressRouteAgainstReference:
         assert verify_convexity_stress(realization) == stress_route_by_reference(realization)
 
 
+    def test_witness_prints_the_reduced_stress(self):
+        # lowering the first stacked vertex to height 1 folds its three
+        # ridges inward; each witness prints the stress as a reduced Fraction
+        realization, _ = run_pipeline(gen_tree("random", 3, 3, seed=2))
+        assert realization.coords[3] == (11520, 5760, 1536)
+        ok, witnesses = verify_convexity_stress(
+            move_vertex(realization, 3, (11520, 5760, 1))
+        )
+        assert ok is False
+        assert witnesses == [
+            "interior ridge (2, 3) has stress -713/212336640 <= 0",
+            "interior ridge (1, 3) has stress -893/66355200 <= 0",
+            "interior ridge (0, 3) has stress -7157/265420800 <= 0",
+        ]
+
+
 class TestBounds:
     def test_fixture(self, tet_result):
         realization, _ = tet_result
