@@ -19,9 +19,11 @@ volume of their simplex. On top of it sit:
   flat complex, and plan_stresses lifts it by one set of heights. This is
   what the pipeline and the verifier evaluate. The plan takes its ridges
   and facets in the facet-table format that the facets module defines,
-  and the heights as integer numerators over positive denominators (or as
-  plain integers); its stresses are integer pairs (Pair), which callers
-  compare by cross-multiplication.
+  the flat points as integer homogeneous columns (the flat complex's own,
+  or an integer point with a 1 appended), and the heights as integer
+  numerators over positive denominators (or as plain integers); its
+  stresses are integer pairs (Pair), which callers compare by
+  cross-multiplication.
 
 Determinants are computed fraction-free: each point is scaled to an integer
 homogeneous column (p D, D), D the lcm of its denominators, and the integer
@@ -162,11 +164,9 @@ def homogeneous_column(p: Sequence) -> list[int]:
 
     Scaling a bracket column by D multiplies the determinant by D, so an
     integer determinant of such columns divided by the product of their
-    last entries is the rational bracket. A point of ints (grid units, or
-    the verifier's output) is its own column with D = 1.
+    last entries is the rational bracket. A point of ints is its own
+    column with D = 1.
     """
-    if all(type(c) is int for c in p):
-        return [*p, 1]
     scale = 1
     for c in p:
         if isinstance(c, Fraction):
@@ -312,20 +312,20 @@ StressPlan = list[tuple]
 
 def flat_stress_plan(
     d: int,
-    flat_coords: Sequence[Sequence],
+    columns: Sequence[Sequence[int]],
     adjacency: dict[tuple[int, ...], tuple[int, int]],
     facet_vertices: Callable[[int], tuple[int, ...]],
 ) -> StressPlan:
     """Everything of stress_of_ridge, on every ridge, that heights leave alone.
 
-    flat_coords[v] is the horizontal position of vertex v, in Q^{d-1}.
-    adjacency maps each ridge X to its two facet keys; e0 and e1 are the
-    extra vertices of those facets, and a ridge with the key BASE_FACET_KEY
-    is a base ridge (base_flag). The plan lists the ridges in adjacency
-    order.
+    columns[v] is the horizontal position of vertex v as an integer
+    homogeneous column (x E_v, E_v), E_v > 0: the flat complex stores its
+    vertices so, and an integer point x is (x, 1). adjacency maps each
+    ridge X to its two facet keys; e0 and e1 are the extra vertices of
+    those facets, and a ridge with the key BASE_FACET_KEY is a base ridge
+    (base_flag). The plan lists the ridges in adjacency order.
 
-    With E_v the lcm of v's flat denominators, the flat homogeneous columns
-    (x E_v, E_v) of the d+1 vertices (X, e0, e1) have d+1 maximal minors,
+    The columns of the d+1 vertices (X, e0, e1) have d+1 maximal minors,
     m_j omitting the j-th vertex. Inserting the lifted entry z_j E_j before
     the last entry of each column and expanding along that row gives the
     creasing determinant
@@ -339,7 +339,6 @@ def flat_stress_plan(
     heights is fixed here. The shadows' signs decide left and right, except
     that on a base ridge the heights must tell which facet is the base.
     """
-    columns = [homogeneous_column(p) for p in flat_coords]
     plan: StressPlan = []
     for ridge, keys in adjacency.items():
         base = BASE_FACET_KEY in keys

@@ -1,44 +1,54 @@
 """Flat embedding: weighted barycentric subdivision of a scaled base simplex.
 
 The balanced root weight R picks a grid scale L (smallest integer with
-L^{d-1} >= R); all face weights are rescaled by lam = L^{d-1}/R >= 1 so the
-base simplex with vertices 0, L*e_i has bracket exactly R_eff = L^{d-1}.
-Each stacking then places its new vertex at the weighted barycenter of the
-current facet, with the weight of child i multiplying the vertex that child
-i's facet drops. By multilinearity every facet's bracket equals lam times
-its face weight, exactly and with the root's (positive) sign, so
-node_brackets holds the positive lam * weight of every node. The leaf
-facets and the ridge table are kept in the facet-table format of the facets
-module.
+L^{d-1} >= R), and the base simplex with vertices 0, L*e_i has bracket
+exactly R_eff = L^{d-1}. Each stacking then places its new vertex at the
+weighted barycenter of the current facet, with the weight of child i
+multiplying the vertex that child i's facet drops. By multilinearity every
+facet's bracket equals lam * weight, lam = L^{d-1}/R, exactly and with the
+root's (positive) sign.
+
+Everything is held in integers. A vertex is its homogeneous column
+(N_1, ..., N_{d-1}, D), the point N / D with D > 0, reduced by one gcd per
+vertex. The barycenter needs no lam, which cancels in
+sum(lam w_c u_c) / (lam w_v): it is sum(w_c N_c (D' / D_c)) over D' w_v,
+D' the lcm of the facet's denominators. node_brackets holds the positive
+integers L^{d-1} * weight under the common bracket scale R, so node v's
+real bracket is node_brackets[v] / bracket_scale; the perturbed complex of
+the rounding stage has integer grid points (D = 1) and scale 1. The leaf
+facets and the ridge table are kept in the facet-table format of the
+facets module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import GeometryError, InvalidInputError, StageInvariantError
-from .exact import Point
 from .facets import FacetKey, FacetTable, Ridge, build_ridge_adjacency
 from .trees import WeightedTree, facet_layout
+
+# A vertex as (N_1, ..., N_{d-1}, D): the point N / D, D > 0, in lowest terms.
+Column = tuple[int, ...]
 
 
 @dataclass
 class FlatComplex(FacetTable):
-    """Flat embedded stacking complex over Q^{d-1}."""
+    """Flat embedded stacking complex over Q^{d-1}, in integers."""
 
     d: int
-    coords: list[Point]  # by vertex id; ints in grid units once perturbed
+    coords: list[Column]  # homogeneous column by vertex id; D = 1 once perturbed
     facets: dict[int, tuple[int, ...]]  # leaf node id -> ordered vertex ids
     base_facet: tuple[int, ...]
     ridge_adjacency: dict[Ridge, tuple[FacetKey, FacetKey]]
     node_facets: dict[int, tuple[int, ...]]  # every node, incl. historical
-    node_brackets: dict[int, Fraction]  # lam * weight of each node facet; ints once perturbed
+    node_brackets: dict[int, int]  # bracket of each node facet times bracket_scale
+    bracket_scale: int  # R on the exact complex, 1 once perturbed
     stacked_vertex: dict[int, int]  # interior node id -> vertex id
     interior_order: tuple[int, ...]  # preorder interior node ids
     L: int
-    lam: Fraction
     R_eff: int
 
 
@@ -52,8 +62,8 @@ def _ceil_root(value: int, k: int) -> int:
     return guess
 
 
-def base_simplex(d: int, R: int) -> tuple[list[Point], int, Fraction]:
-    """Base simplex vertices, grid scale L, and the weight rescale lam.
+def base_simplex(d: int, R: int) -> tuple[list[Column], int]:
+    """Base simplex vertices as homogeneous columns, and the grid scale L.
 
     Vertex 0 sits at the origin and vertex i on an axis at distance L, with
     one axis swap for even d so the bracket of (v_0, ..., v_{d-1}) comes out
@@ -64,34 +74,41 @@ def base_simplex(d: int, R: int) -> tuple[list[Point], int, Fraction]:
     if R < 3:
         raise InvalidInputError(f"root weight must be at least 3, got {R}")
     L = _ceil_root(R, d - 1)
-    lam = Fraction(L ** (d - 1), R)
     axes = list(range(d - 1))
     if d % 2 == 0:
         axes[0], axes[1] = axes[1], axes[0]
-    zero = Fraction(0)
-    coords: list[Point] = [tuple([zero] * (d - 1))]
+    coords: list[Column] = [(0,) * (d - 1) + (1,)]
     for i in range(d - 1):
-        v = [zero] * (d - 1)
-        v[axes[i]] = Fraction(L)
+        v = [0] * d
+        v[axes[i]] = L
+        v[-1] = 1
         coords.append(tuple(v))
-    return coords, L, lam
+    return coords, L
 
 
-def place_stacked_vertex(
-    facet_coords: Sequence[Point], child_weights: Sequence[Fraction], W: Fraction
-) -> Point:
-    """Barycentric placement: child i's weight multiplies facet vertex i."""
+def stacked_column(
+    facet_coords: Sequence[Column], child_weights: Sequence[int], weight: int
+) -> Column:
+    """Barycentric placement: child i's weight multiplies facet vertex i.
+
+    The point sum(w_i u_i) / weight, summed over the lcm of the facet's
+    denominators and reduced by one gcd.
+    """
     if len(facet_coords) != len(child_weights):
         raise InvalidInputError("one weight per facet vertex required")
     if any(a <= 0 for a in child_weights):
         raise InvalidInputError("child weights must be positive")
-    if sum(child_weights) != W:
+    if sum(child_weights) != weight:
         raise InvalidInputError("child weights must sum to the facet weight")
-    dim = len(facet_coords[0])
-    out = []
-    for axis in range(dim):
-        out.append(sum((a * u[axis] for a, u in zip(child_weights, facet_coords)), Fraction(0)) / W)
-    return tuple(out)
+    den = lcm(*[u[-1] for u in facet_coords])
+    out = [0] * len(facet_coords[0])
+    for a, u in zip(child_weights, facet_coords):
+        a *= den // u[-1]
+        for axis in range(len(out) - 1):
+            out[axis] += a * u[axis]
+    out[-1] = den * weight
+    g = gcd(*out)
+    return tuple([x // g for x in out])
 
 
 def build_flat(wt: WeightedTree) -> FlatComplex:
@@ -99,22 +116,21 @@ def build_flat(wt: WeightedTree) -> FlatComplex:
     tree = wt.tree
     d = tree.dim
     R = wt.root_weight
-    base_coords, L, lam = base_simplex(d, R)
-    coords: list[Point] = list(base_coords)
+    coords, L = base_simplex(d, R)
+    R_eff = L ** (d - 1)
+    weight = wt.weight
     layout, stacked = facet_layout(tree)
-    node_brackets: dict[int, Fraction] = {tree.root: Fraction(L ** (d - 1))}
+    node_brackets = {tree.root: R_eff * weight[tree.root]}
     for v in tree.interior_ids:
-        facet = layout[v]
-        W = lam * wt.weight[v]
         children = tree.nodes[v].children
-        cw = [lam * wt.weight[c] for c in children]
-        p = place_stacked_vertex([coords[u] for u in facet], cw, W)
+        cw = [weight[c] for c in children]
+        p = stacked_column([coords[u] for u in layout[v]], cw, weight[v])
         if stacked[v] != len(coords):
             raise StageInvariantError(
                 "flat", f"node {v} stacks vertex {stacked[v]}, expected {len(coords)}", v
             )
         coords.append(p)
-        node_brackets.update(zip(children, cw))
+        node_brackets.update((c, R_eff * w) for c, w in zip(children, cw))
     facets = {leaf: layout[leaf] for leaf in tree.leaf_ids}
     base_facet = tuple(range(d))
     try:
@@ -129,10 +145,10 @@ def build_flat(wt: WeightedTree) -> FlatComplex:
         ridge_adjacency=ridges,
         node_facets=layout,
         node_brackets=node_brackets,
+        bracket_scale=R,
         stacked_vertex=stacked,
         interior_order=tuple(tree.interior_ids),
         L=L,
-        lam=lam,
-        R_eff=L ** (d - 1),
+        R_eff=R_eff,
     )
 

@@ -15,7 +15,7 @@ determinant.
 
 Stresses are computed from scratch per ridge (the creasing of its two
 facets, from the complex's flat stress plan: stress_plan takes one
-elimination per ridge from the flat coordinates, and each set of heights
+elimination per ridge from the flat columns, and each set of heights
 then costs one dot product per ridge), and independently by replaying the
 stackings with two local update rules: subdividing a facet creates the new
 interior ridges with a known positive stress and lowers each boundary ridge
@@ -24,13 +24,15 @@ agree exactly on every ridge of a shift-defined lifting. build_lifted lifts
 by a set of shifts and checks that agreement, for the exact lift and the
 perturbed relift; it returns its plan for the snapped heights to reuse.
 
-Nothing between the brackets and the gates is a Fraction. The brackets are
-scaled to integers (a no-op on the perturbed complex, whose brackets are
-integer grid units), heights are integer numerators over positive
-denominators, each reduced by one gcd per stacking, and both stress routes
-give integer pairs (exact.Pair) that need not be in lowest terms. The
-cross-check compares them by cross-multiplication, and stress_extrema makes
-Fractions only of the three extrema that the gates compare and report.
+Nothing between the brackets and the gates is a Fraction. The complex
+holds its brackets as integers under one common scale (R on the exact
+complex, 1 on the perturbed one, whose brackets are integer grid units) and
+its vertices as integer homogeneous columns, which the stress plan takes as
+they are. Heights are integer numerators over positive denominators, each
+reduced by one gcd per stacking, and both stress routes give integer pairs
+(exact.Pair) that need not be in lowest terms. The cross-check compares
+them by cross-multiplication, and stress_extrema makes Fractions only of
+the three extrema that the gates compare and report.
 """
 
 from __future__ import annotations
@@ -49,19 +51,6 @@ from .trees import TreeRep
 Heights = tuple[list[int], list[int]]
 
 
-def _integer_brackets(flat: FlatComplex) -> tuple[dict[int, int], int]:
-    """The node brackets scaled by k to integers, and k.
-
-    k is the lcm of their denominators: the exact complex's brackets are
-    lam * weight, Fractions; a perturbed complex's are integers, k = 1.
-    """
-    brackets = flat.node_brackets
-    if all(type(b) is int for b in brackets.values()):
-        return brackets, 1
-    k = lcm(*(b.denominator for b in brackets.values()))
-    return {node: b.numerator * (k // b.denominator) for node, b in brackets.items()}, k
-
-
 def lift_heights(
     flat: FlatComplex, tree: TreeRep, zeta: dict[int, Fraction]
 ) -> Heights:
@@ -74,7 +63,7 @@ def lift_heights(
     """
     if any(z <= 0 for z in zeta.values()):
         raise InvalidInputError("vertical shifts must be positive")
-    brackets, _ = _integer_brackets(flat)
+    brackets = flat.node_brackets
     nums = [0] * flat.d
     dens = [1] * flat.d
     for node in flat.interior_order:
@@ -135,10 +124,11 @@ def incremental_stresses(
     ridges start at stress zero. Stacking with shift zeta on a facet D:
     every boundary ridge of D drops by zeta over the volume of its new
     incident facet; every ridge between two new facets S, T starts at
-    zeta * |D| / (|S| |T|). With the brackets scaled to integers by k and
-    zeta = p / q, these are p k / (q |S|) and p k |D| / (q |S| |T|).
+    zeta * |D| / (|S| |T|). With the brackets held as integers under the
+    scale k and zeta = p / q, these are p k / (q |S|) and
+    p k |D| / (q |S| |T|).
     """
-    brackets, scale = _integer_brackets(flat)
+    brackets, scale = flat.node_brackets, flat.bracket_scale
     st: dict[Ridge, Pair] = {}
     d = flat.d
     base = flat.base_facet
@@ -200,16 +190,21 @@ def stress_map(
     return direct
 
 
-def adjusted_shifts(flat: FlatComplex, tree: TreeRep) -> dict[int, Fraction]:
+def adjusted_shifts(flat: FlatComplex, tree: TreeRep) -> dict[int, int | Fraction]:
     """Shift of each stacking: the product of its two largest child brackets.
 
-    On a perturbed complex the brackets are integers in grid units, and so
-    are the shifts: the real ones times s^2.
+    The stored brackets are the real ones times the complex's bracket scale
+    k, so each shift is their product over k^2: a Fraction on the exact
+    complex (k = R). On a perturbed complex k = 1 and the brackets are
+    integers in grid units, and so are the shifts: the real ones times s^2.
     """
-    out: dict[int, Fraction] = {}
+    brackets = flat.node_brackets
+    k2 = flat.bracket_scale**2
+    out: dict[int, int | Fraction] = {}
     for node in flat.interior_order:
-        vols = sorted(abs(flat.node_brackets[c]) for c in tree.nodes[node].children)
-        out[node] = vols[-1] * vols[-2]
+        vols = sorted(abs(brackets[c]) for c in tree.nodes[node].children)
+        shift = vols[-1] * vols[-2]
+        out[node] = shift if k2 == 1 else Fraction(shift, k2)
     return out
 
 

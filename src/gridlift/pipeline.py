@@ -1,12 +1,13 @@
 """End-to-end driver: tree (or graph) in, certified integer realization out.
 
 Stage order is fixed: balance the face weights, embed flat over the
-rationals, lift by each stacking's shift (the product of its two largest
-child brackets), gate the exact stresses, snap to the coordinate grid in
-integer grid units, relift by the same rule on the perturbed brackets, gate
-again, snap heights to integers, then certify from the final coordinates
-alone. Every stage keeps exact arithmetic; the report captures the extrema
-each gate saw so a run is auditable after the fact.
+rationals (held as integer homogeneous columns), lift by each stacking's
+shift (the product of its two largest child brackets), gate the exact
+stresses, snap to the coordinate grid in integer grid units, relift by the
+same rule on the perturbed brackets, gate again, snap heights to integers,
+then certify from the final coordinates alone. Every stage keeps exact
+arithmetic; the report captures the extrema each gate saw so a run is
+auditable after the fact.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import StageInvariantError
 from .facets import Realization
@@ -93,7 +95,7 @@ def run_pipeline(tree: TreeRep) -> tuple[Realization, PipelineReport]:
         weights={
             "R": wt.root_weight,
             "L": flat.L,
-            "lambda": flat.lam,
+            "lambda": Fraction(flat.R_eff, wt.root_weight),
             "R_eff": flat.R_eff,
         },
         grid={

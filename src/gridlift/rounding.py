@@ -1,11 +1,12 @@
 """Snap the exact embedding to a grid, in integer grid units.
 
 Both grid steps are unit fractions, alpha = 1/inv and alpha_z = 1/inv_z.
-Flat coordinates are floored to the alpha-grid and kept as the integers
-X = floor(c / alpha); alpha is fine enough that every facet volume changes
-by a factor inside [1 - 1/(10 R_eff), 1 + 1/(10 R_eff)]. Every bracket of
-the perturbed complex is then an integer, the real bracket times
-s = inv^(d-1). round_and_scale relifts by this complex's own shifts
+Flat coordinates, held as integer homogeneous columns (N, D), are floored
+to the alpha-grid and kept as the integers X = N * inv // D; alpha is fine
+enough that every facet volume changes by a factor inside
+[1 - 1/(10 R_eff), 1 + 1/(10 R_eff)]. Every bracket of the perturbed
+complex is then an integer, the real bracket times s = inv^(d-1).
+round_and_scale relifts by this complex's own shifts
 (lifting.adjusted_shifts: the product of the two largest perturbed child
 brackets of each stacking), which are the real ones times s^2, so the
 relift has heights times s^2 and stresses times s; the heights are
@@ -66,20 +67,21 @@ def grid_params(d: int, L: int, R_eff: int) -> GridParams:
 def perturb_flat(flat: FlatComplex, alpha: Fraction) -> FlatComplex:
     """Floor every coordinate to the alpha-grid, in integer grid units.
 
-    alpha = 1/inv is a unit fraction, as grid_params makes it. Vertex v
-    gets X_v = floor(c * inv) per coordinate c, and each node facet the
-    integer bracket of its grid points, which is its real bracket times
-    s = inv^(d-1).
+    alpha = 1/inv is a unit fraction, as grid_params makes it. Vertex v,
+    held as the homogeneous column (N, D), gets X_v = N * inv // D per
+    coordinate, one integer division, and is stored as the column (X_v, 1).
+    Each node facet gets the integer bracket of its grid points, which is
+    its real bracket times s = inv^(d-1), under the bracket scale 1.
     """
     if alpha.numerator != 1:
         raise InvalidInputError(f"grid step must be a unit fraction, got {alpha}")
     inv = alpha.denominator
-    coords = [tuple(c.numerator * inv // c.denominator for c in p) for p in flat.coords]
+    coords = [(*(n * inv // p[-1] for n in p[:-1]), 1) for p in flat.coords]
     brackets = {
-        node: _det_int([[*coords[u], 1] for u in facet])
+        node: _det_int([list(coords[u]) for u in facet])
         for node, facet in flat.node_facets.items()
     }
-    return replace(flat, coords=coords, node_brackets=brackets)
+    return replace(flat, coords=coords, node_brackets=brackets, bracket_scale=1)
 
 
 def check_volume_ratios(
@@ -87,10 +89,12 @@ def check_volume_ratios(
 ) -> tuple[Fraction, Fraction]:
     """Every facet volume ratio must stay inside [delta_minus, delta_plus].
 
-    A ratio is after / (s before), the perturbed bracket being in grid
-    units; it is compared by cross-multiplication and becomes a Fraction
+    A ratio is after / (s before) = after k / (s stored), the perturbed
+    bracket being in grid units and the exact one stored times its bracket
+    scale k; it is compared by cross-multiplication and becomes a Fraction
     only when reported.
     """
+    k = exact.bracket_scale
     s = params.alpha.denominator ** (params.d - 1)
     lo_n, lo_d = params.delta_minus.numerator, params.delta_minus.denominator
     hi_n, hi_d = params.delta_plus.numerator, params.delta_plus.denominator
@@ -101,8 +105,8 @@ def check_volume_ratios(
             raise StageInvariantError(
                 "rounding", f"facet of node {node} flipped or collapsed", node
             )
-        num = abs(after) * before.denominator
-        den = s * abs(before.numerator)
+        num = abs(after) * k
+        den = s * abs(before)
         if num * lo_d < lo_n * den or num * hi_d > hi_n * den:
             raise StageInvariantError(
                 "rounding",
@@ -184,7 +188,7 @@ def round_and_scale(
     if any(h <= 0 for h in z_snapped[perturbed.d :]):
         raise StageInvariantError("rounding", "non-base vertex rounded to height <= 0")
 
-    coords_int = [(*p, h) for p, h in zip(perturbed.coords, z_snapped)]
+    coords_int = [(*p[:-1], h) for p, h in zip(perturbed.coords, z_snapped)]
 
     bound_xy = 10 * params.d * params.d * R_eff * R_eff
     bound_z = 6 * R_eff**3

@@ -88,7 +88,7 @@ def verify_convexity_stress(realization: Realization) -> tuple[bool, list[str]]:
         return False, [f"ridge structure broken: {exc}"]
 
     plan = flat_stress_plan(
-        d, [p[:-1] for p in coords], adjacency, realization.facet_vertices
+        d, [(*p[:-1], 1) for p in coords], adjacency, realization.facet_vertices
     )
     stresses, failures = plan_stresses(plan, [p[-1] for p in coords])
     for ridge, (k1, k2) in adjacency.items():
@@ -98,6 +98,8 @@ def verify_convexity_stress(realization: Realization) -> tuple[bool, list[str]]:
         # the denominator is positive: the numerator's sign decides
         num, den = stresses[ridge]
         is_base = BASE_FACET_KEY in (k1, k2)
+        # a base ridge folds by 0 only under a non-base vertex at height
+        # zero, which the precheck rejects, so num is never 0 here
         if is_base and num >= 0:
             witnesses.append(f"base ridge {ridge} has stress {Fraction(num, den)} >= 0")
         elif not is_base and num <= 0:

@@ -1,0 +1,96 @@
+"""Census of small stacked polytopes: every ordered d-ary tree, not a sample.
+
+An ordered d-ary tree with k interior nodes (stackings) is one stacked
+d-polytope built over an ordered base facet. There are Fuss-Catalan many,
+C(dk, k) / ((d-1) k + 1), so all of them can be run for small k.
+"""
+
+import functools
+import itertools
+import json
+from math import comb
+
+import pytest
+
+from gridlift import (
+    graph_from_tree,
+    realize_graph,
+    report_to_json,
+    run_pipeline,
+    tree_from_nested,
+)
+
+
+def compositions(total: int, parts: int):
+    """Every way to write total as an ordered sum of `parts` naturals."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first, *rest)
+
+
+@functools.cache
+def nested_trees(d: int, k: int) -> tuple:
+    """Every ordered d-ary tree with k interior nodes, in the nested form
+    (None for a leaf, a list of d children for an interior node)."""
+    if k == 0:
+        return (None,)
+    return tuple(
+        list(children)
+        for sizes in compositions(k - 1, d)
+        for children in itertools.product(*(nested_trees(d, s) for s in sizes))
+    )
+
+
+def all_trees(d: int, k: int):
+    return [tree_from_nested(d, nested) for nested in nested_trees(d, k)]
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+@pytest.mark.parametrize("k", range(6))
+def test_enumeration_is_fuss_catalan(d, k):
+    trees = nested_trees(d, k)
+    assert len(trees) == comb(d * k, k) // ((d - 1) * k + 1)
+    # all distinct, each with k stackings
+    assert len({json.dumps(t) for t in trees}) == len(trees)
+    if k:
+        assert all(tree_from_nested(d, t).interior_count == k for t in trees)
+
+
+def coordinate_maxima(realization):
+    coords = realization.coords
+    return max(c for p in coords for c in p[:-1]), max(p[-1] for p in coords)
+
+
+# 344 trees at d = 3 and 27 at d = 4
+@pytest.mark.parametrize(
+    "d,k", [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (4, 1), (4, 2), (4, 3)]
+)
+def test_every_tree_realizes_and_certifies(d, k):
+    for tree in all_trees(d, k):
+        realization, report = run_pipeline(tree)
+        label = tree.to_json()
+        assert report.certificate.ok, label
+        R_eff = report.weights["R_eff"]
+        max_xy, max_z = coordinate_maxima(realization)
+        assert 0 <= max_xy <= 10 * d * d * R_eff * R_eff, label
+        assert 0 <= max_z <= 6 * R_eff**3, label
+        _, again = run_pipeline(tree)
+        assert report_to_json(again, include_timing=False) == report_to_json(
+            report, include_timing=False
+        ), label
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_graph_route_over_every_base_facet(k):
+    for tree in all_trees(3, k):
+        graph = graph_from_tree(tree)
+        assert len(graph.faces) == 2 * k + 2
+        for facet in graph.faces:
+            realization, report, recovered = realize_graph(graph, base=facet)
+            label = (tree.to_json(), facet)
+            assert report.certificate.ok, label
+            assert recovered.interior_count == k, label
+            assert len(realization.coords) == k + 3, label

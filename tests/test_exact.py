@@ -26,6 +26,7 @@ from gridlift.exact import (
 )
 from gridlift.facets import build_ridge_adjacency
 from gridlift.lifting import lift_heights
+from reference import flat_points
 
 F = Fraction
 
@@ -292,7 +293,8 @@ def lifted_complexes(draw):
     if draw(st.sampled_from(["lifted", "random"])) == "lifted":
         zeta = {v: draw(rationals().filter(lambda q: q > 0)) for v in flat.interior_order}
         points = [
-            (*p, F(n, e)) for p, n, e in zip(flat.coords, *lift_heights(flat, tree, zeta))
+            (*p, F(n, e))
+            for p, n, e in zip(flat_points(flat), *lift_heights(flat, tree, zeta))
         ]
     else:
         tilted = draw(st.booleans())
@@ -332,7 +334,8 @@ def as_fractions(stresses):
 def plan_table(d, points, adjacency, facet_vertices):
     """plan_stresses of the flat plan of `points`, lifted by their last
     entries, with the stress pairs as Fractions."""
-    plan = flat_stress_plan(d, [p[:-1] for p in points], adjacency, facet_vertices)
+    columns = [homogeneous_column(p[:-1]) for p in points]
+    plan = flat_stress_plan(d, columns, adjacency, facet_vertices)
     heights = [F(p[-1]) for p in points]
     stresses, failures = plan_stresses(
         plan, [h.numerator for h in heights], [h.denominator for h in heights]
@@ -357,7 +360,7 @@ class TestStressTable:
 
     def test_tetrahedron(self, tet_lifted, tet_flat):
         z, _, lifted_stresses = tet_lifted
-        points = [(*p, F(n, e)) for p, n, e in zip(tet_flat.coords, *z)]
+        points = [(*p, F(n, e)) for p, n, e in zip(flat_points(tet_flat), *z)]
         stresses, failures = plan_table(
             3, points, tet_flat.ridge_adjacency, tet_flat.facet_vertices
         )
@@ -371,7 +374,7 @@ class TestStressTable:
         )
         for shift in (F(16, 9), F(32, 9), F(1, 7)):
             z = lift_heights(tet_flat, tet_tree, {0: shift})
-            points = [(*p, F(n, e)) for p, n, e in zip(tet_flat.coords, *z)]
+            points = [(*p, F(n, e)) for p, n, e in zip(flat_points(tet_flat), *z)]
             expected = reference_stresses(
                 points, tet_flat.ridge_adjacency, tet_flat.facet_vertices
             )

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridlift import (
     BASE_FACET_KEY,
@@ -13,35 +15,37 @@ from gridlift import (
     gen_tree,
 )
 from gridlift import flat
-from gridlift.flat import place_stacked_vertex
+from gridlift.exact import homogeneous_column
+from gridlift.flat import stacked_column
+from reference import flat_points, point, real_brackets, reference_flat_points
 
 F = Fraction
 
 
 class TestBaseSimplex:
     def test_d3_r3(self):
-        coords, L, lam = base_simplex(3, 3)
+        coords, L = base_simplex(3, 3)
         assert L == 2
-        assert lam == F(4, 3)
-        assert coords == [(0, 0), (2, 0), (0, 2)]
-        assert bracket(coords) == 4
+        assert coords == [(0, 0, 1), (2, 0, 1), (0, 2, 1)]
+        assert bracket([point(c) for c in coords]) == 4
 
     def test_d3_r4(self):
-        coords, L, lam = base_simplex(3, 4)
-        assert (L, lam) == (2, 1)
+        _, L = base_simplex(3, 4)
+        assert L == 2
 
     def test_d4_r8(self):
-        coords, L, lam = base_simplex(4, 8)
-        assert (L, lam) == (2, 1)
-        assert bracket(coords) == 8
+        coords, L = base_simplex(4, 8)
+        assert L == 2
+        assert bracket([point(c) for c in coords]) == 8
 
     def test_positive_orientation_all_dims(self):
         for d in range(3, 8):
             for R in (3, 5, 17):
-                coords, L, lam = base_simplex(d, R)
-                assert bracket(coords) == L ** (d - 1)
-                assert lam * R == L ** (d - 1)
-                assert lam >= 1
+                coords, L = base_simplex(d, R)
+                assert all(c[-1] == 1 for c in coords)
+                assert bracket([point(c) for c in coords]) == L ** (d - 1)
+                # L is the least grid scale with L^(d-1) >= R, so lam >= 1
+                assert (L - 1) ** (d - 1) < R <= L ** (d - 1)
 
     def test_rejects_small_weight(self):
         with pytest.raises(InvalidInputError):
@@ -54,31 +58,59 @@ class TestBaseSimplex:
 
 class TestPlacement:
     def test_weighted_mean(self):
-        facet = [(0, 0), (2, 0), (0, 2)]
-        p = place_stacked_vertex(facet, [F(2), F(1), F(1)], F(4))
-        assert p == (F(1, 2), F(1, 2))
+        facet = [(0, 0, 1), (2, 0, 1), (0, 2, 1)]
+        assert stacked_column(facet, [2, 1, 1], 4) == (1, 1, 2)  # (1/2, 1/2)
 
     def test_uniform_is_centroid(self):
-        facet = [(0, 0), (3, 0), (0, 3)]
-        p = place_stacked_vertex(facet, [F(1)] * 3, F(3))
-        assert p == (1, 1)
+        facet = [(0, 0, 1), (3, 0, 1), (0, 3, 1)]
+        assert stacked_column(facet, [1, 1, 1], 3) == (1, 1, 1)
+
+    def test_mixed_denominators_reduce(self):
+        # (1/2, 0), (0, 1/3), (0, 0) with equal weights: (1/6, 1/9)
+        facet = [(1, 0, 2), (0, 1, 3), (0, 0, 1)]
+        assert stacked_column(facet, [1, 1, 1], 3) == (3, 2, 18)
+        # a common factor of the sum and its denominator is divided out
+        assert stacked_column([(0, 0, 1), (2, 0, 1), (0, 4, 1)], [2, 2, 2], 6) == (
+            2, 4, 3
+        )
 
     def test_rejects_bad_sum(self):
         with pytest.raises(InvalidInputError):
-            place_stacked_vertex([(0, 0), (1, 0), (0, 1)], [F(1), F(1), F(1)], F(4))
+            stacked_column([(0, 0, 1), (1, 0, 1), (0, 1, 1)], [1, 1, 1], 4)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidInputError):
-            place_stacked_vertex([(0, 0), (1, 0), (0, 1)], [F(2), F(0), F(1)], F(3))
+            stacked_column([(0, 0, 1), (1, 0, 1), (0, 1, 1)], [2, 0, 1], 3)
+
+
+class TestPlacementMatchesReference:
+    """The integer placement against the Fraction placement it replaced."""
+
+    @given(
+        shape=st.sampled_from(["random", "serpentine"]),
+        d=st.integers(3, 7),
+        size=st.integers(1, 25),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_vertex(self, shape, d, size, seed):
+        wt = balance_weights(gen_tree(shape, d, size, seed))
+        columns = build_flat(wt).coords
+        expected = reference_flat_points(wt)
+        assert len(columns) == len(expected)
+        for column, p in zip(columns, expected):
+            assert point(column) == p
+            # lowest terms over a positive denominator
+            assert [*column] == homogeneous_column(p)
 
 
 class TestTetFlat:
     def test_coords(self, tet_flat):
         assert tet_flat.coords == [
-            (0, 0),
-            (2, 0),
-            (0, 2),
-            (F(2, 3), F(2, 3)),
+            (0, 0, 1),
+            (2, 0, 1),
+            (0, 2, 1),
+            (2, 2, 3),  # (2/3, 2/3)
         ]
 
     def test_layout(self, tet_flat):
@@ -87,13 +119,13 @@ class TestTetFlat:
         assert tet_flat.stacked_vertex == {0: 3}
 
     def test_brackets(self, tet_flat):
-        assert tet_flat.node_brackets[0] == 4
-        for leaf in (1, 2, 3):
-            assert tet_flat.node_brackets[leaf] == F(4, 3)
+        # R_eff * weight under the scale R = 3
+        assert tet_flat.node_brackets == {0: 12, 1: 4, 2: 4, 3: 4}
+        assert real_brackets(tet_flat) == {0: 4, 1: F(4, 3), 2: F(4, 3), 3: F(4, 3)}
 
     def test_scale(self, tet_flat):
         assert tet_flat.L == 2
-        assert tet_flat.lam == F(4, 3)
+        assert tet_flat.bracket_scale == 3
         assert tet_flat.R_eff == 4
 
     def test_ridges(self, tet_flat):
@@ -119,17 +151,18 @@ class TestTwoStackFlat:
     def test_stacked_points(self, two_stack_tree):
         flat = build_flat(balance_weights(two_stack_tree))
         assert flat.L == 3
-        assert flat.lam == F(3, 2)
-        assert flat.coords[3] == (2, F(1, 2))
-        assert flat.coords[4] == (F(1, 2), F(7, 8))
+        assert flat.bracket_scale == 6  # lam = 9/6
+        assert flat.coords[3] == (4, 1, 2)  # (2, 1/2)
+        assert flat.coords[4] == (4, 7, 8)  # (1/2, 7/8)
 
     def test_second_point_inside_parent_facet(self, two_stack_tree):
         flat = build_flat(balance_weights(two_stack_tree))
         # positive bracket with each facet edge of its containing facet
         facet = flat.node_facets[2]
-        p = flat.coords[4]
+        points = flat_points(flat)
+        p = points[4]
         for j in range(3):
-            edge = [flat.coords[facet[i]] for i in range(3) if i != j]
+            edge = [points[facet[i]] for i in range(3) if i != j]
             assert bracket(edge + [p]) != 0
 
 
@@ -141,24 +174,27 @@ class TestTilingInvariants:
         tree = gen_tree("random", d, size, seed)
         wt = balance_weights(tree)
         flat = build_flat(wt)
-        lam = flat.lam
+        assert flat.bracket_scale == wt.root_weight
         for v in tree.interior_ids:
             children = tree.nodes[v].children
             assert flat.node_brackets[v] == sum(
                 flat.node_brackets[c] for c in children
             )
-        total = sum(flat.node_brackets[leaf] for leaf in tree.leaf_ids)
+        total = sum(real_brackets(flat)[leaf] for leaf in tree.leaf_ids)
         assert total == flat.L ** (d - 1)
         for node, b in flat.node_brackets.items():
-            assert b == lam * wt.weight[node]
+            assert type(b) is int
+            assert b == flat.R_eff * wt.weight[node]
             assert b > 0
 
     @pytest.mark.parametrize("d,size,seed", [(3, 12, 4), (4, 8, 5)])
     def test_brackets_match_coordinates(self, d, size, seed):
         tree = gen_tree("random", d, size, seed)
         flat = build_flat(balance_weights(tree))
+        points = flat_points(flat)
+        brackets = real_brackets(flat)
         for node, facet in flat.node_facets.items():
-            assert bracket([flat.coords[u] for u in facet]) == flat.node_brackets[node]
+            assert bracket([points[u] for u in facet]) == brackets[node]
 
     def test_ridge_regularity(self):
         tree = gen_tree("random", 3, 20, 11)

@@ -2,11 +2,13 @@
 
 import ast
 import functools
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import gridlift
+from gridlift.lifting import stress_plan
 
 PACKAGE_DIR = Path(gridlift.__file__).parent
 TESTS_DIR = Path(__file__).parent
@@ -126,10 +128,15 @@ def names_in_body(source: str, function: str) -> set[str]:
     return out
 
 
-# heights and stresses are integer pairs from the brackets to the gates: a
-# Fraction in these bodies would bring back one normalisation per vertex or
-# per ridge
+# the flat stage holds integer columns and brackets from placement to
+# output, and heights and stresses are integer pairs from the brackets to
+# the gates: a Fraction in these bodies would bring back one normalisation
+# per vertex or per ridge
 @pytest.mark.parametrize("module,function", [
+    ("flat", "build_flat"),
+    ("flat", "stacked_column"),
+    ("rounding", "perturb_flat"),
+    ("exact", "flat_stress_plan"),
     ("lifting", "lift_heights"),
     ("lifting", "incremental_stresses"),
     ("lifting", "stress_map"),
@@ -138,6 +145,27 @@ def names_in_body(source: str, function: str) -> set[str]:
 def test_lift_kernels_build_no_fraction(module, function):
     source = (PACKAGE_DIR / f"{module}.py").read_text()
     assert "Fraction" not in names_in_body(source, function)
+
+
+def test_flat_stages_build_no_fraction_at_runtime(monkeypatch):
+    # the ast check above sees names only; this one counts the Fractions
+    # the flat stage, the perturbation and both stress plans construct
+    tree = gridlift.gen_tree("random", 4, 12, 1)
+    wt = gridlift.balance_weights(tree)
+    alpha = Fraction(1, 7)
+    built = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    flat = gridlift.build_flat(wt)
+    perturbed = gridlift.perturb_flat(flat, alpha)
+    for complex_ in (flat, perturbed):
+        stress_plan(complex_)
+    assert built == []
 
 
 def test_detects_fraction_in_body():

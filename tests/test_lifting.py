@@ -24,6 +24,7 @@ from gridlift import (
 from gridlift import lifting
 from gridlift.exact import plan_stresses, stress_of_ridge
 from gridlift.lifting import lift_heights, stress_extrema, stress_map, stress_plan
+from reference import flat_points
 
 F = Fraction
 
@@ -78,10 +79,11 @@ class TestHeights:
 def hyperplane_heights(flat, zeta):
     """Per stacking, the height of the lifted facet's hyperplane above the
     new vertex, from its own determinants, plus the shift."""
+    points = flat_points(flat)
     z = [F(0)] * flat.d
     for node in flat.interior_order:
-        lifted = [(*flat.coords[u], z[u]) for u in flat.node_facets[node]]
-        p = flat.coords[flat.stacked_vertex[node]]
+        lifted = [(*points[u], z[u]) for u in flat.node_facets[node]]
+        p = points[flat.stacked_vertex[node]]
         z.append(height_on_hyperplane(lifted, p) + zeta[node])
     return z
 
@@ -105,7 +107,7 @@ class TestBarycentricLift:
             )
 
     def test_zero_bracket_is_a_vertical_hyperplane(self, tet_flat, tet_tree):
-        brackets = {**tet_flat.node_brackets, 0: F(0)}
+        brackets = {**tet_flat.node_brackets, 0: 0}
         flat = dataclasses.replace(tet_flat, node_brackets=brackets)
         with pytest.raises(
             GeometryError, match="^vertical hyperplane: projected facet is degenerate$"
@@ -159,12 +161,13 @@ class TestStresses:
     def test_integer_inputs_stay_exact(self, d, size, seed):
         # integer brackets and shifts, as the rounding stage hands them over:
         # an int / int anywhere here would make a height or stress a float;
-        # the exact complex's Fraction brackets must come out as ints too
+        # the exact complex's brackets are integers too, under the scale R
         tree = gen_tree("random", d, size, seed)
         flat = build_flat(balance_weights(tree))
         pe = perturb_flat(flat, grid_params(d, flat.L, flat.R_eff).alpha)
-        assert all(type(b) is int for b in pe.node_brackets.values())
         for complex_ in (flat, pe):
+            assert all(type(b) is int for b in complex_.node_brackets.values())
+            assert all(type(x) is int for c in complex_.coords for x in c)
             zeta = adjusted_shifts(complex_, tree)
             nums, dens = lift_heights(complex_, tree, zeta)
             plan = stress_plan(complex_)
@@ -193,7 +196,8 @@ class TestLiftGate:
         flat = build_flat(balance_weights(tree))
         z, _, stresses = build_lifted(flat, tree, adjusted_shifts(flat, tree))
         info = check_lift_bounds(flat, z, stresses)
-        assert info["min_interior_stress"] >= flat.lam >= 1
+        lam = F(flat.R_eff, flat.bracket_scale)
+        assert info["min_interior_stress"] >= lam >= 1
         assert -flat.R_eff < info["min_base_stress"]
         assert info["max_base_stress"] < 0
 
@@ -317,7 +321,7 @@ class TestStressMapCrossCheck:
 def reference_table(complex_, heights):
     """stress_of_ridge on every ridge of a complex lifted by Fraction heights:
     the value, or the GeometryError message."""
-    points = [(*p, h) for p, h in zip(complex_.coords, heights)]
+    points = [(*p, h) for p, h in zip(flat_points(complex_), heights)]
     out = {}
     for ridge, keys in complex_.ridge_adjacency.items():
         X = [points[v] for v in ridge]

@@ -19,9 +19,10 @@ from gridlift import (
     round_and_scale,
 )
 from gridlift import lifting, rounding
-from gridlift.exact import bracket
+from gridlift.exact import bracket, homogeneous_column
 from gridlift.lifting import build_lifted, direct_stresses, stress_extrema
 from gridlift.rounding import check_volume_ratios
+from reference import flat_points, real_brackets
 
 F = Fraction
 
@@ -31,20 +32,29 @@ def reference_round(flat, tree, params):
 
     Perturb to multiples of alpha with real brackets, relift, floor the
     heights to multiples of alpha_z, then scale by the inverse grid steps.
-    Returns the integer coordinates, the volume-ratio extrema and the
-    round report's values.
+    The relifted complex holds the real brackets times the lcm k of their
+    denominators, under the bracket scale k. Returns the integer
+    coordinates, the volume-ratio extrema and the round report's values.
     """
 
     def floor_to_multiple(x, step):
         return math.floor(x / step) * step
 
-    coords = [tuple(floor_to_multiple(c, params.alpha) for c in p) for p in flat.coords]
+    coords = [
+        tuple(floor_to_multiple(c, params.alpha) for c in p) for p in flat_points(flat)
+    ]
     brackets = {
         node: bracket([coords[u] for u in facet])
         for node, facet in flat.node_facets.items()
     }
-    pe = dataclasses.replace(flat, coords=coords, node_brackets=brackets)
-    ratios = [brackets[node] / b for node, b in flat.node_brackets.items()]
+    k = math.lcm(*(b.denominator for b in brackets.values()))
+    pe = dataclasses.replace(
+        flat,
+        coords=[tuple(homogeneous_column(p)) for p in coords],
+        node_brackets={node: int(b * k) for node, b in brackets.items()},
+        bracket_scale=k,
+    )
+    ratios = [brackets[node] / b for node, b in real_brackets(flat).items()]
     (nums, dens), plan, stresses = build_lifted(pe, tree, adjusted_shifts(pe, tree))
     z = [F(n, e) for n, e in zip(nums, dens)]
     (w_in, _), (w_lo, _), _ = stress_extrema(pe.ridge_adjacency, stresses)
@@ -123,10 +133,13 @@ class TestPerturb:
     def test_tet_lands_on_grid_unchanged(self, tet_flat):
         p = grid_params(3, tet_flat.L, tet_flat.R_eff)
         pe = perturb_flat(tet_flat, p.alpha)
-        assert pe.coords == [tuple(c / p.alpha for c in pt) for pt in tet_flat.coords]
+        assert pe.coords == [
+            (*(c / p.alpha for c in pt), 1) for pt in flat_points(tet_flat)
+        ]
         # brackets in grid units: the real ones times s = alpha^-(d-1)
         s = p.alpha ** -2
-        assert pe.node_brackets == {n: b * s for n, b in tet_flat.node_brackets.items()}
+        assert pe.bracket_scale == 1
+        assert pe.node_brackets == {n: b * s for n, b in real_brackets(tet_flat).items()}
         lo, hi = check_volume_ratios(tet_flat, pe, p)
         assert lo == hi == 1
 
@@ -136,8 +149,9 @@ class TestPerturb:
         flat = build_flat(balance_weights(tree))
         p = grid_params(d, flat.L, flat.R_eff)
         pe = perturb_flat(flat, p.alpha)
-        for a, b in zip(pe.coords, flat.coords):
-            for ca, cb in zip(a, b):
+        for a, b in zip(pe.coords, flat_points(flat)):
+            assert a[-1] == 1
+            for ca, cb in zip(a[:-1], b):
                 assert type(ca) is int
                 assert 0 <= cb / p.alpha - ca < 1
         lo, hi = check_volume_ratios(flat, pe, p)
@@ -150,9 +164,10 @@ class TestPerturb:
             perturb_flat(tet_flat, F(2, 721))
 
 
-def heavy_times_light(wt, lam):
+def heavy_times_light(wt, L):
     """The paper's shift of each stacking: the heavy child's rescaled weight
-    times a light child's."""
+    times a light child's, lam = L^(d-1) / R."""
+    lam = F(L ** (wt.tree.dim - 1), wt.root_weight)
     out = {}
     for v in wt.tree.interior_ids:
         children = wt.tree.nodes[v].children
@@ -165,7 +180,7 @@ def heavy_times_light(wt, lam):
 
 class TestAdjustedShifts:
     def test_tet_reproduces_exact_shift(self, tet_flat, tet_weighted):
-        zeta = heavy_times_light(tet_weighted, tet_flat.lam)
+        zeta = heavy_times_light(tet_weighted, tet_flat.L)
         assert adjusted_shifts(tet_flat, tet_weighted.tree) == zeta == {0: F(16, 9)}
 
     @pytest.mark.parametrize("d", range(3, 8))
@@ -178,7 +193,7 @@ class TestAdjustedShifts:
         tree = gen_tree(shape, d, size, seed=d)
         wt = balance_weights(tree)
         flat = build_flat(wt)
-        assert adjusted_shifts(flat, tree) == heavy_times_light(wt, flat.lam)
+        assert adjusted_shifts(flat, tree) == heavy_times_light(wt, flat.L)
 
     @pytest.mark.parametrize("d,size,seed", [(3, 15, 4), (4, 9, 5)])
     def test_perturbed_shift_lower_bound(self, d, size, seed):
@@ -187,7 +202,7 @@ class TestAdjustedShifts:
         flat = build_flat(wt)
         p = grid_params(d, flat.L, flat.R_eff)
         pe = perturb_flat(flat, p.alpha)
-        zeta = heavy_times_light(wt, flat.lam)
+        zeta = heavy_times_light(wt, flat.L)
         adj = adjusted_shifts(pe, tree)
         s2 = p.alpha ** (2 - 2 * d)  # the shifts are in grid units
         for node, zp in adj.items():

@@ -22,7 +22,7 @@ from gridlift import (
     verify_convexity_global,
     verify_convexity_stress,
 )
-from gridlift.exact import _det_int
+from gridlift.exact import BASE_NOT_FLAT, _det_int, flat_stress_plan, plan_stresses
 from gridlift.facets import build_ridge_adjacency
 from gridlift.verify import _centroid, _facet_side_witnesses, _facets_in_order
 
@@ -85,6 +85,33 @@ def instance():
     tree = gen_tree("random", 3, 8, seed=42)
     realization, report = run_pipeline(tree)
     return realization
+
+
+class TestZeroStressBaseRidge:
+    def test_rejected_by_the_height_precheck_and_the_global_route(self, instance):
+        # lower the non-base vertex of a facet next to the base into the
+        # base plane: the two facets of their common base ridge are then
+        # coplanar, the only way a base ridge can fold by 0
+        adjacency = build_ridge_adjacency(3, instance.facets, instance.base_facet)
+        ridge, keys = next(
+            (r, keys) for r, keys in adjacency.items() if BASE_FACET_KEY in keys
+        )
+        key = next(k for k in keys if k != BASE_FACET_KEY)
+        vid = next(v for v in instance.facet_vertices(key) if v not in ridge)
+        assert vid not in instance.base_facet
+        x, y, _ = instance.coords[vid]
+        bad = move_vertex(instance, vid, (x, y, 0))
+        assert verify_convexity_stress(bad) == (
+            False, [f"non-base vertex {vid} at height zero"]
+        )
+        assert global_verdicts(bad) is False
+        # past the precheck, the plan would not give the ridge a stress of 0
+        # either: with both facets in z = 0 it cannot tell which is the base
+        plan = flat_stress_plan(
+            3, [(*p[:-1], 1) for p in bad.coords], adjacency, bad.facet_vertices
+        )
+        _, failures = plan_stresses(plan, [p[-1] for p in bad.coords])
+        assert failures[ridge] == BASE_NOT_FLAT
 
 
 class TestOraclesAgreeOnCorruptions:
