@@ -17,7 +17,8 @@ volume of their simplex. On top of it sit:
 - the flat stress plan: the same stresses for every ridge of a complex.
   flat_stress_plan does all the work the heights leave alone, once per
   flat complex, and plan_stresses lifts it by one set of heights. This is
-  what the pipeline and the verifier evaluate. The plan takes its ridges
+  what the verifier evaluates; the construction builds the same plan with
+  facet_stress_plan for d >= 4. The plan takes its ridges
   and facets in the facet-table format that the facets module defines,
   the flat points as integer homogeneous columns (the flat complex's own,
   or an integer point with a 1 appended), and the heights as integer
@@ -28,13 +29,19 @@ volume of their simplex. On top of it sit:
 Determinants are computed fraction-free: each point is scaled to an integer
 homogeneous column (p D, D), D the lcm of its denominators, and the integer
 determinant (Bareiss) is divided by the product of scales. This keeps
-Fraction normalization out of the O(k^3) loop. maximal_minors gives all
-d+1 maximal minors of a d x (d+1) integer matrix from one fraction-free
-Gauss-Jordan elimination. A ridge's creasing determinant, expanded along
+Fraction normalization out of the O(k^3) loop. cramer_numerators takes
+[B | t_1 ... t_r] through one fraction-free Gauss-Jordan elimination to
+det(B) and the Cramer numerators of every right-hand side t_c, and
+maximal_minors, its r = 1 case, gives all d+1 maximal minors of a
+d x (d+1) integer matrix. A ridge's creasing determinant, expanded along
 its height column, is the dot product of the heights with those minors of
-the ridge's flat columns, and its two facet shadows are two of the minors;
-so the plan takes one elimination per ridge, and each lift of the complex
-one (d+1)-term integer dot product per ridge, with no Fraction built.
+the ridge's flat columns, and its two facet shadows are two of the minors.
+flat_stress_plan takes one elimination per ridge. A ridge's columns are
+one of its facets' plus the other facet's extra vertex, so
+facet_stress_plan takes one elimination per facet, the extra vertices of
+the ridges assigned to it as right-hand sides, and gives the same plan.
+Either way each lift of the complex costs one (d+1)-term integer dot
+product per ridge, with no Fraction built.
 """
 
 from __future__ import annotations
@@ -102,17 +109,56 @@ def _det_int(a: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def cramer_numerators(
+    rows: Sequence[Sequence[int]],
+) -> tuple[int, list[list[int]]] | None:
+    """Cramer's rule for [B | t_1 ... t_r], a d x (d+r) integer matrix.
+
+    Returns det(B) and, for each right-hand side t_c, the d determinants of
+    B with column i replaced by t_c; None when B is singular. One
+    fraction-free Gauss-Jordan elimination (Bareiss's exact division, on
+    the rows above each pivot too) takes the matrix to
+    [det(B) I | adj(B) t_1 ... adj(B) t_r], up to the sign of its row
+    swaps, and entry i of adj(B) t_c is the i-th numerator.
+    """
+    d = len(rows)
+    width = len(rows[0])
+    a = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(d):
+        if a[k][k] == 0:
+            for i in range(k + 1, d):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return None
+        pivot = a[k][k]
+        row_k = a[k]
+        for i in range(d):
+            if i != k:
+                row_i = a[i]
+                lead = row_i[k]
+                for j in range(k + 1, width):
+                    row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
+        prev = pivot
+    if sign < 0:
+        return -prev, [[-r[c] for r in a] for c in range(d, width)]
+    return prev, [[r[c] for r in a] for c in range(d, width)]
+
+
 def maximal_minors(rows: Sequence[Sequence[int]]) -> list[int]:
     """All d+1 maximal minors of a d x (d+1) integer matrix.
 
-    Entry j is the determinant of the matrix without its column j. One
-    fraction-free Gauss-Jordan elimination (Bareiss's exact division, on
-    the rows above each pivot too) takes [B | b], B the leading d x d
-    block, to [det(B) I | adj(B) b]. By Cramer's rule, entry j < d of
-    adj(B) b is the determinant of B with column j replaced by b, which is
-    minor j after moving b to the end past d-1-j columns. A singular B
-    falls back to one determinant per minor. At d = 3 the closed form from
-    the six 2 x 2 minors of the last two rows is cheaper than elimination.
+    Entry j is the determinant of the matrix without its column j. With B
+    the leading d x d block and b the last column, cramer_numerators gives
+    det(B), minor d, and for each j < d the determinant of B with column j
+    replaced by b, which is minor j after moving b to the end past d-1-j
+    columns. A singular B falls back to one determinant per minor. At
+    d = 3 the closed form from the six 2 x 2 minors of the last two rows is
+    cheaper than elimination.
     """
     d = len(rows)
     if d == 3:
@@ -129,33 +175,12 @@ def maximal_minors(rows: Sequence[Sequence[int]]) -> list[int]:
             a0 * s13 - a1 * s03 + a3 * s01,
             a0 * s12 - a1 * s02 + a2 * s01,
         ]
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(d):
-        if a[k][k] == 0:
-            for i in range(k + 1, d):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return [
-                    _det_int([[*r[:j], *r[j + 1 :]] for r in rows]) for j in range(d + 1)
-                ]
-        pivot = a[k][k]
-        row_k = a[k]
-        for i in range(d):
-            if i != k:
-                row_i = a[i]
-                lead = row_i[k]
-                for j in range(k + 1, d + 1):
-                    row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
-        prev = pivot
-    minors = [
-        sign * r[d] if (d - 1 - j) % 2 == 0 else -sign * r[d] for j, r in enumerate(a)
-    ]
-    minors.append(sign * prev)
+    solved = cramer_numerators(rows)
+    if solved is None:
+        return [_det_int([[*r[:j], *r[j + 1 :]] for r in rows]) for j in range(d + 1)]
+    det, (numerators,) = solved
+    minors = [c if (d - 1 - j) % 2 == 0 else -c for j, c in enumerate(numerators)]
+    minors.append(det)
     return minors
 
 
@@ -341,34 +366,97 @@ def flat_stress_plan(
     """
     plan: StressPlan = []
     for ridge, keys in adjacency.items():
-        base = BASE_FACET_KEY in keys
         e0, e1 = (extra_vertex(facet_vertices(k), ridge) for k in keys)
         verts = (*ridge, e0, e1)
         # rows are coordinates, so each minor omits one vertex
         minors = maximal_minors(list(zip(*(columns[v] for v in verts))))
-        s0, s1 = minors[d], minors[d - 1]
-        if s0 == 0 or s1 == 0:
-            plan.append((ridge, 0, FLAT_RIDGE, base, e0, e1))
-            continue
-        # an interior ridge has its extra vertices on opposite sides; a base
-        # ridge on one side, and the base facet's left/right label flips
-        opposite = (s0 > 0) != (s1 > 0)
-        failure = None if opposite != base else NO_ORIENTATION
-        scale = prod(columns[v][-1] for v in ridge)
-        coeffs = [
-            (scale if (j + d) % 2 else -scale) * columns[v][-1] * minors[j]
-            for j, v in enumerate(verts)
-        ]
-        # left is e0 exactly when s0 > 0 (unless e0's facet is the base),
-        # and then det(X, t, s) = -det(X, e0, e1)
-        denom = -abs(s0) * s1
-        # the scales E_v largely cancel: keep the reduced ratio, over a
-        # positive denominator
-        g = gcd(*coeffs, denom)
-        if denom < 0:
-            g = -g
-        plan.append((ridge, denom // g, failure, base, e0, e1, *(c // g for c in coeffs)))
+        plan.append(_plan_entry(d, columns, ridge, BASE_FACET_KEY in keys, e0, e1, minors))
     return plan
+
+
+def facet_stress_plan(
+    d: int,
+    columns: Sequence[Sequence[int]],
+    adjacency: dict[tuple[int, ...], tuple[int, int]],
+    facet_vertices: Callable[[int], tuple[int, ...]],
+) -> StressPlan:
+    """flat_stress_plan, from one elimination per facet instead of per ridge.
+
+    Each ridge X goes to its first facet S, the base facet for a base
+    ridge. With S's vertices sorted, X is S without the one at position p,
+    e0, and the ridge's columns (X, e0, e1) are S's columns with e0 moved
+    to the end, which takes d-1-p transpositions, and e1's column appended.
+    So cramer_numerators of [B_S | e1 of every ridge of S] gives, with that
+    sign, the leading block's determinant and its numerators for each
+    ridge, from which maximal_minors's rule reads all d+1 minors. A
+    singular B_S makes every ridge of S FLAT_RIDGE, as its shadow
+    sigma(X, e0) = +-det(B_S) is 0. The plan lists the ridges in adjacency
+    order, tuple for tuple equal to flat_stress_plan's.
+    """
+    assigned: dict[int, list[tuple[int, ...]]] = {}
+    for ridge, (key, _) in adjacency.items():
+        assigned.setdefault(key, []).append(ridge)
+    entries: dict[tuple[int, ...], tuple] = {}
+    for key, ridges in assigned.items():
+        # the ridge table lists the base facet first
+        base = key == BASE_FACET_KEY
+        facet = sorted(facet_vertices(key))
+        e1s = [extra_vertex(facet_vertices(adjacency[r][1]), r) for r in ridges]
+        solved = cramer_numerators(list(zip(*(columns[v] for v in (*facet, *e1s)))))
+        for c, (ridge, e1) in enumerate(zip(ridges, e1s)):
+            e0 = extra_vertex(facet, ridge)
+            minors = None
+            if solved is not None:
+                det, numerators = solved
+                p = facet.index(e0)
+                nums = numerators[c]
+                # minor j < d-1 omits X_j, at position j or j+1 of S: its sign
+                # is maximal_minors's (-1)^(d-1-j) times the move's (-1)^(d-1-p)
+                minors = [
+                    x if (j + p) % 2 == 0 else -x
+                    for j, x in enumerate(nums[:p] + nums[p + 1 :])
+                ]
+                if (d - 1 - p) % 2:
+                    minors += [-nums[p], -det]
+                else:
+                    minors += [nums[p], det]
+            entries[ridge] = _plan_entry(d, columns, ridge, base, e0, e1, minors)
+    return [entries[ridge] for ridge in adjacency]
+
+
+def _plan_entry(
+    d: int,
+    columns: Sequence[Sequence[int]],
+    ridge: tuple[int, ...],
+    base: bool,
+    e0: int,
+    e1: int,
+    minors: list[int] | None,
+) -> tuple:
+    """A ridge's plan tuple from the maximal minors of its columns
+    (X, e0, e1), or None for a singular facet block, whose shadow
+    sigma(X, e0) is 0."""
+    if minors is None or minors[d] == 0 or minors[d - 1] == 0:
+        return (ridge, 0, FLAT_RIDGE, base, e0, e1)
+    s0, s1 = minors[d], minors[d - 1]
+    # an interior ridge has its extra vertices on opposite sides; a base
+    # ridge on one side, and the base facet's left/right label flips
+    opposite = (s0 > 0) != (s1 > 0)
+    failure = None if opposite != base else NO_ORIENTATION
+    scale = prod(columns[v][-1] for v in ridge)
+    coeffs = [
+        (scale if (j + d) % 2 else -scale) * columns[v][-1] * minors[j]
+        for j, v in enumerate((*ridge, e0, e1))
+    ]
+    # left is e0 exactly when s0 > 0 (unless e0's facet is the base),
+    # and then det(X, t, s) = -det(X, e0, e1)
+    denom = -abs(s0) * s1
+    # the scales E_v largely cancel: keep the reduced ratio, over a
+    # positive denominator
+    g = gcd(*coeffs, denom)
+    if denom < 0:
+        g = -g
+    return (ridge, denom // g, failure, base, e0, e1, *(c // g for c in coeffs))
 
 
 def plan_stresses(

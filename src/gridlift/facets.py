@@ -44,13 +44,20 @@ def build_ridge_adjacency(
 ) -> dict[Ridge, tuple[FacetKey, FacetKey]]:
     """Each ridge and the keys of its two facets, base facet first.
 
-    Raises GeometryError when some ridge does not lie in exactly two
-    facets, that is, when the facets form no closed surface.
+    Raises GeometryError when a facet is not d distinct vertices, or when
+    some ridge does not lie in exactly two facets, that is, when the facets
+    form no closed surface. So every ridge of the table is its facets'
+    vertices less one, which extra_vertex relies on.
     """
     incidence: dict[Ridge, list[FacetKey]] = {}
     items: list[tuple[FacetKey, tuple[int, ...]]] = [(BASE_FACET_KEY, base_facet)]
     items.extend(facets.items())
     for key, facet in items:
+        if len(facet) != d or len(set(facet)) != d:
+            label = "base" if key == BASE_FACET_KEY else key
+            raise GeometryError(
+                f"facet {label} is {tuple(facet)}, not {d} distinct vertices"
+            )
         for j in range(d):
             ridge = tuple(sorted(facet[:j] + facet[j + 1 :]))
             incidence.setdefault(ridge, []).append(key)
@@ -63,5 +70,6 @@ def build_ridge_adjacency(
 
 
 def extra_vertex(facet: tuple[int, ...], ridge: Ridge) -> int:
-    """The vertex of `facet` that is not on `ridge`."""
-    return next(v for v in facet if v not in ridge)
+    """The vertex of `facet` that is not on `ridge`, a ridge of it in a
+    table of build_ridge_adjacency."""
+    return sum(facet) - sum(ridge)

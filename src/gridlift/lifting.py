@@ -15,8 +15,9 @@ determinant.
 
 Stresses are computed from scratch per ridge (the creasing of its two
 facets, from the complex's flat stress plan: stress_plan takes one
-elimination per ridge from the flat columns, and each set of heights
-then costs one dot product per ridge), and independently by replaying the
+elimination per facet from the flat columns for d >= 4, and one per ridge
+in closed form at d = 3, and each set of heights then costs one dot
+product per ridge), and independently by replaying the
 stackings with two local update rules: subdividing a facet creates the new
 interior ridges with a known positive stress and lowers each boundary ridge
 of the facet by the shift over the incident new facet's volume. The two routes
@@ -41,7 +42,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import GeometryError, InvalidInputError, StageInvariantError
-from .exact import Pair, StressPlan, flat_stress_plan, plan_stresses
+from .exact import Pair, StressPlan, facet_stress_plan, flat_stress_plan, plan_stresses
 from .facets import BASE_FACET_KEY, Ridge
 from .flat import FlatComplex
 from .trees import TreeRep
@@ -94,10 +95,13 @@ def lift_heights(
 
 
 def stress_plan(flat: FlatComplex) -> StressPlan:
-    """The flat stress plan of a complex, for every lift of it."""
-    return flat_stress_plan(
-        flat.d, flat.coords, flat.ridge_adjacency, flat.facet_vertices
-    )
+    """The flat stress plan of a complex, for every lift of it.
+
+    One elimination per facet for d >= 4; at d = 3 the closed-form minors
+    of each ridge cost less than a facet's elimination.
+    """
+    plan = flat_stress_plan if flat.d == 3 else facet_stress_plan
+    return plan(flat.d, flat.coords, flat.ridge_adjacency, flat.facet_vertices)
 
 
 def direct_stresses(

@@ -27,7 +27,8 @@ agree; the certificate records both verdicts so disagreement is visible
 instead of masked.
 
 The verifier imports from the package only errors, exact (the integer
-determinant kernels and the flat stress plan), facets (the facet-table
+determinant kernels and the per-ridge flat stress plan; for d >= 4 the
+construction builds its plans per facet instead), facets (the facet-table
 format and the ridge table) and trees (the stacking replay that the
 combinatorial check compares against), so no construction stage is part of
 the code a certificate has to trust.
@@ -271,8 +272,11 @@ def verify_convexity_exhaustive(realization: Realization) -> tuple[bool, list[st
     requires a closed surface and every vertex on a facet: without them a
     convex point set with a partial or padded facet list would pass.
     """
-    witnesses = _unused_vertex_witnesses(realization)
-    witnesses += _closed_surface_witnesses(realization)[1]
+    broken = _closed_surface_witnesses(realization)[1]
+    witnesses = _unused_vertex_witnesses(realization) + broken
+    if broken:
+        # a facet that is not d distinct vertices spans no hyperplane
+        return False, witnesses
     coords = realization.coords
     centroid = _centroid(coords)
     for key, verts in _facets_in_order(realization):

@@ -13,12 +13,18 @@ from math import comb
 import pytest
 
 from gridlift import (
+    balance_weights,
+    build_flat,
     graph_from_tree,
+    perturb_flat,
     realize_graph,
     report_to_json,
     run_pipeline,
     tree_from_nested,
 )
+from gridlift.exact import facet_stress_plan, flat_stress_plan
+from gridlift.lifting import stress_plan
+from gridlift.rounding import grid_params
 
 
 def compositions(total: int, parts: int):
@@ -65,9 +71,10 @@ def coordinate_maxima(realization):
 
 
 # 344 trees at d = 3 and 27 at d = 4
-@pytest.mark.parametrize(
-    "d,k", [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (4, 1), (4, 2), (4, 3)]
-)
+CENSUS = [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (4, 1), (4, 2), (4, 3)]
+
+
+@pytest.mark.parametrize("d,k", CENSUS)
 def test_every_tree_realizes_and_certifies(d, k):
     for tree in all_trees(d, k):
         realization, report = run_pipeline(tree)
@@ -81,6 +88,20 @@ def test_every_tree_realizes_and_certifies(d, k):
         assert report_to_json(again, include_timing=False) == report_to_json(
             report, include_timing=False
         ), label
+
+
+@pytest.mark.parametrize("d,k", CENSUS)
+def test_construction_plans_equal_the_per_ridge_plan(d, k):
+    # the exact lift's and the relift's plans, per facet for d >= 4 (and
+    # tried per facet at d = 3 as well), tuple for tuple
+    for tree in all_trees(d, k):
+        flat = build_flat(balance_weights(tree))
+        perturbed = perturb_flat(flat, grid_params(d, flat.L, flat.R_eff).alpha)
+        for complex_ in (flat, perturbed):
+            args = (d, complex_.coords, complex_.ridge_adjacency, complex_.facet_vertices)
+            expected = flat_stress_plan(*args)
+            assert stress_plan(complex_) == expected, tree.to_json()
+            assert facet_stress_plan(*args) == expected, tree.to_json()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

@@ -16,16 +16,21 @@ from gridlift import (
     stress_of_ridge,
 )
 from gridlift.exact import (
+    BASE_NOT_FLAT,
     FLAT_RIDGE,
+    NO_ORIENTATION,
     _check_shared_ridge,
     _det_int,
+    cramer_numerators,
+    facet_stress_plan,
     flat_stress_plan,
     homogeneous_column,
     maximal_minors,
     plan_stresses,
 )
 from gridlift.facets import build_ridge_adjacency
-from gridlift.lifting import lift_heights
+from gridlift.flat import FlatComplex
+from gridlift.lifting import lift_heights, stress_plan
 from reference import flat_points
 
 F = Fraction
@@ -276,8 +281,8 @@ class TestStressOfRidge:
 
 
 @st.composite
-def lifted_complexes(draw):
-    """A stacking complex in d = 3..5 with rational lifted vertices.
+def lifted_complexes(draw, dims=(3, 4, 5)):
+    """A stacking complex in one of `dims` with rational lifted vertices.
 
     "lifted" keeps the flat embedding and lifts it with random positive
     shifts, so every ridge has a stress; "random" draws every coordinate
@@ -286,7 +291,7 @@ def lifted_complexes(draw):
     the shadows of their common facets degenerate. Facet vertex orders
     are permuted, the base facet's too.
     """
-    d = draw(st.sampled_from([3, 4, 5]))
+    d = draw(st.sampled_from(dims))
     tree = gen_tree("random", d, draw(st.integers(1, 4)), draw(st.integers(0, 20)))
     flat = build_flat(balance_weights(tree))
     n = len(flat.coords)
@@ -331,11 +336,14 @@ def as_fractions(stresses):
     return {ridge: F(*w) for ridge, w in stresses.items()}
 
 
+def columns_of(points):
+    return [homogeneous_column(p[:-1]) for p in points]
+
+
 def plan_table(d, points, adjacency, facet_vertices):
     """plan_stresses of the flat plan of `points`, lifted by their last
     entries, with the stress pairs as Fractions."""
-    columns = [homogeneous_column(p[:-1]) for p in points]
-    plan = flat_stress_plan(d, columns, adjacency, facet_vertices)
+    plan = flat_stress_plan(d, columns_of(points), adjacency, facet_vertices)
     heights = [F(p[-1]) for p in points]
     stresses, failures = plan_stresses(
         plan, [h.numerator for h in heights], [h.denominator for h in heights]
@@ -395,6 +403,70 @@ class TestStressTable:
         assert {r: m for r, m in expected.items() if isinstance(m, str)} == failures
 
 
+def as_flat_complex(d, points, base, facets):
+    """A FlatComplex with the shadows of `points` as its columns: the
+    fields the stress plan reads, the others left empty."""
+    return FlatComplex(
+        d=d,
+        coords=columns_of(points),
+        facets=facets,
+        base_facet=base,
+        ridge_adjacency=build_ridge_adjacency(d, facets, base),
+        node_facets={},
+        node_brackets={},
+        bracket_scale=1,
+        stacked_vertex={},
+        interior_order=(),
+        L=1,
+        R_eff=1,
+    )
+
+
+class TestFacetStressPlan:
+    """The construction's plan, one elimination per facet, against the
+    per-ridge flat_stress_plan, tuple for tuple."""
+
+    @given(lifted_complexes(dims=(3, 4, 5, 6, 7)))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_per_ridge_plan(self, complex_):
+        d, points, base, facets = complex_
+        flat = as_flat_complex(d, points, base, facets)
+        args = (d, flat.coords, flat.ridge_adjacency, flat.facet_vertices)
+        expected = flat_stress_plan(*args)
+        plan = facet_stress_plan(*args)
+        assert plan == expected
+        assert stress_plan(flat) == expected
+        # and so are the lifts, the base heights tilted or not
+        heights = [F(p[-1]) for p in points]
+        nums = [h.numerator for h in heights]
+        dens = [h.denominator for h in heights]
+        assert plan_stresses(plan, nums, dens) == plan_stresses(expected, nums, dens)
+
+    @pytest.mark.parametrize("d", [4, 5, 7])
+    def test_every_failure_kind(self, d):
+        # a collapsed shadow makes facet blocks singular; random points
+        # misorient ridges; tilting the base hides which facet is flat
+        tree = gen_tree("random", d, 6, 1)
+        flat = build_flat(balance_weights(tree))
+        n = len(flat.coords)
+        points = [
+            tuple(F((7 * v + 3 * i) % 11 - 5, 1 + (v + i) % 3) for i in range(d - 1))
+            + (F(v % 5) if v >= 2 else F(0),)
+            for v in range(n)
+        ]
+        # the last vertex's shadow onto a facet neighbour's
+        other = next(v for f in flat.facets.values() if n - 1 in f for v in f if v != n - 1)
+        points[n - 1] = points[other][:-1] + points[n - 1][-1:]
+        collapsed = as_flat_complex(d, points, flat.base_facet, flat.facets)
+        args = (d, collapsed.coords, collapsed.ridge_adjacency, collapsed.facet_vertices)
+        plan = facet_stress_plan(*args)
+        assert plan == flat_stress_plan(*args)
+        assert {FLAT_RIDGE, NO_ORIENTATION, None} <= {entry[2] for entry in plan}
+        nums = [F(p[-1]).numerator for p in points]
+        _, failures = plan_stresses(plan, nums)
+        assert BASE_NOT_FLAT in failures.values()
+
+
 def minors_by_det(rows):
     """One _det_int per maximal minor: the reference for maximal_minors."""
     return [
@@ -403,12 +475,14 @@ def minors_by_det(rows):
 
 
 @st.composite
-def wide_matrices(draw):
-    """A d x (d+1) integer matrix, d = 3..6, often with a singular or
-    pivot-starved leading block so that row swaps and the fallback run."""
-    d = draw(st.integers(3, 6))
+def wide_matrices(draw, max_d=6, many_rhs=False):
+    """A d x (d+1) integer matrix, d = 3..max_d, often with a singular or
+    pivot-starved leading block so that row swaps and the fallback run;
+    with `many_rhs`, d x (d+r) for r = 1..d."""
+    d = draw(st.integers(3, max_d))
+    r = draw(st.integers(1, d)) if many_rhs else 1
     entries = st.integers(-(2**40), 2**40) | st.integers(-3, 3)
-    rows = [[draw(entries) for _ in range(d + 1)] for _ in range(d)]
+    rows = [[draw(entries) for _ in range(d + r)] for _ in range(d)]
     shape = draw(st.sampled_from(["any", "zero_column", "dependent_rows", "zero_pivot"]))
     if shape == "zero_column":
         j = draw(st.integers(0, d - 1))
@@ -437,3 +511,23 @@ class TestMaximalMinors:
         minors = maximal_minors(rows)
         assert minors[-1] == 0
         assert minors == minors_by_det(rows)
+
+
+class TestCramerNumerators:
+    @given(wide_matrices(max_d=7, many_rhs=True))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_one_det_per_numerator(self, rows):
+        before = [r[:] for r in rows]
+        d = len(rows)
+        block = [r[:d] for r in rows]
+        solved = cramer_numerators(rows)
+        assert rows == before  # the input is left alone
+        if solved is None:
+            assert _det_int(block) == 0
+            return
+        det, numerators = solved
+        assert det == _det_int([r[:] for r in block]) != 0
+        assert numerators == [
+            [_det_int([[*r[:i], r[c], *r[i + 1 : d]] for r in rows]) for i in range(d)]
+            for c in range(d, len(rows[0]))
+        ]

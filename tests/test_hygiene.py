@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import gridlift
+from gridlift.exact import facet_stress_plan, flat_stress_plan
 from gridlift.lifting import stress_plan
 
 PACKAGE_DIR = Path(gridlift.__file__).parent
@@ -137,6 +138,11 @@ def names_in_body(source: str, function: str) -> set[str]:
     ("flat", "stacked_column"),
     ("rounding", "perturb_flat"),
     ("exact", "flat_stress_plan"),
+    ("exact", "facet_stress_plan"),
+    ("exact", "_plan_entry"),
+    ("exact", "cramer_numerators"),
+    ("exact", "maximal_minors"),
+    ("lifting", "stress_plan"),
     ("lifting", "lift_heights"),
     ("lifting", "incremental_stresses"),
     ("lifting", "stress_map"),
@@ -149,7 +155,8 @@ def test_lift_kernels_build_no_fraction(module, function):
 
 def test_flat_stages_build_no_fraction_at_runtime(monkeypatch):
     # the ast check above sees names only; this one counts the Fractions
-    # the flat stage, the perturbation and both stress plans construct
+    # the flat stage, the perturbation and the stress plans of both
+    # complexes construct, per facet and per ridge
     tree = gridlift.gen_tree("random", 4, 12, 1)
     wt = gridlift.balance_weights(tree)
     alpha = Fraction(1, 7)
@@ -165,6 +172,9 @@ def test_flat_stages_build_no_fraction_at_runtime(monkeypatch):
     perturbed = gridlift.perturb_flat(flat, alpha)
     for complex_ in (flat, perturbed):
         stress_plan(complex_)
+        args = (4, complex_.coords, complex_.ridge_adjacency, complex_.facet_vertices)
+        facet_stress_plan(*args)
+        flat_stress_plan(*args)
     assert built == []
 
 
@@ -185,6 +195,14 @@ def test_verify_imports_no_construction_stage():
     trusted = {"errors", "exact", "facets", "trees"}
     assert package_imports(PACKAGE_DIR / "verify.py") <= trusted
     assert package_imports(PACKAGE_DIR / "facets.py") == {"errors"}
+
+
+def test_verify_never_names_the_construction_plan():
+    # the certificate keeps its own per-ridge plan: the construction's
+    # per-facet elimination is no part of what it trusts
+    read = read_names((PACKAGE_DIR / "verify.py").read_text())
+    assert "flat_stress_plan" in read
+    assert "facet_stress_plan" not in read
 
 
 def test_detects_unused_import():

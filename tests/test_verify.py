@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -183,6 +184,32 @@ class TestGlobalRoutes:
         )
         assert verify_convexity_global(bad) == (
             False, ["facets form no closed surface: ridge (1, 2) lies in 3 facets"]
+        )
+
+    @pytest.mark.parametrize("facet,message", [
+        ((4, 4, 1), "facet 4 is (4, 4, 1), not 3 distinct vertices"),
+        ((4, 1), "facet 4 is (4, 1), not 3 distinct vertices"),
+    ])
+    def test_malformed_facet_fails_both_routes(self, facet, message):
+        # with (4, 4, 1) and (4, 4, 2) every ridge lies in two facets, but
+        # no vertex of facet 4 is off its ridge (1, 4)
+        surface = Realization(
+            d=3,
+            coords=[(0, 0, 0), (10, 0, 0), (0, 10, 0), (3, 3, 5), (2, 2, 9)],
+            facets={1: (0, 1, 3), 2: (1, 2, 3), 3: (0, 2, 3), 4: facet, 5: (4, 4, 2)},
+            base_facet=(0, 1, 2),
+            metadata={},
+        )
+        with pytest.raises(GeometryError, match=re.escape(message)):
+            build_ridge_adjacency(3, surface.facets, surface.base_facet)
+        cert = make_certificate(surface)
+        assert cert.ok is False
+        assert cert.witnesses == [
+            f"ridge structure broken: {message}",
+            f"facets form no closed surface: {message}",
+        ]
+        assert verify_convexity_exhaustive(surface) == (
+            False, [f"facets form no closed surface: {message}"]
         )
 
     def test_double_wound_surface_fails_only_the_ray(self):
