@@ -16,9 +16,11 @@ volume of their simplex. On top of it sit:
   per-ridge reference definition;
 - the flat stress plan: the same stresses for every ridge of a complex.
   flat_stress_plan does all the work the heights leave alone, once per
-  flat complex, and plan_stresses lifts it by one set of heights. This is
-  what the verifier evaluates; the construction builds the same plan with
-  facet_stress_plan for d >= 4. The plan takes its ridges
+  flat complex, and plan_stresses lifts it by one set of heights. The
+  construction builds the same plan with facet_stress_plan for d >= 4.
+  The verifier builds no plan: it lifts its integer output once, so it
+  takes one hyperplane per facet with maximal_minors and reads each ridge
+  off two of them. The plan takes its ridges
   and facets in the facet-table format that the facets module defines,
   the flat points as integer homogeneous columns (the flat complex's own,
   or an integer point with a 1 appended), and the heights as integer

@@ -2,13 +2,15 @@
 
 Two independent routes, deliberately kept apart:
 
-* stress route: recompute every ridge stress from the final coordinates
-  (a flat stress plan of their horizontal part, lifted by their integer
-  heights, never taken from the construction) and check interior ridges
-  positive, base ridges negative, all heights nonnegative with the base
-  flat at height zero. Each stress is an integer pair over a positive
-  denominator, so its numerator's sign decides; a Fraction is made only
-  for a witness;
+* stress route: recompute every ridge stress from the final coordinates,
+  never taken from the construction, and check interior ridges positive,
+  base ridges negative, all heights nonnegative with the base flat at
+  height zero. Each facet's hyperplane through its integer vertices is
+  taken once, as d+1 cofactors; a ridge's creasing determinant is then one
+  of its facets' hyperplanes at the other facet's extra vertex, and its
+  two shadows are the two facets' own, up to sign. Each stress is an
+  integer over a positive denominator, so its numerator's sign decides; a
+  Fraction is made only for a witness;
 * global route: the linear-size convex-polytope checker of Mehlhorn,
   Naeher, Seel, Seidel, Schilz, Schirra and Uhrig ("Checking geometric
   programs or verification of geometric structures", Comput. Geom. 12,
@@ -26,21 +28,26 @@ else strictly above, no degenerate shadows) the stress and global routes
 agree; the certificate records both verdicts so disagreement is visible
 instead of masked.
 
+Every route first rejects a vertex that is not a point of d ints, with the
+witness verify_bounds gives, so malformed input fails a certificate
+instead of raising.
+
 The verifier imports from the package only errors, exact (the integer
-determinant kernels and the per-ridge flat stress plan; for d >= 4 the
-construction builds its plans per facet instead), facets (the facet-table
-format and the ridge table) and trees (the stacking replay that the
-combinatorial check compares against), so no construction stage is part of
-the code a certificate has to trust.
+determinant kernels and the stress failure messages; none of the
+construction's stress plans), facets (the facet-table format and the
+ridge table) and trees (the stacking replay that the combinatorial check
+compares against), so no construction stage is part of the code a
+certificate has to trust.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import GeometryError
-from .exact import _det_int, flat_stress_plan, maximal_minors, plan_stresses
+from .exact import BASE_NOT_FLAT, FLAT_RIDGE, NO_ORIENTATION, _det_int, maximal_minors
 from .facets import BASE_FACET_KEY, Realization, build_ridge_adjacency, extra_vertex
 from .trees import TreeRep, facet_layout
 
@@ -64,48 +71,127 @@ class Certificate:
         return all(p for p in parts if p is not None)
 
 
+def _is_integer_point(p: tuple, d: int) -> bool:
+    return len(p) == d and all(isinstance(c, int) for c in p)
+
+
+def _malformed_vertex_witnesses(realization: Realization) -> list[str]:
+    d = realization.d
+    return [
+        f"vertex {vid} is not an integer point of length {d}"
+        for vid, p in enumerate(realization.coords)
+        if not _is_integer_point(p, d)
+    ]
+
+
+def _shadow_planes(realization: Realization) -> dict[int, tuple[list[int], int]]:
+    """Per facet key, the cofactors of h(q) = det[S | q] and the shadow
+    sigma(S).
+
+    S is the facet's vertices in sorted order as rows (1, x, z). Expanding
+    the (d+1) x (d+1) determinant with the row (1, q) appended along that
+    row gives h(q) = sum_i c_i q_i + c_d, the c's being signed maximal
+    minors of S's rows. The minor that omits the z column is S's leading
+    block det[1 | x], the shadow, 0 for a vertical facet.
+    """
+    d = realization.d
+    coords = realization.coords
+    planes = {}
+    for key, verts in [(BASE_FACET_KEY, realization.base_facet), *realization.facets.items()]:
+        minors = maximal_minors([[1, *coords[v]] for v in sorted(verts)])
+        # the cofactor of row entry j carries (-1)^(d+j)
+        cof = [m if (d + j) % 2 else -m for j, m in enumerate(minors[1:])]
+        cof.append(minors[0] if d % 2 == 0 else -minors[0])
+        planes[key] = (cof, minors[d])
+    return planes
+
+
 def verify_convexity_stress(realization: Realization) -> tuple[bool, list[str]]:
-    """Interior ridge stresses positive, base negative, base flat at 0."""
+    """Interior ridge stresses positive, base negative, base flat at 0.
+
+    A ridge X of facets S and T, with extra vertices e0 and e1, has the
+    stress of stress_of_ridge: -det(X, e0, e1) / (|sigma(X, e0)|
+    sigma(X, e1)) in bracket terms (ones row last), negated when e0's facet
+    is the base. With X sorted, as the ridge table stores it, and e0 at
+    position p of sorted S, moving e0 to the end of S takes d-1-p
+    transpositions and moving the ones column from first to last takes d
+    (in a shadow, d-1), so det(X, e0, e1) = (-1)^(p+1) h_S(e1) and
+    sigma(X, e0) = (-1)^p sigma(S); likewise sigma(X, e1) = (-1)^q sigma(T).
+    So the route takes one hyperplane per facet, and per ridge one
+    (d+1)-term dot product.
+    """
+    malformed = _malformed_vertex_witnesses(realization)
+    if malformed:
+        return False, malformed
     witnesses: list[str] = []
     coords = realization.coords
-    d = realization.d
+    heights = [p[-1] for p in coords]
 
-    for vid, p in enumerate(coords):
-        if p[-1] < 0:
+    for vid, z in enumerate(heights):
+        if z < 0:
             witnesses.append(f"vertex {vid} below height zero")
     base_set = set(realization.base_facet)
     for vid in realization.base_facet:
-        if coords[vid][-1] != 0:
+        if heights[vid] != 0:
             witnesses.append(f"base vertex {vid} not at height zero")
-    for vid in range(len(coords)):
-        if vid not in base_set and coords[vid][-1] == 0:
+    for vid, z in enumerate(heights):
+        if vid not in base_set and z == 0:
             witnesses.append(f"non-base vertex {vid} at height zero")
     if witnesses:
         return False, witnesses
 
     try:
-        adjacency = build_ridge_adjacency(d, realization.facets, realization.base_facet)
+        adjacency = build_ridge_adjacency(
+            realization.d, realization.facets, realization.base_facet
+        )
     except GeometryError as exc:
         return False, [f"ridge structure broken: {exc}"]
 
-    plan = flat_stress_plan(
-        d, [(*p[:-1], 1) for p in coords], adjacency, realization.facet_vertices
-    )
-    stresses, failures = plan_stresses(plan, [p[-1] for p in coords])
+    planes = _shadow_planes(realization)
     for ridge, (k1, k2) in adjacency.items():
-        if ridge in failures:
-            witnesses.append(f"ridge {ridge}: {failures[ridge]}")
+        cof, shadow_S = planes[k1]
+        shadow_T = planes[k2][1]
+        e0 = extra_vertex(realization.facet_vertices(k1), ridge)
+        e1 = extra_vertex(realization.facet_vertices(k2), ridge)
+        # positions in the sorted facets; only their parity matters
+        p, q = bisect_left(ridge, e0), bisect_left(ridge, e1)
+        s0 = -shadow_S if p % 2 else shadow_S
+        s1 = -shadow_T if q % 2 else shadow_T
+        if s0 == 0 or s1 == 0:
+            witnesses.append(f"ridge {ridge}: {FLAT_RIDGE}")
             continue
-        # the denominator is positive: the numerator's sign decides
-        num, den = stresses[ridge]
         is_base = BASE_FACET_KEY in (k1, k2)
+        flip = False
+        if is_base:
+            # the base facet is the one lying entirely in z = 0
+            ridge_flat = not any(heights[v] for v in ridge)
+            flat_S = ridge_flat and heights[e0] == 0
+            flat_T = ridge_flat and heights[e1] == 0
+            if flat_S == flat_T:
+                witnesses.append(f"ridge {ridge}: {BASE_NOT_FLAT}")
+                continue
+            # left and right swap, and the stress changes sign
+            flip = flat_S
+        # an interior ridge has its extra vertices on opposite sides; a base
+        # ridge on one side, and the base facet's left/right label flips
+        if ((s0 > 0) != (s1 > 0)) == is_base:
+            witnesses.append(f"ridge {ridge}: {NO_ORIENTATION}")
+            continue
+        h = cof[-1]
+        for c, x in zip(cof, coords[e1]):
+            h += c * x
+        # -det(X, e0, e1) = (-1)^p h_S(e1); over |s0 s1| > 0 the numerator
+        # takes s1's sign
+        num = -h if (p % 2 == 1) ^ (s1 < 0) ^ flip else h
         # a base ridge folds by 0 only under a non-base vertex at height
         # zero, which the precheck rejects, so num is never 0 here
         if is_base and num >= 0:
-            witnesses.append(f"base ridge {ridge} has stress {Fraction(num, den)} >= 0")
+            witnesses.append(
+                f"base ridge {ridge} has stress {Fraction(num, abs(s0 * s1))} >= 0"
+            )
         elif not is_base and num <= 0:
             witnesses.append(
-                f"interior ridge {ridge} has stress {Fraction(num, den)} <= 0"
+                f"interior ridge {ridge} has stress {Fraction(num, abs(s0 * s1))} <= 0"
             )
     return not witnesses, witnesses
 
@@ -240,6 +326,9 @@ def verify_convexity_global(realization: Realization) -> tuple[bool, list[str]]:
     lies strictly on o's side of the other facet's hyperplane; and the ray
     from o through the base facet's centroid crosses no other facet.
     """
+    malformed = _malformed_vertex_witnesses(realization)
+    if malformed:
+        return False, malformed
     adjacency, broken = _closed_surface_witnesses(realization)
     witnesses = _unused_vertex_witnesses(realization) + broken
     if broken:
@@ -272,6 +361,9 @@ def verify_convexity_exhaustive(realization: Realization) -> tuple[bool, list[st
     requires a closed surface and every vertex on a facet: without them a
     convex point set with a partial or padded facet list would pass.
     """
+    malformed = _malformed_vertex_witnesses(realization)
+    if malformed:
+        return False, malformed
     broken = _closed_surface_witnesses(realization)[1]
     witnesses = _unused_vertex_witnesses(realization) + broken
     if broken:
@@ -295,7 +387,7 @@ def verify_bounds(realization: Realization) -> tuple[bool, list[str]]:
     bound_z = 6 * R_eff**3
     witnesses = []
     for vid, p in enumerate(realization.coords):
-        if len(p) != d or not all(isinstance(c, int) for c in p):
+        if not _is_integer_point(p, d):
             witnesses.append(f"vertex {vid} is not an integer point of length {d}")
             continue
         if min(p) < 0 or max(p[:-1]) > bound_xy or p[-1] > bound_z:

@@ -198,11 +198,12 @@ def test_verify_imports_no_construction_stage():
 
 
 def test_verify_never_names_the_construction_plan():
-    # the certificate keeps its own per-ridge plan: the construction's
-    # per-facet elimination is no part of what it trusts
+    # the certificate takes its stresses from one hyperplane per facet of
+    # the output: no stress plan of the construction is part of what it
+    # trusts, only the determinant kernels and the ridge table
     read = read_names((PACKAGE_DIR / "verify.py").read_text())
-    assert "flat_stress_plan" in read
-    assert "facet_stress_plan" not in read
+    plan = {"flat_stress_plan", "facet_stress_plan", "plan_stresses", "_plan_entry", "StressPlan"}
+    assert plan.isdisjoint(read)
 
 
 def test_detects_unused_import():

@@ -23,6 +23,7 @@ from gridlift import (
     verify_convexity_global,
     verify_convexity_stress,
 )
+from gridlift import verify
 from gridlift.exact import BASE_NOT_FLAT, _det_int, flat_stress_plan, plan_stresses
 from gridlift.facets import build_ridge_adjacency
 from gridlift.verify import _centroid, _facet_side_witnesses, _facets_in_order
@@ -259,10 +260,10 @@ def small_realization(d, k, seed):
 
 
 @st.composite
-def moved_vertex(draw):
+def moved_vertex(draw, dims=(3, 4, 5)):
     """A small realization with one vertex moved: by a small or large
     offset, onto another vertex, or anywhere in a box around the polytope."""
-    d = draw(st.sampled_from([3, 4, 5]))
+    d = draw(st.sampled_from(dims))
     realization = small_realization(d, draw(st.integers(1, 8)), draw(st.integers(0, 3)))
     coords = realization.coords
     vid = draw(st.integers(0, len(coords) - 1))
@@ -379,6 +380,19 @@ def corrupt_last_vertex(realization, style):
     return with_coords(realization, coords)
 
 
+@st.composite
+def permuted_facets(draw):
+    """A moved-vertex realization at d = 3..7 with every stored facet tuple,
+    the base facet's too, in a drawn order."""
+    realization = draw(moved_vertex(dims=range(3, 8)))
+    facets = {
+        key: tuple(draw(st.permutations(verts)))
+        for key, verts in realization.facets.items()
+    }
+    base = tuple(draw(st.permutations(realization.base_facet)))
+    return dataclasses.replace(realization, facets=facets, base_facet=base)
+
+
 class TestStressRouteAgainstReference:
     """The stress route's table kernel against per-ridge stress_of_ridge."""
 
@@ -387,7 +401,9 @@ class TestStressRouteAgainstReference:
         ["none", "spike", "sink", "lateral", "flatten", "dip", "negate",
          "duplicate", "shadow_onto_base"],
     )
-    @pytest.mark.parametrize("d,k,seed", [(3, 8, 1), (4, 6, 1), (5, 5, 3)])
+    @pytest.mark.parametrize(
+        "d,k,seed", [(3, 8, 1), (4, 6, 1), (5, 5, 3), (6, 5, 2), (7, 4, 1)]
+    )
     def test_corruptions_same_witnesses(self, d, k, seed, style):
         bad = corrupt_last_vertex(small_realization(d, k, seed), style)
         assert verify_convexity_stress(bad) == stress_route_by_reference(bad)
@@ -403,6 +419,34 @@ class TestStressRouteAgainstReference:
     def test_one_moved_vertex_same_witnesses(self, realization):
         assert verify_convexity_stress(realization) == stress_route_by_reference(realization)
 
+    @given(permuted_facets())
+    @settings(max_examples=100, deadline=None)
+    def test_permuted_facet_tuples_same_witnesses(self, realization):
+        # the route's signs depend on d's parity and on where each extra
+        # vertex sits in its facet, which the stored tuple order must not
+        # change
+        assert verify_convexity_stress(realization) == stress_route_by_reference(realization)
+
+    def test_one_plane_per_facet_and_no_fraction(self, monkeypatch):
+        realization = small_realization(5, 30, 1)
+        minors_calls = []
+        built = []
+        original_minors = verify.maximal_minors
+        original_new = Fraction.__new__
+
+        def counting_minors(rows):
+            minors_calls.append(len(rows))
+            return original_minors(rows)
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return original_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "maximal_minors", counting_minors)
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        assert verify_convexity_stress(realization) == (True, [])
+        assert len(minors_calls) == len(realization.facets) + 1
+        assert built == []
 
     def test_witness_prints_the_reduced_stress(self):
         # lowering the first stacked vertex to height 1 folds its three
@@ -418,6 +462,30 @@ class TestStressRouteAgainstReference:
             "interior ridge (1, 3) has stress -893/66355200 <= 0",
             "interior ridge (0, 3) has stress -7157/265420800 <= 0",
         ]
+
+
+class TestMalformedPoint:
+    """An in-memory point that is not d Python ints fails every route with
+    verify_bounds's witness, before any arithmetic on it."""
+
+    WITNESS = "vertex 5 is not an integer point of length 3"
+
+    @pytest.fixture(params=[(1, 2), (1, 2, 3, 4), (1.5, 2, 3), ("1", 2, 3)], ids=repr)
+    def malformed(self, request):
+        realization = small_realization(3, 4, 1)
+        return move_vertex(realization, 5, request.param)
+
+    @pytest.mark.parametrize("route", [
+        verify_convexity_stress, verify_convexity_global, verify_convexity_exhaustive,
+    ])
+    def test_route(self, malformed, route):
+        assert route(malformed) == (False, [self.WITNESS])
+
+    def test_certificate(self, malformed):
+        cert = make_certificate(malformed, gen_tree("random", 3, 4, 1))
+        assert cert.ok is False
+        assert cert.convex_by_stress is cert.convex_global is cert.bounds_ok is False
+        assert self.WITNESS in cert.witnesses
 
 
 class TestBounds:
