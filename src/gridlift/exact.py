@@ -14,53 +14,42 @@ volume of their simplex. On top of it sit:
 - stress_of_ridge: the creasing with a fixed orientation convention, which
   is the quantity whose sign pattern certifies convexity. It is the
   per-ridge reference definition;
-- the flat stress plan: the same stresses for every ridge of a complex.
-  flat_stress_plan does all the work the heights leave alone, once per
-  flat complex, and plan_stresses lifts it by one set of heights. The
-  construction builds the same plan with facet_stress_plan for d >= 4.
-  The verifier builds no plan: it lifts its integer output once, so it
-  takes one hyperplane per facet with maximal_minors and reads each ridge
-  off two of them. The plan takes its ridges
-  and facets in the facet-table format that the facets module defines,
-  the flat points as integer homogeneous columns (the flat complex's own,
-  or an integer point with a 1 appended), and the heights as integer
-  numerators over positive denominators (or as plain integers); its
-  stresses are integer pairs (Pair), which callers compare by
-  cross-multiplication.
+- ridge_stresses: the same stresses for every ridge of a lifted complex,
+  the one rule that computes them for the construction's lifts and the
+  certificate alike. It takes the ridges and facets in the facet-table
+  format that the facets module defines and each vertex as an integer
+  homogeneous row (D, X..., Z), D > 0; its stresses are integer pairs
+  (Pair), which callers compare by cross-multiplication.
 
 Determinants are computed fraction-free: each point is scaled to an integer
 homogeneous column (p D, D), D the lcm of its denominators, and the integer
 determinant (Bareiss) is divided by the product of scales. This keeps
-Fraction normalization out of the O(k^3) loop. cramer_numerators takes
-[B | t_1 ... t_r] through one fraction-free Gauss-Jordan elimination to
-det(B) and the Cramer numerators of every right-hand side t_c, and
-maximal_minors, its r = 1 case, gives all d+1 maximal minors of a
-d x (d+1) integer matrix. A ridge's creasing determinant, expanded along
-its height column, is the dot product of the heights with those minors of
-the ridge's flat columns, and its two facet shadows are two of the minors.
-flat_stress_plan takes one elimination per ridge. A ridge's columns are
-one of its facets' plus the other facet's extra vertex, so
-facet_stress_plan takes one elimination per facet, the extra vertices of
-the ridges assigned to it as right-hand sides, and gives the same plan.
-Either way each lift of the complex costs one (d+1)-term integer dot
-product per ridge, with no Fraction built.
+Fraction normalization out of the O(k^3) loop. maximal_minors gives all
+d+1 maximal minors of a d x (d+1) integer matrix from one fraction-free
+Gauss-Jordan elimination. On a facet's d lifted rows those minors are the
+cofactors of the facet's hyperplane, and one of them is its shadow, so
+ridge_stresses takes one elimination per facet and reads each ridge's
+creasing determinant and its two shadows off its two facets' hyperplanes:
+one (d+1)-term integer dot product per ridge, with no Fraction built.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from math import gcd, lcm, prod
-from typing import Callable, Sequence
+from math import lcm, prod
+from operator import mul
+from typing import Sequence
 
 from .errors import GeometryError
-from .facets import BASE_FACET_KEY, extra_vertex
+from .facets import BASE_FACET_KEY
 
 Point = tuple[Fraction, ...]
 PointSeq = tuple[Point, ...]
 
 _ZERO = Fraction(0)
 
-# stress_of_ridge raises these; plan_stresses reports them per ridge
+# stress_of_ridge raises these; ridge_stresses reports them per ridge
 FLAT_RIDGE = "flat degeneracy: facet extra point on ridge span"
 BASE_NOT_FLAT = "base_flag set but base facet is not identifiable by z = 0"
 NO_ORIENTATION = "no consistent left/right orientation for ridge"
@@ -111,56 +100,18 @@ def _det_int(a: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def cramer_numerators(
-    rows: Sequence[Sequence[int]],
-) -> tuple[int, list[list[int]]] | None:
-    """Cramer's rule for [B | t_1 ... t_r], a d x (d+r) integer matrix.
-
-    Returns det(B) and, for each right-hand side t_c, the d determinants of
-    B with column i replaced by t_c; None when B is singular. One
-    fraction-free Gauss-Jordan elimination (Bareiss's exact division, on
-    the rows above each pivot too) takes the matrix to
-    [det(B) I | adj(B) t_1 ... adj(B) t_r], up to the sign of its row
-    swaps, and entry i of adj(B) t_c is the i-th numerator.
-    """
-    d = len(rows)
-    width = len(rows[0])
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(d):
-        if a[k][k] == 0:
-            for i in range(k + 1, d):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return None
-        pivot = a[k][k]
-        row_k = a[k]
-        for i in range(d):
-            if i != k:
-                row_i = a[i]
-                lead = row_i[k]
-                for j in range(k + 1, width):
-                    row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
-        prev = pivot
-    if sign < 0:
-        return -prev, [[-r[c] for r in a] for c in range(d, width)]
-    return prev, [[r[c] for r in a] for c in range(d, width)]
-
-
 def maximal_minors(rows: Sequence[Sequence[int]]) -> list[int]:
     """All d+1 maximal minors of a d x (d+1) integer matrix.
 
     Entry j is the determinant of the matrix without its column j. With B
-    the leading d x d block and b the last column, cramer_numerators gives
-    det(B), minor d, and for each j < d the determinant of B with column j
-    replaced by b, which is minor j after moving b to the end past d-1-j
-    columns. A singular B falls back to one determinant per minor. At
-    d = 3 the closed form from the six 2 x 2 minors of the last two rows is
-    cheaper than elimination.
+    the leading d x d block and b the last column, one fraction-free
+    Gauss-Jordan elimination (Bareiss's exact division, on the rows above
+    each pivot too) takes [B | b] to [det(B) I | adj(B) b], up to the sign
+    of its row swaps. That gives det(B), minor d, and for each j < d the
+    Cramer numerator det(B with column j replaced by b), which is minor j
+    after moving b to the end past d-1-j columns. A singular B falls back
+    to one determinant per minor. At d = 3 the closed form from the six
+    2 x 2 minors of the last two rows is cheaper than elimination.
     """
     d = len(rows)
     if d == 3:
@@ -177,13 +128,30 @@ def maximal_minors(rows: Sequence[Sequence[int]]) -> list[int]:
             a0 * s13 - a1 * s03 + a3 * s01,
             a0 * s12 - a1 * s02 + a2 * s01,
         ]
-    solved = cramer_numerators(rows)
-    if solved is None:
-        return [_det_int([[*r[:j], *r[j + 1 :]] for r in rows]) for j in range(d + 1)]
-    det, (numerators,) = solved
-    minors = [c if (d - 1 - j) % 2 == 0 else -c for j, c in enumerate(numerators)]
-    minors.append(det)
-    return minors
+    a = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(d):
+        if a[k][k] == 0:
+            for i in range(k + 1, d):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return [_det_int([[*r[:j], *r[j + 1 :]] for r in rows]) for j in range(d + 1)]
+        pivot = a[k][k]
+        row_k = a[k]
+        for i in range(d):
+            if i != k:
+                row_i = a[i]
+                lead = row_i[k]
+                for j in range(k + 1, d + 1):
+                    row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
+        prev = pivot
+    minors = [r[d] if (d - 1 - j) % 2 == 0 else -r[d] for j, r in enumerate(a)]
+    minors.append(prev)
+    return minors if sign > 0 else [-m for m in minors]
 
 
 def homogeneous_column(p: Sequence) -> list[int]:
@@ -325,179 +293,83 @@ def stress_of_ridge(
 # reported.
 Pair = tuple[int, int]
 
-# A flat stress plan holds one tuple per ridge X, in adjacency order:
-#   (X, denominator, failure, base, e0, e1, c_0, ..., c_d)
-# e0 and e1 are the extra vertices of the ridge's two facets; the stress is
-# sum_j c_j z_j / denominator over the heights z of (X..., e0, e1), and the
-# denominator is positive (a FLAT_RIDGE entry has 0 and no c_j). failure is
-# FLAT_RIDGE or NO_ORIENTATION when the heights cannot change it (else
-# None), and base marks a base ridge, whose base facet the heights tell.
-# Flat tuples keep the plan small: it is the largest object alive while
-# the perturbed complex is relifted.
-StressPlan = list[tuple]
 
-
-def flat_stress_plan(
+def ridge_stresses(
     d: int,
-    columns: Sequence[Sequence[int]],
+    rows: Sequence[Sequence[int]],
     adjacency: dict[tuple[int, ...], tuple[int, int]],
-    facet_vertices: Callable[[int], tuple[int, ...]],
-) -> StressPlan:
-    """Everything of stress_of_ridge, on every ridge, that heights leave alone.
-
-    columns[v] is the horizontal position of vertex v as an integer
-    homogeneous column (x E_v, E_v), E_v > 0: the flat complex stores its
-    vertices so, and an integer point x is (x, 1). adjacency maps each
-    ridge X to its two facet keys; e0 and e1 are the extra vertices of
-    those facets, and a ridge with the key BASE_FACET_KEY is a base ridge
-    (base_flag). The plan lists the ridges in adjacency order.
-
-    The columns of the d+1 vertices (X, e0, e1) have d+1 maximal minors,
-    m_j omitting the j-th vertex. Inserting the lifted entry z_j E_j before
-    the last entry of each column and expanding along that row gives the
-    creasing determinant
-
-        det(X, e0, e1) = sum_j (-1)^(j+d-1) E_j m_j z_j,
-
-    and both shadows are among the minors: sigma(X, e0) = m_d and
-    sigma(X, e1) = m_(d-1). The stress of (left, right), with left and
-    right extra vertices s and t, is det(X, t, s) prod(E_v, v in X) /
-    (sigma_left sigma_right): everything but one dot product with the
-    heights is fixed here. The shadows' signs decide left and right, except
-    that on a base ridge the heights must tell which facet is the base.
-    """
-    plan: StressPlan = []
-    for ridge, keys in adjacency.items():
-        e0, e1 = (extra_vertex(facet_vertices(k), ridge) for k in keys)
-        verts = (*ridge, e0, e1)
-        # rows are coordinates, so each minor omits one vertex
-        minors = maximal_minors(list(zip(*(columns[v] for v in verts))))
-        plan.append(_plan_entry(d, columns, ridge, BASE_FACET_KEY in keys, e0, e1, minors))
-    return plan
-
-
-def facet_stress_plan(
-    d: int,
-    columns: Sequence[Sequence[int]],
-    adjacency: dict[tuple[int, ...], tuple[int, int]],
-    facet_vertices: Callable[[int], tuple[int, ...]],
-) -> StressPlan:
-    """flat_stress_plan, from one elimination per facet instead of per ridge.
-
-    Each ridge X goes to its first facet S, the base facet for a base
-    ridge. With S's vertices sorted, X is S without the one at position p,
-    e0, and the ridge's columns (X, e0, e1) are S's columns with e0 moved
-    to the end, which takes d-1-p transpositions, and e1's column appended.
-    So cramer_numerators of [B_S | e1 of every ridge of S] gives, with that
-    sign, the leading block's determinant and its numerators for each
-    ridge, from which maximal_minors's rule reads all d+1 minors. A
-    singular B_S makes every ridge of S FLAT_RIDGE, as its shadow
-    sigma(X, e0) = +-det(B_S) is 0. The plan lists the ridges in adjacency
-    order, tuple for tuple equal to flat_stress_plan's.
-    """
-    assigned: dict[int, list[tuple[int, ...]]] = {}
-    for ridge, (key, _) in adjacency.items():
-        assigned.setdefault(key, []).append(ridge)
-    entries: dict[tuple[int, ...], tuple] = {}
-    for key, ridges in assigned.items():
-        # the ridge table lists the base facet first
-        base = key == BASE_FACET_KEY
-        facet = sorted(facet_vertices(key))
-        e1s = [extra_vertex(facet_vertices(adjacency[r][1]), r) for r in ridges]
-        solved = cramer_numerators(list(zip(*(columns[v] for v in (*facet, *e1s)))))
-        for c, (ridge, e1) in enumerate(zip(ridges, e1s)):
-            e0 = extra_vertex(facet, ridge)
-            minors = None
-            if solved is not None:
-                det, numerators = solved
-                p = facet.index(e0)
-                nums = numerators[c]
-                # minor j < d-1 omits X_j, at position j or j+1 of S: its sign
-                # is maximal_minors's (-1)^(d-1-j) times the move's (-1)^(d-1-p)
-                minors = [
-                    x if (j + p) % 2 == 0 else -x
-                    for j, x in enumerate(nums[:p] + nums[p + 1 :])
-                ]
-                if (d - 1 - p) % 2:
-                    minors += [-nums[p], -det]
-                else:
-                    minors += [nums[p], det]
-            entries[ridge] = _plan_entry(d, columns, ridge, base, e0, e1, minors)
-    return [entries[ridge] for ridge in adjacency]
-
-
-def _plan_entry(
-    d: int,
-    columns: Sequence[Sequence[int]],
-    ridge: tuple[int, ...],
-    base: bool,
-    e0: int,
-    e1: int,
-    minors: list[int] | None,
-) -> tuple:
-    """A ridge's plan tuple from the maximal minors of its columns
-    (X, e0, e1), or None for a singular facet block, whose shadow
-    sigma(X, e0) is 0."""
-    if minors is None or minors[d] == 0 or minors[d - 1] == 0:
-        return (ridge, 0, FLAT_RIDGE, base, e0, e1)
-    s0, s1 = minors[d], minors[d - 1]
-    # an interior ridge has its extra vertices on opposite sides; a base
-    # ridge on one side, and the base facet's left/right label flips
-    opposite = (s0 > 0) != (s1 > 0)
-    failure = None if opposite != base else NO_ORIENTATION
-    scale = prod(columns[v][-1] for v in ridge)
-    coeffs = [
-        (scale if (j + d) % 2 else -scale) * columns[v][-1] * minors[j]
-        for j, v in enumerate((*ridge, e0, e1))
-    ]
-    # left is e0 exactly when s0 > 0 (unless e0's facet is the base),
-    # and then det(X, t, s) = -det(X, e0, e1)
-    denom = -abs(s0) * s1
-    # the scales E_v largely cancel: keep the reduced ratio, over a
-    # positive denominator
-    g = gcd(*coeffs, denom)
-    if denom < 0:
-        g = -g
-    return (ridge, denom // g, failure, base, e0, e1, *(c // g for c in coeffs))
-
-
-def plan_stresses(
-    plan: StressPlan, nums: Sequence[int], dens: Sequence[int] | None = None
+    facets: dict[int, Sequence[int]],
 ) -> tuple[dict[tuple[int, ...], Pair], dict[tuple[int, ...], str]]:
-    """stress_of_ridge for every ridge of a plan, lifted by heights.
+    """stress_of_ridge for every ridge, from one hyperplane per facet.
 
-    Vertex v's height is nums[v] / dens[v], dens positive; without dens the
-    heights are the integers nums. Returns the stresses as pairs and, for
-    the ridges where stress_of_ridge would raise, its message instead; both
-    in adjacency order. Each stress is one (d+1)-term dot product, over the
-    lcm of the ridge's height denominators when there are any.
+    rows[v] is vertex v's lifted point as an integer homogeneous row
+    (D_v, X_v..., Z_v), D_v > 0: the point (X_v, Z_v) / D_v. adjacency maps
+    each ridge X, sorted, to its two facet keys, and facets maps every key
+    (BASE_FACET_KEY too) to the facet's vertices; a ridge of the base facet
+    is a base ridge (base_flag). Returns the stresses as pairs and, for the
+    ridges where stress_of_ridge would raise, its message instead; both in
+    adjacency order.
+
+    Per facet S, maximal_minors of its rows in sorted order gives the d+1
+    cofactors of h_S(q) = det[S | q], the (d+1) x (d+1) determinant with
+    the row q appended, and the minor without the Z column is S's shadow
+    sigma(S). A ridge X of facets S and T, with extra vertices e0 and e1,
+    has the stress -det(X, e0, e1) / (|sigma(X, e0)| sigma(X, e1)) in
+    bracket terms (ones row last), negated when e0's facet is the base.
+    With e0 at position p of sorted S, moving e0 to the end of S takes
+    d-1-p transpositions and moving the D column from first to last takes
+    d (in a shadow, d-1), so det(X, e0, e1) = (-1)^(p+1) h_S(e1) and
+    sigma(X, e0) = (-1)^p sigma(S); likewise sigma(X, e1) = (-1)^q sigma(T).
+    Each row's D_v scales every minor it enters, which leaves the stress
+    h_S(e1) prod(D_v, v in X) / |sigma(S) sigma(T)| up to its sign. So a
+    ridge costs one (d+1)-term dot product, and the scale is skipped when
+    every D_v is 1.
     """
+    scaled = any(r[0] != 1 for r in rows)
+    planes = {}
+    for key, verts in facets.items():
+        minors = maximal_minors([rows[v] for v in sorted(verts)])
+        # the cofactor of row entry j carries (-1)^(d+j)
+        cof = [m if (d + j) % 2 == 0 else -m for j, m in enumerate(minors)]
+        scale = prod(rows[v][0] for v in verts) if scaled else 1
+        planes[key] = (cof, minors[d], scale, sum(verts))
     stresses: dict[tuple[int, ...], Pair] = {}
     failures: dict[tuple[int, ...], str] = {}
-    for ridge, denom, failure, base, e0, e1, *coeffs in plan:
-        if base and failure != FLAT_RIDGE:
+    for ridge, (k1, k2) in adjacency.items():
+        cof, shadow_S, scale, sum_S = planes[k1]
+        _, shadow_T, _, sum_T = planes[k2]
+        # facets.extra_vertex, with each facet's sum taken once
+        on_ridge = sum(ridge)
+        e0, e1 = sum_S - on_ridge, sum_T - on_ridge
+        # positions in the sorted facets; only their parity matters
+        p, q = bisect_left(ridge, e0), bisect_left(ridge, e1)
+        s0 = -shadow_S if p % 2 else shadow_S
+        s1 = -shadow_T if q % 2 else shadow_T
+        if s0 == 0 or s1 == 0:
+            failures[ridge] = FLAT_RIDGE
+            continue
+        is_base = BASE_FACET_KEY in (k1, k2)
+        flip = False
+        if is_base:
             # the base facet is the one lying entirely in z = 0
-            ridge_flat = not any(nums[v] for v in ridge)
-            flat_S = ridge_flat and nums[e0] == 0
-            flat_T = ridge_flat and nums[e1] == 0
+            ridge_flat = not any(rows[v][-1] for v in ridge)
+            flat_S = ridge_flat and rows[e0][-1] == 0
+            flat_T = ridge_flat and rows[e1][-1] == 0
             if flat_S == flat_T:
                 failures[ridge] = BASE_NOT_FLAT
                 continue
-            if flat_S:
-                # left and right swap, and the stress changes sign
-                coeffs = [-c for c in coeffs]
-        if failure is not None:
-            failures[ridge] = failure
+            # left and right swap, and the stress changes sign
+            flip = flat_S
+        # an interior ridge has its extra vertices on opposite sides; a base
+        # ridge on one side, and the base facet's left/right label flips
+        if ((s0 > 0) != (s1 > 0)) == is_base:
+            failures[ridge] = NO_ORIENTATION
             continue
-        verts = (*ridge, e0, e1)
-        total = 0
-        if dens is None:
-            for c, v in zip(coeffs, verts):
-                total += c * nums[v]
-        else:
-            scale = lcm(*[dens[v] for v in verts])
-            for c, v in zip(coeffs, verts):
-                total += c * nums[v] * (scale // dens[v])
-            denom *= scale
-        stresses[ridge] = (total, denom)
+        h = sum(map(mul, cof, rows[e1]))
+        # -det(X, e0, e1) = (-1)^p h_S(e1); over |s0 s1| > 0 the numerator
+        # takes s1's sign
+        num = -h if (p % 2 == 1) ^ (s1 < 0) ^ flip else h
+        if scaled:
+            num *= scale // rows[e0][0]
+        stresses[ridge] = (num, abs(s0 * s1))
     return stresses, failures

@@ -14,23 +14,22 @@ node's facet with vertex j replaced by the new vertex), so the lift takes no
 determinant.
 
 Stresses are computed from scratch per ridge (the creasing of its two
-facets, from the complex's flat stress plan: stress_plan takes one
-elimination per facet from the flat columns for d >= 4, and one per ridge
-in closed form at d = 3, and each set of heights then costs one dot
-product per ridge), and independently by replaying the
-stackings with two local update rules: subdividing a facet creates the new
-interior ridges with a known positive stress and lowers each boundary ridge
-of the facet by the shift over the incident new facet's volume. The two routes
-agree exactly on every ridge of a shift-defined lifting. build_lifted lifts
-by a set of shifts and checks that agreement, for the exact lift and the
-perturbed relift; it returns its plan for the snapped heights to reuse.
+facets: exact.ridge_stresses, the rule the certificate applies too, takes
+one hyperplane per facet of the lifted complex and one dot product per
+ridge), and independently by replaying the stackings with two local update
+rules: subdividing a facet creates the new interior ridges with a known
+positive stress and lowers each boundary ridge of the facet by the shift
+over the incident new facet's volume. The two routes agree exactly on every
+ridge of a shift-defined lifting. build_lifted lifts by a set of shifts and
+checks that agreement, for the exact lift and the perturbed relift.
 
 Nothing between the brackets and the gates is a Fraction. The complex
 holds its brackets as integers under one common scale (R on the exact
 complex, 1 on the perturbed one, whose brackets are integer grid units) and
-its vertices as integer homogeneous columns, which the stress plan takes as
-they are. Heights are integer numerators over positive denominators, each
-reduced by one gcd per stacking, and both stress routes give integer pairs
+its vertices as integer homogeneous columns (N, E), which lifted_rows
+extends by the heights to the rows the stress kernel takes. Heights are
+integer numerators over positive denominators, each reduced by one gcd per
+stacking, and both stress routes give integer pairs
 (exact.Pair) that need not be in lowest terms. The cross-check compares
 them by cross-multiplication, and stress_extrema makes Fractions only of
 the three extrema that the gates compare and report.
@@ -42,7 +41,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import GeometryError, InvalidInputError, StageInvariantError
-from .exact import Pair, StressPlan, facet_stress_plan, flat_stress_plan, plan_stresses
+from .exact import Pair, ridge_stresses
 from .facets import BASE_FACET_KEY, Ridge
 from .flat import FlatComplex
 from .trees import TreeRep
@@ -94,26 +93,42 @@ def lift_heights(
     return nums, dens
 
 
-def stress_plan(flat: FlatComplex) -> StressPlan:
-    """The flat stress plan of a complex, for every lift of it.
+def lifted_rows(
+    coords: list[tuple[int, ...]], nums: list[int], dens: list[int] | None = None
+) -> list[tuple[int, ...]]:
+    """Each vertex lifted to its height, as an integer homogeneous row.
 
-    One elimination per facet for d >= 4; at d = 3 the closed-form minors
-    of each ridge cost less than a facet's elimination.
+    Vertex v's column (N, E) is the flat point N / E, and its height is
+    nums[v] / dens[v] (or the integer nums[v]); over D = lcm(E, dens[v])
+    the lifted point is the row (D, N D / E, nums[v] D / dens[v]).
     """
-    plan = flat_stress_plan if flat.d == 3 else facet_stress_plan
-    return plan(flat.d, flat.coords, flat.ridge_adjacency, flat.facet_vertices)
+    if dens is None:
+        return [(col[-1], *col[:-1], n * col[-1]) for col, n in zip(coords, nums)]
+    rows = []
+    for col, n, q in zip(coords, nums, dens):
+        e = col[-1]
+        if e == q:
+            rows.append((e, *col[:-1], n))
+        else:
+            D = lcm(e, q)
+            s = D // e
+            rows.append((D, *[x * s for x in col[:-1]], n * (D // q)))
+    return rows
 
 
 def direct_stresses(
-    plan: StressPlan, nums: list[int], dens: list[int] | None = None
+    flat: FlatComplex, nums: list[int], dens: list[int] | None = None
 ) -> dict[Ridge, Pair]:
-    """Stress of every ridge, each from its own creasing evaluation.
+    """Stress of every ridge, from one hyperplane per facet of the lift.
 
     The heights are nums over dens, or the integers nums. Raises the
     GeometryError of the first ridge, in adjacency order, whose stress is
     undefined.
     """
-    stresses, failures = plan_stresses(plan, nums, dens)
+    facets = {BASE_FACET_KEY: flat.base_facet, **flat.facets}
+    stresses, failures = ridge_stresses(
+        flat.d, lifted_rows(flat.coords, nums, dens), flat.ridge_adjacency, facets
+    )
     if failures:
         raise GeometryError(next(iter(failures.values())))
     return stresses
@@ -168,7 +183,6 @@ def incremental_stresses(
 
 def stress_map(
     flat: FlatComplex,
-    plan: StressPlan,
     z: Heights,
     tree: TreeRep,
     zeta: dict[int, Fraction],
@@ -178,7 +192,7 @@ def stress_map(
     Any ridge disagreement raises, since the two routes must match exactly
     for any shift-defined lifting. Pairs are compared by cross-multiplication.
     """
-    direct = direct_stresses(plan, *z)
+    direct = direct_stresses(flat, *z)
     incremental = incremental_stresses(flat, tree, zeta)
     if set(incremental) != set(direct):
         raise StageInvariantError("lifting", "stress tables cover different ridges")
@@ -214,11 +228,10 @@ def adjusted_shifts(flat: FlatComplex, tree: TreeRep) -> dict[int, int | Fractio
 
 def build_lifted(
     flat: FlatComplex, tree: TreeRep, zeta: dict[int, Fraction]
-) -> tuple[Heights, StressPlan, dict[Ridge, Pair]]:
-    """Heights by the shifts, the complex's stress plan, and the checked stresses."""
+) -> tuple[Heights, dict[Ridge, Pair]]:
+    """Heights by the shifts, and the checked stresses."""
     z = lift_heights(flat, tree, zeta)
-    plan = stress_plan(flat)
-    return z, plan, stress_map(flat, plan, z, tree, zeta)
+    return z, stress_map(flat, z, tree, zeta)
 
 
 Extremum = tuple[Fraction, Ridge]  # a stress and the ridge it belongs to

@@ -59,11 +59,11 @@ def run_pipeline(tree: TreeRep) -> tuple[Realization, PipelineReport]:
     timing["flat"] = clock() - t
 
     t = clock()
-    z, plan, stresses = build_lifted(flat, tree, adjusted_shifts(flat, tree))
+    z, stresses = build_lifted(flat, tree, adjusted_shifts(flat, tree))
     lift_info = check_lift_bounds(flat, z, stresses)
     # the exact lift is only gated: rounding starts again from the flat
-    # complex, so its heights, plan and stresses are not kept past this point
-    del z, plan, stresses
+    # complex, so its heights and stresses are not kept past this point
+    del z, stresses
     timing["lift"] = clock() - t
 
     t = clock()

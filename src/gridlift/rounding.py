@@ -15,9 +15,11 @@ the integers H = floor(h / alpha_z), so each output point is (X, H) with
 no rescaling. The relift's heights are integer numerators over
 denominators and its stresses integer pairs, so the stage finds the highest
 vertex by cross-multiplication and floors each height with one integer
-division. The factors s and s^2 stay implicit: every value the stage
-reports is converted back to real units exactly, and only those values
-become Fractions. Hard size caps bound the flat coordinates by
+division. The relift's stresses and the snapped heights' come from the same
+lifting.direct_stresses, one hyperplane per facet each; on the snapped
+heights every lifted row is an integer point (1, X, H). The factors s and
+s^2 stay implicit: every value the stage reports is converted back to real
+units exactly, and only those values become Fractions. Hard size caps bound the flat coordinates by
 10 d^2 R_eff^2 (attained by the base corners) and heights by 6 R_eff^3.
 The stage's output is a facets.Realization, the perturbed complex's facet
 table with the integer points.
@@ -137,8 +139,7 @@ def round_and_scale(
     s = params.alpha.denominator ** (perturbed.d - 1)
     s2 = s * s
     inv_z = params.alpha_z.denominator
-    # one plan serves the relift and the snapped heights: same flat complex
-    z, plan, stresses = build_lifted(perturbed, tree, adjusted_shifts(perturbed, tree))
+    z, stresses = build_lifted(perturbed, tree, adjusted_shifts(perturbed, tree))
     adjacency = perturbed.ridge_adjacency
     (min_interior, r_in), (min_base, r_lo), (max_base, r_hi) = stress_extrema(
         adjacency, stresses
@@ -171,7 +172,7 @@ def round_and_scale(
     z_snapped = [h * inv_z // (e * s2) for h, e in zip(nums, dens)]
     # on heights in units of alpha_z, a stress is the real one times inv_z / s
     (min_interior_final, r_in), _, (max_base_final, r_hi) = stress_extrema(
-        adjacency, direct_stresses(plan, z_snapped)
+        adjacency, direct_stresses(perturbed, z_snapped)
     )
     if min_interior_final <= 0:
         raise StageInvariantError(

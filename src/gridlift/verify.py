@@ -5,12 +5,13 @@ Two independent routes, deliberately kept apart:
 * stress route: recompute every ridge stress from the final coordinates,
   never taken from the construction, and check interior ridges positive,
   base ridges negative, all heights nonnegative with the base flat at
-  height zero. Each facet's hyperplane through its integer vertices is
-  taken once, as d+1 cofactors; a ridge's creasing determinant is then one
-  of its facets' hyperplanes at the other facet's extra vertex, and its
-  two shadows are the two facets' own, up to sign. Each stress is an
-  integer over a positive denominator, so its numerator's sign decides; a
-  Fraction is made only for a witness;
+  height zero. The stresses come from exact.ridge_stresses: each facet's
+  hyperplane through its integer vertices is taken once, as d+1
+  cofactors; a ridge's creasing determinant is then one of its facets'
+  hyperplanes at the other facet's extra vertex, and its two shadows are
+  the two facets' own, up to sign. Each stress is an integer over a
+  positive denominator, so its numerator's sign decides; a Fraction is
+  made only for a witness;
 * global route: the linear-size convex-polytope checker of Mehlhorn,
   Naeher, Seel, Seidel, Schilz, Schirra and Uhrig ("Checking geometric
   programs or verification of geometric structures", Comput. Geom. 12,
@@ -29,25 +30,25 @@ agree; the certificate records both verdicts so disagreement is visible
 instead of masked.
 
 Every route first rejects a vertex that is not a point of d ints, with the
-witness verify_bounds gives, so malformed input fails a certificate
-instead of raising.
+witness verify_bounds gives, and a facet that names a vertex id outside
+the coordinate list, so malformed input fails a certificate instead of
+raising or aliasing a vertex.
 
 The verifier imports from the package only errors, exact (the integer
-determinant kernels and the stress failure messages; none of the
-construction's stress plans), facets (the facet-table format and the
-ridge table) and trees (the stacking replay that the combinatorial check
-compares against), so no construction stage is part of the code a
-certificate has to trust.
+determinant kernels and the per-ridge stress rule, which the construction
+is a client of too), facets (the facet-table format and the ridge table)
+and trees (the stacking replay that the combinatorial check compares
+against), so no construction stage is part of the code a certificate has
+to trust.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import GeometryError
-from .exact import BASE_NOT_FLAT, FLAT_RIDGE, NO_ORIENTATION, _det_int, maximal_minors
+from .exact import _det_int, maximal_minors, ridge_stresses
 from .facets import BASE_FACET_KEY, Realization, build_ridge_adjacency, extra_vertex
 from .trees import TreeRep, facet_layout
 
@@ -84,43 +85,35 @@ def _malformed_vertex_witnesses(realization: Realization) -> list[str]:
     ]
 
 
-def _shadow_planes(realization: Realization) -> dict[int, tuple[list[int], int]]:
-    """Per facet key, the cofactors of h(q) = det[S | q] and the shadow
-    sigma(S).
+def _vertex_id_witnesses(realization: Realization) -> list[str]:
+    """A witness for every facet entry that is not a vertex id in range:
+    a negative id would alias a vertex through negative indexing."""
+    n = len(realization.coords)
+    named = set(realization.base_facet).union(*realization.facets.values())
+    if all(isinstance(v, int) and 0 <= v < n for v in named):
+        return []
+    return [
+        f"facet {_label(key)} names vertex {v!r}, not one of 0..{n - 1}"
+        for key, verts in _facets_in_order(realization)
+        for v in verts
+        if not (isinstance(v, int) and 0 <= v < n)
+    ]
 
-    S is the facet's vertices in sorted order as rows (1, x, z). Expanding
-    the (d+1) x (d+1) determinant with the row (1, q) appended along that
-    row gives h(q) = sum_i c_i q_i + c_d, the c's being signed maximal
-    minors of S's rows. The minor that omits the z column is S's leading
-    block det[1 | x], the shadow, 0 for a vertical facet.
-    """
-    d = realization.d
-    coords = realization.coords
-    planes = {}
-    for key, verts in [(BASE_FACET_KEY, realization.base_facet), *realization.facets.items()]:
-        minors = maximal_minors([[1, *coords[v]] for v in sorted(verts)])
-        # the cofactor of row entry j carries (-1)^(d+j)
-        cof = [m if (d + j) % 2 else -m for j, m in enumerate(minors[1:])]
-        cof.append(minors[0] if d % 2 == 0 else -minors[0])
-        planes[key] = (cof, minors[d])
-    return planes
+
+def _input_witnesses(realization: Realization) -> list[str]:
+    """What every route rejects before it indexes a point: a vertex that
+    is not d ints, or a facet naming a vertex that does not exist."""
+    return _malformed_vertex_witnesses(realization) + _vertex_id_witnesses(realization)
 
 
 def verify_convexity_stress(realization: Realization) -> tuple[bool, list[str]]:
     """Interior ridge stresses positive, base negative, base flat at 0.
 
-    A ridge X of facets S and T, with extra vertices e0 and e1, has the
-    stress of stress_of_ridge: -det(X, e0, e1) / (|sigma(X, e0)|
-    sigma(X, e1)) in bracket terms (ones row last), negated when e0's facet
-    is the base. With X sorted, as the ridge table stores it, and e0 at
-    position p of sorted S, moving e0 to the end of S takes d-1-p
-    transpositions and moving the ones column from first to last takes d
-    (in a shadow, d-1), so det(X, e0, e1) = (-1)^(p+1) h_S(e1) and
-    sigma(X, e0) = (-1)^p sigma(S); likewise sigma(X, e1) = (-1)^q sigma(T).
-    So the route takes one hyperplane per facet, and per ridge one
-    (d+1)-term dot product.
+    Each ridge's stress is the one exact.ridge_stresses reads off one
+    hyperplane per facet, on the rows (1, x, z) of the integer points, so
+    per ridge the route costs one (d+1)-term dot product.
     """
-    malformed = _malformed_vertex_witnesses(realization)
+    malformed = _input_witnesses(realization)
     if malformed:
         return False, malformed
     witnesses: list[str] = []
@@ -147,52 +140,21 @@ def verify_convexity_stress(realization: Realization) -> tuple[bool, list[str]]:
     except GeometryError as exc:
         return False, [f"ridge structure broken: {exc}"]
 
-    planes = _shadow_planes(realization)
-    for ridge, (k1, k2) in adjacency.items():
-        cof, shadow_S = planes[k1]
-        shadow_T = planes[k2][1]
-        e0 = extra_vertex(realization.facet_vertices(k1), ridge)
-        e1 = extra_vertex(realization.facet_vertices(k2), ridge)
-        # positions in the sorted facets; only their parity matters
-        p, q = bisect_left(ridge, e0), bisect_left(ridge, e1)
-        s0 = -shadow_S if p % 2 else shadow_S
-        s1 = -shadow_T if q % 2 else shadow_T
-        if s0 == 0 or s1 == 0:
-            witnesses.append(f"ridge {ridge}: {FLAT_RIDGE}")
+    facets = {BASE_FACET_KEY: realization.base_facet, **realization.facets}
+    rows = [(1, *p) for p in coords]
+    stresses, failures = ridge_stresses(realization.d, rows, adjacency, facets)
+    for ridge, keys in adjacency.items():
+        if ridge in failures:
+            witnesses.append(f"ridge {ridge}: {failures[ridge]}")
             continue
-        is_base = BASE_FACET_KEY in (k1, k2)
-        flip = False
-        if is_base:
-            # the base facet is the one lying entirely in z = 0
-            ridge_flat = not any(heights[v] for v in ridge)
-            flat_S = ridge_flat and heights[e0] == 0
-            flat_T = ridge_flat and heights[e1] == 0
-            if flat_S == flat_T:
-                witnesses.append(f"ridge {ridge}: {BASE_NOT_FLAT}")
-                continue
-            # left and right swap, and the stress changes sign
-            flip = flat_S
-        # an interior ridge has its extra vertices on opposite sides; a base
-        # ridge on one side, and the base facet's left/right label flips
-        if ((s0 > 0) != (s1 > 0)) == is_base:
-            witnesses.append(f"ridge {ridge}: {NO_ORIENTATION}")
-            continue
-        h = cof[-1]
-        for c, x in zip(cof, coords[e1]):
-            h += c * x
-        # -det(X, e0, e1) = (-1)^p h_S(e1); over |s0 s1| > 0 the numerator
-        # takes s1's sign
-        num = -h if (p % 2 == 1) ^ (s1 < 0) ^ flip else h
+        num, den = stresses[ridge]
         # a base ridge folds by 0 only under a non-base vertex at height
-        # zero, which the precheck rejects, so num is never 0 here
-        if is_base and num >= 0:
-            witnesses.append(
-                f"base ridge {ridge} has stress {Fraction(num, abs(s0 * s1))} >= 0"
-            )
-        elif not is_base and num <= 0:
-            witnesses.append(
-                f"interior ridge {ridge} has stress {Fraction(num, abs(s0 * s1))} <= 0"
-            )
+        # zero, which the precheck rejects, so num is never 0 there
+        if BASE_FACET_KEY in keys:
+            if num >= 0:
+                witnesses.append(f"base ridge {ridge} has stress {Fraction(num, den)} >= 0")
+        elif num <= 0:
+            witnesses.append(f"interior ridge {ridge} has stress {Fraction(num, den)} <= 0")
     return not witnesses, witnesses
 
 
@@ -326,7 +288,7 @@ def verify_convexity_global(realization: Realization) -> tuple[bool, list[str]]:
     lies strictly on o's side of the other facet's hyperplane; and the ray
     from o through the base facet's centroid crosses no other facet.
     """
-    malformed = _malformed_vertex_witnesses(realization)
+    malformed = _input_witnesses(realization)
     if malformed:
         return False, malformed
     adjacency, broken = _closed_surface_witnesses(realization)
@@ -361,7 +323,7 @@ def verify_convexity_exhaustive(realization: Realization) -> tuple[bool, list[st
     requires a closed surface and every vertex on a facet: without them a
     convex point set with a partial or padded facet list would pass.
     """
-    malformed = _malformed_vertex_witnesses(realization)
+    malformed = _input_witnesses(realization)
     if malformed:
         return False, malformed
     broken = _closed_surface_witnesses(realization)[1]

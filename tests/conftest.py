@@ -30,7 +30,7 @@ def tet_flat(tet_weighted):
 
 @pytest.fixture(scope="session")
 def tet_lifted(tet_flat, tet_tree):
-    """Heights, plan and stresses of the tetrahedron's exact lift."""
+    """Heights and checked stresses of the tetrahedron's exact lift."""
     return build_lifted(tet_flat, tet_tree, adjusted_shifts(tet_flat, tet_tree))
 
 

@@ -3,7 +3,13 @@
 from fractions import Fraction
 from typing import Sequence
 
-from gridlift import InvalidInputError, base_simplex
+from gridlift import (
+    BASE_FACET_KEY,
+    GeometryError,
+    InvalidInputError,
+    base_simplex,
+    stress_of_ridge,
+)
 from gridlift.trees import facet_layout
 
 
@@ -55,3 +61,20 @@ def reference_flat_points(wt) -> list[tuple[Fraction, ...]]:
 def real_brackets(flat) -> dict[int, Fraction]:
     """A flat complex's node brackets, divided by its bracket scale."""
     return {n: Fraction(b, flat.bracket_scale) for n, b in flat.node_brackets.items()}
+
+
+def reference_stresses(points, adjacency, facet_vertices) -> dict:
+    """stress_of_ridge on every ridge of lifted points: its value, or its
+    GeometryError message."""
+    out = {}
+    for ridge, keys in adjacency.items():
+        X = [points[v] for v in ridge]
+        S, T = (
+            X + [points[next(v for v in facet_vertices(k) if v not in ridge)]]
+            for k in keys
+        )
+        try:
+            out[ridge] = stress_of_ridge(X, S, T, BASE_FACET_KEY in keys)
+        except GeometryError as exc:
+            out[ridge] = str(exc)
+    return out

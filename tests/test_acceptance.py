@@ -28,7 +28,7 @@ from gridlift import (
     verify_convexity_stress,
 )
 from gridlift.flat import build_flat
-from gridlift.lifting import adjusted_shifts, lift_heights, stress_plan
+from gridlift.lifting import adjusted_shifts, lift_heights
 
 F = Fraction
 
@@ -187,7 +187,7 @@ def test_criterion_4_dual_oracle_and_stress_routes():
         tree = gen_tree("random", 3, 4 + seed % 8, seed=7000 + seed)
         flat = build_flat(balance_weights(tree))
         zeta = adjusted_shifts(flat, tree)
-        direct = direct_stresses(stress_plan(flat), *lift_heights(flat, tree, zeta))
+        direct = direct_stresses(flat, *lift_heights(flat, tree, zeta))
         incremental = incremental_stresses(flat, tree, zeta)
         assert direct.keys() == incremental.keys()
         assert all(F(*direct[r]) == F(*incremental[r]) for r in direct)

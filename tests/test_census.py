@@ -13,17 +13,19 @@ from math import comb
 import pytest
 
 from gridlift import (
+    adjusted_shifts,
     balance_weights,
     build_flat,
+    direct_stresses,
     graph_from_tree,
+    incremental_stresses,
     perturb_flat,
     realize_graph,
     report_to_json,
     run_pipeline,
     tree_from_nested,
 )
-from gridlift.exact import facet_stress_plan, flat_stress_plan
-from gridlift.lifting import stress_plan
+from gridlift.lifting import lift_heights
 from gridlift.rounding import grid_params
 
 
@@ -91,17 +93,20 @@ def test_every_tree_realizes_and_certifies(d, k):
 
 
 @pytest.mark.parametrize("d,k", CENSUS)
-def test_construction_plans_equal_the_per_ridge_plan(d, k):
-    # the exact lift's and the relift's plans, per facet for d >= 4 (and
-    # tried per facet at d = 3 as well), tuple for tuple
+def test_direct_stresses_equal_incremental(d, k):
+    # the exact lift's and the relift's stresses from the hyperplane kernel,
+    # against the stacking replay, by cross-multiplication
     for tree in all_trees(d, k):
         flat = build_flat(balance_weights(tree))
         perturbed = perturb_flat(flat, grid_params(d, flat.L, flat.R_eff).alpha)
         for complex_ in (flat, perturbed):
-            args = (d, complex_.coords, complex_.ridge_adjacency, complex_.facet_vertices)
-            expected = flat_stress_plan(*args)
-            assert stress_plan(complex_) == expected, tree.to_json()
-            assert facet_stress_plan(*args) == expected, tree.to_json()
+            zeta = adjusted_shifts(complex_, tree)
+            direct = direct_stresses(complex_, *lift_heights(complex_, tree, zeta))
+            incremental = incremental_stresses(complex_, tree, zeta)
+            assert direct.keys() == incremental.keys(), tree.to_json()
+            for ridge, (num, den) in direct.items():
+                inc_num, inc_den = incremental[ridge]
+                assert num * inc_den == inc_num * den, tree.to_json()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

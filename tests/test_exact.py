@@ -21,17 +21,13 @@ from gridlift.exact import (
     NO_ORIENTATION,
     _check_shared_ridge,
     _det_int,
-    cramer_numerators,
-    facet_stress_plan,
-    flat_stress_plan,
     homogeneous_column,
     maximal_minors,
-    plan_stresses,
+    ridge_stresses,
 )
 from gridlift.facets import build_ridge_adjacency
-from gridlift.flat import FlatComplex
-from gridlift.lifting import lift_heights, stress_plan
-from reference import flat_points
+from gridlift.lifting import direct_stresses, lift_heights
+from reference import flat_points, reference_stresses
 
 F = Fraction
 
@@ -316,50 +312,32 @@ def lifted_complexes(draw, dims=(3, 4, 5)):
     return d, points, base, facets
 
 
-def reference_stresses(points, adjacency, facet_vertices):
-    """stress_of_ridge per ridge: its value, or its GeometryError message."""
-    out = {}
-    for ridge, keys in adjacency.items():
-        X = [points[v] for v in ridge]
-        S, T = (
-            X + [points[next(v for v in facet_vertices(k) if v not in ridge)]]
-            for k in keys
-        )
-        try:
-            out[ridge] = stress_of_ridge(X, S, T, BASE_FACET_KEY in keys)
-        except GeometryError as exc:
-            out[ridge] = str(exc)
-    return out
-
-
 def as_fractions(stresses):
     return {ridge: F(*w) for ridge, w in stresses.items()}
 
 
-def columns_of(points):
-    return [homogeneous_column(p[:-1]) for p in points]
+def rows_of(points):
+    """Each point p as the integer homogeneous row (D, p D), D the lcm of
+    its denominators."""
+    return [(c[-1], *c[:-1]) for c in map(homogeneous_column, points)]
 
 
-def plan_table(d, points, adjacency, facet_vertices):
-    """plan_stresses of the flat plan of `points`, lifted by their last
-    entries, with the stress pairs as Fractions."""
-    plan = flat_stress_plan(d, columns_of(points), adjacency, facet_vertices)
-    heights = [F(p[-1]) for p in points]
-    stresses, failures = plan_stresses(
-        plan, [h.numerator for h in heights], [h.denominator for h in heights]
-    )
+def kernel_table(d, points, adjacency, facets):
+    """ridge_stresses on the rows of `points`, with the stress pairs as
+    Fractions."""
+    stresses, failures = ridge_stresses(d, rows_of(points), adjacency, facets)
     assert all(den > 0 for _, den in stresses.values())
     return as_fractions(stresses), failures
 
 
 class TestStressTable:
-    @given(lifted_complexes())
+    @given(lifted_complexes(dims=(3, 4, 5, 6, 7)))
     @settings(max_examples=150, deadline=None)
     def test_equals_stress_of_ridge(self, complex_):
         d, points, base, facets = complex_
         adjacency = build_ridge_adjacency(d, facets, base)
         table = {BASE_FACET_KEY: base, **facets}
-        stresses, failures = plan_table(d, points, adjacency, table.__getitem__)
+        stresses, failures = kernel_table(d, points, adjacency, table)
         expected = reference_stresses(points, adjacency, table.__getitem__)
         assert {**stresses, **failures} == expected
         # adjacency order is kept, so witnesses come out in the same order
@@ -367,27 +345,23 @@ class TestStressTable:
         assert list(stresses) == [r for r in adjacency if r not in failures]
 
     def test_tetrahedron(self, tet_lifted, tet_flat):
-        z, _, lifted_stresses = tet_lifted
+        z, lifted_stresses = tet_lifted
         points = [(*p, F(n, e)) for p, n, e in zip(flat_points(tet_flat), *z)]
-        stresses, failures = plan_table(
-            3, points, tet_flat.ridge_adjacency, tet_flat.facet_vertices
-        )
+        table = {BASE_FACET_KEY: tet_flat.base_facet, **tet_flat.facets}
+        stresses, failures = kernel_table(3, points, tet_flat.ridge_adjacency, table)
         assert failures == {}
         assert stresses == as_fractions(lifted_stresses)
 
-    def test_one_plan_many_lifts(self, tet_flat, tet_tree):
-        # the plan holds nothing of the heights: every lift reads it afresh
-        plan = flat_stress_plan(
-            3, tet_flat.coords, tet_flat.ridge_adjacency, tet_flat.facet_vertices
-        )
+    def test_many_lifts(self, tet_flat, tet_tree):
+        # the construction lifts one flat complex by several sets of heights
         for shift in (F(16, 9), F(32, 9), F(1, 7)):
             z = lift_heights(tet_flat, tet_tree, {0: shift})
             points = [(*p, F(n, e)) for p, n, e in zip(flat_points(tet_flat), *z)]
             expected = reference_stresses(
                 points, tet_flat.ridge_adjacency, tet_flat.facet_vertices
             )
-            stresses, failures = plan_stresses(plan, *z)
-            assert (as_fractions(stresses), failures) == (expected, {})
+            stresses = direct_stresses(tet_flat, *z)
+            assert as_fractions(stresses) == expected
 
     def test_degenerate_shadow_message(self):
         # apex 3 lifted straight above base vertex 1: the shadows of both
@@ -397,50 +371,10 @@ class TestStressTable:
         facets = {0: (3, 1, 2), 1: (0, 3, 2), 2: (0, 1, 3)}
         adjacency = build_ridge_adjacency(3, facets, base)
         table = {BASE_FACET_KEY: base, **facets}
-        _, failures = plan_table(3, points, adjacency, table.__getitem__)
+        _, failures = kernel_table(3, points, adjacency, table)
         expected = reference_stresses(points, adjacency, table.__getitem__)
         assert failures[(0, 3)] == FLAT_RIDGE == expected[(0, 3)]
         assert {r: m for r, m in expected.items() if isinstance(m, str)} == failures
-
-
-def as_flat_complex(d, points, base, facets):
-    """A FlatComplex with the shadows of `points` as its columns: the
-    fields the stress plan reads, the others left empty."""
-    return FlatComplex(
-        d=d,
-        coords=columns_of(points),
-        facets=facets,
-        base_facet=base,
-        ridge_adjacency=build_ridge_adjacency(d, facets, base),
-        node_facets={},
-        node_brackets={},
-        bracket_scale=1,
-        stacked_vertex={},
-        interior_order=(),
-        L=1,
-        R_eff=1,
-    )
-
-
-class TestFacetStressPlan:
-    """The construction's plan, one elimination per facet, against the
-    per-ridge flat_stress_plan, tuple for tuple."""
-
-    @given(lifted_complexes(dims=(3, 4, 5, 6, 7)))
-    @settings(max_examples=150, deadline=None)
-    def test_equals_per_ridge_plan(self, complex_):
-        d, points, base, facets = complex_
-        flat = as_flat_complex(d, points, base, facets)
-        args = (d, flat.coords, flat.ridge_adjacency, flat.facet_vertices)
-        expected = flat_stress_plan(*args)
-        plan = facet_stress_plan(*args)
-        assert plan == expected
-        assert stress_plan(flat) == expected
-        # and so are the lifts, the base heights tilted or not
-        heights = [F(p[-1]) for p in points]
-        nums = [h.numerator for h in heights]
-        dens = [h.denominator for h in heights]
-        assert plan_stresses(plan, nums, dens) == plan_stresses(expected, nums, dens)
 
     @pytest.mark.parametrize("d", [4, 5, 7])
     def test_every_failure_kind(self, d):
@@ -457,14 +391,12 @@ class TestFacetStressPlan:
         # the last vertex's shadow onto a facet neighbour's
         other = next(v for f in flat.facets.values() if n - 1 in f for v in f if v != n - 1)
         points[n - 1] = points[other][:-1] + points[n - 1][-1:]
-        collapsed = as_flat_complex(d, points, flat.base_facet, flat.facets)
-        args = (d, collapsed.coords, collapsed.ridge_adjacency, collapsed.facet_vertices)
-        plan = facet_stress_plan(*args)
-        assert plan == flat_stress_plan(*args)
-        assert {FLAT_RIDGE, NO_ORIENTATION, None} <= {entry[2] for entry in plan}
-        nums = [F(p[-1]).numerator for p in points]
-        _, failures = plan_stresses(plan, nums)
-        assert BASE_NOT_FLAT in failures.values()
+        table = {BASE_FACET_KEY: flat.base_facet, **flat.facets}
+        stresses, failures = kernel_table(d, points, flat.ridge_adjacency, table)
+        assert {FLAT_RIDGE, NO_ORIENTATION, BASE_NOT_FLAT} <= set(failures.values())
+        assert stresses
+        expected = reference_stresses(points, flat.ridge_adjacency, table.__getitem__)
+        assert {**stresses, **failures} == expected
 
 
 def minors_by_det(rows):
@@ -475,14 +407,12 @@ def minors_by_det(rows):
 
 
 @st.composite
-def wide_matrices(draw, max_d=6, many_rhs=False):
+def wide_matrices(draw, max_d=7):
     """A d x (d+1) integer matrix, d = 3..max_d, often with a singular or
-    pivot-starved leading block so that row swaps and the fallback run;
-    with `many_rhs`, d x (d+r) for r = 1..d."""
+    pivot-starved leading block so that row swaps and the fallback run."""
     d = draw(st.integers(3, max_d))
-    r = draw(st.integers(1, d)) if many_rhs else 1
     entries = st.integers(-(2**40), 2**40) | st.integers(-3, 3)
-    rows = [[draw(entries) for _ in range(d + r)] for _ in range(d)]
+    rows = [[draw(entries) for _ in range(d + 1)] for _ in range(d)]
     shape = draw(st.sampled_from(["any", "zero_column", "dependent_rows", "zero_pivot"]))
     if shape == "zero_column":
         j = draw(st.integers(0, d - 1))
@@ -511,23 +441,3 @@ class TestMaximalMinors:
         minors = maximal_minors(rows)
         assert minors[-1] == 0
         assert minors == minors_by_det(rows)
-
-
-class TestCramerNumerators:
-    @given(wide_matrices(max_d=7, many_rhs=True))
-    @settings(max_examples=300, deadline=None)
-    def test_equals_one_det_per_numerator(self, rows):
-        before = [r[:] for r in rows]
-        d = len(rows)
-        block = [r[:d] for r in rows]
-        solved = cramer_numerators(rows)
-        assert rows == before  # the input is left alone
-        if solved is None:
-            assert _det_int(block) == 0
-            return
-        det, numerators = solved
-        assert det == _det_int([r[:] for r in block]) != 0
-        assert numerators == [
-            [_det_int([[*r[:i], r[c], *r[i + 1 : d]] for r in rows]) for i in range(d)]
-            for c in range(d, len(rows[0]))
-        ]

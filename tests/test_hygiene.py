@@ -8,8 +8,7 @@ from pathlib import Path
 import pytest
 
 import gridlift
-from gridlift.exact import facet_stress_plan, flat_stress_plan
-from gridlift.lifting import stress_plan
+from gridlift.lifting import direct_stresses, lift_heights
 
 PACKAGE_DIR = Path(gridlift.__file__).parent
 TESTS_DIR = Path(__file__).parent
@@ -137,16 +136,13 @@ def names_in_body(source: str, function: str) -> set[str]:
     ("flat", "build_flat"),
     ("flat", "stacked_column"),
     ("rounding", "perturb_flat"),
-    ("exact", "flat_stress_plan"),
-    ("exact", "facet_stress_plan"),
-    ("exact", "_plan_entry"),
-    ("exact", "cramer_numerators"),
     ("exact", "maximal_minors"),
-    ("lifting", "stress_plan"),
+    ("exact", "ridge_stresses"),
+    ("lifting", "lifted_rows"),
+    ("lifting", "direct_stresses"),
     ("lifting", "lift_heights"),
     ("lifting", "incremental_stresses"),
     ("lifting", "stress_map"),
-    ("exact", "plan_stresses"),
 ])
 def test_lift_kernels_build_no_fraction(module, function):
     source = (PACKAGE_DIR / f"{module}.py").read_text()
@@ -155,11 +151,15 @@ def test_lift_kernels_build_no_fraction(module, function):
 
 def test_flat_stages_build_no_fraction_at_runtime(monkeypatch):
     # the ast check above sees names only; this one counts the Fractions
-    # the flat stage, the perturbation and the stress plans of both
-    # complexes construct, per facet and per ridge
+    # the flat stage, the perturbation and the stress kernel construct, per
+    # facet and per ridge, on both complexes lifted by rational heights
     tree = gridlift.gen_tree("random", 4, 12, 1)
     wt = gridlift.balance_weights(tree)
-    alpha = Fraction(1, 7)
+    flat = gridlift.build_flat(wt)
+    alpha = gridlift.grid_params(4, flat.L, flat.R_eff).alpha
+    complexes = (flat, gridlift.perturb_flat(flat, alpha))
+    # shifts in sevenths give every stacked vertex a rational height
+    zeta = {v: Fraction(3 + 2 * i, 7) for i, v in enumerate(flat.interior_order)}
     built = []
     original = Fraction.__new__
 
@@ -168,13 +168,13 @@ def test_flat_stages_build_no_fraction_at_runtime(monkeypatch):
         return original(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counting)
-    flat = gridlift.build_flat(wt)
-    perturbed = gridlift.perturb_flat(flat, alpha)
-    for complex_ in (flat, perturbed):
-        stress_plan(complex_)
-        args = (4, complex_.coords, complex_.ridge_adjacency, complex_.facet_vertices)
-        facet_stress_plan(*args)
-        flat_stress_plan(*args)
+    gridlift.build_flat(wt)
+    gridlift.perturb_flat(flat, alpha)
+    for complex_ in complexes:
+        nums, dens = lift_heights(complex_, tree, zeta)
+        assert any(e > 1 for e in dens)
+        # lifted_rows and exact.ridge_stresses underneath
+        direct_stresses(complex_, nums, dens)
     assert built == []
 
 
@@ -197,13 +197,13 @@ def test_verify_imports_no_construction_stage():
     assert package_imports(PACKAGE_DIR / "facets.py") == {"errors"}
 
 
-def test_verify_never_names_the_construction_plan():
-    # the certificate takes its stresses from one hyperplane per facet of
-    # the output: no stress plan of the construction is part of what it
-    # trusts, only the determinant kernels and the ridge table
-    read = read_names((PACKAGE_DIR / "verify.py").read_text())
-    plan = {"flat_stress_plan", "facet_stress_plan", "plan_stresses", "_plan_entry", "StressPlan"}
-    assert plan.isdisjoint(read)
+@pytest.mark.parametrize("module", ["lifting", "rounding", "pipeline"])
+def test_construction_has_no_stress_rule_of_its_own(module):
+    # one per-ridge stress rule, exact.ridge_stresses, serves the
+    # construction and the certificate: a construction module that takes
+    # determinant minors itself would be a second one
+    read = read_names((PACKAGE_DIR / f"{module}.py").read_text())
+    assert {"maximal_minors", "cramer_numerators"}.isdisjoint(read)
 
 
 def test_detects_unused_import():

@@ -22,9 +22,9 @@ from gridlift import (
     perturb_flat,
 )
 from gridlift import lifting
-from gridlift.exact import plan_stresses, stress_of_ridge
-from gridlift.lifting import lift_heights, stress_extrema, stress_map, stress_plan
-from reference import flat_points
+from gridlift.exact import ridge_stresses
+from gridlift.lifting import lift_heights, lifted_rows, stress_extrema, stress_map
+from reference import flat_points, reference_stresses
 
 F = Fraction
 
@@ -39,6 +39,14 @@ def table(stresses):
     return {ridge: F(*w) for ridge, w in stresses.items()}
 
 
+def kernel(complex_, nums, dens=None):
+    """ridge_stresses on a complex lifted by nums over dens: the stresses
+    and the failures that direct_stresses would raise."""
+    facets = {BASE_FACET_KEY: complex_.base_facet, **complex_.facets}
+    rows = lifted_rows(complex_.coords, nums, dens)
+    return ridge_stresses(complex_.d, rows, complex_.ridge_adjacency, facets)
+
+
 class TestVerticalShifts:
     def test_tetrahedron(self, tet_flat, tet_tree):
         assert adjusted_shifts(tet_flat, tet_tree) == {0: F(16, 9)}
@@ -51,13 +59,13 @@ class TestVerticalShifts:
 
 class TestHeights:
     def test_tetrahedron(self, tet_lifted):
-        z, _, _ = tet_lifted
+        z, _ = tet_lifted
         assert z == ([0, 0, 0, 16], [1, 1, 1, 9])
 
     def test_base_stays_flat(self):
         tree = gen_tree("random", 3, 12, seed=3)
         flat = build_flat(balance_weights(tree))
-        (nums, dens), _, _ = build_lifted(flat, tree, adjusted_shifts(flat, tree))
+        (nums, dens), _ = build_lifted(flat, tree, adjusted_shifts(flat, tree))
         assert nums[:3] == [0, 0, 0]
         assert all(h > 0 for h in nums[3:])
         assert all(e > 0 for e in dens)
@@ -117,7 +125,7 @@ class TestBarycentricLift:
 
 class TestStresses:
     def test_tetrahedron_values(self, tet_lifted):
-        st = table(tet_lifted[2])
+        st = table(tet_lifted[1])
         for ridge in [(0, 3), (1, 3), (2, 3)]:
             assert st[ridge] == 4
         for ridge in [(0, 1), (0, 2), (1, 2)]:
@@ -125,7 +133,7 @@ class TestStresses:
 
     def test_doubling_shift_doubles_stress(self, tet_flat, tet_tree):
         z = lift_heights(tet_flat, tet_tree, {0: F(32, 9)})
-        st = table(direct_stresses(stress_plan(tet_flat), *z))
+        st = table(direct_stresses(tet_flat, *z))
         assert st[(0, 3)] == 8
         assert st[(0, 1)] == F(-8, 3)
 
@@ -137,7 +145,7 @@ class TestStresses:
         flat = build_flat(balance_weights(tree))
         zeta = adjusted_shifts(flat, tree)
         z = lift_heights(flat, tree, zeta)
-        direct = direct_stresses(stress_plan(flat), *z)
+        direct = direct_stresses(flat, *z)
         incremental = incremental_stresses(flat, tree, zeta)
         assert table(direct) == table(incremental)
 
@@ -148,14 +156,14 @@ class TestStresses:
         flat = build_flat(wt)
         zeta = {v: F(3 + 2 * i, 7) for i, v in enumerate(flat.interior_order)}
         z = lift_heights(flat, tree, zeta)
-        assert table(direct_stresses(stress_plan(flat), *z)) == table(
+        assert table(direct_stresses(flat, *z)) == table(
             incremental_stresses(flat, tree, zeta)
         )
 
     def test_stress_map_cross_check_catches_mismatch(self, tet_flat, tet_tree):
         z = lift_heights(tet_flat, tet_tree, {0: F(16, 9)})
         with pytest.raises(StageInvariantError):
-            stress_map(tet_flat, stress_plan(tet_flat), z, tet_tree, {0: F(17, 9)})
+            stress_map(tet_flat, z, tet_tree, {0: F(17, 9)})
 
     @pytest.mark.parametrize("d,size,seed", [(3, 1, 0), (3, 12, 1), (4, 8, 2), (6, 5, 3)])
     def test_integer_inputs_stay_exact(self, d, size, seed):
@@ -170,11 +178,10 @@ class TestStresses:
             assert all(type(x) is int for c in complex_.coords for x in c)
             zeta = adjusted_shifts(complex_, tree)
             nums, dens = lift_heights(complex_, tree, zeta)
-            plan = stress_plan(complex_)
             pairs = [
                 *incremental_stresses(complex_, tree, zeta).values(),
-                *plan_stresses(plan, nums, dens)[0].values(),
-                *plan_stresses(plan, [n // e for n, e in zip(nums, dens)])[0].values(),
+                *kernel(complex_, nums, dens)[0].values(),
+                *kernel(complex_, [n // e for n, e in zip(nums, dens)])[0].values(),
             ]
             values = [*nums, *dens, *(x for pair in pairs for x in pair)]
             assert all(type(v) is int for v in values)
@@ -184,7 +191,7 @@ class TestStresses:
 
 class TestLiftGate:
     def test_tetrahedron_extrema(self, tet_lifted, tet_flat):
-        z, _, stresses = tet_lifted
+        z, stresses = tet_lifted
         info = check_lift_bounds(tet_flat, z, stresses)
         assert info["min_interior_stress"] == 4
         assert info["min_base_stress"] == F(-4, 3)
@@ -194,7 +201,7 @@ class TestLiftGate:
     def test_interior_at_least_lambda(self, d, size, seed):
         tree = gen_tree("random", d, size, seed)
         flat = build_flat(balance_weights(tree))
-        z, _, stresses = build_lifted(flat, tree, adjusted_shifts(flat, tree))
+        z, stresses = build_lifted(flat, tree, adjusted_shifts(flat, tree))
         info = check_lift_bounds(flat, z, stresses)
         lam = F(flat.R_eff, flat.bracket_scale)
         assert info["min_interior_stress"] >= lam >= 1
@@ -202,7 +209,7 @@ class TestLiftGate:
         assert info["max_base_stress"] < 0
 
     def test_gate_rejects_tampered_stress(self, tet_lifted, tet_flat):
-        z, _, stresses = tet_lifted
+        z, stresses = tet_lifted
         bad = dict(stresses)
         bad[(0, 3)] = (1, 2)
         with pytest.raises(StageInvariantError):
@@ -213,7 +220,7 @@ class TestLiftGate:
             r for r, keys in tet_flat.ridge_adjacency.items()
             if BASE_FACET_KEY not in keys
         ]
-        z, _, stresses = tet_lifted
+        z, stresses = tet_lifted
         bad = dict(stresses)
         bad[interior[0]] = (1, 2)
         bad[interior[1]] = (2, 6)
@@ -231,7 +238,7 @@ class TestLiftGate:
     def test_gate_boundaries(self, tet_lifted, tet_flat, interior, base, ok):
         assert tet_flat.R_eff == 4
         adjacency = tet_flat.ridge_adjacency
-        z, _, stresses = tet_lifted
+        z, stresses = tet_lifted
         bad = dict(stresses)
         ridge_in = next(r for r, keys in adjacency.items() if BASE_FACET_KEY not in keys)
         ridge_base = next(r for r, keys in adjacency.items() if BASE_FACET_KEY in keys)
@@ -283,9 +290,8 @@ class TestStressMapCrossCheck:
     def test_one_numerator_unit_is_caught(self, monkeypatch, tet_flat, tet_tree):
         zeta = adjusted_shifts(tet_flat, tet_tree)
         z = lift_heights(tet_flat, tet_tree, zeta)
-        plan = stress_plan(tet_flat)
-        assert table(stress_map(tet_flat, plan, z, tet_tree, zeta)) == table(
-            direct_stresses(plan, *z)
+        assert table(stress_map(tet_flat, z, tet_tree, zeta)) == table(
+            direct_stresses(tet_flat, *z)
         )
         original = lifting.incremental_stresses
         ridge = (1, 3)
@@ -298,7 +304,7 @@ class TestStressMapCrossCheck:
 
         monkeypatch.setattr(lifting, "incremental_stresses", off_by_one)
         with pytest.raises(StageInvariantError, match="stress mismatch") as info:
-            stress_map(tet_flat, plan, z, tet_tree, zeta)
+            stress_map(tet_flat, z, tet_tree, zeta)
         assert info.value.stage == "lifting"
         assert info.value.witness == ridge
 
@@ -306,15 +312,14 @@ class TestStressMapCrossCheck:
         # the routes need not agree on the pairs, only on their values
         zeta = adjusted_shifts(tet_flat, tet_tree)
         z = lift_heights(tet_flat, tet_tree, zeta)
-        plan = stress_plan(tet_flat)
         original = lifting.incremental_stresses
 
         def rescaled(*args):
             return {r: (7 * n, 7 * d) for r, (n, d) in original(*args).items()}
 
         monkeypatch.setattr(lifting, "incremental_stresses", rescaled)
-        assert table(stress_map(tet_flat, plan, z, tet_tree, zeta)) == table(
-            direct_stresses(plan, *z)
+        assert table(stress_map(tet_flat, z, tet_tree, zeta)) == table(
+            direct_stresses(tet_flat, *z)
         )
 
 
@@ -322,18 +327,7 @@ def reference_table(complex_, heights):
     """stress_of_ridge on every ridge of a complex lifted by Fraction heights:
     the value, or the GeometryError message."""
     points = [(*p, h) for p, h in zip(flat_points(complex_), heights)]
-    out = {}
-    for ridge, keys in complex_.ridge_adjacency.items():
-        X = [points[v] for v in ridge]
-        S, T = (
-            X + [points[next(v for v in complex_.facet_vertices(k) if v not in ridge)]]
-            for k in keys
-        )
-        try:
-            out[ridge] = stress_of_ridge(X, S, T, BASE_FACET_KEY in keys)
-        except GeometryError as exc:
-            out[ridge] = str(exc)
-    return out
+    return reference_stresses(points, complex_.ridge_adjacency, complex_.facet_vertices)
 
 
 class TestPairsMatchFractionReferences:
@@ -350,13 +344,13 @@ class TestPairsMatchFractionReferences:
         perturbed = perturb_flat(flat, grid_params(d, flat.L, flat.R_eff).alpha)
         for complex_ in (flat, perturbed):
             zeta = adjusted_shifts(complex_, tree)
-            z, plan, stresses = build_lifted(complex_, tree, zeta)
+            z, stresses = build_lifted(complex_, tree, zeta)
             heights = fractions(z)
             assert heights == hyperplane_heights(complex_, zeta)
             expected = reference_table(complex_, heights)
             assert table(stresses) == expected
             assert table(incremental_stresses(complex_, tree, zeta)) == expected
-            # integer heights take the plan's other path
+            # integer heights take the row builder's other path
             floored = [n // e for n, e in zip(*z)]
-            pairs, failures = plan_stresses(plan, floored)
+            pairs, failures = kernel(complex_, floored)
             assert {**table(pairs), **failures} == reference_table(complex_, floored)

@@ -247,7 +247,7 @@ class TestCli:
         ridges = []
 
         def tampered(flat, *args):
-            z, plan, stresses = original(flat, *args)
+            z, stresses = original(flat, *args)
             interior = [
                 r for r, keys in flat.ridge_adjacency.items() if BASE_FACET_KEY not in keys
             ]
@@ -255,7 +255,7 @@ class TestCli:
             stresses = dict(stresses)
             stresses[interior[0]] = (0, 1)
             stresses[interior[1]] = (-1, 1)
-            return z, plan, stresses
+            return z, stresses
 
         monkeypatch.setattr(rounding, "build_lifted", tampered)
         tree_f = tmp_path / "tet.json"

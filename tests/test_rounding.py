@@ -55,14 +55,14 @@ def reference_round(flat, tree, params):
         bracket_scale=k,
     )
     ratios = [brackets[node] / b for node, b in real_brackets(flat).items()]
-    (nums, dens), plan, stresses = build_lifted(pe, tree, adjusted_shifts(pe, tree))
+    (nums, dens), stresses = build_lifted(pe, tree, adjusted_shifts(pe, tree))
     z = [F(n, e) for n, e in zip(nums, dens)]
     (w_in, _), (w_lo, _), _ = stress_extrema(pe.ridge_adjacency, stresses)
     z_snapped = [floor_to_multiple(h, params.alpha_z) for h in z]
     (w_in_rounded, _), _, _ = stress_extrema(
         pe.ridge_adjacency,
         direct_stresses(
-            plan, [h.numerator for h in z_snapped], [h.denominator for h in z_snapped]
+            pe, [h.numerator for h in z_snapped], [h.denominator for h in z_snapped]
         ),
     )
     scaled = []

@@ -23,10 +23,11 @@ from gridlift import (
     verify_convexity_global,
     verify_convexity_stress,
 )
-from gridlift import verify
-from gridlift.exact import BASE_NOT_FLAT, _det_int, flat_stress_plan, plan_stresses
+from gridlift import exact
+from gridlift.exact import BASE_NOT_FLAT, _det_int, ridge_stresses
 from gridlift.facets import build_ridge_adjacency
 from gridlift.verify import _centroid, _facet_side_witnesses, _facets_in_order
+from reference import reference_stresses
 
 
 def with_coords(realization, coords):
@@ -107,12 +108,11 @@ class TestZeroStressBaseRidge:
             False, [f"non-base vertex {vid} at height zero"]
         )
         assert global_verdicts(bad) is False
-        # past the precheck, the plan would not give the ridge a stress of 0
-        # either: with both facets in z = 0 it cannot tell which is the base
-        plan = flat_stress_plan(
-            3, [(*p[:-1], 1) for p in bad.coords], adjacency, bad.facet_vertices
-        )
-        _, failures = plan_stresses(plan, [p[-1] for p in bad.coords])
+        # past the precheck, the kernel would not give the ridge a stress of
+        # 0 either: with both facets in z = 0 it cannot tell which is the base
+        facets = {BASE_FACET_KEY: bad.base_facet, **bad.facets}
+        rows = [(1, *p) for p in bad.coords]
+        _, failures = ridge_stresses(3, rows, adjacency, facets)
         assert failures[ridge] == BASE_NOT_FLAT
 
 
@@ -419,19 +419,42 @@ class TestStressRouteAgainstReference:
     def test_one_moved_vertex_same_witnesses(self, realization):
         assert verify_convexity_stress(realization) == stress_route_by_reference(realization)
 
-    @given(permuted_facets())
+    @given(permuted_facets(), st.data())
     @settings(max_examples=100, deadline=None)
-    def test_permuted_facet_tuples_same_witnesses(self, realization):
+    def test_permuted_facet_tuples_same_witnesses(self, realization, data):
         # the route's signs depend on d's parity and on where each extra
         # vertex sits in its facet, which the stored tuple order must not
         # change
         assert verify_convexity_stress(realization) == stress_route_by_reference(realization)
+        # the kernel under the route, on every row (1, p) scaled by its own
+        # D > 0, against stress_of_ridge on the points p
+        coords = realization.coords
+        scales = data.draw(
+            st.lists(
+                st.integers(1, 3) | st.integers(1, 2**64),
+                min_size=len(coords),
+                max_size=len(coords),
+            )
+        )
+        rows = [(D, *(D * c for c in p)) for D, p in zip(scales, coords)]
+        d = realization.d
+        adjacency = build_ridge_adjacency(d, realization.facets, realization.base_facet)
+        facets = {BASE_FACET_KEY: realization.base_facet, **realization.facets}
+        stresses, failures = ridge_stresses(d, rows, adjacency, facets)
+        expected = reference_stresses(
+            [tuple(Fraction(c) for c in p) for p in coords], adjacency, facets.__getitem__
+        )
+        assert failures == {r: w for r, w in expected.items() if isinstance(w, str)}
+        assert stresses.keys() == expected.keys() - failures.keys()
+        for ridge, (num, den) in stresses.items():
+            w = expected[ridge]
+            assert den > 0 and num * w.denominator == w.numerator * den
 
     def test_one_plane_per_facet_and_no_fraction(self, monkeypatch):
         realization = small_realization(5, 30, 1)
         minors_calls = []
         built = []
-        original_minors = verify.maximal_minors
+        original_minors = exact.maximal_minors
         original_new = Fraction.__new__
 
         def counting_minors(rows):
@@ -442,7 +465,7 @@ class TestStressRouteAgainstReference:
             built.append(args)
             return original_new(cls, *args, **kwargs)
 
-        monkeypatch.setattr(verify, "maximal_minors", counting_minors)
+        monkeypatch.setattr(exact, "maximal_minors", counting_minors)
         monkeypatch.setattr(Fraction, "__new__", counting_new)
         assert verify_convexity_stress(realization) == (True, [])
         assert len(minors_calls) == len(realization.facets) + 1
@@ -466,26 +489,52 @@ class TestStressRouteAgainstReference:
 
 class TestMalformedPoint:
     """An in-memory point that is not d Python ints fails every route with
-    verify_bounds's witness, before any arithmetic on it."""
+    verify_bounds's witness, before any arithmetic on it; so does a facet
+    that names a vertex id outside the coordinate list, which the routes
+    would index out of range or, for a negative id, alias to another
+    vertex."""
 
     WITNESS = "vertex 5 is not an integer point of length 3"
 
-    @pytest.fixture(params=[(1, 2), (1, 2, 3, 4), (1.5, 2, 3), ("1", 2, 3)], ids=repr)
+    @pytest.fixture(
+        params=[(1, 2), (1, 2, 3, 4), (1.5, 2, 3), ("1", 2, 3), 99, -1],
+        ids=lambda p: repr(p) if isinstance(p, tuple) else f"vertex 6 as {p}",
+    )
     def malformed(self, request):
+        """A broken realization and the witnesses every route gives it."""
         realization = small_realization(3, 4, 1)
-        return move_vertex(realization, 5, request.param)
+        if isinstance(request.param, tuple):
+            return move_vertex(realization, 5, request.param), [self.WITNESS]
+        # vertex 6 relabelled in every facet: the surface stays closed
+        assert len(realization.coords) == 7
+        vid = request.param
+        facets = {
+            key: tuple(vid if v == 6 else v for v in verts)
+            for key, verts in realization.facets.items()
+        }
+        witnesses = [
+            f"facet {key} names vertex {vid}, not one of 0..6"
+            for key, verts in sorted(facets.items())
+            if vid in verts
+        ]
+        assert len(witnesses) == 3
+        return dataclasses.replace(realization, facets=facets), witnesses
 
     @pytest.mark.parametrize("route", [
         verify_convexity_stress, verify_convexity_global, verify_convexity_exhaustive,
     ])
     def test_route(self, malformed, route):
-        assert route(malformed) == (False, [self.WITNESS])
+        realization, witnesses = malformed
+        assert route(realization) == (False, witnesses)
 
     def test_certificate(self, malformed):
-        cert = make_certificate(malformed, gen_tree("random", 3, 4, 1))
+        realization, witnesses = malformed
+        cert = make_certificate(realization, gen_tree("random", 3, 4, 1))
         assert cert.ok is False
-        assert cert.convex_by_stress is cert.convex_global is cert.bounds_ok is False
-        assert self.WITNESS in cert.witnesses
+        assert cert.convex_by_stress is cert.convex_global is False
+        # the coordinates are in bounds unless a point is malformed
+        assert cert.bounds_ok is (witnesses != [self.WITNESS])
+        assert set(witnesses) <= set(cert.witnesses)
 
 
 class TestBounds:
