@@ -26,7 +26,8 @@ from gridlift.exact import (
     ridge_stresses,
 )
 from gridlift.facets import build_ridge_adjacency
-from gridlift.lifting import direct_stresses, lift_heights
+from gridlift.flat import FlatComplex
+from gridlift.lifting import direct_stresses, lift_heights, lifted_rows
 from reference import flat_points, reference_stresses
 
 F = Fraction
@@ -397,6 +398,54 @@ class TestStressTable:
         assert stresses
         expected = reference_stresses(points, flat.ridge_adjacency, table.__getitem__)
         assert {**stresses, **failures} == expected
+
+
+def as_flat_complex(d, points, base, facets):
+    """A FlatComplex with the shadows of `points` as its columns: the
+    fields the construction's stresses read, the others left empty."""
+    return FlatComplex(
+        d=d,
+        coords=[homogeneous_column(p[:-1]) for p in points],
+        facets=facets,
+        base_facet=base,
+        ridge_adjacency=build_ridge_adjacency(d, facets, base),
+        node_facets={},
+        node_brackets={},
+        bracket_scale=1,
+        stacked_vertex={},
+        interior_order=(),
+        L=1,
+        R_eff=1,
+    )
+
+
+class TestFacetStressPlan:
+    """The construction's route, the complex's (N, E) columns lifted by
+    heights over their own denominators and one hyperplane per facet,
+    against the per-ridge stress_of_ridge, ridge for ridge."""
+
+    @given(lifted_complexes(dims=(3, 4, 5, 6, 7)))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_per_ridge_plan(self, complex_):
+        d, points, base, facets = complex_
+        flat = as_flat_complex(d, points, base, facets)
+        heights = [F(p[-1]) for p in points]
+        nums = [h.numerator for h in heights]
+        dens = [h.denominator for h in heights]
+        rows = lifted_rows(flat.coords, nums, dens)
+        if all(q == 1 for q in dens):
+            assert lifted_rows(flat.coords, nums) == rows
+        table = {BASE_FACET_KEY: base, **facets}
+        stresses, failures = ridge_stresses(d, rows, flat.ridge_adjacency, table)
+        expected = reference_stresses(points, flat.ridge_adjacency, flat.facet_vertices)
+        assert {**as_fractions(stresses), **failures} == expected
+        # direct_stresses raises the first failure, in adjacency order
+        if failures:
+            with pytest.raises(GeometryError) as exc:
+                direct_stresses(flat, nums, dens)
+            assert str(exc.value) == next(iter(failures.values()))
+        else:
+            assert direct_stresses(flat, nums, dens) == stresses
 
 
 def minors_by_det(rows):
