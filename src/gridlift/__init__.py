@@ -45,7 +45,6 @@ from .trees import (
     gen_lowerbound_graph,
     gen_tree,
     graph_from_tree,
-    heavy_paths,
     parse_graph,
     parse_tree,
     tree_from_graph,
@@ -93,7 +92,6 @@ __all__ = [
     "gen_tree",
     "graph_from_tree",
     "grid_params",
-    "heavy_paths",
     "height_on_hyperplane",
     "incremental_stresses",
     "make_certificate",

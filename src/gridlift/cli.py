@@ -18,15 +18,23 @@ from pathlib import Path
 
 from .errors import GeometryError, InvalidInputError, StageInvariantError
 from .pipeline import realize_graph, run_pipeline
-from .serialize import emit_off, realization_from_json, realization_to_json, jsonable, report_to_json
+from .serialize import (
+    emit_off,
+    jsonable,
+    realization_doc,
+    realization_from_json,
+    report_doc,
+    report_to_json,
+)
 from .trees import (
     balance_weights,
     dump_json,
     gen_lowerbound_graph,
     gen_tree,
+    graph_from_doc,
     load_json,
-    parse_graph,
     parse_tree,
+    tree_from_doc,
 )
 from .verify import make_certificate
 
@@ -69,9 +77,9 @@ def _cmd_gen(args) -> int:
 def _parse_tree_or_graph(text: str):
     obj = load_json(text)
     if isinstance(obj, dict) and "tree" in obj:
-        return parse_tree(text), None
+        return tree_from_doc(obj), None
     if isinstance(obj, dict) and "edges" in obj:
-        return None, parse_graph(text)
+        return None, graph_from_doc(obj)
     raise InvalidInputError("input is neither a tree nor a graph document")
 
 
@@ -114,10 +122,7 @@ def _cmd_realize(args) -> int:
     if args.format == "off":
         _write_output(args.output, emit_off(realization))
     else:
-        doc = {
-            "realization": json.loads(realization_to_json(realization)),
-            "report": json.loads(report_to_json(report)),
-        }
+        doc = {"realization": realization_doc(realization), "report": report_doc(report)}
         _write_output(args.output, json.dumps(doc, sort_keys=True))
     return 0
 

@@ -64,12 +64,9 @@ def as_point_seq(points: Sequence[Sequence]) -> PointSeq:
 
 
 def _det_int(a: list[list[int]]) -> int:
-    """Determinant of a small integer matrix, fraction-free Bareiss."""
+    """Determinant of a small integer matrix, in place: a closed form at
+    3 x 3 (every call at d = 3), fraction-free Bareiss at any other size."""
     n = len(a)
-    if n == 1:
-        return a[0][0]
-    if n == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
     if n == 3:
         (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
         return (

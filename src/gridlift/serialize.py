@@ -51,15 +51,19 @@ def jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def realization_to_json(r: Realization) -> str:
-    doc = {
+def realization_doc(r: Realization) -> dict:
+    """The JSON-ready document that realization_to_json encodes."""
+    return {
         "dim": r.d,
         "coords": [list(p) for p in r.coords],
         "facets": [[node, list(verts)] for node, verts in sorted(r.facets.items())],
         "base_facet": list(r.base_facet),
         "metadata": jsonable(r.metadata),
     }
-    return json.dumps(doc, sort_keys=True)
+
+
+def realization_to_json(r: Realization) -> str:
+    return json.dumps(realization_doc(r), sort_keys=True)
 
 
 def _vertex_ids(value, d: int, n: int, what: str) -> tuple[int, ...]:
@@ -125,11 +129,16 @@ def realization_from_json(text: str | bytes) -> Realization:
     return Realization(d=d, coords=coords, facets=facets, base_facet=base, metadata=meta)
 
 
-def report_to_json(report, include_timing: bool = True) -> str:
+def report_doc(report, include_timing: bool = True) -> dict:
+    """The JSON-ready document that report_to_json encodes."""
     doc = jsonable(report)
     if not include_timing:
         doc.pop("timing", None)
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return doc
+
+
+def report_to_json(report, include_timing: bool = True) -> str:
+    return json.dumps(report_doc(report, include_timing), sort_keys=True, separators=(",", ":"))
 
 
 def emit_off(r: Realization) -> str:

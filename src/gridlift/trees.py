@@ -11,10 +11,12 @@ Node ids are assigned in preorder (root = 0), so the preorder sequence of
 interior nodes is simply their ascending id order. A polytope on n vertices
 has n - d interior nodes and (n - d)(d - 1) + 1 leaves.
 
-The module also hosts the face-weight balancing step: weights are integers
-throughout, every interior weight is the sum of its children, light siblings
-share one weight, and the heavy child is never lighter. The root weight of
-the balanced tree is what the embedding stage turns into a grid resolution.
+The module also hosts the face-weight balancing step, one post-order pass
+over the node ids that picks each node's heavy child on the way: weights
+are integers throughout, every interior weight is the sum of its children,
+light siblings share one weight, and the heavy child is never lighter. The
+root weight of the balanced tree is what the embedding stage turns into a
+grid resolution.
 """
 
 from __future__ import annotations
@@ -141,77 +143,17 @@ def tree_from_nested(dim: int, nested: Nested) -> TreeRep:
 
 def parse_tree(text: str | bytes) -> TreeRep:
     """Parse the JSON tree form {"dim": d, "tree": nested}."""
-    obj = load_json(text)
+    return tree_from_doc(load_json(text))
+
+
+def tree_from_doc(obj: object) -> TreeRep:
+    """Build a tree from a decoded document {"dim": d, "tree": nested}."""
     if not isinstance(obj, dict) or "dim" not in obj or "tree" not in obj:
         raise InvalidInputError('tree JSON must be {"dim": d, "tree": ...}')
     dim = obj["dim"]
     if not isinstance(dim, int):
         raise InvalidInputError("dim must be an integer")
     return tree_from_nested(dim, obj["tree"])
-
-
-def subtree_sizes(tree: TreeRep) -> list[int]:
-    """Node count of every subtree, computed bottom-up."""
-    sizes = [1] * len(tree.nodes)
-    for v in range(len(tree.nodes) - 1, -1, -1):
-        for c in tree.nodes[v].children:
-            sizes[v] += sizes[c]
-    return sizes
-
-
-# ---------------------------------------------------------------------------
-# heavy path decomposition
-
-
-@dataclass
-class Caterpillar:
-    """A maximal heavy path plus the light edges hanging off it."""
-
-    path: tuple[int, ...]  # node ids, top to bottom; bottom is a leaf
-    light_children: tuple[tuple[int, int], ...]  # (path node, light child id)
-
-
-def heavy_paths(tree: TreeRep) -> tuple[dict[int, int], list[Caterpillar]]:
-    """Heavy-child table (interior node -> child index) and the caterpillars.
-
-    The heavy child maximizes subtree node count, ties going to the lowest
-    child index. Following heavy children from any top node reaches a leaf;
-    those maximal paths plus their incident light edges partition the edge
-    set into caterpillars, listed by ascending top node id, so every
-    caterpillar comes after the one its top hangs from.
-    """
-    sizes = subtree_sizes(tree)
-    heavy: dict[int, int] = {}
-    for v in tree.interior_ids:
-        ch = tree.nodes[v].children
-        best = 0
-        for i in range(1, len(ch)):
-            if sizes[ch[i]] > sizes[ch[best]]:
-                best = i
-        heavy[v] = best
-
-    tops = [tree.root]
-    for v in tree.interior_ids:
-        ch = tree.nodes[v].children
-        for i, c in enumerate(ch):
-            if i != heavy[v] and not tree.is_leaf(c):
-                tops.append(c)
-    tops.sort()
-
-    cats: list[Caterpillar] = []
-    for top in tops:
-        path = [top]
-        light: list[tuple[int, int]] = []
-        v = top
-        while not tree.is_leaf(v):
-            ch = tree.nodes[v].children
-            for i, c in enumerate(ch):
-                if i != heavy[v]:
-                    light.append((v, c))
-            v = ch[heavy[v]]
-            path.append(v)
-        cats.append(Caterpillar(tuple(path), tuple(light)))
-    return heavy, cats
 
 
 # ---------------------------------------------------------------------------
@@ -230,51 +172,60 @@ class WeightedTree:
 
 
 def balance_weights(tree: TreeRep) -> WeightedTree:
-    """Assign balanced integer face weights.
+    """Assign balanced integer face weights in one post-order pass.
 
-    Processing caterpillars bottom-up: all leaves start at weight 1; within
-    a caterpillar the path-node weights are summed up from their children,
-    every light child is raised to match its heaviest light sibling (the
-    raise is propagated down that child's own heavy path and up the current
-    path so sums stay exact), and finally, when the path holds more than one
-    interior node, the largest light-subtree weight is added to every node
-    on the path so the heavy child can never fall behind its light siblings.
-    A single-interior path is a star of fresh leaves and is already balanced
-    without that final padding.
+    Descending ids visit every descendant before its node. Leaves weigh 1.
+    An interior node's heavy child has the largest subtree, ties going to
+    the lowest child index; following heavy children from a path top (the
+    root or a light child) walks its heavy path down to a leaf. At every
+    interior node each light child is raised to its heaviest light sibling,
+    the raise running down that child's heavy path so sums stay exact, and
+    the node then weighs the sum of its children. Each node carries the
+    largest light weight on its heavy path and the path's count of interior
+    nodes: once a path with two or more interior nodes is complete at its
+    top, that largest light weight is added down the whole path, so the
+    heavy child never falls behind its light siblings (a single-interior
+    path is a star of fresh leaves, balanced without it). The padding and
+    the raise of a light child share one walk, so each heavy path is walked
+    at most once and the pass is linear in the node count.
     """
-    heavy, caterpillars = heavy_paths(tree)
-    weight = [0] * len(tree.nodes)
-    for v in tree.leaf_ids:
-        weight[v] = 1
+    nodes = tree.nodes
+    size = [1] * len(nodes)
+    weight = [1] * len(nodes)
+    heavy: dict[int, int] = {}
+    light_max = [0] * len(nodes)  # largest light weight on v's heavy path
+    interiors = [0] * len(nodes)  # interior nodes on v's heavy path
 
     def add_down_heavy(u: int, delta: int) -> None:
-        while not tree.is_leaf(u):
+        while u in heavy:
             weight[u] += delta
-            u = tree.nodes[u].children[heavy[u]]
+            u = nodes[u].children[heavy[u]]
         weight[u] += delta
 
-    # children before parents: a caterpillar's top comes after its parent's
-    for cat in reversed(caterpillars):
-        interiors = [v for v in cat.path if not tree.is_leaf(v)]
-        for v in reversed(interiors):
-            weight[v] = sum(weight[c] for c in tree.nodes[v].children)
-        for pos, v in enumerate(interiors):
-            lights = [
-                c
-                for i, c in enumerate(tree.nodes[v].children)
-                if i != heavy[v]
-            ]
-            top_w = max(weight[c] for c in lights)
-            for c in lights:
-                delta = top_w - weight[c]
-                if delta:
-                    add_down_heavy(c, delta)
-                    for w in interiors[: pos + 1]:
-                        weight[w] += delta
-        if len(interiors) >= 2:
-            delta_r = max(weight[c] for _, c in cat.light_children)
-            for v in cat.path:
-                weight[v] += delta_r
+    def padding(u: int) -> int:
+        return light_max[u] if interiors[u] >= 2 else 0
+
+    for v in range(len(nodes) - 1, -1, -1):
+        ch = nodes[v].children
+        if not ch:
+            continue
+        best = 0
+        for i in range(1, len(ch)):
+            if size[ch[i]] > size[ch[best]]:
+                best = i
+        heavy[v] = best
+        size[v] += sum(size[c] for c in ch)
+        h = ch[best]
+        lights = [c for i, c in enumerate(ch) if i != best]
+        # a light child tops its own heavy path: pad it, then raise it
+        top_w = max(weight[c] + padding(c) for c in lights)
+        for c in lights:
+            if top_w != weight[c]:
+                add_down_heavy(c, top_w - weight[c])
+        weight[v] = top_w * len(lights) + weight[h]
+        light_max[v] = max(top_w, light_max[h])
+        interiors[v] = interiors[h] + 1
+    add_down_heavy(tree.root, padding(tree.root))
     return WeightedTree(tree, weight, heavy)
 
 
@@ -451,7 +402,12 @@ def graph_from_edges(n: int, edges: list[list[int]]) -> PolytopeGraph:
 
 
 def parse_graph(text: str | bytes) -> PolytopeGraph:
-    obj = load_json(text)
+    """Parse the JSON graph form {"n": n, "edges": [[u, v], ...]}."""
+    return graph_from_doc(load_json(text))
+
+
+def graph_from_doc(obj: object) -> PolytopeGraph:
+    """Build a graph from a decoded document {"n": n, "edges": [...]}."""
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise InvalidInputError('graph JSON must be {"n": ..., "edges": [...]}')
     return graph_from_edges(obj["n"], obj["edges"])

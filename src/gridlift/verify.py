@@ -386,6 +386,8 @@ def verify_combinatorics(
 def make_certificate(
     realization: Realization, tree: TreeRep | None = None
 ) -> Certificate:
+    """Run every route; the witnesses are listed once each, in the order
+    the routes first give them (a malformed point fails several)."""
     s_ok, s_wit = verify_convexity_stress(realization)
     g_ok, g_wit = verify_convexity_global(realization)
     witnesses = s_wit + g_wit
@@ -396,4 +398,4 @@ def make_certificate(
     if tree is not None:
         c_ok, c_wit = verify_combinatorics(realization, tree)
         witnesses += c_wit
-    return Certificate(s_ok, g_ok, b_ok, c_ok, witnesses)
+    return Certificate(s_ok, g_ok, b_ok, c_ok, list(dict.fromkeys(witnesses)))

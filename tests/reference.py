@@ -78,3 +78,81 @@ def reference_stresses(points, adjacency, facet_vertices) -> dict:
         except GeometryError as exc:
             out[ridge] = str(exc)
     return out
+
+
+def reference_heavy_paths(tree):
+    """Heavy-child table (interior node -> child index) and the maximal
+    heavy paths as (path, light edges), listed by ascending top id.
+
+    The heavy child maximizes subtree node count, ties going to the lowest
+    child index; a path runs from its top (the root or a light child) down
+    heavy children to a leaf, and its light edges are the (path node, light
+    child) pairs hanging off it.
+    """
+    sizes = [1] * len(tree.nodes)
+    for v in range(len(tree.nodes) - 1, -1, -1):
+        for c in tree.nodes[v].children:
+            sizes[v] += sizes[c]
+    heavy = {}
+    for v in tree.interior_ids:
+        ch = tree.nodes[v].children
+        best = 0
+        for i in range(1, len(ch)):
+            if sizes[ch[i]] > sizes[ch[best]]:
+                best = i
+        heavy[v] = best
+    tops = [tree.root] + sorted(
+        c
+        for v in tree.interior_ids
+        for i, c in enumerate(tree.nodes[v].children)
+        if i != heavy[v] and not tree.is_leaf(c)
+    )
+    paths = []
+    for top in tops:
+        path, light = [top], []
+        v = top
+        while not tree.is_leaf(v):
+            ch = tree.nodes[v].children
+            light += [(v, c) for i, c in enumerate(ch) if i != heavy[v]]
+            v = ch[heavy[v]]
+            path.append(v)
+        paths.append((path, light))
+    return heavy, paths
+
+
+def reference_balance_weights(tree):
+    """balance_weights path by path: (weights by node id, heavy table).
+
+    Paths are taken bottom-up. Within a path the node weights are summed
+    from their children, every light child is raised to its heaviest light
+    sibling (down that child's heavy path, and up the path prefix above it),
+    and a path with two or more interior nodes then gains its largest light
+    weight on every node.
+    """
+    heavy, paths = reference_heavy_paths(tree)
+    weight = [1 if tree.is_leaf(v) else 0 for v in range(len(tree.nodes))]
+
+    def add_down_heavy(u, delta):
+        while not tree.is_leaf(u):
+            weight[u] += delta
+            u = tree.nodes[u].children[heavy[u]]
+        weight[u] += delta
+
+    for path, light_edges in reversed(paths):
+        interiors = path[:-1]
+        for v in reversed(interiors):
+            weight[v] = sum(weight[c] for c in tree.nodes[v].children)
+        for pos, v in enumerate(interiors):
+            lights = [c for i, c in enumerate(tree.nodes[v].children) if i != heavy[v]]
+            top_w = max(weight[c] for c in lights)
+            for c in lights:
+                delta = top_w - weight[c]
+                if delta:
+                    add_down_heavy(c, delta)
+                    for w in interiors[: pos + 1]:
+                        weight[w] += delta
+        if len(interiors) >= 2:
+            pad = max(weight[c] for _, c in light_edges)
+            for v in path:
+                weight[v] += pad
+    return weight, heavy

@@ -17,7 +17,6 @@ from gridlift import (
     direct_stresses,
     gen_lowerbound_graph,
     gen_tree,
-    heavy_paths,
     incremental_stresses,
     parse_tree,
     realize_graph,
@@ -245,7 +244,7 @@ def test_criterion_5_balancing():
             check_balanced(wt)  # node-by-node predicate, raises on violation
             assert all(wt.weight[leaf] >= 1 for leaf in tree.leaf_ids)
             assert wt.root_weight <= (2 * d) ** ceil_log2(tree.n_vertices)
-            heavy, _ = heavy_paths(tree)
+            heavy = wt.heavy_child
             bound = math.floor(math.log2(tree.n_vertices))
             for leaf in tree.leaf_ids:
                 light = 0

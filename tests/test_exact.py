@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -446,6 +447,64 @@ class TestFacetStressPlan:
             assert str(exc.value) == next(iter(failures.values()))
         else:
             assert direct_stresses(flat, nums, dens) == stresses
+
+
+def det_by_permutations(a):
+    """Leibniz expansion over every permutation: the reference for _det_int."""
+    n = len(a)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= a[i][j]
+        total += term
+    return total
+
+
+@st.composite
+def square_matrices(draw):
+    """An n x n integer matrix, n = 1..6, often with zero leading pivots
+    (so elimination must swap rows) or singular."""
+    n = draw(st.integers(1, 6))
+    entries = st.integers(-(2**40), 2**40) | st.integers(-3, 3)
+    a = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(["any", "zero_pivots", "zero_column", "dependent_rows"]))
+    if shape == "zero_pivots":
+        # the first column's top entries vanish; all of them makes it singular
+        for r in a[: draw(st.integers(1, n))]:
+            r[0] = 0
+    elif shape == "zero_column":
+        j = draw(st.integers(0, n - 1))
+        for r in a:
+            r[j] = 0
+    elif shape == "dependent_rows" and n >= 2:
+        i, k = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        c = draw(st.integers(-3, 3))
+        a[i] = [c * x for x in a[k]]
+    return a
+
+
+class TestDetInt:
+    @given(square_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_permutation_expansion(self, a):
+        assert _det_int([r[:] for r in a]) == det_by_permutations(a)
+
+    @pytest.mark.parametrize("a, det", [
+        ([[-7]], -7),
+        ([[0]], 0),
+        ([[0, 1], [1, 0]], -1),
+        ([[2, 4], [1, 2]], 0),
+        ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], -1),
+        # the second pivot vanishes only after the first elimination step
+        ([[1, 1, 0, 0], [1, 1, 1, 0], [0, 1, 1, 1], [0, 0, 1, 1]], -1),
+        ([[0, 0, 0, 2], [0, 0, 3, 0], [0, 5, 0, 0], [7, 0, 0, 0]], 210),
+        ([[1, 2, 3, 4, 5], [2, 4, 6, 8, 10], [0, 1, 0, 2, 7], [3, 0, 1, 1, 1], [1, 1, 1, 1, 1]], 0),
+    ])
+    def test_swaps_and_singular(self, a, det):
+        assert det_by_permutations(a) == det
+        assert _det_int([r[:] for r in a]) == det
 
 
 def minors_by_det(rows):

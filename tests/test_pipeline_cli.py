@@ -209,6 +209,28 @@ class TestCli:
         doc = json.loads(out_f.read_text())
         assert len(doc["realization"]["facets"]) + 1 == 36
 
+    @pytest.mark.parametrize("doc", [
+        gen_tree("random", 4, 6, 2).to_json(),
+        graph_from_tree(gen_tree("random", 3, 6, 2)).to_json(),
+    ], ids=["tree", "graph"])
+    def test_realize_decodes_once(self, tmp_path, capsys, monkeypatch, doc):
+        """The input is decoded once and the combined output is built from
+        the realization's and report's documents, not re-read from text."""
+        in_f = tmp_path / "in.json"
+        in_f.write_text(doc)
+        calls = []
+        loads = json.loads
+
+        def counting_loads(*args, **kwargs):
+            calls.append(args)
+            return loads(*args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting_loads)
+        assert main(["realize", "--input", str(in_f)]) == 0
+        assert len(calls) == 1
+        out = loads(capsys.readouterr().out)
+        assert out["report"]["certificate"]["ok"] is True
+
     def test_off_output(self, tmp_path, tet_tree):
         tree_f = tmp_path / "tet.json"
         tree_f.write_text(tet_tree.to_json())

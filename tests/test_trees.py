@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -16,13 +17,13 @@ from gridlift import (
     gen_lowerbound_graph,
     gen_tree,
     graph_from_tree,
-    heavy_paths,
     parse_graph,
     parse_tree,
     tree_from_graph,
     tree_from_nested,
 )
-from gridlift.trees import subtree_sizes
+from reference import reference_balance_weights
+from test_census import all_trees
 
 
 def ceil_log2(n: int) -> int:
@@ -126,37 +127,26 @@ class TestParsing:
             assert t.n_vertices == d + t.interior_count
 
 
+def comb(levels: int):
+    """A d=3 comb: a heavy path of `levels` interior nodes, each of which also
+    hangs one leaf and one single-stacking subtree."""
+    nested = None
+    for _ in range(levels):
+        nested = [None, [None, None, None], nested]
+    return tree_from_nested(3, nested)
+
+
 class TestHeavyPaths:
     def test_two_stack_heavy(self, two_stack_tree):
-        sizes = subtree_sizes(two_stack_tree)
-        assert sizes[0] == 7
-        heavy, caterpillars = heavy_paths(two_stack_tree)
-        # second child (the interior one) is heavy at the root
-        assert heavy[0] == 1
-        assert len(caterpillars) == 1
-        cat = caterpillars[0]
-        assert cat.path[0] == 0
-        assert len(cat.path) == 3  # root, inner node, one leaf
-
-    def test_edge_partition(self):
-        for seed in range(6):
-            t = gen_tree("random", 3, 25, seed)
-            heavy, caterpillars = heavy_paths(t)
-            seen = set()
-            for cat in caterpillars:
-                for a, b in zip(cat.path, cat.path[1:]):
-                    assert (a, b) not in seen
-                    seen.add((a, b))
-                for v, c in cat.light_children:
-                    assert (v, c) not in seen
-                    seen.add((v, c))
-            n_edges = len(t.nodes) - 1
-            assert len(seen) == n_edges
+        heavy = balance_weights(two_stack_tree).heavy_child
+        # second child (the interior one, 4 of the 7 nodes) is heavy at the
+        # root; the inner node's leaves tie, so its first child wins
+        assert heavy == {0: 1, 2: 0}
 
     def test_light_depth_bound(self):
         for d, size, seed in [(3, 40, 0), (3, 40, 1), (4, 20, 2), (5, 12, 3)]:
             t = gen_tree("random", d, size, seed)
-            heavy, _ = heavy_paths(t)
+            heavy = balance_weights(t).heavy_child
             bound = math.floor(math.log2(t.n_vertices))
             for leaf in t.leaf_ids:
                 light = 0
@@ -193,6 +183,38 @@ class TestBalance:
             wt = balance_weights(t)
             assert wt.root_weight <= (2 * d) ** ceil_log2(t.n_vertices)
 
+    def test_equals_path_by_path_reference(self):
+        trees = [
+            t for d, k_max in [(3, 6), (4, 4), (5, 3)]
+            for k in range(1, k_max + 1)
+            for t in all_trees(d, k)
+        ]
+        for d in range(3, 7):
+            trees += [gen_tree("random", d, 1 + seed % 40, seed) for seed in range(150)]
+            trees += [gen_tree("serpentine", d, size) for size in (1, 2, 7, 30)]
+            trees += [gen_tree("balanced_rounds", d, rounds) for rounds in (1, 2, 3)]
+        trees += [comb(levels) for levels in (1, 2, 3, 100, 300)]
+        assert len(trees) == 1980 + 4 * 157 + 5
+        for t in trees:
+            wt = balance_weights(t)
+            assert (wt.weight, wt.heavy_child) == reference_balance_weights(t)
+
+    def test_linear_on_a_comb(self):
+        """A comb eight times longer takes about eight times as long to
+        balance; pushing every light raise up the path prefix above it made
+        that about fifty."""
+
+        def best_of_three(tree):
+            times = []
+            for _ in range(3):
+                t0 = time.perf_counter()
+                balance_weights(tree)
+                times.append(time.perf_counter() - t0)
+            return min(times)
+
+        short, long = comb(1000), comb(8000)
+        assert best_of_three(long) / best_of_three(short) < 20
+
     # two_stack_tree: root 0 has children 1, 2, 6 (weights 1, 4, 1; heavy 2),
     # node 2 has children 3, 4, 5 (weights 2, 1, 1; heavy 3)
     @pytest.mark.parametrize("changes,witness,message", [
@@ -224,8 +246,7 @@ class TestGenerators:
     def test_serpentine_single_path(self):
         t = gen_tree("serpentine", 3, 5)
         assert t.interior_count == 5
-        heavy, caterpillars = heavy_paths(t)
-        assert len(caterpillars) == 1
+        assert balance_weights(t).heavy_child == {v: 0 for v in t.interior_ids}
 
     def test_balanced_rounds_counts(self):
         for d, rounds in [(3, 2), (3, 3), (4, 2)]:

@@ -534,7 +534,9 @@ class TestMalformedPoint:
         assert cert.convex_by_stress is cert.convex_global is False
         # the coordinates are in bounds unless a point is malformed
         assert cert.bounds_ok is (witnesses != [self.WITNESS])
-        assert set(witnesses) <= set(cert.witnesses)
+        # each witness once, the first route's first and in its order
+        assert len(set(cert.witnesses)) == len(cert.witnesses)
+        assert cert.witnesses[: len(witnesses)] == witnesses
 
 
 class TestBounds:
