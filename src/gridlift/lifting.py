@@ -94,16 +94,14 @@ def lift_heights(
 
 
 def lifted_rows(
-    coords: list[tuple[int, ...]], nums: list[int], dens: list[int] | None = None
+    coords: list[tuple[int, ...]], nums: list[int], dens: list[int]
 ) -> list[tuple[int, ...]]:
     """Each vertex lifted to its height, as an integer homogeneous row.
 
     Vertex v's column (N, E) is the flat point N / E, and its height is
-    nums[v] / dens[v] (or the integer nums[v]); over D = lcm(E, dens[v])
-    the lifted point is the row (D, N D / E, nums[v] D / dens[v]).
+    nums[v] / dens[v]; over D = lcm(E, dens[v]) the lifted point is the row
+    (D, N D / E, nums[v] D / dens[v]).
     """
-    if dens is None:
-        return [(col[-1], *col[:-1], n * col[-1]) for col, n in zip(coords, nums)]
     rows = []
     for col, n, q in zip(coords, nums, dens):
         e = col[-1]
@@ -116,14 +114,11 @@ def lifted_rows(
     return rows
 
 
-def direct_stresses(
-    flat: FlatComplex, nums: list[int], dens: list[int] | None = None
-) -> dict[Ridge, Pair]:
+def direct_stresses(flat: FlatComplex, nums: list[int], dens: list[int]) -> dict[Ridge, Pair]:
     """Stress of every ridge, from one hyperplane per facet of the lift.
 
-    The heights are nums over dens, or the integers nums. Raises the
-    GeometryError of the first ridge, in adjacency order, whose stress is
-    undefined.
+    The heights are nums over dens. Raises the GeometryError of the first
+    ridge, in adjacency order, whose stress is undefined.
     """
     facets = {BASE_FACET_KEY: flat.base_facet, **flat.facets}
     stresses, failures = ridge_stresses(

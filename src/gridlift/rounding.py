@@ -15,14 +15,14 @@ the integers H = floor(h / alpha_z), so each output point is (X, H) with
 no rescaling. The relift's heights are integer numerators over
 denominators and its stresses integer pairs, so the stage finds the highest
 vertex by cross-multiplication and floors each height with one integer
-division. The relift's stresses and the snapped heights' come from the same
-lifting.direct_stresses, one hyperplane per facet each; on the snapped
-heights every lifted row is an integer point (1, X, H). The factors s and
-s^2 stay implicit: every value the stage reports is converted back to real
-units exactly, and only those values become Fractions. Hard size caps bound the flat coordinates by
+division. The factors s and s^2 stay implicit: every value the stage
+reports is converted back to real units exactly, and only those values
+become Fractions. Hard size caps bound the flat coordinates by
 10 d^2 R_eff^2 (attained by the base corners) and heights by 6 R_eff^3.
 The stage's output is a facets.Realization, the perturbed complex's facet
-table with the integer points.
+table with the integer points. The stage evaluates no stress on them: the
+snapped surface's ridge stresses are the certificate's, whose stress route
+checks their signs (and the pipeline reports its least interior one).
 
 Every inequality checked here is guaranteed by construction, so failures
 raise stage errors rather than being reported as input problems.
@@ -38,7 +38,7 @@ from .errors import InvalidInputError, StageInvariantError
 from .exact import _det_int
 from .facets import Realization
 from .flat import FlatComplex
-from .lifting import adjusted_shifts, build_lifted, direct_stresses, stress_extrema
+from .lifting import adjusted_shifts, build_lifted, stress_extrema
 from .trees import TreeRep
 
 # Bound here though round_and_scale relifts through build_lifted: the
@@ -133,18 +133,17 @@ def round_and_scale(
     s = alpha^-(d-1). The gated extrema are divided back to real units
     exactly, so each gate keeps its bound. The snapped heights are integers
     in units of alpha_z, which makes every output point (X_v, H_v) integer
-    by construction; the snapped-stress gates only check signs.
+    by construction; past snapping, the stage checks only the heights'
+    signs and the size caps, and leaves the stresses to the certificate.
     """
     R_eff = params.R_eff
     s = params.alpha.denominator ** (perturbed.d - 1)
     s2 = s * s
-    inv_z = params.alpha_z.denominator
     z, stresses = build_lifted(perturbed, tree, adjusted_shifts(perturbed, tree))
-    adjacency = perturbed.ridge_adjacency
     (min_interior, r_in), (min_base, r_lo), (max_base, r_hi) = stress_extrema(
-        adjacency, stresses
+        perturbed.ridge_adjacency, stresses
     )
-    del stresses  # freed before the snapped heights get their own table
+    del stresses  # only its extrema are gated; freed before the output is built
     # the gated extrema, back in real units
     min_interior, min_base, max_base = (
         Fraction(w, s) for w in (min_interior, min_base, max_base)
@@ -169,23 +168,7 @@ def round_and_scale(
         raise StageInvariantError("rounding", f"z_max {z_max} outside (0, 2 R_eff^2)")
 
     # floor(h / (s^2 alpha_z)): the real height in units of alpha_z
-    z_snapped = [h * inv_z // (e * s2) for h, e in zip(nums, dens)]
-    # on heights in units of alpha_z, a stress is the real one times inv_z / s
-    (min_interior_final, r_in), _, (max_base_final, r_hi) = stress_extrema(
-        adjacency, direct_stresses(perturbed, z_snapped)
-    )
-    if min_interior_final <= 0:
-        raise StageInvariantError(
-            "rounding",
-            f"rounded interior stress {Fraction(min_interior_final * s, inv_z)} not positive",
-            r_in,
-        )
-    if max_base_final >= 0:
-        raise StageInvariantError(
-            "rounding",
-            f"rounded base stress {Fraction(max_base_final * s, inv_z)} not negative",
-            r_hi,
-        )
+    z_snapped = [h * params.alpha_z.denominator // (e * s2) for h, e in zip(nums, dens)]
     if any(h <= 0 for h in z_snapped[perturbed.d :]):
         raise StageInvariantError("rounding", "non-base vertex rounded to height <= 0")
 
@@ -221,7 +204,6 @@ def round_and_scale(
         "min_base_stress": min_base,
         "min_interior_stress_ok": min_interior >= Fraction(4, 5),
         "z_max": z_max,
-        "min_interior_stress_rounded": Fraction(min_interior_final * s, inv_z),
         "max_xy": max_xy,
         "max_z": max_z,
         "bound_xy": bound_xy,

@@ -94,7 +94,7 @@ def load_json(text: str | bytes) -> object:
     """json.loads; malformed or too deeply nested text is invalid input."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or the integer digit limit
         raise InvalidInputError(f"invalid JSON: {e}") from None
     except RecursionError:
         raise InvalidInputError(

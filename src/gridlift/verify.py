@@ -60,6 +60,9 @@ class Certificate:
     bounds_ok: bool | None = None
     combinatorics_ok: bool | None = None
     witnesses: list[str] = field(default_factory=list)
+    # the stress route's least interior stress as (numerator, denominator),
+    # in the output's units; not serialized
+    min_interior_stress: tuple[int, int] | None = None
 
     @property
     def ok(self) -> bool:
@@ -107,7 +110,14 @@ def _input_witnesses(realization: Realization) -> list[str]:
 
 
 def verify_convexity_stress(realization: Realization) -> tuple[bool, list[str]]:
-    """Interior ridge stresses positive, base negative, base flat at 0.
+    """Interior ridge stresses positive, base negative, base flat at 0."""
+    witnesses, _ = _stress_route(realization)
+    return not witnesses, witnesses
+
+
+def _stress_route(realization: Realization) -> tuple[list[str], tuple[int, int] | None]:
+    """The stress route's witnesses, and its least interior stress (ties to
+    the first ridge in adjacency order; None if it stops before the stresses).
 
     Each ridge's stress is the one exact.ridge_stresses reads off one
     hyperplane per facet, on the rows (1, x, z) of the integer points, so
@@ -115,7 +125,7 @@ def verify_convexity_stress(realization: Realization) -> tuple[bool, list[str]]:
     """
     malformed = _input_witnesses(realization)
     if malformed:
-        return False, malformed
+        return malformed, None
     witnesses: list[str] = []
     coords = realization.coords
     heights = [p[-1] for p in coords]
@@ -131,18 +141,19 @@ def verify_convexity_stress(realization: Realization) -> tuple[bool, list[str]]:
         if vid not in base_set and z == 0:
             witnesses.append(f"non-base vertex {vid} at height zero")
     if witnesses:
-        return False, witnesses
+        return witnesses, None
 
     try:
         adjacency = build_ridge_adjacency(
             realization.d, realization.facets, realization.base_facet
         )
     except GeometryError as exc:
-        return False, [f"ridge structure broken: {exc}"]
+        return [f"ridge structure broken: {exc}"], None
 
     facets = {BASE_FACET_KEY: realization.base_facet, **realization.facets}
     rows = [(1, *p) for p in coords]
     stresses, failures = ridge_stresses(realization.d, rows, adjacency, facets)
+    least = None
     for ridge, keys in adjacency.items():
         if ridge in failures:
             witnesses.append(f"ridge {ridge}: {failures[ridge]}")
@@ -153,9 +164,12 @@ def verify_convexity_stress(realization: Realization) -> tuple[bool, list[str]]:
         if BASE_FACET_KEY in keys:
             if num >= 0:
                 witnesses.append(f"base ridge {ridge} has stress {Fraction(num, den)} >= 0")
-        elif num <= 0:
+            continue
+        if num <= 0:
             witnesses.append(f"interior ridge {ridge} has stress {Fraction(num, den)} <= 0")
-    return not witnesses, witnesses
+        if least is None or num * least[1] < least[0] * den:
+            least = (num, den)
+    return witnesses, least
 
 
 def _facets_in_order(realization: Realization) -> list[tuple[int, tuple[int, ...]]]:
@@ -388,7 +402,7 @@ def make_certificate(
 ) -> Certificate:
     """Run every route; the witnesses are listed once each, in the order
     the routes first give them (a malformed point fails several)."""
-    s_ok, s_wit = verify_convexity_stress(realization)
+    s_wit, min_interior = _stress_route(realization)
     g_ok, g_wit = verify_convexity_global(realization)
     witnesses = s_wit + g_wit
     b_ok = c_ok = None
@@ -398,4 +412,6 @@ def make_certificate(
     if tree is not None:
         c_ok, c_wit = verify_combinatorics(realization, tree)
         witnesses += c_wit
-    return Certificate(s_ok, g_ok, b_ok, c_ok, list(dict.fromkeys(witnesses)))
+    return Certificate(
+        not s_wit, g_ok, b_ok, c_ok, list(dict.fromkeys(witnesses)), min_interior
+    )

@@ -39,7 +39,7 @@ def table(stresses):
     return {ridge: F(*w) for ridge, w in stresses.items()}
 
 
-def kernel(complex_, nums, dens=None):
+def kernel(complex_, nums, dens):
     """ridge_stresses on a complex lifted by nums over dens: the stresses
     and the failures that direct_stresses would raise."""
     facets = {BASE_FACET_KEY: complex_.base_facet, **complex_.facets}
@@ -178,10 +178,11 @@ class TestStresses:
             assert all(type(x) is int for c in complex_.coords for x in c)
             zeta = adjusted_shifts(complex_, tree)
             nums, dens = lift_heights(complex_, tree, zeta)
+            floored = [n // e for n, e in zip(nums, dens)]
             pairs = [
                 *incremental_stresses(complex_, tree, zeta).values(),
                 *kernel(complex_, nums, dens)[0].values(),
-                *kernel(complex_, [n // e for n, e in zip(nums, dens)])[0].values(),
+                *kernel(complex_, floored, [1] * len(floored))[0].values(),
             ]
             values = [*nums, *dens, *(x for pair in pairs for x in pair)]
             assert all(type(v) is int for v in values)
@@ -350,7 +351,7 @@ class TestPairsMatchFractionReferences:
             expected = reference_table(complex_, heights)
             assert table(stresses) == expected
             assert table(incremental_stresses(complex_, tree, zeta)) == expected
-            # integer heights take the row builder's other path
+            # integer heights, over denominators 1
             floored = [n // e for n, e in zip(*z)]
-            pairs, failures = kernel(complex_, floored)
+            pairs, failures = kernel(complex_, floored, [1] * len(floored))
             assert {**table(pairs), **failures} == reference_table(complex_, floored)

@@ -1,8 +1,12 @@
 import contextlib
 import copy
+import dataclasses
 import functools
 import io
 import json
+import re
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +16,7 @@ from hypothesis import strategies as st
 from gridlift import (
     BASE_FACET_KEY,
     GeometryError,
+    InvalidInputError,
     emit_off,
     gen_tree,
     graph_from_tree,
@@ -21,8 +26,9 @@ from gridlift import (
     report_to_json,
     run_pipeline,
 )
-from gridlift import lifting, rounding
+from gridlift import exact, lifting, pipeline, rounding
 from gridlift.cli import main
+from gridlift.serialize import parse_rat, rat_str
 
 F = Fraction
 
@@ -73,6 +79,31 @@ class TestPipelineFixture:
             "total",
         }
 
+    @pytest.mark.parametrize("shape,d,size", [("random", 3, 30), ("serpentine", 5, 8)])
+    def test_three_ridge_stress_passes(self, monkeypatch, shape, d, size):
+        # one each for the exact lift, the relift and the certificate, the
+        # only check of the snapped heights: every binding of the kernel is
+        # counted, as the benchmark's tracer wraps it
+        original = exact.ridge_stresses
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return original(*args)
+
+        bound = [
+            (module, key)
+            for name, module in list(sys.modules.items())
+            if name == "gridlift" or name.startswith("gridlift.")
+            for key, value in vars(module).items()
+            if value is original
+        ]
+        assert len(bound) >= 3  # exact, lifting and verify at least
+        for module, key in bound:
+            monkeypatch.setattr(module, key, counting)
+        run_pipeline(gen_tree(shape, d, size, 2))
+        assert calls == [d, d, d]
+
 
 class TestGraphEntry:
     def test_k4_matches_tree_path(self, tet_tree, tet_result):
@@ -97,6 +128,19 @@ class TestSerialization:
         assert again.facets == realization.facets
         assert again.base_facet == realization.base_facet
         assert again.metadata["alpha"] == realization.metadata["alpha"]
+
+    @pytest.mark.parametrize("shape,d,size", [("random", 3, 20), ("serpentine", 5, 6)])
+    def test_metadata_round_trips(self, shape, d, size):
+        realization, _ = run_pipeline(gen_tree(shape, d, size, 1))
+        again = realization_from_json(realization_to_json(realization))
+        assert again.metadata == realization.metadata
+        for x in (F(-3, 4), F(5), F(0), F(10**60 + 1, 7), -12):
+            assert parse_rat(rat_str(x)) == x
+
+    @pytest.mark.parametrize("text", ["1e5", "1.5", " 1", "1_000", "+-1", "1/", "/2", "3/0"])
+    def test_parse_rat_takes_only_what_rat_str_writes(self, text):
+        with pytest.raises(InvalidInputError, match="bad rational"):
+            parse_rat(text)
 
     def test_report_contains_exact_rationals(self, tet_result):
         _, report = tet_result
@@ -292,6 +336,36 @@ class TestCli:
             "witness": list(ridges[1]),
         }
 
+    def test_verify_failure_names_the_ridge(self, tmp_path, capsys, monkeypatch):
+        # sink the last stacked vertex to height 1 after snapping: only the
+        # certificate checks the snapped surface, and its stress route names
+        # the interior ridges that the dent folds the wrong way
+        tree = gen_tree("random", 3, 8, 42)
+        sunk = tree.n_vertices - 1
+        original = pipeline.round_and_scale
+
+        def tampered(*args):
+            realization, info = original(*args)
+            coords = list(realization.coords)
+            coords[sunk] = (*coords[sunk][:-1], 1)
+            return dataclasses.replace(realization, coords=coords), info
+
+        monkeypatch.setattr(pipeline, "round_and_scale", tampered)
+        tree_f = tmp_path / "tree.json"
+        tree_f.write_text(tree.to_json())
+        assert main(["realize", "--input", str(tree_f)]) == 3
+        error, failure, *rest = capsys.readouterr().err.splitlines()
+        assert error.startswith("error: [verify] certificate failed: ")
+        assert rest == []
+        failure = json.loads(failure)
+        assert failure["stage"] == "verify"
+        ridges = [
+            tuple(int(v) for v in m.group(1).split(", "))
+            for w in failure["witness"]
+            if (m := re.fullmatch(r"interior ridge \(([\d, ]+)\) has stress .* <= 0", w))
+        ]
+        assert ridges and all(sunk in ridge for ridge in ridges)
+
     def test_geometry_failure_prints_json_line(self, tmp_path, capsys, monkeypatch, tet_tree):
         # a GeometryError names no stage and no witness, but still gets its line
         message = "vertical hyperplane: projected facet is degenerate"
@@ -329,10 +403,31 @@ class TestCli:
         assert main(["verify", "--input", str(real_f), "--tree", str(deep)]) == 2
         assert "nesting limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["realize", "verify"])
+    @pytest.mark.parametrize("doc", [
+        '{"dim": 3, "tree": %s}',
+        '{"dim": 3, "coords": [[%s, 0, 0]], "facets": [], "base_facet": [0, 0, 0]}',
+    ], ids=["tree_value", "coordinate"])
+    def test_overlong_integer_exit_2(self, tmp_path, capsys, command, doc):
+        # past int()'s digit limit json.loads raises a plain ValueError
+        f = tmp_path / "long.json"
+        f.write_text(doc % ("9" * 5000))
+        assert main([command, "--input", str(f)]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid JSON: ")
+
+    def test_exponent_rational_exit_2_quickly(self, tmp_path, capsys, tet_result):
+        # Fraction("1e10000000") would expand ten million digits
+        doc = json.loads(realization_to_json(tet_result[0]))
+        doc["metadata"]["alpha"] = "1e10000000"
+        f = tmp_path / "exp.json"
+        f.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert main(["verify", "--input", str(f)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == "error: bad rational '1e10000000'\n"
+
     def test_verify_failure_exit_code(self, tmp_path, tet_result, capsys):
         realization, _ = tet_result
-        import dataclasses
-
         coords = [list(p) for p in realization.coords]
         coords[3][2] = -coords[3][2]
         bad = dataclasses.replace(

@@ -17,8 +17,9 @@ from gridlift import (
     grid_params,
     perturb_flat,
     round_and_scale,
+    run_pipeline,
 )
-from gridlift import lifting, rounding
+from gridlift import lifting
 from gridlift.exact import bracket, homogeneous_column
 from gridlift.lifting import build_lifted, direct_stresses, stress_extrema
 from gridlift.rounding import check_volume_ratios
@@ -34,7 +35,8 @@ def reference_round(flat, tree, params):
     heights to multiples of alpha_z, then scale by the inverse grid steps.
     The relifted complex holds the real brackets times the lcm k of their
     denominators, under the bracket scale k. Returns the integer
-    coordinates, the volume-ratio extrema and the round report's values.
+    coordinates, the volume-ratio extrema and the values of the round
+    stage's report in run_pipeline, min_interior_stress_rounded included.
     """
 
     def floor_to_multiple(x, step):
@@ -102,9 +104,13 @@ class TestGridUnitsMatchReference:
         assert check_volume_ratios(flat, pe, params) == ratios
         realization, info = round_and_scale(pe, tree, params)
         assert realization.coords == coords
-        assert info == report
+        # every value but the rounded surface's least interior stress, which
+        # run_pipeline takes from the certificate
+        assert info == {k: v for k, v in report.items() if k != "min_interior_stress_rounded"}
+        round_report = run_pipeline(tree)[1].stages["round"]
+        assert round_report == report
         # same types too, so the serialized reports are the same bytes
-        assert {k: type(v) for k, v in info.items()} == {
+        assert {k: type(v) for k, v in round_report.items()} == {
             k: type(v) for k, v in report.items()
         }
 
@@ -244,33 +250,38 @@ class TestRoundAndScale:
         assert info["min_interior_stress"] >= F(4, 5)
         assert -2 * R_eff < info["min_base_stress"] < 0
         assert 0 < info["z_max"] < 2 * R_eff * R_eff
-        assert info["min_interior_stress_rounded"] > 0
         assert all(isinstance(c, int) for pt in realization.coords for c in pt)
         assert info["max_xy"] <= info["bound_xy"]
         assert info["max_z"] <= info["bound_z"]
         # base corner sits exactly at the coordinate bound
         assert info["max_xy"] == info["bound_xy"]
 
-    # the relift's stresses are in units of 1/s = 1/720^2 and the snapped
-    # ones in units of inv_z/s = 12/720^2; messages give real values
+    @pytest.mark.parametrize("d,size,seed", [(3, 22, 6), (4, 11, 7), (5, 7, 8)])
+    def test_rounded_interior_stress_is_positive(self, d, size, seed):
+        # the round stage evaluates no stress on the snapped heights: the
+        # certificate checks them, and run_pipeline reports the least one
+        _, report = run_pipeline(gen_tree("random", d, size, seed))
+        assert report.certificate.ok
+        assert report.stages["round"]["min_interior_stress_rounded"] > 0
+
+    # the relift's stresses are in units of 1/s = 1/720^2; messages give
+    # real values. The snapped heights' stresses are the certificate's,
+    # tested through the CLI in test_pipeline_cli
     @pytest.mark.parametrize("gate,low,lower,message", [
         ("stress_map", F(79, 100) * 720**2, F(1, 2) * 720**2, "below 4/5"),
-        ("direct_stresses", F(0), F(-12, 720**2), "not positive"),
     ])
     def test_gates_name_the_extreme_ridge(
         self, monkeypatch, tet_flat, tet_weighted, gate, low, lower, message
     ):
         # lower two interior stresses after the relift (stress_map, called by
-        # build_lifted) or after snapping the heights (direct_stresses): the
-        # least one is the witness
+        # build_lifted): the least one is the witness
         tree = tet_weighted.tree
         p = grid_params(3, tet_flat.L, tet_flat.R_eff)
         pe = perturb_flat(tet_flat, p.alpha)
         interior = [
             r for r, keys in pe.ridge_adjacency.items() if BASE_FACET_KEY not in keys
         ]
-        module = lifting if gate == "stress_map" else rounding
-        original = getattr(module, gate)
+        original = getattr(lifting, gate)
 
         def tampered(*args):
             out = dict(original(*args))
@@ -278,12 +289,12 @@ class TestRoundAndScale:
             out[interior[1]] = (lower.numerator, lower.denominator)
             return out
 
-        monkeypatch.setattr(module, gate, tampered)
+        monkeypatch.setattr(lifting, gate, tampered)
         with pytest.raises(StageInvariantError) as info:
             round_and_scale(pe, tree, p)
         assert info.value.stage == "rounding"
         assert message in str(info.value)
-        assert ("stress 1/2 " if gate == "stress_map" else "stress -1 ") in str(info.value)
+        assert "stress 1/2 " in str(info.value)
         assert info.value.witness == interior[1]
 
     @pytest.mark.parametrize("excess,raises", [(0, False), (-1, True)])
