@@ -15,10 +15,9 @@ from .errors import (
 from .exact import (
     bracket,
     creasing,
-    height_on_hyperplane,
     stress_of_ridge,
 )
-from .facets import BASE_FACET_KEY, Realization
+from .facets import BASE_FACET_KEY, Realization, TreeRep
 from .flat import FlatComplex, base_simplex, build_flat
 from .lifting import (
     adjusted_shifts,
@@ -37,7 +36,6 @@ from .serialize import (
 )
 from .trees import (
     PolytopeGraph,
-    TreeRep,
     WeightedTree,
     balance_weights,
     check_balanced,
@@ -92,7 +90,6 @@ __all__ = [
     "gen_tree",
     "graph_from_tree",
     "grid_params",
-    "height_on_hyperplane",
     "incremental_stresses",
     "make_certificate",
     "parse_graph",

@@ -3,7 +3,8 @@
 Subcommands: gen, balance, realize, verify, stats. Everything here is a
 thin shell over the library; inputs and outputs are JSON documents (or OFF
 meshes for 3-dimensional realizations). Exit codes: 0 success, 2 invalid
-input, 3 certificate, stage or geometry failure. A stage or geometry failure
+input (a file that cannot be read, decoded or written included), 3
+certificate, stage or geometry failure. A stage or geometry failure
 also prints its stage, message and witness as one JSON line on stderr; both
 are null for a geometry failure, which names no stage.
 """
@@ -35,21 +36,34 @@ from .trees import (
     load_json,
     parse_tree,
     tree_from_doc,
+    tree_to_json,
 )
 from .verify import make_certificate
 
 
+def _file_error(action: str, path: str, e: Exception) -> InvalidInputError:
+    """A file that cannot be read, decoded or written is invalid input."""
+    reason = e.strerror if isinstance(e, OSError) and e.strerror else e
+    return InvalidInputError(f"cannot {action} {path}: {reason}")
+
+
 def _read_input(path: str | None) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
+    stdin = path is None or path == "-"
+    try:
+        return sys.stdin.read() if stdin else Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise _file_error("read", "standard input" if stdin else path, e) from None
 
 
 def _write_output(path: str | None, text: str) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if path is None or path == "-":
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        Path(path).write_text(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
+        return
+    try:
+        Path(path).write_text(text)
+    except OSError as e:
+        raise _file_error("write", path, e) from None
 
 
 def _cmd_gen(args) -> int:
@@ -63,7 +77,7 @@ def _cmd_gen(args) -> int:
                 )
             size = args.n - args.dim  # one stacking per extra vertex
         tree = gen_tree(args.shape, args.dim, size, args.seed)
-        _write_output(args.output, tree.to_json())
+        _write_output(args.output, tree_to_json(tree))
     elif args.shape in ("b3", "gamma"):
         if args.dim != 3:
             raise InvalidInputError(f"shape {args.shape} is 3-dimensional only")

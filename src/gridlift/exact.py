@@ -6,10 +6,6 @@ points in Q^{k-1} is the determinant of the matrix whose columns are the
 points with a row of ones appended; it equals (k-1)! times the signed
 volume of their simplex. On top of it sit:
 
-- height_on_hyperplane: the z-value of the hyperplane spanned by d lifted
-  points above a given flat point. It is the reference the lift is tested
-  against: the lift takes the same value from the facet brackets the flat
-  complex already holds, with no determinant of its own;
 - creasing: how two lifted facets sharing a ridge fold along it,
 - stress_of_ridge: the creasing with a fixed orientation convention, which
   is the quantity whose sign pattern certifies convexity. It is the
@@ -46,8 +42,6 @@ from .facets import BASE_FACET_KEY
 
 Point = tuple[Fraction, ...]
 PointSeq = tuple[Point, ...]
-
-_ZERO = Fraction(0)
 
 # stress_of_ridge raises these; ridge_stresses reports them per ridge
 FLAT_RIDGE = "flat degeneracy: facet extra point on ridge span"
@@ -194,22 +188,6 @@ def bracket(points: Sequence[Sequence]) -> Fraction:
     # a matrix and its transpose have the same determinant
     d = _det_int(cols)
     return Fraction(d, denom) if denom != 1 else Fraction(d)
-
-
-def height_on_hyperplane(facet: Sequence[Sequence], p: Sequence) -> Fraction:
-    """Height of the hyperplane through d lifted points above flat point p.
-
-    `facet` holds d points in Q^d whose projections span a nondegenerate
-    simplex; p lives in Q^{d-1}. The value is the bracket of facet with
-    (p, 0) appended, divided by the projected facet bracket. The sign
-    convention makes the plane through the standard basis points of Q^3
-    evaluate to 1 at the origin.
-    """
-    shadow = bracket([p_[:-1] for p_ in facet])
-    if shadow == 0:
-        raise GeometryError("vertical hyperplane: projected facet is degenerate")
-    lifted_p = tuple(p) + (_ZERO,)
-    return bracket(list(facet) + [lifted_p]) / shadow
 
 
 def creasing(S: Sequence[Sequence], T: Sequence[Sequence]) -> Fraction:

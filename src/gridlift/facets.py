@@ -2,9 +2,11 @@
 
 A facet table is a dict from leaf node id to the facet's ordered vertex ids,
 plus the base facet, held apart and addressed by the key BASE_FACET_KEY.
-The construction and the verifier both take the format from this module,
-so the certificate's trusted code needs nothing from the construction to
-know which facets meet at a ridge.
+The keys are node ids of the ordered stacking tree (TreeRep), and
+facet_layout replays the tree into every node's facet. The construction
+and the verifier both take the format and the replay from this module, so
+the certificate's trusted code needs nothing from the construction to know
+which facets meet at a ridge or which facets a tree stacks.
 """
 
 from __future__ import annotations
@@ -17,6 +19,75 @@ BASE_FACET_KEY = -1  # facet-table key for the base facet
 
 Ridge = tuple[int, ...]  # sorted vertex ids, length d-1
 FacetKey = int  # leaf node id, or BASE_FACET_KEY
+
+
+@dataclass(frozen=True)
+class TreeNode:
+    children: tuple[int, ...]  # empty for leaves
+    parent: int | None
+
+
+@dataclass
+class TreeRep:
+    """Ordered d-ary stacking tree with preorder node ids."""
+
+    dim: int
+    nodes: list[TreeNode]
+
+    root: int = 0
+
+    def is_leaf(self, v: int) -> bool:
+        return not self.nodes[v].children
+
+    @property
+    def interior_ids(self) -> list[int]:
+        # preorder ids make ascending order the preorder of any subset
+        return [v for v, nd in enumerate(self.nodes) if nd.children]
+
+    @property
+    def leaf_ids(self) -> list[int]:
+        return [v for v, nd in enumerate(self.nodes) if not nd.children]
+
+    @property
+    def interior_count(self) -> int:
+        return sum(1 for nd in self.nodes if nd.children)
+
+    @property
+    def leaf_count(self) -> int:
+        return len(self.nodes) - self.interior_count
+
+    @property
+    def n_vertices(self) -> int:
+        return self.dim + self.interior_count
+
+    def to_nested(self) -> None | list:
+        """The nested-list form: None for a leaf, a list of d children."""
+        out: list = [None] * len(self.nodes)
+        for v in range(len(self.nodes) - 1, -1, -1):
+            ch = self.nodes[v].children
+            out[v] = [out[c] for c in ch] if ch else None
+        return out[self.root]
+
+
+def facet_layout(tree: TreeRep) -> tuple[dict[int, tuple[int, ...]], dict[int, int]]:
+    """Ordered facet of every node, plus each interior node's stacked vertex.
+
+    The root facet is (0, ..., d-1); the stacked vertex of the i-th interior
+    node (preorder) gets id d + i; child j's facet is the parent facet with
+    position j replaced by the stacked vertex.
+    """
+    d = tree.dim
+    node_facets: dict[int, tuple[int, ...]] = {tree.root: tuple(range(d))}
+    stacked: dict[int, int] = {}
+    next_vertex = d
+    for v in tree.interior_ids:
+        facet = node_facets[v]
+        p = next_vertex
+        next_vertex += 1
+        stacked[v] = p
+        for j, c in enumerate(tree.nodes[v].children):
+            node_facets[c] = facet[:j] + (p,) + facet[j + 1 :]
+    return node_facets, stacked
 
 
 class FacetTable:

@@ -27,8 +27,8 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .errors import GeometryError, InvalidInputError, StageInvariantError
-from .facets import FacetKey, FacetTable, Ridge, build_ridge_adjacency
-from .trees import WeightedTree, facet_layout
+from .facets import FacetKey, FacetTable, Ridge, build_ridge_adjacency, facet_layout
+from .trees import WeightedTree
 
 # A vertex as (N_1, ..., N_{d-1}, D): the point N / D, D > 0, in lowest terms.
 Column = tuple[int, ...]

@@ -42,9 +42,8 @@ from math import gcd, lcm
 
 from .errors import GeometryError, InvalidInputError, StageInvariantError
 from .exact import Pair, ridge_stresses
-from .facets import BASE_FACET_KEY, Ridge
+from .facets import BASE_FACET_KEY, Ridge, TreeRep
 from .flat import FlatComplex
-from .trees import TreeRep
 
 # Heights as (numerators, denominators): vertex v is at nums[v] / dens[v],
 # each pair in lowest terms with a positive denominator.

@@ -18,13 +18,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import StageInvariantError
-from .facets import Realization
+from .facets import Realization, TreeRep
 from .flat import build_flat
 from .lifting import adjusted_shifts, build_lifted, check_lift_bounds
 from .rounding import check_volume_ratios, grid_params, perturb_flat, round_and_scale
 from .trees import (
     PolytopeGraph,
-    TreeRep,
     balance_weights,
     check_balanced,
     find_facet,

@@ -36,10 +36,9 @@ from fractions import Fraction
 from . import lifting
 from .errors import InvalidInputError, StageInvariantError
 from .exact import _det_int
-from .facets import Realization
+from .facets import Realization, TreeRep
 from .flat import FlatComplex
 from .lifting import adjusted_shifts, build_lifted, stress_extrema
-from .trees import TreeRep
 
 # Bound here though round_and_scale relifts through build_lifted: the
 # benchmark's tracer test checks that this binding is wrapped, too.

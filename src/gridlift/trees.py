@@ -9,7 +9,9 @@ facet with the node's stacked vertex.
 
 Node ids are assigned in preorder (root = 0), so the preorder sequence of
 interior nodes is simply their ascending id order. A polytope on n vertices
-has n - d interior nodes and (n - d)(d - 1) + 1 leaves.
+has n - d interior nodes and (n - d)(d - 1) + 1 leaves. The tree type
+(TreeRep) and its facet replay (facet_layout) live in the facets module,
+which the verifier trusts; this module reads, writes and generates trees.
 
 The module also hosts the face-weight balancing step, one post-order pass
 over the node ids that picks each node's heavy child on the way: weights
@@ -28,59 +30,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidInputError, StageInvariantError
+from .facets import TreeNode, TreeRep, facet_layout
 from .rng import SplitMix64
 
 Nested = None | list  # leaf | list of d children
-
-
-@dataclass(frozen=True)
-class TreeNode:
-    children: tuple[int, ...]  # empty for leaves
-    parent: int | None
-
-
-@dataclass
-class TreeRep:
-    """Ordered d-ary stacking tree with preorder node ids."""
-
-    dim: int
-    nodes: list[TreeNode]
-
-    root: int = 0
-
-    def is_leaf(self, v: int) -> bool:
-        return not self.nodes[v].children
-
-    @property
-    def interior_ids(self) -> list[int]:
-        # preorder ids make ascending order the preorder of any subset
-        return [v for v, nd in enumerate(self.nodes) if nd.children]
-
-    @property
-    def leaf_ids(self) -> list[int]:
-        return [v for v, nd in enumerate(self.nodes) if not nd.children]
-
-    @property
-    def interior_count(self) -> int:
-        return sum(1 for nd in self.nodes if nd.children)
-
-    @property
-    def leaf_count(self) -> int:
-        return len(self.nodes) - self.interior_count
-
-    @property
-    def n_vertices(self) -> int:
-        return self.dim + self.interior_count
-
-    def to_nested(self) -> Nested:
-        out: list[Nested] = [None] * len(self.nodes)
-        for v in range(len(self.nodes) - 1, -1, -1):
-            ch = self.nodes[v].children
-            out[v] = [out[c] for c in ch] if ch else None
-        return out[self.root]
-
-    def to_json(self) -> str:
-        return dump_json({"dim": self.dim, "tree": self.to_nested()})
 
 
 def _nesting_limit() -> str:
@@ -154,6 +107,11 @@ def tree_from_doc(obj: object) -> TreeRep:
     if not isinstance(dim, int):
         raise InvalidInputError("dim must be an integer")
     return tree_from_nested(dim, obj["tree"])
+
+
+def tree_to_json(tree: TreeRep) -> str:
+    """The JSON tree form {"dim": d, "tree": nested}."""
+    return dump_json({"dim": tree.dim, "tree": tree.to_nested()})
 
 
 # ---------------------------------------------------------------------------
@@ -310,31 +268,6 @@ def gen_tree(shape: str, dim: int, size: int, seed: int = 0) -> TreeRep:
         if ch is not None:
             nested[v] = [nested[c] for c in ch]
     return tree_from_nested(dim, nested[0])
-
-
-# ---------------------------------------------------------------------------
-# facet layout (pure combinatorics, shared by embedding and verification)
-
-
-def facet_layout(tree: TreeRep) -> tuple[dict[int, tuple[int, ...]], dict[int, int]]:
-    """Ordered facet of every node, plus each interior node's stacked vertex.
-
-    The root facet is (0, ..., d-1); the stacked vertex of the i-th interior
-    node (preorder) gets id d + i; child j's facet is the parent facet with
-    position j replaced by the stacked vertex.
-    """
-    d = tree.dim
-    node_facets: dict[int, tuple[int, ...]] = {tree.root: tuple(range(d))}
-    stacked: dict[int, int] = {}
-    next_vertex = d
-    for v in tree.interior_ids:
-        facet = node_facets[v]
-        p = next_vertex
-        next_vertex += 1
-        stacked[v] = p
-        for j, c in enumerate(tree.nodes[v].children):
-            node_facets[c] = facet[:j] + (p,) + facet[j + 1 :]
-    return node_facets, stacked
 
 
 # ---------------------------------------------------------------------------

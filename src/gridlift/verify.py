@@ -36,10 +36,9 @@ raising or aliasing a vertex.
 
 The verifier imports from the package only errors, exact (the integer
 determinant kernels and the per-ridge stress rule, which the construction
-is a client of too), facets (the facet-table format and the ridge table)
-and trees (the stacking replay that the combinatorial check compares
-against), so no construction stage is part of the code a certificate has
-to trust.
+is a client of too) and facets (the facet-table format, the ridge table
+and the stacking replay that the combinatorial check compares against), so
+no construction stage is part of the code a certificate has to trust.
 """
 
 from __future__ import annotations
@@ -49,8 +48,8 @@ from fractions import Fraction
 
 from .errors import GeometryError
 from .exact import _det_int, maximal_minors, ridge_stresses
-from .facets import BASE_FACET_KEY, Realization, build_ridge_adjacency, extra_vertex
-from .trees import TreeRep, facet_layout
+from .facets import BASE_FACET_KEY, Realization, TreeRep, build_ridge_adjacency
+from .facets import extra_vertex, facet_layout
 
 
 @dataclass
@@ -79,23 +78,20 @@ def _is_integer_point(p: tuple, d: int) -> bool:
     return len(p) == d and all(isinstance(c, int) for c in p)
 
 
-def _malformed_vertex_witnesses(realization: Realization) -> list[str]:
-    d = realization.d
-    return [
+def _input_witnesses(realization: Realization) -> list[str]:
+    """What every route rejects before it indexes a point: a vertex that
+    is not d ints, or a facet entry that is not a vertex id in range (a
+    negative id would alias a vertex through negative indexing)."""
+    d, n = realization.d, len(realization.coords)
+    witnesses = [
         f"vertex {vid} is not an integer point of length {d}"
         for vid, p in enumerate(realization.coords)
         if not _is_integer_point(p, d)
     ]
-
-
-def _vertex_id_witnesses(realization: Realization) -> list[str]:
-    """A witness for every facet entry that is not a vertex id in range:
-    a negative id would alias a vertex through negative indexing."""
-    n = len(realization.coords)
     named = set(realization.base_facet).union(*realization.facets.values())
     if all(isinstance(v, int) and 0 <= v < n for v in named):
-        return []
-    return [
+        return witnesses
+    return witnesses + [
         f"facet {_label(key)} names vertex {v!r}, not one of 0..{n - 1}"
         for key, verts in _facets_in_order(realization)
         for v in verts
@@ -103,29 +99,37 @@ def _vertex_id_witnesses(realization: Realization) -> list[str]:
     ]
 
 
-def _input_witnesses(realization: Realization) -> list[str]:
-    """What every route rejects before it indexes a point: a vertex that
-    is not d ints, or a facet naming a vertex that does not exist."""
-    return _malformed_vertex_witnesses(realization) + _vertex_id_witnesses(realization)
+def _ridge_table(realization: Realization) -> tuple[dict, str | None]:
+    """(ridge -> its two facets, None), or ({}, the reason) when the facets
+    form no closed surface: some facet is not d distinct vertices, or some
+    ridge does not lie in exactly two facets."""
+    try:
+        return build_ridge_adjacency(
+            realization.d, realization.facets, realization.base_facet
+        ), None
+    except GeometryError as exc:
+        return {}, str(exc)
 
 
 def verify_convexity_stress(realization: Realization) -> tuple[bool, list[str]]:
     """Interior ridge stresses positive, base negative, base flat at 0."""
-    witnesses, _ = _stress_route(realization)
+    witnesses = _input_witnesses(realization)
+    if not witnesses:
+        witnesses, _ = _stress_route(realization, _ridge_table(realization))
     return not witnesses, witnesses
 
 
-def _stress_route(realization: Realization) -> tuple[list[str], tuple[int, int] | None]:
-    """The stress route's witnesses, and its least interior stress (ties to
-    the first ridge in adjacency order; None if it stops before the stresses).
+def _stress_route(
+    realization: Realization, table: tuple[dict, str | None]
+) -> tuple[list[str], tuple[int, int] | None]:
+    """The stress route on input that _input_witnesses passed, given its
+    _ridge_table: the witnesses, and the least interior stress (ties to the
+    first ridge in adjacency order; None if it stops before the stresses).
 
     Each ridge's stress is the one exact.ridge_stresses reads off one
     hyperplane per facet, on the rows (1, x, z) of the integer points, so
     per ridge the route costs one (d+1)-term dot product.
     """
-    malformed = _input_witnesses(realization)
-    if malformed:
-        return malformed, None
     witnesses: list[str] = []
     coords = realization.coords
     heights = [p[-1] for p in coords]
@@ -143,12 +147,9 @@ def _stress_route(realization: Realization) -> tuple[list[str], tuple[int, int] 
     if witnesses:
         return witnesses, None
 
-    try:
-        adjacency = build_ridge_adjacency(
-            realization.d, realization.facets, realization.base_facet
-        )
-    except GeometryError as exc:
-        return [f"ridge structure broken: {exc}"], None
+    adjacency, broken = table
+    if broken:
+        return [f"ridge structure broken: {broken}"], None
 
     facets = {BASE_FACET_KEY: realization.base_facet, **realization.facets}
     rows = [(1, *p) for p in coords]
@@ -174,9 +175,7 @@ def _stress_route(realization: Realization) -> tuple[list[str], tuple[int, int] 
 
 def _facets_in_order(realization: Realization) -> list[tuple[int, tuple[int, ...]]]:
     """(key, vertex ids) for the base facet first, then by leaf node id."""
-    return [(BASE_FACET_KEY, realization.base_facet)] + sorted(
-        realization.facets.items()
-    )
+    return [(BASE_FACET_KEY, realization.base_facet), *sorted(realization.facets.items())]
 
 
 def _label(key: int) -> str:
@@ -187,17 +186,6 @@ def _centroid(coords: list[tuple[int, ...]]) -> tuple[list[int], int]:
     """The vertex centroid held homogeneous, as (sum of all vertices, n)."""
     d = len(coords[0])
     return [sum(p[i] for p in coords) for i in range(d)], len(coords)
-
-
-def _unused_vertex_witnesses(realization: Realization) -> list[str]:
-    used = set(realization.base_facet)
-    for verts in realization.facets.values():
-        used.update(verts)
-    return [
-        f"vertex {vid} lies on no facet"
-        for vid in range(len(realization.coords))
-        if vid not in used
-    ]
 
 
 def _facet_side_witnesses(
@@ -282,15 +270,17 @@ def _ray_witnesses(
     return witnesses
 
 
-def _closed_surface_witnesses(realization: Realization) -> tuple[dict, list[str]]:
-    """Ridge -> its two facets, and a witness if the facets do not form a
-    closed surface (some ridge not in exactly two facets)."""
-    try:
-        return build_ridge_adjacency(
-            realization.d, realization.facets, realization.base_facet
-        ), []
-    except GeometryError as exc:
-        return {}, [f"facets form no closed surface: {exc}"]
+def _surface_witnesses(realization: Realization, broken: str | None) -> list[str]:
+    """Witnesses for the vertices on no facet, then for a broken ridge table."""
+    used = set(realization.base_facet).union(*realization.facets.values())
+    witnesses = [
+        f"vertex {vid} lies on no facet"
+        for vid in range(len(realization.coords))
+        if vid not in used
+    ]
+    if broken:
+        witnesses.append(f"facets form no closed surface: {broken}")
+    return witnesses
 
 
 def verify_convexity_global(realization: Realization) -> tuple[bool, list[str]]:
@@ -302,17 +292,22 @@ def verify_convexity_global(realization: Realization) -> tuple[bool, list[str]]:
     lies strictly on o's side of the other facet's hyperplane; and the ray
     from o through the base facet's centroid crosses no other facet.
     """
-    malformed = _input_witnesses(realization)
-    if malformed:
-        return False, malformed
-    adjacency, broken = _closed_surface_witnesses(realization)
-    witnesses = _unused_vertex_witnesses(realization) + broken
+    witnesses = _input_witnesses(realization)
+    if not witnesses:
+        witnesses = _global_route(realization, _ridge_table(realization))
+    return not witnesses, witnesses
+
+
+def _global_route(realization: Realization, table: tuple[dict, str | None]) -> list[str]:
+    """The global route's witnesses on input that _input_witnesses passed,
+    given its _ridge_table."""
+    adjacency, broken = table
+    witnesses = _surface_witnesses(realization, broken)
     if broken:
-        return False, witnesses
+        return witnesses
 
     # probes[key]: across each ridge of facet key, the other facet's extra vertex
-    probes: dict[int, list[int]] = {key: [] for key in realization.facets}
-    probes[BASE_FACET_KEY] = []
+    probes: dict[int, list[int]] = {key: [] for key in (BASE_FACET_KEY, *realization.facets)}
     for ridge, (k1, k2) in adjacency.items():
         probes[k1].append(extra_vertex(realization.facet_vertices(k2), ridge))
         probes[k2].append(extra_vertex(realization.facet_vertices(k1), ridge))
@@ -325,9 +320,7 @@ def verify_convexity_global(realization: Realization) -> tuple[bool, list[str]]:
             coords, verts, key, probes[key], centroid
         )
         witnesses += wit
-    if not witnesses:
-        witnesses = _ray_witnesses(realization, planes, centroid)
-    return not witnesses, witnesses
+    return witnesses or _ray_witnesses(realization, planes, centroid)
 
 
 def verify_convexity_exhaustive(realization: Realization) -> tuple[bool, list[str]]:
@@ -340,8 +333,8 @@ def verify_convexity_exhaustive(realization: Realization) -> tuple[bool, list[st
     malformed = _input_witnesses(realization)
     if malformed:
         return False, malformed
-    broken = _closed_surface_witnesses(realization)[1]
-    witnesses = _unused_vertex_witnesses(realization) + broken
+    broken = _ridge_table(realization)[1]
+    witnesses = _surface_witnesses(realization, broken)
     if broken:
         # a facet that is not d distinct vertices spans no hyperplane
         return False, witnesses
@@ -401,9 +394,16 @@ def make_certificate(
     realization: Realization, tree: TreeRep | None = None
 ) -> Certificate:
     """Run every route; the witnesses are listed once each, in the order
-    the routes first give them (a malformed point fails several)."""
-    s_wit, min_interior = _stress_route(realization)
-    g_ok, g_wit = verify_convexity_global(realization)
+    the routes first give them (a malformed point fails several).
+
+    The input is checked once and the ridge table built once, for both
+    convexity routes; each route alone does the same on its own."""
+    s_wit = g_wit = _input_witnesses(realization)
+    min_interior = None
+    if not s_wit:
+        table = _ridge_table(realization)
+        s_wit, min_interior = _stress_route(realization, table)
+        g_wit = _global_route(realization, table)
     witnesses = s_wit + g_wit
     b_ok = c_ok = None
     if "R_eff" in realization.metadata:
@@ -413,5 +413,5 @@ def make_certificate(
         c_ok, c_wit = verify_combinatorics(realization, tree)
         witnesses += c_wit
     return Certificate(
-        not s_wit, g_ok, b_ok, c_ok, list(dict.fromkeys(witnesses)), min_interior
+        not s_wit, not g_wit, b_ok, c_ok, list(dict.fromkeys(witnesses)), min_interior
     )

@@ -8,9 +8,10 @@ from gridlift import (
     GeometryError,
     InvalidInputError,
     base_simplex,
+    bracket,
     stress_of_ridge,
 )
-from gridlift.trees import facet_layout
+from gridlift.facets import facet_layout
 
 
 def place_stacked_vertex(
@@ -29,6 +30,23 @@ def place_stacked_vertex(
     for axis in range(dim):
         out.append(sum((a * u[axis] for a, u in zip(child_weights, facet_coords)), Fraction(0)) / W)
     return tuple(out)
+
+
+def height_on_hyperplane(facet: Sequence[Sequence], p: Sequence) -> Fraction:
+    """Height of the hyperplane through d lifted points above flat point p.
+
+    `facet` holds d points in Q^d whose projections span a nondegenerate
+    simplex; p lives in Q^{d-1}. The value is the bracket of facet with
+    (p, 0) appended, divided by the projected facet bracket. The sign
+    convention makes the plane through the standard basis points of Q^3
+    evaluate to 1 at the origin. The lift takes the same value from the
+    facet brackets the flat complex already holds, with no determinant of
+    its own.
+    """
+    shadow = bracket([q[:-1] for q in facet])
+    if shadow == 0:
+        raise GeometryError("vertical hyperplane: projected facet is degenerate")
+    return bracket(list(facet) + [(*p, Fraction(0))]) / shadow
 
 
 def point(column: Sequence[int]) -> tuple[Fraction, ...]:

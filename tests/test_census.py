@@ -27,6 +27,7 @@ from gridlift import (
 )
 from gridlift.lifting import lift_heights
 from gridlift.rounding import grid_params
+from gridlift.trees import tree_to_json
 
 
 def compositions(total: int, parts: int):
@@ -80,7 +81,7 @@ CENSUS = [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (4, 1), (4, 2), (4, 3)]
 def test_every_tree_realizes_and_certifies(d, k):
     for tree in all_trees(d, k):
         realization, report = run_pipeline(tree)
-        label = tree.to_json()
+        label = tree_to_json(tree)
         assert report.certificate.ok, label
         R_eff = report.weights["R_eff"]
         max_xy, max_z = coordinate_maxima(realization)
@@ -103,10 +104,10 @@ def test_direct_stresses_equal_incremental(d, k):
             zeta = adjusted_shifts(complex_, tree)
             direct = direct_stresses(complex_, *lift_heights(complex_, tree, zeta))
             incremental = incremental_stresses(complex_, tree, zeta)
-            assert direct.keys() == incremental.keys(), tree.to_json()
+            assert direct.keys() == incremental.keys(), tree_to_json(tree)
             for ridge, (num, den) in direct.items():
                 inc_num, inc_den = incremental[ridge]
-                assert num * inc_den == inc_num * den, tree.to_json()
+                assert num * inc_den == inc_num * den, tree_to_json(tree)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -116,7 +117,7 @@ def test_graph_route_over_every_base_facet(k):
         assert len(graph.faces) == 2 * k + 2
         for facet in graph.faces:
             realization, report, recovered = realize_graph(graph, base=facet)
-            label = (tree.to_json(), facet)
+            label = (tree_to_json(tree), facet)
             assert report.certificate.ok, label
             assert recovered.interior_count == k, label
             assert len(realization.coords) == k + 3, label

@@ -13,7 +13,6 @@ from gridlift import (
     build_flat,
     creasing,
     gen_tree,
-    height_on_hyperplane,
     stress_of_ridge,
 )
 from gridlift.exact import (
@@ -29,7 +28,7 @@ from gridlift.exact import (
 from gridlift.facets import build_ridge_adjacency
 from gridlift.flat import FlatComplex
 from gridlift.lifting import direct_stresses, lift_heights, lifted_rows
-from reference import flat_points, reference_stresses
+from reference import flat_points, height_on_hyperplane, reference_stresses
 
 F = Fraction
 

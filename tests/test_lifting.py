@@ -17,14 +17,13 @@ from gridlift import (
     direct_stresses,
     gen_tree,
     grid_params,
-    height_on_hyperplane,
     incremental_stresses,
     perturb_flat,
 )
 from gridlift import lifting
 from gridlift.exact import ridge_stresses
 from gridlift.lifting import lift_heights, lifted_rows, stress_extrema, stress_map
-from reference import flat_points, reference_stresses
+from reference import flat_points, height_on_hyperplane, reference_stresses
 
 F = Fraction
 

@@ -29,6 +29,7 @@ from gridlift import (
 from gridlift import exact, lifting, pipeline, rounding
 from gridlift.cli import main
 from gridlift.serialize import parse_rat, rat_str
+from gridlift.trees import tree_to_json
 
 F = Fraction
 
@@ -254,7 +255,7 @@ class TestCli:
         assert len(doc["realization"]["facets"]) + 1 == 36
 
     @pytest.mark.parametrize("doc", [
-        gen_tree("random", 4, 6, 2).to_json(),
+        tree_to_json(gen_tree("random", 4, 6, 2)),
         graph_from_tree(gen_tree("random", 3, 6, 2)).to_json(),
     ], ids=["tree", "graph"])
     def test_realize_decodes_once(self, tmp_path, capsys, monkeypatch, doc):
@@ -277,7 +278,7 @@ class TestCli:
 
     def test_off_output(self, tmp_path, tet_tree):
         tree_f = tmp_path / "tet.json"
-        tree_f.write_text(tet_tree.to_json())
+        tree_f.write_text(tree_to_json(tet_tree))
         off_f = tmp_path / "tet.off"
         assert main(["realize", "--input", str(tree_f), "--format", "off",
                      "--output", str(off_f)]) == 0
@@ -301,7 +302,7 @@ class TestCli:
 
     def test_dim_must_match_tree(self, tmp_path, capsys, tet_tree):
         tree_f = tmp_path / "tet.json"
-        tree_f.write_text(tet_tree.to_json())
+        tree_f.write_text(tree_to_json(tet_tree))
         assert main(["realize", "--input", str(tree_f), "--dim", "5"]) == 2
         assert capsys.readouterr().err.startswith("error: --dim 5 contradicts")
         assert main(["realize", "--input", str(tree_f), "--dim", "3"]) == 0
@@ -325,7 +326,7 @@ class TestCli:
 
         monkeypatch.setattr(rounding, "build_lifted", tampered)
         tree_f = tmp_path / "tet.json"
-        tree_f.write_text(tet_tree.to_json())
+        tree_f.write_text(tree_to_json(tet_tree))
         assert main(["realize", "--input", str(tree_f)]) == 3
         error, failure, *rest = capsys.readouterr().err.splitlines()
         assert error.startswith("error: [rounding] ")
@@ -352,7 +353,7 @@ class TestCli:
 
         monkeypatch.setattr(pipeline, "round_and_scale", tampered)
         tree_f = tmp_path / "tree.json"
-        tree_f.write_text(tree.to_json())
+        tree_f.write_text(tree_to_json(tree))
         assert main(["realize", "--input", str(tree_f)]) == 3
         error, failure, *rest = capsys.readouterr().err.splitlines()
         assert error.startswith("error: [verify] certificate failed: ")
@@ -375,7 +376,7 @@ class TestCli:
 
         monkeypatch.setattr(lifting, "lift_heights", degenerate)
         tree_f = tmp_path / "tet.json"
-        tree_f.write_text(tet_tree.to_json())
+        tree_f.write_text(tree_to_json(tet_tree))
         assert main(["realize", "--input", str(tree_f)]) == 3
         error, failure, *rest = capsys.readouterr().err.splitlines()
         assert error == f"error: {message}"
@@ -402,6 +403,39 @@ class TestCli:
         real_f.write_text(realization_to_json(tet_result[0]))
         assert main(["verify", "--input", str(real_f), "--tree", str(deep)]) == 2
         assert "nesting limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,culprit", [
+        (["realize", "--input", "{missing}"], "read {missing}"),
+        (["realize", "--input", "{directory}"], "read {directory}"),
+        (["realize", "--input", "{undecodable}"], "read {undecodable}"),
+        (["verify", "--input", "{undecodable}"], "read {undecodable}"),
+        (["gen", "--shape", "random", "--n", "6", "--output", "{nowhere}"],
+         "write {nowhere}"),
+        (["realize", "--input", "{tree}", "--report", "{nowhere}"], "write {nowhere}"),
+        (["verify", "--input", "{realization}", "--tree", "{missing}"], "read {missing}"),
+    ], ids=[
+        "realize_missing", "realize_directory", "realize_undecodable",
+        "verify_undecodable", "gen_output_nowhere", "realize_report_nowhere",
+        "verify_tree_missing",
+    ])
+    def test_file_error_exit_2(self, tmp_path, capsys, tet_tree, tet_result, argv, culprit):
+        # a file that cannot be read, decoded or written is invalid input
+        # whose message names the path, not a traceback
+        paths = {
+            "missing": tmp_path / "missing.json",
+            "directory": tmp_path,
+            "undecodable": tmp_path / "undecodable.json",
+            "nowhere": tmp_path / "no_such_dir" / "out.json",
+            "tree": tmp_path / "tet.json",
+            "realization": tmp_path / "r.json",
+        }
+        paths["undecodable"].write_bytes(b"\xff{}")
+        paths["tree"].write_text(tree_to_json(tet_tree))
+        paths["realization"].write_text(realization_to_json(tet_result[0]))
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot {culprit.format(**paths)}: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["realize", "verify"])
     @pytest.mark.parametrize("doc", [
@@ -449,7 +483,7 @@ class TestCli:
         real_f = tmp_path / "real.json"
         tree_f = tmp_path / "tree.json"
         real_f.write_text(json.dumps(doc))
-        tree_f.write_text(tree.to_json())
+        tree_f.write_text(tree_to_json(tree))
         assert main(["verify", "--input", str(real_f), "--tree", str(tree_f)]) == 3
         cert = json.loads(capsys.readouterr().out)
         assert cert["convex_global"] is False
@@ -641,7 +675,7 @@ class TestCliFuzz:
     @settings(max_examples=150, deadline=None)
     def test_realize_mutated_documents(self, fuzz_dir, key, as_graph, data, dim, base, off):
         tree = gen_tree(*key)
-        doc = json.loads(graph_from_tree(tree).to_json() if as_graph else tree.to_json())
+        doc = json.loads(graph_from_tree(tree).to_json() if as_graph else tree_to_json(tree))
         text = data.draw(st.one_of(st.just(json.dumps(doc)), mutated_text(doc)))
         doc_f = fuzz_dir / "doc.json"
         doc_f.write_text(text)
@@ -666,7 +700,7 @@ class TestCliFuzz:
         argv = ["verify", "--input", str(real_f)]
         if with_tree:
             tree_f = fuzz_dir / "tree.json"
-            tree_f.write_text(gen_tree(*key).to_json())
+            tree_f.write_text(tree_to_json(gen_tree(*key)))
             argv += ["--tree", str(tree_f)]
         code, out, err = run_cli(argv)
         if out:  # a certificate, ok exactly when the exit code is 0

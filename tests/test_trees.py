@@ -22,6 +22,7 @@ from gridlift import (
     tree_from_graph,
     tree_from_nested,
 )
+from gridlift.trees import tree_to_json
 from reference import reference_balance_weights
 from test_census import all_trees
 
@@ -96,7 +97,7 @@ class TestParsing:
         assert two_stack_tree.n_vertices == 5
 
     def test_round_trip_json(self, two_stack_tree):
-        doc = json.loads(two_stack_tree.to_json())
+        doc = json.loads(tree_to_json(two_stack_tree))
         again = tree_from_nested(doc["dim"], doc["tree"])
         assert again.to_nested() == two_stack_tree.to_nested()
 

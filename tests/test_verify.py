@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -26,7 +27,12 @@ from gridlift import (
 from gridlift import exact
 from gridlift.exact import BASE_NOT_FLAT, _det_int, ridge_stresses
 from gridlift.facets import build_ridge_adjacency
-from gridlift.verify import _centroid, _facet_side_witnesses, _facets_in_order
+from gridlift.verify import (
+    _centroid,
+    _facet_side_witnesses,
+    _facets_in_order,
+    _input_witnesses,
+)
 from reference import reference_stresses
 
 
@@ -38,6 +44,34 @@ def move_vertex(realization, vid, point):
     coords = [list(p) for p in realization.coords]
     coords[vid] = list(point)
     return with_coords(realization, coords)
+
+
+def relabel_vertex(realization, old, new):
+    facets = {
+        key: tuple(new if v == old else v for v in verts)
+        for key, verts in realization.facets.items()
+    }
+    return dataclasses.replace(realization, facets=facets)
+
+
+def spike_last_vertex(realization):
+    *xs, z = realization.coords[-1]
+    return move_vertex(realization, len(realization.coords) - 1, (*xs, z + 10**9))
+
+
+def negate_apex(realization):
+    x, y, z = realization.coords[3]
+    return move_vertex(realization, 3, (x, y, -z))
+
+
+def drop_first_facet(realization):
+    node = min(realization.facets)
+    facets = {k: v for k, v in realization.facets.items() if k != node}
+    return dataclasses.replace(realization, facets=facets)
+
+
+def add_facet(realization, key, facet):
+    return dataclasses.replace(realization, facets={**realization.facets, key: facet})
 
 
 def global_verdicts(realization):
@@ -66,9 +100,7 @@ class TestFixtureCertificate:
 
 class TestStressOracle:
     def test_negated_apex(self, tet_result):
-        realization, _ = tet_result
-        x, y, z = realization.coords[3]
-        bad = move_vertex(realization, 3, (x, y, -z))
+        bad = negate_apex(tet_result[0])
         ok, witnesses = verify_convexity_stress(bad)
         assert ok is False
         assert any("below height zero" in w for w in witnesses)
@@ -124,9 +156,7 @@ class TestOraclesAgreeOnCorruptions:
     """
 
     def test_spike(self, instance):
-        vid = len(instance.coords) - 1
-        x, y, z = instance.coords[vid]
-        bad = move_vertex(instance, vid, (x, y, z + 10**9))
+        bad = spike_last_vertex(instance)
         s_ok, _ = verify_convexity_stress(bad)
         assert s_ok is False
         assert global_verdicts(bad) is False
@@ -149,6 +179,40 @@ class TestOraclesAgreeOnCorruptions:
         assert global_verdicts(bad) is False
 
 
+def malformed_facet_surface(facet):
+    """A closed surface but for facet 4, given as `facet`: with (4, 4, 1)
+    and (4, 4, 2) every ridge lies in two facets, but no vertex of facet 4
+    is off its ridge (1, 4)."""
+    return Realization(
+        d=3,
+        coords=[(0, 0, 0), (10, 0, 0), (0, 10, 0), (3, 3, 5), (2, 2, 9)],
+        facets={1: (0, 1, 3), 2: (1, 2, 3), 3: (0, 2, 3), 4: facet, 5: (4, 4, 2)},
+        base_facet=(0, 1, 2),
+        metadata={},
+    )
+
+
+def double_wound_bipyramid():
+    """A bipyramid over the star heptagon {7/2}: every ridge lies in two
+    facets and is strictly convex, the centroid is strictly inside every
+    facet hyperplane, but the surface winds twice around it."""
+    ring = [
+        (round(1000 * math.cos(4 * math.pi * k / 7)),
+         round(1000 * math.sin(4 * math.pi * k / 7)), 0)
+        for k in range(7)
+    ]
+    top, bottom = 7, 8
+    coords = ring + [(0, 0, 1000), (0, 0, -1000)]
+    triangles = [(k, (k + 1) % 7, apex) for apex in (top, bottom) for k in range(7)]
+    return Realization(
+        d=3,
+        coords=coords,
+        facets={i: t for i, t in enumerate(triangles[1:])},
+        base_facet=triangles[0],
+        metadata={},
+    )
+
+
 class TestGlobalRoutes:
     """The linear global route against its exhaustive reference."""
 
@@ -169,17 +233,14 @@ class TestGlobalRoutes:
         assert f"vertex count {n + 1}, expected {n}" in cert.witnesses
 
     def test_dropped_facet(self, instance):
-        node = min(instance.facets)
-        facets = {k: v for k, v in instance.facets.items() if k != node}
-        bad = dataclasses.replace(instance, facets=facets)
+        bad = drop_first_facet(instance)
         assert global_verdicts(bad) is False
         ok, witnesses = verify_convexity_global(bad)
         assert any("facets form no closed surface" in w for w in witnesses)
 
     def test_ridge_in_three_facets_names_no_stage(self, tet_result):
         # the witness comes from the facet table alone, not a pipeline stage
-        realization, _ = tet_result
-        bad = dataclasses.replace(realization, facets={**realization.facets, 99: (1, 2, 3)})
+        bad = add_facet(tet_result[0], 99, (1, 2, 3))
         assert verify_convexity_stress(bad) == (
             False, ["ridge structure broken: ridge (1, 2) lies in 3 facets"]
         )
@@ -192,15 +253,7 @@ class TestGlobalRoutes:
         ((4, 1), "facet 4 is (4, 1), not 3 distinct vertices"),
     ])
     def test_malformed_facet_fails_both_routes(self, facet, message):
-        # with (4, 4, 1) and (4, 4, 2) every ridge lies in two facets, but
-        # no vertex of facet 4 is off its ridge (1, 4)
-        surface = Realization(
-            d=3,
-            coords=[(0, 0, 0), (10, 0, 0), (0, 10, 0), (3, 3, 5), (2, 2, 9)],
-            facets={1: (0, 1, 3), 2: (1, 2, 3), 3: (0, 2, 3), 4: facet, 5: (4, 4, 2)},
-            base_facet=(0, 1, 2),
-            metadata={},
-        )
+        surface = malformed_facet_surface(facet)
         with pytest.raises(GeometryError, match=re.escape(message)):
             build_ridge_adjacency(3, surface.facets, surface.base_facet)
         cert = make_certificate(surface)
@@ -214,24 +267,7 @@ class TestGlobalRoutes:
         )
 
     def test_double_wound_surface_fails_only_the_ray(self):
-        # a bipyramid over the star heptagon {7/2}: every ridge lies in two
-        # facets and is strictly convex, the centroid is strictly inside
-        # every facet hyperplane, but the surface winds twice around it
-        ring = [
-            (round(1000 * math.cos(4 * math.pi * k / 7)),
-             round(1000 * math.sin(4 * math.pi * k / 7)), 0)
-            for k in range(7)
-        ]
-        top, bottom = 7, 8
-        coords = ring + [(0, 0, 1000), (0, 0, -1000)]
-        triangles = [(k, (k + 1) % 7, apex) for apex in (top, bottom) for k in range(7)]
-        surface = Realization(
-            d=3,
-            coords=coords,
-            facets={i: t for i, t in enumerate(triangles[1:])},
-            base_facet=triangles[0],
-            metadata={},
-        )
+        surface = double_wound_bipyramid()
         ok, witnesses = verify_convexity_global(surface)
         assert ok is False
         assert witnesses and all("the ray" in w for w in witnesses)
@@ -508,17 +544,14 @@ class TestMalformedPoint:
         # vertex 6 relabelled in every facet: the surface stays closed
         assert len(realization.coords) == 7
         vid = request.param
-        facets = {
-            key: tuple(vid if v == 6 else v for v in verts)
-            for key, verts in realization.facets.items()
-        }
+        bad = relabel_vertex(realization, 6, vid)
         witnesses = [
             f"facet {key} names vertex {vid}, not one of 0..6"
-            for key, verts in sorted(facets.items())
+            for key, verts in sorted(bad.facets.items())
             if vid in verts
         ]
         assert len(witnesses) == 3
-        return dataclasses.replace(realization, facets=facets), witnesses
+        return bad, witnesses
 
     @pytest.mark.parametrize("route", [
         verify_convexity_stress, verify_convexity_global, verify_convexity_exhaustive,
@@ -598,3 +631,61 @@ class TestAgreementSmoke:
         assert verify_convexity_exhaustive(realization) == verify_convexity_global(
             realization
         ) == (True, [])
+
+
+def wrap_every_binding(monkeypatch, original):
+    """Replace a package function under every name it is bound to, as the
+    benchmark's tracer does; returns the list of its calls' arguments."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "gridlift" or name.startswith("gridlift."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counting)
+    return calls
+
+
+# the corrupted realizations of this module's tests, built on demand
+CORRUPTED = {
+    "spiked_vertex": lambda: spike_last_vertex(small_realization(3, 8, 42)),
+    "negated_apex": lambda: negate_apex(small_realization(3, 1, 0)),
+    "dropped_facet": lambda: drop_first_facet(small_realization(3, 8, 42)),
+    "ridge_in_three_facets": lambda: add_facet(small_realization(3, 1, 0), 99, (1, 2, 3)),
+    "repeated_vertex_facet": lambda: malformed_facet_surface((4, 4, 1)),
+    "short_facet": lambda: malformed_facet_surface((4, 1)),
+    "short_point": lambda: move_vertex(small_realization(3, 4, 1), 5, (1, 2)),
+    "float_point": lambda: move_vertex(small_realization(3, 4, 1), 5, (1.5, 2, 3)),
+    "out_of_range_id": lambda: relabel_vertex(small_realization(3, 4, 1), 6, 99),
+    "negative_id": lambda: relabel_vertex(small_realization(3, 4, 1), 6, -1),
+    "double_wound_bipyramid": double_wound_bipyramid,
+}
+
+
+class TestOneRidgeTable:
+    """make_certificate checks its input and builds the ridge table once
+    for both convexity routes, and gives what the routes give alone."""
+
+    def test_one_table_and_one_input_check(self, monkeypatch):
+        realization = small_realization(4, 20, 1)
+        tables = wrap_every_binding(monkeypatch, build_ridge_adjacency)
+        checks = wrap_every_binding(monkeypatch, _input_witnesses)
+        assert make_certificate(realization).ok
+        assert len(tables) == len(checks) == 1
+
+    @pytest.mark.parametrize("name", CORRUPTED)
+    def test_same_witnesses_as_the_public_routes(self, name):
+        realization = CORRUPTED[name]()
+        s_ok, s_wit = verify_convexity_stress(realization)
+        g_ok, g_wit = verify_convexity_global(realization)
+        routes = s_wit + g_wit
+        if "R_eff" in realization.metadata:
+            routes += verify_bounds(realization)[1]
+        cert = make_certificate(realization)
+        assert (cert.convex_by_stress, cert.convex_global) == (s_ok, g_ok)
+        assert cert.witnesses == list(dict.fromkeys(routes))
+        assert cert.witnesses
