@@ -17,7 +17,8 @@ integers L^{d-1} * weight under the common bracket scale R, so node v's
 real bracket is node_brackets[v] / bracket_scale; the perturbed complex of
 the rounding stage has integer grid points (D = 1) and scale 1. The leaf
 facets and the ridge table are kept in the facet-table format of the
-facets module.
+facets module. The complex carries the stacking tree it embeds, so the
+lift and round stages replay its stackings from the complex alone.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .errors import GeometryError, InvalidInputError, StageInvariantError
-from .facets import FacetKey, FacetTable, Ridge, build_ridge_adjacency, facet_layout
+from .facets import FacetKey, FacetTable, Ridge, TreeRep, build_ridge_adjacency, facet_layout
 from .trees import WeightedTree
 
 # A vertex as (N_1, ..., N_{d-1}, D): the point N / D, D > 0, in lowest terms.
@@ -47,7 +48,7 @@ class FlatComplex(FacetTable):
     node_brackets: dict[int, int]  # bracket of each node facet times bracket_scale
     bracket_scale: int  # R on the exact complex, 1 once perturbed
     stacked_vertex: dict[int, int]  # interior node id -> vertex id
-    interior_order: tuple[int, ...]  # preorder interior node ids
+    tree: TreeRep  # the stacking tree this complex embeds
     L: int
     R_eff: int
 
@@ -147,7 +148,7 @@ def build_flat(wt: WeightedTree) -> FlatComplex:
         node_brackets=node_brackets,
         bracket_scale=R,
         stacked_vertex=stacked,
-        interior_order=tuple(tree.interior_ids),
+        tree=tree,
         L=L,
         R_eff=R_eff,
     )

@@ -40,9 +40,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import GeometryError, InvalidInputError, StageInvariantError
+from .errors import GeometryError, StageInvariantError
 from .exact import Pair, ridge_stresses
-from .facets import BASE_FACET_KEY, Ridge, TreeRep
+from .facets import BASE_FACET_KEY, Ridge
 from .flat import FlatComplex
 
 # Heights as (numerators, denominators): vertex v is at nums[v] / dens[v],
@@ -50,26 +50,29 @@ from .flat import FlatComplex
 Heights = tuple[list[int], list[int]]
 
 
-def lift_heights(
-    flat: FlatComplex, tree: TreeRep, zeta: dict[int, Fraction]
-) -> Heights:
+def lift_heights(flat: FlatComplex, zeta: dict[int, Fraction]) -> Heights:
     """Replay the stackings, raising each new vertex by its shift.
 
     The new vertex's height over its facet is the facet's heights weighted
     by the child-to-node bracket ratios, which a common scale of the
     brackets leaves alone; each height is summed over the lcm of the facet's
-    denominators and reduced by one gcd.
+    denominators and reduced by one gcd. The construction makes every shift
+    positive, so a nonpositive one is a stage error naming its stacking.
     """
-    if any(z <= 0 for z in zeta.values()):
-        raise InvalidInputError("vertical shifts must be positive")
     brackets = flat.node_brackets
+    nodes = flat.tree.nodes
     nums = [0] * flat.d
     dens = [1] * flat.d
-    for node in flat.interior_order:
+    for node in flat.tree.interior_ids:
         v = flat.stacked_vertex[node]
         if v != len(nums):
             raise StageInvariantError(
                 "lifting", f"node {node} stacks vertex {v}, expected {len(nums)}", node
+            )
+        shift = zeta[node]
+        if shift <= 0:
+            raise StageInvariantError(
+                "lifting", f"node {node} has vertical shift {shift}, not positive", node
             )
         shadow = brackets[node]
         if shadow == 0:
@@ -77,10 +80,9 @@ def lift_heights(
         facet = flat.node_facets[node]
         den = lcm(*[dens[u] for u in facet])
         total = 0
-        for c, u in zip(tree.nodes[node].children, facet):
+        for c, u in zip(nodes[node].children, facet):
             total += brackets[c] * nums[u] * (den // dens[u])
         # total / (shadow den) + p / q
-        shift = zeta[node]
         q = shift.denominator
         num = total * q + shift.numerator * shadow * den
         den *= shadow * q
@@ -128,9 +130,7 @@ def direct_stresses(flat: FlatComplex, nums: list[int], dens: list[int]) -> dict
     return stresses
 
 
-def incremental_stresses(
-    flat: FlatComplex, tree: TreeRep, zeta: dict[int, Fraction]
-) -> dict[Ridge, Pair]:
+def incremental_stresses(flat: FlatComplex, zeta: dict[int, Fraction]) -> dict[Ridge, Pair]:
     """Stress table built by replaying the stackings with local updates.
 
     Before the first stacking the surface is flat, so the base boundary
@@ -142,18 +142,19 @@ def incremental_stresses(
     p k |D| / (q |S| |T|).
     """
     brackets, scale = flat.node_brackets, flat.bracket_scale
+    nodes = flat.tree.nodes
     st: dict[Ridge, Pair] = {}
     d = flat.d
     base = flat.base_facet
     for j in range(d):
         st[tuple(sorted(base[:j] + base[j + 1 :]))] = (0, 1)
-    for node in flat.interior_order:
+    for node in flat.tree.interior_ids:
         facet = flat.node_facets[node]
         p = flat.stacked_vertex[node]
         shift = zeta[node]
         num = shift.numerator * scale
         q = shift.denominator
-        cbr = [abs(brackets[c]) for c in tree.nodes[node].children]
+        cbr = [abs(brackets[c]) for c in nodes[node].children]
         dbr = abs(brackets[node])
         for j in range(d):
             ridge = tuple(sorted(facet[:j] + facet[j + 1 :]))
@@ -175,19 +176,14 @@ def incremental_stresses(
     return st
 
 
-def stress_map(
-    flat: FlatComplex,
-    z: Heights,
-    tree: TreeRep,
-    zeta: dict[int, Fraction],
-) -> dict[Ridge, Pair]:
+def stress_map(flat: FlatComplex, z: Heights, zeta: dict[int, Fraction]) -> dict[Ridge, Pair]:
     """Direct stresses, cross-validated against the incremental replay.
 
     Any ridge disagreement raises, since the two routes must match exactly
     for any shift-defined lifting. Pairs are compared by cross-multiplication.
     """
     direct = direct_stresses(flat, *z)
-    incremental = incremental_stresses(flat, tree, zeta)
+    incremental = incremental_stresses(flat, zeta)
     if set(incremental) != set(direct):
         raise StageInvariantError("lifting", "stress tables cover different ridges")
     for ridge, (n1, d1) in direct.items():
@@ -202,7 +198,7 @@ def stress_map(
     return direct
 
 
-def adjusted_shifts(flat: FlatComplex, tree: TreeRep) -> dict[int, int | Fraction]:
+def adjusted_shifts(flat: FlatComplex) -> dict[int, int | Fraction]:
     """Shift of each stacking: the product of its two largest child brackets.
 
     The stored brackets are the real ones times the complex's bracket scale
@@ -211,21 +207,22 @@ def adjusted_shifts(flat: FlatComplex, tree: TreeRep) -> dict[int, int | Fractio
     integers in grid units, and so are the shifts: the real ones times s^2.
     """
     brackets = flat.node_brackets
+    nodes = flat.tree.nodes
     k2 = flat.bracket_scale**2
     out: dict[int, int | Fraction] = {}
-    for node in flat.interior_order:
-        vols = sorted(abs(brackets[c]) for c in tree.nodes[node].children)
+    for node in flat.tree.interior_ids:
+        vols = sorted(abs(brackets[c]) for c in nodes[node].children)
         shift = vols[-1] * vols[-2]
         out[node] = shift if k2 == 1 else Fraction(shift, k2)
     return out
 
 
 def build_lifted(
-    flat: FlatComplex, tree: TreeRep, zeta: dict[int, Fraction]
+    flat: FlatComplex, zeta: dict[int, Fraction]
 ) -> tuple[Heights, dict[Ridge, Pair]]:
     """Heights by the shifts, and the checked stresses."""
-    z = lift_heights(flat, tree, zeta)
-    return z, stress_map(flat, z, tree, zeta)
+    z = lift_heights(flat, zeta)
+    return z, stress_map(flat, z, zeta)
 
 
 Extremum = tuple[Fraction, Ridge]  # a stress and the ridge it belongs to

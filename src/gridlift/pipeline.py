@@ -59,14 +59,14 @@ def run_pipeline(tree: TreeRep) -> tuple[Realization, PipelineReport]:
 
     t = clock()
     # the exact lift is only gated: rounding starts again from the flat complex
-    lift_info = check_lift_bounds(flat, *build_lifted(flat, tree, adjusted_shifts(flat, tree)))
+    lift_info = check_lift_bounds(flat, *build_lifted(flat, adjusted_shifts(flat)))
     timing["lift"] = clock() - t
 
     t = clock()
     params = grid_params(tree.dim, flat.L, flat.R_eff)
     perturbed = perturb_flat(flat, params.alpha)
     ratio_lo, ratio_hi = check_volume_ratios(flat, perturbed, params)
-    realization, round_info = round_and_scale(perturbed, tree, params)
+    realization, round_info = round_and_scale(perturbed, params)
     timing["round"] = clock() - t
 
     t = clock()

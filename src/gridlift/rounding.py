@@ -36,7 +36,7 @@ from fractions import Fraction
 from . import lifting
 from .errors import InvalidInputError, StageInvariantError
 from .exact import _det_int
-from .facets import Realization, TreeRep
+from .facets import Realization
 from .flat import FlatComplex
 from .lifting import adjusted_shifts, build_lifted, stress_extrema
 
@@ -47,8 +47,9 @@ lift_heights = lifting.lift_heights
 
 @dataclass
 class GridParams:
-    d: int
-    R_eff: int
+    """Grid steps and volume-ratio bounds; the stages read d and R_eff from
+    the complex they are given."""
+
     alpha: Fraction  # flat grid step 1/inv; perturbed coords are in units of it
     alpha_z: Fraction  # height grid step 1/inv_z; output heights are in units of it
     delta_plus: Fraction  # volume ratio ceiling, 1 + 1/(10 R_eff)
@@ -62,7 +63,7 @@ def grid_params(d: int, L: int, R_eff: int) -> GridParams:
     alpha = Fraction(1, 10 * spread * R_eff)
     alpha_z = Fraction(1, 3 * R_eff)
     wiggle = alpha * spread  # identically 1/(10 R_eff)
-    return GridParams(d, R_eff, alpha, alpha_z, 1 + wiggle, 1 - wiggle)
+    return GridParams(alpha, alpha_z, 1 + wiggle, 1 - wiggle)
 
 
 def perturb_flat(flat: FlatComplex, alpha: Fraction) -> FlatComplex:
@@ -96,7 +97,7 @@ def check_volume_ratios(
     only when reported.
     """
     k = exact.bracket_scale
-    s = params.alpha.denominator ** (params.d - 1)
+    s = params.alpha.denominator ** (exact.d - 1)
     lo_n, lo_d = params.delta_minus.numerator, params.delta_minus.denominator
     hi_n, hi_d = params.delta_plus.numerator, params.delta_plus.denominator
     lo = hi = None  # (numerator, denominator) of the extreme ratios
@@ -121,9 +122,7 @@ def check_volume_ratios(
     return Fraction(*lo), Fraction(*hi)
 
 
-def round_and_scale(
-    perturbed: FlatComplex, tree: TreeRep, params: GridParams
-) -> tuple[Realization, dict]:
+def round_and_scale(perturbed: FlatComplex, params: GridParams) -> tuple[Realization, dict]:
     """Relift on the perturbed complex and snap its heights to integers.
 
     The relift's shifts are those of the perturbed complex itself. The
@@ -135,10 +134,10 @@ def round_and_scale(
     by construction; past snapping, the stage checks only the heights'
     signs and the size caps, and leaves the stresses to the certificate.
     """
-    R_eff = params.R_eff
-    s = params.alpha.denominator ** (perturbed.d - 1)
+    d, R_eff = perturbed.d, perturbed.R_eff
+    s = params.alpha.denominator ** (d - 1)
     s2 = s * s
-    z, stresses = build_lifted(perturbed, tree, adjusted_shifts(perturbed, tree))
+    z, stresses = build_lifted(perturbed, adjusted_shifts(perturbed))
     (min_interior, r_in), (min_base, r_lo), (max_base, r_hi) = stress_extrema(
         perturbed.ridge_adjacency, stresses
     )
@@ -168,12 +167,12 @@ def round_and_scale(
 
     # floor(h / (s^2 alpha_z)): the real height in units of alpha_z
     z_snapped = [h * params.alpha_z.denominator // (e * s2) for h, e in zip(nums, dens)]
-    if any(h <= 0 for h in z_snapped[perturbed.d :]):
+    if any(h <= 0 for h in z_snapped[d:]):
         raise StageInvariantError("rounding", "non-base vertex rounded to height <= 0")
 
     coords_int = [(*p[:-1], h) for p, h in zip(perturbed.coords, z_snapped)]
 
-    bound_xy = 10 * params.d * params.d * R_eff * R_eff
+    bound_xy = 10 * d * d * R_eff * R_eff
     bound_z = 6 * R_eff**3
     max_xy = max(c for p in coords_int for c in p[:-1])
     max_z = max(p[-1] for p in coords_int)
@@ -185,7 +184,7 @@ def round_and_scale(
         )
 
     realization = Realization(
-        d=perturbed.d,
+        d=d,
         coords=coords_int,
         facets=dict(perturbed.facets),
         base_facet=perturbed.base_facet,

@@ -104,7 +104,7 @@ def tree_from_doc(obj: object) -> TreeRep:
     if not isinstance(obj, dict) or "dim" not in obj or "tree" not in obj:
         raise InvalidInputError('tree JSON must be {"dim": d, "tree": ...}')
     dim = obj["dim"]
-    if not isinstance(dim, int):
+    if not _is_int(dim):
         raise InvalidInputError("dim must be an integer")
     return tree_from_nested(dim, obj["tree"])
 

@@ -29,9 +29,9 @@ def tet_flat(tet_weighted):
 
 
 @pytest.fixture(scope="session")
-def tet_lifted(tet_flat, tet_tree):
+def tet_lifted(tet_flat):
     """Heights and checked stresses of the tetrahedron's exact lift."""
-    return build_lifted(tet_flat, tet_tree, adjusted_shifts(tet_flat, tet_tree))
+    return build_lifted(tet_flat, adjusted_shifts(tet_flat))
 
 
 @pytest.fixture(scope="session")

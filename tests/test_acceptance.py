@@ -185,9 +185,9 @@ def test_criterion_4_dual_oracle_and_stress_routes():
     for seed in range(50):
         tree = gen_tree("random", 3, 4 + seed % 8, seed=7000 + seed)
         flat = build_flat(balance_weights(tree))
-        zeta = adjusted_shifts(flat, tree)
-        direct = direct_stresses(flat, *lift_heights(flat, tree, zeta))
-        incremental = incremental_stresses(flat, tree, zeta)
+        zeta = adjusted_shifts(flat)
+        direct = direct_stresses(flat, *lift_heights(flat, zeta))
+        incremental = incremental_stresses(flat, zeta)
         assert direct.keys() == incremental.keys()
         assert all(F(*direct[r]) == F(*incremental[r]) for r in direct)
 

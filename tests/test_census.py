@@ -101,9 +101,9 @@ def test_direct_stresses_equal_incremental(d, k):
         flat = build_flat(balance_weights(tree))
         perturbed = perturb_flat(flat, grid_params(d, flat.L, flat.R_eff).alpha)
         for complex_ in (flat, perturbed):
-            zeta = adjusted_shifts(complex_, tree)
-            direct = direct_stresses(complex_, *lift_heights(complex_, tree, zeta))
-            incremental = incremental_stresses(complex_, tree, zeta)
+            zeta = adjusted_shifts(complex_)
+            direct = direct_stresses(complex_, *lift_heights(complex_, zeta))
+            incremental = incremental_stresses(complex_, zeta)
             assert direct.keys() == incremental.keys(), tree_to_json(tree)
             for ridge, (num, den) in direct.items():
                 inc_num, inc_den = incremental[ridge]

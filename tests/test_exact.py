@@ -25,7 +25,7 @@ from gridlift.exact import (
     maximal_minors,
     ridge_stresses,
 )
-from gridlift.facets import build_ridge_adjacency
+from gridlift.facets import TreeRep, build_ridge_adjacency
 from gridlift.flat import FlatComplex
 from gridlift.lifting import direct_stresses, lift_heights, lifted_rows
 from reference import flat_points, height_on_hyperplane, reference_stresses
@@ -293,10 +293,10 @@ def lifted_complexes(draw, dims=(3, 4, 5)):
     flat = build_flat(balance_weights(tree))
     n = len(flat.coords)
     if draw(st.sampled_from(["lifted", "random"])) == "lifted":
-        zeta = {v: draw(rationals().filter(lambda q: q > 0)) for v in flat.interior_order}
+        zeta = {v: draw(rationals().filter(lambda q: q > 0)) for v in flat.tree.interior_ids}
         points = [
             (*p, F(n, e))
-            for p, n, e in zip(flat_points(flat), *lift_heights(flat, tree, zeta))
+            for p, n, e in zip(flat_points(flat), *lift_heights(flat, zeta))
         ]
     else:
         tilted = draw(st.booleans())
@@ -353,10 +353,10 @@ class TestStressTable:
         assert failures == {}
         assert stresses == as_fractions(lifted_stresses)
 
-    def test_many_lifts(self, tet_flat, tet_tree):
+    def test_many_lifts(self, tet_flat):
         # the construction lifts one flat complex by several sets of heights
         for shift in (F(16, 9), F(32, 9), F(1, 7)):
-            z = lift_heights(tet_flat, tet_tree, {0: shift})
+            z = lift_heights(tet_flat, {0: shift})
             points = [(*p, F(n, e)) for p, n, e in zip(flat_points(tet_flat), *z)]
             expected = reference_stresses(
                 points, tet_flat.ridge_adjacency, tet_flat.facet_vertices
@@ -413,7 +413,7 @@ def as_flat_complex(d, points, base, facets):
         node_brackets={},
         bracket_scale=1,
         stacked_vertex={},
-        interior_order=(),
+        tree=TreeRep(d, []),
         L=1,
         R_eff=1,
     )

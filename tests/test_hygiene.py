@@ -1,7 +1,9 @@
 """Source hygiene checks that need no linter: the standard library's ast."""
 
 import ast
+import dataclasses
 import functools
+import inspect
 from fractions import Fraction
 from pathlib import Path
 
@@ -159,7 +161,7 @@ def test_flat_stages_build_no_fraction_at_runtime(monkeypatch):
     alpha = gridlift.grid_params(4, flat.L, flat.R_eff).alpha
     complexes = (flat, gridlift.perturb_flat(flat, alpha))
     # shifts in sevenths give every stacked vertex a rational height
-    zeta = {v: Fraction(3 + 2 * i, 7) for i, v in enumerate(flat.interior_order)}
+    zeta = {v: Fraction(3 + 2 * i, 7) for i, v in enumerate(flat.tree.interior_ids)}
     built = []
     original = Fraction.__new__
 
@@ -171,7 +173,7 @@ def test_flat_stages_build_no_fraction_at_runtime(monkeypatch):
     gridlift.build_flat(wt)
     gridlift.perturb_flat(flat, alpha)
     for complex_ in complexes:
-        nums, dens = lift_heights(complex_, tree, zeta)
+        nums, dens = lift_heights(complex_, zeta)
         assert any(e > 1 for e in dens)
         # lifted_rows and exact.ridge_stresses underneath
         direct_stresses(complex_, nums, dens)
@@ -222,6 +224,36 @@ def test_construction_has_no_stress_rule_of_its_own(module):
     # determinant minors itself would be a second one
     read = read_names((PACKAGE_DIR / f"{module}.py").read_text())
     assert {"maximal_minors", "cramer_numerators"}.isdisjoint(read)
+
+
+@pytest.mark.parametrize("module", ["lifting", "rounding"])
+def test_stages_take_no_tree_beside_the_complex(module):
+    # the complex carries the tree it embeds, so a tree argument could only
+    # disagree with it
+    functions = [
+        (name, value)
+        for name, value in vars(getattr(gridlift, module)).items()
+        if inspect.isfunction(value) and not name.startswith("_")
+    ]
+    assert functions
+    for name, function in functions:
+        assert "tree" not in inspect.signature(function).parameters, name
+
+
+def test_complex_and_grid_params_hold_no_duplicate_fields():
+    fields = {f.name for f in dataclasses.fields(gridlift.FlatComplex)}
+    assert "tree" in fields and "interior_order" not in fields
+    assert [f.name for f in dataclasses.fields(gridlift.GridParams)] == [
+        "alpha", "alpha_z", "delta_plus", "delta_minus"
+    ]
+
+
+def test_complex_carries_its_tree():
+    wt = gridlift.balance_weights(gridlift.gen_tree("random", 4, 6, 2))
+    flat = gridlift.build_flat(wt)
+    assert flat.tree is wt.tree
+    alpha = gridlift.grid_params(4, flat.L, flat.R_eff).alpha
+    assert gridlift.perturb_flat(flat, alpha).tree is wt.tree
 
 
 def test_detects_unused_import():

@@ -47,12 +47,12 @@ def kernel(complex_, nums, dens):
 
 
 class TestVerticalShifts:
-    def test_tetrahedron(self, tet_flat, tet_tree):
-        assert adjusted_shifts(tet_flat, tet_tree) == {0: F(16, 9)}
+    def test_tetrahedron(self, tet_flat):
+        assert adjusted_shifts(tet_flat) == {0: F(16, 9)}
 
     def test_two_stack(self, two_stack_tree):
         flat = build_flat(balance_weights(two_stack_tree))
-        zeta = adjusted_shifts(flat, two_stack_tree)
+        zeta = adjusted_shifts(flat)
         assert zeta == {0: 9, 2: F(9, 2)}
 
 
@@ -64,23 +64,36 @@ class TestHeights:
     def test_base_stays_flat(self):
         tree = gen_tree("random", 3, 12, seed=3)
         flat = build_flat(balance_weights(tree))
-        (nums, dens), _ = build_lifted(flat, tree, adjusted_shifts(flat, tree))
+        (nums, dens), _ = build_lifted(flat, adjusted_shifts(flat))
         assert nums[:3] == [0, 0, 0]
         assert all(h > 0 for h in nums[3:])
         assert all(e > 0 for e in dens)
 
-    def test_heights_grow_with_shift(self, tet_flat, tet_tree):
-        z1 = fractions(lift_heights(tet_flat, tet_tree, {0: F(16, 9)}))
-        z2 = fractions(lift_heights(tet_flat, tet_tree, {0: F(32, 9)}))
+    def test_heights_grow_with_shift(self, tet_flat):
+        z1 = fractions(lift_heights(tet_flat, {0: F(16, 9)}))
+        z2 = fractions(lift_heights(tet_flat, {0: F(32, 9)}))
         assert z2[3] == 2 * z1[3]
 
-    def test_stacked_vertex_off_by_one(self, tet_flat, tet_tree):
+    def test_stacked_vertex_off_by_one(self, tet_flat):
         # an explicit raise, not an assert, so it also holds under python -O
         shifted = {node: v + 1 for node, v in tet_flat.stacked_vertex.items()}
         bad = dataclasses.replace(tet_flat, stacked_vertex=shifted)
         with pytest.raises(StageInvariantError) as info:
-            lift_heights(bad, tet_tree, {0: F(16, 9)})
+            lift_heights(bad, {0: F(16, 9)})
         assert info.value.stage == "lifting"
+
+
+    def test_nonpositive_shift_is_a_stage_error(self, tet_flat, two_stack_tree):
+        # shifts come from the construction, never from input: the error
+        # names the first stacking, in preorder, whose shift is not positive
+        with pytest.raises(StageInvariantError) as info:
+            lift_heights(tet_flat, {0: F(0)})
+        assert info.value.stage == "lifting"
+        assert info.value.witness == 0
+        flat = build_flat(balance_weights(two_stack_tree))
+        with pytest.raises(StageInvariantError) as info:
+            lift_heights(flat, {0: F(1), 2: F(-1, 2)})
+        assert info.value.witness == 2
 
 
 def hyperplane_heights(flat, zeta):
@@ -88,7 +101,7 @@ def hyperplane_heights(flat, zeta):
     new vertex, from its own determinants, plus the shift."""
     points = flat_points(flat)
     z = [F(0)] * flat.d
-    for node in flat.interior_order:
+    for node in flat.tree.interior_ids:
         lifted = [(*points[u], z[u]) for u in flat.node_facets[node]]
         p = points[flat.stacked_vertex[node]]
         z.append(height_on_hyperplane(lifted, p) + zeta[node])
@@ -107,19 +120,19 @@ class TestBarycentricLift:
         tree = gen_tree("random", d, size, seed)
         flat = build_flat(balance_weights(tree))
         perturbed = perturb_flat(flat, grid_params(d, flat.L, flat.R_eff).alpha)
-        zeta = dict(zip(flat.interior_order, shifts))
+        zeta = dict(zip(flat.tree.interior_ids, shifts))
         for complex_ in (flat, perturbed):
-            assert fractions(lift_heights(complex_, tree, zeta)) == hyperplane_heights(
+            assert fractions(lift_heights(complex_, zeta)) == hyperplane_heights(
                 complex_, zeta
             )
 
-    def test_zero_bracket_is_a_vertical_hyperplane(self, tet_flat, tet_tree):
+    def test_zero_bracket_is_a_vertical_hyperplane(self, tet_flat):
         brackets = {**tet_flat.node_brackets, 0: 0}
         flat = dataclasses.replace(tet_flat, node_brackets=brackets)
         with pytest.raises(
             GeometryError, match="^vertical hyperplane: projected facet is degenerate$"
         ):
-            lift_heights(flat, tet_tree, {0: F(16, 9)})
+            lift_heights(flat, {0: F(16, 9)})
 
 
 class TestStresses:
@@ -130,8 +143,8 @@ class TestStresses:
         for ridge in [(0, 1), (0, 2), (1, 2)]:
             assert st[ridge] == F(-4, 3)
 
-    def test_doubling_shift_doubles_stress(self, tet_flat, tet_tree):
-        z = lift_heights(tet_flat, tet_tree, {0: F(32, 9)})
+    def test_doubling_shift_doubles_stress(self, tet_flat):
+        z = lift_heights(tet_flat, {0: F(32, 9)})
         st = table(direct_stresses(tet_flat, *z))
         assert st[(0, 3)] == 8
         assert st[(0, 1)] == F(-8, 3)
@@ -142,10 +155,10 @@ class TestStresses:
     def test_direct_equals_incremental(self, d, size, seed):
         tree = gen_tree("random", d, size, seed)
         flat = build_flat(balance_weights(tree))
-        zeta = adjusted_shifts(flat, tree)
-        z = lift_heights(flat, tree, zeta)
+        zeta = adjusted_shifts(flat)
+        z = lift_heights(flat, zeta)
         direct = direct_stresses(flat, *z)
-        incremental = incremental_stresses(flat, tree, zeta)
+        incremental = incremental_stresses(flat, zeta)
         assert table(direct) == table(incremental)
 
     def test_incremental_on_arbitrary_shifts(self):
@@ -153,16 +166,16 @@ class TestStresses:
         tree = gen_tree("random", 3, 8, seed=6)
         wt = balance_weights(tree)
         flat = build_flat(wt)
-        zeta = {v: F(3 + 2 * i, 7) for i, v in enumerate(flat.interior_order)}
-        z = lift_heights(flat, tree, zeta)
+        zeta = {v: F(3 + 2 * i, 7) for i, v in enumerate(flat.tree.interior_ids)}
+        z = lift_heights(flat, zeta)
         assert table(direct_stresses(flat, *z)) == table(
-            incremental_stresses(flat, tree, zeta)
+            incremental_stresses(flat, zeta)
         )
 
-    def test_stress_map_cross_check_catches_mismatch(self, tet_flat, tet_tree):
-        z = lift_heights(tet_flat, tet_tree, {0: F(16, 9)})
+    def test_stress_map_cross_check_catches_mismatch(self, tet_flat):
+        z = lift_heights(tet_flat, {0: F(16, 9)})
         with pytest.raises(StageInvariantError):
-            stress_map(tet_flat, z, tet_tree, {0: F(17, 9)})
+            stress_map(tet_flat, z, {0: F(17, 9)})
 
     @pytest.mark.parametrize("d,size,seed", [(3, 1, 0), (3, 12, 1), (4, 8, 2), (6, 5, 3)])
     def test_integer_inputs_stay_exact(self, d, size, seed):
@@ -175,11 +188,11 @@ class TestStresses:
         for complex_ in (flat, pe):
             assert all(type(b) is int for b in complex_.node_brackets.values())
             assert all(type(x) is int for c in complex_.coords for x in c)
-            zeta = adjusted_shifts(complex_, tree)
-            nums, dens = lift_heights(complex_, tree, zeta)
+            zeta = adjusted_shifts(complex_)
+            nums, dens = lift_heights(complex_, zeta)
             floored = [n // e for n, e in zip(nums, dens)]
             pairs = [
-                *incremental_stresses(complex_, tree, zeta).values(),
+                *incremental_stresses(complex_, zeta).values(),
                 *kernel(complex_, nums, dens)[0].values(),
                 *kernel(complex_, floored, [1] * len(floored))[0].values(),
             ]
@@ -201,7 +214,7 @@ class TestLiftGate:
     def test_interior_at_least_lambda(self, d, size, seed):
         tree = gen_tree("random", d, size, seed)
         flat = build_flat(balance_weights(tree))
-        z, stresses = build_lifted(flat, tree, adjusted_shifts(flat, tree))
+        z, stresses = build_lifted(flat, adjusted_shifts(flat))
         info = check_lift_bounds(flat, z, stresses)
         lam = F(flat.R_eff, flat.bracket_scale)
         assert info["min_interior_stress"] >= lam >= 1
@@ -287,10 +300,10 @@ class TestStressExtrema:
 
 
 class TestStressMapCrossCheck:
-    def test_one_numerator_unit_is_caught(self, monkeypatch, tet_flat, tet_tree):
-        zeta = adjusted_shifts(tet_flat, tet_tree)
-        z = lift_heights(tet_flat, tet_tree, zeta)
-        assert table(stress_map(tet_flat, z, tet_tree, zeta)) == table(
+    def test_one_numerator_unit_is_caught(self, monkeypatch, tet_flat):
+        zeta = adjusted_shifts(tet_flat)
+        z = lift_heights(tet_flat, zeta)
+        assert table(stress_map(tet_flat, z, zeta)) == table(
             direct_stresses(tet_flat, *z)
         )
         original = lifting.incremental_stresses
@@ -304,21 +317,21 @@ class TestStressMapCrossCheck:
 
         monkeypatch.setattr(lifting, "incremental_stresses", off_by_one)
         with pytest.raises(StageInvariantError, match="stress mismatch") as info:
-            stress_map(tet_flat, z, tet_tree, zeta)
+            stress_map(tet_flat, z, zeta)
         assert info.value.stage == "lifting"
         assert info.value.witness == ridge
 
-    def test_equal_values_in_different_terms_pass(self, monkeypatch, tet_flat, tet_tree):
+    def test_equal_values_in_different_terms_pass(self, monkeypatch, tet_flat):
         # the routes need not agree on the pairs, only on their values
-        zeta = adjusted_shifts(tet_flat, tet_tree)
-        z = lift_heights(tet_flat, tet_tree, zeta)
+        zeta = adjusted_shifts(tet_flat)
+        z = lift_heights(tet_flat, zeta)
         original = lifting.incremental_stresses
 
         def rescaled(*args):
             return {r: (7 * n, 7 * d) for r, (n, d) in original(*args).items()}
 
         monkeypatch.setattr(lifting, "incremental_stresses", rescaled)
-        assert table(stress_map(tet_flat, z, tet_tree, zeta)) == table(
+        assert table(stress_map(tet_flat, z, zeta)) == table(
             direct_stresses(tet_flat, *z)
         )
 
@@ -343,13 +356,13 @@ class TestPairsMatchFractionReferences:
         flat = build_flat(balance_weights(tree))
         perturbed = perturb_flat(flat, grid_params(d, flat.L, flat.R_eff).alpha)
         for complex_ in (flat, perturbed):
-            zeta = adjusted_shifts(complex_, tree)
-            z, stresses = build_lifted(complex_, tree, zeta)
+            zeta = adjusted_shifts(complex_)
+            z, stresses = build_lifted(complex_, zeta)
             heights = fractions(z)
             assert heights == hyperplane_heights(complex_, zeta)
             expected = reference_table(complex_, heights)
             assert table(stresses) == expected
-            assert table(incremental_stresses(complex_, tree, zeta)) == expected
+            assert table(incremental_stresses(complex_, zeta)) == expected
             # integer heights, over denominators 1
             floored = [n // e for n, e in zip(*z)]
             pairs, failures = kernel(complex_, floored, [1] * len(floored))

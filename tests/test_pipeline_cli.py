@@ -300,6 +300,13 @@ class TestCli:
         assert main(["realize", "--input", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_bool_tree_dim_exit_2(self, tmp_path, capsys):
+        # JSON true is a Python int, but no dimension
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"dim": true, "tree": [null, null, null]}')
+        assert main(["realize", "--input", str(bad)]) == 2
+        assert capsys.readouterr().err == "error: dim must be an integer\n"
+
     def test_dim_must_match_tree(self, tmp_path, capsys, tet_tree):
         tree_f = tmp_path / "tet.json"
         tree_f.write_text(tree_to_json(tet_tree))

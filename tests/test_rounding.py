@@ -28,7 +28,7 @@ from reference import flat_points, real_brackets
 F = Fraction
 
 
-def reference_round(flat, tree, params):
+def reference_round(flat, params):
     """The round stage over Fractions, as a reference for the grid-unit route.
 
     Perturb to multiples of alpha with real brackets, relift, floor the
@@ -57,7 +57,7 @@ def reference_round(flat, tree, params):
         bracket_scale=k,
     )
     ratios = [brackets[node] / b for node, b in real_brackets(flat).items()]
-    (nums, dens), stresses = build_lifted(pe, tree, adjusted_shifts(pe, tree))
+    (nums, dens), stresses = build_lifted(pe, adjusted_shifts(pe))
     z = [F(n, e) for n, e in zip(nums, dens)]
     (w_in, _), (w_lo, _), _ = stress_extrema(pe.ridge_adjacency, stresses)
     z_snapped = [floor_to_multiple(h, params.alpha_z) for h in z]
@@ -72,7 +72,7 @@ def reference_round(flat, tree, params):
         q = [c / params.alpha for c in p] + [h / params.alpha_z]
         assert all(x.denominator == 1 for x in q)
         scaled.append(tuple(x.numerator for x in q))
-    R_eff = params.R_eff
+    R_eff = flat.R_eff
     report = {
         "min_interior_stress": w_in,
         "min_base_stress": w_lo,
@@ -81,7 +81,7 @@ def reference_round(flat, tree, params):
         "min_interior_stress_rounded": w_in_rounded,
         "max_xy": max(c for p in scaled for c in p[:-1]),
         "max_z": max(p[-1] for p in scaled),
-        "bound_xy": 10 * params.d**2 * R_eff**2,
+        "bound_xy": 10 * flat.d**2 * R_eff**2,
         "bound_z": 6 * R_eff**3,
     }
     return scaled, (min(ratios), max(ratios)), report
@@ -99,10 +99,10 @@ class TestGridUnitsMatchReference:
         tree = gen_tree(shape, d, size, seed)
         flat = build_flat(balance_weights(tree))
         params = grid_params(d, flat.L, flat.R_eff)
-        coords, ratios, report = reference_round(flat, tree, params)
+        coords, ratios, report = reference_round(flat, params)
         pe = perturb_flat(flat, params.alpha)
         assert check_volume_ratios(flat, pe, params) == ratios
-        realization, info = round_and_scale(pe, tree, params)
+        realization, info = round_and_scale(pe, params)
         assert realization.coords == coords
         # every value but the rounded surface's least interior stress, which
         # run_pipeline takes from the certificate
@@ -187,7 +187,7 @@ def heavy_times_light(wt, L):
 class TestAdjustedShifts:
     def test_tet_reproduces_exact_shift(self, tet_flat, tet_weighted):
         zeta = heavy_times_light(tet_weighted, tet_flat.L)
-        assert adjusted_shifts(tet_flat, tet_weighted.tree) == zeta == {0: F(16, 9)}
+        assert adjusted_shifts(tet_flat) == zeta == {0: F(16, 9)}
 
     @pytest.mark.parametrize("d", range(3, 8))
     @pytest.mark.parametrize(
@@ -199,7 +199,7 @@ class TestAdjustedShifts:
         tree = gen_tree(shape, d, size, seed=d)
         wt = balance_weights(tree)
         flat = build_flat(wt)
-        assert adjusted_shifts(flat, tree) == heavy_times_light(wt, flat.L)
+        assert adjusted_shifts(flat) == heavy_times_light(wt, flat.L)
 
     @pytest.mark.parametrize("d,size,seed", [(3, 15, 4), (4, 9, 5)])
     def test_perturbed_shift_lower_bound(self, d, size, seed):
@@ -209,7 +209,7 @@ class TestAdjustedShifts:
         p = grid_params(d, flat.L, flat.R_eff)
         pe = perturb_flat(flat, p.alpha)
         zeta = heavy_times_light(wt, flat.L)
-        adj = adjusted_shifts(pe, tree)
+        adj = adjusted_shifts(pe)
         s2 = p.alpha ** (2 - 2 * d)  # the shifts are in grid units
         for node, zp in adj.items():
             assert type(zp) is int
@@ -218,13 +218,12 @@ class TestAdjustedShifts:
 
 
 class TestRoundAndScale:
-    def test_tet_fixture(self, tet_flat, tet_weighted):
-        tree = tet_weighted.tree
+    def test_tet_fixture(self, tet_flat):
         p = grid_params(3, tet_flat.L, tet_flat.R_eff)
         pe = perturb_flat(tet_flat, p.alpha)
         # the relift's shift: the real one times s^2
-        assert adjusted_shifts(pe, tree) == {0: F(16, 9) * 720**4}
-        realization, info = round_and_scale(pe, tree, p)
+        assert adjusted_shifts(pe) == {0: F(16, 9) * 720**4}
+        realization, info = round_and_scale(pe, p)
         assert realization.coords == [
             (0, 0, 0),
             (1440, 0, 0),
@@ -245,7 +244,7 @@ class TestRoundAndScale:
         flat = build_flat(wt)
         p = grid_params(d, flat.L, flat.R_eff)
         pe = perturb_flat(flat, p.alpha)
-        realization, info = round_and_scale(pe, tree, p)
+        realization, info = round_and_scale(pe, p)
         R_eff = flat.R_eff
         assert info["min_interior_stress"] >= F(4, 5)
         assert -2 * R_eff < info["min_base_stress"] < 0
@@ -271,11 +270,10 @@ class TestRoundAndScale:
         ("stress_map", F(79, 100) * 720**2, F(1, 2) * 720**2, "below 4/5"),
     ])
     def test_gates_name_the_extreme_ridge(
-        self, monkeypatch, tet_flat, tet_weighted, gate, low, lower, message
+        self, monkeypatch, tet_flat, gate, low, lower, message
     ):
         # lower two interior stresses after the relift (stress_map, called by
         # build_lifted): the least one is the witness
-        tree = tet_weighted.tree
         p = grid_params(3, tet_flat.L, tet_flat.R_eff)
         pe = perturb_flat(tet_flat, p.alpha)
         interior = [
@@ -291,7 +289,7 @@ class TestRoundAndScale:
 
         monkeypatch.setattr(lifting, gate, tampered)
         with pytest.raises(StageInvariantError) as info:
-            round_and_scale(pe, tree, p)
+            round_and_scale(pe, p)
         assert info.value.stage == "rounding"
         assert message in str(info.value)
         assert "stress 1/2 " in str(info.value)
@@ -299,11 +297,10 @@ class TestRoundAndScale:
 
     @pytest.mark.parametrize("excess,raises", [(0, False), (-1, True)])
     def test_relift_gate_bound_is_in_grid_units(
-        self, monkeypatch, tet_flat, tet_weighted, excess, raises
+        self, monkeypatch, tet_flat, excess, raises
     ):
         # an interior stress of exactly 4/5 in real units passes; one grid
         # unit below it does not
-        tree = tet_weighted.tree
         p = grid_params(3, tet_flat.L, tet_flat.R_eff)
         pe = perturb_flat(tet_flat, p.alpha)
         ridge = next(
@@ -319,8 +316,8 @@ class TestRoundAndScale:
         monkeypatch.setattr(lifting, "stress_map", tampered)
         if raises:
             with pytest.raises(StageInvariantError, match="below 4/5") as info:
-                round_and_scale(pe, tree, p)
+                round_and_scale(pe, p)
             assert info.value.witness == ridge
         else:
-            _, report = round_and_scale(pe, tree, p)
+            _, report = round_and_scale(pe, p)
             assert report["min_interior_stress"] == F(4, 5)
