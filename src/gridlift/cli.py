@@ -126,9 +126,7 @@ def _cmd_realize(args) -> int:
             raise InvalidInputError(f"--dim {args.dim} contradicts the tree's dim {tree.dim}")
         realization, report = run_pipeline(tree)
     else:
-        base = None
-        if args.base:
-            base = _parse_base(args.base)
+        base = _parse_base(args.base) if args.base else None
         dim = 3 if args.dim is None else args.dim
         realization, report, tree = realize_graph(graph, dim=dim, base=base)
     if args.report:

@@ -17,8 +17,9 @@ integers L^{d-1} * weight under the common bracket scale R, so node v's
 real bracket is node_brackets[v] / bracket_scale; the perturbed complex of
 the rounding stage has integer grid points (D = 1) and scale 1. The leaf
 facets and the ridge table are kept in the facet-table format of the
-facets module. The complex carries the stacking tree it embeds, so the
-lift and round stages replay its stackings from the complex alone.
+facets module. The complex carries the stacking tree it embeds, which the
+lift and round stages replay, and stores nothing the tree and L fix, so
+nothing can disagree with them: d and R_eff = L^{d-1} are properties.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ Column = tuple[int, ...]
 class FlatComplex(FacetTable):
     """Flat embedded stacking complex over Q^{d-1}, in integers."""
 
-    d: int
     coords: list[Column]  # homogeneous column by vertex id; D = 1 once perturbed
     facets: dict[int, tuple[int, ...]]  # leaf node id -> ordered vertex ids
     base_facet: tuple[int, ...]
@@ -47,10 +47,16 @@ class FlatComplex(FacetTable):
     node_facets: dict[int, tuple[int, ...]]  # every node, incl. historical
     node_brackets: dict[int, int]  # bracket of each node facet times bracket_scale
     bracket_scale: int  # R on the exact complex, 1 once perturbed
-    stacked_vertex: dict[int, int]  # interior node id -> vertex id
     tree: TreeRep  # the stacking tree this complex embeds
-    L: int
-    R_eff: int
+    L: int  # grid scale: the base vertices sit on the axes at distance L
+
+    @property
+    def d(self) -> int:
+        return self.tree.dim
+
+    @property
+    def R_eff(self) -> int:  # the base simplex's bracket
+        return self.L ** (self.d - 1)
 
 
 def _ceil_root(value: int, k: int) -> int:
@@ -139,7 +145,6 @@ def build_flat(wt: WeightedTree) -> FlatComplex:
     except GeometryError as exc:
         raise StageInvariantError("flat", str(exc)) from exc
     return FlatComplex(
-        d=d,
         coords=coords,
         facets=facets,
         base_facet=base_facet,
@@ -147,9 +152,7 @@ def build_flat(wt: WeightedTree) -> FlatComplex:
         node_facets=layout,
         node_brackets=node_brackets,
         bracket_scale=R,
-        stacked_vertex=stacked,
         tree=tree,
         L=L,
-        R_eff=R_eff,
     )
 

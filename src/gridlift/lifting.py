@@ -53,22 +53,17 @@ Heights = tuple[list[int], list[int]]
 def lift_heights(flat: FlatComplex, zeta: dict[int, Fraction]) -> Heights:
     """Replay the stackings, raising each new vertex by its shift.
 
-    The new vertex's height over its facet is the facet's heights weighted
-    by the child-to-node bracket ratios, which a common scale of the
-    brackets leaves alone; each height is summed over the lcm of the facet's
-    denominators and reduced by one gcd. The construction makes every shift
-    positive, so a nonpositive one is a stage error naming its stacking.
+    The i-th stacking's vertex, d + i as build_flat numbers it, gets the
+    facet's heights weighted by the child-to-node bracket ratios (which a
+    common bracket scale leaves alone) plus its shift, summed over the lcm
+    of the facet's denominators and reduced by one gcd. Shifts are positive
+    by construction; a nonpositive one is a stage error naming its stacking.
     """
     brackets = flat.node_brackets
     nodes = flat.tree.nodes
     nums = [0] * flat.d
     dens = [1] * flat.d
     for node in flat.tree.interior_ids:
-        v = flat.stacked_vertex[node]
-        if v != len(nums):
-            raise StageInvariantError(
-                "lifting", f"node {node} stacks vertex {v}, expected {len(nums)}", node
-            )
         shift = zeta[node]
         if shift <= 0:
             raise StageInvariantError(
@@ -148,9 +143,9 @@ def incremental_stresses(flat: FlatComplex, zeta: dict[int, Fraction]) -> dict[R
     base = flat.base_facet
     for j in range(d):
         st[tuple(sorted(base[:j] + base[j + 1 :]))] = (0, 1)
-    for node in flat.tree.interior_ids:
+    # the i-th stacking adds vertex d + i, as in facets.facet_layout
+    for p, node in enumerate(flat.tree.interior_ids, start=d):
         facet = flat.node_facets[node]
-        p = flat.stacked_vertex[node]
         shift = zeta[node]
         num = shift.numerator * scale
         q = shift.denominator
@@ -272,9 +267,9 @@ def check_lift_bounds(
             raise StageInvariantError(
                 "lifting", f"base ridge {ridge} stress {w} outside (-{R_eff}, 0)", ridge
             )
-    nums, _ = z  # denominators are positive
-    if any(h <= 0 for h in nums[flat.d :]):
-        raise StageInvariantError("lifting", "non-base vertex at or below height 0")
+    low = next((v for v, h in enumerate(z[0]) if v >= flat.d and h <= 0), None)  # dens > 0
+    if low is not None:
+        raise StageInvariantError("lifting", "non-base vertex at or below height 0", low)
     return {
         "min_interior_stress": w_in,
         "min_base_stress": w_lo,

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import StageInvariantError
+from .errors import InvalidInputError, StageInvariantError
 from .facets import Realization, TreeRep
 from .flat import build_flat
 from .lifting import adjusted_shifts, build_lifted, check_lift_bounds
@@ -63,7 +63,7 @@ def run_pipeline(tree: TreeRep) -> tuple[Realization, PipelineReport]:
     timing["lift"] = clock() - t
 
     t = clock()
-    params = grid_params(tree.dim, flat.L, flat.R_eff)
+    params = grid_params(flat.d, flat.L)
     perturbed = perturb_flat(flat, params.alpha)
     ratio_lo, ratio_hi = check_volume_ratios(flat, perturbed, params)
     realization, round_info = round_and_scale(perturbed, params)
@@ -138,6 +138,8 @@ def realize_graph(
     Vertices are relabeled by the recovered stacking order, so the output
     coordinates are indexed by tree layout, not by the input graph's ids.
     """
+    if dim < 3:
+        raise InvalidInputError(f"dimension must be at least 3, got {dim}")
     if base is None:
         base = find_facet(g, dim)
     tree = tree_from_graph(g, dim, base)

@@ -47,8 +47,7 @@ lift_heights = lifting.lift_heights
 
 @dataclass
 class GridParams:
-    """Grid steps and volume-ratio bounds; the stages read d and R_eff from
-    the complex they are given."""
+    """Grid steps and volume-ratio bounds; d and R_eff are the complex's."""
 
     alpha: Fraction  # flat grid step 1/inv; perturbed coords are in units of it
     alpha_z: Fraction  # height grid step 1/inv_z; output heights are in units of it
@@ -56,7 +55,9 @@ class GridParams:
     delta_minus: Fraction  # volume ratio floor, 1 - 1/(10 R_eff)
 
 
-def grid_params(d: int, L: int, R_eff: int) -> GridParams:
+def grid_params(d: int, L: int) -> GridParams:
+    """Grid steps for scale L, deriving R_eff = L^(d-1), the base's bracket."""
+    R_eff = L ** (d - 1)
     if R_eff < 3:
         raise InvalidInputError(f"grid needs R_eff >= 3, got {R_eff}")
     spread = d * d * L ** (d - 2)
@@ -167,8 +168,9 @@ def round_and_scale(perturbed: FlatComplex, params: GridParams) -> tuple[Realiza
 
     # floor(h / (s^2 alpha_z)): the real height in units of alpha_z
     z_snapped = [h * params.alpha_z.denominator // (e * s2) for h, e in zip(nums, dens)]
-    if any(h <= 0 for h in z_snapped[d:]):
-        raise StageInvariantError("rounding", "non-base vertex rounded to height <= 0")
+    low = next((v for v, h in enumerate(z_snapped) if v >= d and h <= 0), None)
+    if low is not None:
+        raise StageInvariantError("rounding", "non-base vertex rounded to height <= 0", low)
 
     coords_int = [(*p[:-1], h) for p, h in zip(perturbed.coords, z_snapped)]
 

@@ -404,7 +404,6 @@ def as_flat_complex(d, points, base, facets):
     """A FlatComplex with the shadows of `points` as its columns: the
     fields the construction's stresses read, the others left empty."""
     return FlatComplex(
-        d=d,
         coords=[homogeneous_column(p[:-1]) for p in points],
         facets=facets,
         base_facet=base,
@@ -412,10 +411,8 @@ def as_flat_complex(d, points, base, facets):
         node_facets={},
         node_brackets={},
         bracket_scale=1,
-        stacked_vertex={},
         tree=TreeRep(d, []),
         L=1,
-        R_eff=1,
     )
 
 

@@ -116,7 +116,7 @@ class TestTetFlat:
     def test_layout(self, tet_flat):
         assert tet_flat.base_facet == (0, 1, 2)
         assert tet_flat.facets == {1: (3, 1, 2), 2: (0, 3, 2), 3: (0, 1, 3)}
-        assert tet_flat.stacked_vertex == {0: 3}
+        assert tet_flat.node_facets == {0: (0, 1, 2), 1: (3, 1, 2), 2: (0, 3, 2), 3: (0, 1, 3)}
 
     def test_brackets(self, tet_flat):
         # R_eff * weight under the scale R = 3
@@ -145,6 +145,21 @@ class TestTetFlat:
             build_flat(tet_weighted)
         assert info.value.stage == "flat"
         assert info.value.message == "ridge (1, 2) lies in 1 facets"
+
+    def test_misnumbered_stacking_is_a_flat_stage_error(self, tet_weighted, monkeypatch):
+        # the one guard of the rule that the i-th stacking adds vertex d + i,
+        # which the lift and the stress replay follow without a map
+        original = flat.facet_layout
+
+        def off_by_one(tree):
+            layout, stacked = original(tree)
+            return layout, {v: p + 1 for v, p in stacked.items()}
+
+        monkeypatch.setattr(flat, "facet_layout", off_by_one)
+        with pytest.raises(StageInvariantError) as info:
+            build_flat(tet_weighted)
+        assert info.value.stage == "flat"
+        assert info.value.witness == 0
 
 
 class TestTwoStackFlat:

@@ -158,7 +158,7 @@ def test_flat_stages_build_no_fraction_at_runtime(monkeypatch):
     tree = gridlift.gen_tree("random", 4, 12, 1)
     wt = gridlift.balance_weights(tree)
     flat = gridlift.build_flat(wt)
-    alpha = gridlift.grid_params(4, flat.L, flat.R_eff).alpha
+    alpha = gridlift.grid_params(4, flat.L).alpha
     complexes = (flat, gridlift.perturb_flat(flat, alpha))
     # shifts in sevenths give every stacked vertex a rational height
     zeta = {v: Fraction(3 + 2 * i, 7) for i, v in enumerate(flat.tree.interior_ids)}
@@ -243,6 +243,9 @@ def test_stages_take_no_tree_beside_the_complex(module):
 def test_complex_and_grid_params_hold_no_duplicate_fields():
     fields = {f.name for f in dataclasses.fields(gridlift.FlatComplex)}
     assert "tree" in fields and "interior_order" not in fields
+    # the tree and L fix these: d and R_eff are properties, the vertex ids facet_layout's
+    assert not fields & {"d", "stacked_vertex", "R_eff"}
+    assert list(inspect.signature(gridlift.grid_params).parameters) == ["d", "L"]
     assert [f.name for f in dataclasses.fields(gridlift.GridParams)] == [
         "alpha", "alpha_z", "delta_plus", "delta_minus"
     ]
@@ -252,8 +255,12 @@ def test_complex_carries_its_tree():
     wt = gridlift.balance_weights(gridlift.gen_tree("random", 4, 6, 2))
     flat = gridlift.build_flat(wt)
     assert flat.tree is wt.tree
-    alpha = gridlift.grid_params(4, flat.L, flat.R_eff).alpha
-    assert gridlift.perturb_flat(flat, alpha).tree is wt.tree
+    alpha = gridlift.grid_params(4, flat.L).alpha
+    perturbed = gridlift.perturb_flat(flat, alpha)
+    assert perturbed.tree is wt.tree
+    for complex_ in (flat, perturbed):
+        assert complex_.d == wt.tree.dim
+        assert complex_.R_eff == complex_.L ** (complex_.d - 1)
 
 
 def test_detects_unused_import():

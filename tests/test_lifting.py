@@ -74,15 +74,6 @@ class TestHeights:
         z2 = fractions(lift_heights(tet_flat, {0: F(32, 9)}))
         assert z2[3] == 2 * z1[3]
 
-    def test_stacked_vertex_off_by_one(self, tet_flat):
-        # an explicit raise, not an assert, so it also holds under python -O
-        shifted = {node: v + 1 for node, v in tet_flat.stacked_vertex.items()}
-        bad = dataclasses.replace(tet_flat, stacked_vertex=shifted)
-        with pytest.raises(StageInvariantError) as info:
-            lift_heights(bad, {0: F(16, 9)})
-        assert info.value.stage == "lifting"
-
-
     def test_nonpositive_shift_is_a_stage_error(self, tet_flat, two_stack_tree):
         # shifts come from the construction, never from input: the error
         # names the first stacking, in preorder, whose shift is not positive
@@ -103,7 +94,7 @@ def hyperplane_heights(flat, zeta):
     z = [F(0)] * flat.d
     for node in flat.tree.interior_ids:
         lifted = [(*points[u], z[u]) for u in flat.node_facets[node]]
-        p = points[flat.stacked_vertex[node]]
+        p = points[len(z)]
         z.append(height_on_hyperplane(lifted, p) + zeta[node])
     return z
 
@@ -119,7 +110,7 @@ class TestBarycentricLift:
     def test_equals_hyperplane_reference(self, d, size, seed, shifts):
         tree = gen_tree("random", d, size, seed)
         flat = build_flat(balance_weights(tree))
-        perturbed = perturb_flat(flat, grid_params(d, flat.L, flat.R_eff).alpha)
+        perturbed = perturb_flat(flat, grid_params(d, flat.L).alpha)
         zeta = dict(zip(flat.tree.interior_ids, shifts))
         for complex_ in (flat, perturbed):
             assert fractions(lift_heights(complex_, zeta)) == hyperplane_heights(
@@ -184,7 +175,7 @@ class TestStresses:
         # the exact complex's brackets are integers too, under the scale R
         tree = gen_tree("random", d, size, seed)
         flat = build_flat(balance_weights(tree))
-        pe = perturb_flat(flat, grid_params(d, flat.L, flat.R_eff).alpha)
+        pe = perturb_flat(flat, grid_params(d, flat.L).alpha)
         for complex_ in (flat, pe):
             assert all(type(b) is int for b in complex_.node_brackets.values())
             assert all(type(x) is int for c in complex_.coords for x in c)
@@ -227,6 +218,16 @@ class TestLiftGate:
         bad[(0, 3)] = (1, 2)
         with pytest.raises(StageInvariantError):
             check_lift_bounds(tet_flat, z, bad)
+
+    def test_gate_names_the_low_vertex(self, two_stack_tree):
+        flat = build_flat(balance_weights(two_stack_tree))
+        (nums, dens), stresses = build_lifted(flat, adjusted_shifts(flat))
+        nums = list(nums)
+        nums[flat.d + 1] = 0
+        with pytest.raises(StageInvariantError) as info:
+            check_lift_bounds(flat, (nums, dens), stresses)
+        assert info.value.stage == "lifting"
+        assert info.value.witness == flat.d + 1
 
     def test_gate_names_the_extreme_ridge(self, tet_lifted, tet_flat):
         interior = [
@@ -354,7 +355,7 @@ class TestPairsMatchFractionReferences:
     def test_exact_lift_and_perturbed_relift(self, shape, size, d):
         tree = gen_tree(shape, d, size, seed=d)
         flat = build_flat(balance_weights(tree))
-        perturbed = perturb_flat(flat, grid_params(d, flat.L, flat.R_eff).alpha)
+        perturbed = perturb_flat(flat, grid_params(d, flat.L).alpha)
         for complex_ in (flat, perturbed):
             zeta = adjusted_shifts(complex_)
             z, stresses = build_lifted(complex_, zeta)

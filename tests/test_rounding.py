@@ -19,7 +19,7 @@ from gridlift import (
     round_and_scale,
     run_pipeline,
 )
-from gridlift import lifting
+from gridlift import lifting, rounding
 from gridlift.exact import bracket, homogeneous_column
 from gridlift.lifting import build_lifted, direct_stresses, stress_extrema
 from gridlift.rounding import check_volume_ratios
@@ -98,7 +98,7 @@ class TestGridUnitsMatchReference:
     def test_identical_to_fraction_route(self, shape, d, size, seed):
         tree = gen_tree(shape, d, size, seed)
         flat = build_flat(balance_weights(tree))
-        params = grid_params(d, flat.L, flat.R_eff)
+        params = grid_params(d, flat.L)
         coords, ratios, report = reference_round(flat, params)
         pe = perturb_flat(flat, params.alpha)
         assert check_volume_ratios(flat, pe, params) == ratios
@@ -117,7 +117,7 @@ class TestGridUnitsMatchReference:
 
 class TestGridParams:
     def test_tet_fixture(self):
-        p = grid_params(3, 2, 4)
+        p = grid_params(3, 2)
         assert p.alpha == F(1, 720)
         assert p.alpha_z == F(1, 12)
         assert p.delta_minus == F(39, 40)
@@ -126,18 +126,18 @@ class TestGridParams:
     def test_wiggle_identity(self):
         for d, L in [(3, 2), (3, 5), (4, 3), (5, 2), (6, 4)]:
             R_eff = L ** (d - 1)
-            p = grid_params(d, L, R_eff)
+            p = grid_params(d, L)
             assert p.alpha * d * d * L ** (d - 2) * R_eff == F(1, 10)
             assert p.delta_plus - 1 == F(1, 10 * R_eff)
 
     def test_rejects_small_R_eff(self):
         with pytest.raises(InvalidInputError):
-            grid_params(3, 1, 2)
+            grid_params(3, 1)
 
 
 class TestPerturb:
     def test_tet_lands_on_grid_unchanged(self, tet_flat):
-        p = grid_params(3, tet_flat.L, tet_flat.R_eff)
+        p = grid_params(3, tet_flat.L)
         pe = perturb_flat(tet_flat, p.alpha)
         assert pe.coords == [
             (*(c / p.alpha for c in pt), 1) for pt in flat_points(tet_flat)
@@ -153,7 +153,7 @@ class TestPerturb:
     def test_ratio_window(self, d, size, seed):
         tree = gen_tree("random", d, size, seed)
         flat = build_flat(balance_weights(tree))
-        p = grid_params(d, flat.L, flat.R_eff)
+        p = grid_params(d, flat.L)
         pe = perturb_flat(flat, p.alpha)
         for a, b in zip(pe.coords, flat_points(flat)):
             assert a[-1] == 1
@@ -206,7 +206,7 @@ class TestAdjustedShifts:
         tree = gen_tree("random", d, size, seed)
         wt = balance_weights(tree)
         flat = build_flat(wt)
-        p = grid_params(d, flat.L, flat.R_eff)
+        p = grid_params(d, flat.L)
         pe = perturb_flat(flat, p.alpha)
         zeta = heavy_times_light(wt, flat.L)
         adj = adjusted_shifts(pe)
@@ -219,7 +219,7 @@ class TestAdjustedShifts:
 
 class TestRoundAndScale:
     def test_tet_fixture(self, tet_flat):
-        p = grid_params(3, tet_flat.L, tet_flat.R_eff)
+        p = grid_params(3, tet_flat.L)
         pe = perturb_flat(tet_flat, p.alpha)
         # the relift's shift: the real one times s^2
         assert adjusted_shifts(pe) == {0: F(16, 9) * 720**4}
@@ -242,7 +242,7 @@ class TestRoundAndScale:
         tree = gen_tree("random", d, size, seed)
         wt = balance_weights(tree)
         flat = build_flat(wt)
-        p = grid_params(d, flat.L, flat.R_eff)
+        p = grid_params(d, flat.L)
         pe = perturb_flat(flat, p.alpha)
         realization, info = round_and_scale(pe, p)
         R_eff = flat.R_eff
@@ -274,7 +274,7 @@ class TestRoundAndScale:
     ):
         # lower two interior stresses after the relift (stress_map, called by
         # build_lifted): the least one is the witness
-        p = grid_params(3, tet_flat.L, tet_flat.R_eff)
+        p = grid_params(3, tet_flat.L)
         pe = perturb_flat(tet_flat, p.alpha)
         interior = [
             r for r, keys in pe.ridge_adjacency.items() if BASE_FACET_KEY not in keys
@@ -295,13 +295,37 @@ class TestRoundAndScale:
         assert "stress 1/2 " in str(info.value)
         assert info.value.witness == interior[1]
 
+    def test_height_gate_names_the_low_vertex(self, monkeypatch, two_stack_tree):
+        # sink one non-base vertex below the top one to height 0 after the
+        # relift: the snapped height is 0, and that vertex is the witness
+        flat = build_flat(balance_weights(two_stack_tree))
+        p = grid_params(flat.d, flat.L)
+        pe = perturb_flat(flat, p.alpha)
+        original = rounding.build_lifted
+        sunk = []
+
+        def tampered(*args):
+            (nums, dens), stresses = original(*args)
+            nums = list(nums)
+            top = max(range(len(nums)), key=lambda v: F(nums[v], dens[v]))
+            sunk.append(next(v for v in range(flat.d, len(nums)) if v != top))
+            nums[sunk[0]] = 0
+            return (nums, dens), stresses
+
+        monkeypatch.setattr(rounding, "build_lifted", tampered)
+        with pytest.raises(StageInvariantError) as info:
+            round_and_scale(pe, p)
+        assert info.value.stage == "rounding"
+        assert "rounded to height <= 0" in str(info.value)
+        assert info.value.witness == sunk[0]
+
     @pytest.mark.parametrize("excess,raises", [(0, False), (-1, True)])
     def test_relift_gate_bound_is_in_grid_units(
         self, monkeypatch, tet_flat, excess, raises
     ):
         # an interior stress of exactly 4/5 in real units passes; one grid
         # unit below it does not
-        p = grid_params(3, tet_flat.L, tet_flat.R_eff)
+        p = grid_params(3, tet_flat.L)
         pe = perturb_flat(tet_flat, p.alpha)
         ridge = next(
             r for r, keys in pe.ridge_adjacency.items() if BASE_FACET_KEY not in keys
