@@ -124,9 +124,11 @@ def _cmd_realize(args) -> int:
     if tree is not None:
         if args.dim is not None and args.dim != tree.dim:
             raise InvalidInputError(f"--dim {args.dim} contradicts the tree's dim {tree.dim}")
+        if args.base is not None:
+            raise InvalidInputError("--base applies to graph inputs only")
         realization, report = run_pipeline(tree)
     else:
-        base = _parse_base(args.base) if args.base else None
+        base = None if args.base is None else _parse_base(args.base)
         dim = 3 if args.dim is None else args.dim
         realization, report, tree = realize_graph(graph, dim=dim, base=base)
     if args.report:

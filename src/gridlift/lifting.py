@@ -24,15 +24,17 @@ ridge of a shift-defined lifting. build_lifted lifts by a set of shifts and
 checks that agreement, for the exact lift and the perturbed relift.
 
 Nothing between the brackets and the gates is a Fraction. The complex
-holds its brackets as integers under one common scale (R on the exact
+holds its brackets as integers under one common scale k (R on the exact
 complex, 1 on the perturbed one, whose brackets are integer grid units) and
 its vertices as integer homogeneous columns (N, E), which lifted_rows
-extends by the heights to the rows the stress kernel takes. Heights are
-integer numerators over positive denominators, each reduced by one gcd per
-stacking, and both stress routes give integer pairs
-(exact.Pair) that need not be in lowest terms. The cross-check compares
-them by cross-multiplication, and stress_extrema makes Fractions only of
-the three extrema that the gates compare and report.
+extends by the heights to the rows the stress kernel takes. The shifts are
+integers too, the real ones times k^2, so both lifts run in scaled units:
+heights are the real ones times k^2 (integer numerators over positive
+denominators, each reduced by one gcd per stacking), and both stress routes
+give integer pairs (exact.Pair), not necessarily in lowest terms. The
+cross-check compares them by cross-multiplication, and stress_extrema
+divides by the scale once, making Fractions only of the three extrema that
+the gates compare and report.
 """
 
 from __future__ import annotations
@@ -50,14 +52,16 @@ from .flat import FlatComplex
 Heights = tuple[list[int], list[int]]
 
 
-def lift_heights(flat: FlatComplex, zeta: dict[int, Fraction]) -> Heights:
+def lift_heights(flat: FlatComplex, zeta: dict[int, int]) -> Heights:
     """Replay the stackings, raising each new vertex by its shift.
 
     The i-th stacking's vertex, d + i as build_flat numbers it, gets the
     facet's heights weighted by the child-to-node bracket ratios (which a
-    common bracket scale leaves alone) plus its shift, summed over the lcm
-    of the facet's denominators and reduced by one gcd. Shifts are positive
-    by construction; a nonpositive one is a stage error naming its stacking.
+    common bracket scale leaves alone) plus its integer shift, summed over
+    the lcm of the facet's denominators and reduced by one gcd. Heights are
+    linear in the shifts, so adjusted_shifts' shifts, the real ones times
+    k^2, give the real heights times k^2. Shifts are positive by
+    construction; a nonpositive one is a stage error naming its stacking.
     """
     brackets = flat.node_brackets
     nodes = flat.tree.nodes
@@ -77,10 +81,9 @@ def lift_heights(flat: FlatComplex, zeta: dict[int, Fraction]) -> Heights:
         total = 0
         for c, u in zip(nodes[node].children, facet):
             total += brackets[c] * nums[u] * (den // dens[u])
-        # total / (shadow den) + p / q
-        q = shift.denominator
-        num = total * q + shift.numerator * shadow * den
-        den *= shadow * q
+        # total / (shadow den) + shift
+        num = total + shift * shadow * den
+        den *= shadow
         if den < 0:
             num, den = -num, -den
         g = gcd(num, den)
@@ -125,7 +128,7 @@ def direct_stresses(flat: FlatComplex, nums: list[int], dens: list[int]) -> dict
     return stresses
 
 
-def incremental_stresses(flat: FlatComplex, zeta: dict[int, Fraction]) -> dict[Ridge, Pair]:
+def incremental_stresses(flat: FlatComplex, zeta: dict[int, int]) -> dict[Ridge, Pair]:
     """Stress table built by replaying the stackings with local updates.
 
     Before the first stacking the surface is flat, so the base boundary
@@ -133,8 +136,7 @@ def incremental_stresses(flat: FlatComplex, zeta: dict[int, Fraction]) -> dict[R
     every boundary ridge of D drops by zeta over the volume of its new
     incident facet; every ridge between two new facets S, T starts at
     zeta * |D| / (|S| |T|). With the brackets held as integers under the
-    scale k and zeta = p / q, these are p k / (q |S|) and
-    p k |D| / (q |S| |T|).
+    scale k, these are zeta k / |S| and zeta k |D| / (|S| |T|).
     """
     brackets, scale = flat.node_brackets, flat.bracket_scale
     nodes = flat.tree.nodes
@@ -146,9 +148,7 @@ def incremental_stresses(flat: FlatComplex, zeta: dict[int, Fraction]) -> dict[R
     # the i-th stacking adds vertex d + i, as in facets.facet_layout
     for p, node in enumerate(flat.tree.interior_ids, start=d):
         facet = flat.node_facets[node]
-        shift = zeta[node]
-        num = shift.numerator * scale
-        q = shift.denominator
+        num = zeta[node] * scale
         cbr = [abs(brackets[c]) for c in nodes[node].children]
         dbr = abs(brackets[node])
         for j in range(d):
@@ -157,7 +157,7 @@ def incremental_stresses(flat: FlatComplex, zeta: dict[int, Fraction]) -> dict[R
             # the drop t / c in lowest terms, over the lcm of b and c: the
             # drop is mostly an integer or shares the ridge's denominator,
             # so a ridge that many stackings lower keeps a small one
-            c = q * cbr[j]
+            c = cbr[j]
             g = gcd(num, c)
             t, c = num // g, c // g
             g = gcd(b, c)
@@ -167,11 +167,11 @@ def incremental_stresses(flat: FlatComplex, zeta: dict[int, Fraction]) -> dict[R
             for j in range(i + 1, d):
                 kept = [facet[k] for k in range(d) if k not in (i, j)]
                 ridge = tuple(sorted(kept + [p]))
-                st[ridge] = (num * dbr, q * cbr[i] * cbr[j])
+                st[ridge] = (num * dbr, cbr[i] * cbr[j])
     return st
 
 
-def stress_map(flat: FlatComplex, z: Heights, zeta: dict[int, Fraction]) -> dict[Ridge, Pair]:
+def stress_map(flat: FlatComplex, z: Heights, zeta: dict[int, int]) -> dict[Ridge, Pair]:
     """Direct stresses, cross-validated against the incremental replay.
 
     Any ridge disagreement raises, since the two routes must match exactly
@@ -193,28 +193,23 @@ def stress_map(flat: FlatComplex, z: Heights, zeta: dict[int, Fraction]) -> dict
     return direct
 
 
-def adjusted_shifts(flat: FlatComplex) -> dict[int, int | Fraction]:
+def adjusted_shifts(flat: FlatComplex) -> dict[int, int]:
     """Shift of each stacking: the product of its two largest child brackets.
 
     The stored brackets are the real ones times the complex's bracket scale
-    k, so each shift is their product over k^2: a Fraction on the exact
-    complex (k = R). On a perturbed complex k = 1 and the brackets are
-    integers in grid units, and so are the shifts: the real ones times s^2.
+    k, so each shift is the real one times k^2: R^2 on the exact complex,
+    s^2 on a perturbed one, whose brackets are in grid units (k = 1).
     """
     brackets = flat.node_brackets
     nodes = flat.tree.nodes
-    k2 = flat.bracket_scale**2
-    out: dict[int, int | Fraction] = {}
+    out: dict[int, int] = {}
     for node in flat.tree.interior_ids:
         vols = sorted(abs(brackets[c]) for c in nodes[node].children)
-        shift = vols[-1] * vols[-2]
-        out[node] = shift if k2 == 1 else Fraction(shift, k2)
+        out[node] = vols[-1] * vols[-2]
     return out
 
 
-def build_lifted(
-    flat: FlatComplex, zeta: dict[int, Fraction]
-) -> tuple[Heights, dict[Ridge, Pair]]:
+def build_lifted(flat: FlatComplex, zeta: dict[int, int]) -> tuple[Heights, dict[Ridge, Pair]]:
     """Heights by the shifts, and the checked stresses."""
     z = lift_heights(flat, zeta)
     return z, stress_map(flat, z, zeta)
@@ -224,14 +219,16 @@ Extremum = tuple[Fraction, Ridge]  # a stress and the ridge it belongs to
 
 
 def stress_extrema(
-    adjacency: dict[Ridge, tuple[int, int]], stresses: dict[Ridge, Pair]
+    adjacency: dict[Ridge, tuple[int, int]], stresses: dict[Ridge, Pair], scale: int
 ) -> tuple[Extremum, Extremum, Extremum]:
     """The least interior stress and the least and greatest base stress.
 
-    Every construction gate compares these three against its own bounds, so
-    a gate holds on all ridges exactly when it holds on them. The pairs are
-    compared by cross-multiplication, and only the three extrema become
-    Fractions. Ties go to the first ridge in adjacency order.
+    The stresses are the real ones times the positive integer scale, which
+    each extremum is divided by. Every construction gate compares these
+    three against its own bounds, so a gate holds on all ridges exactly when
+    it holds on them. The pairs are compared by cross-multiplication, and
+    only the three extrema become Fractions. Ties go to the first ridge in
+    adjacency order.
     """
     interior = base_lo = base_hi = None  # (numerator, denominator, ridge)
     for ridge, (k1, k2) in adjacency.items():
@@ -243,7 +240,7 @@ def stress_extrema(
                 base_hi = (n, d, ridge)
         elif interior is None or n * interior[1] < interior[0] * d:
             interior = (n, d, ridge)
-    return tuple((Fraction(n, d), ridge) for n, d, ridge in (interior, base_lo, base_hi))
+    return tuple((Fraction(n, d * scale), ridge) for n, d, ridge in (interior, base_lo, base_hi))
 
 
 def check_lift_bounds(
@@ -251,12 +248,13 @@ def check_lift_bounds(
 ) -> dict[str, Fraction]:
     """Stage gate: interior stresses >= 1, base stresses inside (-R_eff, 0).
 
-    Returns the extrema for reporting; any violation is an implementation
-    bug, not an input problem, hence the stage error.
+    The lift by adjusted_shifts has stresses times k^2, k the bracket
+    scale; the extrema are gated and returned in real units. Any violation
+    is an implementation bug, not an input problem, hence the stage error.
     """
     R_eff = flat.R_eff
     (w_in, r_in), (w_lo, r_lo), (w_hi, r_hi) = stress_extrema(
-        flat.ridge_adjacency, stresses
+        flat.ridge_adjacency, stresses, flat.bracket_scale**2
     )
     if w_in < 1:
         raise StageInvariantError(

@@ -6,8 +6,10 @@ shift (the product of its two largest child brackets), gate the exact
 stresses, snap to the coordinate grid in integer grid units, relift by the
 same rule on the perturbed brackets, gate again, snap heights to integers,
 then certify from the final coordinates alone, the one check of the snapped
-surface's stresses. Every stage keeps exact arithmetic; the report captures
-the extrema each gate saw so a run is auditable after the fact.
+surface's stresses. Every stage keeps exact arithmetic: shifts and the two
+inverse grid steps are integers, and the report's grid steps and ratio
+window become Fractions only here. The report captures the extrema each
+gate saw so a run is auditable after the fact.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ def run_pipeline(tree: TreeRep) -> tuple[Realization, PipelineReport]:
 
     t = clock()
     params = grid_params(flat.d, flat.L)
-    perturbed = perturb_flat(flat, params.alpha)
+    perturbed = perturb_flat(flat, params.inv)
     ratio_lo, ratio_hi = check_volume_ratios(flat, perturbed, params)
     realization, round_info = round_and_scale(perturbed, params)
     timing["round"] = clock() - t
@@ -75,10 +77,10 @@ def run_pipeline(tree: TreeRep) -> tuple[Realization, PipelineReport]:
         raise StageInvariantError(
             "verify", "certificate failed: " + "; ".join(cert.witnesses), cert.witnesses
         )
-    # on heights in units of alpha_z a stress is the real one times inv_z / s
+    # on heights in units of 1/inv_z a stress is the real one times inv_z / s
     num, den = cert.min_interior_stress
-    s = params.alpha.denominator ** (tree.dim - 1)
-    round_info["min_interior_stress_rounded"] = Fraction(num * s, den * params.alpha_z.denominator)
+    s = params.inv ** (tree.dim - 1)
+    round_info["min_interior_stress_rounded"] = Fraction(num * s, den * params.inv_z)
     timing["verify"] = clock() - t
     timing["total"] = sum(timing.values())
 
@@ -99,10 +101,10 @@ def run_pipeline(tree: TreeRep) -> tuple[Realization, PipelineReport]:
             "R_eff": flat.R_eff,
         },
         grid={
-            "alpha": params.alpha,
-            "alpha_z": params.alpha_z,
-            "delta_minus": params.delta_minus,
-            "delta_plus": params.delta_plus,
+            "alpha": Fraction(1, params.inv),
+            "alpha_z": Fraction(1, params.inv_z),
+            "delta_minus": Fraction(10 * flat.R_eff - 1, 10 * flat.R_eff),
+            "delta_plus": Fraction(10 * flat.R_eff + 1, 10 * flat.R_eff),
         },
         stages={
             "lift": lift_info,

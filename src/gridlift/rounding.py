@@ -1,26 +1,27 @@
 """Snap the exact embedding to a grid, in integer grid units.
 
-Both grid steps are unit fractions, alpha = 1/inv and alpha_z = 1/inv_z.
-Flat coordinates, held as integer homogeneous columns (N, D), are floored
-to the alpha-grid and kept as the integers X = N * inv // D; alpha is fine
-enough that every facet volume changes by a factor inside
-[1 - 1/(10 R_eff), 1 + 1/(10 R_eff)]. Every bracket of the perturbed
-complex is then an integer, the real bracket times s = inv^(d-1).
-round_and_scale relifts by this complex's own shifts
+Both grid steps are unit fractions, 1/inv and 1/inv_z, and GridParams holds
+the two integers. Flat coordinates, held as integer homogeneous columns
+(N, D), are floored to the grid of step 1/inv and kept as the integers
+X = N * inv // D; the step is fine enough that every facet volume changes
+by a factor inside [1 - 1/(10 R_eff), 1 + 1/(10 R_eff)]. Every bracket of
+the perturbed complex is then an integer, the real bracket times
+s = inv^(d-1). round_and_scale relifts by this complex's own shifts
 (lifting.adjusted_shifts: the product of the two largest perturbed child
 brackets of each stacking), which are the real ones times s^2, so the
 relift has heights times s^2 and stresses times s; the heights are
-checked against the ceiling 2 R_eff^2 and floored to the alpha_z-grid as
-the integers H = floor(h / alpha_z), so each output point is (X, H) with
-no rescaling. The relift's heights are integer numerators over
+checked against the ceiling 2 R_eff^2 and floored to the grid of step
+1/inv_z as the integers H = floor(h inv_z), so each output point is (X, H)
+with no rescaling. The relift's heights are integer numerators over
 denominators and its stresses integer pairs, so the stage finds the highest
 vertex by cross-multiplication and floors each height with one integer
-division. The factors s and s^2 stay implicit: every value the stage
-reports is converted back to real units exactly, and only those values
-become Fractions. Hard size caps bound the flat coordinates by
+division. The factors s and s^2 stay implicit: each value the stage gates
+or reports is divided by its factor once, and only those values become
+Fractions. Hard size caps bound the flat coordinates by
 10 d^2 R_eff^2 (attained by the base corners) and heights by 6 R_eff^3.
 The stage's output is a facets.Realization, the perturbed complex's facet
-table with the integer points. The stage evaluates no stress on them: the
+table with the integer points, whose metadata gives the two grid steps as
+Fractions. The stage evaluates no stress on them: the
 snapped surface's ridge stresses are the certificate's, whose stress route
 checks their signs (and the pipeline reports its least interior one).
 
@@ -47,38 +48,34 @@ lift_heights = lifting.lift_heights
 
 @dataclass
 class GridParams:
-    """Grid steps and volume-ratio bounds; d and R_eff are the complex's."""
+    """The inverse grid steps; d and R_eff are the complex's."""
 
-    alpha: Fraction  # flat grid step 1/inv; perturbed coords are in units of it
-    alpha_z: Fraction  # height grid step 1/inv_z; output heights are in units of it
-    delta_plus: Fraction  # volume ratio ceiling, 1 + 1/(10 R_eff)
-    delta_minus: Fraction  # volume ratio floor, 1 - 1/(10 R_eff)
+    inv: int  # flat grid step 1/inv; perturbed coords are in units of it
+    inv_z: int  # height grid step 1/inv_z; output heights are in units of it
 
 
 def grid_params(d: int, L: int) -> GridParams:
-    """Grid steps for scale L, deriving R_eff = L^(d-1), the base's bracket."""
+    """Grid steps for scale L, deriving R_eff = L^(d-1), the base's bracket.
+
+    inv = 10 d^2 L^(d-2) R_eff makes every facet volume ratio land within
+    1/(10 R_eff) of 1, and inv_z = 3 R_eff.
+    """
     R_eff = L ** (d - 1)
     if R_eff < 3:
         raise InvalidInputError(f"grid needs R_eff >= 3, got {R_eff}")
-    spread = d * d * L ** (d - 2)
-    alpha = Fraction(1, 10 * spread * R_eff)
-    alpha_z = Fraction(1, 3 * R_eff)
-    wiggle = alpha * spread  # identically 1/(10 R_eff)
-    return GridParams(alpha, alpha_z, 1 + wiggle, 1 - wiggle)
+    return GridParams(10 * d * d * L ** (d - 2) * R_eff, 3 * R_eff)
 
 
-def perturb_flat(flat: FlatComplex, alpha: Fraction) -> FlatComplex:
-    """Floor every coordinate to the alpha-grid, in integer grid units.
+def perturb_flat(flat: FlatComplex, inv: int) -> FlatComplex:
+    """Floor every coordinate to the grid of step 1/inv, in integer grid units.
 
-    alpha = 1/inv is a unit fraction, as grid_params makes it. Vertex v,
-    held as the homogeneous column (N, D), gets X_v = N * inv // D per
-    coordinate, one integer division, and is stored as the column (X_v, 1).
-    Each node facet gets the integer bracket of its grid points, which is
-    its real bracket times s = inv^(d-1), under the bracket scale 1.
+    Vertex v, held as the homogeneous column (N, D), gets X_v = N * inv // D
+    per coordinate, one integer division, and is stored as the column
+    (X_v, 1). Each node facet gets the integer bracket of its grid points,
+    which is its real bracket times s = inv^(d-1), under the bracket scale 1.
     """
-    if alpha.numerator != 1:
-        raise InvalidInputError(f"grid step must be a unit fraction, got {alpha}")
-    inv = alpha.denominator
+    if type(inv) is not int or inv <= 0:
+        raise InvalidInputError(f"inverse grid step must be a positive integer, got {inv!r}")
     coords = [(*(n * inv // p[-1] for n in p[:-1]), 1) for p in flat.coords]
     brackets = {
         node: _det_int([list(coords[u]) for u in facet])
@@ -90,17 +87,17 @@ def perturb_flat(flat: FlatComplex, alpha: Fraction) -> FlatComplex:
 def check_volume_ratios(
     exact: FlatComplex, perturbed: FlatComplex, params: GridParams
 ) -> tuple[Fraction, Fraction]:
-    """Every facet volume ratio must stay inside [delta_minus, delta_plus].
+    """Every facet volume ratio must stay within 1/(10 R_eff) of 1.
 
     A ratio is after / (s before) = after k / (s stored), the perturbed
-    bracket being in grid units and the exact one stored times its bracket
-    scale k; it is compared by cross-multiplication and becomes a Fraction
-    only when reported.
+    bracket being in grid units, s = inv^(d-1), and the exact one stored
+    times its bracket scale k. It is compared with the window
+    (10 R_eff -+ 1) / (10 R_eff) by cross-multiplication and becomes a
+    Fraction only when reported.
     """
     k = exact.bracket_scale
-    s = params.alpha.denominator ** (exact.d - 1)
-    lo_n, lo_d = params.delta_minus.numerator, params.delta_minus.denominator
-    hi_n, hi_d = params.delta_plus.numerator, params.delta_plus.denominator
+    s = params.inv ** (exact.d - 1)
+    w = 10 * exact.R_eff  # the window is [(w - 1) / w, (w + 1) / w]
     lo = hi = None  # (numerator, denominator) of the extreme ratios
     for node, before in exact.node_brackets.items():
         after = perturbed.node_brackets[node]
@@ -110,7 +107,7 @@ def check_volume_ratios(
             )
         num = abs(after) * k
         den = s * abs(before)
-        if num * lo_d < lo_n * den or num * hi_d > hi_n * den:
+        if num * w < (w - 1) * den or num * w > (w + 1) * den:
             raise StageInvariantError(
                 "rounding",
                 f"facet volume ratio {Fraction(num, den)} of node {node} out of range",
@@ -129,24 +126,20 @@ def round_and_scale(perturbed: FlatComplex, params: GridParams) -> tuple[Realiza
     The relift's shifts are those of the perturbed complex itself. The
     complex and the shifts are in grid units, so the relift's heights
     are the real ones times s^2 and its stresses the real ones times s,
-    s = alpha^-(d-1). The gated extrema are divided back to real units
-    exactly, so each gate keeps its bound. The snapped heights are integers
-    in units of alpha_z, which makes every output point (X_v, H_v) integer
-    by construction; past snapping, the stage checks only the heights'
-    signs and the size caps, and leaves the stresses to the certificate.
+    s = inv^(d-1); stress_extrema divides the gated extrema by s, so each
+    gate keeps its bound. The snapped heights are integers in units of
+    1/inv_z, which makes every output point (X_v, H_v) integer by
+    construction; past snapping, the stage checks only the heights' signs
+    and the size caps, and leaves the stresses to the certificate.
     """
     d, R_eff = perturbed.d, perturbed.R_eff
-    s = params.alpha.denominator ** (d - 1)
+    s = params.inv ** (d - 1)
     s2 = s * s
     z, stresses = build_lifted(perturbed, adjusted_shifts(perturbed))
     (min_interior, r_in), (min_base, r_lo), (max_base, r_hi) = stress_extrema(
-        perturbed.ridge_adjacency, stresses
+        perturbed.ridge_adjacency, stresses, s
     )
     del stresses  # only its extrema are gated; freed before the output is built
-    # the gated extrema, back in real units
-    min_interior, min_base, max_base = (
-        Fraction(w, s) for w in (min_interior, min_base, max_base)
-    )
     if min_interior < Fraction(4, 5):
         raise StageInvariantError(
             "rounding", f"perturbed interior stress {min_interior} below 4/5", r_in
@@ -166,8 +159,8 @@ def round_and_scale(perturbed: FlatComplex, params: GridParams) -> tuple[Realiza
     if not (0 < z_max < 2 * R_eff * R_eff):
         raise StageInvariantError("rounding", f"z_max {z_max} outside (0, 2 R_eff^2)")
 
-    # floor(h / (s^2 alpha_z)): the real height in units of alpha_z
-    z_snapped = [h * params.alpha_z.denominator // (e * s2) for h, e in zip(nums, dens)]
+    # floor(h inv_z / s^2): the real height in units of 1/inv_z
+    z_snapped = [h * params.inv_z // (e * s2) for h, e in zip(nums, dens)]
     low = next((v for v, h in enumerate(z_snapped) if v >= d and h <= 0), None)
     if low is not None:
         raise StageInvariantError("rounding", "non-base vertex rounded to height <= 0", low)
@@ -193,8 +186,8 @@ def round_and_scale(perturbed: FlatComplex, params: GridParams) -> tuple[Realiza
         metadata={
             "L": perturbed.L,
             "R_eff": R_eff,
-            "alpha": params.alpha,
-            "alpha_z": params.alpha_z,
+            "alpha": Fraction(1, params.inv),
+            "alpha_z": Fraction(1, params.inv_z),
             "max_xy": max_xy,
             "max_z": max_z,
         },

@@ -99,7 +99,7 @@ def test_direct_stresses_equal_incremental(d, k):
     # against the stacking replay, by cross-multiplication
     for tree in all_trees(d, k):
         flat = build_flat(balance_weights(tree))
-        perturbed = perturb_flat(flat, grid_params(d, flat.L).alpha)
+        perturbed = perturb_flat(flat, grid_params(d, flat.L).inv)
         for complex_ in (flat, perturbed):
             zeta = adjusted_shifts(complex_)
             direct = direct_stresses(complex_, *lift_heights(complex_, zeta))

@@ -145,6 +145,8 @@ def names_in_body(source: str, function: str) -> set[str]:
     ("lifting", "lift_heights"),
     ("lifting", "incremental_stresses"),
     ("lifting", "stress_map"),
+    ("lifting", "adjusted_shifts"),
+    ("rounding", "grid_params"),
 ])
 def test_lift_kernels_build_no_fraction(module, function):
     source = (PACKAGE_DIR / f"{module}.py").read_text()
@@ -153,15 +155,15 @@ def test_lift_kernels_build_no_fraction(module, function):
 
 def test_flat_stages_build_no_fraction_at_runtime(monkeypatch):
     # the ast check above sees names only; this one counts the Fractions
-    # the flat stage, the perturbation and the stress kernel construct, per
-    # facet and per ridge, on both complexes lifted by rational heights
+    # the flat stage, the perturbation, the shifts, both stress routes and
+    # the stress kernel construct, per facet and per ridge, on both
+    # complexes lifted by integer shifts to rational heights
     tree = gridlift.gen_tree("random", 4, 12, 1)
     wt = gridlift.balance_weights(tree)
     flat = gridlift.build_flat(wt)
-    alpha = gridlift.grid_params(4, flat.L).alpha
-    complexes = (flat, gridlift.perturb_flat(flat, alpha))
-    # shifts in sevenths give every stacked vertex a rational height
-    zeta = {v: Fraction(3 + 2 * i, 7) for i, v in enumerate(flat.tree.interior_ids)}
+    inv = gridlift.grid_params(4, flat.L).inv
+    complexes = (flat, gridlift.perturb_flat(flat, inv))
+    zeta = {v: 3 + 2 * i for i, v in enumerate(flat.tree.interior_ids)}
     built = []
     original = Fraction.__new__
 
@@ -171,12 +173,17 @@ def test_flat_stages_build_no_fraction_at_runtime(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__new__", counting)
     gridlift.build_flat(wt)
-    gridlift.perturb_flat(flat, alpha)
+    gridlift.perturb_flat(flat, inv)
     for complex_ in complexes:
         nums, dens = lift_heights(complex_, zeta)
         assert any(e > 1 for e in dens)
         # lifted_rows and exact.ridge_stresses underneath
         direct_stresses(complex_, nums, dens)
+        shifts = gridlift.adjusted_shifts(complex_)
+        assert all(type(v) is int for v in shifts.values())
+        # both stress routes and their cross-check
+        (nums, dens), _ = gridlift.build_lifted(complex_, shifts)
+        assert any(e > 1 for e in dens)
     assert built == []
 
 
@@ -226,18 +233,32 @@ def test_construction_has_no_stress_rule_of_its_own(module):
     assert {"maximal_minors", "cramer_numerators"}.isdisjoint(read)
 
 
-@pytest.mark.parametrize("module", ["lifting", "rounding"])
-def test_stages_take_no_tree_beside_the_complex(module):
-    # the complex carries the tree it embeds, so a tree argument could only
-    # disagree with it
+def public_functions(module: str) -> list:
+    """(name, function) of each public function a package module binds."""
     functions = [
         (name, value)
         for name, value in vars(getattr(gridlift, module)).items()
         if inspect.isfunction(value) and not name.startswith("_")
     ]
     assert functions
-    for name, function in functions:
+    return functions
+
+
+@pytest.mark.parametrize("module", ["lifting", "rounding"])
+def test_stages_take_no_tree_beside_the_complex(module):
+    # the complex carries the tree it embeds, so a tree argument could only
+    # disagree with it
+    for name, function in public_functions(module):
         assert "tree" not in inspect.signature(function).parameters, name
+
+
+@pytest.mark.parametrize("module", ["lifting", "rounding"])
+def test_stages_take_no_fraction(module):
+    # shifts, grid steps and stresses enter the lift and round stages as
+    # integers or integer pairs; only the values they report are Fractions
+    for name, function in public_functions(module):
+        for param in inspect.signature(function).parameters.values():
+            assert "Fraction" not in str(param.annotation), (name, param.name)
 
 
 def test_complex_and_grid_params_hold_no_duplicate_fields():
@@ -246,17 +267,16 @@ def test_complex_and_grid_params_hold_no_duplicate_fields():
     # the tree and L fix these: d and R_eff are properties, the vertex ids facet_layout's
     assert not fields & {"d", "stacked_vertex", "R_eff"}
     assert list(inspect.signature(gridlift.grid_params).parameters) == ["d", "L"]
-    assert [f.name for f in dataclasses.fields(gridlift.GridParams)] == [
-        "alpha", "alpha_z", "delta_plus", "delta_minus"
-    ]
+    # the grid steps are 1/inv and 1/inv_z; the volume-ratio window is R_eff's
+    assert [f.name for f in dataclasses.fields(gridlift.GridParams)] == ["inv", "inv_z"]
 
 
 def test_complex_carries_its_tree():
     wt = gridlift.balance_weights(gridlift.gen_tree("random", 4, 6, 2))
     flat = gridlift.build_flat(wt)
     assert flat.tree is wt.tree
-    alpha = gridlift.grid_params(4, flat.L).alpha
-    perturbed = gridlift.perturb_flat(flat, alpha)
+    inv = gridlift.grid_params(4, flat.L).inv
+    perturbed = gridlift.perturb_flat(flat, inv)
     assert perturbed.tree is wt.tree
     for complex_ in (flat, perturbed):
         assert complex_.d == wt.tree.dim

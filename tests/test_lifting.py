@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
@@ -47,19 +48,23 @@ def kernel(complex_, nums, dens):
 
 
 class TestVerticalShifts:
+    # the shifts are the real ones times bracket_scale^2
     def test_tetrahedron(self, tet_flat):
-        assert adjusted_shifts(tet_flat) == {0: F(16, 9)}
+        assert tet_flat.bracket_scale == 3
+        assert adjusted_shifts(tet_flat) == {0: F(16, 9) * 3**2}
 
     def test_two_stack(self, two_stack_tree):
         flat = build_flat(balance_weights(two_stack_tree))
+        assert flat.bracket_scale == 6
         zeta = adjusted_shifts(flat)
-        assert zeta == {0: 9, 2: F(9, 2)}
+        assert zeta == {0: 9 * 6**2, 2: F(9, 2) * 6**2}
 
 
 class TestHeights:
     def test_tetrahedron(self, tet_lifted):
+        # the real height 16/9 times bracket_scale^2 = 9
         z, _ = tet_lifted
-        assert z == ([0, 0, 0, 16], [1, 1, 1, 9])
+        assert z == ([0, 0, 0, 16], [1, 1, 1, 1])
 
     def test_base_stays_flat(self):
         tree = gen_tree("random", 3, 12, seed=3)
@@ -70,20 +75,20 @@ class TestHeights:
         assert all(e > 0 for e in dens)
 
     def test_heights_grow_with_shift(self, tet_flat):
-        z1 = fractions(lift_heights(tet_flat, {0: F(16, 9)}))
-        z2 = fractions(lift_heights(tet_flat, {0: F(32, 9)}))
+        z1 = fractions(lift_heights(tet_flat, {0: 16}))
+        z2 = fractions(lift_heights(tet_flat, {0: 32}))
         assert z2[3] == 2 * z1[3]
 
     def test_nonpositive_shift_is_a_stage_error(self, tet_flat, two_stack_tree):
         # shifts come from the construction, never from input: the error
         # names the first stacking, in preorder, whose shift is not positive
         with pytest.raises(StageInvariantError) as info:
-            lift_heights(tet_flat, {0: F(0)})
+            lift_heights(tet_flat, {0: 0})
         assert info.value.stage == "lifting"
         assert info.value.witness == 0
         flat = build_flat(balance_weights(two_stack_tree))
         with pytest.raises(StageInvariantError) as info:
-            lift_heights(flat, {0: F(1), 2: F(-1, 2)})
+            lift_heights(flat, {0: 1, 2: -1})
         assert info.value.witness == 2
 
 
@@ -108,14 +113,18 @@ class TestBarycentricLift:
     )
     @settings(max_examples=40, deadline=None)
     def test_equals_hyperplane_reference(self, d, size, seed, shifts):
+        # the rational shifts times the lcm m of their denominators are
+        # integers, and heights are linear in the shifts
         tree = gen_tree("random", d, size, seed)
         flat = build_flat(balance_weights(tree))
-        perturbed = perturb_flat(flat, grid_params(d, flat.L).alpha)
+        perturbed = perturb_flat(flat, grid_params(d, flat.L).inv)
         zeta = dict(zip(flat.tree.interior_ids, shifts))
+        m = math.lcm(*(q.denominator for q in zeta.values()))
+        scaled = {v: int(q * m) for v, q in zeta.items()}
         for complex_ in (flat, perturbed):
-            assert fractions(lift_heights(complex_, zeta)) == hyperplane_heights(
-                complex_, zeta
-            )
+            assert fractions(lift_heights(complex_, scaled)) == [
+                h * m for h in hyperplane_heights(complex_, zeta)
+            ]
 
     def test_zero_bracket_is_a_vertical_hyperplane(self, tet_flat):
         brackets = {**tet_flat.node_brackets, 0: 0}
@@ -123,22 +132,23 @@ class TestBarycentricLift:
         with pytest.raises(
             GeometryError, match="^vertical hyperplane: projected facet is degenerate$"
         ):
-            lift_heights(flat, {0: F(16, 9)})
+            lift_heights(flat, {0: 16})
 
 
 class TestStresses:
     def test_tetrahedron_values(self, tet_lifted):
+        # the real stresses 4 and -4/3 times bracket_scale^2 = 9
         st = table(tet_lifted[1])
         for ridge in [(0, 3), (1, 3), (2, 3)]:
-            assert st[ridge] == 4
+            assert st[ridge] == 4 * 9
         for ridge in [(0, 1), (0, 2), (1, 2)]:
-            assert st[ridge] == F(-4, 3)
+            assert st[ridge] == F(-4, 3) * 9
 
     def test_doubling_shift_doubles_stress(self, tet_flat):
-        z = lift_heights(tet_flat, {0: F(32, 9)})
+        z = lift_heights(tet_flat, {0: 32})
         st = table(direct_stresses(tet_flat, *z))
-        assert st[(0, 3)] == 8
-        assert st[(0, 1)] == F(-8, 3)
+        assert st[(0, 3)] == 8 * 9
+        assert st[(0, 1)] == F(-8, 3) * 9
 
     @pytest.mark.parametrize(
         "d,size,seed", [(3, 14, 0), (3, 15, 1), (3, 16, 2), (4, 9, 3), (4, 10, 4)]
@@ -157,16 +167,16 @@ class TestStresses:
         tree = gen_tree("random", 3, 8, seed=6)
         wt = balance_weights(tree)
         flat = build_flat(wt)
-        zeta = {v: F(3 + 2 * i, 7) for i, v in enumerate(flat.tree.interior_ids)}
+        zeta = {v: 3 + 2 * i for i, v in enumerate(flat.tree.interior_ids)}
         z = lift_heights(flat, zeta)
         assert table(direct_stresses(flat, *z)) == table(
             incremental_stresses(flat, zeta)
         )
 
     def test_stress_map_cross_check_catches_mismatch(self, tet_flat):
-        z = lift_heights(tet_flat, {0: F(16, 9)})
+        z = lift_heights(tet_flat, {0: 16})
         with pytest.raises(StageInvariantError):
-            stress_map(tet_flat, z, {0: F(17, 9)})
+            stress_map(tet_flat, z, {0: 17})
 
     @pytest.mark.parametrize("d,size,seed", [(3, 1, 0), (3, 12, 1), (4, 8, 2), (6, 5, 3)])
     def test_integer_inputs_stay_exact(self, d, size, seed):
@@ -175,11 +185,12 @@ class TestStresses:
         # the exact complex's brackets are integers too, under the scale R
         tree = gen_tree("random", d, size, seed)
         flat = build_flat(balance_weights(tree))
-        pe = perturb_flat(flat, grid_params(d, flat.L).alpha)
+        pe = perturb_flat(flat, grid_params(d, flat.L).inv)
         for complex_ in (flat, pe):
             assert all(type(b) is int for b in complex_.node_brackets.values())
             assert all(type(x) is int for c in complex_.coords for x in c)
             zeta = adjusted_shifts(complex_)
+            assert all(type(v) is int for v in zeta.values())
             nums, dens = lift_heights(complex_, zeta)
             floored = [n // e for n, e in zip(nums, dens)]
             pairs = [
@@ -256,8 +267,9 @@ class TestLiftGate:
         bad = dict(stresses)
         ridge_in = next(r for r, keys in adjacency.items() if BASE_FACET_KEY not in keys)
         ridge_base = next(r for r, keys in adjacency.items() if BASE_FACET_KEY in keys)
-        bad[ridge_in] = (interior.numerator, interior.denominator)
-        bad[ridge_base] = (base.numerator, base.denominator)
+        # the lift's stresses are the real ones times bracket_scale^2 = 9
+        bad[ridge_in] = (interior.numerator * 9, interior.denominator)
+        bad[ridge_base] = (base.numerator * 9, base.denominator)
         if ok:
             info = check_lift_bounds(tet_flat, z, bad)
             assert info["min_interior_stress"] == interior
@@ -274,7 +286,7 @@ class TestStressExtrema:
 
     def test_ties_go_to_the_first_ridge(self):
         stresses = {(0, 1): (-1, 1), (0, 2): (3, 1), (1, 2): (3, 1), (1, 3): (-1, 1)}
-        assert stress_extrema(self.ADJACENCY, stresses) == (
+        assert stress_extrema(self.ADJACENCY, stresses, 1) == (
             (F(3), (0, 2)), (F(-1), (0, 1)), (F(-1), (0, 1))
         )
 
@@ -282,11 +294,11 @@ class TestStressExtrema:
         # equal values, unequal pairs: the first ridge still wins each tie,
         # and the extrema come out as reduced Fractions
         stresses = {(0, 1): (-2, 6), (0, 2): (9, 3), (1, 2): (3, 1), (1, 3): (-7, 21)}
-        assert stress_extrema(self.ADJACENCY, stresses) == (
+        assert stress_extrema(self.ADJACENCY, stresses, 1) == (
             (F(3), (0, 2)), (F(-1, 3), (0, 1)), (F(-1, 3), (0, 1))
         )
         stresses = {(0, 1): (-7, 21), (0, 2): (3, 1), (1, 2): (9, 3), (1, 3): (-2, 6)}
-        assert stress_extrema(self.ADJACENCY, stresses) == (
+        assert stress_extrema(self.ADJACENCY, stresses, 1) == (
             (F(3), (0, 2)), (F(-1, 3), (0, 1)), (F(-1, 3), (0, 1))
         )
 
@@ -295,8 +307,16 @@ class TestStressExtrema:
         # negative values: -5/2 < -7/3 < -1/1000
         stresses = {(0, 1): (-7, 3), (0, 2): (-5, 2), (1, 2): (-1, 1000),
                     (1, 3): (-5, 2)}
-        assert stress_extrema(self.ADJACENCY, stresses) == (
+        assert stress_extrema(self.ADJACENCY, stresses, 1) == (
             (F(-5, 2), (0, 2)), (F(-5, 2), (1, 3)), (F(-7, 3), (0, 1))
+        )
+
+
+    def test_extrema_are_divided_by_the_scale(self):
+        # stresses held times 3 come out in real units, reduced
+        stresses = {(0, 1): (-2, 1), (0, 2): (9, 1), (1, 2): (12, 2), (1, 3): (-1, 1)}
+        assert stress_extrema(self.ADJACENCY, stresses, 3) == (
+            (F(2), (1, 2)), (F(-2, 3), (0, 1)), (F(-1, 3), (1, 3))
         )
 
 
@@ -355,11 +375,12 @@ class TestPairsMatchFractionReferences:
     def test_exact_lift_and_perturbed_relift(self, shape, size, d):
         tree = gen_tree(shape, d, size, seed=d)
         flat = build_flat(balance_weights(tree))
-        perturbed = perturb_flat(flat, grid_params(d, flat.L).alpha)
+        perturbed = perturb_flat(flat, grid_params(d, flat.L).inv)
         for complex_ in (flat, perturbed):
             zeta = adjusted_shifts(complex_)
             z, stresses = build_lifted(complex_, zeta)
             heights = fractions(z)
+            # the integer shifts, as a real shift each, give the same heights
             assert heights == hyperplane_heights(complex_, zeta)
             expected = reference_table(complex_, heights)
             assert table(stresses) == expected

@@ -321,6 +321,14 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: --dim 5 contradicts")
         assert main(["realize", "--input", str(tree_f), "--dim", "3"]) == 0
 
+    @pytest.mark.parametrize("base", ["0,1,2", "garbage"])
+    def test_base_on_tree_input_exit_2(self, tmp_path, capsys, tet_tree, base):
+        # a tree fixes its own base facet: --base would be ignored
+        tree_f = tmp_path / "tet.json"
+        tree_f.write_text(tree_to_json(tet_tree))
+        assert main(["realize", "--input", str(tree_f), "--base", base]) == 2
+        assert capsys.readouterr().err == "error: --base applies to graph inputs only\n"
+
     def test_stage_failure_prints_json_line(self, tmp_path, capsys, monkeypatch, tet_tree):
         # lower two interior stresses of the relift only: the rounding stage
         # names the least one, and the CLI passes it on as JSON
@@ -397,7 +405,7 @@ class TestCli:
         assert rest == []
         assert json.loads(failure) == {"stage": None, "message": message, "witness": None}
 
-    @pytest.mark.parametrize("base", ["1,x", "1,,2", "0.5,1,2", "0,1,99", "1,2"])
+    @pytest.mark.parametrize("base", ["1,x", "1,,2", "0.5,1,2", "0,1,99", "1,2", ""])
     def test_bad_base_exit_2(self, tmp_path, capsys, base):
         graph_f = tmp_path / "b3.json"
         assert main(["gen", "--shape", "b3", "--output", str(graph_f)]) == 0

@@ -31,10 +31,11 @@ F = Fraction
 def reference_round(flat, params):
     """The round stage over Fractions, as a reference for the grid-unit route.
 
-    Perturb to multiples of alpha with real brackets, relift, floor the
-    heights to multiples of alpha_z, then scale by the inverse grid steps.
-    The relifted complex holds the real brackets times the lcm k of their
-    denominators, under the bracket scale k. Returns the integer
+    Perturb to multiples of alpha = 1/inv with real brackets, relift, floor
+    the heights to multiples of alpha_z = 1/inv_z, then scale by the inverse
+    grid steps. The relifted complex holds the real brackets times the lcm k
+    of their denominators, under the bracket scale k, so its heights and
+    stresses are the real ones times k^2. Returns the integer
     coordinates, the volume-ratio extrema and the values of the round
     stage's report in run_pipeline, min_interior_stress_rounded included.
     """
@@ -42,8 +43,9 @@ def reference_round(flat, params):
     def floor_to_multiple(x, step):
         return math.floor(x / step) * step
 
+    alpha, alpha_z = F(1, params.inv), F(1, params.inv_z)
     coords = [
-        tuple(floor_to_multiple(c, params.alpha) for c in p) for p in flat_points(flat)
+        tuple(floor_to_multiple(c, alpha) for c in p) for p in flat_points(flat)
     ]
     brackets = {
         node: bracket([coords[u] for u in facet])
@@ -58,18 +60,19 @@ def reference_round(flat, params):
     )
     ratios = [brackets[node] / b for node, b in real_brackets(flat).items()]
     (nums, dens), stresses = build_lifted(pe, adjusted_shifts(pe))
-    z = [F(n, e) for n, e in zip(nums, dens)]
-    (w_in, _), (w_lo, _), _ = stress_extrema(pe.ridge_adjacency, stresses)
-    z_snapped = [floor_to_multiple(h, params.alpha_z) for h in z]
+    z = [F(n, e * k * k) for n, e in zip(nums, dens)]
+    (w_in, _), (w_lo, _), _ = stress_extrema(pe.ridge_adjacency, stresses, k * k)
+    z_snapped = [floor_to_multiple(h, alpha_z) for h in z]
     (w_in_rounded, _), _, _ = stress_extrema(
         pe.ridge_adjacency,
         direct_stresses(
             pe, [h.numerator for h in z_snapped], [h.denominator for h in z_snapped]
         ),
+        1,
     )
     scaled = []
     for p, h in zip(coords, z_snapped):
-        q = [c / params.alpha for c in p] + [h / params.alpha_z]
+        q = [c / alpha for c in p] + [h / alpha_z]
         assert all(x.denominator == 1 for x in q)
         scaled.append(tuple(x.numerator for x in q))
     R_eff = flat.R_eff
@@ -100,7 +103,7 @@ class TestGridUnitsMatchReference:
         flat = build_flat(balance_weights(tree))
         params = grid_params(d, flat.L)
         coords, ratios, report = reference_round(flat, params)
-        pe = perturb_flat(flat, params.alpha)
+        pe = perturb_flat(flat, params.inv)
         assert check_volume_ratios(flat, pe, params) == ratios
         realization, info = round_and_scale(pe, params)
         assert realization.coords == coords
@@ -118,17 +121,15 @@ class TestGridUnitsMatchReference:
 class TestGridParams:
     def test_tet_fixture(self):
         p = grid_params(3, 2)
-        assert p.alpha == F(1, 720)
-        assert p.alpha_z == F(1, 12)
-        assert p.delta_minus == F(39, 40)
-        assert p.delta_plus == F(41, 40)
+        assert (p.inv, p.inv_z) == (720, 12)
+        assert all(type(x) is int for x in (p.inv, p.inv_z))
 
     def test_wiggle_identity(self):
         for d, L in [(3, 2), (3, 5), (4, 3), (5, 2), (6, 4)]:
             R_eff = L ** (d - 1)
             p = grid_params(d, L)
-            assert p.alpha * d * d * L ** (d - 2) * R_eff == F(1, 10)
-            assert p.delta_plus - 1 == F(1, 10 * R_eff)
+            assert F(d * d * L ** (d - 2) * R_eff, p.inv) == F(1, 10)
+            assert p.inv_z == 3 * R_eff
 
     def test_rejects_small_R_eff(self):
         with pytest.raises(InvalidInputError):
@@ -138,12 +139,12 @@ class TestGridParams:
 class TestPerturb:
     def test_tet_lands_on_grid_unchanged(self, tet_flat):
         p = grid_params(3, tet_flat.L)
-        pe = perturb_flat(tet_flat, p.alpha)
+        pe = perturb_flat(tet_flat, p.inv)
         assert pe.coords == [
-            (*(c / p.alpha for c in pt), 1) for pt in flat_points(tet_flat)
+            (*(c * p.inv for c in pt), 1) for pt in flat_points(tet_flat)
         ]
-        # brackets in grid units: the real ones times s = alpha^-(d-1)
-        s = p.alpha ** -2
+        # brackets in grid units: the real ones times s = inv^(d-1)
+        s = p.inv**2
         assert pe.bracket_scale == 1
         assert pe.node_brackets == {n: b * s for n, b in real_brackets(tet_flat).items()}
         lo, hi = check_volume_ratios(tet_flat, pe, p)
@@ -154,20 +155,22 @@ class TestPerturb:
         tree = gen_tree("random", d, size, seed)
         flat = build_flat(balance_weights(tree))
         p = grid_params(d, flat.L)
-        pe = perturb_flat(flat, p.alpha)
+        pe = perturb_flat(flat, p.inv)
         for a, b in zip(pe.coords, flat_points(flat)):
             assert a[-1] == 1
             for ca, cb in zip(a[:-1], b):
                 assert type(ca) is int
-                assert 0 <= cb / p.alpha - ca < 1
+                assert 0 <= cb * p.inv - ca < 1
         lo, hi = check_volume_ratios(flat, pe, p)
-        assert p.delta_minus <= lo <= hi <= p.delta_plus
+        wiggle = F(1, 10 * flat.R_eff)
+        assert 1 - wiggle <= lo <= hi <= 1 + wiggle
         for node, b in pe.node_brackets.items():
             assert type(b) is int and b > 0
 
-    def test_rejects_a_step_that_is_not_a_unit_fraction(self, tet_flat):
-        with pytest.raises(InvalidInputError, match="unit fraction"):
-            perturb_flat(tet_flat, F(2, 721))
+    def test_rejects_a_step_that_is_not_a_positive_int(self, tet_flat):
+        for inv in (0, -1, True, 720.0, F(720)):
+            with pytest.raises(InvalidInputError, match="must be a positive integer"):
+                perturb_flat(tet_flat, inv)
 
 
 def heavy_times_light(wt, L):
@@ -185,9 +188,11 @@ def heavy_times_light(wt, L):
 
 
 class TestAdjustedShifts:
+    # the shifts of the exact complex are the real ones times bracket_scale^2
     def test_tet_reproduces_exact_shift(self, tet_flat, tet_weighted):
         zeta = heavy_times_light(tet_weighted, tet_flat.L)
-        assert adjusted_shifts(tet_flat) == zeta == {0: F(16, 9)}
+        assert zeta == {0: F(16, 9)}
+        assert adjusted_shifts(tet_flat) == {0: 16} == {0: zeta[0] * 3**2}
 
     @pytest.mark.parametrize("d", range(3, 8))
     @pytest.mark.parametrize(
@@ -199,7 +204,10 @@ class TestAdjustedShifts:
         tree = gen_tree(shape, d, size, seed=d)
         wt = balance_weights(tree)
         flat = build_flat(wt)
-        assert adjusted_shifts(flat) == heavy_times_light(wt, flat.L)
+        k2 = flat.bracket_scale**2
+        expected = {v: z * k2 for v, z in heavy_times_light(wt, flat.L).items()}
+        assert adjusted_shifts(flat) == expected
+        assert all(type(z) is int for z in adjusted_shifts(flat).values())
 
     @pytest.mark.parametrize("d,size,seed", [(3, 15, 4), (4, 9, 5)])
     def test_perturbed_shift_lower_bound(self, d, size, seed):
@@ -207,20 +215,21 @@ class TestAdjustedShifts:
         wt = balance_weights(tree)
         flat = build_flat(wt)
         p = grid_params(d, flat.L)
-        pe = perturb_flat(flat, p.alpha)
+        pe = perturb_flat(flat, p.inv)
         zeta = heavy_times_light(wt, flat.L)
         adj = adjusted_shifts(pe)
-        s2 = p.alpha ** (2 - 2 * d)  # the shifts are in grid units
+        s2 = p.inv ** (2 * d - 2)  # the shifts are in grid units
+        wiggle = F(1, 10 * flat.R_eff)
         for node, zp in adj.items():
             assert type(zp) is int
-            assert zp >= p.delta_minus**2 * zeta[node] * s2
-            assert zp <= p.delta_plus**2 * zeta[node] * s2
+            assert zp >= (1 - wiggle) ** 2 * zeta[node] * s2
+            assert zp <= (1 + wiggle) ** 2 * zeta[node] * s2
 
 
 class TestRoundAndScale:
     def test_tet_fixture(self, tet_flat):
         p = grid_params(3, tet_flat.L)
-        pe = perturb_flat(tet_flat, p.alpha)
+        pe = perturb_flat(tet_flat, p.inv)
         # the relift's shift: the real one times s^2
         assert adjusted_shifts(pe) == {0: F(16, 9) * 720**4}
         realization, info = round_and_scale(pe, p)
@@ -243,7 +252,7 @@ class TestRoundAndScale:
         wt = balance_weights(tree)
         flat = build_flat(wt)
         p = grid_params(d, flat.L)
-        pe = perturb_flat(flat, p.alpha)
+        pe = perturb_flat(flat, p.inv)
         realization, info = round_and_scale(pe, p)
         R_eff = flat.R_eff
         assert info["min_interior_stress"] >= F(4, 5)
@@ -275,7 +284,7 @@ class TestRoundAndScale:
         # lower two interior stresses after the relift (stress_map, called by
         # build_lifted): the least one is the witness
         p = grid_params(3, tet_flat.L)
-        pe = perturb_flat(tet_flat, p.alpha)
+        pe = perturb_flat(tet_flat, p.inv)
         interior = [
             r for r, keys in pe.ridge_adjacency.items() if BASE_FACET_KEY not in keys
         ]
@@ -300,7 +309,7 @@ class TestRoundAndScale:
         # relift: the snapped height is 0, and that vertex is the witness
         flat = build_flat(balance_weights(two_stack_tree))
         p = grid_params(flat.d, flat.L)
-        pe = perturb_flat(flat, p.alpha)
+        pe = perturb_flat(flat, p.inv)
         original = rounding.build_lifted
         sunk = []
 
@@ -326,7 +335,7 @@ class TestRoundAndScale:
         # an interior stress of exactly 4/5 in real units passes; one grid
         # unit below it does not
         p = grid_params(3, tet_flat.L)
-        pe = perturb_flat(tet_flat, p.alpha)
+        pe = perturb_flat(tet_flat, p.inv)
         ridge = next(
             r for r, keys in pe.ridge_adjacency.items() if BASE_FACET_KEY not in keys
         )
