@@ -4,6 +4,9 @@ Pipeline: balance face weights on the stacking tree, embed the subdivision
 flat over the rationals, lift to a convex height function, snap to a grid,
 and scale to integers whose size is polynomial in the vertex count. A
 two-route verifier certifies every output from its final coordinates.
+
+The package exports the entry points and the types and errors they return
+or raise; each stage's functions are imported from their own module.
 """
 
 from .errors import (
@@ -12,22 +15,8 @@ from .errors import (
     InvalidInputError,
     StageInvariantError,
 )
-from .exact import (
-    bracket,
-    creasing,
-    stress_of_ridge,
-)
-from .facets import BASE_FACET_KEY, Realization, TreeRep
-from .flat import FlatComplex, base_simplex, build_flat
-from .lifting import (
-    adjusted_shifts,
-    build_lifted,
-    check_lift_bounds,
-    direct_stresses,
-    incremental_stresses,
-)
+from .facets import Realization, TreeRep
 from .pipeline import PipelineReport, realize_graph, run_pipeline
-from .rounding import GridParams, grid_params, perturb_flat, round_and_scale
 from .serialize import (
     emit_off,
     realization_from_json,
@@ -36,77 +25,36 @@ from .serialize import (
 )
 from .trees import (
     PolytopeGraph,
-    WeightedTree,
-    balance_weights,
-    check_balanced,
-    find_facet,
     gen_lowerbound_graph,
     gen_tree,
     graph_from_tree,
-    parse_graph,
     parse_tree,
     tree_from_graph,
-    tree_from_nested,
 )
-from .verify import (
-    Certificate,
-    make_certificate,
-    verify_bounds,
-    verify_combinatorics,
-    verify_convexity_exhaustive,
-    verify_convexity_global,
-    verify_convexity_stress,
-)
+from .verify import Certificate, make_certificate
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BASE_FACET_KEY",
     "Certificate",
-    "FlatComplex",
     "GeometryError",
     "GridLiftError",
-    "GridParams",
     "InvalidInputError",
     "PipelineReport",
     "PolytopeGraph",
     "Realization",
     "StageInvariantError",
     "TreeRep",
-    "WeightedTree",
-    "adjusted_shifts",
-    "balance_weights",
-    "base_simplex",
-    "bracket",
-    "build_flat",
-    "build_lifted",
-    "check_balanced",
-    "check_lift_bounds",
-    "creasing",
-    "direct_stresses",
     "emit_off",
-    "find_facet",
     "gen_lowerbound_graph",
     "gen_tree",
     "graph_from_tree",
-    "grid_params",
-    "incremental_stresses",
     "make_certificate",
-    "parse_graph",
     "parse_tree",
-    "perturb_flat",
     "realization_from_json",
     "realization_to_json",
     "realize_graph",
     "report_to_json",
-    "round_and_scale",
     "run_pipeline",
-    "stress_of_ridge",
     "tree_from_graph",
-    "tree_from_nested",
-    "verify_bounds",
-    "verify_combinatorics",
-    "verify_convexity_exhaustive",
-    "verify_convexity_global",
-    "verify_convexity_stress",
 ]

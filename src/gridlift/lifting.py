@@ -20,8 +20,9 @@ ridge), and independently by replaying the stackings with two local update
 rules: subdividing a facet creates the new interior ridges with a known
 positive stress and lowers each boundary ridge of the facet by the shift
 over the incident new facet's volume. The two routes agree exactly on every
-ridge of a shift-defined lifting. build_lifted lifts by a set of shifts and
-checks that agreement, for the exact lift and the perturbed relift.
+ridge of a shift-defined lifting. build_lifted, the one entry point of the
+exact lift and the perturbed relift alike, lifts by a set of shifts, takes
+both routes and raises on the first ridge where they disagree.
 
 Nothing between the brackets and the gates is a Fraction. The complex
 holds its brackets as integers under one common scale k (R on the exact
@@ -171,28 +172,6 @@ def incremental_stresses(flat: FlatComplex, zeta: dict[int, int]) -> dict[Ridge,
     return st
 
 
-def stress_map(flat: FlatComplex, z: Heights, zeta: dict[int, int]) -> dict[Ridge, Pair]:
-    """Direct stresses, cross-validated against the incremental replay.
-
-    Any ridge disagreement raises, since the two routes must match exactly
-    for any shift-defined lifting. Pairs are compared by cross-multiplication.
-    """
-    direct = direct_stresses(flat, *z)
-    incremental = incremental_stresses(flat, zeta)
-    if set(incremental) != set(direct):
-        raise StageInvariantError("lifting", "stress tables cover different ridges")
-    for ridge, (n1, d1) in direct.items():
-        n2, d2 = incremental[ridge]
-        if n1 * d2 != n2 * d1:
-            raise StageInvariantError(
-                "lifting",
-                f"stress mismatch on ridge {ridge}: "
-                f"direct {n1}/{d1}, incremental {n2}/{d2}",
-                ridge,
-            )
-    return direct
-
-
 def adjusted_shifts(flat: FlatComplex) -> dict[int, int]:
     """Shift of each stacking: the product of its two largest child brackets.
 
@@ -210,9 +189,27 @@ def adjusted_shifts(flat: FlatComplex) -> dict[int, int]:
 
 
 def build_lifted(flat: FlatComplex, zeta: dict[int, int]) -> tuple[Heights, dict[Ridge, Pair]]:
-    """Heights by the shifts, and the checked stresses."""
+    """Heights by the shifts, and the direct stresses, cross-checked
+    against the incremental replay.
+
+    Any ridge disagreement raises, since the two routes must match exactly
+    for any shift-defined lifting. Pairs are compared by cross-multiplication.
+    """
     z = lift_heights(flat, zeta)
-    return z, stress_map(flat, z, zeta)
+    direct = direct_stresses(flat, *z)
+    incremental = incremental_stresses(flat, zeta)
+    if set(incremental) != set(direct):
+        raise StageInvariantError("lifting", "stress tables cover different ridges")
+    for ridge, (n1, d1) in direct.items():
+        n2, d2 = incremental[ridge]
+        if n1 * d2 != n2 * d1:
+            raise StageInvariantError(
+                "lifting",
+                f"stress mismatch on ridge {ridge}: "
+                f"direct {n1}/{d1}, incremental {n2}/{d2}",
+                ridge,
+            )
+    return z, direct
 
 
 Extremum = tuple[Fraction, Ridge]  # a stress and the ridge it belongs to

@@ -6,7 +6,7 @@ shift (the product of its two largest child brackets), gate the exact
 stresses, snap to the coordinate grid in integer grid units, relift by the
 same rule on the perturbed brackets, gate again, snap heights to integers,
 then certify from the final coordinates alone, the one check of the snapped
-surface's stresses. Every stage keeps exact arithmetic: shifts and the two
+integers. Every stage keeps exact arithmetic: shifts and the two
 inverse grid steps are integers, and the report's grid steps and ratio
 window become Fractions only here. The report captures the extrema each
 gate saw so a run is auditable after the fact.

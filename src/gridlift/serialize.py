@@ -26,13 +26,18 @@ def rat_str(x: Fraction | int) -> str:
 
 
 def parse_rat(s: str) -> Fraction:
-    """A rational as rat_str writes it; Fraction would expand an exponent."""
-    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", s):
+    """A rational exactly as rat_str writes it: "p", or "p/q" in lowest
+    terms with q > 1. The pattern is matched before Fraction parses, since
+    Fraction would expand an exponent."""
+    if not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", s):
         raise InvalidInputError(f"bad rational {s!r}")
     try:
-        return Fraction(s)
+        x = Fraction(s)
     except (ValueError, ZeroDivisionError) as e:
         raise InvalidInputError(f"bad rational {s!r}: {e}") from None
+    if rat_str(x) != s:
+        raise InvalidInputError(f"bad rational {s!r}: rat_str writes {rat_str(x)!r}")
+    return x
 
 
 def jsonable(obj):

@@ -294,9 +294,6 @@ class PolytopeGraph:
                     out.append((u, v))
         return out
 
-    def edge_count(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
-
     def to_json(self) -> str:
         return dump_json({"n": self.n, "edges": self.edges()})
 
@@ -332,11 +329,6 @@ def graph_from_edges(n: int, edges: list[list[int]]) -> PolytopeGraph:
         adj[u].add(v)
         adj[v].add(u)
     return PolytopeGraph(n, adj)
-
-
-def parse_graph(text: str | bytes) -> PolytopeGraph:
-    """Parse the JSON graph form {"n": n, "edges": [[u, v], ...]}."""
-    return graph_from_doc(load_json(text))
 
 
 def graph_from_doc(obj: object) -> PolytopeGraph:

@@ -20,14 +20,15 @@ Two independent routes, deliberately kept apart:
   surface must be strictly convex at every ridge, and the ray from the
   centroid through the base facet must cross no other facet.
 
-`verify_convexity_exhaustive` is the textbook definition, every facet's
-hyperplane against every vertex, in O(F n) work. It is the reference the
-tests hold the global route to.
+The tests hold the global route to the textbook definition, every facet's
+hyperplane against every vertex in O(F n) work, which lives with them in
+tests/reference.py rather than in the code a certificate trusts.
 
 On the class this pipeline emits (base flat at height zero, everything
 else strictly above, no degenerate shadows) the stress and global routes
 agree; the certificate records both verdicts so disagreement is visible
-instead of masked.
+instead of masked. The pipeline checks its snapped integers only here: the
+stress route's height precheck and stress signs, and verify_bounds' caps.
 
 Every route first rejects a vertex that is not a point of d ints, with the
 witness verify_bounds gives, and a facet that names a vertex id outside
@@ -321,30 +322,6 @@ def _global_route(realization: Realization, table: tuple[dict, str | None]) -> l
         )
         witnesses += wit
     return witnesses or _ray_witnesses(realization, planes, centroid)
-
-
-def verify_convexity_exhaustive(realization: Realization) -> tuple[bool, list[str]]:
-    """Every facet's hyperplane strictly supports all other vertices.
-
-    The reference for verify_convexity_global, in O(F n) work. It also
-    requires a closed surface and every vertex on a facet: without them a
-    convex point set with a partial or padded facet list would pass.
-    """
-    malformed = _input_witnesses(realization)
-    if malformed:
-        return False, malformed
-    broken = _ridge_table(realization)[1]
-    witnesses = _surface_witnesses(realization, broken)
-    if broken:
-        # a facet that is not d distinct vertices spans no hyperplane
-        return False, witnesses
-    coords = realization.coords
-    centroid = _centroid(coords)
-    for key, verts in _facets_in_order(realization):
-        incident = set(verts)
-        probes = [vid for vid in range(len(coords)) if vid not in incident]
-        witnesses += _facet_side_witnesses(coords, verts, key, probes, centroid)[1]
-    return not witnesses, witnesses
 
 
 def verify_bounds(realization: Realization) -> tuple[bool, list[str]]:

@@ -1,13 +1,9 @@
 import pytest
 
-from gridlift import (
-    adjusted_shifts,
-    balance_weights,
-    build_flat,
-    build_lifted,
-    parse_tree,
-    run_pipeline,
-)
+from gridlift import parse_tree, run_pipeline
+from gridlift.flat import build_flat
+from gridlift.lifting import adjusted_shifts, build_lifted
+from gridlift.trees import balance_weights
 
 TET_JSON = '{"dim": 3, "tree": [null, null, null]}'
 TWO_STACK_JSON = '{"dim": 3, "tree": [null, [null, null, null], null]}'

@@ -1,17 +1,22 @@
-"""Fraction references that the package's integer stages are held against."""
+"""References that the package's integer stages and linear certificate
+routes are held against: Fraction definitions, and the exhaustive
+convexity oracle."""
 
 from fractions import Fraction
 from typing import Sequence
 
-from gridlift import (
-    BASE_FACET_KEY,
-    GeometryError,
-    InvalidInputError,
-    base_simplex,
-    bracket,
-    stress_of_ridge,
+from gridlift import GeometryError, InvalidInputError, Realization
+from gridlift.exact import bracket, stress_of_ridge
+from gridlift.facets import BASE_FACET_KEY, facet_layout
+from gridlift.flat import base_simplex
+from gridlift.verify import (
+    _centroid,
+    _facet_side_witnesses,
+    _facets_in_order,
+    _input_witnesses,
+    _ridge_table,
+    _surface_witnesses,
 )
-from gridlift.facets import facet_layout
 
 
 def place_stacked_vertex(
@@ -174,3 +179,28 @@ def reference_balance_weights(tree):
             for v in path:
                 weight[v] += pad
     return weight, heavy
+
+
+def verify_convexity_exhaustive(realization: Realization) -> tuple[bool, list[str]]:
+    """Every facet's hyperplane strictly supports all other vertices.
+
+    The textbook definition, in O(F n) work: the reference for
+    verify.verify_convexity_global. It also requires a closed surface and
+    every vertex on a facet: without them a convex point set with a partial
+    or padded facet list would pass.
+    """
+    malformed = _input_witnesses(realization)
+    if malformed:
+        return False, malformed
+    broken = _ridge_table(realization)[1]
+    witnesses = _surface_witnesses(realization, broken)
+    if broken:
+        # a facet that is not d distinct vertices spans no hyperplane
+        return False, witnesses
+    coords = realization.coords
+    centroid = _centroid(coords)
+    for key, verts in _facets_in_order(realization):
+        incident = set(verts)
+        probes = [vid for vid in range(len(coords)) if vid not in incident]
+        witnesses += _facet_side_witnesses(coords, verts, key, probes, centroid)[1]
+    return not witnesses, witnesses

@@ -12,22 +12,23 @@ from fractions import Fraction
 import pytest
 
 from gridlift import (
-    balance_weights,
-    check_balanced,
-    direct_stresses,
     gen_lowerbound_graph,
     gen_tree,
-    incremental_stresses,
     parse_tree,
     realize_graph,
     run_pipeline,
     tree_from_graph,
-    verify_convexity_exhaustive,
-    verify_convexity_global,
-    verify_convexity_stress,
 )
 from gridlift.flat import build_flat
-from gridlift.lifting import adjusted_shifts, lift_heights
+from gridlift.lifting import (
+    adjusted_shifts,
+    direct_stresses,
+    incremental_stresses,
+    lift_heights,
+)
+from gridlift.trees import balance_weights, check_balanced
+from gridlift.verify import verify_convexity_global, verify_convexity_stress
+from reference import verify_convexity_exhaustive
 
 F = Fraction
 
@@ -263,8 +264,8 @@ def test_criterion_5_balancing():
 def test_criterion_6_lowerbound_generator():
     g = gen_lowerbound_graph("b3")
     assert g.n == 20
-    assert g.edge_count() == 54
-    n_faces = g.edge_count() - g.n + 2
+    assert len(g.edges()) == 54
+    n_faces = len(g.edges()) - g.n + 2
     assert n_faces == 36
     assert sum(1 for a in g.adjacency if len(a) == 3) == 12
 

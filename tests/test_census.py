@@ -13,21 +13,20 @@ from math import comb
 import pytest
 
 from gridlift import (
-    adjusted_shifts,
-    balance_weights,
-    build_flat,
-    direct_stresses,
     graph_from_tree,
-    incremental_stresses,
-    perturb_flat,
     realize_graph,
     report_to_json,
     run_pipeline,
-    tree_from_nested,
 )
-from gridlift.lifting import lift_heights
-from gridlift.rounding import grid_params
-from gridlift.trees import tree_to_json
+from gridlift.flat import build_flat
+from gridlift.lifting import (
+    adjusted_shifts,
+    direct_stresses,
+    incremental_stresses,
+    lift_heights,
+)
+from gridlift.rounding import grid_params, perturb_flat
+from gridlift.trees import balance_weights, tree_from_nested, tree_to_json
 
 
 def compositions(total: int, parts: int):

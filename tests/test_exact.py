@@ -6,29 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridlift import (
-    BASE_FACET_KEY,
-    GeometryError,
-    balance_weights,
-    bracket,
-    build_flat,
-    creasing,
-    gen_tree,
-    stress_of_ridge,
-)
+from gridlift import GeometryError, gen_tree
 from gridlift.exact import (
     BASE_NOT_FLAT,
     FLAT_RIDGE,
     NO_ORIENTATION,
     _check_shared_ridge,
     _det_int,
+    bracket,
+    creasing,
     homogeneous_column,
     maximal_minors,
     ridge_stresses,
+    stress_of_ridge,
 )
-from gridlift.facets import TreeRep, build_ridge_adjacency
-from gridlift.flat import FlatComplex
+from gridlift.facets import BASE_FACET_KEY, TreeRep, build_ridge_adjacency
+from gridlift.flat import FlatComplex, build_flat
 from gridlift.lifting import direct_stresses, lift_heights, lifted_rows
+from gridlift.trees import balance_weights
 from reference import flat_points, height_on_hyperplane, reference_stresses
 
 F = Fraction

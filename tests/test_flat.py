@@ -4,19 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridlift import (
-    BASE_FACET_KEY,
-    InvalidInputError,
-    StageInvariantError,
-    balance_weights,
-    base_simplex,
-    bracket,
-    build_flat,
-    gen_tree,
-)
+from gridlift import InvalidInputError, StageInvariantError, gen_tree
 from gridlift import flat
-from gridlift.exact import homogeneous_column
-from gridlift.flat import stacked_column
+from gridlift.exact import bracket, homogeneous_column
+from gridlift.facets import BASE_FACET_KEY
+from gridlift.flat import base_simplex, build_flat, stacked_column
+from gridlift.trees import balance_weights
 from reference import flat_points, point, real_brackets, reference_flat_points
 
 F = Fraction

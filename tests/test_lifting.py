@@ -6,24 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridlift import (
-    BASE_FACET_KEY,
-    GeometryError,
-    StageInvariantError,
+from gridlift import GeometryError, StageInvariantError, gen_tree
+from gridlift import lifting
+from gridlift.exact import ridge_stresses
+from gridlift.facets import BASE_FACET_KEY
+from gridlift.flat import build_flat
+from gridlift.lifting import (
     adjusted_shifts,
-    balance_weights,
-    build_flat,
     build_lifted,
     check_lift_bounds,
     direct_stresses,
-    gen_tree,
-    grid_params,
     incremental_stresses,
-    perturb_flat,
+    lift_heights,
+    lifted_rows,
+    stress_extrema,
 )
-from gridlift import lifting
-from gridlift.exact import ridge_stresses
-from gridlift.lifting import lift_heights, lifted_rows, stress_extrema, stress_map
+from gridlift.rounding import grid_params, perturb_flat
+from gridlift.trees import balance_weights
 from reference import flat_points, height_on_hyperplane, reference_stresses
 
 F = Fraction
@@ -173,11 +172,6 @@ class TestStresses:
             incremental_stresses(flat, zeta)
         )
 
-    def test_stress_map_cross_check_catches_mismatch(self, tet_flat):
-        z = lift_heights(tet_flat, {0: 16})
-        with pytest.raises(StageInvariantError):
-            stress_map(tet_flat, z, {0: 17})
-
     @pytest.mark.parametrize("d,size,seed", [(3, 1, 0), (3, 12, 1), (4, 8, 2), (6, 5, 3)])
     def test_integer_inputs_stay_exact(self, d, size, seed):
         # integer brackets and shifts, as the rounding stage hands them over:
@@ -321,12 +315,20 @@ class TestStressExtrema:
 
 
 class TestStressMapCrossCheck:
+    """build_lifted's check of the direct stresses against the replay."""
+
+    def test_replay_by_another_shift_is_caught(self, monkeypatch, tet_flat):
+        original = lifting.incremental_stresses
+        monkeypatch.setattr(
+            lifting, "incremental_stresses", lambda flat, zeta: original(flat, {0: 17})
+        )
+        with pytest.raises(StageInvariantError, match="stress mismatch"):
+            build_lifted(tet_flat, {0: 16})
+
     def test_one_numerator_unit_is_caught(self, monkeypatch, tet_flat):
         zeta = adjusted_shifts(tet_flat)
-        z = lift_heights(tet_flat, zeta)
-        assert table(stress_map(tet_flat, z, zeta)) == table(
-            direct_stresses(tet_flat, *z)
-        )
+        z, stresses = build_lifted(tet_flat, zeta)
+        assert table(stresses) == table(direct_stresses(tet_flat, *z))
         original = lifting.incremental_stresses
         ridge = (1, 3)
 
@@ -338,23 +340,21 @@ class TestStressMapCrossCheck:
 
         monkeypatch.setattr(lifting, "incremental_stresses", off_by_one)
         with pytest.raises(StageInvariantError, match="stress mismatch") as info:
-            stress_map(tet_flat, z, zeta)
+            build_lifted(tet_flat, zeta)
         assert info.value.stage == "lifting"
         assert info.value.witness == ridge
 
     def test_equal_values_in_different_terms_pass(self, monkeypatch, tet_flat):
         # the routes need not agree on the pairs, only on their values
         zeta = adjusted_shifts(tet_flat)
-        z = lift_heights(tet_flat, zeta)
         original = lifting.incremental_stresses
 
         def rescaled(*args):
             return {r: (7 * n, 7 * d) for r, (n, d) in original(*args).items()}
 
         monkeypatch.setattr(lifting, "incremental_stresses", rescaled)
-        assert table(stress_map(tet_flat, z, zeta)) == table(
-            direct_stresses(tet_flat, *z)
-        )
+        z, stresses = build_lifted(tet_flat, zeta)
+        assert table(stresses) == table(direct_stresses(tet_flat, *z))
 
 
 def reference_table(complex_, heights):

@@ -6,23 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridlift import (
-    BASE_FACET_KEY,
-    InvalidInputError,
-    StageInvariantError,
-    adjusted_shifts,
-    balance_weights,
-    build_flat,
-    gen_tree,
-    grid_params,
-    perturb_flat,
-    round_and_scale,
-    run_pipeline,
-)
-from gridlift import lifting, rounding
+from gridlift import InvalidInputError, StageInvariantError, gen_tree, run_pipeline
+from gridlift import rounding
 from gridlift.exact import bracket, homogeneous_column
-from gridlift.lifting import build_lifted, direct_stresses, stress_extrema
-from gridlift.rounding import check_volume_ratios
+from gridlift.facets import BASE_FACET_KEY
+from gridlift.flat import build_flat
+from gridlift.lifting import adjusted_shifts, build_lifted, direct_stresses, stress_extrema
+from gridlift.rounding import check_volume_ratios, grid_params, perturb_flat, round_and_scale
+from gridlift.trees import balance_weights
 from reference import flat_points, real_brackets
 
 F = Fraction
@@ -275,46 +266,40 @@ class TestRoundAndScale:
     # the relift's stresses are in units of 1/s = 1/720^2; messages give
     # real values. The snapped heights' stresses are the certificate's,
     # tested through the CLI in test_pipeline_cli
-    @pytest.mark.parametrize("gate,low,lower,message", [
-        ("stress_map", F(79, 100) * 720**2, F(1, 2) * 720**2, "below 4/5"),
-    ])
-    def test_gates_name_the_extreme_ridge(
-        self, monkeypatch, tet_flat, gate, low, lower, message
-    ):
-        # lower two interior stresses after the relift (stress_map, called by
-        # build_lifted): the least one is the witness
+    def test_gate_names_the_extreme_ridge(self, monkeypatch, tet_flat):
+        # lower two interior stresses of the relift (build_lifted, as the
+        # round stage binds it): the least one is the witness
         p = grid_params(3, tet_flat.L)
         pe = perturb_flat(tet_flat, p.inv)
         interior = [
             r for r, keys in pe.ridge_adjacency.items() if BASE_FACET_KEY not in keys
         ]
-        original = getattr(lifting, gate)
+        original = rounding.build_lifted
 
         def tampered(*args):
-            out = dict(original(*args))
-            out[interior[0]] = (low.numerator, low.denominator)
-            out[interior[1]] = (lower.numerator, lower.denominator)
-            return out
+            z, stresses = original(*args)
+            stresses = dict(stresses)
+            stresses[interior[0]] = (79 * 720**2, 100)
+            stresses[interior[1]] = (720**2, 2)
+            return z, stresses
 
-        monkeypatch.setattr(lifting, gate, tampered)
+        monkeypatch.setattr(rounding, "build_lifted", tampered)
         with pytest.raises(StageInvariantError) as info:
             round_and_scale(pe, p)
         assert info.value.stage == "rounding"
-        assert message in str(info.value)
+        assert "below 4/5" in str(info.value)
         assert "stress 1/2 " in str(info.value)
         assert info.value.witness == interior[1]
 
     def test_height_gate_names_the_low_vertex(self, monkeypatch, two_stack_tree):
         # sink one non-base vertex below the top one to height 0 after the
-        # relift: the snapped height is 0, and that vertex is the witness
-        flat = build_flat(balance_weights(two_stack_tree))
-        p = grid_params(flat.d, flat.L)
-        pe = perturb_flat(flat, p.inv)
+        # relift: the snapped height is 0, which the round stage leaves to
+        # the certificate, and its height precheck names that vertex
         original = rounding.build_lifted
         sunk = []
 
-        def tampered(*args):
-            (nums, dens), stresses = original(*args)
+        def tampered(flat, *args):
+            (nums, dens), stresses = original(flat, *args)
             nums = list(nums)
             top = max(range(len(nums)), key=lambda v: F(nums[v], dens[v]))
             sunk.append(next(v for v in range(flat.d, len(nums)) if v != top))
@@ -323,10 +308,9 @@ class TestRoundAndScale:
 
         monkeypatch.setattr(rounding, "build_lifted", tampered)
         with pytest.raises(StageInvariantError) as info:
-            round_and_scale(pe, p)
-        assert info.value.stage == "rounding"
-        assert "rounded to height <= 0" in str(info.value)
-        assert info.value.witness == sunk[0]
+            run_pipeline(two_stack_tree)
+        assert info.value.stage == "verify"
+        assert f"non-base vertex {sunk[0]} at height zero" in info.value.witness
 
     @pytest.mark.parametrize("excess,raises", [(0, False), (-1, True)])
     def test_relift_gate_bound_is_in_grid_units(
@@ -339,14 +323,15 @@ class TestRoundAndScale:
         ridge = next(
             r for r, keys in pe.ridge_adjacency.items() if BASE_FACET_KEY not in keys
         )
-        original = lifting.stress_map
+        original = rounding.build_lifted
 
         def tampered(*args):
-            out = dict(original(*args))
-            out[ridge] = (4 * 720**2 + 5 * excess, 5)  # 4/5 * 720^2 + excess
-            return out
+            z, stresses = original(*args)
+            stresses = dict(stresses)
+            stresses[ridge] = (4 * 720**2 + 5 * excess, 5)  # 4/5 * 720^2 + excess
+            return z, stresses
 
-        monkeypatch.setattr(lifting, "stress_map", tampered)
+        monkeypatch.setattr(rounding, "build_lifted", tampered)
         if raises:
             with pytest.raises(StageInvariantError, match="below 4/5") as info:
                 round_and_scale(pe, p)

@@ -11,24 +11,32 @@ from gridlift import (
     InvalidInputError,
     PolytopeGraph,
     StageInvariantError,
-    balance_weights,
-    check_balanced,
-    find_facet,
     gen_lowerbound_graph,
     gen_tree,
     graph_from_tree,
-    parse_graph,
     parse_tree,
     tree_from_graph,
-    tree_from_nested,
 )
-from gridlift.trees import tree_to_json
+from gridlift.trees import (
+    balance_weights,
+    check_balanced,
+    find_facet,
+    graph_from_doc,
+    load_json,
+    tree_from_nested,
+    tree_to_json,
+)
 from reference import reference_balance_weights
 from test_census import all_trees
 
 
 def ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
+
+
+def parse_graph(text):
+    """A graph from its JSON text, as the CLI reads it."""
+    return graph_from_doc(load_json(text))
 
 
 def reference_tree_from_graph(g, d, base):
@@ -268,7 +276,7 @@ class TestGraphs:
     def test_k4_round_trip(self, tet_tree):
         g = graph_from_tree(tet_tree)
         assert g.n == 4
-        assert g.edge_count() == 6
+        assert len(g.edges()) == 6
         t = tree_from_graph(g, 3, (0, 1, 2))
         assert t.to_nested() == [None, None, None]
 
@@ -279,7 +287,7 @@ class TestGraphs:
             assert g.n == t.n_vertices
             if d == 3:
                 # planar triangulation: E = 3V - 6
-                assert g.edge_count() == 3 * g.n - 6
+                assert len(g.edges()) == 3 * g.n - 6
 
     def test_recover_and_rebuild(self):
         for seed in range(4):
@@ -354,9 +362,9 @@ class TestLowerBoundGraphs:
     def test_b3_shape(self):
         g = gen_lowerbound_graph("b3")
         assert g.n == 20
-        assert g.edge_count() == 54
+        assert len(g.edges()) == 54
         # Euler for a planar triangulation skeleton
-        assert g.edge_count() - g.n + 2 == 36
+        assert len(g.edges()) - g.n + 2 == 36
         assert sum(1 for a in g.adjacency if len(a) == 3) == 12
 
     def test_b3_recoverable(self):
@@ -370,7 +378,7 @@ class TestLowerBoundGraphs:
         for m in (1, 2, 3):
             g = gen_lowerbound_graph("gamma", 36 * m)
             assert g.n == 36 * m
-            assert g.edge_count() == 3 * g.n - 6
+            assert len(g.edges()) == 3 * g.n - 6
 
     def test_gamma_rejects_bad_n(self):
         for n in (0, 35, 37, -36):

@@ -10,30 +10,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridlift import (
-    BASE_FACET_KEY,
     GeometryError,
     Realization,
     gen_tree,
     make_certificate,
     parse_tree,
     run_pipeline,
-    stress_of_ridge,
-    verify_bounds,
-    verify_combinatorics,
-    verify_convexity_exhaustive,
-    verify_convexity_global,
-    verify_convexity_stress,
 )
 from gridlift import exact
-from gridlift.exact import BASE_NOT_FLAT, _det_int, ridge_stresses
-from gridlift.facets import build_ridge_adjacency
+from gridlift.exact import BASE_NOT_FLAT, _det_int, ridge_stresses, stress_of_ridge
+from gridlift.facets import BASE_FACET_KEY, build_ridge_adjacency
 from gridlift.verify import (
     _centroid,
     _facet_side_witnesses,
     _facets_in_order,
     _input_witnesses,
+    verify_bounds,
+    verify_combinatorics,
+    verify_convexity_global,
+    verify_convexity_stress,
 )
-from reference import reference_stresses
+from reference import reference_stresses, verify_convexity_exhaustive
 
 
 def with_coords(realization, coords):
