@@ -12,10 +12,10 @@ volume of their simplex. On top of it sit:
   per-ridge reference definition;
 - ridge_stresses: the same stresses for every ridge of a lifted complex,
   the one rule that computes them for the construction's lifts and the
-  certificate alike. It takes the ridges and facets in the facet-table
-  format that the facets module defines and each vertex as an integer
-  homogeneous row (D, X..., Z), D > 0; its stresses are integer pairs
-  (Pair), which callers compare by cross-multiplication.
+  certificate alike. It takes each vertex as an integer homogeneous row
+  (D, X..., Z), D > 0, and the hyperplanes facet_planes takes once per
+  facet of the facet-table format that the facets module defines; its
+  stresses are integer pairs (Pair), compared by cross-multiplication.
 
 Determinants are computed fraction-free: each point is scaled to an integer
 homogeneous column (p D, D), D the lcm of its denominators, and the integer
@@ -24,9 +24,9 @@ Fraction normalization out of the O(k^3) loop. maximal_minors gives all
 d+1 maximal minors of a d x (d+1) integer matrix from one fraction-free
 Gauss-Jordan elimination. On a facet's d lifted rows those minors are the
 cofactors of the facet's hyperplane, and one of them is its shadow, so
-ridge_stresses takes one elimination per facet and reads each ridge's
-creasing determinant and its two shadows off its two facets' hyperplanes:
-one (d+1)-term integer dot product per ridge, with no Fraction built.
+facet_planes takes one elimination per facet and ridge_stresses reads each
+ridge's creasing determinant and its two shadows off its two facets'
+planes: one (d+1)-term integer dot product per ridge, no Fraction built.
 """
 
 from __future__ import annotations
@@ -267,38 +267,20 @@ def stress_of_ridge(
 # by cross-multiplication, and a Fraction is made only for a value that is
 # reported.
 Pair = tuple[int, int]
+# A facet's (cofactors, shadow, product of its rows' D_v, vertex id sum)
+Plane = tuple[list[int], int, int, int]
 
 
-def ridge_stresses(
-    d: int,
-    rows: Sequence[Sequence[int]],
-    adjacency: dict[tuple[int, ...], tuple[int, int]],
-    facets: dict[int, Sequence[int]],
-) -> tuple[dict[tuple[int, ...], Pair], dict[tuple[int, ...], str]]:
-    """stress_of_ridge for every ridge, from one hyperplane per facet.
+def facet_planes(
+    d: int, rows: Sequence[Sequence[int]], facets: dict[int, Sequence[int]]
+) -> dict[int, Plane]:
+    """One hyperplane per facet, from one maximal_minors call each.
 
     rows[v] is vertex v's lifted point as an integer homogeneous row
-    (D_v, X_v..., Z_v), D_v > 0: the point (X_v, Z_v) / D_v. adjacency maps
-    each ridge X, sorted, to its two facet keys, and facets maps every key
-    (BASE_FACET_KEY too) to the facet's vertices; a ridge of the base facet
-    is a base ridge (base_flag). Returns the stresses as pairs and, for the
-    ridges where stress_of_ridge would raise, its message instead; both in
-    adjacency order.
-
-    Per facet S, maximal_minors of its rows in sorted order gives the d+1
-    cofactors of h_S(q) = det[S | q], the (d+1) x (d+1) determinant with
-    the row q appended, and the minor without the Z column is S's shadow
-    sigma(S). A ridge X of facets S and T, with extra vertices e0 and e1,
-    has the stress -det(X, e0, e1) / (|sigma(X, e0)| sigma(X, e1)) in
-    bracket terms (ones row last), negated when e0's facet is the base.
-    With e0 at position p of sorted S, moving e0 to the end of S takes
-    d-1-p transpositions and moving the D column from first to last takes
-    d (in a shadow, d-1), so det(X, e0, e1) = (-1)^(p+1) h_S(e1) and
-    sigma(X, e0) = (-1)^p sigma(S); likewise sigma(X, e1) = (-1)^q sigma(T).
-    Each row's D_v scales every minor it enters, which leaves the stress
-    h_S(e1) prod(D_v, v in X) / |sigma(S) sigma(T)| up to its sign. So a
-    ridge costs one (d+1)-term dot product, and the scale is skipped when
-    every D_v is 1.
+    (D_v, X_v..., Z_v), D_v > 0: the point (X_v, Z_v) / D_v; facets maps
+    every key (BASE_FACET_KEY too) to d distinct vertices. The minors of
+    facet S's rows, sorted, give the d+1 cofactors of h_S(q) = det[S | q]
+    (the row q appended) and, without the Z column, S's shadow sigma(S).
     """
     scaled = any(r[0] != 1 for r in rows)
     planes = {}
@@ -308,12 +290,40 @@ def ridge_stresses(
         cof = [m if (d + j) % 2 == 0 else -m for j, m in enumerate(minors)]
         scale = prod(rows[v][0] for v in verts) if scaled else 1
         planes[key] = (cof, minors[d], scale, sum(verts))
+    return planes
+
+
+def ridge_stresses(
+    d: int,
+    rows: Sequence[Sequence[int]],
+    adjacency: dict[tuple[int, ...], tuple[int, int]],
+    planes: dict[int, Plane],
+) -> tuple[dict[tuple[int, ...], Pair], dict[tuple[int, ...], str]]:
+    """stress_of_ridge for every ridge, from the facet_planes of rows.
+
+    adjacency maps each ridge X, sorted, to its two facet keys; a ridge of
+    the base facet (BASE_FACET_KEY) is a base ridge (base_flag). Returns
+    the stresses as pairs and, for the ridges where stress_of_ridge would
+    raise, its message instead; both in adjacency order.
+
+    A ridge X of facets S and T, with extra vertices e0 and e1, has the
+    stress -det(X, e0, e1) / (|sigma(X, e0)| sigma(X, e1)) in bracket terms
+    (ones row last), negated when e0's facet is the base. With e0 at
+    position p of sorted S, moving e0 to the end of S takes d-1-p
+    transpositions and moving the D column from first to last takes d (in
+    a shadow, d-1), so det(X, e0, e1) = (-1)^(p+1) h_S(e1) and
+    sigma(X, e0) = (-1)^p sigma(S); likewise sigma(X, e1) = (-1)^q sigma(T).
+    Each row's D_v scales every minor it enters, which leaves the stress
+    h_S(e1) prod(D_v, v in X) / |sigma(S) sigma(T)| up to its sign. So a
+    ridge costs one (d+1)-term dot product, and the scale is skipped when
+    every D_v is 1.
+    """
     stresses: dict[tuple[int, ...], Pair] = {}
     failures: dict[tuple[int, ...], str] = {}
     for ridge, (k1, k2) in adjacency.items():
         cof, shadow_S, scale, sum_S = planes[k1]
         _, shadow_T, _, sum_T = planes[k2]
-        # facets.extra_vertex, with each facet's sum taken once
+        # a facet's extra vertex is its vertex sum less the ridge's
         on_ridge = sum(ridge)
         e0, e1 = sum_S - on_ridge, sum_T - on_ridge
         # positions in the sorted facets; only their parity matters
@@ -327,9 +337,9 @@ def ridge_stresses(
         flip = False
         if is_base:
             # the base facet is the one lying entirely in z = 0
-            ridge_flat = not any(rows[v][-1] for v in ridge)
-            flat_S = ridge_flat and rows[e0][-1] == 0
-            flat_T = ridge_flat and rows[e1][-1] == 0
+            ridge_flat = not any(rows[v][d] for v in ridge)
+            flat_S = ridge_flat and rows[e0][d] == 0
+            flat_T = ridge_flat and rows[e1][d] == 0
             if flat_S == flat_T:
                 failures[ridge] = BASE_NOT_FLAT
                 continue
@@ -344,7 +354,7 @@ def ridge_stresses(
         # -det(X, e0, e1) = (-1)^p h_S(e1); over |s0 s1| > 0 the numerator
         # takes s1's sign
         num = -h if (p % 2 == 1) ^ (s1 < 0) ^ flip else h
-        if scaled:
+        if scale != 1:
             num *= scale // rows[e0][0]
         stresses[ridge] = (num, abs(s0 * s1))
     return stresses, failures

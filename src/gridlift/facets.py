@@ -118,7 +118,8 @@ def build_ridge_adjacency(
     Raises GeometryError when a facet is not d distinct vertices, or when
     some ridge does not lie in exactly two facets, that is, when the facets
     form no closed surface. So every ridge of the table is its facets'
-    vertices less one, which extra_vertex relies on.
+    vertices less one: a facet's extra vertex is its vertex sum less the
+    ridge's.
     """
     incidence: dict[Ridge, list[FacetKey]] = {}
     items: list[tuple[FacetKey, tuple[int, ...]]] = [(BASE_FACET_KEY, base_facet)]
@@ -139,8 +140,3 @@ def build_ridge_adjacency(
         out[ridge] = (keys[0], keys[1])
     return out
 
-
-def extra_vertex(facet: tuple[int, ...], ridge: Ridge) -> int:
-    """The vertex of `facet` that is not on `ridge`, a ridge of it in a
-    table of build_ridge_adjacency."""
-    return sum(facet) - sum(ridge)

@@ -14,15 +14,16 @@ node's facet with vertex j replaced by the new vertex), so the lift takes no
 determinant.
 
 Stresses are computed from scratch per ridge (the creasing of its two
-facets: exact.ridge_stresses, the rule the certificate applies too, takes
-one hyperplane per facet of the lifted complex and one dot product per
-ridge), and independently by replaying the stackings with two local update
-rules: subdividing a facet creates the new interior ridges with a known
-positive stress and lowers each boundary ridge of the facet by the shift
-over the incident new facet's volume. The two routes agree exactly on every
-ridge of a shift-defined lifting. build_lifted, the one entry point of the
-exact lift and the perturbed relift alike, lifts by a set of shifts, takes
-both routes and raises on the first ridge where they disagree.
+facets: exact.facet_planes takes one hyperplane per facet of the lifted
+complex, and exact.ridge_stresses, the rule the certificate applies too,
+one dot product per ridge), and independently by replaying the stackings
+with two local update rules: subdividing a facet creates the new interior
+ridges with a known positive stress and lowers each boundary ridge of the
+facet by the shift over the incident new facet's volume. The two routes
+agree exactly on every ridge of a shift-defined lifting. build_lifted, the
+one entry point of the exact lift and the perturbed relift alike, lifts by
+a set of shifts, takes both routes and raises on the first ridge where
+they disagree.
 
 Nothing between the brackets and the gates is a Fraction. The complex
 holds its brackets as integers under one common scale k (R on the exact
@@ -44,7 +45,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import GeometryError, StageInvariantError
-from .exact import Pair, ridge_stresses
+from .exact import Pair, facet_planes, ridge_stresses
 from .facets import BASE_FACET_KEY, Ridge
 from .flat import FlatComplex
 
@@ -121,9 +122,9 @@ def direct_stresses(flat: FlatComplex, nums: list[int], dens: list[int]) -> dict
     ridge, in adjacency order, whose stress is undefined.
     """
     facets = {BASE_FACET_KEY: flat.base_facet, **flat.facets}
-    stresses, failures = ridge_stresses(
-        flat.d, lifted_rows(flat.coords, nums, dens), flat.ridge_adjacency, facets
-    )
+    rows = lifted_rows(flat.coords, nums, dens)
+    planes = facet_planes(flat.d, rows, facets)
+    stresses, failures = ridge_stresses(flat.d, rows, flat.ridge_adjacency, planes)
     if failures:
         raise GeometryError(next(iter(failures.values())))
     return stresses

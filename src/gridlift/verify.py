@@ -1,28 +1,30 @@
 """Certify convexity of an integer realization from its coordinates alone.
 
-Two independent routes, deliberately kept apart:
+Two routes, each making all of its own checks and writing its own
+witnesses, read one ridge table and one plane table: exact.facet_planes
+takes each facet's hyperplane once, on the rows (1, x, z) of its integer
+vertices, as d+1 cofactors with its shadow and its vertex sum.
 
 * stress route: recompute every ridge stress from the final coordinates,
   never taken from the construction, and check interior ridges positive,
   base ridges negative, all heights nonnegative with the base flat at
-  height zero. The stresses come from exact.ridge_stresses: each facet's
-  hyperplane through its integer vertices is taken once, as d+1
-  cofactors; a ridge's creasing determinant is then one of its facets'
-  hyperplanes at the other facet's extra vertex, and its two shadows are
-  the two facets' own, up to sign. Each stress is an integer over a
-  positive denominator, so its numerator's sign decides; a Fraction is
-  made only for a witness;
+  height zero. exact.ridge_stresses reads a ridge's creasing determinant
+  off one facet's plane at the other facet's extra vertex, and its two
+  shadows off the two planes, signed by position. Each stress is an
+  integer over a positive denominator, so its numerator's sign decides; a
+  Fraction is made only for a witness;
 * global route: the linear-size convex-polytope checker of Mehlhorn,
   Naeher, Seel, Seidel, Schilz, Schirra and Uhrig ("Checking geometric
   programs or verification of geometric structures", Comput. Geom. 12,
   1999). The facets must form a closed surface using every vertex, the
-  vertex centroid must lie strictly inside every facet hyperplane, the
-  surface must be strictly convex at every ridge, and the ray from the
-  centroid through the base facet must cross no other facet.
+  vertex centroid must lie strictly inside every facet hyperplane (which
+  orients each plane), the surface must be strictly convex at every ridge,
+  and the ray from the centroid through the base facet must cross no
+  other facet.
 
 The tests hold the global route to the textbook definition, every facet's
-hyperplane against every vertex in O(F n) work, which lives with them in
-tests/reference.py rather than in the code a certificate trusts.
+hyperplane, by cofactors of its own, against every vertex in O(F n) work;
+it lives with them in tests/reference.py, not in the trusted code.
 
 On the class this pipeline emits (base flat at height zero, everything
 else strictly above, no degenerate shadows) the stress and global routes
@@ -36,21 +38,22 @@ the coordinate list, so malformed input fails a certificate instead of
 raising or aliasing a vertex.
 
 The verifier imports from the package only errors, exact (the integer
-determinant kernels and the per-ridge stress rule, which the construction
-is a client of too) and facets (the facet-table format, the ridge table
-and the stacking replay that the combinatorial check compares against), so
-no construction stage is part of the code a certificate has to trust.
+determinant kernels, the plane table and the per-ridge stress rule, which
+the construction is a client of too) and facets (the facet-table format,
+the ridge table and the stacking replay that the combinatorial check
+compares against), so no construction stage is part of the trusted code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .errors import GeometryError
-from .exact import _det_int, maximal_minors, ridge_stresses
+from .exact import _det_int, facet_planes, ridge_stresses
 from .facets import BASE_FACET_KEY, Realization, TreeRep, build_ridge_adjacency
-from .facets import extra_vertex, facet_layout
+from .facets import facet_layout
 
 
 @dataclass
@@ -112,28 +115,35 @@ def _ridge_table(realization: Realization) -> tuple[dict, str | None]:
         return {}, str(exc)
 
 
+def _plane_table(realization: Realization, table: tuple[dict, str | None]) -> tuple | None:
+    """The rows (1, *p) of the points and their exact.facet_planes; None
+    when the _ridge_table is broken: a facet may then span no hyperplane."""
+    if table[1]:
+        return None
+    rows = [(1, *p) for p in realization.coords]
+    facets = {BASE_FACET_KEY: realization.base_facet, **realization.facets}
+    return rows, facet_planes(realization.d, rows, facets)
+
+
 def verify_convexity_stress(realization: Realization) -> tuple[bool, list[str]]:
     """Interior ridge stresses positive, base negative, base flat at 0."""
     witnesses = _input_witnesses(realization)
     if not witnesses:
-        witnesses, _ = _stress_route(realization, _ridge_table(realization))
+        table = _ridge_table(realization)
+        witnesses, _ = _stress_route(realization, table, _plane_table(realization, table))
     return not witnesses, witnesses
 
 
 def _stress_route(
-    realization: Realization, table: tuple[dict, str | None]
+    realization: Realization, table: tuple[dict, str | None], plane_table: tuple | None
 ) -> tuple[list[str], tuple[int, int] | None]:
     """The stress route on input that _input_witnesses passed, given its
-    _ridge_table: the witnesses, and the least interior stress (ties to the
-    first ridge in adjacency order; None if it stops before the stresses).
-
-    Each ridge's stress is the one exact.ridge_stresses reads off one
-    hyperplane per facet, on the rows (1, x, z) of the integer points, so
-    per ridge the route costs one (d+1)-term dot product.
+    _ridge_table and _plane_table: the witnesses, and the least interior
+    stress (ties to the first ridge in adjacency order; None if it stops
+    before the stresses). A ridge's stress costs one (d+1)-term dot product.
     """
     witnesses: list[str] = []
-    coords = realization.coords
-    heights = [p[-1] for p in coords]
+    heights = [p[-1] for p in realization.coords]
 
     for vid, z in enumerate(heights):
         if z < 0:
@@ -152,9 +162,8 @@ def _stress_route(
     if broken:
         return [f"ridge structure broken: {broken}"], None
 
-    facets = {BASE_FACET_KEY: realization.base_facet, **realization.facets}
-    rows = [(1, *p) for p in coords]
-    stresses, failures = ridge_stresses(realization.d, rows, adjacency, facets)
+    rows, planes = plane_table
+    stresses, failures = ridge_stresses(realization.d, rows, adjacency, planes)
     least = None
     for ridge, keys in adjacency.items():
         if ridge in failures:
@@ -183,57 +192,35 @@ def _label(key: int) -> str:
     return "base" if key == BASE_FACET_KEY else str(key)
 
 
-def _centroid(coords: list[tuple[int, ...]]) -> tuple[list[int], int]:
-    """The vertex centroid held homogeneous, as (sum of all vertices, n)."""
-    d = len(coords[0])
-    return [sum(p[i] for p in coords) for i in range(d)], len(coords)
-
-
 def _facet_side_witnesses(
-    coords: list[tuple[int, ...]],
-    facet: tuple[int, ...],
-    key: int,
-    probes,
-    centroid: tuple[list[int], int],
+    rows: list[tuple[int, ...]], cof: list[int], key: int, probes, centroid: tuple
 ) -> tuple[list[int] | None, list[str]]:
     """Supporting-hyperplane test for one facet, exact integer arithmetic.
 
-    The affine form g(p) = det(facet columns + p, ones row) vanishes on the
-    facet; cofactor expansion along the p column turns each vertex test into
-    a dot product. The interior side is the side of the vertex centroid o:
-    writing g(p) = a . p + c and holding o as (sum s, count n), the integer
-    n g(o) = a . s + n c equals the sum of g over all vertices.
+    cof is the facet's plane from the plane table: g(p) = cof . (1, p) is
+    the determinant of the facet's rows with (1, p) appended, zero on its
+    hyperplane. The interior side is the side of the vertex centroid o:
+    held as the row (n, s), s the vertex sum, n g(o) = cof . (n, s).
 
-    Returns the coefficients of g, negated if need be so that g(o) < 0
-    (None when o lies on the hyperplane), and a witness for every probe
-    vertex not strictly on o's side.
+    Returns cof, negated if need be so that g(o) < 0 (None when o lies on
+    the hyperplane), and a witness for every probe vertex not strictly on
+    o's side.
     """
-    d = len(coords[0])
-    # the cofactors of the bracket's p column are the maximal minors of the
-    # facet rows; with the ones entry first, the leading block is the
-    # facet's shadow, nonsingular unless the facet is vertical
-    minors = maximal_minors([[1, *coords[v]] for v in facet])
-    cof = [m if i % 2 else -m for i, m in enumerate(minors[1:])]
-    cof.append(minors[0])
-
-    total, n = centroid
-    at_o = sum(cof[i] * total[i] for i in range(d)) + n * cof[d]
+    at_o = sum(map(mul, cof, centroid))
     if at_o == 0:
         return None, [f"facet {_label(key)}: vertices balance across its hyperplane"]
     if at_o > 0:
         cof = [-c for c in cof]
-    witnesses = []
-    for vid in probes:
-        p = coords[vid]
-        if sum(cof[i] * p[i] for i in range(d)) + cof[d] >= 0:
-            witnesses.append(f"facet {_label(key)}: vertex {vid} not strictly inside")
+    witnesses = [
+        f"facet {_label(key)}: vertex {vid} not strictly inside"
+        for vid in probes
+        if sum(map(mul, cof, rows[vid])) >= 0
+    ]
     return cof, witnesses
 
 
 def _ray_witnesses(
-    realization: Realization,
-    planes: dict[int, list[int]],
-    centroid: tuple[list[int], int],
+    realization: Realization, planes: dict[int, list[int]], centroid: tuple
 ) -> list[str]:
     """Facets other than the base that the ray from the centroid o through
     the base facet's centroid c meets.
@@ -247,14 +234,14 @@ def _ray_witnesses(
     genericity fallback.
     """
     coords = realization.coords
-    total, n = centroid
+    n, *total = centroid
     d = len(total)
     base = realization.base_facet
     direction = [n * sum(coords[v][i] for v in base) - d * total[i] for i in range(d)]
     witnesses = []
     for key, verts in realization.facets.items():
-        cof = planes[key]
-        if sum(cof[i] * direction[i] for i in range(d)) <= 0:
+        # the plane's coefficients of p, past its constant term
+        if sum(map(mul, planes[key][1:], direction)) <= 0:
             continue  # parallel to the hyperplane, or moving away from it
         gens = [[n * coords[v][i] - total[i] for i in range(d)] for v in verts]
         # _det_int works in place, so every call gets fresh rows
@@ -287,41 +274,46 @@ def _surface_witnesses(realization: Realization, broken: str | None) -> list[str
 def verify_convexity_global(realization: Realization) -> tuple[bool, list[str]]:
     """Linear-size certificate that the facets bound a convex polytope.
 
-    Checks, in O(F d^4) integer work: every ridge lies in exactly two
-    facets; every vertex lies on a facet; the vertex centroid o is strictly
-    off every facet hyperplane; at every ridge, each facet's extra vertex
-    lies strictly on o's side of the other facet's hyperplane; and the ray
-    from o through the base facet's centroid crosses no other facet.
+    Checks, in O(F d^4) integer work on its own plane table: every ridge
+    lies in exactly two facets; every vertex lies on a facet; the vertex
+    centroid o is strictly off every facet hyperplane; at every ridge, each
+    facet's extra vertex lies strictly on o's side of the other facet's
+    hyperplane; and the ray from o through the base facet's centroid
+    crosses no other facet.
     """
     witnesses = _input_witnesses(realization)
     if not witnesses:
-        witnesses = _global_route(realization, _ridge_table(realization))
+        table = _ridge_table(realization)
+        witnesses = _global_route(realization, table, _plane_table(realization, table))
     return not witnesses, witnesses
 
 
-def _global_route(realization: Realization, table: tuple[dict, str | None]) -> list[str]:
+def _global_route(
+    realization: Realization, table: tuple[dict, str | None], plane_table: tuple | None
+) -> list[str]:
     """The global route's witnesses on input that _input_witnesses passed,
-    given its _ridge_table."""
+    given its _ridge_table and _plane_table, whose planes it orients."""
     adjacency, broken = table
     witnesses = _surface_witnesses(realization, broken)
     if broken:
         return witnesses
-
-    # probes[key]: across each ridge of facet key, the other facet's extra vertex
-    probes: dict[int, list[int]] = {key: [] for key in (BASE_FACET_KEY, *realization.facets)}
+    rows, planes = plane_table
+    # probes[key]: across each ridge of facet key, the other facet's extra
+    # vertex, that facet's vertex sum less the ridge's
+    probes: dict[int, list[int]] = {key: [] for key in planes}
     for ridge, (k1, k2) in adjacency.items():
-        probes[k1].append(extra_vertex(realization.facet_vertices(k2), ridge))
-        probes[k2].append(extra_vertex(realization.facet_vertices(k1), ridge))
-
-    coords = realization.coords
-    centroid = _centroid(coords)
-    planes = {}
-    for key, verts in _facets_in_order(realization):
-        planes[key], wit = _facet_side_witnesses(
-            coords, verts, key, probes[key], centroid
+        on_ridge = sum(ridge)
+        probes[k1].append(planes[k2][3] - on_ridge)
+        probes[k2].append(planes[k1][3] - on_ridge)
+    # the vertex centroid o as the row (n, vertex sum)
+    centroid = (len(rows), *map(sum, zip(*realization.coords)))
+    oriented = {}
+    for key, _ in _facets_in_order(realization):
+        oriented[key], wit = _facet_side_witnesses(
+            rows, planes[key][0], key, probes[key], centroid
         )
         witnesses += wit
-    return witnesses or _ray_witnesses(realization, planes, centroid)
+    return witnesses or _ray_witnesses(realization, oriented, centroid)
 
 
 def verify_bounds(realization: Realization) -> tuple[bool, list[str]]:
@@ -373,14 +365,15 @@ def make_certificate(
     """Run every route; the witnesses are listed once each, in the order
     the routes first give them (a malformed point fails several).
 
-    The input is checked once and the ridge table built once, for both
-    convexity routes; each route alone does the same on its own."""
+    The input is checked once and the ridge and plane tables built once,
+    for both convexity routes; each route alone does the same on its own."""
     s_wit = g_wit = _input_witnesses(realization)
     min_interior = None
     if not s_wit:
         table = _ridge_table(realization)
-        s_wit, min_interior = _stress_route(realization, table)
-        g_wit = _global_route(realization, table)
+        plane_table = _plane_table(realization, table)
+        s_wit, min_interior = _stress_route(realization, table, plane_table)
+        g_wit = _global_route(realization, table, plane_table)
     witnesses = s_wit + g_wit
     b_ok = c_ok = None
     if "R_eff" in realization.metadata:

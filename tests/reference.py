@@ -6,12 +6,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from gridlift import GeometryError, InvalidInputError, Realization
-from gridlift.exact import bracket, stress_of_ridge
+from gridlift.exact import _det_int, bracket, stress_of_ridge
 from gridlift.facets import BASE_FACET_KEY, facet_layout
 from gridlift.flat import base_simplex
 from gridlift.verify import (
-    _centroid,
-    _facet_side_witnesses,
     _facets_in_order,
     _input_witnesses,
     _ridge_table,
@@ -181,13 +179,30 @@ def reference_balance_weights(tree):
     return weight, heavy
 
 
+def plane_by_cofactors(coords, facet):
+    """The facet bracket's p-column cofactors, one _det_int per cofactor:
+    g(p) = cof[:d] . p + cof[d] is the determinant of the facet's points
+    and p as columns over a ones row."""
+    d = len(coords[0])
+    pts = [coords[v] for v in facet]
+    cof = []
+    for i in range(d + 1):
+        rows = [[pts[j][r] for j in range(d)] for r in range(d) if r != i]
+        if i < d:
+            rows.append([1] * d)
+        minor = _det_int(rows)
+        cof.append(minor if (i + d) % 2 == 0 else -minor)
+    return cof
+
+
 def verify_convexity_exhaustive(realization: Realization) -> tuple[bool, list[str]]:
     """Every facet's hyperplane strictly supports all other vertices.
 
     The textbook definition, in O(F n) work: the reference for
-    verify.verify_convexity_global. It also requires a closed surface and
-    every vertex on a facet: without them a convex point set with a partial
-    or padded facet list would pass.
+    verify.verify_convexity_global. Each facet's plane is
+    plane_by_cofactors, its interior side the vertex centroid's. It also
+    requires a closed surface and every vertex on a facet: without them a
+    convex point set with a partial or padded facet list would pass.
     """
     malformed = _input_witnesses(realization)
     if malformed:
@@ -198,9 +213,20 @@ def verify_convexity_exhaustive(realization: Realization) -> tuple[bool, list[st
         # a facet that is not d distinct vertices spans no hyperplane
         return False, witnesses
     coords = realization.coords
-    centroid = _centroid(coords)
+    n = len(coords)
+    total = [sum(p[i] for p in coords) for i in range(realization.d)]
     for key, verts in _facets_in_order(realization):
+        label = "base" if key == BASE_FACET_KEY else key
+        *a, c = plane_by_cofactors(coords, verts)
+        # n g(o) at the centroid o = total / n
+        at_o = sum(x * t for x, t in zip(a, total)) + n * c
+        if at_o == 0:
+            witnesses.append(f"facet {label}: vertices balance across its hyperplane")
+            continue
         incident = set(verts)
-        probes = [vid for vid in range(len(coords)) if vid not in incident]
-        witnesses += _facet_side_witnesses(coords, verts, key, probes, centroid)[1]
+        for vid, p in enumerate(coords):
+            # strictly inside: g(p) has the sign of g(o)
+            g = sum(x * y for x, y in zip(a, p)) + c
+            if vid not in incident and g * at_o <= 0:
+                witnesses.append(f"facet {label}: vertex {vid} not strictly inside")
     return not witnesses, witnesses

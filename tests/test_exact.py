@@ -15,6 +15,7 @@ from gridlift.exact import (
     _det_int,
     bracket,
     creasing,
+    facet_planes,
     homogeneous_column,
     maximal_minors,
     ridge_stresses,
@@ -323,9 +324,10 @@ def rows_of(points):
 
 
 def kernel_table(d, points, adjacency, facets):
-    """ridge_stresses on the rows of `points`, with the stress pairs as
-    Fractions."""
-    stresses, failures = ridge_stresses(d, rows_of(points), adjacency, facets)
+    """ridge_stresses on the rows of `points` and their facet_planes, with
+    the stress pairs as Fractions."""
+    rows = rows_of(points)
+    stresses, failures = ridge_stresses(d, rows, adjacency, facet_planes(d, rows, facets))
     assert all(den > 0 for _, den in stresses.values())
     return as_fractions(stresses), failures
 
@@ -430,7 +432,8 @@ class TestFacetStressPlan:
         dens = [h.denominator for h in heights]
         rows = lifted_rows(flat.coords, nums, dens)
         table = {BASE_FACET_KEY: base, **facets}
-        stresses, failures = ridge_stresses(d, rows, flat.ridge_adjacency, table)
+        planes = facet_planes(d, rows, table)
+        stresses, failures = ridge_stresses(d, rows, flat.ridge_adjacency, planes)
         expected = reference_stresses(points, flat.ridge_adjacency, flat.facet_vertices)
         assert {**as_fractions(stresses), **failures} == expected
         # direct_stresses raises the first failure, in adjacency order

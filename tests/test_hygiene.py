@@ -142,6 +142,7 @@ def names_in_body(source: str, function: str) -> set[str]:
     ("flat", "stacked_column"),
     ("rounding", "perturb_flat"),
     ("exact", "maximal_minors"),
+    ("exact", "facet_planes"),
     ("exact", "ridge_stresses"),
     ("lifting", "lifted_rows"),
     ("lifting", "direct_stresses"),
@@ -224,7 +225,7 @@ def test_trusted_base_stays_small():
     # the lines a certificate has to trust: verify and its import closure
     trusted = {"verify"} | package_closure("verify")
     lines = sum(len((PACKAGE_DIR / f"{m}.py").read_text().splitlines()) for m in trusted)
-    assert lines <= 927
+    assert lines <= 926
 
 
 @pytest.mark.parametrize("module", ["lifting", "rounding", "pipeline"])

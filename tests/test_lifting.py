@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gridlift import GeometryError, StageInvariantError, gen_tree
 from gridlift import lifting
-from gridlift.exact import ridge_stresses
+from gridlift.exact import facet_planes, ridge_stresses
 from gridlift.facets import BASE_FACET_KEY
 from gridlift.flat import build_flat
 from gridlift.lifting import (
@@ -43,7 +43,8 @@ def kernel(complex_, nums, dens):
     and the failures that direct_stresses would raise."""
     facets = {BASE_FACET_KEY: complex_.base_facet, **complex_.facets}
     rows = lifted_rows(complex_.coords, nums, dens)
-    return ridge_stresses(complex_.d, rows, complex_.ridge_adjacency, facets)
+    planes = facet_planes(complex_.d, rows, facets)
+    return ridge_stresses(complex_.d, rows, complex_.ridge_adjacency, planes)
 
 
 class TestVerticalShifts:

@@ -4,10 +4,13 @@ import dataclasses
 import functools
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -581,6 +584,17 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    def test_runs_as_a_module(self):
+        # python -m gridlift, from the source tree without an install
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-m", "gridlift", "stats"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("d coordinate_exponent height_exponent\n")
 
     def test_stats_table(self, capsys):
         assert main(["stats"]) == 0

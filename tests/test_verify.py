@@ -18,19 +18,20 @@ from gridlift import (
     run_pipeline,
 )
 from gridlift import exact
-from gridlift.exact import BASE_NOT_FLAT, _det_int, ridge_stresses, stress_of_ridge
+from gridlift.exact import BASE_NOT_FLAT, facet_planes, ridge_stresses, stress_of_ridge
 from gridlift.facets import BASE_FACET_KEY, build_ridge_adjacency
 from gridlift.verify import (
-    _centroid,
     _facet_side_witnesses,
     _facets_in_order,
     _input_witnesses,
+    _plane_table,
+    _ridge_table,
     verify_bounds,
     verify_combinatorics,
     verify_convexity_global,
     verify_convexity_stress,
 )
-from reference import reference_stresses, verify_convexity_exhaustive
+from reference import plane_by_cofactors, reference_stresses, verify_convexity_exhaustive
 
 
 def with_coords(realization, coords):
@@ -141,7 +142,7 @@ class TestZeroStressBaseRidge:
         # 0 either: with both facets in z = 0 it cannot tell which is the base
         facets = {BASE_FACET_KEY: bad.base_facet, **bad.facets}
         rows = [(1, *p) for p in bad.coords]
-        _, failures = ridge_stresses(3, rows, adjacency, facets)
+        _, failures = ridge_stresses(3, rows, adjacency, facet_planes(3, rows, facets))
         assert failures[ridge] == BASE_NOT_FLAT
 
 
@@ -228,6 +229,23 @@ class TestGlobalRoutes:
         assert cert.ok is False
         assert cert.combinatorics_ok is False
         assert f"vertex count {n + 1}, expected {n}" in cert.witnesses
+
+    def test_flat_ridges_are_not_strictly_convex(self):
+        # a tetrahedron whose top facet is stacked by a vertex in its plane:
+        # a convex point set, but the three new ridges are flat, so each
+        # probe lies on its neighbour's hyperplane, not strictly inside
+        realization = Realization(
+            d=3,
+            coords=[(0, 0, 0), (12, 0, 0), (0, 12, 0), (0, 0, 12), (4, 4, 4)],
+            facets={1: (0, 1, 3), 2: (0, 2, 3), 3: (4, 2, 3), 4: (1, 4, 3), 5: (1, 2, 4)},
+            base_facet=(0, 1, 2),
+            metadata={},
+        )
+        assert global_verdicts(realization) is False
+        assert verify_convexity_global(realization)[1] == [
+            f"facet {key}: vertex {vid} not strictly inside"
+            for key, vid in ((3, 1), (3, 1), (4, 2), (4, 2), (5, 3), (5, 3))
+        ]
 
     def test_dropped_facet(self, instance):
         bad = drop_first_facet(instance)
@@ -320,40 +338,52 @@ class TestGlobalRoutesProperty:
         global_verdicts(realization)
 
 
-def plane_by_cofactors(coords, facet):
-    """The facet bracket's p-column cofactors, one _det_int per cofactor."""
-    d = len(coords[0])
-    pts = [coords[v] for v in facet]
-    cof = []
-    for i in range(d + 1):
-        rows = [[pts[j][r] for j in range(d)] for r in range(d) if r != i]
-        if i < d:
-            rows.append([1] * d)
-        minor = _det_int(rows)
-        cof.append(minor if (i + d) % 2 == 0 else -minor)
-    return cof
+def centroid_row(coords):
+    """The vertex centroid as the global route holds it: (n, vertex sum)."""
+    return (len(coords), *(sum(p[i] for p in coords) for i in range(len(coords[0]))))
+
+
+def constant_first(cof):
+    """plane_by_cofactors' (a, c), g(p) = a . p + c, in the plane table's
+    layout over the rows (1, p): (c, a)."""
+    return [cof[-1], *cof[:-1]]
 
 
 class TestFacetPlanes:
+    """The plane table both routes read, oriented as the global route does,
+    against one _det_int per cofactor."""
+
     @given(moved_vertex())
     @settings(max_examples=100, deadline=None)
     def test_planes_equal_per_cofactor_reference(self, realization):
         coords = realization.coords
-        centroid = _centroid(coords)
-        total, n = centroid
+        rows, planes = _plane_table(realization, _ridge_table(realization))
+        centroid = centroid_row(coords)
+        n, *total = centroid
         for key, verts in _facets_in_order(realization):
             ref = plane_by_cofactors(coords, verts)
             at_o = sum(c * t for c, t in zip(ref, total)) + n * ref[-1]
             expected = None if at_o == 0 else ref if at_o < 0 else [-c for c in ref]
-            got, _ = _facet_side_witnesses(coords, verts, key, [], centroid)
-            assert got == expected
+            got, _ = _facet_side_witnesses(rows, planes[key][0], key, [], centroid)
+            assert got == (None if expected is None else constant_first(expected))
 
     def test_vertical_facet(self):
-        # a facet whose shadow is degenerate: maximal_minors falls back
+        # a tetrahedron whose base facet's shadow is degenerate:
+        # maximal_minors falls back
         coords = [(0, 0, 0), (4, 0, 0), (2, 0, 5), (1, 3, 1)]
-        ref = plane_by_cofactors(coords, (0, 1, 2))
-        got, _ = _facet_side_witnesses(coords, (0, 1, 2), 0, [], _centroid(coords))
-        assert got in (ref, [-c for c in ref]) and ref[-1] == 0
+        realization = Realization(
+            d=3,
+            coords=coords,
+            facets={1: (0, 1, 3), 2: (1, 2, 3), 3: (0, 2, 3)},
+            base_facet=(0, 1, 2),
+            metadata={},
+        )
+        rows, planes = _plane_table(realization, _ridge_table(realization))
+        ref = constant_first(plane_by_cofactors(coords, (0, 1, 2)))
+        got, _ = _facet_side_witnesses(
+            rows, planes[BASE_FACET_KEY][0], BASE_FACET_KEY, [], centroid_row(coords)
+        )
+        assert got in (ref, [-c for c in ref]) and ref[0] == 0
 
 
 def stress_route_by_reference(realization):
@@ -473,7 +503,8 @@ class TestStressRouteAgainstReference:
         d = realization.d
         adjacency = build_ridge_adjacency(d, realization.facets, realization.base_facet)
         facets = {BASE_FACET_KEY: realization.base_facet, **realization.facets}
-        stresses, failures = ridge_stresses(d, rows, adjacency, facets)
+        planes = facet_planes(d, rows, facets)
+        stresses, failures = ridge_stresses(d, rows, adjacency, planes)
         expected = reference_stresses(
             [tuple(Fraction(c) for c in p) for p in coords], adjacency, facets.__getitem__
         )
@@ -673,6 +704,13 @@ class TestOneRidgeTable:
         checks = wrap_every_binding(monkeypatch, _input_witnesses)
         assert make_certificate(realization).ok
         assert len(tables) == len(checks) == 1
+
+    def test_one_plane_table(self, monkeypatch):
+        # one maximal_minors per facet, the base's too, serves both routes
+        realization = small_realization(5, 30, 1)
+        minors = wrap_every_binding(monkeypatch, exact.maximal_minors)
+        assert make_certificate(realization).ok
+        assert len(minors) == len(realization.facets) + 1
 
     @pytest.mark.parametrize("name", CORRUPTED)
     def test_same_witnesses_as_the_public_routes(self, name):
