@@ -35,6 +35,7 @@ from .trees import (
     graph_from_doc,
     load_json,
     parse_tree,
+    to_nested,
     tree_from_doc,
     tree_to_json,
 )
@@ -102,7 +103,7 @@ def _cmd_balance(args) -> int:
     wt = balance_weights(tree)
     doc = {
         "dim": tree.dim,
-        "tree": tree.to_nested(),
+        "tree": to_nested(tree),
         "weights": list(wt.weight),
         "root_weight": wt.root_weight,
     }

@@ -2,8 +2,8 @@
 
 A facet table is a dict from leaf node id to the facet's ordered vertex ids,
 plus the base facet, held apart and addressed by the key BASE_FACET_KEY.
-The keys are node ids of the ordered stacking tree (TreeRep), and
-facet_layout replays the tree into every node's facet. The construction
+The keys are preorder node ids of the stacking tree's child table (TreeRep),
+and facet_layout replays the tree into every node's facet. The construction
 and the verifier both take the format and the replay from this module, so
 the certificate's trusted code needs nothing from the construction to know
 which facets meet at a ridge or which facets a tree stacks.
@@ -21,52 +21,38 @@ Ridge = tuple[int, ...]  # sorted vertex ids, length d-1
 FacetKey = int  # leaf node id, or BASE_FACET_KEY
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    children: tuple[int, ...]  # empty for leaves
-    parent: int | None
-
-
 @dataclass
 class TreeRep:
-    """Ordered d-ary stacking tree with preorder node ids."""
+    """Ordered d-ary stacking tree: children[v] holds node v's child ids, ()
+    for a leaf. Node 0 is the root and ids are preorder, so each subtree is
+    a contiguous id range starting at its root."""
 
     dim: int
-    nodes: list[TreeNode]
-
-    root: int = 0
+    children: list[tuple[int, ...]]
 
     def is_leaf(self, v: int) -> bool:
-        return not self.nodes[v].children
+        return not self.children[v]
 
     @property
     def interior_ids(self) -> list[int]:
         # preorder ids make ascending order the preorder of any subset
-        return [v for v, nd in enumerate(self.nodes) if nd.children]
+        return [v for v, ch in enumerate(self.children) if ch]
 
     @property
     def leaf_ids(self) -> list[int]:
-        return [v for v, nd in enumerate(self.nodes) if not nd.children]
+        return [v for v, ch in enumerate(self.children) if not ch]
 
     @property
     def interior_count(self) -> int:
-        return sum(1 for nd in self.nodes if nd.children)
+        return sum(1 for ch in self.children if ch)
 
     @property
     def leaf_count(self) -> int:
-        return len(self.nodes) - self.interior_count
+        return len(self.children) - self.interior_count
 
     @property
     def n_vertices(self) -> int:
         return self.dim + self.interior_count
-
-    def to_nested(self) -> None | list:
-        """The nested-list form: None for a leaf, a list of d children."""
-        out: list = [None] * len(self.nodes)
-        for v in range(len(self.nodes) - 1, -1, -1):
-            ch = self.nodes[v].children
-            out[v] = [out[c] for c in ch] if ch else None
-        return out[self.root]
 
 
 def facet_layout(tree: TreeRep) -> tuple[dict[int, tuple[int, ...]], dict[int, int]]:
@@ -77,7 +63,7 @@ def facet_layout(tree: TreeRep) -> tuple[dict[int, tuple[int, ...]], dict[int, i
     position j replaced by the stacked vertex.
     """
     d = tree.dim
-    node_facets: dict[int, tuple[int, ...]] = {tree.root: tuple(range(d))}
+    node_facets: dict[int, tuple[int, ...]] = {0: tuple(range(d))}
     stacked: dict[int, int] = {}
     next_vertex = d
     for v in tree.interior_ids:
@@ -85,20 +71,13 @@ def facet_layout(tree: TreeRep) -> tuple[dict[int, tuple[int, ...]], dict[int, i
         p = next_vertex
         next_vertex += 1
         stacked[v] = p
-        for j, c in enumerate(tree.nodes[v].children):
+        for j, c in enumerate(tree.children[v]):
             node_facets[c] = facet[:j] + (p,) + facet[j + 1 :]
     return node_facets, stacked
 
 
-class FacetTable:
-    """Facet lookup by key, for a class with `facets` and `base_facet`."""
-
-    def facet_vertices(self, key: FacetKey) -> tuple[int, ...]:
-        return self.base_facet if key == BASE_FACET_KEY else self.facets[key]
-
-
 @dataclass
-class Realization(FacetTable):
+class Realization:
     """Integer-coordinate realization of the stacked polytope."""
 
     d: int

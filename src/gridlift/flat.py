@@ -29,7 +29,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .errors import GeometryError, InvalidInputError, StageInvariantError
-from .facets import FacetKey, FacetTable, Ridge, TreeRep, build_ridge_adjacency, facet_layout
+from .facets import FacetKey, Ridge, TreeRep, build_ridge_adjacency, facet_layout
 from .trees import WeightedTree
 
 # A vertex as (N_1, ..., N_{d-1}, D): the point N / D, D > 0, in lowest terms.
@@ -37,7 +37,7 @@ Column = tuple[int, ...]
 
 
 @dataclass
-class FlatComplex(FacetTable):
+class FlatComplex:
     """Flat embedded stacking complex over Q^{d-1}, in integers."""
 
     coords: list[Column]  # homogeneous column by vertex id; D = 1 once perturbed
@@ -127,9 +127,9 @@ def build_flat(wt: WeightedTree) -> FlatComplex:
     R_eff = L ** (d - 1)
     weight = wt.weight
     layout, stacked = facet_layout(tree)
-    node_brackets = {tree.root: R_eff * weight[tree.root]}
+    node_brackets = {0: R_eff * weight[0]}
     for v in tree.interior_ids:
-        children = tree.nodes[v].children
+        children = tree.children[v]
         cw = [weight[c] for c in children]
         p = stacked_column([coords[u] for u in layout[v]], cw, weight[v])
         if stacked[v] != len(coords):

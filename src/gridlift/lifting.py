@@ -66,7 +66,7 @@ def lift_heights(flat: FlatComplex, zeta: dict[int, int]) -> Heights:
     construction; a nonpositive one is a stage error naming its stacking.
     """
     brackets = flat.node_brackets
-    nodes = flat.tree.nodes
+    children = flat.tree.children
     nums = [0] * flat.d
     dens = [1] * flat.d
     for node in flat.tree.interior_ids:
@@ -81,7 +81,7 @@ def lift_heights(flat: FlatComplex, zeta: dict[int, int]) -> Heights:
         facet = flat.node_facets[node]
         den = lcm(*[dens[u] for u in facet])
         total = 0
-        for c, u in zip(nodes[node].children, facet):
+        for c, u in zip(children[node], facet):
             total += brackets[c] * nums[u] * (den // dens[u])
         # total / (shadow den) + shift
         num = total + shift * shadow * den
@@ -141,7 +141,7 @@ def incremental_stresses(flat: FlatComplex, zeta: dict[int, int]) -> dict[Ridge,
     scale k, these are zeta k / |S| and zeta k |D| / (|S| |T|).
     """
     brackets, scale = flat.node_brackets, flat.bracket_scale
-    nodes = flat.tree.nodes
+    children = flat.tree.children
     st: dict[Ridge, Pair] = {}
     d = flat.d
     base = flat.base_facet
@@ -151,7 +151,7 @@ def incremental_stresses(flat: FlatComplex, zeta: dict[int, int]) -> dict[Ridge,
     for p, node in enumerate(flat.tree.interior_ids, start=d):
         facet = flat.node_facets[node]
         num = zeta[node] * scale
-        cbr = [abs(brackets[c]) for c in nodes[node].children]
+        cbr = [abs(brackets[c]) for c in children[node]]
         dbr = abs(brackets[node])
         for j in range(d):
             ridge = tuple(sorted(facet[:j] + facet[j + 1 :]))
@@ -181,10 +181,10 @@ def adjusted_shifts(flat: FlatComplex) -> dict[int, int]:
     s^2 on a perturbed one, whose brackets are in grid units (k = 1).
     """
     brackets = flat.node_brackets
-    nodes = flat.tree.nodes
+    children = flat.tree.children
     out: dict[int, int] = {}
     for node in flat.tree.interior_ids:
-        vols = sorted(abs(brackets[c]) for c in nodes[node].children)
+        vols = sorted(abs(brackets[c]) for c in children[node])
         out[node] = vols[-1] * vols[-2]
     return out
 

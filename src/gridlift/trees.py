@@ -7,11 +7,14 @@ for a facet of the final polytope (the base facet itself stays outside the
 tree). Child i of a node replaces the i-th vertex of the node's ordered
 facet with the node's stacked vertex.
 
-Node ids are assigned in preorder (root = 0), so the preorder sequence of
-interior nodes is simply their ascending id order. A polytope on n vertices
-has n - d interior nodes and (n - d)(d - 1) + 1 leaves. The tree type
-(TreeRep) and its facet replay (facet_layout) live in the facets module,
-which the verifier trusts; this module reads, writes and generates trees.
+A tree is a child table with node ids in preorder (root = 0), so the
+preorder sequence of interior nodes is simply their ascending id order. A
+polytope on n vertices has n - d interior nodes and (n - d)(d - 1) + 1
+leaves. The tree type (TreeRep) and its facet replay (facet_layout) live in
+the facets module, which the verifier trusts; this module reads, writes and
+generates trees. The JSON form nests lists (tree_from_nested, to_nested);
+the generators and the graph peeling fill a child table under their own
+ids and renumber it to preorder once (_preorder).
 
 The module also hosts the face-weight balancing step, one post-order pass
 over the node ids that picks each node's heavy child on the way: weights
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidInputError, StageInvariantError
-from .facets import TreeNode, TreeRep, facet_layout
+from .facets import TreeRep, facet_layout
 from .rng import SplitMix64
 
 Nested = None | list  # leaf | list of d children
@@ -72,26 +75,54 @@ def tree_from_nested(dim: int, nested: Nested) -> TreeRep:
         raise InvalidInputError(f"dimension must be at least 3, got {dim}")
     if nested is None:
         raise InvalidInputError("root must be an interior node, got a leaf")
-    nodes: list[TreeNode] = []
+    children: list[list[int]] = []
     # iterative preorder; recursion would hit the interpreter limit on chains
     stack: list[tuple[Nested, int | None]] = [(nested, None)]
     while stack:
         item, parent = stack.pop()
-        vid = len(nodes)
+        vid = len(children)
         if parent is not None:
-            pn = nodes[parent]
-            nodes[parent] = TreeNode(pn.children + (vid,), pn.parent)
+            children[parent].append(vid)
+        children.append([])
         if item is None:
-            nodes.append(TreeNode((), parent))
             continue
         if not isinstance(item, list) or len(item) != dim:
             raise InvalidInputError(
                 f"interior node must be a list of exactly {dim} children"
             )
-        nodes.append(TreeNode((), parent))
-        for child in reversed(item):
-            stack.append((child, vid))
-    return TreeRep(dim, nodes)
+        stack.extend((child, vid) for child in reversed(item))
+    return TreeRep(dim, [tuple(ch) for ch in children])
+
+
+def to_nested(tree: TreeRep) -> Nested:
+    """The nested-list form: None for a leaf, a list of d children."""
+    out: list[Nested] = [None] * len(tree.children)
+    for v in range(len(tree.children) - 1, -1, -1):
+        ch = tree.children[v]
+        if ch:
+            out[v] = [out[c] for c in ch]
+    return out[0]
+
+
+def _expand(children: list[tuple[int, ...]], v: int, dim: int) -> tuple[int, ...]:
+    """Give leaf v of a child table dim new leaf children; returns their ids."""
+    ids = tuple(range(len(children), len(children) + dim))
+    children[v] = ids
+    children.extend([()] * dim)
+    return ids
+
+
+def _preorder(dim: int, children: list[tuple[int, ...]]) -> TreeRep:
+    """The tree of a child table rooted at node 0, renumbered to preorder."""
+    order: list[int] = []
+    rank = [0] * len(children)
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        rank[v] = len(order)
+        order.append(v)
+        stack.extend(reversed(children[v]))
+    return TreeRep(dim, [tuple([rank[c] for c in children[v]]) for v in order])
 
 
 def parse_tree(text: str | bytes) -> TreeRep:
@@ -111,7 +142,7 @@ def tree_from_doc(obj: object) -> TreeRep:
 
 def tree_to_json(tree: TreeRep) -> str:
     """The JSON tree form {"dim": d, "tree": nested}."""
-    return dump_json({"dim": tree.dim, "tree": tree.to_nested()})
+    return dump_json({"dim": tree.dim, "tree": to_nested(tree)})
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +157,7 @@ class WeightedTree:
 
     @property
     def root_weight(self) -> int:
-        return self.weight[self.tree.root]
+        return self.weight[0]
 
 
 def balance_weights(tree: TreeRep) -> WeightedTree:
@@ -147,24 +178,24 @@ def balance_weights(tree: TreeRep) -> WeightedTree:
     the raise of a light child share one walk, so each heavy path is walked
     at most once and the pass is linear in the node count.
     """
-    nodes = tree.nodes
-    size = [1] * len(nodes)
-    weight = [1] * len(nodes)
+    children = tree.children
+    size = [1] * len(children)
+    weight = [1] * len(children)
     heavy: dict[int, int] = {}
-    light_max = [0] * len(nodes)  # largest light weight on v's heavy path
-    interiors = [0] * len(nodes)  # interior nodes on v's heavy path
+    light_max = [0] * len(children)  # largest light weight on v's heavy path
+    interiors = [0] * len(children)  # interior nodes on v's heavy path
 
     def add_down_heavy(u: int, delta: int) -> None:
         while u in heavy:
             weight[u] += delta
-            u = nodes[u].children[heavy[u]]
+            u = children[u][heavy[u]]
         weight[u] += delta
 
     def padding(u: int) -> int:
         return light_max[u] if interiors[u] >= 2 else 0
 
-    for v in range(len(nodes) - 1, -1, -1):
-        ch = nodes[v].children
+    for v in range(len(children) - 1, -1, -1):
+        ch = children[v]
         if not ch:
             continue
         best = 0
@@ -183,7 +214,7 @@ def balance_weights(tree: TreeRep) -> WeightedTree:
         weight[v] = top_w * len(lights) + weight[h]
         light_max[v] = max(top_w, light_max[h])
         interiors[v] = interiors[h] + 1
-    add_down_heavy(tree.root, padding(tree.root))
+    add_down_heavy(0, padding(0))
     return WeightedTree(tree, weight, heavy)
 
 
@@ -194,12 +225,12 @@ def check_balanced(wt: WeightedTree) -> None:
     balancing, not in the input.
     """
     tree = wt.tree
-    for v in range(len(tree.nodes)):
+    for v in range(len(tree.children)):
         if tree.is_leaf(v):
             if wt.weight[v] < 1:
                 raise StageInvariantError("balance", f"leaf {v} has weight < 1", v)
             continue
-        ch = tree.nodes[v].children
+        ch = tree.children[v]
         if wt.weight[v] != sum(wt.weight[c] for c in ch):
             raise StageInvariantError(
                 "balance", f"node {v} weight is not the sum of children", v
@@ -232,13 +263,7 @@ def gen_tree(shape: str, dim: int, size: int, seed: int = 0) -> TreeRep:
         raise InvalidInputError(f"dimension must be at least 3, got {dim}")
     if size < 1:
         raise InvalidInputError("size must be at least 1")
-    children: list[list[int] | None] = [None]  # node 0 = root, starts a leaf
-
-    def expand(v: int) -> list[int]:
-        ids = list(range(len(children), len(children) + dim))
-        children[v] = ids
-        children.extend([None] * dim)
-        return ids
+    children: list[tuple[int, ...]] = [()]  # node 0 = root, starts a leaf
 
     if shape == "random":
         rng = SplitMix64(seed)
@@ -246,28 +271,22 @@ def gen_tree(shape: str, dim: int, size: int, seed: int = 0) -> TreeRep:
         for _ in range(size):
             pick = rng.below(len(leaves))
             v = leaves.pop(pick)
-            leaves.extend(expand(v))
+            leaves.extend(_expand(children, v, dim))
     elif shape == "serpentine":
         v = 0
         for _ in range(size):
-            v = expand(v)[0]
+            v = _expand(children, v, dim)[0]
     elif shape == "balanced_rounds":
         leaves = [0]
         for _ in range(size):
             nxt: list[int] = []
             for v in leaves:
-                nxt.extend(expand(v))
+                nxt.extend(_expand(children, v, dim))
             leaves = nxt
     else:
         raise InvalidInputError(f"unknown tree shape {shape!r}")
 
-    # renumber to canonical preorder ids via the nested form
-    nested: list[Nested] = [None] * len(children)
-    for v in range(len(children) - 1, -1, -1):
-        ch = children[v]
-        if ch is not None:
-            nested[v] = [nested[c] for c in ch]
-    return tree_from_nested(dim, nested[0])
+    return _preorder(dim, children)
 
 
 # ---------------------------------------------------------------------------
@@ -410,20 +429,20 @@ def tree_from_graph(g: PolytopeGraph, dim: int, base: Sequence[int]) -> TreeRep:
     ):
         raise InvalidInputError("base does not span a facet of the graph")
 
-    # replay in reverse; track every stackable facet by vertex set
-    placeholder: dict[frozenset[int], tuple[tuple[int, ...], list, int]] = {}
-    top: list[Nested] = [None]
-    placeholder[frozenset(base)] = (base, top, 0)
+    # replay in reverse, filling a child table in stacking order; every
+    # stackable facet, by vertex set, holds its ordered vertices and node id
+    children: list[tuple[int, ...]] = [()]
+    placeholder: dict[frozenset[int], tuple[tuple[int, ...], int]] = {
+        frozenset(base): (base, 0)
+    }
     for v, nbrs in reversed(removals):
         if nbrs not in placeholder:
             raise InvalidInputError("not a stacked polytope w.r.t. the given base")
-        ordered, container, slot = placeholder.pop(nbrs)
-        children: list[Nested] = [None] * d
-        container[slot] = children
-        for j in range(d):
+        ordered, node = placeholder.pop(nbrs)
+        for j, c in enumerate(_expand(children, node, d)):
             child_facet = ordered[:j] + (v,) + ordered[j + 1 :]
-            placeholder[frozenset(child_facet)] = (child_facet, children, j)
-    return tree_from_nested(d, top[0])
+            placeholder[frozenset(child_facet)] = (child_facet, c)
+    return _preorder(d, children)
 
 
 def find_facet(g: PolytopeGraph, dim: int) -> tuple[int, ...]:

@@ -299,12 +299,12 @@ def _global_route(
         return witnesses
     rows, planes = plane_table
     # probes[key]: across each ridge of facet key, the other facet's extra
-    # vertex, that facet's vertex sum less the ridge's
-    probes: dict[int, list[int]] = {key: [] for key in planes}
+    # vertex (its vertex sum less the ridge's), once each, first seen first
+    probes: dict[int, dict[int, None]] = {key: {} for key in planes}
     for ridge, (k1, k2) in adjacency.items():
         on_ridge = sum(ridge)
-        probes[k1].append(planes[k2][3] - on_ridge)
-        probes[k2].append(planes[k1][3] - on_ridge)
+        probes[k1][planes[k2][3] - on_ridge] = None
+        probes[k2][planes[k1][3] - on_ridge] = None
     # the vertex centroid o as the row (n, vertex sum)
     centroid = (len(rows), *map(sum, zip(*realization.coords)))
     oriented = {}

@@ -72,7 +72,7 @@ def reference_flat_points(wt) -> list[tuple[Fraction, ...]]:
     out = [point(c) for c in base]
     layout, _ = facet_layout(tree)
     for v in tree.interior_ids:
-        weights = [lam * wt.weight[c] for c in tree.nodes[v].children]
+        weights = [lam * wt.weight[c] for c in tree.children[v]]
         out.append(
             place_stacked_vertex([out[u] for u in layout[v]], weights, lam * wt.weight[v])
         )
@@ -82,6 +82,12 @@ def reference_flat_points(wt) -> list[tuple[Fraction, ...]]:
 def real_brackets(flat) -> dict[int, Fraction]:
     """A flat complex's node brackets, divided by its bracket scale."""
     return {n: Fraction(b, flat.bracket_scale) for n, b in flat.node_brackets.items()}
+
+
+def facet_lookup(complex_):
+    """Facet vertices by facet-table key, the base facet's included, of a
+    flat complex or a realization."""
+    return {BASE_FACET_KEY: complex_.base_facet, **complex_.facets}.__getitem__
 
 
 def reference_stresses(points, adjacency, facet_vertices) -> dict:
@@ -110,22 +116,22 @@ def reference_heavy_paths(tree):
     heavy children to a leaf, and its light edges are the (path node, light
     child) pairs hanging off it.
     """
-    sizes = [1] * len(tree.nodes)
-    for v in range(len(tree.nodes) - 1, -1, -1):
-        for c in tree.nodes[v].children:
+    sizes = [1] * len(tree.children)
+    for v in range(len(tree.children) - 1, -1, -1):
+        for c in tree.children[v]:
             sizes[v] += sizes[c]
     heavy = {}
     for v in tree.interior_ids:
-        ch = tree.nodes[v].children
+        ch = tree.children[v]
         best = 0
         for i in range(1, len(ch)):
             if sizes[ch[i]] > sizes[ch[best]]:
                 best = i
         heavy[v] = best
-    tops = [tree.root] + sorted(
+    tops = [0] + sorted(
         c
         for v in tree.interior_ids
-        for i, c in enumerate(tree.nodes[v].children)
+        for i, c in enumerate(tree.children[v])
         if i != heavy[v] and not tree.is_leaf(c)
     )
     paths = []
@@ -133,7 +139,7 @@ def reference_heavy_paths(tree):
         path, light = [top], []
         v = top
         while not tree.is_leaf(v):
-            ch = tree.nodes[v].children
+            ch = tree.children[v]
             light += [(v, c) for i, c in enumerate(ch) if i != heavy[v]]
             v = ch[heavy[v]]
             path.append(v)
@@ -151,20 +157,20 @@ def reference_balance_weights(tree):
     weight on every node.
     """
     heavy, paths = reference_heavy_paths(tree)
-    weight = [1 if tree.is_leaf(v) else 0 for v in range(len(tree.nodes))]
+    weight = [1 if tree.is_leaf(v) else 0 for v in range(len(tree.children))]
 
     def add_down_heavy(u, delta):
         while not tree.is_leaf(u):
             weight[u] += delta
-            u = tree.nodes[u].children[heavy[u]]
+            u = tree.children[u][heavy[u]]
         weight[u] += delta
 
     for path, light_edges in reversed(paths):
         interiors = path[:-1]
         for v in reversed(interiors):
-            weight[v] = sum(weight[c] for c in tree.nodes[v].children)
+            weight[v] = sum(weight[c] for c in tree.children[v])
         for pos, v in enumerate(interiors):
-            lights = [c for i, c in enumerate(tree.nodes[v].children) if i != heavy[v]]
+            lights = [c for i, c in enumerate(tree.children[v]) if i != heavy[v]]
             top_w = max(weight[c] for c in lights)
             for c in lights:
                 delta = top_w - weight[c]

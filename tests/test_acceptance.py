@@ -247,12 +247,13 @@ def test_criterion_5_balancing():
             assert wt.root_weight <= (2 * d) ** ceil_log2(tree.n_vertices)
             heavy = wt.heavy_child
             bound = math.floor(math.log2(tree.n_vertices))
+            parent_of = {c: v for v, ch in enumerate(tree.children) for c in ch}
             for leaf in tree.leaf_ids:
                 light = 0
                 v = leaf
-                while v != tree.root:
-                    parent = tree.nodes[v].parent
-                    if tree.nodes[parent].children[heavy[parent]] != v:
+                while v != 0:
+                    parent = parent_of[v]
+                    if tree.children[parent][heavy[parent]] != v:
                         light += 1
                     v = parent
                 assert light <= bound

@@ -25,7 +25,7 @@ from gridlift.facets import BASE_FACET_KEY, TreeRep, build_ridge_adjacency
 from gridlift.flat import FlatComplex, build_flat
 from gridlift.lifting import direct_stresses, lift_heights, lifted_rows
 from gridlift.trees import balance_weights
-from reference import flat_points, height_on_hyperplane, reference_stresses
+from reference import facet_lookup, flat_points, height_on_hyperplane, reference_stresses
 
 F = Fraction
 
@@ -360,7 +360,7 @@ class TestStressTable:
             z = lift_heights(tet_flat, {0: shift})
             points = [(*p, F(n, e)) for p, n, e in zip(flat_points(tet_flat), *z)]
             expected = reference_stresses(
-                points, tet_flat.ridge_adjacency, tet_flat.facet_vertices
+                points, tet_flat.ridge_adjacency, facet_lookup(tet_flat)
             )
             stresses = direct_stresses(tet_flat, *z)
             assert as_fractions(stresses) == expected
@@ -434,7 +434,7 @@ class TestFacetStressPlan:
         table = {BASE_FACET_KEY: base, **facets}
         planes = facet_planes(d, rows, table)
         stresses, failures = ridge_stresses(d, rows, flat.ridge_adjacency, planes)
-        expected = reference_stresses(points, flat.ridge_adjacency, flat.facet_vertices)
+        expected = reference_stresses(points, flat.ridge_adjacency, table.__getitem__)
         assert {**as_fractions(stresses), **failures} == expected
         # direct_stresses raises the first failure, in adjacency order
         if failures:

@@ -184,7 +184,7 @@ class TestTilingInvariants:
         flat = build_flat(wt)
         assert flat.bracket_scale == wt.root_weight
         for v in tree.interior_ids:
-            children = tree.nodes[v].children
+            children = tree.children[v]
             assert flat.node_brackets[v] == sum(
                 flat.node_brackets[c] for c in children
             )

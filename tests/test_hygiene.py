@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import gridlift
+from gridlift.facets import TreeRep
 from gridlift.flat import FlatComplex, build_flat
 from gridlift.lifting import adjusted_shifts, build_lifted, direct_stresses, lift_heights
 from gridlift.rounding import GridParams, grid_params, perturb_flat
@@ -107,6 +108,26 @@ def test_every_top_level_name_is_read(path):
         if name not in read
     ]
     assert unread == []
+
+
+def test_package_reads_what_it_defines():
+    # the names nothing in src reads are test references the benchmark's
+    # tracer still wraps by name; they move out with the tracer's refresh,
+    # and any other code in src that only tests use fails here
+    read = frozenset().union(
+        *(read_names(p.read_text()) for p in [PACKAGE_DIR / "__init__.py", *MODULES])
+    )
+    unread = sorted(
+        f"{path.stem}.{name}"
+        for path in MODULES
+        for _, name in top_level_names(path.read_text())
+        if name not in read
+    )
+    assert unread == [
+        "exact.stress_of_ridge",
+        "verify.verify_convexity_global",
+        "verify.verify_convexity_stress",
+    ]
 
 
 def test_detects_unread_name():
@@ -225,7 +246,7 @@ def test_trusted_base_stays_small():
     # the lines a certificate has to trust: verify and its import closure
     trusted = {"verify"} | package_closure("verify")
     lines = sum(len((PACKAGE_DIR / f"{m}.py").read_text().splitlines()) for m in trusted)
-    assert lines <= 926
+    assert lines <= 905
 
 
 @pytest.mark.parametrize("module", ["lifting", "rounding", "pipeline"])
@@ -273,6 +294,12 @@ def test_complex_and_grid_params_hold_no_duplicate_fields():
     assert list(inspect.signature(grid_params).parameters) == ["d", "L"]
     # the grid steps are 1/inv and 1/inv_z; the volume-ratio window is R_eff's
     assert [f.name for f in dataclasses.fields(GridParams)] == ["inv", "inv_z"]
+
+
+def test_tree_is_one_child_table():
+    # node 0 is the root and ids are preorder: a root or parent field
+    # could only disagree with the child table
+    assert [f.name for f in dataclasses.fields(TreeRep)] == ["dim", "children"]
 
 
 def test_complex_carries_its_tree():

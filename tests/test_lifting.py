@@ -23,7 +23,7 @@ from gridlift.lifting import (
 )
 from gridlift.rounding import grid_params, perturb_flat
 from gridlift.trees import balance_weights
-from reference import flat_points, height_on_hyperplane, reference_stresses
+from reference import facet_lookup, flat_points, height_on_hyperplane, reference_stresses
 
 F = Fraction
 
@@ -362,7 +362,7 @@ def reference_table(complex_, heights):
     """stress_of_ridge on every ridge of a complex lifted by Fraction heights:
     the value, or the GeometryError message."""
     points = [(*p, h) for p, h in zip(flat_points(complex_), heights)]
-    return reference_stresses(points, complex_.ridge_adjacency, complex_.facet_vertices)
+    return reference_stresses(points, complex_.ridge_adjacency, facet_lookup(complex_))
 
 
 class TestPairsMatchFractionReferences:

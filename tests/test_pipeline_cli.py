@@ -32,7 +32,7 @@ from gridlift import exact, lifting, pipeline, rounding
 from gridlift.cli import main
 from gridlift.facets import BASE_FACET_KEY
 from gridlift.serialize import parse_rat, rat_str
-from gridlift.trees import tree_to_json
+from gridlift.trees import to_nested, tree_to_json
 
 F = Fraction
 
@@ -115,7 +115,7 @@ class TestGraphEntry:
         g = graph_from_tree(tet_tree)
         r2, rep2, t2 = realize_graph(g, dim=3, base=(0, 1, 2))
         assert r2.coords == realization.coords
-        assert t2.to_nested() == [None, None, None]
+        assert to_nested(t2) == [None, None, None]
 
     def test_default_base(self, tet_tree):
         g = graph_from_tree(gen_tree("random", 3, 9, seed=12))

@@ -170,7 +170,7 @@ def heavy_times_light(wt, L):
     lam = F(L ** (wt.tree.dim - 1), wt.root_weight)
     out = {}
     for v in wt.tree.interior_ids:
-        children = wt.tree.nodes[v].children
+        children = wt.tree.children[v]
         hc = wt.heavy_child[v]
         w_heavy = wt.weight[children[hc]]
         w_light = wt.weight[children[1 if hc == 0 else 0]]

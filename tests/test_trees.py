@@ -23,6 +23,7 @@ from gridlift.trees import (
     find_facet,
     graph_from_doc,
     load_json,
+    to_nested,
     tree_from_nested,
     tree_to_json,
 )
@@ -80,6 +81,24 @@ def reference_tree_from_graph(g, d, base):
     return tree_from_nested(d, top[0])
 
 
+def assert_preorder(tree):
+    """Every child id exceeds its parent's, and the children's subtrees
+    tile the ids after their parent's, in child order."""
+    n = len(tree.children)
+    size = [1] * n
+    for v in range(n - 1, -1, -1):
+        for c in tree.children[v]:
+            assert c > v
+            size[v] += size[c]
+    for v, ch in enumerate(tree.children):
+        start = v + 1
+        for c in ch:
+            assert c == start
+            start += size[c]
+        assert start == v + size[v]
+    assert size[0] == n
+
+
 def relabelled_graph(tree, seed):
     """The tree's 1-skeleton under a random vertex relabelling, and its base."""
     g = graph_from_tree(tree)
@@ -97,7 +116,7 @@ class TestParsing:
         assert tet_tree.interior_count == 1
         assert tet_tree.leaf_count == 3
         assert tet_tree.n_vertices == 4
-        assert tet_tree.to_nested() == [None, None, None]
+        assert to_nested(tet_tree) == [None, None, None]
 
     def test_two_stack(self, two_stack_tree):
         assert two_stack_tree.interior_count == 2
@@ -107,7 +126,7 @@ class TestParsing:
     def test_round_trip_json(self, two_stack_tree):
         doc = json.loads(tree_to_json(two_stack_tree))
         again = tree_from_nested(doc["dim"], doc["tree"])
-        assert again.to_nested() == two_stack_tree.to_nested()
+        assert to_nested(again) == to_nested(two_stack_tree)
 
     def test_rejects_leaf_root(self):
         with pytest.raises(InvalidInputError):
@@ -157,12 +176,13 @@ class TestHeavyPaths:
             t = gen_tree("random", d, size, seed)
             heavy = balance_weights(t).heavy_child
             bound = math.floor(math.log2(t.n_vertices))
+            parent_of = {c: v for v, ch in enumerate(t.children) for c in ch}
             for leaf in t.leaf_ids:
                 light = 0
                 v = leaf
-                while v != t.root:
-                    parent = t.nodes[v].parent
-                    if t.nodes[parent].children[heavy[parent]] != v:
+                while v != 0:
+                    parent = parent_of[v]
+                    if t.children[parent][heavy[parent]] != v:
                         light += 1
                     v = parent
                 assert light <= bound
@@ -249,8 +269,8 @@ class TestGenerators:
         a = gen_tree("random", 3, 20, seed=9)
         b = gen_tree("random", 3, 20, seed=9)
         c = gen_tree("random", 3, 20, seed=10)
-        assert a.to_nested() == b.to_nested()
-        assert a.to_nested() != c.to_nested()
+        assert to_nested(a) == to_nested(b)
+        assert to_nested(a) != to_nested(c)
 
     def test_serpentine_single_path(self):
         t = gen_tree("serpentine", 3, 5)
@@ -278,7 +298,7 @@ class TestGraphs:
         assert g.n == 4
         assert len(g.edges()) == 6
         t = tree_from_graph(g, 3, (0, 1, 2))
-        assert t.to_nested() == [None, None, None]
+        assert to_nested(t) == [None, None, None]
 
     def test_edge_counts_match_ridges(self):
         for d, size, seed in [(3, 12, 0), (4, 8, 1)]:
@@ -288,6 +308,17 @@ class TestGraphs:
             if d == 3:
                 # planar triangulation: E = 3V - 6
                 assert len(g.edges()) == 3 * g.n - 6
+
+    @pytest.mark.parametrize("shape", ["random", "serpentine", "balanced_rounds"])
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_exact_recovery(self, shape, d):
+        # both readers rebuild the very table: same ids, same child order
+        t = gen_tree(shape, d, 2 if shape == "balanced_rounds" else 15, seed=d)
+        assert_preorder(t)
+        assert tree_from_graph(graph_from_tree(t), d, tuple(range(d))) == t
+        assert tree_from_nested(d, to_nested(t)) == t
+        g, base = relabelled_graph(t, d)
+        assert tree_from_graph(g, d, base) == t
 
     def test_recover_and_rebuild(self):
         for seed in range(4):
