@@ -127,10 +127,16 @@ def _cmd_realize(args) -> int:
             raise InvalidInputError(f"--dim {args.dim} contradicts the tree's dim {tree.dim}")
         if args.base is not None:
             raise InvalidInputError("--base applies to graph inputs only")
+        dim = tree.dim
+    else:
+        dim = 3 if args.dim is None else args.dim
+    # rejected before any work, so that no report is written either
+    if args.format == "off" and dim != 3:
+        raise InvalidInputError(f"OFF output needs dimension 3, got {dim}")
+    if graph is None:
         realization, report = run_pipeline(tree)
     else:
         base = None if args.base is None else _parse_base(args.base)
-        dim = 3 if args.dim is None else args.dim
         realization, report, tree = realize_graph(graph, dim=dim, base=base)
     if args.report:
         _write_output(args.report, report_to_json(report))

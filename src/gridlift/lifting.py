@@ -21,9 +21,9 @@ with two local update rules: subdividing a facet creates the new interior
 ridges with a known positive stress and lowers each boundary ridge of the
 facet by the shift over the incident new facet's volume. The two routes
 agree exactly on every ridge of a shift-defined lifting. build_lifted, the
-one entry point of the exact lift and the perturbed relift alike, lifts by
-a set of shifts, takes both routes and raises on the first ridge where
-they disagree.
+one entry point of the exact lift and the perturbed relift alike, takes a
+complex alone: it lifts by that complex's own shifts (adjusted_shifts),
+takes both routes and raises on the first ridge where they disagree.
 
 Nothing between the brackets and the gates is a Fraction. The complex
 holds its brackets as integers under one common scale k (R on the exact
@@ -105,13 +105,9 @@ def lifted_rows(
     """
     rows = []
     for col, n, q in zip(coords, nums, dens):
-        e = col[-1]
-        if e == q:
-            rows.append((e, *col[:-1], n))
-        else:
-            D = lcm(e, q)
-            s = D // e
-            rows.append((D, *[x * s for x in col[:-1]], n * (D // q)))
+        D = lcm(col[-1], q)
+        s = D // col[-1]
+        rows.append((D, *[x * s for x in col[:-1]], n * (D // q)))
     return rows
 
 
@@ -189,13 +185,14 @@ def adjusted_shifts(flat: FlatComplex) -> dict[int, int]:
     return out
 
 
-def build_lifted(flat: FlatComplex, zeta: dict[int, int]) -> tuple[Heights, dict[Ridge, Pair]]:
-    """Heights by the shifts, and the direct stresses, cross-checked
-    against the incremental replay.
+def build_lifted(flat: FlatComplex) -> tuple[Heights, dict[Ridge, Pair]]:
+    """Heights by the complex's own shifts, and the direct stresses,
+    cross-checked against the incremental replay.
 
     Any ridge disagreement raises, since the two routes must match exactly
     for any shift-defined lifting. Pairs are compared by cross-multiplication.
     """
+    zeta = adjusted_shifts(flat)
     z = lift_heights(flat, zeta)
     direct = direct_stresses(flat, *z)
     incremental = incremental_stresses(flat, zeta)

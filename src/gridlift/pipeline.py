@@ -22,7 +22,7 @@ from fractions import Fraction
 from .errors import InvalidInputError, StageInvariantError
 from .facets import Realization, TreeRep
 from .flat import build_flat
-from .lifting import adjusted_shifts, build_lifted, check_lift_bounds
+from .lifting import build_lifted, check_lift_bounds
 from .rounding import check_volume_ratios, grid_params, perturb_flat, round_and_scale
 from .trees import (
     PolytopeGraph,
@@ -61,14 +61,13 @@ def run_pipeline(tree: TreeRep) -> tuple[Realization, PipelineReport]:
 
     t = clock()
     # the exact lift is only gated: rounding starts again from the flat complex
-    lift_info = check_lift_bounds(flat, *build_lifted(flat, adjusted_shifts(flat)))
+    lift_info = check_lift_bounds(flat, *build_lifted(flat))
     timing["lift"] = clock() - t
 
     t = clock()
-    params = grid_params(flat.d, flat.L)
-    perturbed = perturb_flat(flat, params.inv)
-    ratio_lo, ratio_hi = check_volume_ratios(flat, perturbed, params)
-    realization, round_info = round_and_scale(perturbed, params)
+    perturbed = perturb_flat(flat)
+    ratio_lo, ratio_hi = check_volume_ratios(flat, perturbed)
+    realization, round_info = round_and_scale(perturbed)
     timing["round"] = clock() - t
 
     t = clock()
@@ -77,14 +76,15 @@ def run_pipeline(tree: TreeRep) -> tuple[Realization, PipelineReport]:
         raise StageInvariantError(
             "verify", "certificate failed: " + "; ".join(cert.witnesses), cert.witnesses
         )
-    # on heights in units of 1/inv_z a stress is the real one times inv_z / s
-    num, den = cert.min_interior_stress
-    s = params.inv ** (tree.dim - 1)
-    round_info["min_interior_stress_rounded"] = Fraction(num * s, den * params.inv_z)
     timing["verify"] = clock() - t
     timing["total"] = sum(timing.values())
 
     d = tree.dim
+    # the grid the round stage read from the complex, for the report
+    inv, inv_z = grid_params(d, flat.L)
+    # on heights in units of 1/inv_z a stress is the real one times inv_z / s
+    num, den = cert.min_interior_stress
+    round_info["min_interior_stress_rounded"] = Fraction(num * inv ** (d - 1), den * inv_z)
     n = tree.n_vertices
     e1 = math.log2(2 * d)  # the size monitors divide by n ** (k log2(2d))
     report = PipelineReport(
@@ -101,8 +101,8 @@ def run_pipeline(tree: TreeRep) -> tuple[Realization, PipelineReport]:
             "R_eff": flat.R_eff,
         },
         grid={
-            "alpha": Fraction(1, params.inv),
-            "alpha_z": Fraction(1, params.inv_z),
+            "alpha": Fraction(1, inv),
+            "alpha_z": Fraction(1, inv_z),
             "delta_minus": Fraction(10 * flat.R_eff - 1, 10 * flat.R_eff),
             "delta_plus": Fraction(10 * flat.R_eff + 1, 10 * flat.R_eff),
         },

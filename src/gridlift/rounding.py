@@ -1,12 +1,13 @@
 """Snap the exact embedding to a grid, in integer grid units.
 
-Both grid steps are unit fractions, 1/inv and 1/inv_z, and GridParams holds
-the two integers. Flat coordinates, held as integer homogeneous columns
-(N, D), are floored to the grid of step 1/inv and kept as the integers
-X = N * inv // D; the step is fine enough that every facet volume changes
-by a factor inside [1 - 1/(10 R_eff), 1 + 1/(10 R_eff)]. Every bracket of
-the perturbed complex is then an integer, the real bracket times
-s = inv^(d-1). round_and_scale relifts by this complex's own shifts
+Both grid steps are unit fractions, 1/inv and 1/inv_z; each stage here reads
+the two integers from grid_params of its complex's d and L, so the ratio gate
+and the snap use the grid perturb_flat snapped to. Flat coordinates, held as
+integer homogeneous columns (N, D), are floored to the grid of step 1/inv
+and kept as the integers X = N * inv // D; the step is fine enough that
+every facet volume changes by a factor inside [1 - 1/(10 R_eff),
+1 + 1/(10 R_eff)]. Every bracket of the perturbed complex is then an
+integer, the real bracket times s = inv^(d-1). round_and_scale relifts by this complex's own shifts
 (lifting.adjusted_shifts: the product of the two largest perturbed child
 brackets of each stacking), which are the real ones times s^2, so the
 relift has heights times s^2 and stresses times s; the heights are
@@ -32,7 +33,7 @@ raise stage errors rather than being reported as input problems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 
 from . import lifting
@@ -40,43 +41,37 @@ from .errors import InvalidInputError, StageInvariantError
 from .exact import _det_int
 from .facets import Realization
 from .flat import FlatComplex
-from .lifting import adjusted_shifts, build_lifted, stress_extrema
+from .lifting import build_lifted, stress_extrema
 
-# Bound here though round_and_scale relifts through build_lifted: the
-# benchmark's tracer test checks that this binding is wrapped, too.
+# Bound though only lifting calls them: the benchmark's tracer names the span
+# rounding.adjusted_shifts, and its test checks this lift_heights binding.
+adjusted_shifts = lifting.adjusted_shifts
 lift_heights = lifting.lift_heights
 
 
-@dataclass
-class GridParams:
-    """The inverse grid steps; d and R_eff are the complex's."""
-
-    inv: int  # flat grid step 1/inv; perturbed coords are in units of it
-    inv_z: int  # height grid step 1/inv_z; output heights are in units of it
-
-
-def grid_params(d: int, L: int) -> GridParams:
-    """Grid steps for scale L, deriving R_eff = L^(d-1), the base's bracket.
+def grid_params(d: int, L: int) -> tuple[int, int]:
+    """The inverse grid steps (inv, inv_z) for scale L, deriving
+    R_eff = L^(d-1), the base's bracket.
 
     inv = 10 d^2 L^(d-2) R_eff makes every facet volume ratio land within
-    1/(10 R_eff) of 1, and inv_z = 3 R_eff.
+    1/(10 R_eff) of 1, and inv_z = 3 R_eff; perturbed coordinates and
+    output heights are integers in units of 1/inv and 1/inv_z.
     """
     R_eff = L ** (d - 1)
     if R_eff < 3:
         raise InvalidInputError(f"grid needs R_eff >= 3, got {R_eff}")
-    return GridParams(10 * d * d * L ** (d - 2) * R_eff, 3 * R_eff)
+    return 10 * d * d * L ** (d - 2) * R_eff, 3 * R_eff
 
 
-def perturb_flat(flat: FlatComplex, inv: int) -> FlatComplex:
-    """Floor every coordinate to the grid of step 1/inv, in integer grid units.
+def perturb_flat(flat: FlatComplex) -> FlatComplex:
+    """Floor every coordinate to the complex's grid of step 1/inv, in grid units.
 
     Vertex v, held as the homogeneous column (N, D), gets X_v = N * inv // D
     per coordinate, one integer division, and is stored as the column
     (X_v, 1). Each node facet gets the integer bracket of its grid points,
     which is its real bracket times s = inv^(d-1), under the bracket scale 1.
     """
-    if type(inv) is not int or inv <= 0:
-        raise InvalidInputError(f"inverse grid step must be a positive integer, got {inv!r}")
+    inv, _ = grid_params(flat.d, flat.L)
     coords = [(*(n * inv // p[-1] for n in p[:-1]), 1) for p in flat.coords]
     brackets = {
         node: _det_int([list(coords[u]) for u in facet])
@@ -85,19 +80,18 @@ def perturb_flat(flat: FlatComplex, inv: int) -> FlatComplex:
     return replace(flat, coords=coords, node_brackets=brackets, bracket_scale=1)
 
 
-def check_volume_ratios(
-    exact: FlatComplex, perturbed: FlatComplex, params: GridParams
-) -> tuple[Fraction, Fraction]:
+def check_volume_ratios(exact: FlatComplex, perturbed: FlatComplex) -> tuple[Fraction, Fraction]:
     """Every facet volume ratio must stay within 1/(10 R_eff) of 1.
 
     A ratio is after / (s before) = after k / (s stored), the perturbed
-    bracket being in grid units, s = inv^(d-1), and the exact one stored
-    times its bracket scale k. It is compared with the window
-    (10 R_eff -+ 1) / (10 R_eff) by cross-multiplication and becomes a
-    Fraction only when reported.
+    bracket being in grid units, s = inv^(d-1) on the exact complex's grid,
+    and the exact one stored times its bracket scale k. It is compared with
+    the window (10 R_eff -+ 1) / (10 R_eff) by cross-multiplication and
+    becomes a Fraction only when reported.
     """
     k = exact.bracket_scale
-    s = params.inv ** (exact.d - 1)
+    inv, _ = grid_params(exact.d, exact.L)
+    s = inv ** (exact.d - 1)
     w = 10 * exact.R_eff  # the window is [(w - 1) / w, (w + 1) / w]
     lo = hi = None  # (numerator, denominator) of the extreme ratios
     for node, before in exact.node_brackets.items():
@@ -121,11 +115,11 @@ def check_volume_ratios(
     return Fraction(*lo), Fraction(*hi)
 
 
-def round_and_scale(perturbed: FlatComplex, params: GridParams) -> tuple[Realization, dict]:
+def round_and_scale(perturbed: FlatComplex) -> tuple[Realization, dict]:
     """Relift on the perturbed complex and snap its heights to integers.
 
     The relift's shifts are those of the perturbed complex itself. The
-    complex and the shifts are in grid units, so the relift's heights
+    complex and the shifts are in units of its grid, so the relift's heights
     are the real ones times s^2 and its stresses the real ones times s,
     s = inv^(d-1); stress_extrema divides the gated extrema by s, so each
     gate keeps its bound. The snapped heights are integers in units of
@@ -134,9 +128,10 @@ def round_and_scale(perturbed: FlatComplex, params: GridParams) -> tuple[Realiza
     checks their heights' signs, their stresses and the size caps.
     """
     d, R_eff = perturbed.d, perturbed.R_eff
-    s = params.inv ** (d - 1)
+    inv, inv_z = grid_params(d, perturbed.L)
+    s = inv ** (d - 1)
     s2 = s * s
-    z, stresses = build_lifted(perturbed, adjusted_shifts(perturbed))
+    z, stresses = build_lifted(perturbed)
     (min_interior, r_in), (min_base, r_lo), (max_base, r_hi) = stress_extrema(
         perturbed.ridge_adjacency, stresses, s
     )
@@ -161,7 +156,7 @@ def round_and_scale(perturbed: FlatComplex, params: GridParams) -> tuple[Realiza
         raise StageInvariantError("rounding", f"z_max {z_max} outside (0, 2 R_eff^2)")
 
     # floor(h inv_z / s^2): the real height in units of 1/inv_z
-    z_snapped = [h * params.inv_z // (e * s2) for h, e in zip(nums, dens)]
+    z_snapped = [h * inv_z // (e * s2) for h, e in zip(nums, dens)]
     coords_int = [(*p[:-1], h) for p, h in zip(perturbed.coords, z_snapped)]
     max_xy = max(c for p in coords_int for c in p[:-1])
     max_z = max(z_snapped)
@@ -174,8 +169,8 @@ def round_and_scale(perturbed: FlatComplex, params: GridParams) -> tuple[Realiza
         metadata={
             "L": perturbed.L,
             "R_eff": R_eff,
-            "alpha": Fraction(1, params.inv),
-            "alpha_z": Fraction(1, params.inv_z),
+            "alpha": Fraction(1, inv),
+            "alpha_z": Fraction(1, inv_z),
             "max_xy": max_xy,
             "max_z": max_z,
         },

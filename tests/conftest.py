@@ -2,7 +2,7 @@ import pytest
 
 from gridlift import parse_tree, run_pipeline
 from gridlift.flat import build_flat
-from gridlift.lifting import adjusted_shifts, build_lifted
+from gridlift.lifting import build_lifted
 from gridlift.trees import balance_weights
 
 TET_JSON = '{"dim": 3, "tree": [null, null, null]}'
@@ -27,7 +27,7 @@ def tet_flat(tet_weighted):
 @pytest.fixture(scope="session")
 def tet_lifted(tet_flat):
     """Heights and checked stresses of the tetrahedron's exact lift."""
-    return build_lifted(tet_flat, adjusted_shifts(tet_flat))
+    return build_lifted(tet_flat)
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,12 @@
 """References that the package's integer stages and linear certificate
 routes are held against: Fraction definitions, and the exhaustive
-convexity oracle."""
+convexity oracle; and the package's modules, as these tests imported them."""
 
 from fractions import Fraction
+from types import ModuleType
 from typing import Sequence
 
+import gridlift
 from gridlift import GeometryError, InvalidInputError, Realization
 from gridlift.exact import _det_int, bracket, stress_of_ridge
 from gridlift.facets import BASE_FACET_KEY, facet_layout
@@ -15,6 +17,21 @@ from gridlift.verify import (
     _ridge_table,
     _surface_witnesses,
 )
+
+
+def package_modules() -> list[ModuleType]:
+    """The gridlift package these tests imported, and its loaded modules.
+
+    Read from the package object, not from sys.modules: a fresh import of
+    gridlift in the same session, as the benchmark's tests make, replaces
+    the sys.modules entries but not the modules the tests' names are bound
+    to.
+    """
+    return [gridlift] + [
+        m
+        for m in vars(gridlift).values()
+        if isinstance(m, ModuleType) and m.__name__.startswith("gridlift.")
+    ]
 
 
 def place_stacked_vertex(

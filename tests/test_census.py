@@ -25,7 +25,7 @@ from gridlift.lifting import (
     incremental_stresses,
     lift_heights,
 )
-from gridlift.rounding import grid_params, perturb_flat
+from gridlift.rounding import perturb_flat
 from gridlift.trees import balance_weights, tree_from_nested, tree_to_json
 
 
@@ -98,7 +98,7 @@ def test_direct_stresses_equal_incremental(d, k):
     # against the stacking replay, by cross-multiplication
     for tree in all_trees(d, k):
         flat = build_flat(balance_weights(tree))
-        perturbed = perturb_flat(flat, grid_params(d, flat.L).inv)
+        perturbed = perturb_flat(flat)
         for complex_ in (flat, perturbed):
             zeta = adjusted_shifts(complex_)
             direct = direct_stresses(complex_, *lift_heights(complex_, zeta))

@@ -13,7 +13,7 @@ import gridlift
 from gridlift.facets import TreeRep
 from gridlift.flat import FlatComplex, build_flat
 from gridlift.lifting import adjusted_shifts, build_lifted, direct_stresses, lift_heights
-from gridlift.rounding import GridParams, grid_params, perturb_flat
+from gridlift.rounding import check_volume_ratios, grid_params, perturb_flat, round_and_scale
 from gridlift.trees import balance_weights
 
 PACKAGE_DIR = Path(gridlift.__file__).parent
@@ -186,8 +186,7 @@ def test_flat_stages_build_no_fraction_at_runtime(monkeypatch):
     tree = gridlift.gen_tree("random", 4, 12, 1)
     wt = balance_weights(tree)
     flat = build_flat(wt)
-    inv = grid_params(4, flat.L).inv
-    complexes = (flat, perturb_flat(flat, inv))
+    complexes = (flat, perturb_flat(flat))
     zeta = {v: 3 + 2 * i for i, v in enumerate(flat.tree.interior_ids)}
     built = []
     original = Fraction.__new__
@@ -198,7 +197,7 @@ def test_flat_stages_build_no_fraction_at_runtime(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__new__", counting)
     build_flat(wt)
-    perturb_flat(flat, inv)
+    perturb_flat(flat)
     for complex_ in complexes:
         nums, dens = lift_heights(complex_, zeta)
         assert any(e > 1 for e in dens)
@@ -206,8 +205,8 @@ def test_flat_stages_build_no_fraction_at_runtime(monkeypatch):
         direct_stresses(complex_, nums, dens)
         shifts = adjusted_shifts(complex_)
         assert all(type(v) is int for v in shifts.values())
-        # both stress routes and their cross-check
-        (nums, dens), _ = build_lifted(complex_, shifts)
+        # the shifts, both stress routes and their cross-check
+        (nums, dens), _ = build_lifted(complex_)
         assert any(e > 1 for e in dens)
     assert built == []
 
@@ -292,8 +291,19 @@ def test_complex_and_grid_params_hold_no_duplicate_fields():
     # the tree and L fix these: d and R_eff are properties, the vertex ids facet_layout's
     assert not fields & {"d", "stacked_vertex", "R_eff"}
     assert list(inspect.signature(grid_params).parameters) == ["d", "L"]
-    # the grid steps are 1/inv and 1/inv_z; the volume-ratio window is R_eff's
-    assert [f.name for f in dataclasses.fields(GridParams)] == ["inv", "inv_z"]
+    # the complex fixes its shifts and its grid steps 1/inv and 1/inv_z, so
+    # each lift and round stage takes the complexes alone, and the steps
+    # have no holder that a caller could pass a second grid in
+    stages = {
+        build_lifted: ["flat"],
+        perturb_flat: ["flat"],
+        check_volume_ratios: ["exact", "perturbed"],
+        round_and_scale: ["perturbed"],
+    }
+    for function, params in stages.items():
+        assert list(inspect.signature(function).parameters) == params, function.__name__
+    assert not hasattr(gridlift.rounding, "GridParams")
+    assert "adjusted_shifts" not in read_names((PACKAGE_DIR / "pipeline.py").read_text())
 
 
 def test_tree_is_one_child_table():
@@ -306,8 +316,7 @@ def test_complex_carries_its_tree():
     wt = balance_weights(gridlift.gen_tree("random", 4, 6, 2))
     flat = build_flat(wt)
     assert flat.tree is wt.tree
-    inv = grid_params(4, flat.L).inv
-    perturbed = perturb_flat(flat, inv)
+    perturbed = perturb_flat(flat)
     assert perturbed.tree is wt.tree
     for complex_ in (flat, perturbed):
         assert complex_.d == wt.tree.dim

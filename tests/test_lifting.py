@@ -21,7 +21,7 @@ from gridlift.lifting import (
     lifted_rows,
     stress_extrema,
 )
-from gridlift.rounding import grid_params, perturb_flat
+from gridlift.rounding import perturb_flat
 from gridlift.trees import balance_weights
 from reference import facet_lookup, flat_points, height_on_hyperplane, reference_stresses
 
@@ -69,7 +69,7 @@ class TestHeights:
     def test_base_stays_flat(self):
         tree = gen_tree("random", 3, 12, seed=3)
         flat = build_flat(balance_weights(tree))
-        (nums, dens), _ = build_lifted(flat, adjusted_shifts(flat))
+        (nums, dens), _ = build_lifted(flat)
         assert nums[:3] == [0, 0, 0]
         assert all(h > 0 for h in nums[3:])
         assert all(e > 0 for e in dens)
@@ -117,7 +117,7 @@ class TestBarycentricLift:
         # integers, and heights are linear in the shifts
         tree = gen_tree("random", d, size, seed)
         flat = build_flat(balance_weights(tree))
-        perturbed = perturb_flat(flat, grid_params(d, flat.L).inv)
+        perturbed = perturb_flat(flat)
         zeta = dict(zip(flat.tree.interior_ids, shifts))
         m = math.lcm(*(q.denominator for q in zeta.values()))
         scaled = {v: int(q * m) for v, q in zeta.items()}
@@ -180,7 +180,7 @@ class TestStresses:
         # the exact complex's brackets are integers too, under the scale R
         tree = gen_tree("random", d, size, seed)
         flat = build_flat(balance_weights(tree))
-        pe = perturb_flat(flat, grid_params(d, flat.L).inv)
+        pe = perturb_flat(flat)
         for complex_ in (flat, pe):
             assert all(type(b) is int for b in complex_.node_brackets.values())
             assert all(type(x) is int for c in complex_.coords for x in c)
@@ -211,7 +211,7 @@ class TestLiftGate:
     def test_interior_at_least_lambda(self, d, size, seed):
         tree = gen_tree("random", d, size, seed)
         flat = build_flat(balance_weights(tree))
-        z, stresses = build_lifted(flat, adjusted_shifts(flat))
+        z, stresses = build_lifted(flat)
         info = check_lift_bounds(flat, z, stresses)
         lam = F(flat.R_eff, flat.bracket_scale)
         assert info["min_interior_stress"] >= lam >= 1
@@ -227,7 +227,7 @@ class TestLiftGate:
 
     def test_gate_names_the_low_vertex(self, two_stack_tree):
         flat = build_flat(balance_weights(two_stack_tree))
-        (nums, dens), stresses = build_lifted(flat, adjusted_shifts(flat))
+        (nums, dens), stresses = build_lifted(flat)
         nums = list(nums)
         nums[flat.d + 1] = 0
         with pytest.raises(StageInvariantError) as info:
@@ -319,16 +319,16 @@ class TestStressMapCrossCheck:
     """build_lifted's check of the direct stresses against the replay."""
 
     def test_replay_by_another_shift_is_caught(self, monkeypatch, tet_flat):
+        # the tetrahedron's own shift is 16
         original = lifting.incremental_stresses
         monkeypatch.setattr(
             lifting, "incremental_stresses", lambda flat, zeta: original(flat, {0: 17})
         )
         with pytest.raises(StageInvariantError, match="stress mismatch"):
-            build_lifted(tet_flat, {0: 16})
+            build_lifted(tet_flat)
 
     def test_one_numerator_unit_is_caught(self, monkeypatch, tet_flat):
-        zeta = adjusted_shifts(tet_flat)
-        z, stresses = build_lifted(tet_flat, zeta)
+        z, stresses = build_lifted(tet_flat)
         assert table(stresses) == table(direct_stresses(tet_flat, *z))
         original = lifting.incremental_stresses
         ridge = (1, 3)
@@ -341,20 +341,19 @@ class TestStressMapCrossCheck:
 
         monkeypatch.setattr(lifting, "incremental_stresses", off_by_one)
         with pytest.raises(StageInvariantError, match="stress mismatch") as info:
-            build_lifted(tet_flat, zeta)
+            build_lifted(tet_flat)
         assert info.value.stage == "lifting"
         assert info.value.witness == ridge
 
     def test_equal_values_in_different_terms_pass(self, monkeypatch, tet_flat):
         # the routes need not agree on the pairs, only on their values
-        zeta = adjusted_shifts(tet_flat)
         original = lifting.incremental_stresses
 
         def rescaled(*args):
             return {r: (7 * n, 7 * d) for r, (n, d) in original(*args).items()}
 
         monkeypatch.setattr(lifting, "incremental_stresses", rescaled)
-        z, stresses = build_lifted(tet_flat, zeta)
+        z, stresses = build_lifted(tet_flat)
         assert table(stresses) == table(direct_stresses(tet_flat, *z))
 
 
@@ -376,10 +375,10 @@ class TestPairsMatchFractionReferences:
     def test_exact_lift_and_perturbed_relift(self, shape, size, d):
         tree = gen_tree(shape, d, size, seed=d)
         flat = build_flat(balance_weights(tree))
-        perturbed = perturb_flat(flat, grid_params(d, flat.L).inv)
+        perturbed = perturb_flat(flat)
         for complex_ in (flat, perturbed):
             zeta = adjusted_shifts(complex_)
-            z, stresses = build_lifted(complex_, zeta)
+            z, stresses = build_lifted(complex_)
             heights = fractions(z)
             # the integer shifts, as a real shift each, give the same heights
             assert heights == hyperplane_heights(complex_, zeta)

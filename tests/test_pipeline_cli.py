@@ -33,6 +33,7 @@ from gridlift.cli import main
 from gridlift.facets import BASE_FACET_KEY
 from gridlift.serialize import parse_rat, rat_str
 from gridlift.trees import to_nested, tree_to_json
+from reference import package_modules
 
 F = Fraction
 
@@ -97,8 +98,7 @@ class TestPipelineFixture:
 
         bound = [
             (module, key)
-            for name, module in list(sys.modules.items())
-            if name == "gridlift" or name.startswith("gridlift.")
+            for module in package_modules()
             for key, value in vars(module).items()
             if value is original
         ]
@@ -290,6 +290,28 @@ class TestCli:
         assert main(["realize", "--input", str(tree_f), "--format", "off",
                      "--output", str(off_f)]) == 0
         assert off_f.read_text().startswith("OFF\n4 4 0\n")
+
+    @pytest.mark.parametrize("graph", [False, True])
+    def test_off_output_of_dim_4_exit_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch, graph
+    ):
+        # a d=4 tree, or a graph read at --dim 4, is rejected before the
+        # pipeline runs: no report file is written
+        tree = gen_tree("random", 4, 3, 1)
+        in_f = tmp_path / "in.json"
+        in_f.write_text(graph_from_tree(tree).to_json() if graph else tree_to_json(tree))
+        report_f = tmp_path / "r.json"
+        argv = ["realize", "--input", str(in_f), "--format", "off", "--report", str(report_f)]
+        if graph:
+            argv += ["--dim", "4"]
+
+        def first_stage(tree):
+            raise AssertionError("the pipeline ran")
+
+        monkeypatch.setattr(pipeline, "balance_weights", first_stage)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: OFF output needs dimension 3, got 4\n"
+        assert not report_f.exists()
 
     @pytest.mark.parametrize("doc", [
         pytest.param('{"dim": 2, "tree": [null, null]}', id="tree_dim_2"),

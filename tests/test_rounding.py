@@ -19,10 +19,10 @@ from reference import flat_points, real_brackets
 F = Fraction
 
 
-def reference_round(flat, params):
+def reference_round(flat):
     """The round stage over Fractions, as a reference for the grid-unit route.
 
-    Perturb to multiples of alpha = 1/inv with real brackets, relift, floor
+    On the complex's grid, perturb to multiples of alpha = 1/inv with real brackets, relift, floor
     the heights to multiples of alpha_z = 1/inv_z, then scale by the inverse
     grid steps. The relifted complex holds the real brackets times the lcm k
     of their denominators, under the bracket scale k, so its heights and
@@ -34,7 +34,8 @@ def reference_round(flat, params):
     def floor_to_multiple(x, step):
         return math.floor(x / step) * step
 
-    alpha, alpha_z = F(1, params.inv), F(1, params.inv_z)
+    inv, inv_z = grid_params(flat.d, flat.L)
+    alpha, alpha_z = F(1, inv), F(1, inv_z)
     coords = [
         tuple(floor_to_multiple(c, alpha) for c in p) for p in flat_points(flat)
     ]
@@ -50,7 +51,7 @@ def reference_round(flat, params):
         bracket_scale=k,
     )
     ratios = [brackets[node] / b for node, b in real_brackets(flat).items()]
-    (nums, dens), stresses = build_lifted(pe, adjusted_shifts(pe))
+    (nums, dens), stresses = build_lifted(pe)
     z = [F(n, e * k * k) for n, e in zip(nums, dens)]
     (w_in, _), (w_lo, _), _ = stress_extrema(pe.ridge_adjacency, stresses, k * k)
     z_snapped = [floor_to_multiple(h, alpha_z) for h in z]
@@ -92,11 +93,10 @@ class TestGridUnitsMatchReference:
     def test_identical_to_fraction_route(self, shape, d, size, seed):
         tree = gen_tree(shape, d, size, seed)
         flat = build_flat(balance_weights(tree))
-        params = grid_params(d, flat.L)
-        coords, ratios, report = reference_round(flat, params)
-        pe = perturb_flat(flat, params.inv)
-        assert check_volume_ratios(flat, pe, params) == ratios
-        realization, info = round_and_scale(pe, params)
+        coords, ratios, report = reference_round(flat)
+        pe = perturb_flat(flat)
+        assert check_volume_ratios(flat, pe) == ratios
+        realization, info = round_and_scale(pe)
         assert realization.coords == coords
         # every value but the rounded surface's least interior stress, which
         # run_pipeline takes from the certificate
@@ -111,16 +111,15 @@ class TestGridUnitsMatchReference:
 
 class TestGridParams:
     def test_tet_fixture(self):
-        p = grid_params(3, 2)
-        assert (p.inv, p.inv_z) == (720, 12)
-        assert all(type(x) is int for x in (p.inv, p.inv_z))
+        assert grid_params(3, 2) == (720, 12)
+        assert all(type(x) is int for x in grid_params(3, 2))
 
     def test_wiggle_identity(self):
         for d, L in [(3, 2), (3, 5), (4, 3), (5, 2), (6, 4)]:
             R_eff = L ** (d - 1)
-            p = grid_params(d, L)
-            assert F(d * d * L ** (d - 2) * R_eff, p.inv) == F(1, 10)
-            assert p.inv_z == 3 * R_eff
+            inv, inv_z = grid_params(d, L)
+            assert F(d * d * L ** (d - 2) * R_eff, inv) == F(1, 10)
+            assert inv_z == 3 * R_eff
 
     def test_rejects_small_R_eff(self):
         with pytest.raises(InvalidInputError):
@@ -129,39 +128,34 @@ class TestGridParams:
 
 class TestPerturb:
     def test_tet_lands_on_grid_unchanged(self, tet_flat):
-        p = grid_params(3, tet_flat.L)
-        pe = perturb_flat(tet_flat, p.inv)
+        inv, _ = grid_params(3, tet_flat.L)
+        pe = perturb_flat(tet_flat)
         assert pe.coords == [
-            (*(c * p.inv for c in pt), 1) for pt in flat_points(tet_flat)
+            (*(c * inv for c in pt), 1) for pt in flat_points(tet_flat)
         ]
         # brackets in grid units: the real ones times s = inv^(d-1)
-        s = p.inv**2
+        s = inv**2
         assert pe.bracket_scale == 1
         assert pe.node_brackets == {n: b * s for n, b in real_brackets(tet_flat).items()}
-        lo, hi = check_volume_ratios(tet_flat, pe, p)
+        lo, hi = check_volume_ratios(tet_flat, pe)
         assert lo == hi == 1
 
     @pytest.mark.parametrize("d,size,seed", [(3, 18, 0), (3, 19, 1), (4, 10, 2), (5, 6, 3)])
     def test_ratio_window(self, d, size, seed):
         tree = gen_tree("random", d, size, seed)
         flat = build_flat(balance_weights(tree))
-        p = grid_params(d, flat.L)
-        pe = perturb_flat(flat, p.inv)
+        inv, _ = grid_params(d, flat.L)
+        pe = perturb_flat(flat)
         for a, b in zip(pe.coords, flat_points(flat)):
             assert a[-1] == 1
             for ca, cb in zip(a[:-1], b):
                 assert type(ca) is int
-                assert 0 <= cb * p.inv - ca < 1
-        lo, hi = check_volume_ratios(flat, pe, p)
+                assert 0 <= cb * inv - ca < 1
+        lo, hi = check_volume_ratios(flat, pe)
         wiggle = F(1, 10 * flat.R_eff)
         assert 1 - wiggle <= lo <= hi <= 1 + wiggle
         for node, b in pe.node_brackets.items():
             assert type(b) is int and b > 0
-
-    def test_rejects_a_step_that_is_not_a_positive_int(self, tet_flat):
-        for inv in (0, -1, True, 720.0, F(720)):
-            with pytest.raises(InvalidInputError, match="must be a positive integer"):
-                perturb_flat(tet_flat, inv)
 
 
 def heavy_times_light(wt, L):
@@ -205,11 +199,11 @@ class TestAdjustedShifts:
         tree = gen_tree("random", d, size, seed)
         wt = balance_weights(tree)
         flat = build_flat(wt)
-        p = grid_params(d, flat.L)
-        pe = perturb_flat(flat, p.inv)
+        inv, _ = grid_params(d, flat.L)
+        pe = perturb_flat(flat)
         zeta = heavy_times_light(wt, flat.L)
         adj = adjusted_shifts(pe)
-        s2 = p.inv ** (2 * d - 2)  # the shifts are in grid units
+        s2 = inv ** (2 * d - 2)  # the shifts are in grid units
         wiggle = F(1, 10 * flat.R_eff)
         for node, zp in adj.items():
             assert type(zp) is int
@@ -219,11 +213,10 @@ class TestAdjustedShifts:
 
 class TestRoundAndScale:
     def test_tet_fixture(self, tet_flat):
-        p = grid_params(3, tet_flat.L)
-        pe = perturb_flat(tet_flat, p.inv)
+        pe = perturb_flat(tet_flat)
         # the relift's shift: the real one times s^2
         assert adjusted_shifts(pe) == {0: F(16, 9) * 720**4}
-        realization, info = round_and_scale(pe, p)
+        realization, info = round_and_scale(pe)
         assert realization.coords == [
             (0, 0, 0),
             (1440, 0, 0),
@@ -242,9 +235,8 @@ class TestRoundAndScale:
         tree = gen_tree("random", d, size, seed)
         wt = balance_weights(tree)
         flat = build_flat(wt)
-        p = grid_params(d, flat.L)
-        pe = perturb_flat(flat, p.inv)
-        realization, info = round_and_scale(pe, p)
+        pe = perturb_flat(flat)
+        realization, info = round_and_scale(pe)
         R_eff = flat.R_eff
         assert info["min_interior_stress"] >= F(4, 5)
         assert -2 * R_eff < info["min_base_stress"] < 0
@@ -269,8 +261,7 @@ class TestRoundAndScale:
     def test_gate_names_the_extreme_ridge(self, monkeypatch, tet_flat):
         # lower two interior stresses of the relift (build_lifted, as the
         # round stage binds it): the least one is the witness
-        p = grid_params(3, tet_flat.L)
-        pe = perturb_flat(tet_flat, p.inv)
+        pe = perturb_flat(tet_flat)
         interior = [
             r for r, keys in pe.ridge_adjacency.items() if BASE_FACET_KEY not in keys
         ]
@@ -285,7 +276,7 @@ class TestRoundAndScale:
 
         monkeypatch.setattr(rounding, "build_lifted", tampered)
         with pytest.raises(StageInvariantError) as info:
-            round_and_scale(pe, p)
+            round_and_scale(pe)
         assert info.value.stage == "rounding"
         assert "below 4/5" in str(info.value)
         assert "stress 1/2 " in str(info.value)
@@ -318,8 +309,7 @@ class TestRoundAndScale:
     ):
         # an interior stress of exactly 4/5 in real units passes; one grid
         # unit below it does not
-        p = grid_params(3, tet_flat.L)
-        pe = perturb_flat(tet_flat, p.inv)
+        pe = perturb_flat(tet_flat)
         ridge = next(
             r for r, keys in pe.ridge_adjacency.items() if BASE_FACET_KEY not in keys
         )
@@ -334,8 +324,8 @@ class TestRoundAndScale:
         monkeypatch.setattr(rounding, "build_lifted", tampered)
         if raises:
             with pytest.raises(StageInvariantError, match="below 4/5") as info:
-                round_and_scale(pe, p)
+                round_and_scale(pe)
             assert info.value.witness == ridge
         else:
-            _, report = round_and_scale(pe, p)
+            _, report = round_and_scale(pe)
             assert report["min_interior_stress"] == F(4, 5)

@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import re
-import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -33,6 +32,7 @@ from gridlift.verify import (
 )
 from reference import (
     facet_lookup,
+    package_modules,
     plane_by_cofactors,
     reference_stresses,
     verify_convexity_exhaustive,
@@ -676,11 +676,10 @@ def wrap_every_binding(monkeypatch, original):
         calls.append(args)
         return original(*args)
 
-    for name, module in list(sys.modules.items()):
-        if name == "gridlift" or name.startswith("gridlift."):
-            for key, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, key, counting)
+    for module in package_modules():
+        for key, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, key, counting)
     return calls
 
 
