@@ -79,13 +79,11 @@ def _cmd_gen(args) -> int:
             size = args.n - args.dim  # one stacking per extra vertex
         tree = gen_tree(args.shape, args.dim, size, args.seed)
         _write_output(args.output, tree_to_json(tree))
-    elif args.shape in ("b3", "gamma"):
+    else:  # b3 or gamma: argparse's choices admit no other shape
         if args.dim != 3:
             raise InvalidInputError(f"shape {args.shape} is 3-dimensional only")
         g = gen_lowerbound_graph(args.shape, args.n)
         _write_output(args.output, g.to_json())
-    else:
-        raise InvalidInputError(f"unknown shape {args.shape!r}")
     return 0
 
 

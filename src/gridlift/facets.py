@@ -2,9 +2,10 @@
 
 A facet table is a dict from leaf node id to the facet's ordered vertex ids,
 plus the base facet, held apart and addressed by the key BASE_FACET_KEY.
-The keys are preorder node ids of the stacking tree's child table (TreeRep),
-and facet_layout replays the tree into every node's facet. The construction
-and the verifier both take the format and the replay from this module, so
+The keys are node ids of the stacking tree's child table (TreeRep); the
+pipeline and the certificate check a tree once, where it enters
+(check_tree), and facet_layout replays it into every node's facet. The
+construction and the verifier both take all three from this module, so
 the certificate's trusted code needs nothing from the construction to know
 which facets meet at a ridge or which facets a tree stacks.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GeometryError
+from .errors import GeometryError, InvalidInputError
 
 BASE_FACET_KEY = -1  # facet-table key for the base facet
 
@@ -24,8 +25,9 @@ FacetKey = int  # leaf node id, or BASE_FACET_KEY
 @dataclass
 class TreeRep:
     """Ordered d-ary stacking tree: children[v] holds node v's child ids, ()
-    for a leaf. Node 0 is the root and ids are preorder, so each subtree is
-    a contiguous id range starting at its root."""
+    for a leaf. Node 0 is the root and every child's id is above its
+    parent's, which is all check_tree asks and all the replays need: the
+    trees built here are in preorder, but check_tree accepts any such order."""
 
     dim: int
     children: list[tuple[int, ...]]
@@ -35,7 +37,7 @@ class TreeRep:
 
     @property
     def interior_ids(self) -> list[int]:
-        # preorder ids make ascending order the preorder of any subset
+        # ascending ids visit every parent before its children
         return [v for v, ch in enumerate(self.children) if ch]
 
     @property
@@ -55,21 +57,42 @@ class TreeRep:
         return self.dim + self.interior_count
 
 
+def check_tree(tree: TreeRep) -> None:
+    """InvalidInputError unless dim is an int >= 3, the root and every other
+    interior node have dim children, and the child ids are 1..n-1, once
+    each, each above its parent's."""
+    d, children = tree.dim, tree.children
+    if type(d) is not int or d < 3:
+        raise InvalidInputError(f"dimension must be at least 3, got {d!r}")
+    if not isinstance(children, list) or not children:
+        raise InvalidInputError("a tree needs a non-empty list of children")
+    if not children[0]:
+        raise InvalidInputError("root must be an interior node, got a leaf")
+    n = len(children)
+    seen = bytearray(n)
+    for v, ch in enumerate(children):
+        if type(ch) is not tuple or ch and len(ch) != d:
+            raise InvalidInputError(f"node {v} has children {ch!r}, not () or {d} ids")
+        for c in ch:
+            if type(c) is not int or not v < c < n or seen[c]:
+                raise InvalidInputError(f"node {v} names child {c!r}, not a new id above {v}")
+            seen[c] = 1
+    if seen.count(0) > 1:
+        raise InvalidInputError(f"node {seen.index(0, 1)} is no node's child")
+
+
 def facet_layout(tree: TreeRep) -> tuple[dict[int, tuple[int, ...]], dict[int, int]]:
     """Ordered facet of every node, plus each interior node's stacked vertex.
 
     The root facet is (0, ..., d-1); the stacked vertex of the i-th interior
-    node (preorder) gets id d + i; child j's facet is the parent facet with
+    node (by id) gets id d + i; child j's facet is the parent facet with
     position j replaced by the stacked vertex.
     """
     d = tree.dim
     node_facets: dict[int, tuple[int, ...]] = {0: tuple(range(d))}
     stacked: dict[int, int] = {}
-    next_vertex = d
-    for v in tree.interior_ids:
+    for p, v in enumerate(tree.interior_ids, start=d):
         facet = node_facets[v]
-        p = next_vertex
-        next_vertex += 1
         stacked[v] = p
         for j, c in enumerate(tree.children[v]):
             node_facets[c] = facet[:j] + (p,) + facet[j + 1 :]

@@ -20,6 +20,8 @@ facets and the ridge table are kept in the facet-table format of the
 facets module. The complex carries the stacking tree it embeds, which the
 lift and round stages replay, and stores nothing the tree and L fix, so
 nothing can disagree with them: d and R_eff = L^{d-1} are properties.
+Nothing here checks its arguments: the tree was checked where it entered
+(facets.check_tree) and the weights by trees.check_balanced.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Sequence
 
-from .errors import GeometryError, InvalidInputError, StageInvariantError
+from .errors import GeometryError, StageInvariantError
 from .facets import FacetKey, Ridge, TreeRep, build_ridge_adjacency, facet_layout
 from .trees import WeightedTree
 
@@ -74,12 +76,8 @@ def base_simplex(d: int, R: int) -> tuple[list[Column], int]:
 
     Vertex 0 sits at the origin and vertex i on an axis at distance L, with
     one axis swap for even d so the bracket of (v_0, ..., v_{d-1}) comes out
-    as +L^{d-1}.
+    as +L^{d-1}. A checked tree's root weight R is at least d >= 3.
     """
-    if d < 3:
-        raise InvalidInputError(f"dimension must be at least 3, got {d}")
-    if R < 3:
-        raise InvalidInputError(f"root weight must be at least 3, got {R}")
     L = _ceil_root(R, d - 1)
     axes = list(range(d - 1))
     if d % 2 == 0:
@@ -99,14 +97,10 @@ def stacked_column(
     """Barycentric placement: child i's weight multiplies facet vertex i.
 
     The point sum(w_i u_i) / weight, summed over the lcm of the facet's
-    denominators and reduced by one gcd.
+    denominators and reduced by one gcd. The caller passes one weight per
+    facet vertex (check_tree fixes the arity), positive and summing to
+    weight (check_balanced's gates).
     """
-    if len(facet_coords) != len(child_weights):
-        raise InvalidInputError("one weight per facet vertex required")
-    if any(a <= 0 for a in child_weights):
-        raise InvalidInputError("child weights must be positive")
-    if sum(child_weights) != weight:
-        raise InvalidInputError("child weights must sum to the facet weight")
     den = lcm(*[u[-1] for u in facet_coords])
     out = [0] * len(facet_coords[0])
     for a, u in zip(child_weights, facet_coords):

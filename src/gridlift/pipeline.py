@@ -1,5 +1,7 @@
 """End-to-end driver: tree (or graph) in, certified integer realization out.
 
+The tree is checked first (facets.check_tree), the one check of its
+contract, so a malformed tree is invalid input before any stage runs.
 Stage order is fixed: balance the face weights, embed flat over the
 rationals (held as integer homogeneous columns), lift by each stacking's
 shift (the product of its two largest child brackets), gate the exact
@@ -7,9 +9,10 @@ stresses, snap to the coordinate grid in integer grid units, relift by the
 same rule on the perturbed brackets, gate again, snap heights to integers,
 then certify from the final coordinates alone, the one check of the snapped
 integers. Every stage keeps exact arithmetic: shifts and the two
-inverse grid steps are integers, and the report's grid steps and ratio
-window become Fractions only here. The report captures the extrema each
-gate saw so a run is auditable after the fact.
+inverse grid steps are integers. The report takes the grid steps from the
+realization's metadata, so only the rounding stage knows the grid formula,
+and the ratio window becomes a Fraction only here. The report captures the
+extrema each gate saw so a run is auditable after the fact.
 """
 
 from __future__ import annotations
@@ -20,10 +23,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvalidInputError, StageInvariantError
-from .facets import Realization, TreeRep
+from .facets import Realization, TreeRep, check_tree
 from .flat import build_flat
 from .lifting import build_lifted, check_lift_bounds
-from .rounding import check_volume_ratios, grid_params, perturb_flat, round_and_scale
+from .rounding import check_volume_ratios, perturb_flat, round_and_scale
 from .trees import (
     PolytopeGraph,
     balance_weights,
@@ -47,6 +50,7 @@ class PipelineReport:
 
 
 def run_pipeline(tree: TreeRep) -> tuple[Realization, PipelineReport]:
+    check_tree(tree)
     timing: dict[str, float] = {}
     clock = time.perf_counter
 
@@ -80,11 +84,12 @@ def run_pipeline(tree: TreeRep) -> tuple[Realization, PipelineReport]:
     timing["total"] = sum(timing.values())
 
     d = tree.dim
-    # the grid the round stage read from the complex, for the report
-    inv, inv_z = grid_params(d, flat.L)
-    # on heights in units of 1/inv_z a stress is the real one times inv_z / s
-    num, den = cert.min_interior_stress
-    round_info["min_interior_stress_rounded"] = Fraction(num * inv ** (d - 1), den * inv_z)
+    # the grid the round stage snapped to; on heights in units of alpha_z a
+    # stress is the real one times alpha^(d-1) / alpha_z
+    alpha, alpha_z = realization.metadata["alpha"], realization.metadata["alpha_z"]
+    round_info["min_interior_stress_rounded"] = (
+        Fraction(*cert.min_interior_stress) * alpha_z / alpha ** (d - 1)
+    )
     n = tree.n_vertices
     e1 = math.log2(2 * d)  # the size monitors divide by n ** (k log2(2d))
     report = PipelineReport(
@@ -101,8 +106,8 @@ def run_pipeline(tree: TreeRep) -> tuple[Realization, PipelineReport]:
             "R_eff": flat.R_eff,
         },
         grid={
-            "alpha": Fraction(1, inv),
-            "alpha_z": Fraction(1, inv_z),
+            "alpha": alpha,
+            "alpha_z": alpha_z,
             "delta_minus": Fraction(10 * flat.R_eff - 1, 10 * flat.R_eff),
             "delta_plus": Fraction(10 * flat.R_eff + 1, 10 * flat.R_eff),
         },

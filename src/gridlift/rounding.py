@@ -2,7 +2,8 @@
 
 Both grid steps are unit fractions, 1/inv and 1/inv_z; each stage here reads
 the two integers from grid_params of its complex's d and L, so the ratio gate
-and the snap use the grid perturb_flat snapped to. Flat coordinates, held as
+and the snap use the grid perturb_flat snapped to. No other module derives
+the grid: the pipeline reports the steps from the realization's metadata. Flat coordinates, held as
 integer homogeneous columns (N, D), are floored to the grid of step 1/inv
 and kept as the integers X = N * inv // D; the step is fine enough that
 every facet volume changes by a factor inside [1 - 1/(10 R_eff),
@@ -37,7 +38,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import lifting
-from .errors import InvalidInputError, StageInvariantError
+from .errors import StageInvariantError
 from .exact import _det_int
 from .facets import Realization
 from .flat import FlatComplex
@@ -55,11 +56,10 @@ def grid_params(d: int, L: int) -> tuple[int, int]:
 
     inv = 10 d^2 L^(d-2) R_eff makes every facet volume ratio land within
     1/(10 R_eff) of 1, and inv_z = 3 R_eff; perturbed coordinates and
-    output heights are integers in units of 1/inv and 1/inv_z.
+    output heights are integers in units of 1/inv and 1/inv_z. R_eff is at
+    least the root weight, so at least 3 on a checked tree.
     """
     R_eff = L ** (d - 1)
-    if R_eff < 3:
-        raise InvalidInputError(f"grid needs R_eff >= 3, got {R_eff}")
     return 10 * d * d * L ** (d - 2) * R_eff, 3 * R_eff
 
 

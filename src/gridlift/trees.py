@@ -7,14 +7,16 @@ for a facet of the final polytope (the base facet itself stays outside the
 tree). Child i of a node replaces the i-th vertex of the node's ordered
 facet with the node's stacked vertex.
 
-A tree is a child table with node ids in preorder (root = 0), so the
-preorder sequence of interior nodes is simply their ascending id order. A
-polytope on n vertices has n - d interior nodes and (n - d)(d - 1) + 1
-leaves. The tree type (TreeRep) and its facet replay (facet_layout) live in
-the facets module, which the verifier trusts; this module reads, writes and
-generates trees. The JSON form nests lists (tree_from_nested, to_nested);
-the generators and the graph peeling fill a child table under their own
-ids and renumber it to preorder once (_preorder).
+A tree is a child table rooted at node 0; the trees made here number
+their nodes in preorder, so the preorder sequence of interior nodes is
+simply their ascending id order. A polytope on n vertices has n - d
+interior nodes and (n - d)(d - 1) + 1 leaves. The tree type (TreeRep), its
+one contract check (check_tree) and its facet replay (facet_layout) live
+in the facets module, which the verifier trusts; this module reads, writes
+and generates trees. The JSON form nests lists (tree_from_nested, which
+checks the tree it builds, and to_nested); the generators and the graph
+peeling fill a child table under their own ids and renumber it to
+preorder once (_preorder), valid by construction and left unchecked.
 
 The module also hosts the face-weight balancing step, one post-order pass
 over the node ids that picks each node's heavy child on the way: weights
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidInputError, StageInvariantError
-from .facets import TreeRep, facet_layout
+from .facets import TreeRep, check_tree, facet_layout
 from .rng import SplitMix64
 
 Nested = None | list  # leaf | list of d children
@@ -70,11 +72,8 @@ def dump_json(obj: object) -> str:
 
 
 def tree_from_nested(dim: int, nested: Nested) -> TreeRep:
-    """Build a TreeRep from the nested-list form, assigning preorder ids."""
-    if dim < 3:
-        raise InvalidInputError(f"dimension must be at least 3, got {dim}")
-    if nested is None:
-        raise InvalidInputError("root must be an interior node, got a leaf")
+    """Build a TreeRep from the nested-list form, assigning preorder ids,
+    and check it (check_tree)."""
     children: list[list[int]] = []
     # iterative preorder; recursion would hit the interpreter limit on chains
     stack: list[tuple[Nested, int | None]] = [(nested, None)]
@@ -91,7 +90,9 @@ def tree_from_nested(dim: int, nested: Nested) -> TreeRep:
                 f"interior node must be a list of exactly {dim} children"
             )
         stack.extend((child, vid) for child in reversed(item))
-    return TreeRep(dim, [tuple(ch) for ch in children])
+    tree = TreeRep(dim, [tuple(ch) for ch in children])
+    check_tree(tree)
+    return tree
 
 
 def to_nested(tree: TreeRep) -> Nested:

@@ -1,9 +1,10 @@
 """Certify convexity of an integer realization from its coordinates alone.
 
 Two routes, each making all of its own checks and writing its own
-witnesses, read one ridge table and one plane table: exact.facet_planes
-takes each facet's hyperplane once, on the rows (1, x, z) of its integer
-vertices, as d+1 cofactors with its shadow and its vertex sum.
+witnesses, read one _surface: the ridge table and the plane table, where
+exact.facet_planes takes each facet's hyperplane once, on the rows
+(1, x, z) of its integer vertices, as d+1 cofactors with its shadow and
+its vertex sum.
 
 * stress route: recompute every ridge stress from the final coordinates,
   never taken from the construction, and check interior ridges positive,
@@ -32,28 +33,30 @@ agree; the certificate records both verdicts so disagreement is visible
 instead of masked. The pipeline checks its snapped integers only here: the
 stress route's height precheck and stress signs, and verify_bounds' caps.
 
-Every route first rejects a vertex that is not a point of d ints, with the
-witness verify_bounds gives, and a facet that names a vertex id outside
-the coordinate list, so malformed input fails a certificate instead of
-raising or aliasing a vertex.
+The _surface first rejects a vertex that is not a point of d ints (bools
+are not), with the witness verify_bounds gives, and a facet that names a
+vertex id outside the coordinate list, so a malformed realization fails a
+certificate instead of raising or aliasing a vertex; a malformed tree is
+InvalidInputError (facets.check_tree).
 
 The verifier imports from the package only errors, exact (the integer
 determinant kernels, the plane table and the per-ridge stress rule, which
 the construction is a client of too) and facets (the facet-table format,
-the ridge table and the stacking replay that the combinatorial check
-compares against), so no construction stage is part of the trusted code.
+the ridge table, the tree check and the replay that the combinatorial
+check compares against), so no construction stage is trusted code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 
 from .errors import GeometryError
 from .exact import _det_int, facet_planes, ridge_stresses
 from .facets import BASE_FACET_KEY, Realization, TreeRep, build_ridge_adjacency
-from .facets import facet_layout
+from .facets import check_tree, facet_layout
 
 
 @dataclass
@@ -69,78 +72,67 @@ class Certificate:
 
     @property
     def ok(self) -> bool:
-        parts = [
-            self.convex_by_stress,
-            self.convex_global,
-            self.bounds_ok,
-            self.combinatorics_ok,
-        ]
+        parts = (self.convex_by_stress, self.convex_global, self.bounds_ok, self.combinatorics_ok)
         return all(p for p in parts if p is not None)
 
 
 def _is_integer_point(p: tuple, d: int) -> bool:
-    return len(p) == d and all(isinstance(c, int) for c in p)
+    return len(p) == d and all(type(c) is int for c in p)
 
 
 def _input_witnesses(realization: Realization) -> list[str]:
     """What every route rejects before it indexes a point: a vertex that
     is not d ints, or a facet entry that is not a vertex id in range (a
-    negative id would alias a vertex through negative indexing)."""
+    negative id or a bool aliases a vertex, and a set of ids hides a bool)."""
     d, n = realization.d, len(realization.coords)
     witnesses = [
         f"vertex {vid} is not an integer point of length {d}"
         for vid, p in enumerate(realization.coords)
         if not _is_integer_point(p, d)
     ]
-    named = set(realization.base_facet).union(*realization.facets.values())
-    if all(isinstance(v, int) and 0 <= v < n for v in named):
+    named = list(chain(realization.base_facet, *realization.facets.values()))
+    if set(map(type, named)) == {int} and 0 <= min(named) and max(named) < n:
         return witnesses
     return witnesses + [
         f"facet {_label(key)} names vertex {v!r}, not one of 0..{n - 1}"
         for key, verts in _facets_in_order(realization)
         for v in verts
-        if not (isinstance(v, int) and 0 <= v < n)
+        if not (type(v) is int and 0 <= v < n)
     ]
 
 
-def _ridge_table(realization: Realization) -> tuple[dict, str | None]:
-    """(ridge -> its two facets, None), or ({}, the reason) when the facets
-    form no closed surface: some facet is not d distinct vertices, or some
-    ridge does not lie in exactly two facets."""
+def _surface(realization: Realization) -> tuple[list[str], dict | str | None, tuple | None]:
+    """The _input_witnesses; if none, the table ridge -> its two facets, or
+    the reason the facets form no closed surface (a facet is not d distinct
+    vertices, or a ridge not in two facets); if closed, the rows (1, *p) of
+    the points and their exact.facet_planes."""
+    witnesses = _input_witnesses(realization)
+    if witnesses:
+        return witnesses, None, None
     try:
-        return build_ridge_adjacency(
-            realization.d, realization.facets, realization.base_facet
-        ), None
+        table = build_ridge_adjacency(realization.d, realization.facets, realization.base_facet)
     except GeometryError as exc:
-        return {}, str(exc)
-
-
-def _plane_table(realization: Realization, table: tuple[dict, str | None]) -> tuple | None:
-    """The rows (1, *p) of the points and their exact.facet_planes; None
-    when the _ridge_table is broken: a facet may then span no hyperplane."""
-    if table[1]:
-        return None
+        return [], str(exc), None
     rows = [(1, *p) for p in realization.coords]
     facets = {BASE_FACET_KEY: realization.base_facet, **realization.facets}
-    return rows, facet_planes(realization.d, rows, facets)
+    return [], table, (rows, facet_planes(realization.d, rows, facets))
 
 
 def verify_convexity_stress(realization: Realization) -> tuple[bool, list[str]]:
     """Interior ridge stresses positive, base negative, base flat at 0."""
-    witnesses = _input_witnesses(realization)
+    witnesses, table, plane_table = _surface(realization)
     if not witnesses:
-        table = _ridge_table(realization)
-        witnesses, _ = _stress_route(realization, table, _plane_table(realization, table))
+        witnesses, _ = _stress_route(realization, table, plane_table)
     return not witnesses, witnesses
 
 
 def _stress_route(
-    realization: Realization, table: tuple[dict, str | None], plane_table: tuple | None
+    realization: Realization, table: dict | str, plane_table: tuple | None
 ) -> tuple[list[str], tuple[int, int] | None]:
-    """The stress route on input that _input_witnesses passed, given its
-    _ridge_table and _plane_table: the witnesses, and the least interior
-    stress (ties to the first ridge in adjacency order; None if it stops
-    before the stresses). A ridge's stress costs one (d+1)-term dot product.
+    """The stress route on the _surface of input that passed its check: the
+    witnesses, and the least interior stress (ties to the first ridge in
+    adjacency order; None if it stops before the stresses). A ridge's
+    stress costs one (d+1)-term dot product.
     """
     witnesses: list[str] = []
     heights = [p[-1] for p in realization.coords]
@@ -158,14 +150,13 @@ def _stress_route(
     if witnesses:
         return witnesses, None
 
-    adjacency, broken = table
-    if broken:
-        return [f"ridge structure broken: {broken}"], None
+    if isinstance(table, str):
+        return [f"ridge structure broken: {table}"], None
 
     rows, planes = plane_table
-    stresses, failures = ridge_stresses(realization.d, rows, adjacency, planes)
+    stresses, failures = ridge_stresses(realization.d, rows, table, planes)
     least = None
-    for ridge, keys in adjacency.items():
+    for ridge, keys in table.items():
         if ridge in failures:
             witnesses.append(f"ridge {ridge}: {failures[ridge]}")
             continue
@@ -258,7 +249,7 @@ def _ray_witnesses(
     return witnesses
 
 
-def _surface_witnesses(realization: Realization, broken: str | None) -> list[str]:
+def _surface_witnesses(realization: Realization, table: dict | str) -> list[str]:
     """Witnesses for the vertices on no facet, then for a broken ridge table."""
     used = set(realization.base_facet).union(*realization.facets.values())
     witnesses = [
@@ -266,8 +257,8 @@ def _surface_witnesses(realization: Realization, broken: str | None) -> list[str
         for vid in range(len(realization.coords))
         if vid not in used
     ]
-    if broken:
-        witnesses.append(f"facets form no closed surface: {broken}")
+    if isinstance(table, str):
+        witnesses.append(f"facets form no closed surface: {table}")
     return witnesses
 
 
@@ -281,27 +272,25 @@ def verify_convexity_global(realization: Realization) -> tuple[bool, list[str]]:
     hyperplane; and the ray from o through the base facet's centroid
     crosses no other facet.
     """
-    witnesses = _input_witnesses(realization)
+    witnesses, table, plane_table = _surface(realization)
     if not witnesses:
-        table = _ridge_table(realization)
-        witnesses = _global_route(realization, table, _plane_table(realization, table))
+        witnesses = _global_route(realization, table, plane_table)
     return not witnesses, witnesses
 
 
 def _global_route(
-    realization: Realization, table: tuple[dict, str | None], plane_table: tuple | None
+    realization: Realization, table: dict | str, plane_table: tuple | None
 ) -> list[str]:
-    """The global route's witnesses on input that _input_witnesses passed,
-    given its _ridge_table and _plane_table, whose planes it orients."""
-    adjacency, broken = table
-    witnesses = _surface_witnesses(realization, broken)
-    if broken:
+    """The global route's witnesses on the _surface of input that passed
+    its check, whose planes it orients."""
+    witnesses = _surface_witnesses(realization, table)
+    if isinstance(table, str):
         return witnesses
     rows, planes = plane_table
     # probes[key]: across each ridge of facet key, the other facet's extra
     # vertex (its vertex sum less the ridge's), once each, first seen first
     probes: dict[int, dict[int, None]] = {key: {} for key in planes}
-    for ridge, (k1, k2) in adjacency.items():
+    for ridge, (k1, k2) in table.items():
         on_ridge = sum(ridge)
         probes[k1][planes[k2][3] - on_ridge] = None
         probes[k2][planes[k1][3] - on_ridge] = None
@@ -333,45 +322,33 @@ def verify_bounds(realization: Realization) -> tuple[bool, list[str]]:
     return not witnesses, witnesses
 
 
-def verify_combinatorics(
-    realization: Realization, tree: TreeRep
-) -> tuple[bool, list[str]]:
-    """Facet structure matches the stacking replay of the tree."""
+def verify_combinatorics(realization: Realization, tree: TreeRep) -> tuple[bool, list[str]]:
+    """Facet structure matches the stacking replay of the tree; a tree
+    that fails check_tree is InvalidInputError."""
+    check_tree(tree)
     node_facets, _ = facet_layout(tree)
-    expected_leaves = {
-        node: verts for node, verts in node_facets.items() if tree.is_leaf(node)
-    }
+    d, n, leaves = tree.dim, len(realization.coords), tree.leaf_ids
     witnesses = []
-    d = tree.dim
-    if len(realization.coords) != tree.n_vertices:
-        witnesses.append(
-            f"vertex count {len(realization.coords)}, expected {tree.n_vertices}"
-        )
-    k = tree.interior_count
-    want = k * (d - 1) + 2
-    have = len(realization.facets) + 1
-    if have != want:
-        witnesses.append(f"facet count {have}, expected {want}")
+    if n != tree.n_vertices:
+        witnesses.append(f"vertex count {n}, expected {tree.n_vertices}")
+    if len(realization.facets) != len(leaves):  # counts include the base facet
+        witnesses.append(f"facet count {len(realization.facets) + 1}, expected {len(leaves) + 1}")
     if realization.base_facet != tuple(range(d)):
         witnesses.append(f"base facet {realization.base_facet} is not the first {d} vertices")
-    if realization.facets != expected_leaves:
+    if realization.facets != {leaf: node_facets[leaf] for leaf in leaves}:
         witnesses.append("leaf facet table does not match the tree replay")
     return not witnesses, witnesses
 
 
-def make_certificate(
-    realization: Realization, tree: TreeRep | None = None
-) -> Certificate:
+def make_certificate(realization: Realization, tree: TreeRep | None = None) -> Certificate:
     """Run every route; the witnesses are listed once each, in the order
     the routes first give them (a malformed point fails several).
 
-    The input is checked once and the ridge and plane tables built once,
-    for both convexity routes; each route alone does the same on its own."""
-    s_wit = g_wit = _input_witnesses(realization)
-    min_interior = None
+    One _surface serves both convexity routes; each route alone builds its
+    own. A tree that fails check_tree raises InvalidInputError."""
+    s_wit, table, plane_table = _surface(realization)
+    g_wit, min_interior = s_wit, None
     if not s_wit:
-        table = _ridge_table(realization)
-        plane_table = _plane_table(realization, table)
         s_wit, min_interior = _stress_route(realization, table, plane_table)
         g_wit = _global_route(realization, table, plane_table)
     witnesses = s_wit + g_wit

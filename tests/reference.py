@@ -13,8 +13,7 @@ from gridlift.facets import BASE_FACET_KEY, facet_layout
 from gridlift.flat import base_simplex
 from gridlift.verify import (
     _facets_in_order,
-    _input_witnesses,
-    _ridge_table,
+    _surface,
     _surface_witnesses,
 )
 
@@ -227,12 +226,11 @@ def verify_convexity_exhaustive(realization: Realization) -> tuple[bool, list[st
     requires a closed surface and every vertex on a facet: without them a
     convex point set with a partial or padded facet list would pass.
     """
-    malformed = _input_witnesses(realization)
+    malformed, table, _ = _surface(realization)
     if malformed:
         return False, malformed
-    broken = _ridge_table(realization)[1]
-    witnesses = _surface_witnesses(realization, broken)
-    if broken:
+    witnesses = _surface_witnesses(realization, table)
+    if isinstance(table, str):
         # a facet that is not d distinct vertices spans no hyperplane
         return False, witnesses
     coords = realization.coords

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridlift import InvalidInputError, StageInvariantError, gen_tree
+from gridlift import StageInvariantError, gen_tree
 from gridlift import flat
 from gridlift.exact import bracket, homogeneous_column
 from gridlift.facets import BASE_FACET_KEY
@@ -40,14 +40,6 @@ class TestBaseSimplex:
                 # L is the least grid scale with L^(d-1) >= R, so lam >= 1
                 assert (L - 1) ** (d - 1) < R <= L ** (d - 1)
 
-    def test_rejects_small_weight(self):
-        with pytest.raises(InvalidInputError):
-            base_simplex(3, 2)
-
-    def test_rejects_small_dim(self):
-        with pytest.raises(InvalidInputError):
-            base_simplex(2, 5)
-
 
 class TestPlacement:
     def test_weighted_mean(self):
@@ -66,14 +58,6 @@ class TestPlacement:
         assert stacked_column([(0, 0, 1), (2, 0, 1), (0, 4, 1)], [2, 2, 2], 6) == (
             2, 4, 3
         )
-
-    def test_rejects_bad_sum(self):
-        with pytest.raises(InvalidInputError):
-            stacked_column([(0, 0, 1), (1, 0, 1), (0, 1, 1)], [1, 1, 1], 4)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(InvalidInputError):
-            stacked_column([(0, 0, 1), (1, 0, 1), (0, 1, 1)], [2, 0, 1], 3)
 
 
 class TestPlacementMatchesReference:

@@ -303,7 +303,10 @@ def test_complex_and_grid_params_hold_no_duplicate_fields():
     for function, params in stages.items():
         assert list(inspect.signature(function).parameters) == params, function.__name__
     assert not hasattr(gridlift.rounding, "GridParams")
-    assert "adjusted_shifts" not in read_names((PACKAGE_DIR / "pipeline.py").read_text())
+    # the pipeline reports the grid from the realization's metadata: only
+    # lifting and rounding know the shift and grid formulas
+    pipeline_reads = read_names((PACKAGE_DIR / "pipeline.py").read_text())
+    assert not pipeline_reads & {"adjusted_shifts", "grid_params"}
 
 
 def test_tree_is_one_child_table():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridlift import InvalidInputError, StageInvariantError, gen_tree, run_pipeline
+from gridlift import StageInvariantError, gen_tree, run_pipeline
 from gridlift import rounding
 from gridlift.exact import bracket, homogeneous_column
 from gridlift.facets import BASE_FACET_KEY
@@ -120,10 +120,6 @@ class TestGridParams:
             inv, inv_z = grid_params(d, L)
             assert F(d * d * L ** (d - 2) * R_eff, inv) == F(1, 10)
             assert inv_z == 3 * R_eff
-
-    def test_rejects_small_R_eff(self):
-        with pytest.raises(InvalidInputError):
-            grid_params(3, 1)
 
 
 class TestPerturb:

@@ -11,12 +11,16 @@ from gridlift import (
     InvalidInputError,
     PolytopeGraph,
     StageInvariantError,
+    TreeRep,
     gen_lowerbound_graph,
     gen_tree,
     graph_from_tree,
+    make_certificate,
     parse_tree,
+    run_pipeline,
     tree_from_graph,
 )
+from gridlift.facets import check_tree
 from gridlift.trees import (
     balance_weights,
     check_balanced,
@@ -129,7 +133,7 @@ class TestParsing:
         assert to_nested(again) == to_nested(two_stack_tree)
 
     def test_rejects_leaf_root(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="^root must be an interior node, got a leaf$"):
             tree_from_nested(3, None)
 
     def test_rejects_wrong_arity(self):
@@ -139,7 +143,7 @@ class TestParsing:
             tree_from_nested(4, [None, None, None])
 
     def test_rejects_small_dim(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="^dimension must be at least 3, got 2$"):
             tree_from_nested(2, [None, None])
 
     def test_rejects_bad_json(self):
@@ -153,6 +157,60 @@ class TestParsing:
             t = gen_tree("random", d, size, seed)
             assert t.leaf_count == t.interior_count * (d - 1) + 1
             assert t.n_vertices == d + t.interior_count
+
+
+# malformed child tables: (dim, children, the nested forms that give it)
+LEAVES = [()] * 3
+MALFORMED_TREES = {
+    "id_beyond_the_table": (3, [(1, 2, 3), (), ()], []),
+    "id_out_of_range": (3, [(1, 2, 9), *LEAVES], []),
+    "negative_id": (3, [(1, 2, -1), *LEAVES], []),
+    "repeated_id": (3, [(1, 1, 2), *LEAVES], []),
+    "root_names_itself": (3, [(0, 1, 2), (), ()], []),
+    "child_below_its_parent": (3, [(2, 3, 4), (5, 6, 7), (1, 8, 9), *[()] * 7], []),
+    "orphan_node": (3, [(1, 2, 3), *LEAVES, ()], []),
+    "root_arity": (3, [(1, 2), (), ()], [[None, None]]),
+    "inner_arity": (3, [(1, 2, 3), (4, 5), (), (), (), ()], [[[None, None], None, None]]),
+    "leaf_root": (3, [()], [None]),
+    "empty_table": (3, [], []),
+    "list_row": (3, [[1, 2, 3], *LEAVES], []),
+    "None_id": (3, [(1, 2, None), *LEAVES], []),
+    "str_id": (3, [("1", 2, 3), *LEAVES], []),
+    "bool_id": (3, [(True, 2, 3), *LEAVES], []),
+    "dim_2": (2, [(1, 2), (), ()], [[None, None]]),
+    "dim_True": (True, [(1,), ()], [[None]]),
+    "dim_str": ("3", [(1, 2, 3), *LEAVES], [[None, None, None]]),
+}
+
+
+class TestTreeContract:
+    """check_tree is the one check of a stacking tree, where it enters:
+    a malformed child table is invalid input to every entry point, never
+    an IndexError or TypeError from a stage that indexes it."""
+
+    @pytest.mark.parametrize("name", MALFORMED_TREES)
+    def test_every_entry_point_rejects(self, name, tet_result):
+        dim, children, nested_forms = MALFORMED_TREES[name]
+        tree = TreeRep(dim, children)
+        with pytest.raises(InvalidInputError):
+            run_pipeline(tree)
+        with pytest.raises(InvalidInputError):
+            make_certificate(tet_result[0], tree)
+        for nested in nested_forms:
+            with pytest.raises(InvalidInputError):
+                tree_from_nested(dim, nested)
+
+    def test_accepts_any_order_with_children_above_parents(self):
+        # breadth-first ids: node 2 is the root's second child, not the
+        # first grandchild as in preorder; the replays need only that every
+        # child's id is above its parent's
+        bfs = TreeRep(3, [(1, 2, 3), (4, 5, 6), (7, 8, 9), *[()] * 7])
+        check_tree(bfs)
+        preorder = tree_from_nested(3, to_nested(bfs))
+        assert preorder.children[1:3] == [(2, 3, 4), ()]
+        realization, report = run_pipeline(bfs)
+        assert report.certificate.ok
+        assert realization.coords == run_pipeline(preorder)[0].coords
 
 
 def comb(levels: int):
@@ -250,6 +308,8 @@ class TestBalance:
         pytest.param({1: 2}, 0, "not the sum", id="sum"),
         pytest.param({1: 2, 6: 3, 0: 9}, 0, "unequal", id="unequal_lights"),
         pytest.param({4: 3, 5: 3, 2: 8, 0: 10}, 2, "lighter", id="heavy_lighter"),
+        # sums and lights consistent, but no positive weight for build_flat
+        pytest.param({1: 0, 6: 0, 0: 4}, 1, "weight < 1", id="nonpositive_leaf"),
     ])
     def test_check_balanced_rejects(self, two_stack_tree, changes, witness, message):
         wt = balance_weights(two_stack_tree)

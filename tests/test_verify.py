@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 
 from gridlift import (
     GeometryError,
+    InvalidInputError,
     Realization,
     gen_tree,
     make_certificate,
     parse_tree,
+    realization_from_json,
+    realization_to_json,
     run_pipeline,
 )
 from gridlift import exact
@@ -23,8 +26,7 @@ from gridlift.verify import (
     _facet_side_witnesses,
     _facets_in_order,
     _input_witnesses,
-    _plane_table,
-    _ridge_table,
+    _surface,
     verify_bounds,
     verify_combinatorics,
     verify_convexity_global,
@@ -362,7 +364,7 @@ class TestFacetPlanes:
     @settings(max_examples=100, deadline=None)
     def test_planes_equal_per_cofactor_reference(self, realization):
         coords = realization.coords
-        rows, planes = _plane_table(realization, _ridge_table(realization))
+        rows, planes = _surface(realization)[2]
         centroid = centroid_row(coords)
         n, *total = centroid
         for key, verts in _facets_in_order(realization):
@@ -383,7 +385,7 @@ class TestFacetPlanes:
             base_facet=(0, 1, 2),
             metadata={},
         )
-        rows, planes = _plane_table(realization, _ridge_table(realization))
+        rows, planes = _surface(realization)[2]
         ref = constant_first(plane_by_cofactors(coords, (0, 1, 2)))
         got, _ = _facet_side_witnesses(
             rows, planes[BASE_FACET_KEY][0], BASE_FACET_KEY, [], centroid_row(coords)
@@ -604,6 +606,30 @@ class TestMalformedPoint:
         # each witness once, the first route's first and in its order
         assert len(set(cert.witnesses)) == len(cert.witnesses)
         assert cert.witnesses[: len(witnesses)] == witnesses
+
+
+class TestBoolIsNoInteger:
+    """A bool is an int to Python but no coordinate or vertex id to the
+    certificate, as realization_from_json already holds."""
+
+    def test_bool_point(self):
+        realization = move_vertex(small_realization(3, 4, 1), 0, (False, False, False))
+        witness = "vertex 0 is not an integer point of length 3"
+        cert = make_certificate(realization)
+        assert cert.ok is False and cert.witnesses[0] == witness
+        assert verify_convexity_stress(realization) == (False, [witness])
+        with pytest.raises(InvalidInputError, match="every coordinate must be an integer"):
+            realization_from_json(realization_to_json(realization))
+
+    def test_bool_vertex_id(self):
+        # True would alias vertex 1, which the facet names in its place
+        realization = small_realization(3, 4, 1)
+        key, verts = next((k, v) for k, v in sorted(realization.facets.items()) if 1 in v)
+        facets = {**realization.facets, key: tuple(True if v == 1 else v for v in verts)}
+        bad = dataclasses.replace(realization, facets=facets)
+        witness = f"facet {key} names vertex True, not one of 0..6"
+        assert make_certificate(bad).witnesses[0] == witness
+        assert verify_convexity_global(bad) == (False, [witness])
 
 
 class TestBounds:
