@@ -1,11 +1,11 @@
 """The facet table: how a stacked polytope's facets are keyed and stored.
 
-A facet table is a dict from leaf node id to the facet's ordered vertex ids,
-plus the base facet, held apart and addressed by the key BASE_FACET_KEY.
-The keys are node ids of the stacking tree's child table (TreeRep); the
-pipeline and the certificate check a tree once, where it enters
-(check_tree), and facet_layout replays it into every node's facet. The
-construction and the verifier both take all three from this module, so
+A facet table maps each facet key to the facet's ordered vertex ids: the
+base facet first, under BASE_FACET_KEY, then the leaves by node id of the
+stacking tree's child table (TreeRep). A tree is checked once, where it
+enters (check_tree; check_dim is its dimension half), and facet_layout
+replays it into every node's facet, the one table that numbers the
+vertices. The construction and the verifier both take these from here, so
 the certificate's trusted code needs nothing from the construction to know
 which facets meet at a ridge or which facets a tree stacks.
 """
@@ -57,13 +57,18 @@ class TreeRep:
         return self.dim + self.interior_count
 
 
+def check_dim(d: object) -> None:
+    """InvalidInputError unless d is an int (not a bool) of at least 3."""
+    if type(d) is not int or d < 3:
+        raise InvalidInputError(f"dimension must be an integer >= 3, got {d!r}")
+
+
 def check_tree(tree: TreeRep) -> None:
-    """InvalidInputError unless dim is an int >= 3, the root and every other
+    """InvalidInputError unless check_dim passes, the root and every other
     interior node have dim children, and the child ids are 1..n-1, once
     each, each above its parent's."""
     d, children = tree.dim, tree.children
-    if type(d) is not int or d < 3:
-        raise InvalidInputError(f"dimension must be at least 3, got {d!r}")
+    check_dim(d)
     if not isinstance(children, list) or not children:
         raise InvalidInputError("a tree needs a non-empty list of children")
     if not children[0]:
@@ -81,22 +86,20 @@ def check_tree(tree: TreeRep) -> None:
         raise InvalidInputError(f"node {seen.index(0, 1)} is no node's child")
 
 
-def facet_layout(tree: TreeRep) -> tuple[dict[int, tuple[int, ...]], dict[int, int]]:
-    """Ordered facet of every node, plus each interior node's stacked vertex.
+def facet_layout(tree: TreeRep) -> dict[int, tuple[int, ...]]:
+    """Ordered facet of every node, the table that numbers the vertices.
 
-    The root facet is (0, ..., d-1); the stacked vertex of the i-th interior
-    node (by id) gets id d + i; child j's facet is the parent facet with
-    position j replaced by the stacked vertex.
+    The root facet is (0, ..., d-1); child j's facet is its parent's with
+    position j replaced by the parent's stacked vertex, d + i for the i-th
+    interior node by id, so node v's stacked vertex is layout[children[v][0]][0].
     """
     d = tree.dim
-    node_facets: dict[int, tuple[int, ...]] = {0: tuple(range(d))}
-    stacked: dict[int, int] = {}
+    layout: dict[int, tuple[int, ...]] = {0: tuple(range(d))}
     for p, v in enumerate(tree.interior_ids, start=d):
-        facet = node_facets[v]
-        stacked[v] = p
+        facet = layout[v]
         for j, c in enumerate(tree.children[v]):
-            node_facets[c] = facet[:j] + (p,) + facet[j + 1 :]
-    return node_facets, stacked
+            layout[c] = facet[:j] + (p,) + facet[j + 1 :]
+    return layout
 
 
 @dataclass
@@ -111,11 +114,9 @@ class Realization:
 
 
 def build_ridge_adjacency(
-    d: int,
-    facets: dict[int, tuple[int, ...]],
-    base_facet: tuple[int, ...],
+    d: int, facets: dict[FacetKey, tuple[int, ...]]
 ) -> dict[Ridge, tuple[FacetKey, FacetKey]]:
-    """Each ridge and the keys of its two facets, base facet first.
+    """Each ridge and the keys of its two facets, in facet-table order.
 
     Raises GeometryError when a facet is not d distinct vertices, or when
     some ridge does not lie in exactly two facets, that is, when the facets
@@ -124,9 +125,7 @@ def build_ridge_adjacency(
     ridge's.
     """
     incidence: dict[Ridge, list[FacetKey]] = {}
-    items: list[tuple[FacetKey, tuple[int, ...]]] = [(BASE_FACET_KEY, base_facet)]
-    items.extend(facets.items())
-    for key, facet in items:
+    for key, facet in facets.items():
         if len(facet) != d or len(set(facet)) != d:
             label = "base" if key == BASE_FACET_KEY else key
             raise GeometryError(

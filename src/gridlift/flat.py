@@ -15,13 +15,15 @@ sum(lam w_c u_c) / (lam w_v): it is sum(w_c N_c (D' / D_c)) over D' w_v,
 D' the lcm of the facet's denominators. node_brackets holds the positive
 integers L^{d-1} * weight under the common bracket scale R, so node v's
 real bracket is node_brackets[v] / bracket_scale; the perturbed complex of
-the rounding stage has integer grid points (D = 1) and scale 1. The leaf
-facets and the ridge table are kept in the facet-table format of the
-facets module. The complex carries the stacking tree it embeds, which the
-lift and round stages replay, and stores nothing the tree and L fix, so
-nothing can disagree with them: d and R_eff = L^{d-1} are properties.
-Nothing here checks its arguments: the tree was checked where it entered
-(facets.check_tree) and the weights by trees.check_balanced.
+the rounding stage has integer grid points (D = 1) and scale 1. The complex
+carries the stacking tree it embeds, which the lift and round stages
+replay; d, R_eff = L^{d-1} and the facet table are properties, so nothing
+can disagree with the tree and L. It caches the two tables every stage
+reads, rather than replaying the tree each time: node_facets
+(facets.facet_layout, which also numbers the vertices) and the ridge table
+of the facet table. Nothing here checks its arguments: the tree was
+checked where it entered (facets.check_tree) and the weights by
+trees.check_balanced.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .errors import GeometryError, StageInvariantError
-from .facets import FacetKey, Ridge, TreeRep, build_ridge_adjacency, facet_layout
+from .facets import BASE_FACET_KEY, FacetKey, Ridge, TreeRep
+from .facets import build_ridge_adjacency, facet_layout
 from .trees import WeightedTree
 
 # A vertex as (N_1, ..., N_{d-1}, D): the point N / D, D > 0, in lowest terms.
@@ -43,10 +46,8 @@ class FlatComplex:
     """Flat embedded stacking complex over Q^{d-1}, in integers."""
 
     coords: list[Column]  # homogeneous column by vertex id; D = 1 once perturbed
-    facets: dict[int, tuple[int, ...]]  # leaf node id -> ordered vertex ids
-    base_facet: tuple[int, ...]
     ridge_adjacency: dict[Ridge, tuple[FacetKey, FacetKey]]
-    node_facets: dict[int, tuple[int, ...]]  # every node, incl. historical
+    node_facets: dict[int, tuple[int, ...]]  # facet_layout: every node, incl. historical
     node_brackets: dict[int, int]  # bracket of each node facet times bracket_scale
     bracket_scale: int  # R on the exact complex, 1 once perturbed
     tree: TreeRep  # the stacking tree this complex embeds
@@ -59,6 +60,13 @@ class FlatComplex:
     @property
     def R_eff(self) -> int:  # the base simplex's bracket
         return self.L ** (self.d - 1)
+
+    @property
+    def facet_table(self) -> dict[FacetKey, tuple[int, ...]]:
+        """The base, node 0's facet, under BASE_FACET_KEY, then the leaves'."""
+        table = {BASE_FACET_KEY: self.node_facets[0]}
+        table.update((leaf, self.node_facets[leaf]) for leaf in self.tree.leaf_ids)
+        return table
 
 
 def _ceil_root(value: int, k: int) -> int:
@@ -120,33 +128,22 @@ def build_flat(wt: WeightedTree) -> FlatComplex:
     coords, L = base_simplex(d, R)
     R_eff = L ** (d - 1)
     weight = wt.weight
-    layout, stacked = facet_layout(tree)
+    layout = facet_layout(tree)
     node_brackets = {0: R_eff * weight[0]}
     for v in tree.interior_ids:
         children = tree.children[v]
-        cw = [weight[c] for c in children]
-        p = stacked_column([coords[u] for u in layout[v]], cw, weight[v])
-        if stacked[v] != len(coords):
+        p = layout[children[0]][0]  # the one guard of the layout's numbering
+        if p != len(coords):
             raise StageInvariantError(
-                "flat", f"node {v} stacks vertex {stacked[v]}, expected {len(coords)}", v
+                "flat", f"node {v} stacks vertex {p}, expected {len(coords)}", v
             )
-        coords.append(p)
+        cw = [weight[c] for c in children]
+        coords.append(stacked_column([coords[u] for u in layout[v]], cw, weight[v]))
         node_brackets.update((c, R_eff * w) for c, w in zip(children, cw))
-    facets = {leaf: layout[leaf] for leaf in tree.leaf_ids}
-    base_facet = tuple(range(d))
+    # the ridge table is built from the complex's own facet table
+    flat = FlatComplex(coords, {}, layout, node_brackets, R, tree, L)
     try:
-        ridges = build_ridge_adjacency(d, facets, base_facet)
+        flat.ridge_adjacency = build_ridge_adjacency(d, flat.facet_table)
     except GeometryError as exc:
         raise StageInvariantError("flat", str(exc)) from exc
-    return FlatComplex(
-        coords=coords,
-        facets=facets,
-        base_facet=base_facet,
-        ridge_adjacency=ridges,
-        node_facets=layout,
-        node_brackets=node_brackets,
-        bracket_scale=R,
-        tree=tree,
-        L=L,
-    )
-
+    return flat

@@ -57,18 +57,17 @@ Heights = tuple[list[int], list[int]]
 def lift_heights(flat: FlatComplex, zeta: dict[int, int]) -> Heights:
     """Replay the stackings, raising each new vertex by its shift.
 
-    The i-th stacking's vertex, d + i as build_flat numbers it, gets the
-    facet's heights weighted by the child-to-node bracket ratios (which a
-    common bracket scale leaves alone) plus its integer shift, summed over
-    the lcm of the facet's denominators and reduced by one gcd. Heights are
-    linear in the shifts, so adjusted_shifts' shifts, the real ones times
-    k^2, give the real heights times k^2. Shifts are positive by
+    Each stacking's vertex, its child 0's first vertex in node_facets, gets
+    the facet's heights weighted by the child-to-node bracket ratios (which
+    a common bracket scale leaves alone) plus its integer shift, summed
+    over the lcm of the facet's denominators and reduced by one gcd.
+    Heights are linear in the shifts, so adjusted_shifts' shifts, the real
+    ones times k^2, give the real heights times k^2. Shifts are positive by
     construction; a nonpositive one is a stage error naming its stacking.
     """
-    brackets = flat.node_brackets
+    brackets, layout = flat.node_brackets, flat.node_facets
     children = flat.tree.children
-    nums = [0] * flat.d
-    dens = [1] * flat.d
+    nums, dens = [0] * len(flat.coords), [1] * len(flat.coords)
     for node in flat.tree.interior_ids:
         shift = zeta[node]
         if shift <= 0:
@@ -78,7 +77,7 @@ def lift_heights(flat: FlatComplex, zeta: dict[int, int]) -> Heights:
         shadow = brackets[node]
         if shadow == 0:
             raise GeometryError("vertical hyperplane: projected facet is degenerate")
-        facet = flat.node_facets[node]
+        facet = layout[node]
         den = lcm(*[dens[u] for u in facet])
         total = 0
         for c, u in zip(children[node], facet):
@@ -89,8 +88,8 @@ def lift_heights(flat: FlatComplex, zeta: dict[int, int]) -> Heights:
         if den < 0:
             num, den = -num, -den
         g = gcd(num, den)
-        nums.append(num // g)
-        dens.append(den // g)
+        p = layout[children[node][0]][0]
+        nums[p], dens[p] = num // g, den // g
     return nums, dens
 
 
@@ -117,9 +116,8 @@ def direct_stresses(flat: FlatComplex, nums: list[int], dens: list[int]) -> dict
     The heights are nums over dens. Raises the GeometryError of the first
     ridge, in adjacency order, whose stress is undefined.
     """
-    facets = {BASE_FACET_KEY: flat.base_facet, **flat.facets}
     rows = lifted_rows(flat.coords, nums, dens)
-    planes = facet_planes(flat.d, rows, facets)
+    planes = facet_planes(flat.d, rows, flat.facet_table)
     stresses, failures = ridge_stresses(flat.d, rows, flat.ridge_adjacency, planes)
     if failures:
         raise GeometryError(next(iter(failures.values())))
@@ -137,15 +135,15 @@ def incremental_stresses(flat: FlatComplex, zeta: dict[int, int]) -> dict[Ridge,
     scale k, these are zeta k / |S| and zeta k |D| / (|S| |T|).
     """
     brackets, scale = flat.node_brackets, flat.bracket_scale
-    children = flat.tree.children
+    layout, children = flat.node_facets, flat.tree.children
     st: dict[Ridge, Pair] = {}
     d = flat.d
-    base = flat.base_facet
+    base = layout[0]
     for j in range(d):
         st[tuple(sorted(base[:j] + base[j + 1 :]))] = (0, 1)
-    # the i-th stacking adds vertex d + i, as in facets.facet_layout
-    for p, node in enumerate(flat.tree.interior_ids, start=d):
-        facet = flat.node_facets[node]
+    for node in flat.tree.interior_ids:
+        facet = layout[node]
+        p = layout[children[node][0]][0]  # the stacked vertex
         num = zeta[node] * scale
         cbr = [abs(brackets[c]) for c in children[node]]
         dbr = abs(brackets[node])

@@ -22,8 +22,8 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InvalidInputError, StageInvariantError
-from .facets import Realization, TreeRep, check_tree
+from .errors import StageInvariantError
+from .facets import Realization, TreeRep, check_dim, check_tree
 from .flat import build_flat
 from .lifting import build_lifted, check_lift_bounds
 from .rounding import check_volume_ratios, perturb_flat, round_and_scale
@@ -145,8 +145,7 @@ def realize_graph(
     Vertices are relabeled by the recovered stacking order, so the output
     coordinates are indexed by tree layout, not by the input graph's ids.
     """
-    if dim < 3:
-        raise InvalidInputError(f"dimension must be at least 3, got {dim}")
+    check_dim(dim)
     if base is None:
         base = find_facet(g, dim)
     tree = tree_from_graph(g, dim, base)

@@ -19,14 +19,14 @@ denominators and its stresses integer pairs, so the stage finds the highest
 vertex by cross-multiplication and floors each height with one integer
 division. The factors s and s^2 stay implicit: each value the stage gates
 or reports is divided by its factor once, and only those values become
-Fractions. The stage's output is a facets.Realization, the perturbed
-complex's facet table with the integer points, whose metadata gives the two
-grid steps as Fractions. The stage checks nothing on the snapped integers;
-the certificate does, from the output alone: its stress route checks the
-signs of the heights and of the ridge stresses (the pipeline reports the
-least interior one), and verify_bounds the size caps 10 d^2 R_eff^2 on the
-flat coordinates (attained by the base corners) and 6 R_eff^3 on the
-heights, which the stage only reports.
+Fractions. The stage's output is a facets.Realization: the perturbed
+complex's facet table split into leaves and base, the integer points, and
+metadata giving the two grid steps as Fractions. The stage checks nothing
+on the snapped integers; the certificate does, from the output alone: its
+stress route checks the signs of the heights and of the ridge stresses (the
+pipeline reports the least interior one), and verify_bounds the size caps
+10 d^2 R_eff^2 on the flat coordinates (attained by the base corners) and
+6 R_eff^3 on the heights, which the stage only reports.
 
 Every inequality checked here is guaranteed by construction, so failures
 raise stage errors rather than being reported as input problems.
@@ -40,7 +40,7 @@ from fractions import Fraction
 from . import lifting
 from .errors import StageInvariantError
 from .exact import _det_int
-from .facets import Realization
+from .facets import BASE_FACET_KEY, Realization
 from .flat import FlatComplex
 from .lifting import build_lifted, stress_extrema
 
@@ -161,11 +161,12 @@ def round_and_scale(perturbed: FlatComplex) -> tuple[Realization, dict]:
     max_xy = max(c for p in coords_int for c in p[:-1])
     max_z = max(z_snapped)
 
+    facets = perturbed.facet_table
     realization = Realization(
         d=d,
         coords=coords_int,
-        facets=dict(perturbed.facets),
-        base_facet=perturbed.base_facet,
+        base_facet=facets.pop(BASE_FACET_KEY),
+        facets=facets,
         metadata={
             "L": perturbed.L,
             "R_eff": R_eff,

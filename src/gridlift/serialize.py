@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import InvalidInputError
 from .exact import _det_int
-from .facets import Realization
+from .facets import Realization, check_dim
 from .trees import _is_int, load_json
 from .verify import Certificate
 
@@ -105,8 +105,7 @@ def realization_from_json(text: str | bytes) -> Realization:
         if key not in doc:
             raise InvalidInputError(f"malformed realization JSON: missing {key!r}")
     d, rows, facet_rows = doc["dim"], doc["coords"], doc["facets"]
-    if not _is_int(d) or d < 3:
-        raise InvalidInputError(f"dim must be an integer >= 3, got {d!r}")
+    check_dim(d)
     if not isinstance(rows, list) or not all(isinstance(p, list) for p in rows):
         raise InvalidInputError("coords must be a list of coordinate rows")
     if any(len(p) != d for p in rows):

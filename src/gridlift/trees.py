@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidInputError, StageInvariantError
-from .facets import TreeRep, check_tree, facet_layout
+from .facets import TreeRep, check_dim, check_tree, facet_layout
 from .rng import SplitMix64
 
 Nested = None | list  # leaf | list of d children
@@ -135,10 +135,8 @@ def tree_from_doc(obj: object) -> TreeRep:
     """Build a tree from a decoded document {"dim": d, "tree": nested}."""
     if not isinstance(obj, dict) or "dim" not in obj or "tree" not in obj:
         raise InvalidInputError('tree JSON must be {"dim": d, "tree": ...}')
-    dim = obj["dim"]
-    if not _is_int(dim):
-        raise InvalidInputError("dim must be an integer")
-    return tree_from_nested(dim, obj["tree"])
+    check_dim(obj["dim"])
+    return tree_from_nested(obj["dim"], obj["tree"])
 
 
 def tree_to_json(tree: TreeRep) -> str:
@@ -260,10 +258,11 @@ def gen_tree(shape: str, dim: int, size: int, seed: int = 0) -> TreeRep:
     appended). serpentine: `size` expansions chained through child 0.
     balanced_rounds: `size` rounds, each expanding every current leaf.
     """
-    if dim < 3:
-        raise InvalidInputError(f"dimension must be at least 3, got {dim}")
-    if size < 1:
-        raise InvalidInputError("size must be at least 1")
+    check_dim(dim)
+    if not _is_int(size) or size < 1:
+        raise InvalidInputError(f"size must be an integer >= 1, got {size!r}")
+    if not _is_int(seed):
+        raise InvalidInputError(f"seed must be an integer, got {seed!r}")
     children: list[tuple[int, ...]] = [()]  # node 0 = root, starts a leaf
 
     if shape == "random":
@@ -359,9 +358,10 @@ def graph_from_doc(obj: object) -> PolytopeGraph:
 
 
 def graph_from_tree(tree: TreeRep) -> PolytopeGraph:
-    """1-skeleton of the stacked polytope a tree describes."""
+    """1-skeleton of the stacked polytope a tree describes (check_tree's)."""
+    check_tree(tree)
     d = tree.dim
-    node_facets, stacked = facet_layout(tree)
+    node_facets = facet_layout(tree)
     n = tree.n_vertices
     adj: list[set[int]] = [set() for _ in range(n)]
     for u in range(d):
@@ -369,7 +369,7 @@ def graph_from_tree(tree: TreeRep) -> PolytopeGraph:
             if u != v:
                 adj[u].add(v)
     for v in tree.interior_ids:
-        p = stacked[v]
+        p = node_facets[tree.children[v][0]][0]  # the stacked vertex
         for u in node_facets[v]:
             adj[p].add(u)
             adj[u].add(p)
@@ -386,6 +386,7 @@ def tree_from_graph(g: PolytopeGraph, dim: int, base: Sequence[int]) -> TreeRep:
     reverse rebuilds the stackings. Any failure along the way means g is not
     the skeleton of a polytope stacked over that base.
     """
+    check_dim(dim)
     d = dim
     base = tuple(base)
     if len(base) != d or len(set(base)) != d:
@@ -507,7 +508,7 @@ def gen_lowerbound_graph(kind: str, n: int = 0) -> PolytopeGraph:
         return PolytopeGraph(len(adj), adj, tuple(sorted(tuple(sorted(f)) for f in faces)))
     if kind != "gamma":
         raise InvalidInputError(f"unknown generator kind {kind!r}")
-    if n <= 0 or n % 36 != 0:
+    if not _is_int(n) or n <= 0 or n % 36 != 0:
         raise InvalidInputError("gamma requires n to be a positive multiple of 36")
     extra = n - len(adj)  # n - 20 new vertices over 36 faces
     per, rem = divmod(extra, 36)

@@ -34,10 +34,10 @@ instead of masked. The pipeline checks its snapped integers only here: the
 stress route's height precheck and stress signs, and verify_bounds' caps.
 
 The _surface first rejects a vertex that is not a point of d ints (bools
-are not), with the witness verify_bounds gives, and a facet that names a
-vertex id outside the coordinate list, so a malformed realization fails a
-certificate instead of raising or aliasing a vertex; a malformed tree is
-InvalidInputError (facets.check_tree).
+are not), with the witness verify_bounds gives, a leaf under the base's
+key, and a facet naming a vertex id outside the coordinate list, so a
+malformed realization fails a certificate instead of raising or aliasing
+a vertex or the base; a malformed tree is InvalidInputError (check_tree).
 
 The verifier imports from the package only errors, exact (the integer
 determinant kernels, the plane table and the per-ridge stress rule, which
@@ -81,15 +81,16 @@ def _is_integer_point(p: tuple, d: int) -> bool:
 
 
 def _input_witnesses(realization: Realization) -> list[str]:
-    """What every route rejects before it indexes a point: a vertex that
-    is not d ints, or a facet entry that is not a vertex id in range (a
-    negative id or a bool aliases a vertex, and a set of ids hides a bool)."""
+    """What every route rejects before it indexes a point (a negative id or
+    a bool aliases a vertex, and a set of ids hides a bool)."""
     d, n = realization.d, len(realization.coords)
     witnesses = [
         f"vertex {vid} is not an integer point of length {d}"
         for vid, p in enumerate(realization.coords)
         if not _is_integer_point(p, d)
     ]
+    if BASE_FACET_KEY in realization.facets:  # _surface's merge would drop one
+        witnesses.append(f"a leaf facet has the base facet's key {BASE_FACET_KEY}")
     named = list(chain(realization.base_facet, *realization.facets.values()))
     if set(map(type, named)) == {int} and 0 <= min(named) and max(named) < n:
         return witnesses
@@ -109,12 +110,12 @@ def _surface(realization: Realization) -> tuple[list[str], dict | str | None, tu
     witnesses = _input_witnesses(realization)
     if witnesses:
         return witnesses, None, None
+    facets = {BASE_FACET_KEY: realization.base_facet, **realization.facets}
     try:
-        table = build_ridge_adjacency(realization.d, realization.facets, realization.base_facet)
+        table = build_ridge_adjacency(realization.d, facets)
     except GeometryError as exc:
         return [], str(exc), None
     rows = [(1, *p) for p in realization.coords]
-    facets = {BASE_FACET_KEY: realization.base_facet, **realization.facets}
     return [], table, (rows, facet_planes(realization.d, rows, facets))
 
 
@@ -326,7 +327,7 @@ def verify_combinatorics(realization: Realization, tree: TreeRep) -> tuple[bool,
     """Facet structure matches the stacking replay of the tree; a tree
     that fails check_tree is InvalidInputError."""
     check_tree(tree)
-    node_facets, _ = facet_layout(tree)
+    node_facets = facet_layout(tree)
     d, n, leaves = tree.dim, len(realization.coords), tree.leaf_ids
     witnesses = []
     if n != tree.n_vertices:

@@ -86,7 +86,7 @@ def reference_flat_points(wt) -> list[tuple[Fraction, ...]]:
     base, L = base_simplex(tree.dim, wt.root_weight)
     lam = Fraction(L ** (tree.dim - 1), wt.root_weight)
     out = [point(c) for c in base]
-    layout, _ = facet_layout(tree)
+    layout = facet_layout(tree)
     for v in tree.interior_ids:
         weights = [lam * wt.weight[c] for c in tree.children[v]]
         out.append(
@@ -100,10 +100,17 @@ def real_brackets(flat) -> dict[int, Fraction]:
     return {n: Fraction(b, flat.bracket_scale) for n, b in flat.node_brackets.items()}
 
 
+def facet_table(complex_) -> dict:
+    """The facet table, base first, of a flat complex or a realization."""
+    if hasattr(complex_, "facet_table"):
+        return complex_.facet_table
+    return {BASE_FACET_KEY: complex_.base_facet, **complex_.facets}
+
+
 def facet_lookup(complex_):
     """Facet vertices by facet-table key, the base facet's included, of a
     flat complex or a realization."""
-    return {BASE_FACET_KEY: complex_.base_facet, **complex_.facets}.__getitem__
+    return facet_table(complex_).__getitem__
 
 
 def reference_stresses(points, adjacency, facet_vertices) -> dict:

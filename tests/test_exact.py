@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -21,8 +22,8 @@ from gridlift.exact import (
     ridge_stresses,
     stress_of_ridge,
 )
-from gridlift.facets import BASE_FACET_KEY, TreeRep, build_ridge_adjacency
-from gridlift.flat import FlatComplex, build_flat
+from gridlift.facets import BASE_FACET_KEY, build_ridge_adjacency
+from gridlift.flat import build_flat
 from gridlift.lifting import direct_stresses, lift_heights, lifted_rows
 from gridlift.trees import balance_weights
 from reference import facet_lookup, flat_points, height_on_hyperplane, reference_stresses
@@ -283,7 +284,8 @@ def lifted_complexes(draw, dims=(3, 4, 5)):
     (base heights zero unless `tilted`), so orientation failures occur,
     and `collapse` puts one vertex's shadow onto another's, which makes
     the shadows of their common facets degenerate. Facet vertex orders
-    are permuted, the base facet's too.
+    are permuted in the complex's node-facet table, the base facet's too,
+    and the complex comes with the points.
     """
     d = draw(st.sampled_from(dims))
     tree = gen_tree("random", d, draw(st.integers(1, 4)), draw(st.integers(0, 20)))
@@ -308,9 +310,10 @@ def lifted_complexes(draw, dims=(3, 4, 5)):
     if draw(st.booleans()):
         a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
         points[a] = points[b][:-1] + points[a][-1:]
-    base = tuple(draw(st.permutations(flat.base_facet)))
-    facets = {k: tuple(draw(st.permutations(f))) for k, f in flat.facets.items()}
-    return d, points, base, facets
+    layout = dict(flat.node_facets)
+    for k in [0, *flat.tree.leaf_ids]:
+        layout[k] = tuple(draw(st.permutations(layout[k])))
+    return points, dataclasses.replace(flat, node_facets=layout)
 
 
 def as_fractions(stresses):
@@ -336,9 +339,9 @@ class TestStressTable:
     @given(lifted_complexes(dims=(3, 4, 5, 6, 7)))
     @settings(max_examples=150, deadline=None)
     def test_equals_stress_of_ridge(self, complex_):
-        d, points, base, facets = complex_
-        adjacency = build_ridge_adjacency(d, facets, base)
-        table = {BASE_FACET_KEY: base, **facets}
+        points, flat = complex_
+        d, table = flat.d, flat.facet_table
+        adjacency = build_ridge_adjacency(d, table)
         stresses, failures = kernel_table(d, points, adjacency, table)
         expected = reference_stresses(points, adjacency, table.__getitem__)
         assert {**stresses, **failures} == expected
@@ -349,7 +352,7 @@ class TestStressTable:
     def test_tetrahedron(self, tet_lifted, tet_flat):
         z, lifted_stresses = tet_lifted
         points = [(*p, F(n, e)) for p, n, e in zip(flat_points(tet_flat), *z)]
-        table = {BASE_FACET_KEY: tet_flat.base_facet, **tet_flat.facets}
+        table = tet_flat.facet_table
         stresses, failures = kernel_table(3, points, tet_flat.ridge_adjacency, table)
         assert failures == {}
         assert stresses == as_fractions(lifted_stresses)
@@ -369,10 +372,8 @@ class TestStressTable:
         # apex 3 lifted straight above base vertex 1: the shadows of both
         # facets through 1 and 3 collapse onto the ridge span
         points = [(0, 0, 0), (6, 0, 0), (0, 6, 0), (6, 0, 5)]
-        base = (0, 1, 2)
-        facets = {0: (3, 1, 2), 1: (0, 3, 2), 2: (0, 1, 3)}
-        adjacency = build_ridge_adjacency(3, facets, base)
-        table = {BASE_FACET_KEY: base, **facets}
+        table = {BASE_FACET_KEY: (0, 1, 2), 0: (3, 1, 2), 1: (0, 3, 2), 2: (0, 1, 3)}
+        adjacency = build_ridge_adjacency(3, table)
         _, failures = kernel_table(3, points, adjacency, table)
         expected = reference_stresses(points, adjacency, table.__getitem__)
         assert failures[(0, 3)] == FLAT_RIDGE == expected[(0, 3)]
@@ -391,9 +392,9 @@ class TestStressTable:
             for v in range(n)
         ]
         # the last vertex's shadow onto a facet neighbour's
-        other = next(v for f in flat.facets.values() if n - 1 in f for v in f if v != n - 1)
+        table = flat.facet_table
+        other = next(v for f in table.values() if n - 1 in f for v in f if v != n - 1)
         points[n - 1] = points[other][:-1] + points[n - 1][-1:]
-        table = {BASE_FACET_KEY: flat.base_facet, **flat.facets}
         stresses, failures = kernel_table(d, points, flat.ridge_adjacency, table)
         assert {FLAT_RIDGE, NO_ORIENTATION, BASE_NOT_FLAT} <= set(failures.values())
         assert stresses
@@ -401,19 +402,13 @@ class TestStressTable:
         assert {**stresses, **failures} == expected
 
 
-def as_flat_complex(d, points, base, facets):
-    """A FlatComplex with the shadows of `points` as its columns: the
-    fields the construction's stresses read, the others left empty."""
-    return FlatComplex(
+def as_flat_complex(points, flat):
+    """The complex with the shadows of `points` as its columns and the
+    ridge table of its own, permuted, facet table."""
+    return dataclasses.replace(
+        flat,
         coords=[homogeneous_column(p[:-1]) for p in points],
-        facets=facets,
-        base_facet=base,
-        ridge_adjacency=build_ridge_adjacency(d, facets, base),
-        node_facets={},
-        node_brackets={},
-        bracket_scale=1,
-        tree=TreeRep(d, []),
-        L=1,
+        ridge_adjacency=build_ridge_adjacency(flat.d, flat.facet_table),
     )
 
 
@@ -425,13 +420,14 @@ class TestFacetStressPlan:
     @given(lifted_complexes(dims=(3, 4, 5, 6, 7)))
     @settings(max_examples=150, deadline=None)
     def test_equals_per_ridge_plan(self, complex_):
-        d, points, base, facets = complex_
-        flat = as_flat_complex(d, points, base, facets)
+        points, flat = complex_
+        flat = as_flat_complex(points, flat)
+        d = flat.d
         heights = [F(p[-1]) for p in points]
         nums = [h.numerator for h in heights]
         dens = [h.denominator for h in heights]
         rows = lifted_rows(flat.coords, nums, dens)
-        table = {BASE_FACET_KEY: base, **facets}
+        table = flat.facet_table
         planes = facet_planes(d, rows, table)
         stresses, failures = ridge_stresses(d, rows, flat.ridge_adjacency, planes)
         expected = reference_stresses(points, flat.ridge_adjacency, table.__getitem__)

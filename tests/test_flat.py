@@ -91,8 +91,10 @@ class TestTetFlat:
         ]
 
     def test_layout(self, tet_flat):
-        assert tet_flat.base_facet == (0, 1, 2)
-        assert tet_flat.facets == {1: (3, 1, 2), 2: (0, 3, 2), 3: (0, 1, 3)}
+        assert tet_flat.facet_table == {
+            BASE_FACET_KEY: (0, 1, 2), 1: (3, 1, 2), 2: (0, 3, 2), 3: (0, 1, 3)
+        }
+        assert list(tet_flat.facet_table) == [BASE_FACET_KEY, 1, 2, 3]
         assert tet_flat.node_facets == {0: (0, 1, 2), 1: (3, 1, 2), 2: (0, 3, 2), 3: (0, 1, 3)}
 
     def test_brackets(self, tet_flat):
@@ -110,32 +112,37 @@ class TestTetFlat:
         assert tet_flat.ridge_adjacency[(0, 1)] == (BASE_FACET_KEY, 3)
 
     def test_open_surface_is_a_flat_stage_error(self, tet_weighted, monkeypatch):
-        # the layout drops leaf 1's facet and repeats leaf 2's in its place
+        # the layout drops leaf 3's facet and repeats leaf 2's in its place
+        # (leaf 1 is child 0, whose facet numbers the stacked vertex)
         original = flat.facet_layout
 
         def drop_leaf(tree):
-            layout, stacked = original(tree)
-            return {**layout, 1: layout[2]}, stacked
+            layout = original(tree)
+            return {**layout, 3: layout[2]}
 
         monkeypatch.setattr(flat, "facet_layout", drop_leaf)
         with pytest.raises(StageInvariantError) as info:
             build_flat(tet_weighted)
         assert info.value.stage == "flat"
-        assert info.value.message == "ridge (1, 2) lies in 1 facets"
+        assert info.value.message == "ridge (0, 2) lies in 3 facets"
 
     def test_misnumbered_stacking_is_a_flat_stage_error(self, tet_weighted, monkeypatch):
-        # the one guard of the rule that the i-th stacking adds vertex d + i,
-        # which the lift and the stress replay follow without a map
+        # the one guard of the table's numbering, which the lift, the stress
+        # replay and the graph read from it: the stacked vertex of node v is
+        # the first vertex of its child 0's facet, and here it is one too high
         original = flat.facet_layout
 
         def off_by_one(tree):
-            layout, stacked = original(tree)
-            return layout, {v: p + 1 for v, p in stacked.items()}
+            layout = original(tree)
+            first = tree.children[0][0]
+            p, *rest = layout[first]
+            return {**layout, first: (p + 1, *rest)}
 
         monkeypatch.setattr(flat, "facet_layout", off_by_one)
         with pytest.raises(StageInvariantError) as info:
             build_flat(tet_weighted)
         assert info.value.stage == "flat"
+        assert info.value.message == "node 0 stacks vertex 4, expected 3"
         assert info.value.witness == 0
 
 
@@ -191,5 +198,5 @@ class TestTilingInvariants:
     def test_ridge_regularity(self):
         tree = gen_tree("random", 3, 20, 11)
         flat = build_flat(balance_weights(tree))
-        n_facets = len(flat.facets) + 1
+        n_facets = len(flat.facet_table)
         assert len(flat.ridge_adjacency) == 3 * n_facets // 2

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import gridlift
-from gridlift.facets import TreeRep
+from gridlift.facets import TreeRep, facet_layout
 from gridlift.flat import FlatComplex, build_flat
 from gridlift.lifting import adjusted_shifts, build_lifted, direct_stresses, lift_heights
 from gridlift.rounding import check_volume_ratios, grid_params, perturb_flat, round_and_scale
@@ -286,10 +286,14 @@ def test_stages_take_no_fraction(module):
 
 
 def test_complex_and_grid_params_hold_no_duplicate_fields():
-    fields = {f.name for f in dataclasses.fields(FlatComplex)}
-    assert "tree" in fields and "interior_order" not in fields
-    # the tree and L fix these: d and R_eff are properties, the vertex ids facet_layout's
-    assert not fields & {"d", "stacked_vertex", "R_eff"}
+    # the tree and L fix everything else: d, R_eff and the facet table are
+    # properties, and the vertex ids are read from node_facets
+    fields = [f.name for f in dataclasses.fields(FlatComplex)]
+    assert fields == [
+        "coords", "ridge_adjacency", "node_facets", "node_brackets", "bracket_scale", "tree", "L"
+    ]
+    # facet_layout is the one node -> facet table, with no stacked-vertex map beside it
+    assert type(facet_layout(TreeRep(3, [(1, 2, 3), (), (), ()]))) is dict
     assert list(inspect.signature(grid_params).parameters) == ["d", "L"]
     # the complex fixes its shifts and its grid steps 1/inv and 1/inv_z, so
     # each lift and round stage takes the complexes alone, and the steps

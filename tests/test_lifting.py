@@ -41,9 +41,8 @@ def table(stresses):
 def kernel(complex_, nums, dens):
     """ridge_stresses on a complex lifted by nums over dens: the stresses
     and the failures that direct_stresses would raise."""
-    facets = {BASE_FACET_KEY: complex_.base_facet, **complex_.facets}
     rows = lifted_rows(complex_.coords, nums, dens)
-    planes = facet_planes(complex_.d, rows, facets)
+    planes = facet_planes(complex_.d, rows, complex_.facet_table)
     return ridge_stresses(complex_.d, rows, complex_.ridge_adjacency, planes)
 
 

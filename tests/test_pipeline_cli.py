@@ -334,14 +334,14 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text('{"dim": true, "tree": [null, null, null]}')
         assert main(["realize", "--input", str(bad)]) == 2
-        assert capsys.readouterr().err == "error: dim must be an integer\n"
+        assert capsys.readouterr().err == "error: dimension must be an integer >= 3, got True\n"
 
     def test_graph_dim_2_exit_2(self, tmp_path, capsys):
         # rejected before peeling, as trees and gen reject it
         graph_f = tmp_path / "b3.json"
         assert main(["gen", "--shape", "b3", "--output", str(graph_f)]) == 0
         assert main(["realize", "--input", str(graph_f), "--dim", "2"]) == 2
-        assert capsys.readouterr().err == "error: dimension must be at least 3, got 2\n"
+        assert capsys.readouterr().err == "error: dimension must be an integer >= 3, got 2\n"
 
     def test_dim_must_match_tree(self, tmp_path, capsys, tet_tree):
         tree_f = tmp_path / "tet.json"

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 import random
@@ -7,6 +8,7 @@ import tracemalloc
 
 import pytest
 
+import gridlift
 from gridlift import (
     InvalidInputError,
     PolytopeGraph,
@@ -17,6 +19,8 @@ from gridlift import (
     graph_from_tree,
     make_certificate,
     parse_tree,
+    realization_from_json,
+    realize_graph,
     run_pipeline,
     tree_from_graph,
 )
@@ -143,7 +147,7 @@ class TestParsing:
             tree_from_nested(4, [None, None, None])
 
     def test_rejects_small_dim(self):
-        with pytest.raises(InvalidInputError, match="^dimension must be at least 3, got 2$"):
+        with pytest.raises(InvalidInputError, match="^dimension must be an integer >= 3, got 2$"):
             tree_from_nested(2, [None, None])
 
     def test_rejects_bad_json(self):
@@ -196,6 +200,9 @@ class TestTreeContract:
             run_pipeline(tree)
         with pytest.raises(InvalidInputError):
             make_certificate(tet_result[0], tree)
+        # a hand-built table would otherwise give a wrong graph or a KeyError
+        with pytest.raises(InvalidInputError):
+            graph_from_tree(tree)
         for nested in nested_forms:
             with pytest.raises(InvalidInputError):
                 tree_from_nested(dim, nested)
@@ -211,6 +218,45 @@ class TestTreeContract:
         realization, report = run_pipeline(bfs)
         assert report.certificate.ok
         assert realization.coords == run_pipeline(preorder)[0].coords
+
+
+TET_CHILDREN = [(1, 2, 3), (), (), ()]
+TET_GRAPH = graph_from_tree(TreeRep(3, TET_CHILDREN))
+# each exported function that takes a dimension, as an argument, a JSON
+# field or a tree's dim, called with `dim` and the tetrahedron's realization
+DIM_ENTRY_POINTS = {
+    "gen_tree": lambda dim, r: gen_tree("random", dim, 5),
+    "tree_from_graph": lambda dim, r: tree_from_graph(TET_GRAPH, dim, (0, 1, 2)),
+    "realize_graph": lambda dim, r: realize_graph(TET_GRAPH, dim=dim),
+    "run_pipeline": lambda dim, r: run_pipeline(TreeRep(dim, TET_CHILDREN)),
+    "graph_from_tree": lambda dim, r: graph_from_tree(TreeRep(dim, TET_CHILDREN)),
+    "make_certificate": lambda dim, r: make_certificate(r, TreeRep(dim, TET_CHILDREN)),
+    "parse_tree": lambda dim, r: parse_tree(json.dumps({"dim": dim, "tree": [None] * 3})),
+    "realization_from_json": lambda dim, r: realization_from_json(
+        json.dumps({"dim": dim, "coords": [], "facets": [], "base_facet": []})
+    ),
+}
+
+
+class TestDimContract:
+    """check_dim is the one dimension rule: an int, not a bool, >= 3."""
+
+    @pytest.mark.parametrize("dim", ["3", 3.0, True, 2])
+    @pytest.mark.parametrize("entry", DIM_ENTRY_POINTS)
+    def test_every_entry_point_rejects(self, entry, dim, tet_result):
+        with pytest.raises(InvalidInputError) as info:
+            DIM_ENTRY_POINTS[entry](dim, tet_result[0])
+        assert str(info.value) == f"dimension must be an integer >= 3, got {dim!r}"
+
+    def test_covers_every_dim_parameter(self):
+        functions = [getattr(gridlift, name) for name in gridlift.__all__]
+        takes_dim = {
+            f.__name__
+            for f in functions
+            if inspect.isfunction(f) and "dim" in inspect.signature(f).parameters
+        }
+        assert takes_dim == {"gen_tree", "tree_from_graph", "realize_graph"}
+        assert takes_dim <= DIM_ENTRY_POINTS.keys()
 
 
 def comb(levels: int):
@@ -347,6 +393,16 @@ class TestGenerators:
         with pytest.raises(InvalidInputError):
             gen_tree("random", 3, 0)
 
+    @pytest.mark.parametrize("args,message", [
+        ((5.5,), "size must be an integer >= 1, got 5.5"),
+        ((5, "x"), "seed must be an integer, got 'x'"),
+        ((5, 1.0), "seed must be an integer, got 1.0"),
+    ])
+    def test_non_int_arguments_rejected(self, args, message):
+        with pytest.raises(InvalidInputError) as info:
+            gen_tree("random", 3, *args)
+        assert str(info.value) == message
+
     def test_unknown_shape(self):
         with pytest.raises(InvalidInputError):
             gen_tree("mystery", 3, 3)
@@ -472,6 +528,6 @@ class TestLowerBoundGraphs:
             assert len(g.edges()) == 3 * g.n - 6
 
     def test_gamma_rejects_bad_n(self):
-        for n in (0, 35, 37, -36):
+        for n in (0, 35, 37, -36, "72", 72.0):
             with pytest.raises(InvalidInputError):
                 gen_lowerbound_graph("gamma", n)

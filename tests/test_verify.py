@@ -34,6 +34,7 @@ from gridlift.verify import (
 )
 from reference import (
     facet_lookup,
+    facet_table,
     package_modules,
     plane_by_cofactors,
     reference_stresses,
@@ -132,7 +133,7 @@ class TestZeroStressBaseRidge:
         # lower the non-base vertex of a facet next to the base into the
         # base plane: the two facets of their common base ridge are then
         # coplanar, the only way a base ridge can fold by 0
-        adjacency = build_ridge_adjacency(3, instance.facets, instance.base_facet)
+        adjacency = build_ridge_adjacency(3, facet_table(instance))
         ridge, keys = next(
             (r, keys) for r, keys in adjacency.items() if BASE_FACET_KEY in keys
         )
@@ -147,9 +148,9 @@ class TestZeroStressBaseRidge:
         assert global_verdicts(bad) is False
         # past the precheck, the kernel would not give the ridge a stress of
         # 0 either: with both facets in z = 0 it cannot tell which is the base
-        facets = {BASE_FACET_KEY: bad.base_facet, **bad.facets}
         rows = [(1, *p) for p in bad.coords]
-        _, failures = ridge_stresses(3, rows, adjacency, facet_planes(3, rows, facets))
+        planes = facet_planes(3, rows, facet_table(bad))
+        _, failures = ridge_stresses(3, rows, adjacency, planes)
         assert failures[ridge] == BASE_NOT_FLAT
 
 
@@ -277,7 +278,7 @@ class TestGlobalRoutes:
     def test_malformed_facet_fails_both_routes(self, facet, message):
         surface = malformed_facet_surface(facet)
         with pytest.raises(GeometryError, match=re.escape(message)):
-            build_ridge_adjacency(3, surface.facets, surface.base_facet)
+            build_ridge_adjacency(3, facet_table(surface))
         cert = make_certificate(surface)
         assert cert.ok is False
         assert cert.witnesses == [
@@ -406,7 +407,7 @@ def stress_route_by_reference(realization):
     ]
     if witnesses:
         return False, witnesses
-    adjacency = build_ridge_adjacency(realization.d, realization.facets, base)
+    adjacency = build_ridge_adjacency(realization.d, facet_table(realization))
     points = [tuple(Fraction(c) for c in p) for p in coords]
     facet_vertices = facet_lookup(realization)
     for ridge, keys in adjacency.items():
@@ -509,8 +510,8 @@ class TestStressRouteAgainstReference:
         )
         rows = [(D, *(D * c for c in p)) for D, p in zip(scales, coords)]
         d = realization.d
-        adjacency = build_ridge_adjacency(d, realization.facets, realization.base_facet)
-        facets = {BASE_FACET_KEY: realization.base_facet, **realization.facets}
+        facets = facet_table(realization)
+        adjacency = build_ridge_adjacency(d, facets)
         planes = facet_planes(d, rows, facets)
         stresses, failures = ridge_stresses(d, rows, adjacency, planes)
         expected = reference_stresses(
@@ -630,6 +631,19 @@ class TestBoolIsNoInteger:
         witness = f"facet {key} names vertex True, not one of 0..6"
         assert make_certificate(bad).witnesses[0] == witness
         assert verify_convexity_global(bad) == (False, [witness])
+
+
+def test_leaf_under_the_base_key_is_a_witness():
+    # _surface merges the base into the facet table under BASE_FACET_KEY; a
+    # leaf under that key would replace the base there, so both routes stop
+    realization = small_realization(3, 4, 1)
+    key = min(realization.facets)
+    facets = {BASE_FACET_KEY if k == key else k: v for k, v in realization.facets.items()}
+    bad = dataclasses.replace(realization, facets=facets)
+    witness = f"a leaf facet has the base facet's key {BASE_FACET_KEY}"
+    assert make_certificate(bad).witnesses[0] == witness
+    assert verify_convexity_stress(bad) == (False, [witness])
+    assert verify_convexity_global(bad) == (False, [witness])
 
 
 class TestBounds:
