@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import StageInvariantError
-from .facets import Realization, TreeRep, check_dim, check_tree
+from .facets import Realization, TreeRep, check_tree
 from .flat import build_flat
 from .lifting import build_lifted, check_lift_bounds
 from .rounding import check_volume_ratios, perturb_flat, round_and_scale
@@ -144,8 +144,8 @@ def realize_graph(
 
     Vertices are relabeled by the recovered stacking order, so the output
     coordinates are indexed by tree layout, not by the input graph's ids.
+    Without a base it roots at the graph's least facet (find_facet).
     """
-    check_dim(dim)
     if base is None:
         base = find_facet(g, dim)
     tree = tree_from_graph(g, dim, base)

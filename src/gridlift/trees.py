@@ -16,7 +16,9 @@ in the facets module, which the verifier trusts; this module reads, writes
 and generates trees. The JSON form nests lists (tree_from_nested, which
 checks the tree it builds, and to_nested); the generators and the graph
 peeling fill a child table under their own ids and renumber it to
-preorder once (_preorder), valid by construction and left unchecked.
+preorder once (_preorder), valid by construction and left unchecked. A
+graph is its vertex count and adjacency alone, as in its JSON, and
+find_facet works its default base, the least facet, out from that.
 
 The module also hosts the face-weight balancing step, one post-order pass
 over the node ids that picks each node's heavy child on the way: weights
@@ -295,15 +297,11 @@ def gen_tree(shape: str, dim: int, size: int, seed: int = 0) -> TreeRep:
 
 @dataclass
 class PolytopeGraph:
-    """1-skeleton of a stacked polytope: vertex count plus adjacency.
-
-    `faces` is optional generator metadata (the face list known as a
-    byproduct of construction); parsed graphs carry None there.
-    """
+    """1-skeleton of a stacked polytope: vertex count and adjacency, all
+    its JSON holds."""
 
     n: int
     adjacency: list[set[int]]
-    faces: tuple[tuple[int, ...], ...] | None = None
 
     def edges(self) -> list[tuple[int, int]]:
         out = []
@@ -373,9 +371,7 @@ def graph_from_tree(tree: TreeRep) -> PolytopeGraph:
         for u in node_facets[v]:
             adj[p].add(u)
             adj[u].add(p)
-    faces = [tuple(sorted(node_facets[leaf])) for leaf in tree.leaf_ids]
-    faces.append(tuple(range(d)))
-    return PolytopeGraph(n, adj, tuple(sorted(faces)))
+    return PolytopeGraph(n, adj)
 
 
 def tree_from_graph(g: PolytopeGraph, dim: int, base: Sequence[int]) -> TreeRep:
@@ -448,21 +444,25 @@ def tree_from_graph(g: PolytopeGraph, dim: int, base: Sequence[int]) -> TreeRep:
 
 
 def find_facet(g: PolytopeGraph, dim: int) -> tuple[int, ...]:
-    """Some genuine facet of a stacked polytope graph, deterministically.
+    """The least facet of a stacked d-polytope's graph, as sorted ids.
 
-    A minimum-degree vertex v has degree d and its link is the boundary of
-    the facet fan around it, so v together with all but the largest of its
-    neighbors spans a facet.
+    A stacked d-polytope's graph is a d-tree: its (d+1)-cliques are the
+    stacked simplices, and a d-clique lies in as many as it has common
+    neighbours, so a facet is a d-clique with exactly one. With no interior
+    faces below dimension d-1, every clique of at most d-1 vertices lies on
+    a facet, so the least facet grows greedily from vertex 0, no step
+    undone: the clique's least common neighbour (above the last vertex
+    added) up to d-1 vertices, then the first that closes a facet.
     """
-    if g.faces:
-        return g.faces[0]
-    if g.n == dim + 1:
-        return tuple(range(dim))
-    v = min(range(g.n), key=lambda u: (len(g.adjacency[u]), u))
-    if len(g.adjacency[v]) != dim:
-        raise InvalidInputError("graph has no vertex of degree d; not stacked")
-    nbrs = sorted(g.adjacency[v])
-    return tuple(sorted([v] + nbrs[:-1]))
+    check_dim(dim)
+    clique, common = [0], set(g.adjacency[0])
+    while len(clique) < dim - 1 and common:
+        clique.append(min(common))
+        common &= g.adjacency[clique[-1]]
+    for v in sorted(common):
+        if len(common & g.adjacency[v]) == 1:
+            return (*clique, v)
+    raise InvalidInputError("graph has no facet; not a stacked polytope")
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +505,7 @@ def gen_lowerbound_graph(kind: str, n: int = 0) -> PolytopeGraph:
             _stack_face(adj, faces, idx)
 
     if kind == "b3":
-        return PolytopeGraph(len(adj), adj, tuple(sorted(tuple(sorted(f)) for f in faces)))
+        return PolytopeGraph(len(adj), adj)
     if kind != "gamma":
         raise InvalidInputError(f"unknown generator kind {kind!r}")
     if not _is_int(n) or n <= 0 or n % 36 != 0:
@@ -518,4 +518,4 @@ def gen_lowerbound_graph(kind: str, n: int = 0) -> PolytopeGraph:
         for _ in range(size):
             _stack_face(adj, faces, idx)
             idx = len(faces) - 1  # serpentine: keep stacking the newest face
-    return PolytopeGraph(len(adj), adj, tuple(sorted(tuple(sorted(f)) for f in faces)))
+    return PolytopeGraph(len(adj), adj)

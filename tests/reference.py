@@ -1,6 +1,7 @@
 """References that the package's integer stages and linear certificate
-routes are held against: Fraction definitions, and the exhaustive
-convexity oracle; and the package's modules, as these tests imported them."""
+routes are held against: Fraction definitions, the exhaustive convexity
+oracle, and two facet lists that find_facet is held against; and the
+package's modules, as these tests imported them."""
 
 from fractions import Fraction
 from types import ModuleType
@@ -206,6 +207,40 @@ def reference_balance_weights(tree):
             for v in path:
                 weight[v] += pad
     return weight, heavy
+
+
+def nonseparating_triangles(g) -> list[tuple[int, int, int]]:
+    """The facets of a stacked 3-polytope's graph, sorted: by Tutte, the
+    faces of a 3-connected planar graph are its induced non-separating
+    cycles, so here the triangles whose removal leaves the rest connected."""
+    adj = g.adjacency
+    out = []
+    for u in range(g.n):
+        for v in adj[u]:
+            for w in adj[u] & adj[v]:
+                if not u < v < w:
+                    continue
+                rest = set(range(g.n)) - {u, v, w}
+                start = min(rest)
+                seen, todo = {start}, [start]
+                while todo:
+                    new = (adj[todo.pop()] & rest) - seen
+                    seen |= new
+                    todo += new
+                if seen == rest:
+                    out.append((u, v, w))
+    return sorted(out)
+
+
+def tree_facets(tree, perm=None) -> list[tuple[int, ...]]:
+    """The facets of the stacked polytope a tree describes, sorted, each as
+    sorted ids: the base facet and every leaf's facet from facet_layout,
+    vertex v named perm[v] when a relabelling is given."""
+    layout = facet_layout(tree)
+    facets = [tuple(range(tree.dim))] + [layout[leaf] for leaf in tree.leaf_ids]
+    if perm is not None:
+        facets = [[perm[v] for v in f] for f in facets]
+    return sorted(tuple(sorted(f)) for f in facets)
 
 
 def plane_by_cofactors(coords, facet):

@@ -28,7 +28,7 @@ from gridlift.lifting import (
 )
 from gridlift.trees import balance_weights, check_balanced
 from gridlift.verify import verify_convexity_global, verify_convexity_stress
-from reference import verify_convexity_exhaustive
+from reference import nonseparating_triangles, verify_convexity_exhaustive
 
 F = Fraction
 
@@ -270,7 +270,9 @@ def test_criterion_6_lowerbound_generator():
     assert n_faces == 36
     assert sum(1 for a in g.adjacency if len(a) == 3) == 12
 
-    for base in g.faces:
+    facets = nonseparating_triangles(g)
+    assert len(facets) == n_faces
+    for base in facets:
         t = tree_from_graph(g, 3, base)
         assert t.n_vertices == 20
 

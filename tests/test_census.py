@@ -27,6 +27,7 @@ from gridlift.lifting import (
 )
 from gridlift.rounding import perturb_flat
 from gridlift.trees import balance_weights, tree_from_nested, tree_to_json
+from reference import nonseparating_triangles, tree_facets
 
 
 def compositions(total: int, parts: int):
@@ -113,8 +114,10 @@ def test_direct_stresses_equal_incremental(d, k):
 def test_graph_route_over_every_base_facet(k):
     for tree in all_trees(3, k):
         graph = graph_from_tree(tree)
-        assert len(graph.faces) == 2 * k + 2
-        for facet in graph.faces:
+        facets = nonseparating_triangles(graph)
+        assert facets == tree_facets(tree)
+        assert len(facets) == 2 * k + 2
+        for facet in facets:
             realization, report, recovered = realize_graph(graph, base=facet)
             label = (tree_to_json(tree), facet)
             assert report.certificate.ok, label

@@ -319,6 +319,15 @@ def test_tree_is_one_child_table():
     assert [f.name for f in dataclasses.fields(TreeRep)] == ["dim", "children"]
 
 
+def test_polytope_graph_is_vertex_count_and_adjacency():
+    # all a graph's JSON carries: a face list beside it would let a graph
+    # realize one way in memory and another after a JSON round trip
+    assert [f.name for f in dataclasses.fields(gridlift.PolytopeGraph)] == ["n", "adjacency"]
+    for path in MODULES:
+        attrs = {n.attr for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.Attribute)}
+        assert "faces" not in attrs, path.stem
+
+
 def test_complex_carries_its_tree():
     wt = balance_weights(gridlift.gen_tree("random", 4, 6, 2))
     flat = build_flat(wt)

@@ -20,6 +20,7 @@ from gridlift import (
     GeometryError,
     InvalidInputError,
     emit_off,
+    gen_lowerbound_graph,
     gen_tree,
     graph_from_tree,
     realization_from_json,
@@ -32,7 +33,7 @@ from gridlift import exact, lifting, pipeline, rounding
 from gridlift.cli import main
 from gridlift.facets import BASE_FACET_KEY
 from gridlift.serialize import parse_rat, rat_str
-from gridlift.trees import to_nested, tree_to_json
+from gridlift.trees import graph_from_doc, to_nested, tree_to_json
 from reference import package_modules
 
 F = Fraction
@@ -121,6 +122,23 @@ class TestGraphEntry:
         g = graph_from_tree(gen_tree("random", 3, 9, seed=12))
         r, rep, t = realize_graph(g, dim=3)
         assert rep.certificate.ok
+
+    @pytest.mark.parametrize("make,dim", [
+        (lambda: gen_lowerbound_graph("gamma", 72), 3),
+        (lambda: graph_from_tree(gen_tree("random", 3, 20, 1001)), 3),
+        (lambda: graph_from_tree(gen_tree("random", 4, 30, 4)), 4),
+    ], ids=["gamma-72", "random-d3", "random-d4"])
+    def test_json_round_trip_realizes_the_same(self, make, dim):
+        # a graph and its JSON carry the same fields, so the default base,
+        # and with it every output byte, is the same
+        g = make()
+        outputs = []
+        for graph in (g, graph_from_doc(json.loads(g.to_json()))):
+            realization, report, _ = realize_graph(graph, dim=dim)
+            outputs.append(
+                (realization_to_json(realization), report_to_json(report, include_timing=False))
+            )
+        assert outputs[0] == outputs[1]
 
 
 class TestSerialization:
@@ -608,15 +626,27 @@ class TestCli:
         assert captured.err.startswith("error: ")
 
     def test_runs_as_a_module(self):
-        # python -m gridlift, from the source tree without an install
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        done = subprocess.run(
-            [sys.executable, "-m", "gridlift", "stats"],
-            capture_output=True, text=True, env=env, timeout=60,
+        out = run_module("stats")
+        assert out.startswith("d coordinate_exponent height_exponent\n")
+
+    def test_piped_gamma_gives_the_in_process_bytes(self):
+        # gen | realize reads the graph from JSON, with nothing the
+        # generator knew beside it
+        doc = json.loads(run_module("realize", stdin=run_module("gen", "--shape", "gamma", "--n", "72")))
+        realization, report, _ = realize_graph(gen_lowerbound_graph("gamma", 72))
+        assert json.dumps(doc["realization"], sort_keys=True) == realization_to_json(realization)
+        del doc["report"]["timing"]
+        assert json.dumps(doc["report"], sort_keys=True, separators=(",", ":")) == report_to_json(
+            report, include_timing=False
         )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.startswith("d coordinate_exponent height_exponent\n")
+
+    def test_complete_graph_exit_2(self, tmp_path, capsys):
+        # K_200 is one big clique: no 10-clique has exactly one common neighbour
+        f = tmp_path / "k200.json"
+        edges = [[u, v] for u in range(200) for v in range(u + 1, 200)]
+        f.write_text(json.dumps({"n": 200, "edges": edges}))
+        assert main(["realize", "--input", str(f), "--dim", "10"]) == 2
+        assert capsys.readouterr().err == "error: graph has no facet; not a stacked polytope\n"
 
     def test_stats_table(self, capsys):
         assert main(["stats"]) == 0
@@ -705,6 +735,18 @@ def mutated_text(draw, doc):
     if draw(st.booleans()) and draw(st.booleans()):
         text = text[: draw(st.integers(0, len(text)))]
     return text
+
+
+def run_module(*argv, stdin=None):
+    """Stdout of python -m gridlift, run from the source tree without an install."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "gridlift", *argv],
+        input=stdin, capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def run_cli(argv):

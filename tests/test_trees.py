@@ -35,7 +35,7 @@ from gridlift.trees import (
     tree_from_nested,
     tree_to_json,
 )
-from reference import reference_balance_weights
+from reference import nonseparating_triangles, reference_balance_weights, tree_facets
 from test_census import all_trees
 
 
@@ -107,11 +107,17 @@ def assert_preorder(tree):
     assert size[0] == n
 
 
+def relabelling(n, seed):
+    """The random vertex relabelling relabelled_graph applies: v -> perm[v]."""
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return perm
+
+
 def relabelled_graph(tree, seed):
     """The tree's 1-skeleton under a random vertex relabelling, and its base."""
     g = graph_from_tree(tree)
-    perm = list(range(g.n))
-    random.Random(seed).shuffle(perm)
+    perm = relabelling(g.n, seed)
     adj = [set() for _ in range(g.n)]
     for u, nbrs in enumerate(g.adjacency):
         adj[perm[u]] = {perm[v] for v in nbrs}
@@ -228,6 +234,7 @@ DIM_ENTRY_POINTS = {
     "gen_tree": lambda dim, r: gen_tree("random", dim, 5),
     "tree_from_graph": lambda dim, r: tree_from_graph(TET_GRAPH, dim, (0, 1, 2)),
     "realize_graph": lambda dim, r: realize_graph(TET_GRAPH, dim=dim),
+    "find_facet": lambda dim, r: find_facet(TET_GRAPH, dim),
     "run_pipeline": lambda dim, r: run_pipeline(TreeRep(dim, TET_CHILDREN)),
     "graph_from_tree": lambda dim, r: graph_from_tree(TreeRep(dim, TET_CHILDREN)),
     "make_certificate": lambda dim, r: make_certificate(r, TreeRep(dim, TET_CHILDREN)),
@@ -408,6 +415,13 @@ class TestGenerators:
             gen_tree("mystery", 3, 3)
 
 
+OCTAHEDRON = [
+    (0, 2), (0, 3), (0, 4), (0, 5),
+    (1, 2), (1, 3), (1, 4), (1, 5),
+    (2, 4), (4, 3), (3, 5), (5, 2),
+]
+
+
 class TestGraphs:
     def test_k4_round_trip(self, tet_tree):
         g = graph_from_tree(tet_tree)
@@ -464,14 +478,33 @@ class TestGraphs:
             assert isinstance(rejected, str)
             assert rejected == outcome(reference_tree_from_graph, g, other)
 
+    @pytest.mark.parametrize("shape", ["random", "serpentine", "balanced_rounds"])
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_find_facet_is_the_least_reference_facet(self, shape, d):
+        # held against facets found without find_facet's rule: Tutte's
+        # non-separating triangles at d = 3, the tree's own layout at any d
+        for seed in range(4):
+            t = gen_tree(shape, d, 2 if shape == "balanced_rounds" else 8 + 9 * seed, seed)
+            g, _ = relabelled_graph(t, seed)
+            facets = tree_facets(t, relabelling(g.n, seed))
+            if d == 3:
+                assert nonseparating_triangles(g) == facets
+            assert find_facet(g, d) == min(facets)
+
+    def test_find_facet_rejects_non_stacked(self):
+        # the octahedron's triangles have no common neighbour, K_5's two,
+        # and K_4 is too small for a facet with one at d = 4
+        octahedron = parse_graph(json.dumps({"n": 6, "edges": OCTAHEDRON}))
+        k5 = parse_graph(json.dumps(
+            {"n": 5, "edges": [[u, v] for u in range(5) for v in range(u + 1, 5)]}
+        ))
+        for g, d in ((octahedron, 3), (k5, 3), (TET_GRAPH, 4)):
+            with pytest.raises(InvalidInputError, match="^graph has no facet"):
+                find_facet(g, d)
+
     def test_rejects_non_stacked(self):
         # octahedron: 4-regular, no degree-3 vertex to peel
-        edges = [
-            (0, 2), (0, 3), (0, 4), (0, 5),
-            (1, 2), (1, 3), (1, 4), (1, 5),
-            (2, 4), (4, 3), (3, 5), (5, 2),
-        ]
-        g = parse_graph(json.dumps({"n": 6, "edges": edges}))
+        g = parse_graph(json.dumps({"n": 6, "edges": OCTAHEDRON}))
         with pytest.raises(InvalidInputError):
             tree_from_graph(g, 3, (0, 2, 4))
 
