@@ -14,11 +14,12 @@ interior nodes and (n - d)(d - 1) + 1 leaves. The tree type (TreeRep), its
 one contract check (check_tree) and its facet replay (facet_layout) live
 in the facets module, which the verifier trusts; this module reads, writes
 and generates trees. The JSON form nests lists (tree_from_nested, which
-checks the tree it builds, and to_nested); the generators and the graph
-peeling fill a child table under their own ids and renumber it to
-preorder once (_preorder), valid by construction and left unchecked. A
-graph is its vertex count and adjacency alone, as in its JSON, and
-find_facet works its default base, the least facet, out from that.
+checks the tree it builds, and to_nested); the generators fill a child
+table under their own ids and renumber it to preorder once (_preorder),
+valid by construction and left unchecked. A graph is its vertex count and
+adjacency alone, as in its JSON, checked where it enters (check_graph):
+find_facet finds its least facet, the default base, and tree_from_graph
+walks the tree out from a base in preorder.
 
 The module also hosts the face-weight balancing step, one post-order pass
 over the node ids that picks each node's heavy child on the way: weights
@@ -30,7 +31,6 @@ grid resolution.
 
 from __future__ import annotations
 
-import heapq
 import json
 import sys
 from dataclasses import dataclass
@@ -374,73 +374,72 @@ def graph_from_tree(tree: TreeRep) -> PolytopeGraph:
     return PolytopeGraph(n, adj)
 
 
+def check_graph(g: PolytopeGraph) -> None:
+    """InvalidInputError unless n is an int (not a bool) >= 1 and adjacency
+    a list of n sets of ids in 0..n-1, loop-free, each edge at both ends."""
+    n, adj = g.n, g.adjacency
+    if not _is_int(n) or n < 1:
+        raise InvalidInputError("n must be a positive integer")
+    if type(adj) is not list or len(adj) != n or not all(isinstance(a, set) for a in adj):
+        raise InvalidInputError(f"adjacency must be a list of {n} sets")
+    for u, nbrs in enumerate(adj):
+        for v in nbrs:
+            if type(v) is not int or not 0 <= v < n or v == u or u not in adj[v]:
+                raise InvalidInputError(f"vertex {u} lists {v!r}, not another id that lists {u}")
+
+
 def tree_from_graph(g: PolytopeGraph, dim: int, base: Sequence[int]) -> TreeRep:
     """Recover the stacking tree of a graph relative to an ordered base facet.
 
-    Vertices of degree d outside the base whose neighborhood is a clique are
-    peeled off until only the base remains; replaying the removals in
-    reverse rebuilds the stackings. Any failure along the way means g is not
-    the skeleton of a polytope stacked over that base.
+    One forward walk from the base numbers the nodes in preorder. A stacked
+    d-polytope's graph is a d-tree, and a d-clique lies in as many stacked
+    simplices as it has common neighbours: besides the vertex across it
+    (from the parent's simplex), a node's facet has one, its stacked
+    vertex, if the node is interior and none at a leaf. Child j's facet
+    puts that vertex at position j, across from the vertex it replaces.
+
+    The walk places each vertex once and every stacking edge is in g by
+    construction; so once every vertex is placed, g is exactly the tree's
+    graph if it has as many edges, d(d-1)/2 + d(n-d). Anything else (a base
+    that is no clique, two common neighbours, a vertex placed twice or
+    never, more edges) means g is not stacked over that base.
     """
     check_dim(dim)
-    d = dim
+    check_graph(g)
+    d, n, adj = dim, g.n, g.adjacency
     base = tuple(base)
-    if len(base) != d or len(set(base)) != d:
+    if len(base) != d or not all(map(_is_int, base)) or len(set(base)) != d:
         raise InvalidInputError(f"base must list {d} distinct vertices")
-    if g.n < d + 1:
+    if n < d + 1:
         raise InvalidInputError("graph too small to be a stacked polytope")
-    adj = [set(a) for a in g.adjacency]
-    alive = set(range(g.n))
-    base_set = set(base)
-    if not base_set <= alive:
+    if not all(0 <= v < n for v in base):
         raise InvalidInputError("base vertex out of range")
-
-    def removable(v: int) -> bool:
-        if v in base_set or len(adj[v]) != d:
-            return False
-        nb = list(adj[v])
-        return all(nb[j] in adj[nb[i]] for i in range(d) for j in range(i + 1, d))
-
-    # Peel the smallest removable id first. Removing v changes only its
-    # neighbours' adjacency, so only their removability can change: a lazy
-    # min-heap holds every removable vertex, and stale entries are dropped
-    # when they surface.
-    removals: list[tuple[int, frozenset[int]]] = []
-    heap = [v for v in range(g.n) if removable(v)]
-    heapq.heapify(heap)
-    while len(alive) > d:
-        if not heap:
-            raise InvalidInputError("not a stacked polytope w.r.t. the given base")
-        found = heapq.heappop(heap)
-        if not removable(found):  # stale; a peeled vertex has no neighbours
+    not_stacked = "not a stacked polytope w.r.t. the given base"
+    if any(u not in adj[v] for i, v in enumerate(base) for u in base[:i]):
+        raise InvalidInputError(not_stacked)
+    placed = set(base)
+    children: list[list[int]] = []
+    # (ordered facet, parent node, vertex across it); the root has neither
+    stack: list[tuple[tuple[int, ...], int, int]] = [(base, -1, -1)]
+    while stack:
+        facet, parent, across = stack.pop()
+        node = len(children)
+        if parent >= 0:
+            children[parent].append(node)
+        children.append([])
+        common = set.intersection(*[adj[v] for v in facet])
+        common.discard(across)
+        if not common:
             continue
-        nbrs = frozenset(adj[found])
-        removals.append((found, nbrs))
-        for u in nbrs:
-            adj[u].discard(found)
-            if removable(u):
-                heapq.heappush(heap, u)
-        adj[found].clear()
-        alive.discard(found)
-    if alive != base_set or any(
-        len(adj[v]) != d - 1 for v in alive
-    ):
-        raise InvalidInputError("base does not span a facet of the graph")
-
-    # replay in reverse, filling a child table in stacking order; every
-    # stackable facet, by vertex set, holds its ordered vertices and node id
-    children: list[tuple[int, ...]] = [()]
-    placeholder: dict[frozenset[int], tuple[tuple[int, ...], int]] = {
-        frozenset(base): (base, 0)
-    }
-    for v, nbrs in reversed(removals):
-        if nbrs not in placeholder:
-            raise InvalidInputError("not a stacked polytope w.r.t. the given base")
-        ordered, node = placeholder.pop(nbrs)
-        for j, c in enumerate(_expand(children, node, d)):
-            child_facet = ordered[:j] + (v,) + ordered[j + 1 :]
-            placeholder[frozenset(child_facet)] = (child_facet, c)
-    return _preorder(d, children)
+        p = common.pop()
+        if common or p in placed:
+            raise InvalidInputError(not_stacked)
+        placed.add(p)
+        for j in range(d - 1, -1, -1):
+            stack.append((facet[:j] + (p,) + facet[j + 1 :], node, facet[j]))
+    if len(placed) < n or sum(map(len, adj)) != d * (d - 1) + 2 * d * (n - d):
+        raise InvalidInputError(not_stacked)
+    return TreeRep(d, [tuple(ch) for ch in children])
 
 
 def find_facet(g: PolytopeGraph, dim: int) -> tuple[int, ...]:
@@ -455,6 +454,7 @@ def find_facet(g: PolytopeGraph, dim: int) -> tuple[int, ...]:
     added) up to d-1 vertices, then the first that closes a facet.
     """
     check_dim(dim)
+    check_graph(g)
     clique, common = [0], set(g.adjacency[0])
     while len(clique) < dim - 1 and common:
         clique.append(min(common))

@@ -266,6 +266,69 @@ class TestDimContract:
         assert takes_dim <= DIM_ENTRY_POINTS.keys()
 
 
+def k4_with(rows=None):
+    """The tetrahedron's adjacency as fresh sets, some rows replaced."""
+    adj = [set(a) for a in TET_GRAPH.adjacency]
+    for v, row in (rows or {}).items():
+        adj[v] = row
+    return adj
+
+
+# each function that takes a PolytopeGraph, called on `g` in dimension 3
+GRAPH_ENTRY_POINTS = {
+    "find_facet": lambda g: find_facet(g, 3),
+    "tree_from_graph": lambda g: tree_from_graph(g, 3, (0, 1, 2)),
+    "realize_graph": lambda g: realize_graph(g, dim=3),
+}
+# hand-built graphs that a stage would otherwise index or iterate wrongly
+MALFORMED_GRAPHS = {
+    "no_vertices": PolytopeGraph(0, []),
+    "n_beyond_the_adjacency": PolytopeGraph(5, k4_with()),
+    "str_n": PolytopeGraph("4", k4_with()),
+    "bool_n": PolytopeGraph(True, [set()]),
+    "list_adjacency": PolytopeGraph(4, [sorted(a) for a in k4_with()]),
+    "tuple_of_sets": PolytopeGraph(4, tuple(k4_with())),
+    "self_loop": PolytopeGraph(4, k4_with({0: {0, 1, 2, 3}})),
+    "negative_id": PolytopeGraph(4, k4_with({0: {1, 2, 3, -1}})),
+    "id_out_of_range": PolytopeGraph(4, k4_with({0: {1, 2, 3, 4}})),
+    "bool_id": PolytopeGraph(4, k4_with({2: {0, True, 3}})),
+    "one_way_edge": PolytopeGraph(4, k4_with({0: {1, 2}})),
+}
+
+
+class TestGraphContract:
+    """check_graph is the one check of a PolytopeGraph, where it enters:
+    a malformed hand-built graph is invalid input to every graph entry
+    point, never an IndexError or TypeError from the walk that reads it."""
+
+    @pytest.mark.parametrize("name", MALFORMED_GRAPHS)
+    @pytest.mark.parametrize("entry", GRAPH_ENTRY_POINTS)
+    def test_every_entry_point_rejects(self, entry, name):
+        with pytest.raises(InvalidInputError):
+            GRAPH_ENTRY_POINTS[entry](MALFORMED_GRAPHS[name])
+
+    @pytest.mark.parametrize("base", [(False, 1, 2), (0, 1, 2.0), (0, 1, 4), (0, 1, 1)])
+    def test_base_must_be_vertex_ids(self, base):
+        with pytest.raises(InvalidInputError, match="^base"):
+            tree_from_graph(TET_GRAPH, 3, base)
+        with pytest.raises(InvalidInputError, match="^base"):
+            realize_graph(TET_GRAPH, dim=3, base=base)
+
+    def test_covers_every_graph_parameter(self):
+        functions = [getattr(gridlift, name) for name in gridlift.__all__] + [find_facet]
+        takes_graph = {
+            f.__name__
+            for f in functions
+            if inspect.isfunction(f)
+            and any(
+                p.annotation is PolytopeGraph
+                for p in inspect.signature(f, eval_str=True).parameters.values()
+            )
+        }
+        assert takes_graph == {"find_facet", "tree_from_graph", "realize_graph"}
+        assert takes_graph <= GRAPH_ENTRY_POINTS.keys()
+
+
 def comb(levels: int):
     """A d=3 comb: a heavy path of `levels` interior nodes, each of which also
     hangs one leaf and one single-stacking subtree."""
@@ -460,15 +523,18 @@ class TestGraphs:
             assert sorted(map(len, g2.adjacency)) == sorted(map(len, g.adjacency))
 
     @pytest.mark.parametrize("shape", ["random", "serpentine"])
-    @pytest.mark.parametrize("d", [3, 4])
-    def test_peeling_matches_the_scan(self, shape, d):
-        # the heap peels the same smallest-id-first order as the old scan
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_walk_matches_the_scan(self, shape, d):
+        # the forward walk gives the tree the peel-and-replay scan gives,
+        # or the same message, on stacked graphs and on graphs 1-3 edge
+        # flips away from one
         def outcome(recover, g, base):
             try:
                 return recover(g, d, base)
             except InvalidInputError as exc:
                 return str(exc)
 
+        rng = random.Random(d)
         for seed in range(5):
             g, base = relabelled_graph(gen_tree(shape, d, 60, seed), seed)
             assert tree_from_graph(g, d, base) == reference_tree_from_graph(g, d, base)
@@ -477,6 +543,21 @@ class TestGraphs:
             rejected = outcome(tree_from_graph, g, other)
             assert isinstance(rejected, str)
             assert rejected == outcome(reference_tree_from_graph, g, other)
+            for flips in (1, 2, 3):
+                adj = [set(a) for a in g.adjacency]
+                for _ in range(flips):
+                    u, v = rng.sample(range(g.n), 2)
+                    adj[u] ^= {v}
+                    adj[v] ^= {u}
+                flipped = PolytopeGraph(g.n, adj)
+                assert outcome(tree_from_graph, flipped, base) == outcome(
+                    reference_tree_from_graph, flipped, base
+                )
+
+    def test_deep_serpentine_round_trip(self):
+        # a chain of 19997 stackings: the walk's stack is explicit
+        t = gen_tree("serpentine", 3, 19997, 0)
+        assert tree_from_graph(graph_from_tree(t), 3, (0, 1, 2)) == t
 
     @pytest.mark.parametrize("shape", ["random", "serpentine", "balanced_rounds"])
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
