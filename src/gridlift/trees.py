@@ -427,8 +427,8 @@ def tree_from_graph(g: PolytopeGraph, dim: int, base: Sequence[int]) -> TreeRep:
         if parent >= 0:
             children[parent].append(node)
         children.append([])
-        common = set.intersection(*[adj[v] for v in facet])
-        common.discard(across)
+        # smallest set first: O(deg of the parent's stacked vertex), any base
+        common = set.intersection(*sorted([adj[v] for v in facet], key=len)) - {across}
         if not common:
             continue
         p = common.pop()

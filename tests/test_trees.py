@@ -557,7 +557,17 @@ class TestGraphs:
     def test_deep_serpentine_round_trip(self):
         # a chain of 19997 stackings: the walk's stack is explicit
         t = gen_tree("serpentine", 3, 19997, 0)
-        assert tree_from_graph(graph_from_tree(t), 3, (0, 1, 2)) == t
+        g = graph_from_tree(t)
+        assert tree_from_graph(g, 3, (0, 1, 2)) == t
+        # over base (2, 1, 0) the chain runs through child 2; hubs 2 and 1
+        # stay in every facet, so the walk must intersect from the smallest
+        # adjacency set, or each node costs O(n)
+        mirrored: list[tuple[int, ...]] = []
+        for v in range(0, 3 * 19997, 3):
+            mirrored += [(v + 1, v + 2, v + 3), (), ()]
+        start = time.perf_counter()
+        assert tree_from_graph(g, 3, (2, 1, 0)) == TreeRep(3, mirrored + [()])
+        assert time.perf_counter() - start < 5
 
     @pytest.mark.parametrize("shape", ["random", "serpentine", "balanced_rounds"])
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
