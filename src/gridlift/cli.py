@@ -2,11 +2,12 @@
 
 Subcommands: gen, balance, realize, verify, stats. Everything here is a
 thin shell over the library; inputs and outputs are JSON documents (or OFF
-meshes for 3-dimensional realizations). Exit codes: 0 success, 2 invalid
-input (a file that cannot be read, decoded or written included), 3
-certificate, stage or geometry failure. A stage or geometry failure
-also prints its stage, message and witness as one JSON line on stderr; both
-are null for a geometry failure, which names no stage.
+meshes for 3-dimensional realizations). realize reads a tree, which names
+its dimension, or a graph, which fixes its own by its edge count. Exit
+codes: 0 success, 2 invalid input (a file that cannot be read, decoded or
+written included), 3 certificate, stage or geometry failure. A stage or
+geometry failure also prints its stage, message and witness as one JSON
+line on stderr; both are null for a geometry failure, which names no stage.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .errors import GeometryError, InvalidInputError, StageInvariantError
-from .pipeline import realize_graph, run_pipeline
+from .pipeline import run_pipeline
 from .serialize import (
     emit_off,
     jsonable,
@@ -37,6 +38,7 @@ from .trees import (
     parse_tree,
     to_nested,
     tree_from_doc,
+    tree_from_graph,
     tree_to_json,
 )
 from .verify import make_certificate
@@ -87,15 +89,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _parse_tree_or_graph(text: str):
-    obj = load_json(text)
-    if isinstance(obj, dict) and "tree" in obj:
-        return tree_from_doc(obj), None
-    if isinstance(obj, dict) and "edges" in obj:
-        return None, graph_from_doc(obj)
-    raise InvalidInputError("input is neither a tree nor a graph document")
-
-
 def _cmd_balance(args) -> int:
     tree = parse_tree(_read_input(args.input))
     wt = balance_weights(tree)
@@ -119,23 +112,20 @@ def _parse_base(text: str) -> tuple[int, ...]:
 
 
 def _cmd_realize(args) -> int:
-    tree, graph = _parse_tree_or_graph(_read_input(args.input))
-    if tree is not None:
-        if args.dim is not None and args.dim != tree.dim:
-            raise InvalidInputError(f"--dim {args.dim} contradicts the tree's dim {tree.dim}")
+    obj = load_json(_read_input(args.input))
+    if isinstance(obj, dict) and "tree" in obj:
+        tree = tree_from_doc(obj)
         if args.base is not None:
             raise InvalidInputError("--base applies to graph inputs only")
-        dim = tree.dim
+    elif isinstance(obj, dict) and "edges" in obj:
+        graph = graph_from_doc(obj)
+        tree = tree_from_graph(graph, None if args.base is None else _parse_base(args.base))
     else:
-        dim = 3 if args.dim is None else args.dim
-    # rejected before any work, so that no report is written either
-    if args.format == "off" and dim != 3:
-        raise InvalidInputError(f"OFF output needs dimension 3, got {dim}")
-    if graph is None:
-        realization, report = run_pipeline(tree)
-    else:
-        base = None if args.base is None else _parse_base(args.base)
-        realization, report, tree = realize_graph(graph, dim=dim, base=base)
+        raise InvalidInputError("input is neither a tree nor a graph document")
+    # rejected before the pipeline runs, so that no report is written either
+    if args.format == "off" and tree.dim != 3:
+        raise InvalidInputError(f"OFF output needs dimension 3, got {tree.dim}")
+    realization, report = run_pipeline(tree)
     if args.report:
         _write_output(args.report, report_to_json(report))
     if args.format == "off":
@@ -197,8 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--output", default=None)
     r.add_argument("--report", default=None, help="also write the report JSON here")
     r.add_argument("--format", choices=["json", "off"], default="json")
-    r.add_argument("--dim", type=int, default=None,
-                   help="dimension: 3 by default for graph inputs, the tree's own for trees")
     r.add_argument("--base", default=None,
                    help="comma-separated base facet vertex ids for graph inputs")
     r.set_defaults(func=_cmd_realize)

@@ -27,13 +27,7 @@ from .facets import Realization, TreeRep, check_tree
 from .flat import build_flat
 from .lifting import build_lifted, check_lift_bounds
 from .rounding import check_volume_ratios, perturb_flat, round_and_scale
-from .trees import (
-    PolytopeGraph,
-    balance_weights,
-    check_balanced,
-    find_facet,
-    tree_from_graph,
-)
+from .trees import PolytopeGraph, balance_weights, check_balanced, tree_from_graph
 from .verify import Certificate, make_certificate
 
 
@@ -136,18 +130,15 @@ def run_pipeline(tree: TreeRep) -> tuple[Realization, PipelineReport]:
 
 
 def realize_graph(
-    g: PolytopeGraph,
-    dim: int = 3,
-    base: tuple[int, ...] | None = None,
+    g: PolytopeGraph, base: tuple[int, ...] | None = None
 ) -> tuple[Realization, PipelineReport, TreeRep]:
-    """Recover the stacking tree from a 1-skeleton, then run the pipeline.
+    """Recover the stacking tree from a 1-skeleton (tree_from_graph), then
+    run the pipeline; the graph fixes its own dimension.
 
     Vertices are relabeled by the recovered stacking order, so the output
     coordinates are indexed by tree layout, not by the input graph's ids.
     Without a base it roots at the graph's least facet (find_facet).
     """
-    if base is None:
-        base = find_facet(g, dim)
-    tree = tree_from_graph(g, dim, base)
+    tree = tree_from_graph(g, base)
     realization, report = run_pipeline(tree)
     return realization, report, tree

@@ -18,8 +18,8 @@ checks the tree it builds, and to_nested); the generators fill a child
 table under their own ids and renumber it to preorder once (_preorder),
 valid by construction and left unchecked. A graph is its vertex count and
 adjacency alone, as in its JSON, checked where it enters (check_graph):
-find_facet finds its least facet, the default base, and tree_from_graph
-walks the tree out from a base in preorder.
+find_facet works out d from the edge count and finds the least facet, the
+default base, and tree_from_graph walks the tree out from a base in preorder.
 
 The module also hosts the face-weight balancing step, one post-order pass
 over the node ids that picks each node's heavy child on the way: weights
@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from math import isqrt
 from typing import Sequence
 
 from .errors import InvalidInputError, StageInvariantError
@@ -388,8 +389,10 @@ def check_graph(g: PolytopeGraph) -> None:
                 raise InvalidInputError(f"vertex {u} lists {v!r}, not another id that lists {u}")
 
 
-def tree_from_graph(g: PolytopeGraph, dim: int, base: Sequence[int]) -> TreeRep:
-    """Recover the stacking tree of a graph relative to an ordered base facet.
+def tree_from_graph(g: PolytopeGraph, base: Sequence[int] | None = None) -> TreeRep:
+    """Recover the stacking tree of a graph relative to an ordered base
+    facet, a list or tuple of d vertex ids; None means the least facet
+    (find_facet, which also fixes d).
 
     One forward walk from the base numbers the nodes in preorder. A stacked
     d-polytope's graph is a d-tree, and a d-clique lies in as many stacked
@@ -404,11 +407,16 @@ def tree_from_graph(g: PolytopeGraph, dim: int, base: Sequence[int]) -> TreeRep:
     that is no clique, two common neighbours, a vertex placed twice or
     never, more edges) means g is not stacked over that base.
     """
-    check_dim(dim)
-    check_graph(g)
-    d, n, adj = dim, g.n, g.adjacency
-    base = tuple(base)
-    if len(base) != d or not all(map(_is_int, base)) or len(set(base)) != d:
+    if base is None:
+        base = find_facet(g)  # checks g
+    else:
+        check_graph(g)
+        if not isinstance(base, (list, tuple)) or not all(map(_is_int, base)):
+            raise InvalidInputError("base must be a list or tuple of int vertex ids")
+        base = tuple(base)
+    d, n, adj = len(base), g.n, g.adjacency
+    check_dim(d)
+    if len(set(base)) != d:
         raise InvalidInputError(f"base must list {d} distinct vertices")
     if n < d + 1:
         raise InvalidInputError("graph too small to be a stacked polytope")
@@ -442,8 +450,13 @@ def tree_from_graph(g: PolytopeGraph, dim: int, base: Sequence[int]) -> TreeRep:
     return TreeRep(d, [tuple(ch) for ch in children])
 
 
-def find_facet(g: PolytopeGraph, dim: int) -> tuple[int, ...]:
-    """The least facet of a stacked d-polytope's graph, as sorted ids.
+def find_facet(g: PolytopeGraph) -> tuple[int, ...]:
+    """The least facet of a stacked polytope's graph, as sorted ids.
+
+    Each stacking adds one vertex and d edges, so a stacked d-polytope on n
+    vertices has E = d n - d(d+1)/2 edges (the equality case of Barnette's
+    lower bound theorem), a count strictly increasing in d for
+    3 <= d <= n-1: d is the root at most n-1 of d^2 - (2n-1) d + 2E = 0.
 
     A stacked d-polytope's graph is a d-tree: its (d+1)-cliques are the
     stacked simplices, and a d-clique lies in as many as it has common
@@ -453,14 +466,22 @@ def find_facet(g: PolytopeGraph, dim: int) -> tuple[int, ...]:
     undone: the clique's least common neighbour (above the last vertex
     added) up to d-1 vertices, then the first that closes a facet.
     """
-    check_dim(dim)
     check_graph(g)
-    clique, common = [0], set(g.adjacency[0])
-    while len(clique) < dim - 1 and common:
+    n, adj = g.n, g.adjacency
+    degrees = sum(map(len, adj))  # 2E
+    # a simple graph has 2E <= n(n-1), so the discriminant is at least 1
+    d = (2 * n - 1 - isqrt((2 * n - 1) ** 2 - 4 * degrees)) // 2
+    if d < 3 or d * (2 * n - 1 - d) != degrees:
+        raise InvalidInputError(
+            f"{degrees // 2} edges on {n} vertices: a stacked d-polytope "
+            "has d n - d(d+1)/2 for some d >= 3"
+        )
+    clique, common = [0], set(adj[0])
+    while len(clique) < d - 1 and common:
         clique.append(min(common))
-        common &= g.adjacency[clique[-1]]
+        common &= adj[clique[-1]]
     for v in sorted(common):
-        if len(common & g.adjacency[v]) == 1:
+        if len(common & adj[v]) == 1:
             return (*clique, v)
     raise InvalidInputError("graph has no facet; not a stacked polytope")
 

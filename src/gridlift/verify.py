@@ -50,7 +50,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from operator import mul
 
 from .errors import GeometryError
@@ -91,9 +90,6 @@ def _input_witnesses(realization: Realization) -> list[str]:
     ]
     if BASE_FACET_KEY in realization.facets:  # _surface's merge would drop one
         witnesses.append(f"a leaf facet has the base facet's key {BASE_FACET_KEY}")
-    named = list(chain(realization.base_facet, *realization.facets.values()))
-    if set(map(type, named)) == {int} and 0 <= min(named) and max(named) < n:
-        return witnesses
     return witnesses + [
         f"facet {_label(key)} names vertex {v!r}, not one of 0..{n - 1}"
         for key, verts in _facets_in_order(realization)
@@ -308,9 +304,12 @@ def _global_route(
 
 def verify_bounds(realization: Realization) -> tuple[bool, list[str]]:
     """Every coordinate inside the paper's caps 10 d^2 R_eff^2 (horizontal)
-    and 6 R_eff^3 (height), with R_eff from the realization's metadata."""
+    and 6 R_eff^3 (height), with R_eff from the realization's metadata, a
+    positive int (not a bool) or a witness."""
     d = realization.d
     R_eff = realization.metadata["R_eff"]
+    if type(R_eff) is not int or R_eff <= 0:
+        return False, [f"metadata R_eff {R_eff!r} is not a positive integer"]
     bound_xy = 10 * d * d * R_eff * R_eff
     bound_z = 6 * R_eff**3
     witnesses = []

@@ -273,10 +273,10 @@ def test_criterion_6_lowerbound_generator():
     facets = nonseparating_triangles(g)
     assert len(facets) == n_faces
     for base in facets:
-        t = tree_from_graph(g, 3, base)
+        t = tree_from_graph(g, base)
         assert t.n_vertices == 20
 
-    realization, report, tree = realize_graph(g, dim=3)
+    realization, report, tree = realize_graph(g)
     assert len(realization.facets) + 1 == 36
     assert report.certificate.ok
     print(

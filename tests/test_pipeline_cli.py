@@ -114,31 +114,52 @@ class TestGraphEntry:
     def test_k4_matches_tree_path(self, tet_tree, tet_result):
         realization, _ = tet_result
         g = graph_from_tree(tet_tree)
-        r2, rep2, t2 = realize_graph(g, dim=3, base=(0, 1, 2))
+        r2, rep2, t2 = realize_graph(g, base=(0, 1, 2))
         assert r2.coords == realization.coords
         assert to_nested(t2) == [None, None, None]
 
     def test_default_base(self, tet_tree):
         g = graph_from_tree(gen_tree("random", 3, 9, seed=12))
-        r, rep, t = realize_graph(g, dim=3)
+        r, rep, t = realize_graph(g)
         assert rep.certificate.ok
 
-    @pytest.mark.parametrize("make,dim", [
-        (lambda: gen_lowerbound_graph("gamma", 72), 3),
-        (lambda: graph_from_tree(gen_tree("random", 3, 20, 1001)), 3),
-        (lambda: graph_from_tree(gen_tree("random", 4, 30, 4)), 4),
+    @pytest.mark.parametrize("make", [
+        lambda: gen_lowerbound_graph("gamma", 72),
+        lambda: graph_from_tree(gen_tree("random", 3, 20, 1001)),
+        lambda: graph_from_tree(gen_tree("random", 4, 30, 4)),
     ], ids=["gamma-72", "random-d3", "random-d4"])
-    def test_json_round_trip_realizes_the_same(self, make, dim):
+    def test_json_round_trip_realizes_the_same(self, make):
         # a graph and its JSON carry the same fields, so the default base,
         # and with it every output byte, is the same
         g = make()
         outputs = []
         for graph in (g, graph_from_doc(json.loads(g.to_json()))):
-            realization, report, _ = realize_graph(graph, dim=dim)
+            realization, report, _ = realize_graph(graph)
             outputs.append(
                 (realization_to_json(realization), report_to_json(report, include_timing=False))
             )
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_graph_fixes_its_dimension(self, d):
+        # no flag: the edge count d n - d(d+1)/2 gives d, in process and
+        # through the CLI, to the bytes of the pipeline on the recovered tree
+        tree = gen_tree("random", d, 12, d)
+        g = graph_from_tree(tree)
+        realization, report, recovered = realize_graph(g)
+        assert recovered == tree
+        expected = run_pipeline(recovered)
+        outputs = (realization_to_json(realization), report_to_json(report, include_timing=False))
+        assert outputs == (
+            realization_to_json(expected[0]),
+            report_to_json(expected[1], include_timing=False),
+        )
+        doc = json.loads(run_module("realize", stdin=g.to_json()))
+        del doc["report"]["timing"]
+        assert (
+            json.dumps(doc["realization"], sort_keys=True),
+            json.dumps(doc["report"], sort_keys=True, separators=(",", ":")),
+        ) == outputs
 
 
 class TestSerialization:
@@ -313,15 +334,13 @@ class TestCli:
     def test_off_output_of_dim_4_exit_2_before_any_work(
         self, tmp_path, capsys, monkeypatch, graph
     ):
-        # a d=4 tree, or a graph read at --dim 4, is rejected before the
-        # pipeline runs: no report file is written
+        # a d=4 tree, or the graph of one, is rejected before the pipeline
+        # runs: no report file is written
         tree = gen_tree("random", 4, 3, 1)
         in_f = tmp_path / "in.json"
         in_f.write_text(graph_from_tree(tree).to_json() if graph else tree_to_json(tree))
         report_f = tmp_path / "r.json"
         argv = ["realize", "--input", str(in_f), "--format", "off", "--report", str(report_f)]
-        if graph:
-            argv += ["--dim", "4"]
 
         def first_stage(tree):
             raise AssertionError("the pipeline ran")
@@ -355,18 +374,19 @@ class TestCli:
         assert capsys.readouterr().err == "error: dimension must be an integer >= 3, got True\n"
 
     def test_graph_dim_2_exit_2(self, tmp_path, capsys):
-        # rejected before peeling, as trees and gen reject it
+        # a base of two ids asks for dimension 2: rejected before the walk,
+        # as trees and gen reject it
         graph_f = tmp_path / "b3.json"
         assert main(["gen", "--shape", "b3", "--output", str(graph_f)]) == 0
-        assert main(["realize", "--input", str(graph_f), "--dim", "2"]) == 2
+        assert main(["realize", "--input", str(graph_f), "--base", "0,1"]) == 2
         assert capsys.readouterr().err == "error: dimension must be an integer >= 3, got 2\n"
 
-    def test_dim_must_match_tree(self, tmp_path, capsys, tet_tree):
-        tree_f = tmp_path / "tet.json"
-        tree_f.write_text(tree_to_json(tet_tree))
-        assert main(["realize", "--input", str(tree_f), "--dim", "5"]) == 2
-        assert capsys.readouterr().err.startswith("error: --dim 5 contradicts")
-        assert main(["realize", "--input", str(tree_f), "--dim", "3"]) == 0
+    def test_realize_has_no_dim_option(self, capsys):
+        # a tree names its dimension and a graph fixes its own
+        with pytest.raises(SystemExit) as info:
+            main(["realize", "--dim", "3"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --dim 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("base", ["0,1,2", "garbage"])
     def test_base_on_tree_input_exit_2(self, tmp_path, capsys, tet_tree, base):
@@ -640,13 +660,20 @@ class TestCli:
             report, include_timing=False
         )
 
-    def test_complete_graph_exit_2(self, tmp_path, capsys):
-        # K_200 is one big clique: no 10-clique has exactly one common neighbour
+    def test_complete_graph_minus_a_matching_exit_2(self, tmp_path, capsys):
+        # K_200 less a perfect matching has 19800 edges: d^2 - 399 d + 39600
+        # has discriminant 801, no square, so no dimension fits the count
         f = tmp_path / "k200.json"
-        edges = [[u, v] for u in range(200) for v in range(u + 1, 200)]
+        edges = [[u, v] for u in range(200) for v in range(u + 1, 200) if u // 2 != v // 2]
+        assert len(edges) == 19800
         f.write_text(json.dumps({"n": 200, "edges": edges}))
-        assert main(["realize", "--input", str(f), "--dim", "10"]) == 2
-        assert capsys.readouterr().err == "error: graph has no facet; not a stacked polytope\n"
+        start = time.perf_counter()
+        assert main(["realize", "--input", str(f)]) == 2
+        assert time.perf_counter() - start < 5
+        assert capsys.readouterr().err == (
+            "error: 19800 edges on 200 vertices: a stacked d-polytope "
+            "has d n - d(d+1)/2 for some d >= 3\n"
+        )
 
     def test_stats_table(self, capsys):
         assert main(["stats"]) == 0
@@ -768,7 +795,6 @@ class TestCliFuzz:
         key=SMALL_TREES,
         as_graph=st.booleans(),
         data=st.data(),
-        dim=st.one_of(st.none(), st.integers(-1, 5)),
         base=st.one_of(
             st.none(),
             st.lists(st.integers(-1, 12), max_size=4).map(lambda ids: ",".join(map(str, ids))),
@@ -777,15 +803,13 @@ class TestCliFuzz:
         off=st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_realize_mutated_documents(self, fuzz_dir, key, as_graph, data, dim, base, off):
+    def test_realize_mutated_documents(self, fuzz_dir, key, as_graph, data, base, off):
         tree = gen_tree(*key)
         doc = json.loads(graph_from_tree(tree).to_json() if as_graph else tree_to_json(tree))
         text = data.draw(st.one_of(st.just(json.dumps(doc)), mutated_text(doc)))
         doc_f = fuzz_dir / "doc.json"
         doc_f.write_text(text)
         argv = ["realize", "--input", str(doc_f)]
-        if dim is not None:
-            argv.append(f"--dim={dim}")
         if base is not None:
             argv.append(f"--base={base}")  # a value may start with "-"
         if off:

@@ -35,7 +35,12 @@ from gridlift.trees import (
     tree_from_nested,
     tree_to_json,
 )
-from reference import nonseparating_triangles, reference_balance_weights, tree_facets
+from reference import (
+    nonseparating_triangles,
+    package_modules,
+    reference_balance_weights,
+    tree_facets,
+)
 from test_census import all_trees
 
 
@@ -48,10 +53,11 @@ def parse_graph(text):
     return graph_from_doc(load_json(text))
 
 
-def reference_tree_from_graph(g, d, base):
+def reference_tree_from_graph(g, base):
     """tree_from_graph by the quadratic scan: after every removal, re-sort
     the remaining vertices and peel the smallest removable one."""
     base = tuple(base)
+    d = len(base)
     adj = [set(a) for a in g.adjacency]
     alive = set(range(g.n))
     base_set = set(base)
@@ -229,12 +235,10 @@ class TestTreeContract:
 TET_CHILDREN = [(1, 2, 3), (), (), ()]
 TET_GRAPH = graph_from_tree(TreeRep(3, TET_CHILDREN))
 # each exported function that takes a dimension, as an argument, a JSON
-# field or a tree's dim, called with `dim` and the tetrahedron's realization
+# field or a tree's dim, called with `dim` and the tetrahedron's realization;
+# a graph fixes its own (find_facet), or its base's length does
 DIM_ENTRY_POINTS = {
     "gen_tree": lambda dim, r: gen_tree("random", dim, 5),
-    "tree_from_graph": lambda dim, r: tree_from_graph(TET_GRAPH, dim, (0, 1, 2)),
-    "realize_graph": lambda dim, r: realize_graph(TET_GRAPH, dim=dim),
-    "find_facet": lambda dim, r: find_facet(TET_GRAPH, dim),
     "run_pipeline": lambda dim, r: run_pipeline(TreeRep(dim, TET_CHILDREN)),
     "graph_from_tree": lambda dim, r: graph_from_tree(TreeRep(dim, TET_CHILDREN)),
     "make_certificate": lambda dim, r: make_certificate(r, TreeRep(dim, TET_CHILDREN)),
@@ -262,8 +266,16 @@ class TestDimContract:
             for f in functions
             if inspect.isfunction(f) and "dim" in inspect.signature(f).parameters
         }
-        assert takes_dim == {"gen_tree", "tree_from_graph", "realize_graph"}
+        assert takes_dim == {"gen_tree"}
         assert takes_dim <= DIM_ENTRY_POINTS.keys()
+
+    @pytest.mark.parametrize(
+        "recover", [tree_from_graph, realize_graph], ids=["tree_from_graph", "realize_graph"]
+    )
+    def test_base_of_two_ids_is_dimension_2(self, recover):
+        with pytest.raises(InvalidInputError) as info:
+            recover(TET_GRAPH, (0, 1))
+        assert str(info.value) == "dimension must be an integer >= 3, got 2"
 
 
 def k4_with(rows=None):
@@ -274,11 +286,11 @@ def k4_with(rows=None):
     return adj
 
 
-# each function that takes a PolytopeGraph, called on `g` in dimension 3
+# each function that takes a PolytopeGraph, called on `g`
 GRAPH_ENTRY_POINTS = {
-    "find_facet": lambda g: find_facet(g, 3),
-    "tree_from_graph": lambda g: tree_from_graph(g, 3, (0, 1, 2)),
-    "realize_graph": lambda g: realize_graph(g, dim=3),
+    "find_facet": find_facet,
+    "tree_from_graph": lambda g: tree_from_graph(g, (0, 1, 2)),
+    "realize_graph": realize_graph,
 }
 # hand-built graphs that a stage would otherwise index or iterate wrongly
 MALFORMED_GRAPHS = {
@@ -307,12 +319,31 @@ class TestGraphContract:
         with pytest.raises(InvalidInputError):
             GRAPH_ENTRY_POINTS[entry](MALFORMED_GRAPHS[name])
 
-    @pytest.mark.parametrize("base", [(False, 1, 2), (0, 1, 2.0), (0, 1, 4), (0, 1, 1)])
+    @pytest.mark.parametrize(
+        "base", [(False, 1, 2), (0, 1, 2.0), (0, 1, 4), (0, 1, 1), 3, 7, "012", {0, 1, 2}]
+    )
     def test_base_must_be_vertex_ids(self, base):
+        # a list or tuple of distinct ids in range; None is the least facet.
+        # An int in base's place is a dimension, as the graph route once took
         with pytest.raises(InvalidInputError, match="^base"):
-            tree_from_graph(TET_GRAPH, 3, base)
+            tree_from_graph(TET_GRAPH, base)
         with pytest.raises(InvalidInputError, match="^base"):
-            realize_graph(TET_GRAPH, dim=3, base=base)
+            realize_graph(TET_GRAPH, base)
+
+    @pytest.mark.parametrize("base", [None, (2, 0, 1)])
+    def test_one_graph_check_per_realization(self, monkeypatch, base):
+        # find_facet checks the graph when there is no base, tree_from_graph
+        # when there is one: never both
+        calls = []
+        check = gridlift.trees.check_graph
+
+        def counting(g):
+            calls.append(g)
+            check(g)
+
+        monkeypatch.setattr(gridlift.trees, "check_graph", counting)
+        assert realize_graph(TET_GRAPH, base=base)[1].certificate.ok
+        assert calls == [TET_GRAPH]
 
     def test_covers_every_graph_parameter(self):
         functions = [getattr(gridlift, name) for name in gridlift.__all__] + [find_facet]
@@ -327,6 +358,23 @@ class TestGraphContract:
         }
         assert takes_graph == {"find_facet", "tree_from_graph", "realize_graph"}
         assert takes_graph <= GRAPH_ENTRY_POINTS.keys()
+
+    def test_no_graph_function_takes_a_dimension(self):
+        # a stacked graph fixes its own dimension by its edge count, so no
+        # function of the package that takes a graph takes a dim beside it
+        takes_graph = {
+            f"{module.__name__}.{name}": inspect.signature(f, eval_str=True).parameters
+            for module in package_modules()
+            for name, f in vars(module).items()
+            if inspect.isfunction(f) and f.__module__ == module.__name__
+        }
+        takes_graph = {
+            name: params
+            for name, params in takes_graph.items()
+            if any(p.annotation is PolytopeGraph for p in params.values())
+        }
+        assert len(takes_graph) >= 3
+        assert [name for name, params in takes_graph.items() if "dim" in params] == []
 
 
 def comb(levels: int):
@@ -490,7 +538,7 @@ class TestGraphs:
         g = graph_from_tree(tet_tree)
         assert g.n == 4
         assert len(g.edges()) == 6
-        t = tree_from_graph(g, 3, (0, 1, 2))
+        t = tree_from_graph(g, (0, 1, 2))
         assert to_nested(t) == [None, None, None]
 
     def test_edge_counts_match_ridges(self):
@@ -508,16 +556,16 @@ class TestGraphs:
         # both readers rebuild the very table: same ids, same child order
         t = gen_tree(shape, d, 2 if shape == "balanced_rounds" else 15, seed=d)
         assert_preorder(t)
-        assert tree_from_graph(graph_from_tree(t), d, tuple(range(d))) == t
+        assert tree_from_graph(graph_from_tree(t), tuple(range(d))) == t
         assert tree_from_nested(d, to_nested(t)) == t
         g, base = relabelled_graph(t, d)
-        assert tree_from_graph(g, d, base) == t
+        assert tree_from_graph(g, base) == t
 
     def test_recover_and_rebuild(self):
         for seed in range(4):
             t = gen_tree("random", 3, 10, seed)
             g = graph_from_tree(t)
-            t2 = tree_from_graph(g, 3, (0, 1, 2))
+            t2 = tree_from_graph(g, (0, 1, 2))
             g2 = graph_from_tree(t2)
             assert g2.n == g.n
             assert sorted(map(len, g2.adjacency)) == sorted(map(len, g.adjacency))
@@ -530,14 +578,14 @@ class TestGraphs:
         # flips away from one
         def outcome(recover, g, base):
             try:
-                return recover(g, d, base)
+                return recover(g, base)
             except InvalidInputError as exc:
                 return str(exc)
 
         rng = random.Random(d)
         for seed in range(5):
             g, base = relabelled_graph(gen_tree(shape, d, 60, seed), seed)
-            assert tree_from_graph(g, d, base) == reference_tree_from_graph(g, d, base)
+            assert tree_from_graph(g, base) == reference_tree_from_graph(g, base)
             # a base that is no facet: both reject it with the same message
             other = base[1:] + (min(set(range(g.n)) - set(base)),)
             rejected = outcome(tree_from_graph, g, other)
@@ -558,7 +606,7 @@ class TestGraphs:
         # a chain of 19997 stackings: the walk's stack is explicit
         t = gen_tree("serpentine", 3, 19997, 0)
         g = graph_from_tree(t)
-        assert tree_from_graph(g, 3, (0, 1, 2)) == t
+        assert tree_from_graph(g, (0, 1, 2)) == t
         # over base (2, 1, 0) the chain runs through child 2; hubs 2 and 1
         # stay in every facet, so the walk must intersect from the smallest
         # adjacency set, or each node costs O(n)
@@ -566,7 +614,7 @@ class TestGraphs:
         for v in range(0, 3 * 19997, 3):
             mirrored += [(v + 1, v + 2, v + 3), (), ()]
         start = time.perf_counter()
-        assert tree_from_graph(g, 3, (2, 1, 0)) == TreeRep(3, mirrored + [()])
+        assert tree_from_graph(g, (2, 1, 0)) == TreeRep(3, mirrored + [()])
         assert time.perf_counter() - start < 5
 
     @pytest.mark.parametrize("shape", ["random", "serpentine", "balanced_rounds"])
@@ -580,30 +628,45 @@ class TestGraphs:
             facets = tree_facets(t, relabelling(g.n, seed))
             if d == 3:
                 assert nonseparating_triangles(g) == facets
-            assert find_facet(g, d) == min(facets)
+            assert find_facet(g) == min(facets)
 
     def test_find_facet_rejects_non_stacked(self):
-        # the octahedron's triangles have no common neighbour, K_5's two,
-        # and K_4 is too small for a facet with one at d = 4
+        # the octahedron has the edge count of a stacked 3-polytope, 3n - 6,
+        # but its triangles have no common neighbour; with one edge more
+        # no dimension fits its count
         octahedron = parse_graph(json.dumps({"n": 6, "edges": OCTAHEDRON}))
-        k5 = parse_graph(json.dumps(
-            {"n": 5, "edges": [[u, v] for u in range(5) for v in range(u + 1, 5)]}
-        ))
-        for g, d in ((octahedron, 3), (k5, 3), (TET_GRAPH, 4)):
-            with pytest.raises(InvalidInputError, match="^graph has no facet"):
-                find_facet(g, d)
+        with pytest.raises(InvalidInputError, match="^graph has no facet"):
+            find_facet(octahedron)
+        more = parse_graph(json.dumps({"n": 6, "edges": [*OCTAHEDRON, (0, 1)]}))
+        with pytest.raises(InvalidInputError, match="^13 edges on 6 vertices"):
+            find_facet(more)
+
+    @pytest.mark.parametrize("n", [5, 6, 9])
+    def test_complete_graph_is_the_simplex(self, n):
+        # K_n has (n-1) n - (n-1) n / 2 edges: the (n-1)-simplex, one stacking
+        edges = [[u, v] for u in range(n) for v in range(u + 1, n)]
+        g = parse_graph(json.dumps({"n": n, "edges": edges}))
+        assert find_facet(g) == tuple(range(n - 1))
+        assert tree_from_graph(g) == TreeRep(n - 1, [tuple(range(1, n))] + [()] * (n - 1))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_dimension_below_3_rejected(self, n):
+        # a vertex, an edge, a triangle: the simplices of dimension 0 to 2
+        edges = [[u, v] for u in range(n) for v in range(u + 1, n)]
+        with pytest.raises(InvalidInputError, match=f"^{len(edges)} edges on {n} vertices"):
+            find_facet(parse_graph(json.dumps({"n": n, "edges": edges})))
 
     def test_rejects_non_stacked(self):
         # octahedron: 4-regular, no degree-3 vertex to peel
         g = parse_graph(json.dumps({"n": 6, "edges": OCTAHEDRON}))
         with pytest.raises(InvalidInputError):
-            tree_from_graph(g, 3, (0, 2, 4))
+            tree_from_graph(g, (0, 2, 4))
 
     def test_rejects_wrong_base(self):
         b3 = gen_lowerbound_graph("b3")
         # the original tetrahedron's triangles are no longer faces
         with pytest.raises(InvalidInputError):
-            tree_from_graph(b3, 3, (0, 1, 2))
+            tree_from_graph(b3, (0, 1, 2))
 
     def test_parse_graph_errors(self):
         with pytest.raises(InvalidInputError):
@@ -640,8 +703,8 @@ class TestLowerBoundGraphs:
 
     def test_b3_recoverable(self):
         g = gen_lowerbound_graph("b3")
-        base = find_facet(g, 3)
-        t = tree_from_graph(g, 3, base)
+        base = find_facet(g)
+        t = tree_from_graph(g, base)
         assert t.n_vertices == 20
         assert t.leaf_count == 35  # 36 facets including the base
 

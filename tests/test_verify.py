@@ -668,6 +668,16 @@ class TestBounds:
         ok, _ = verify_bounds(bad)
         assert ok is False
 
+    @pytest.mark.parametrize("R_eff", ["3", None, 0, True])
+    def test_R_eff_not_a_positive_int_is_a_witness(self, tet_result, R_eff):
+        # the rule realization_from_json applies: an int, not a bool, > 0
+        realization, _ = tet_result
+        bad = dataclasses.replace(realization, metadata={**realization.metadata, "R_eff": R_eff})
+        witness = f"metadata R_eff {R_eff!r} is not a positive integer"
+        assert verify_bounds(bad) == (False, [witness])
+        cert = make_certificate(bad)
+        assert (cert.ok, cert.bounds_ok, cert.witnesses) == (False, False, [witness])
+
 
 class TestCombinatorics:
     def test_fixture(self, tet_result, tet_tree):
