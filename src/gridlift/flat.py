@@ -9,17 +9,18 @@ facet's bracket equals lam * weight, lam = L^{d-1}/R, exactly and with the
 root's (positive) sign.
 
 Everything is held in integers. A vertex is its homogeneous column
-(N_1, ..., N_{d-1}, D), the point N / D with D > 0, reduced by one gcd per
-vertex. The barycenter needs no lam, which cancels in
-sum(lam w_c u_c) / (lam w_v): it is sum(w_c N_c (D' / D_c)) over D' w_v,
-D' the lcm of the facet's denominators. node_brackets holds the positive
-integers L^{d-1} * weight under the common bracket scale R, so node v's
-real bracket is node_brackets[v] / bracket_scale; the perturbed complex of
-the rounding stage has integer grid points (D = 1) and scale 1. The complex
-carries the stacking tree it embeds, which the lift and round stages
-replay; d, R_eff = L^{d-1} and the facet table are properties, so nothing
-can disagree with the tree and L. It caches the two tables every stage
-reads, rather than replaying the tree each time: node_facets
+(D, N_1, ..., N_{d-1}), the point N / D with D > 0, reduced by one gcd per
+vertex: the format of the lifted rows (D, X..., Z) that the lift and
+exact.facet_planes take, one coordinate short. The barycenter needs no lam,
+which cancels in sum(lam w_c u_c) / (lam w_v): it is sum(w_c N_c (D' / D_c))
+over D' w_v, D' the lcm of the facet's denominators. node_brackets holds
+the positive integers L^{d-1} * weight under the common bracket scale R, so
+node v's real bracket is node_brackets[v] / bracket_scale; the perturbed
+complex of the rounding stage has integer grid points (D = 1) and scale 1.
+The complex carries the stacking tree it embeds, which the lift and round
+stages replay; d, R_eff = L^{d-1} and the facet table are properties, so
+nothing can disagree with the tree and L. It caches the two tables every
+stage reads, rather than replaying the tree each time: node_facets
 (facets.facet_layout, which also numbers the vertices) and the ridge table
 of the facet table. Nothing here checks its arguments: the tree was
 checked where it entered (facets.check_tree) and the weights by
@@ -37,7 +38,7 @@ from .facets import BASE_FACET_KEY, FacetKey, Ridge, TreeRep
 from .facets import build_ridge_adjacency, facet_layout
 from .trees import WeightedTree
 
-# A vertex as (N_1, ..., N_{d-1}, D): the point N / D, D > 0, in lowest terms.
+# A vertex as (D, N_1, ..., N_{d-1}): the point N / D, D > 0, in lowest terms.
 Column = tuple[int, ...]
 
 
@@ -90,11 +91,10 @@ def base_simplex(d: int, R: int) -> tuple[list[Column], int]:
     axes = list(range(d - 1))
     if d % 2 == 0:
         axes[0], axes[1] = axes[1], axes[0]
-    coords: list[Column] = [(0,) * (d - 1) + (1,)]
+    coords: list[Column] = [(1,) + (0,) * (d - 1)]
     for i in range(d - 1):
-        v = [0] * d
-        v[axes[i]] = L
-        v[-1] = 1
+        v = [1] + [0] * (d - 1)
+        v[1 + axes[i]] = L
         coords.append(tuple(v))
     return coords, L
 
@@ -104,18 +104,19 @@ def stacked_column(
 ) -> Column:
     """Barycentric placement: child i's weight multiplies facet vertex i.
 
-    The point sum(w_i u_i) / weight, summed over the lcm of the facet's
-    denominators and reduced by one gcd. The caller passes one weight per
-    facet vertex (check_tree fixes the arity), positive and summing to
-    weight (check_balanced's gates).
+    The point sum(w_i u_i) / weight of homogeneous columns (D, N...) of any
+    length, summed over the lcm of the facet's D and reduced by one gcd.
+    The caller passes one positive weight per facet vertex, summing to
+    weight: the child weights in the flat stage (check_tree fixes the
+    arity, check_balanced the rest), and in the lift the child brackets of
+    a stacking, which Cramer's rule makes sum to its node bracket.
     """
-    den = lcm(*[u[-1] for u in facet_coords])
-    out = [0] * len(facet_coords[0])
+    den = lcm(*[u[0] for u in facet_coords])
+    out = [den * weight] + [0] * (len(facet_coords[0]) - 1)
     for a, u in zip(child_weights, facet_coords):
-        a *= den // u[-1]
-        for axis in range(len(out) - 1):
+        a *= den // u[0]
+        for axis in range(1, len(out)):
             out[axis] += a * u[axis]
-    out[-1] = den * weight
     g = gcd(*out)
     return tuple([x // g for x in out])
 

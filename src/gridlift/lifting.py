@@ -7,11 +7,16 @@ the stacking. On the exact complex child c's bracket is lam * weight[c], so
 the shift is the heavy child's rescaled weight times the (common) light
 children's, which is what makes every crease of the lifted surface land in
 a controlled range: ridge stresses come out >= lam on interior ridges and
-strictly inside (-R_eff, 0) on base ridges. The hyperplane's height above
-the new vertex weighs the facet's heights by the child-to-node bracket
-ratios the complex already holds (Cramer's rule: child j's facet is the
-node's facet with vertex j replaced by the new vertex), so the lift takes no
-determinant.
+strictly inside (-R_eff, 0) on base ridges.
+
+The lift is the flat embedding done one coordinate up. By Cramer's rule
+(child j's facet is the node's facet with vertex j replaced by the new
+vertex) the child-to-node bracket ratios are the new vertex's barycentric
+coordinates in its facet, so flat.stacked_column, given the facet's lifted
+rows and the child brackets, places the new vertex at its flat point and on
+the facet's hyperplane; the shift then raises it. The lift takes no
+determinant, and it checks each placed vertex against the complex's own
+column, so the stress routes below lift the complex's own points.
 
 Stresses are computed from scratch per ridge (the creasing of its two
 facets: exact.facet_planes takes one hyperplane per facet of the lifted
@@ -28,95 +33,78 @@ takes both routes and raises on the first ridge where they disagree.
 Nothing between the brackets and the gates is a Fraction. The complex
 holds its brackets as integers under one common scale k (R on the exact
 complex, 1 on the perturbed one, whose brackets are integer grid units) and
-its vertices as integer homogeneous columns (N, E), which lifted_rows
-extends by the heights to the rows the stress kernel takes. The shifts are
-integers too, the real ones times k^2, so both lifts run in scaled units:
-heights are the real ones times k^2 (integer numerators over positive
-denominators, each reduced by one gcd per stacking), and both stress routes
-give integer pairs (exact.Pair), not necessarily in lowest terms. The
-cross-check compares them by cross-multiplication, and stress_extrema
-divides by the scale once, making Fractions only of the three extrema that
-the gates compare and report.
+its vertices as integer homogeneous columns (D, N...). The lift extends
+them to the primitive rows (D, X..., Z), D > 0, that the stress kernel
+takes, the height of vertex v being Z / D. The shifts are integers too, the
+real ones times k^2, so both lifts run in scaled units: heights are the
+real ones times k^2, and both stress routes give integer pairs
+(exact.Pair), not necessarily in lowest terms. The cross-check compares
+them by cross-multiplication, and stress_extrema divides by the scale once,
+making Fractions only of the three extrema that the gates compare and
+report.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import GeometryError, StageInvariantError
 from .exact import Pair, facet_planes, ridge_stresses
 from .facets import BASE_FACET_KEY, Ridge
-from .flat import FlatComplex
-
-# Heights as (numerators, denominators): vertex v is at nums[v] / dens[v],
-# each pair in lowest terms with a positive denominator.
-Heights = tuple[list[int], list[int]]
+from .flat import FlatComplex, stacked_column
 
 
-def lift_heights(flat: FlatComplex, zeta: dict[int, int]) -> Heights:
+def lift_heights(flat: FlatComplex, zeta: dict[int, int]) -> list[tuple[int, ...]]:
     """Replay the stackings, raising each new vertex by its shift.
 
-    Each stacking's vertex, its child 0's first vertex in node_facets, gets
-    the facet's heights weighted by the child-to-node bracket ratios (which
-    a common bracket scale leaves alone) plus its integer shift, summed
-    over the lcm of the facet's denominators and reduced by one gcd.
-    Heights are linear in the shifts, so adjusted_shifts' shifts, the real
-    ones times k^2, give the real heights times k^2. Shifts are positive by
-    construction; a nonpositive one is a stage error naming its stacking.
+    Returns each vertex's lifted row (D, X..., Z), its height Z / D: a base
+    vertex's column with Z = 0, and each stacking's vertex, its child 0's
+    first vertex in node_facets, placed by stacked_column from its facet's
+    rows and the child brackets (which a common bracket scale leaves
+    alone), then raised by shift * D. The placed row is primitive, as
+    gcd(D, X, Z + shift D) = gcd(D, X, Z). Heights are linear in the
+    shifts, so adjusted_shifts' shifts, the real ones times k^2, give the
+    real heights times k^2. Shifts and node brackets are positive by
+    construction, and Cramer's rule makes each placed (D, X) a multiple of
+    the vertex's own column; a stage error names the stacking or vertex
+    where one of these fails.
     """
-    brackets, layout = flat.node_brackets, flat.node_facets
+    brackets, layout, coords = flat.node_brackets, flat.node_facets, flat.coords
     children = flat.tree.children
-    nums, dens = [0] * len(flat.coords), [1] * len(flat.coords)
+    rows = [(*c, 0) for c in coords[: flat.d]]
     for node in flat.tree.interior_ids:
-        shift = zeta[node]
+        shift, shadow = zeta[node], brackets[node]
         if shift <= 0:
             raise StageInvariantError(
                 "lifting", f"node {node} has vertical shift {shift}, not positive", node
             )
-        shadow = brackets[node]
-        if shadow == 0:
-            raise GeometryError("vertical hyperplane: projected facet is degenerate")
-        facet = layout[node]
-        den = lcm(*[dens[u] for u in facet])
-        total = 0
-        for c, u in zip(children[node], facet):
-            total += brackets[c] * nums[u] * (den // dens[u])
-        # total / (shadow den) + shift
-        num = total + shift * shadow * den
-        den *= shadow
-        if den < 0:
-            num, den = -num, -den
-        g = gcd(num, den)
+        if shadow <= 0:
+            raise StageInvariantError(
+                "lifting", f"node {node} has bracket {shadow}, not positive", node
+            )
+        D, *X, Z = stacked_column(
+            [rows[u] for u in layout[node]], [brackets[c] for c in children[node]], shadow
+        )
         p = layout[children[node][0]][0]
-        nums[p], dens[p] = num // g, den // g
-    return nums, dens
-
-
-def lifted_rows(
-    coords: list[tuple[int, ...]], nums: list[int], dens: list[int]
-) -> list[tuple[int, ...]]:
-    """Each vertex lifted to its height, as an integer homogeneous row.
-
-    Vertex v's column (N, E) is the flat point N / E, and its height is
-    nums[v] / dens[v]; over D = lcm(E, dens[v]) the lifted point is the row
-    (D, N D / E, nums[v] D / dens[v]).
-    """
-    rows = []
-    for col, n, q in zip(coords, nums, dens):
-        D = lcm(col[-1], q)
-        s = D // col[-1]
-        rows.append((D, *[x * s for x in col[:-1]], n * (D // q)))
+        col = coords[p]
+        m = D // col[0]
+        if [D, *X] != [m * x for x in col]:
+            raise StageInvariantError(
+                "lifting", f"vertex {p} placed off its flat column {col}", p
+            )
+        # p == len(rows): build_flat's gate on the layout's numbering
+        rows.append((D, *X, Z + shift * D))
     return rows
 
 
-def direct_stresses(flat: FlatComplex, nums: list[int], dens: list[int]) -> dict[Ridge, Pair]:
+def direct_stresses(flat: FlatComplex, rows: list[tuple[int, ...]]) -> dict[Ridge, Pair]:
     """Stress of every ridge, from one hyperplane per facet of the lift.
 
-    The heights are nums over dens. Raises the GeometryError of the first
-    ridge, in adjacency order, whose stress is undefined.
+    rows[v] is vertex v lifted, as an integer homogeneous row (D, X..., Z),
+    D > 0. Raises the GeometryError of the first ridge, in adjacency order,
+    whose stress is undefined.
     """
-    rows = lifted_rows(flat.coords, nums, dens)
     planes = facet_planes(flat.d, rows, flat.facet_table)
     stresses, failures = ridge_stresses(flat.d, rows, flat.ridge_adjacency, planes)
     if failures:
@@ -183,16 +171,16 @@ def adjusted_shifts(flat: FlatComplex) -> dict[int, int]:
     return out
 
 
-def build_lifted(flat: FlatComplex) -> tuple[Heights, dict[Ridge, Pair]]:
-    """Heights by the complex's own shifts, and the direct stresses,
+def build_lifted(flat: FlatComplex) -> tuple[list[tuple[int, ...]], dict[Ridge, Pair]]:
+    """Lifted rows by the complex's own shifts, and the direct stresses,
     cross-checked against the incremental replay.
 
     Any ridge disagreement raises, since the two routes must match exactly
     for any shift-defined lifting. Pairs are compared by cross-multiplication.
     """
     zeta = adjusted_shifts(flat)
-    z = lift_heights(flat, zeta)
-    direct = direct_stresses(flat, *z)
+    rows = lift_heights(flat, zeta)
+    direct = direct_stresses(flat, rows)
     incremental = incremental_stresses(flat, zeta)
     if set(incremental) != set(direct):
         raise StageInvariantError("lifting", "stress tables cover different ridges")
@@ -205,7 +193,7 @@ def build_lifted(flat: FlatComplex) -> tuple[Heights, dict[Ridge, Pair]]:
                 f"direct {n1}/{d1}, incremental {n2}/{d2}",
                 ridge,
             )
-    return z, direct
+    return rows, direct
 
 
 Extremum = tuple[Fraction, Ridge]  # a stress and the ridge it belongs to
@@ -237,7 +225,7 @@ def stress_extrema(
 
 
 def check_lift_bounds(
-    flat: FlatComplex, z: Heights, stresses: dict[Ridge, Pair]
+    flat: FlatComplex, rows: list[tuple[int, ...]], stresses: dict[Ridge, Pair]
 ) -> dict[str, Fraction]:
     """Stage gate: interior stresses >= 1, base stresses inside (-R_eff, 0).
 
@@ -258,7 +246,7 @@ def check_lift_bounds(
             raise StageInvariantError(
                 "lifting", f"base ridge {ridge} stress {w} outside (-{R_eff}, 0)", ridge
             )
-    low = next((v for v, h in enumerate(z[0]) if v >= flat.d and h <= 0), None)  # dens > 0
+    low = next((v for v, r in enumerate(rows) if v >= flat.d and r[-1] <= 0), None)  # D > 0
     if low is not None:
         raise StageInvariantError("lifting", "non-base vertex at or below height 0", low)
     return {

@@ -3,13 +3,15 @@
 The tree is checked first (facets.check_tree), the one check of its
 contract, so a malformed tree is invalid input before any stage runs.
 Stage order is fixed: balance the face weights, embed flat over the
-rationals (held as integer homogeneous columns), lift by each stacking's
-shift (the product of its two largest child brackets), gate the exact
-stresses, snap to the coordinate grid in integer grid units, relift by the
-same rule on the perturbed brackets, gate again, snap heights to integers,
-then certify from the final coordinates alone, the one check of the snapped
-integers. Every stage keeps exact arithmetic: shifts and the two
-inverse grid steps are integers. The report takes the grid steps from the
+rationals (integer homogeneous columns (D, N...)), lift to the rows
+(D, X..., Z) by placing each stacked vertex one coordinate up with the
+flat stage's rule and raising it by its stacking's shift (the product of
+its two largest child brackets), gate the exact stresses, snap to the
+coordinate grid in integer grid units, relift by the same rule on the
+perturbed brackets, gate again, snap heights to integers, then certify
+from the final coordinates alone, the one check of the snapped integers.
+Every stage keeps exact arithmetic: shifts and the two inverse grid steps
+are integers. The report takes the grid steps from the
 realization's metadata, so only the rounding stage knows the grid formula,
 and the ratio window becomes a Fraction only here. The report captures the
 extrema each gate saw so a run is auditable after the fact.

@@ -3,30 +3,32 @@
 Both grid steps are unit fractions, 1/inv and 1/inv_z; each stage here reads
 the two integers from grid_params of its complex's d and L, so the ratio gate
 and the snap use the grid perturb_flat snapped to. No other module derives
-the grid: the pipeline reports the steps from the realization's metadata. Flat coordinates, held as
-integer homogeneous columns (N, D), are floored to the grid of step 1/inv
-and kept as the integers X = N * inv // D; the step is fine enough that
-every facet volume changes by a factor inside [1 - 1/(10 R_eff),
-1 + 1/(10 R_eff)]. Every bracket of the perturbed complex is then an
-integer, the real bracket times s = inv^(d-1). round_and_scale relifts by this complex's own shifts
+the grid: the pipeline reports the steps from the realization's metadata.
+Flat coordinates, held as integer homogeneous columns (D, N), are floored
+to the grid of step 1/inv and kept as the integer columns (1, X) with
+X = N * inv // D; the step is fine enough that every facet volume changes
+by a factor inside [1 - 1/(10 R_eff), 1 + 1/(10 R_eff)]. Every bracket of
+the perturbed complex is then an integer, the real bracket times
+s = inv^(d-1). round_and_scale relifts by this complex's own shifts
 (lifting.adjusted_shifts: the product of the two largest perturbed child
 brackets of each stacking), which are the real ones times s^2, so the
 relift has heights times s^2 and stresses times s; the heights are
 checked against the ceiling 2 R_eff^2 and floored to the grid of step
 1/inv_z as the integers H = floor(h inv_z), so each output point is (X, H)
-with no rescaling. The relift's heights are integer numerators over
-denominators and its stresses integer pairs, so the stage finds the highest
-vertex by cross-multiplication and floors each height with one integer
-division. The factors s and s^2 stay implicit: each value the stage gates
-or reports is divided by its factor once, and only those values become
-Fractions. The stage's output is a facets.Realization: the perturbed
-complex's facet table split into leaves and base, the integer points, and
-metadata giving the two grid steps as Fractions. The stage checks nothing
-on the snapped integers; the certificate does, from the output alone: its
-stress route checks the signs of the heights and of the ridge stresses (the
-pipeline reports the least interior one), and verify_bounds the size caps
-10 d^2 R_eff^2 on the flat coordinates (attained by the base corners) and
-6 R_eff^3 on the heights, which the stage only reports.
+with no rescaling. The relift gives each vertex as an integer row
+(D, X..., Z), its height Z / D, and its stresses as integer pairs, so the
+stage finds the highest vertex by cross-multiplication and floors each
+height with one integer division. The factors s and s^2 stay implicit:
+each value the stage gates or reports is divided by its factor once, and
+only those values become Fractions. The stage's output is a
+facets.Realization: the perturbed complex's facet table split into leaves
+and base, the integer points, and metadata giving the two grid steps as
+Fractions. The stage checks nothing on the snapped integers; the
+certificate does, from the output alone: its stress route checks the
+signs of the heights and of the ridge stresses (the pipeline reports the
+least interior one), and verify_bounds the size caps 10 d^2 R_eff^2 on
+the flat coordinates (attained by the base corners) and 6 R_eff^3 on the
+heights, which the stage only reports.
 
 Every inequality checked here is guaranteed by construction, so failures
 raise stage errors rather than being reported as input problems.
@@ -66,15 +68,16 @@ def grid_params(d: int, L: int) -> tuple[int, int]:
 def perturb_flat(flat: FlatComplex) -> FlatComplex:
     """Floor every coordinate to the complex's grid of step 1/inv, in grid units.
 
-    Vertex v, held as the homogeneous column (N, D), gets X_v = N * inv // D
+    Vertex v, held as the homogeneous column (D, N), gets X_v = N * inv // D
     per coordinate, one integer division, and is stored as the column
-    (X_v, 1). Each node facet gets the integer bracket of its grid points,
-    which is its real bracket times s = inv^(d-1), under the bracket scale 1.
+    (1, X_v). Each node facet gets the integer bracket of its grid points
+    (the determinant with the ones column last), which is its real bracket
+    times s = inv^(d-1), under the bracket scale 1.
     """
     inv, _ = grid_params(flat.d, flat.L)
-    coords = [(*(n * inv // p[-1] for n in p[:-1]), 1) for p in flat.coords]
+    coords = [(1, *(n * inv // p[0] for n in p[1:])) for p in flat.coords]
     brackets = {
-        node: _det_int([list(coords[u]) for u in facet])
+        node: _det_int([[*coords[u][1:], 1] for u in facet])
         for node, facet in flat.node_facets.items()
     }
     return replace(flat, coords=coords, node_brackets=brackets, bracket_scale=1)
@@ -131,7 +134,7 @@ def round_and_scale(perturbed: FlatComplex) -> tuple[Realization, dict]:
     inv, inv_z = grid_params(d, perturbed.L)
     s = inv ** (d - 1)
     s2 = s * s
-    z, stresses = build_lifted(perturbed)
+    rows, stresses = build_lifted(perturbed)
     (min_interior, r_in), (min_base, r_lo), (max_base, r_hi) = stress_extrema(
         perturbed.ridge_adjacency, stresses, s
     )
@@ -146,18 +149,17 @@ def round_and_scale(perturbed: FlatComplex) -> tuple[Realization, dict]:
                 "rounding", f"perturbed base stress {w} outside (-2 R_eff, 0)", ridge
             )
 
-    nums, dens = z
-    top, top_den = nums[0], dens[0]
-    for h, e in zip(nums, dens):
-        if h * top_den > top * e:
-            top, top_den = h, e
+    top, top_den = rows[0][-1], rows[0][0]
+    for r in rows:
+        if r[-1] * top_den > top * r[0]:
+            top, top_den = r[-1], r[0]
     z_max = Fraction(top, top_den * s2)
     if not (0 < z_max < 2 * R_eff * R_eff):
         raise StageInvariantError("rounding", f"z_max {z_max} outside (0, 2 R_eff^2)")
 
-    # floor(h inv_z / s^2): the real height in units of 1/inv_z
-    z_snapped = [h * inv_z // (e * s2) for h, e in zip(nums, dens)]
-    coords_int = [(*p[:-1], h) for p, h in zip(perturbed.coords, z_snapped)]
+    # floor(Z inv_z / (D s^2)): the real height in units of 1/inv_z
+    z_snapped = [r[-1] * inv_z // (r[0] * s2) for r in rows]
+    coords_int = [(*p[1:], h) for p, h in zip(perturbed.coords, z_snapped)]
     max_xy = max(c for p in coords_int for c in p[:-1])
     max_z = max(z_snapped)
 

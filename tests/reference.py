@@ -4,12 +4,13 @@ oracle, and two facet lists that find_facet is held against; and the
 package's modules, as these tests imported them."""
 
 from fractions import Fraction
+from math import gcd
 from types import ModuleType
 from typing import Sequence
 
 import gridlift
 from gridlift import GeometryError, InvalidInputError, Realization
-from gridlift.exact import _det_int, bracket, stress_of_ridge
+from gridlift.exact import _det_int, bracket, homogeneous_column, stress_of_ridge
 from gridlift.facets import BASE_FACET_KEY, facet_layout
 from gridlift.flat import base_simplex
 from gridlift.verify import (
@@ -69,10 +70,42 @@ def height_on_hyperplane(facet: Sequence[Sequence], p: Sequence) -> Fraction:
     return bracket(list(facet) + [(*p, Fraction(0))]) / shadow
 
 
+def hyperplane_heights(flat, zeta) -> list[Fraction]:
+    """Per stacking, the height of the lifted facet's hyperplane above the
+    new vertex, from its own determinants, plus the shift: the Fraction
+    reference for lifting.lift_heights."""
+    points = flat_points(flat)
+    z = [Fraction(0)] * flat.d
+    for node in flat.tree.interior_ids:
+        lifted = [(*points[u], z[u]) for u in flat.node_facets[node]]
+        p = points[len(z)]
+        z.append(height_on_hyperplane(lifted, p) + zeta[node])
+    return z
+
+
+def check_lifted_rows(complex_, zeta, rows) -> None:
+    """The lift's invariant: each row (D, X..., Z) is primitive with D > 0,
+    its (D, X) is the complex's own column times a positive integer, and
+    Z / D is the reference height."""
+    assert [Fraction(r[-1], r[0]) for r in rows] == hyperplane_heights(complex_, zeta)
+    assert len(rows) == len(complex_.coords)
+    for row, column in zip(rows, complex_.coords):
+        assert row[0] > 0 and gcd(*row) == 1
+        m = row[0] // column[0]
+        assert m >= 1 and row[:-1] == tuple(m * x for x in column)
+
+
 def point(column: Sequence[int]) -> tuple[Fraction, ...]:
-    """The point N / D of a homogeneous column (N_1, ..., N_k, D)."""
-    *nums, den = column
+    """The point N / D of a homogeneous column (D, N_1, ..., N_k)."""
+    den, *nums = column
     return tuple(Fraction(n, den) for n in nums)
+
+
+def homogeneous_row(p: Sequence) -> tuple[int, ...]:
+    """The point p as the integer homogeneous row (D, p D), D the lcm of
+    its denominators: homogeneous_column with D moved first."""
+    *scaled, den = homogeneous_column(p)
+    return (den, *scaled)
 
 
 def flat_points(flat) -> list[tuple[Fraction, ...]]:

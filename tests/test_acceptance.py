@@ -187,7 +187,7 @@ def test_criterion_4_dual_oracle_and_stress_routes():
         tree = gen_tree("random", 3, 4 + seed % 8, seed=7000 + seed)
         flat = build_flat(balance_weights(tree))
         zeta = adjusted_shifts(flat)
-        direct = direct_stresses(flat, *lift_heights(flat, zeta))
+        direct = direct_stresses(flat, lift_heights(flat, zeta))
         incremental = incremental_stresses(flat, zeta)
         assert direct.keys() == incremental.keys()
         assert all(F(*direct[r]) == F(*incremental[r]) for r in direct)

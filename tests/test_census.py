@@ -27,7 +27,7 @@ from gridlift.lifting import (
 )
 from gridlift.rounding import perturb_flat
 from gridlift.trees import balance_weights, tree_from_nested, tree_to_json
-from reference import nonseparating_triangles, tree_facets
+from reference import check_lifted_rows, nonseparating_triangles, tree_facets
 
 
 def compositions(total: int, parts: int):
@@ -96,13 +96,16 @@ def test_every_tree_realizes_and_certifies(d, k):
 @pytest.mark.parametrize("d,k", CENSUS)
 def test_direct_stresses_equal_incremental(d, k):
     # the exact lift's and the relift's stresses from the hyperplane kernel,
-    # against the stacking replay, by cross-multiplication
+    # against the stacking replay, by cross-multiplication; the lifted rows
+    # are primitive, over the complex's columns, at the reference heights
     for tree in all_trees(d, k):
         flat = build_flat(balance_weights(tree))
         perturbed = perturb_flat(flat)
         for complex_ in (flat, perturbed):
             zeta = adjusted_shifts(complex_)
-            direct = direct_stresses(complex_, *lift_heights(complex_, zeta))
+            rows = lift_heights(complex_, zeta)
+            check_lifted_rows(complex_, zeta, rows)
+            direct = direct_stresses(complex_, rows)
             incremental = incremental_stresses(complex_, zeta)
             assert direct.keys() == incremental.keys(), tree_to_json(tree)
             for ridge, (num, den) in direct.items():

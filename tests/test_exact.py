@@ -24,9 +24,15 @@ from gridlift.exact import (
 )
 from gridlift.facets import BASE_FACET_KEY, build_ridge_adjacency
 from gridlift.flat import build_flat
-from gridlift.lifting import direct_stresses, lift_heights, lifted_rows
+from gridlift.lifting import direct_stresses, lift_heights
 from gridlift.trees import balance_weights
-from reference import facet_lookup, flat_points, height_on_hyperplane, reference_stresses
+from reference import (
+    facet_lookup,
+    flat_points,
+    height_on_hyperplane,
+    homogeneous_row,
+    reference_stresses,
+)
 
 F = Fraction
 
@@ -297,8 +303,8 @@ def lifted_complexes(draw, dims=(3, 4, 5)):
         m = math.lcm(*(q.denominator for q in zeta.values()))
         scaled = {v: int(q * m) for v, q in zeta.items()}
         points = [
-            (*p, F(n, e * m))
-            for p, n, e in zip(flat_points(flat), *lift_heights(flat, scaled))
+            (*p, F(r[-1], r[0] * m))
+            for p, r in zip(flat_points(flat), lift_heights(flat, scaled))
         ]
     else:
         tilted = draw(st.booleans())
@@ -323,7 +329,7 @@ def as_fractions(stresses):
 def rows_of(points):
     """Each point p as the integer homogeneous row (D, p D), D the lcm of
     its denominators."""
-    return [(c[-1], *c[:-1]) for c in map(homogeneous_column, points)]
+    return [homogeneous_row(p) for p in points]
 
 
 def kernel_table(d, points, adjacency, facets):
@@ -350,8 +356,8 @@ class TestStressTable:
         assert list(stresses) == [r for r in adjacency if r not in failures]
 
     def test_tetrahedron(self, tet_lifted, tet_flat):
-        z, lifted_stresses = tet_lifted
-        points = [(*p, F(n, e)) for p, n, e in zip(flat_points(tet_flat), *z)]
+        rows, lifted_stresses = tet_lifted
+        points = [(*p, F(r[-1], r[0])) for p, r in zip(flat_points(tet_flat), rows)]
         table = tet_flat.facet_table
         stresses, failures = kernel_table(3, points, tet_flat.ridge_adjacency, table)
         assert failures == {}
@@ -360,12 +366,12 @@ class TestStressTable:
     def test_many_lifts(self, tet_flat):
         # the construction lifts one flat complex by several sets of heights
         for shift in (16, 32, 1):
-            z = lift_heights(tet_flat, {0: shift})
-            points = [(*p, F(n, e)) for p, n, e in zip(flat_points(tet_flat), *z)]
+            rows = lift_heights(tet_flat, {0: shift})
+            points = [(*p, F(r[-1], r[0])) for p, r in zip(flat_points(tet_flat), rows)]
             expected = reference_stresses(
                 points, tet_flat.ridge_adjacency, facet_lookup(tet_flat)
             )
-            stresses = direct_stresses(tet_flat, *z)
+            stresses = direct_stresses(tet_flat, rows)
             assert as_fractions(stresses) == expected
 
     def test_degenerate_shadow_message(self):
@@ -407,15 +413,15 @@ def as_flat_complex(points, flat):
     ridge table of its own, permuted, facet table."""
     return dataclasses.replace(
         flat,
-        coords=[homogeneous_column(p[:-1]) for p in points],
+        coords=[homogeneous_row(p[:-1]) for p in points],
         ridge_adjacency=build_ridge_adjacency(flat.d, flat.facet_table),
     )
 
 
 class TestFacetStressPlan:
-    """The construction's route, the complex's (N, E) columns lifted by
-    heights over their own denominators and one hyperplane per facet,
-    against the per-ridge stress_of_ridge, ridge for ridge."""
+    """The construction's route, direct_stresses: the complex lifted to
+    integer rows (D, X..., Z) and one hyperplane per facet, against the
+    per-ridge stress_of_ridge, ridge for ridge."""
 
     @given(lifted_complexes(dims=(3, 4, 5, 6, 7)))
     @settings(max_examples=150, deadline=None)
@@ -423,10 +429,11 @@ class TestFacetStressPlan:
         points, flat = complex_
         flat = as_flat_complex(points, flat)
         d = flat.d
-        heights = [F(p[-1]) for p in points]
-        nums = [h.numerator for h in heights]
-        dens = [h.denominator for h in heights]
-        rows = lifted_rows(flat.coords, nums, dens)
+        rows = rows_of(points)
+        # each row lies over the complex's own column
+        assert all(
+            r[:-1] == tuple(r[0] // c[0] * x for x in c) for r, c in zip(rows, flat.coords)
+        )
         table = flat.facet_table
         planes = facet_planes(d, rows, table)
         stresses, failures = ridge_stresses(d, rows, flat.ridge_adjacency, planes)
@@ -435,10 +442,10 @@ class TestFacetStressPlan:
         # direct_stresses raises the first failure, in adjacency order
         if failures:
             with pytest.raises(GeometryError) as exc:
-                direct_stresses(flat, nums, dens)
+                direct_stresses(flat, rows)
             assert str(exc.value) == next(iter(failures.values()))
         else:
-            assert direct_stresses(flat, nums, dens) == stresses
+            assert direct_stresses(flat, rows) == stresses
 
 
 def det_by_permutations(a):

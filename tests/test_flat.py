@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 
 from gridlift import StageInvariantError, gen_tree
 from gridlift import flat
-from gridlift.exact import bracket, homogeneous_column
+from gridlift.exact import bracket
 from gridlift.facets import BASE_FACET_KEY
 from gridlift.flat import base_simplex, build_flat, stacked_column
 from gridlift.trees import balance_weights
-from reference import flat_points, point, real_brackets, reference_flat_points
+from reference import flat_points, homogeneous_row, point, real_brackets, reference_flat_points
 
 F = Fraction
 
@@ -19,7 +19,7 @@ class TestBaseSimplex:
     def test_d3_r3(self):
         coords, L = base_simplex(3, 3)
         assert L == 2
-        assert coords == [(0, 0, 1), (2, 0, 1), (0, 2, 1)]
+        assert coords == [(1, 0, 0), (1, 2, 0), (1, 0, 2)]
         assert bracket([point(c) for c in coords]) == 4
 
     def test_d3_r4(self):
@@ -35,7 +35,7 @@ class TestBaseSimplex:
         for d in range(3, 8):
             for R in (3, 5, 17):
                 coords, L = base_simplex(d, R)
-                assert all(c[-1] == 1 for c in coords)
+                assert all(c[0] == 1 for c in coords)
                 assert bracket([point(c) for c in coords]) == L ** (d - 1)
                 # L is the least grid scale with L^(d-1) >= R, so lam >= 1
                 assert (L - 1) ** (d - 1) < R <= L ** (d - 1)
@@ -43,20 +43,20 @@ class TestBaseSimplex:
 
 class TestPlacement:
     def test_weighted_mean(self):
-        facet = [(0, 0, 1), (2, 0, 1), (0, 2, 1)]
-        assert stacked_column(facet, [2, 1, 1], 4) == (1, 1, 2)  # (1/2, 1/2)
+        facet = [(1, 0, 0), (1, 2, 0), (1, 0, 2)]
+        assert stacked_column(facet, [2, 1, 1], 4) == (2, 1, 1)  # (1/2, 1/2)
 
     def test_uniform_is_centroid(self):
-        facet = [(0, 0, 1), (3, 0, 1), (0, 3, 1)]
+        facet = [(1, 0, 0), (1, 3, 0), (1, 0, 3)]
         assert stacked_column(facet, [1, 1, 1], 3) == (1, 1, 1)
 
     def test_mixed_denominators_reduce(self):
         # (1/2, 0), (0, 1/3), (0, 0) with equal weights: (1/6, 1/9)
-        facet = [(1, 0, 2), (0, 1, 3), (0, 0, 1)]
-        assert stacked_column(facet, [1, 1, 1], 3) == (3, 2, 18)
+        facet = [(2, 1, 0), (3, 0, 1), (1, 0, 0)]
+        assert stacked_column(facet, [1, 1, 1], 3) == (18, 3, 2)
         # a common factor of the sum and its denominator is divided out
-        assert stacked_column([(0, 0, 1), (2, 0, 1), (0, 4, 1)], [2, 2, 2], 6) == (
-            2, 4, 3
+        assert stacked_column([(1, 0, 0), (1, 2, 0), (1, 0, 4)], [2, 2, 2], 6) == (
+            3, 2, 4
         )
 
 
@@ -78,16 +78,16 @@ class TestPlacementMatchesReference:
         for column, p in zip(columns, expected):
             assert point(column) == p
             # lowest terms over a positive denominator
-            assert [*column] == homogeneous_column(p)
+            assert column == homogeneous_row(p)
 
 
 class TestTetFlat:
     def test_coords(self, tet_flat):
         assert tet_flat.coords == [
-            (0, 0, 1),
-            (2, 0, 1),
-            (0, 2, 1),
-            (2, 2, 3),  # (2/3, 2/3)
+            (1, 0, 0),
+            (1, 2, 0),
+            (1, 0, 2),
+            (3, 2, 2),  # (2/3, 2/3)
         ]
 
     def test_layout(self, tet_flat):
@@ -151,8 +151,8 @@ class TestTwoStackFlat:
         flat = build_flat(balance_weights(two_stack_tree))
         assert flat.L == 3
         assert flat.bracket_scale == 6  # lam = 9/6
-        assert flat.coords[3] == (4, 1, 2)  # (2, 1/2)
-        assert flat.coords[4] == (4, 7, 8)  # (1/2, 7/8)
+        assert flat.coords[3] == (2, 4, 1)  # (2, 1/2)
+        assert flat.coords[4] == (8, 4, 7)  # (1/2, 7/8)
 
     def test_second_point_inside_parent_facet(self, two_stack_tree):
         flat = build_flat(balance_weights(two_stack_tree))

@@ -165,7 +165,6 @@ def names_in_body(source: str, function: str) -> set[str]:
     ("exact", "maximal_minors"),
     ("exact", "facet_planes"),
     ("exact", "ridge_stresses"),
-    ("lifting", "lifted_rows"),
     ("lifting", "direct_stresses"),
     ("lifting", "lift_heights"),
     ("lifting", "incremental_stresses"),
@@ -199,16 +198,34 @@ def test_flat_stages_build_no_fraction_at_runtime(monkeypatch):
     build_flat(wt)
     perturb_flat(flat)
     for complex_ in complexes:
-        nums, dens = lift_heights(complex_, zeta)
-        assert any(e > 1 for e in dens)
-        # lifted_rows and exact.ridge_stresses underneath
-        direct_stresses(complex_, nums, dens)
+        # rows at rational heights: some D > 1
+        rows = lift_heights(complex_, zeta)
+        assert any(r[0] > 1 for r in rows)
+        # exact.facet_planes and exact.ridge_stresses underneath
+        direct_stresses(complex_, rows)
         shifts = adjusted_shifts(complex_)
         assert all(type(v) is int for v in shifts.values())
         # the shifts, both stress routes and their cross-check
-        (nums, dens), _ = build_lifted(complex_)
-        assert any(e > 1 for e in dens)
+        rows, _ = build_lifted(complex_)
+        assert any(r[0] > 1 for r in rows)
+        assert all(type(x) is int for r in rows for x in r)
     assert built == []
+
+
+def test_lift_places_vertices_with_the_flat_rule():
+    # one placement kernel: the lift places each stacked vertex with
+    # flat.stacked_column, one coordinate up, and converts no format, so it
+    # takes no lcm of its own; and one point format, D first, from the base
+    # simplex on
+    read = read_names((PACKAGE_DIR / "lifting.py").read_text())
+    assert "stacked_column" in read
+    assert "lcm" not in read
+    assert not hasattr(gridlift.lifting, "lifted_rows")
+    assert not hasattr(gridlift.lifting, "Heights")
+    for d in range(3, 8):
+        flat = build_flat(balance_weights(gridlift.gen_tree("random", d, 3, d)))
+        assert flat.coords[0] == (1,) + (0,) * (d - 1)
+        assert perturb_flat(flat).coords[0] == (1,) + (0,) * (d - 1)
 
 
 def test_detects_fraction_in_body():

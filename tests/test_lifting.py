@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridlift import GeometryError, StageInvariantError, gen_tree
+from gridlift import StageInvariantError, gen_tree
 from gridlift import lifting
 from gridlift.exact import facet_planes, ridge_stresses
 from gridlift.facets import BASE_FACET_KEY
@@ -18,19 +18,25 @@ from gridlift.lifting import (
     direct_stresses,
     incremental_stresses,
     lift_heights,
-    lifted_rows,
     stress_extrema,
 )
 from gridlift.rounding import perturb_flat
 from gridlift.trees import balance_weights
-from reference import facet_lookup, flat_points, height_on_hyperplane, reference_stresses
+from reference import (
+    check_lifted_rows,
+    facet_lookup,
+    flat_points,
+    homogeneous_row,
+    hyperplane_heights,
+    reference_stresses,
+)
 
 F = Fraction
 
 
-def fractions(z):
-    """Heights held as (numerators, denominators), as Fractions."""
-    return [F(n, e) for n, e in zip(*z)]
+def fractions(rows):
+    """The heights Z / D of lifted rows (D, X..., Z), as Fractions."""
+    return [F(r[-1], r[0]) for r in rows]
 
 
 def table(stresses):
@@ -38,10 +44,14 @@ def table(stresses):
     return {ridge: F(*w) for ridge, w in stresses.items()}
 
 
-def kernel(complex_, nums, dens):
-    """ridge_stresses on a complex lifted by nums over dens: the stresses
-    and the failures that direct_stresses would raise."""
-    rows = lifted_rows(complex_.coords, nums, dens)
+def lifted(complex_, heights):
+    """A complex's points lifted to rational heights, as integer rows."""
+    return [homogeneous_row((*p, h)) for p, h in zip(flat_points(complex_), heights)]
+
+
+def kernel(complex_, rows):
+    """ridge_stresses on a complex lifted to rows: the stresses and the
+    failures that direct_stresses would raise."""
     planes = facet_planes(complex_.d, rows, complex_.facet_table)
     return ridge_stresses(complex_.d, rows, complex_.ridge_adjacency, planes)
 
@@ -61,17 +71,18 @@ class TestVerticalShifts:
 
 class TestHeights:
     def test_tetrahedron(self, tet_lifted):
-        # the real height 16/9 times bracket_scale^2 = 9
-        z, _ = tet_lifted
-        assert z == ([0, 0, 0, 16], [1, 1, 1, 1])
+        # the real height 16/9 times bracket_scale^2 = 9, over the apex's
+        # column (3, 2, 2)
+        rows, _ = tet_lifted
+        assert rows == [(1, 0, 0, 0), (1, 2, 0, 0), (1, 0, 2, 0), (3, 2, 2, 48)]
 
     def test_base_stays_flat(self):
         tree = gen_tree("random", 3, 12, seed=3)
         flat = build_flat(balance_weights(tree))
-        (nums, dens), _ = build_lifted(flat)
-        assert nums[:3] == [0, 0, 0]
-        assert all(h > 0 for h in nums[3:])
-        assert all(e > 0 for e in dens)
+        rows, _ = build_lifted(flat)
+        assert [r[-1] for r in rows[:3]] == [0, 0, 0]
+        assert all(r[-1] > 0 for r in rows[3:])
+        assert all(r[0] > 0 for r in rows)
 
     def test_heights_grow_with_shift(self, tet_flat):
         z1 = fractions(lift_heights(tet_flat, {0: 16}))
@@ -89,18 +100,6 @@ class TestHeights:
         with pytest.raises(StageInvariantError) as info:
             lift_heights(flat, {0: 1, 2: -1})
         assert info.value.witness == 2
-
-
-def hyperplane_heights(flat, zeta):
-    """Per stacking, the height of the lifted facet's hyperplane above the
-    new vertex, from its own determinants, plus the shift."""
-    points = flat_points(flat)
-    z = [F(0)] * flat.d
-    for node in flat.tree.interior_ids:
-        lifted = [(*points[u], z[u]) for u in flat.node_facets[node]]
-        p = points[len(z)]
-        z.append(height_on_hyperplane(lifted, p) + zeta[node])
-    return z
 
 
 class TestBarycentricLift:
@@ -125,13 +124,36 @@ class TestBarycentricLift:
                 h * m for h in hyperplane_heights(complex_, zeta)
             ]
 
-    def test_zero_bracket_is_a_vertical_hyperplane(self, tet_flat):
-        brackets = {**tet_flat.node_brackets, 0: 0}
+    @pytest.mark.parametrize("bracket", [0, -1])
+    def test_nonpositive_bracket_is_a_stage_error(self, tet_flat, bracket):
+        # both complexes' brackets are positive, by construction and through
+        # the ratio gate: a zero or negative one names its stacking
+        brackets = {**tet_flat.node_brackets, 0: bracket}
         flat = dataclasses.replace(tet_flat, node_brackets=brackets)
-        with pytest.raises(
-            GeometryError, match="^vertical hyperplane: projected facet is degenerate$"
-        ):
+        with pytest.raises(StageInvariantError) as info:
             lift_heights(flat, {0: 16})
+        assert info.value.stage == "lifting"
+        assert info.value.message == f"node 0 has bracket {bracket}, not positive"
+        assert info.value.witness == 0
+
+    def test_changed_child_bracket_names_the_stacked_vertex(self):
+        # the placement reads only brackets: one child bracket off by one
+        # moves the last stacking's vertex off the column the complex holds,
+        # and the lift names that vertex before any stress is compared
+        flat = build_flat(balance_weights(gen_tree("random", 4, 6, 2)))
+        perturbed = perturb_flat(flat)
+        node = flat.tree.interior_ids[-1]
+        children, facet = flat.tree.children[node], flat.node_facets[node]
+        # a child whose facet vertex is not the origin, which weighs nothing
+        child = next(c for c, u in zip(children, facet) if u != 0)
+        brackets = {**perturbed.node_brackets, child: perturbed.node_brackets[child] + 1}
+        tampered = dataclasses.replace(perturbed, node_brackets=brackets)
+        p = flat.node_facets[children[0]][0]
+        with pytest.raises(StageInvariantError) as info:
+            build_lifted(tampered)
+        assert info.value.stage == "lifting"
+        assert info.value.message.startswith(f"vertex {p} placed off its flat column")
+        assert info.value.witness == p
 
 
 class TestStresses:
@@ -144,8 +166,8 @@ class TestStresses:
             assert st[ridge] == F(-4, 3) * 9
 
     def test_doubling_shift_doubles_stress(self, tet_flat):
-        z = lift_heights(tet_flat, {0: 32})
-        st = table(direct_stresses(tet_flat, *z))
+        rows = lift_heights(tet_flat, {0: 32})
+        st = table(direct_stresses(tet_flat, rows))
         assert st[(0, 3)] == 8 * 9
         assert st[(0, 1)] == F(-8, 3) * 9
 
@@ -156,8 +178,8 @@ class TestStresses:
         tree = gen_tree("random", d, size, seed)
         flat = build_flat(balance_weights(tree))
         zeta = adjusted_shifts(flat)
-        z = lift_heights(flat, zeta)
-        direct = direct_stresses(flat, *z)
+        rows = lift_heights(flat, zeta)
+        direct = direct_stresses(flat, rows)
         incremental = incremental_stresses(flat, zeta)
         assert table(direct) == table(incremental)
 
@@ -167,8 +189,8 @@ class TestStresses:
         wt = balance_weights(tree)
         flat = build_flat(wt)
         zeta = {v: 3 + 2 * i for i, v in enumerate(flat.tree.interior_ids)}
-        z = lift_heights(flat, zeta)
-        assert table(direct_stresses(flat, *z)) == table(
+        rows = lift_heights(flat, zeta)
+        assert table(direct_stresses(flat, rows)) == table(
             incremental_stresses(flat, zeta)
         )
 
@@ -185,16 +207,16 @@ class TestStresses:
             assert all(type(x) is int for c in complex_.coords for x in c)
             zeta = adjusted_shifts(complex_)
             assert all(type(v) is int for v in zeta.values())
-            nums, dens = lift_heights(complex_, zeta)
-            floored = [n // e for n, e in zip(nums, dens)]
+            rows = lift_heights(complex_, zeta)
+            floored = [r[-1] // r[0] for r in rows]
             pairs = [
                 *incremental_stresses(complex_, zeta).values(),
-                *kernel(complex_, nums, dens)[0].values(),
-                *kernel(complex_, floored, [1] * len(floored))[0].values(),
+                *kernel(complex_, rows)[0].values(),
+                *kernel(complex_, lifted(complex_, floored))[0].values(),
             ]
-            values = [*nums, *dens, *(x for pair in pairs for x in pair)]
+            values = [*(x for r in rows for x in r), *(x for pair in pairs for x in pair)]
             assert all(type(v) is int for v in values)
-            assert all(e > 0 for e in dens)
+            assert all(r[0] > 0 for r in rows)
             assert all(den > 0 for _, den in pairs)
 
 
@@ -226,11 +248,11 @@ class TestLiftGate:
 
     def test_gate_names_the_low_vertex(self, two_stack_tree):
         flat = build_flat(balance_weights(two_stack_tree))
-        (nums, dens), stresses = build_lifted(flat)
-        nums = list(nums)
-        nums[flat.d + 1] = 0
+        rows, stresses = build_lifted(flat)
+        rows = list(rows)
+        rows[flat.d + 1] = (*rows[flat.d + 1][:-1], 0)
         with pytest.raises(StageInvariantError) as info:
-            check_lift_bounds(flat, (nums, dens), stresses)
+            check_lift_bounds(flat, rows, stresses)
         assert info.value.stage == "lifting"
         assert info.value.witness == flat.d + 1
 
@@ -327,8 +349,8 @@ class TestStressMapCrossCheck:
             build_lifted(tet_flat)
 
     def test_one_numerator_unit_is_caught(self, monkeypatch, tet_flat):
-        z, stresses = build_lifted(tet_flat)
-        assert table(stresses) == table(direct_stresses(tet_flat, *z))
+        rows, stresses = build_lifted(tet_flat)
+        assert table(stresses) == table(direct_stresses(tet_flat, rows))
         original = lifting.incremental_stresses
         ridge = (1, 3)
 
@@ -352,8 +374,8 @@ class TestStressMapCrossCheck:
             return {r: (7 * n, 7 * d) for r, (n, d) in original(*args).items()}
 
         monkeypatch.setattr(lifting, "incremental_stresses", rescaled)
-        z, stresses = build_lifted(tet_flat)
-        assert table(stresses) == table(direct_stresses(tet_flat, *z))
+        rows, stresses = build_lifted(tet_flat)
+        assert table(stresses) == table(direct_stresses(tet_flat, rows))
 
 
 def reference_table(complex_, heights):
@@ -367,7 +389,7 @@ class TestPairsMatchFractionReferences:
     """The integer-pair lift against the per-vertex and per-ridge Fraction
     definitions, by exact rational equality."""
 
-    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
     @pytest.mark.parametrize(
         "shape,size", [("random", 9), ("serpentine", 7), ("balanced_rounds", 2)]
     )
@@ -377,14 +399,15 @@ class TestPairsMatchFractionReferences:
         perturbed = perturb_flat(flat)
         for complex_ in (flat, perturbed):
             zeta = adjusted_shifts(complex_)
-            z, stresses = build_lifted(complex_)
-            heights = fractions(z)
-            # the integer shifts, as a real shift each, give the same heights
-            assert heights == hyperplane_heights(complex_, zeta)
+            rows, stresses = build_lifted(complex_)
+            heights = fractions(rows)
+            # primitive rows over the complex's own columns; the integer
+            # shifts, as a real shift each, give the reference heights
+            check_lifted_rows(complex_, zeta, rows)
             expected = reference_table(complex_, heights)
             assert table(stresses) == expected
             assert table(incremental_stresses(complex_, zeta)) == expected
-            # integer heights, over denominators 1
-            floored = [n // e for n, e in zip(*z)]
-            pairs, failures = kernel(complex_, floored, [1] * len(floored))
+            # integer heights, floored from the rows
+            floored = [r[-1] // r[0] for r in rows]
+            pairs, failures = kernel(complex_, lifted(complex_, floored))
             assert {**table(pairs), **failures} == reference_table(complex_, floored)

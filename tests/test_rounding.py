@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from gridlift import StageInvariantError, gen_tree, run_pipeline
 from gridlift import rounding
-from gridlift.exact import bracket, homogeneous_column
+from gridlift.exact import bracket
 from gridlift.facets import BASE_FACET_KEY
 from gridlift.flat import build_flat
 from gridlift.lifting import adjusted_shifts, build_lifted, direct_stresses, stress_extrema
 from gridlift.rounding import check_volume_ratios, grid_params, perturb_flat, round_and_scale
 from gridlift.trees import balance_weights
-from reference import flat_points, real_brackets
+from reference import flat_points, homogeneous_row, real_brackets
 
 F = Fraction
 
@@ -46,20 +46,18 @@ def reference_round(flat):
     k = math.lcm(*(b.denominator for b in brackets.values()))
     pe = dataclasses.replace(
         flat,
-        coords=[tuple(homogeneous_column(p)) for p in coords],
+        coords=[homogeneous_row(p) for p in coords],
         node_brackets={node: int(b * k) for node, b in brackets.items()},
         bracket_scale=k,
     )
     ratios = [brackets[node] / b for node, b in real_brackets(flat).items()]
-    (nums, dens), stresses = build_lifted(pe)
-    z = [F(n, e * k * k) for n, e in zip(nums, dens)]
+    rows, stresses = build_lifted(pe)
+    z = [F(r[-1], r[0] * k * k) for r in rows]
     (w_in, _), (w_lo, _), _ = stress_extrema(pe.ridge_adjacency, stresses, k * k)
     z_snapped = [floor_to_multiple(h, alpha_z) for h in z]
     (w_in_rounded, _), _, _ = stress_extrema(
         pe.ridge_adjacency,
-        direct_stresses(
-            pe, [h.numerator for h in z_snapped], [h.denominator for h in z_snapped]
-        ),
+        direct_stresses(pe, [homogeneous_row((*p, h)) for p, h in zip(coords, z_snapped)]),
         1,
     )
     scaled = []
@@ -127,7 +125,7 @@ class TestPerturb:
         inv, _ = grid_params(3, tet_flat.L)
         pe = perturb_flat(tet_flat)
         assert pe.coords == [
-            (*(c * inv for c in pt), 1) for pt in flat_points(tet_flat)
+            (1, *(c * inv for c in pt)) for pt in flat_points(tet_flat)
         ]
         # brackets in grid units: the real ones times s = inv^(d-1)
         s = inv**2
@@ -143,8 +141,8 @@ class TestPerturb:
         inv, _ = grid_params(d, flat.L)
         pe = perturb_flat(flat)
         for a, b in zip(pe.coords, flat_points(flat)):
-            assert a[-1] == 1
-            for ca, cb in zip(a[:-1], b):
+            assert a[0] == 1
+            for ca, cb in zip(a[1:], b):
                 assert type(ca) is int
                 assert 0 <= cb * inv - ca < 1
         lo, hi = check_volume_ratios(flat, pe)
@@ -286,12 +284,12 @@ class TestRoundAndScale:
         sunk = []
 
         def tampered(flat, *args):
-            (nums, dens), stresses = original(flat, *args)
-            nums = list(nums)
-            top = max(range(len(nums)), key=lambda v: F(nums[v], dens[v]))
-            sunk.append(next(v for v in range(flat.d, len(nums)) if v != top))
-            nums[sunk[0]] = 0
-            return (nums, dens), stresses
+            rows, stresses = original(flat, *args)
+            rows = list(rows)
+            top = max(range(len(rows)), key=lambda v: F(rows[v][-1], rows[v][0]))
+            sunk.append(next(v for v in range(flat.d, len(rows)) if v != top))
+            rows[sunk[0]] = (*rows[sunk[0]][:-1], 0)
+            return rows, stresses
 
         monkeypatch.setattr(rounding, "build_lifted", tampered)
         with pytest.raises(StageInvariantError) as info:
