@@ -13,13 +13,15 @@ simply their ascending id order. A polytope on n vertices has n - d
 interior nodes and (n - d)(d - 1) + 1 leaves. The tree type (TreeRep), its
 one contract check (check_tree) and its facet replay (facet_layout) live
 in the facets module, which the verifier trusts; this module reads, writes
-and generates trees. The JSON form nests lists (tree_from_nested, which
-checks the tree it builds, and to_nested); the generators fill a child
-table under their own ids and renumber it to preorder once (_preorder),
-valid by construction and left unchecked. A graph is its vertex count and
-adjacency alone, as in its JSON, checked where it enters (check_graph):
-find_facet works out d from the edge count and finds the least facet, the
-default base, and tree_from_graph walks the tree out from a base in preorder.
+and generates trees. One walk numbers every tree built here (_grow): each
+builder only says how an item expands into its children, the nested JSON
+form's lists (tree_from_nested, which checks the tree it builds; to_nested
+writes it), a generator's counters or child table (valid by construction
+and left unchecked), or a graph's stackings. A graph is its vertex count
+and adjacency alone, as in its JSON, checked where it enters
+(check_graph): find_facet works out d from the edge count and finds the
+least facet, the default base, and tree_from_graph grows the tree out from
+a base. Both graph builders stack a vertex with one step (_stack).
 
 The module also hosts the face-weight balancing step, one post-order pass
 over the node ids that picks each node's heavy child on the way: weights
@@ -35,7 +37,7 @@ import json
 import sys
 from dataclasses import dataclass
 from math import isqrt
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import InvalidInputError, StageInvariantError
 from .facets import TreeRep, check_dim, check_tree, facet_layout
@@ -77,23 +79,15 @@ def dump_json(obj: object) -> str:
 def tree_from_nested(dim: int, nested: Nested) -> TreeRep:
     """Build a TreeRep from the nested-list form, assigning preorder ids,
     and check it (check_tree)."""
-    children: list[list[int]] = []
-    # iterative preorder; recursion would hit the interpreter limit on chains
-    stack: list[tuple[Nested, int | None]] = [(nested, None)]
-    while stack:
-        item, parent = stack.pop()
-        vid = len(children)
-        if parent is not None:
-            children[parent].append(vid)
-        children.append([])
-        if item is None:
-            continue
-        if not isinstance(item, list) or len(item) != dim:
+
+    def expand(item: Nested) -> Nested:
+        if item is not None and (not isinstance(item, list) or len(item) != dim):
             raise InvalidInputError(
                 f"interior node must be a list of exactly {dim} children"
             )
-        stack.extend((child, vid) for child in reversed(item))
-    tree = TreeRep(dim, [tuple(ch) for ch in children])
+        return item
+
+    tree = _grow(dim, nested, expand)
     check_tree(tree)
     return tree
 
@@ -108,25 +102,24 @@ def to_nested(tree: TreeRep) -> Nested:
     return out[0]
 
 
-def _expand(children: list[tuple[int, ...]], v: int, dim: int) -> tuple[int, ...]:
-    """Give leaf v of a child table dim new leaf children; returns their ids."""
-    ids = tuple(range(len(children), len(children) + dim))
-    children[v] = ids
-    children.extend([()] * dim)
-    return ids
-
-
-def _preorder(dim: int, children: list[tuple[int, ...]]) -> TreeRep:
-    """The tree of a child table rooted at node 0, renumbered to preorder."""
-    order: list[int] = []
-    rank = [0] * len(children)
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        rank[v] = len(order)
-        order.append(v)
-        stack.extend(reversed(children[v]))
-    return TreeRep(dim, [tuple([rank[c] for c in children[v]]) for v in order])
+def _grow(dim: int, root: object, expand: Callable[[object], Sequence | None]) -> TreeRep:
+    """The tree grown from root, its nodes numbered in preorder as the walk
+    meets them: expand(item) gives an item's children in order, or nothing
+    at a leaf. The walk keeps its own stack; recursion would hit the
+    interpreter limit on chains."""
+    children: list[list[int]] = []
+    items, parents = [root], [-1]
+    while items:
+        kids = expand(items.pop())
+        parent = parents.pop()
+        node = len(children)
+        if parent >= 0:
+            children[parent].append(node)
+        children.append([])
+        if kids:
+            items += reversed(kids)
+            parents += [node] * len(kids)
+    return TreeRep(dim, [tuple(ch) for ch in children])
 
 
 def parse_tree(text: str | bytes) -> TreeRep:
@@ -266,30 +259,23 @@ def gen_tree(shape: str, dim: int, size: int, seed: int = 0) -> TreeRep:
         raise InvalidInputError(f"size must be an integer >= 1, got {size!r}")
     if not _is_int(seed):
         raise InvalidInputError(f"seed must be an integer, got {seed!r}")
-    children: list[tuple[int, ...]] = [()]  # node 0 = root, starts a leaf
-
     if shape == "random":
         rng = SplitMix64(seed)
+        children: list[range] = [range(0)]  # node 0 = root, starts a leaf
         leaves = [0]
         for _ in range(size):
-            pick = rng.below(len(leaves))
-            v = leaves.pop(pick)
-            leaves.extend(_expand(children, v, dim))
-    elif shape == "serpentine":
-        v = 0
-        for _ in range(size):
-            v = _expand(children, v, dim)[0]
-    elif shape == "balanced_rounds":
-        leaves = [0]
-        for _ in range(size):
-            nxt: list[int] = []
-            for v in leaves:
-                nxt.extend(_expand(children, v, dim))
-            leaves = nxt
-    else:
-        raise InvalidInputError(f"unknown tree shape {shape!r}")
-
-    return _preorder(dim, children)
+            v = leaves.pop(rng.below(len(leaves)))
+            children[v] = range(len(children), len(children) + dim)
+            leaves += children[v]
+            children += [range(0)] * dim
+        return _grow(dim, 0, children.__getitem__)
+    # a node's item counts the expansions left below it: serpentine spends
+    # them down child 0, balanced_rounds on every child
+    if shape == "serpentine":
+        return _grow(dim, size, lambda k: [k - 1] + [0] * (dim - 1) if k else None)
+    if shape == "balanced_rounds":
+        return _grow(dim, size, lambda k: [k - 1] * dim if k else None)
+    raise InvalidInputError(f"unknown tree shape {shape!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +303,8 @@ class PolytopeGraph:
 
 
 def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+    """An int proper: no bool, no other subclass (an IntEnum), as check_dim."""
+    return type(x) is int
 
 
 def graph_from_edges(n: int, edges: list[list[int]]) -> PolytopeGraph:
@@ -361,18 +348,10 @@ def graph_from_tree(tree: TreeRep) -> PolytopeGraph:
     check_tree(tree)
     d = tree.dim
     node_facets = facet_layout(tree)
-    n = tree.n_vertices
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u in range(d):
-        for v in range(d):
-            if u != v:
-                adj[u].add(v)
+    adj = [set(range(d)) - {u} for u in range(d)]
     for v in tree.interior_ids:
-        p = node_facets[tree.children[v][0]][0]  # the stacked vertex
-        for u in node_facets[v]:
-            adj[p].add(u)
-            adj[u].add(p)
-    return PolytopeGraph(n, adj)
+        _stack(adj, node_facets[v])
+    return PolytopeGraph(len(adj), adj)
 
 
 def check_graph(g: PolytopeGraph) -> None:
@@ -385,7 +364,7 @@ def check_graph(g: PolytopeGraph) -> None:
         raise InvalidInputError(f"adjacency must be a list of {n} sets")
     for u, nbrs in enumerate(adj):
         for v in nbrs:
-            if type(v) is not int or not 0 <= v < n or v == u or u not in adj[v]:
+            if not _is_int(v) or not 0 <= v < n or v == u or u not in adj[v]:
                 raise InvalidInputError(f"vertex {u} lists {v!r}, not another id that lists {u}")
 
 
@@ -394,12 +373,12 @@ def tree_from_graph(g: PolytopeGraph, base: Sequence[int] | None = None) -> Tree
     facet, a list or tuple of d vertex ids; None means the least facet
     (find_facet, which also fixes d).
 
-    One forward walk from the base numbers the nodes in preorder. A stacked
-    d-polytope's graph is a d-tree, and a d-clique lies in as many stacked
-    simplices as it has common neighbours: besides the vertex across it
-    (from the parent's simplex), a node's facet has one, its stacked
-    vertex, if the node is interior and none at a leaf. Child j's facet
-    puts that vertex at position j, across from the vertex it replaces.
+    One forward walk from the base (_grow) numbers the nodes in preorder.
+    A stacked d-polytope's graph is a d-tree, and a d-clique lies in as
+    many stacked simplices as it has common neighbours: besides the vertex
+    across it (from the parent's simplex), a node's facet has one, its
+    stacked vertex, if the node is interior and none at a leaf. Child j's
+    facet puts that vertex at position j, across from the vertex it replaces.
 
     The walk places each vertex once and every stacking edge is in g by
     construction; so once every vertex is placed, g is exactly the tree's
@@ -426,28 +405,23 @@ def tree_from_graph(g: PolytopeGraph, base: Sequence[int] | None = None) -> Tree
     if any(u not in adj[v] for i, v in enumerate(base) for u in base[:i]):
         raise InvalidInputError(not_stacked)
     placed = set(base)
-    children: list[list[int]] = []
-    # (ordered facet, parent node, vertex across it); the root has neither
-    stack: list[tuple[tuple[int, ...], int, int]] = [(base, -1, -1)]
-    while stack:
-        facet, parent, across = stack.pop()
-        node = len(children)
-        if parent >= 0:
-            children[parent].append(node)
-        children.append([])
+
+    def expand(item: tuple[tuple[int, ...], int]) -> list | None:
+        facet, across = item  # the vertex across a facet is in its parent's simplex
         # smallest set first: O(deg of the parent's stacked vertex), any base
         common = set.intersection(*sorted([adj[v] for v in facet], key=len)) - {across}
         if not common:
-            continue
+            return None
         p = common.pop()
         if common or p in placed:
             raise InvalidInputError(not_stacked)
         placed.add(p)
-        for j in range(d - 1, -1, -1):
-            stack.append((facet[:j] + (p,) + facet[j + 1 :], node, facet[j]))
+        return [(facet[:j] + (p,) + facet[j + 1 :], facet[j]) for j in range(d)]
+
+    tree = _grow(d, (base, -1), expand)  # the root has no vertex across
     if len(placed) < n or sum(map(len, adj)) != d * (d - 1) + 2 * d * (n - d):
         raise InvalidInputError(not_stacked)
-    return TreeRep(d, [tuple(ch) for ch in children])
+    return tree
 
 
 def find_facet(g: PolytopeGraph) -> tuple[int, ...]:
@@ -490,19 +464,23 @@ def find_facet(g: PolytopeGraph) -> tuple[int, ...]:
 # hard-instance generators (3-dimensional)
 
 
-def _stack_face(
-    adj: list[set[int]], faces: list[tuple[int, ...]], face_idx: int
-) -> int:
-    """Stack a new vertex onto faces[face_idx]; returns the new vertex id."""
-    a, b, c = faces[face_idx]
+def _stack(adj: list[set[int]], facet: Sequence[int]) -> int:
+    """Stack a new vertex on a facet, joined to every facet vertex; returns
+    its id, len(adj) before the call."""
     p = len(adj)
-    adj.append({a, b, c})
-    for u in (a, b, c):
+    adj.append(set(facet))
+    for u in facet:
         adj[u].add(p)
+    return p
+
+
+def _stack_face(adj: list[set[int]], faces: list[tuple[int, ...]], face_idx: int) -> None:
+    """Stack a new vertex onto faces[face_idx] and replace the face by its three."""
+    a, b, c = faces[face_idx]
+    p = _stack(adj, (a, b, c))
     faces[face_idx] = (a, b, p)
     faces.append((a, c, p))
     faces.append((b, c, p))
-    return p
 
 
 def gen_lowerbound_graph(kind: str, n: int = 0) -> PolytopeGraph:
@@ -515,11 +493,7 @@ def gen_lowerbound_graph(kind: str, n: int = 0) -> PolytopeGraph:
     faces. n must be a positive multiple of 36; the n - 20 extra vertices
     are spread over the faces as evenly as possible (lower face index first).
     """
-    adj: list[set[int]] = [set() for _ in range(4)]
-    for u in range(4):
-        for v in range(4):
-            if u != v:
-                adj[u].add(v)
+    adj = [set(range(4)) - {u} for u in range(4)]
     faces: list[tuple[int, ...]] = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
     for _ in range(2):
         for idx in range(len(faces)):

@@ -330,6 +330,49 @@ def test_complex_and_grid_params_hold_no_duplicate_fields():
     assert not pipeline_reads & {"adjusted_shifts", "grid_params"}
 
 
+def stack_walks(source: str) -> list[str]:
+    """Top-level functions holding an explicit-stack walk: a while loop
+    that pops the list it tests."""
+    out = []
+    for fn in ast.parse(source).body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for loop in ast.walk(fn):
+            if isinstance(loop, ast.While) and isinstance(loop.test, ast.Name) and any(
+                isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Attribute)
+                and n.func.attr == "pop"
+                and isinstance(n.func.value, ast.Name)
+                and n.func.value.id == loop.test.id
+                for n in ast.walk(loop)
+            ):
+                out.append(fn.name)
+    return out
+
+
+def test_one_walk_numbers_every_tree():
+    # the preorder numbering every output vertex id follows from is written
+    # once: each tree builder hands _grow how an item expands, and both
+    # graph builders stack a vertex with _stack
+    source = (PACKAGE_DIR / "trees.py").read_text()
+    assert stack_walks(source) == ["_grow"]
+    assert not hasattr(gridlift.trees, "_preorder")
+    assert not hasattr(gridlift.trees, "_expand")
+    for function in ["tree_from_nested", "gen_tree", "tree_from_graph"]:
+        assert "_grow" in names_in_body(source, function), function
+    for function in ["graph_from_tree", "_stack_face"]:
+        assert "_stack" in names_in_body(source, function), function
+
+
+def test_detects_stack_walk():
+    source = (
+        "def f(root):\n    stack = [root]\n    while stack:\n        v = stack.pop()\n\n"
+        "def g(xs):\n    while xs and xs[-1]:\n        xs.pop()\n\n"
+        "def h(u, up):\n    while u in up:\n        u = up.pop(u)\n"
+    )
+    assert stack_walks(source) == ["f"]
+
+
 def test_tree_is_one_child_table():
     # node 0 is the root and ids are preorder: a root or parent field
     # could only disagree with the child table

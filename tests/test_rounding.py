@@ -151,6 +151,39 @@ class TestPerturb:
         for node, b in pe.node_brackets.items():
             assert type(b) is int and b > 0
 
+    @pytest.mark.parametrize("edit", ["collapsed", "flipped", "above", "below"])
+    def test_ratio_gate_names_the_edited_node(self, edit):
+        # one node bracket of the perturbed complex edited by hand: the gate
+        # accepts the window's ends and names the node just past them
+        flat = build_flat(balance_weights(gen_tree("random", 3, 12, 1)))
+        pe = perturb_flat(flat)
+        node = list(pe.node_brackets)[len(pe.node_brackets) // 2]
+        inv, _ = grid_params(3, flat.L)
+        w = 10 * flat.R_eff
+        # a bracket b is inside iff (w - 1) / w <= b k / (s before) <= (w + 1) / w
+        den = w * flat.bracket_scale
+        real = inv**2 * flat.node_brackets[node]
+        lo, hi = -(-(w - 1) * real // den), (w + 1) * real // den
+        assert 0 < lo <= pe.node_brackets[node] <= hi
+
+        def ratios_with(b):
+            return check_volume_ratios(
+                flat, dataclasses.replace(pe, node_brackets={**pe.node_brackets, node: b})
+            )
+
+        ratios_with(lo)
+        ratios_with(hi)
+        value, message = {
+            "collapsed": (0, "flipped or collapsed"),
+            "flipped": (-pe.node_brackets[node], "flipped or collapsed"),
+            "above": (hi + 1, "out of range"),
+            "below": (lo - 1, "out of range"),
+        }[edit]
+        with pytest.raises(StageInvariantError, match=message) as info:
+            ratios_with(value)
+        assert info.value.stage == "rounding"
+        assert info.value.witness == node
+
 
 def heavy_times_light(wt, L):
     """The paper's shift of each stacking: the heavy child's rescaled weight

@@ -1,10 +1,12 @@
 import dataclasses
+import hashlib
 import inspect
 import json
 import math
 import random
 import time
 import tracemalloc
+from enum import IntEnum
 
 import pytest
 
@@ -30,6 +32,7 @@ from gridlift.trees import (
     check_balanced,
     find_facet,
     graph_from_doc,
+    graph_from_edges,
     load_json,
     to_nested,
     tree_from_nested,
@@ -377,6 +380,39 @@ class TestGraphContract:
         assert [name for name, params in takes_graph.items() if "dim" in params] == []
 
 
+def int_enum(value: int) -> IntEnum:
+    """value as an IntEnum member: an int subclass, equal and hashed alike."""
+    return IntEnum("Id", {"V": value}).V
+
+
+K4_EDGES = [[u, v] for u in range(4) for v in range(u + 1, 4)]
+# each int an entry point takes: (a plain value it accepts, the call with x there)
+INT_SLOTS = {
+    "gen_tree_dim": (3, lambda x: gen_tree("random", x, 5)),
+    "gen_tree_size": (5, lambda x: gen_tree("random", 3, x)),
+    "gen_tree_seed": (1, lambda x: gen_tree("random", 3, 5, x)),
+    "graph_n": (4, lambda x: find_facet(PolytopeGraph(x, k4_with()))),
+    "graph_vertex_id": (1, lambda x: find_facet(PolytopeGraph(4, k4_with({0: {x, 2, 3}})))),
+    "tree_from_graph_base_id": (1, lambda x: tree_from_graph(TET_GRAPH, (0, x, 2))),
+    "graph_from_edges_n": (4, lambda x: graph_from_edges(x, K4_EDGES)),
+    "graph_from_edges_id": (1, lambda x: graph_from_edges(4, [[0, x], *K4_EDGES[1:]])),
+    "gamma_n": (36, lambda x: gen_lowerbound_graph("gamma", x)),
+}
+
+
+class TestIntContract:
+    """One rule for an int, check_dim's: type(x) is int, so an int subclass
+    such as an IntEnum is invalid input wherever an int enters, even one
+    equal to a value the same call accepts."""
+
+    @pytest.mark.parametrize("slot", INT_SLOTS)
+    def test_int_subclass_rejected(self, slot):
+        value, call = INT_SLOTS[slot]
+        call(value)
+        with pytest.raises(InvalidInputError):
+            call(int_enum(value))
+
+
 def comb(levels: int):
     """A d=3 comb: a heavy path of `levels` interior nodes, each of which also
     hangs one leaf and one single-stacking subtree."""
@@ -690,6 +726,96 @@ class TestGraphs:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def sha256_lines(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# the generator runs pinned below, (size, seed) per shape; balanced_rounds
+# makes d^rounds leaves, so it stops at 3 rounds
+PINNED_RUNS = {
+    "random": [(size, seed) for size in (1, 9, 40) for seed in (0, 1, 2)],
+    "serpentine": [(size, 0) for size in (1, 5, 40)],
+    "balanced_rounds": [(rounds, 0) for rounds in (1, 2, 3)],
+}
+# sha256 of the runs' child tables (json.dumps, one line each) and of their
+# graphs' to_json, recorded before the tree builders shared one walk
+PINNED_HASHES = {
+    ("random", 3): (
+        "354a07f4776053dfcfcbb9fdd67552e471b50df74fef2204713c1761b5f0a12f",
+        "c47e5fc6094661a1ae1a3b51d7ac9fd87abf1ddbc3c1676bb1955cb870301310",
+    ),
+    ("random", 4): (
+        "4bc81dd1b4d5b51f14c85e625de34cc748b38a98d1c6f847557bde763ebd2608",
+        "4e5c33459a6ad68568c6898b32096ac269f423172bee2fbea6c4ba42a381ad94",
+    ),
+    ("random", 5): (
+        "caa5b989fe407237e2718455fe2f74ebddbacbdae37e4434e5f5355da07691fa",
+        "432e93bcfe32e6ec5ad3d864ecaca3a133071f256afbb79485d126f2d9f6ae74",
+    ),
+    ("random", 6): (
+        "84b299e5982ad9db5450d115121b860454595014097de8940c46b59dd6b830a5",
+        "232cb64c275396593497815dedd2a720bf4c50562a79a7c59bf974879e6dd71c",
+    ),
+    ("serpentine", 3): (
+        "58d2fbb3e6b03a87d182477315fb89e3c87f12ddbcef44939872ef55a4bf91d9",
+        "a6524f7aa8429179e98488f30f6fd9f678ff208e69d4c9b1c0843f747d671e34",
+    ),
+    ("serpentine", 4): (
+        "c51b6aa18de9cd1ab9f12fb2297e5d11eb15dffb4d5a2a3bb96d4e625e3c0a74",
+        "947631f4e9d2b5adf29aff3c896e2f4f2116d99e50a42d82c90054872bb4758d",
+    ),
+    ("serpentine", 5): (
+        "7f6ad6745935d959de1e32a20e0f02d760b1e075f1807cf2a7614f18ed96d24d",
+        "2b3a423124d7c492ed60b6ae3a04a230183ba4bf8fc0ccfa4e21d5c340790cf9",
+    ),
+    ("serpentine", 6): (
+        "36456f3a423f9415cc30c084619fa82cad34a89d1268c98ab0d32932ae05f402",
+        "98c1d4e83f1603a992546ad3531ba817beed821928547130c4fd7f91000bd22e",
+    ),
+    ("balanced_rounds", 3): (
+        "293d8bca9a4513e8418fa23aafa73e5fda767d9862464690a1c7c4ac63baadc7",
+        "ee48fa999490893e8d570f3e5c02f17dc85f69a47f8d4f4bed8c79f6147ece47",
+    ),
+    ("balanced_rounds", 4): (
+        "58600ebec7ebcf20f9ccee143bae99511e38d7c1aa1145818c4d8945fa1f7534",
+        "90a16a44a5fa9f230815217bc952807d955d4c04dd77802789727402492e1c1d",
+    ),
+    ("balanced_rounds", 5): (
+        "278be3e29e901cf6c0e684f0745f61f78ab31fc953897f3ef7cc96e250bffd3b",
+        "9d52d280f781bb884e48ce5cd104dd3aa62852db59651b7a09d83a4301e6f39b",
+    ),
+    ("balanced_rounds", 6): (
+        "7f1302bd36a85f9c149ccace738551e5fe5ffd2c2551e2f19236ad2de9575067",
+        "eea54125187d35197ee6876e47a0da0e94b83f54b1dd2d9225f73105d4887406",
+    ),
+}
+
+
+class TestPinnedOutputs:
+    """The generators and graph builders, byte for byte: child ids, child
+    order, and each graph's edge order in its JSON."""
+
+    @pytest.mark.parametrize("shape,d", PINNED_HASHES)
+    def test_trees_and_graphs(self, shape, d):
+        trees = [gen_tree(shape, d, size, seed) for size, seed in PINNED_RUNS[shape]]
+        graphs = [graph_from_tree(t) for t in trees]
+        tree_hash, graph_hash = PINNED_HASHES[shape, d]
+        assert sha256_lines(json.dumps(t.children) for t in trees) == tree_hash
+        assert sha256_lines(g.to_json() for g in graphs) == graph_hash
+        # each graph's least facet is its tree's base: the walk gives the tree back
+        assert [tree_from_graph(g) for g in graphs] == trees
+
+    def test_lowerbound_graphs(self):
+        graphs = [gen_lowerbound_graph("b3")]
+        graphs += [gen_lowerbound_graph("gamma", n) for n in range(36, 361, 36)]
+        assert sha256_lines(g.to_json() for g in graphs) == (
+            "e23947600f5460204ac34c00bf1093cc5d6c7f0d6e25ba258dbfd4b600a57ffa"
+        )
+        assert sha256_lines(json.dumps(tree_from_graph(g).children) for g in graphs) == (
+            "d90fb87473926315b15b966dbc58b344c018dbe89243a96a82a4cd2ddd86d3a5"
+        )
 
 
 class TestLowerBoundGraphs:
