@@ -19,23 +19,24 @@ volume of their simplex. On top of it sit:
 
 Determinants are computed fraction-free: each point is scaled to an integer
 homogeneous column (p D, D), D the lcm of its denominators, and the integer
-determinant (Bareiss) is divided by the product of scales. This keeps
-Fraction normalization out of the O(k^3) loop. maximal_minors gives all
-d+1 maximal minors of a d x (d+1) integer matrix from one fraction-free
-Gauss-Jordan elimination. On a facet's d lifted rows those minors are the
-cofactors of the facet's hyperplane, and one of them is its shadow, so
-facet_planes takes one elimination per facet and ridge_stresses reads each
-ridge's creasing determinant and its two shadows off its two facets'
-planes: one (d+1)-term integer dot product per ridge, no Fraction built.
+determinant is divided by the product of scales. It is a Laplace expansion
+compiled per shape (_expansion) up to 6 x 6, and Bareiss elimination above.
+maximal_minors gives all d+1 maximal minors of a d x (d+1) integer matrix:
+on a facet's d lifted rows, its hyperplane's cofactors and its shadow. So
+facet_planes makes one call per facet, and ridge_stresses reads each
+ridge's creasing determinant and shadows off its two facets' planes: one
+(d+1)-term integer dot product per ridge, no Fraction built.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
 from math import lcm, prod
 from operator import mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import GeometryError
 from .facets import BASE_FACET_KEY
@@ -57,17 +58,32 @@ def as_point_seq(points: Sequence[Sequence]) -> PointSeq:
     return tuple(as_point(p) for p in points)
 
 
-def _det_int(a: list[list[int]]) -> int:
-    """Determinant of a small integer matrix, in place: a closed form at
-    3 x 3 (every call at d = 3), fraction-free Bareiss at any other size."""
+@cache
+def _expansion(n: int, m: int) -> Callable[[Sequence[Sequence[int]]], list[int]]:
+    """The n x n minors of an n x m integer matrix in reverse lexicographic
+    column order (for m = n+1, entry j drops column j): a division-free
+    Laplace expansion down the rows, compiled from n and m on first use."""
+    rows = [[f"r{i}_{j}" for j in range(m)] for i in range(n)]
+    lines = ["def expansion(rows):", f"    {rows} = rows".replace("'", "")]
+    minor = {(j,): rows[-1][j] for j in range(m)}
+    for k, top in enumerate(reversed(rows[:-1]), 2):
+        for cols in combinations(range(m), k):
+            terms = [f"{top[c]} * {minor[cols[:i] + cols[i + 1 :]]}" for i, c in enumerate(cols)]
+            minor[cols] = "s" + "_".join(map(str, cols))
+            signed = "".join(f" {'+-'[i % 2]} {t}" for i, t in enumerate(terms))
+            lines.append(f"    {minor[cols]} = {signed[3:]}")
+    result = ", ".join(minor[cols] for cols in reversed(list(combinations(range(m), n))))
+    exec("\n".join([*lines, f"    return [{result}]"]), scope := {})
+    return scope["expansion"]
+
+
+def _det_int(a: Sequence[Sequence[int]]) -> int:
+    """Determinant of a small integer matrix, left unchanged: _expansion
+    up to 6 x 6, fraction-free Bareiss on a copy above that."""
     n = len(a)
-    if n == 3:
-        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
-        return (
-            a00 * (a11 * a22 - a12 * a21)
-            - a01 * (a10 * a22 - a12 * a20)
-            + a02 * (a10 * a21 - a11 * a20)
-        )
+    if n <= 6:
+        return _expansion(n, n)(a)[0]
+    a = [list(r) for r in a]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -86,39 +102,25 @@ def _det_int(a: list[list[int]]) -> int:
             for j in range(k + 1, n):
                 # exact division: Bareiss guarantees divisibility by prev
                 row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
-            row_i[k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
 
 
 def maximal_minors(rows: Sequence[Sequence[int]]) -> list[int]:
-    """All d+1 maximal minors of a d x (d+1) integer matrix.
+    """All d+1 maximal minors of a d x (d+1) integer matrix: entry j is
+    the determinant without column j. Up to d = 6 they are _expansion's.
 
-    Entry j is the determinant of the matrix without its column j. With B
-    the leading d x d block and b the last column, one fraction-free
-    Gauss-Jordan elimination (Bareiss's exact division, on the rows above
-    each pivot too) takes [B | b] to [det(B) I | adj(B) b], up to the sign
-    of its row swaps. That gives det(B), minor d, and for each j < d the
-    Cramer numerator det(B with column j replaced by b), which is minor j
-    after moving b to the end past d-1-j columns. A singular B falls back
-    to one determinant per minor. At d = 3 the closed form from the six
-    2 x 2 minors of the last two rows is cheaper than elimination.
+    Above that, with B the leading d x d block and b the last column, one
+    fraction-free Gauss-Jordan elimination (Bareiss's exact division, on the
+    rows above each pivot too) takes [B | b] to [det(B) I | adj(B) b], up to
+    the sign of its row swaps: det(B) is minor d, and for j < d the Cramer
+    numerator det(B with column j replaced by b) is minor j after moving b
+    to the end past d-1-j columns. A singular B falls back to one
+    determinant per minor.
     """
     d = len(rows)
-    if d == 3:
-        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = rows
-        s01 = b0 * c1 - b1 * c0
-        s02 = b0 * c2 - b2 * c0
-        s03 = b0 * c3 - b3 * c0
-        s12 = b1 * c2 - b2 * c1
-        s13 = b1 * c3 - b3 * c1
-        s23 = b2 * c3 - b3 * c2
-        return [
-            a1 * s23 - a2 * s13 + a3 * s12,
-            a0 * s23 - a2 * s03 + a3 * s02,
-            a0 * s13 - a1 * s03 + a3 * s01,
-            a0 * s12 - a1 * s02 + a2 * s01,
-        ]
+    if d <= 6:
+        return _expansion(d, d + 1)(rows)
     a = [list(r) for r in rows]
     sign = 1
     prev = 1

@@ -232,10 +232,9 @@ def _ray_witnesses(
         if sum(map(mul, planes[key][1:], direction)) <= 0:
             continue  # parallel to the hyperplane, or moving away from it
         gens = [[n * coords[v][i] - total[i] for i in range(d)] for v in verts]
-        # _det_int works in place, so every call gets fresh rows
-        positive = _det_int([g[:] for g in gens]) > 0
+        positive = _det_int(gens) > 0
         for j in range(d):
-            det = _det_int([direction[:] if i == j else g[:] for i, g in enumerate(gens)])
+            det = _det_int([direction if i == j else g for i, g in enumerate(gens)])
             if det != 0 and (det > 0) != positive:
                 break
         else:

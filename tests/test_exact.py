@@ -1,7 +1,13 @@
 import dataclasses
+import functools
 import itertools
 import math
+import operator
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +20,7 @@ from gridlift.exact import (
     NO_ORIENTATION,
     _check_shared_ridge,
     _det_int,
+    _expansion,
     bracket,
     creasing,
     facet_planes,
@@ -448,24 +455,30 @@ class TestFacetStressPlan:
             assert direct_stresses(flat, rows) == stresses
 
 
-def det_by_permutations(a):
-    """Leibniz expansion over every permutation: the reference for _det_int."""
-    n = len(a)
-    total = 0
+@functools.cache
+def signed_permutations(n):
+    """Every permutation of range(n), with its sign from its inversion count."""
+    out = []
     for perm in itertools.permutations(range(n)):
         inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-        term = -1 if inversions % 2 else 1
-        for i, j in enumerate(perm):
-            term *= a[i][j]
-        total += term
-    return total
+        out.append((perm, -1 if inversions % 2 else 1))
+    return out
+
+
+def det_by_permutations(a):
+    """Leibniz expansion over every permutation: the reference for _det_int
+    and, one minor at a time, for maximal_minors."""
+    return sum(
+        sign * math.prod(map(operator.getitem, a, perm))
+        for perm, sign in signed_permutations(len(a))
+    )
 
 
 @st.composite
 def square_matrices(draw):
-    """An n x n integer matrix, n = 1..6, often with zero leading pivots
+    """An n x n integer matrix, n = 1..7, often with zero leading pivots
     (so elimination must swap rows) or singular."""
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 7))
     entries = st.integers(-(2**40), 2**40) | st.integers(-3, 3)
     a = [[draw(entries) for _ in range(n)] for _ in range(n)]
     shape = draw(st.sampled_from(["any", "zero_pivots", "zero_column", "dependent_rows"]))
@@ -488,7 +501,9 @@ class TestDetInt:
     @given(square_matrices())
     @settings(max_examples=200, deadline=None)
     def test_equals_permutation_expansion(self, a):
-        assert _det_int([r[:] for r in a]) == det_by_permutations(a)
+        before = [r[:] for r in a]
+        assert _det_int(a) == det_by_permutations(a)
+        assert a == before  # the input is left alone
 
     @pytest.mark.parametrize("a, det", [
         ([[-7]], -7),
@@ -500,16 +515,28 @@ class TestDetInt:
         ([[1, 1, 0, 0], [1, 1, 1, 0], [0, 1, 1, 1], [0, 0, 1, 1]], -1),
         ([[0, 0, 0, 2], [0, 0, 3, 0], [0, 5, 0, 0], [7, 0, 0, 0]], 210),
         ([[1, 2, 3, 4, 5], [2, 4, 6, 8, 10], [0, 1, 0, 2, 7], [3, 0, 1, 1, 1], [1, 1, 1, 1, 1]], 0),
+        # 7 x 7 is past the compiled expansion: Bareiss swaps rows for a
+        # zero first pivot, and stops early where column 1 is twice column 0
+        ([[0, 1, 1, -2, -1, 1, 0], [0, 1, -3, 1, -3, 3, 0], [2, 1, -2, -2, 2, 0, 1],
+          [3, 1, 0, 0, 2, 3, -2], [-2, 2, -2, 3, 1, 0, 2], [-3, 2, 3, -3, -2, 3, 1],
+          [-3, -1, 3, -3, 3, 3, -1]], 3527),
+        ([[1, 2, 1, -3, 2, 2, -2], [2, 4, 1, -1, -1, -3, -3], [0, 0, 2, 0, -3, -1, 3],
+          [-3, -6, -2, -3, -1, 0, 3], [0, 0, -3, -3, 1, 1, 3], [-3, -6, 2, 1, -1, 1, -1],
+          [1, 2, -3, -1, -3, -3, -3]], 0),
     ])
     def test_swaps_and_singular(self, a, det):
         assert det_by_permutations(a) == det
-        assert _det_int([r[:] for r in a]) == det
+        before = [r[:] for r in a]
+        assert _det_int(a) == det
+        assert a == before
 
 
 def minors_by_det(rows):
-    """One _det_int per maximal minor: the reference for maximal_minors."""
+    """One det_by_permutations per maximal minor: the reference for
+    maximal_minors, which shares no code with it."""
     return [
-        _det_int([[*r[:j], *r[j + 1 :]] for r in rows]) for j in range(len(rows) + 1)
+        det_by_permutations([[*r[:j], *r[j + 1 :]] for r in rows])
+        for j in range(len(rows) + 1)
     ]
 
 
@@ -548,3 +575,53 @@ class TestMaximalMinors:
         minors = maximal_minors(rows)
         assert minors[-1] == 0
         assert minors == minors_by_det(rows)
+
+    @pytest.mark.parametrize("rows, minors", [
+        # 7 x 8 is past the compiled expansion. The leading block's column 1
+        # is twice its column 0, so elimination falls back to one
+        # determinant per minor
+        ([[-3, -6, 2, -1, 0, -1, 2, -1], [1, 2, -1, 2, 0, -3, 1, -3],
+          [2, 4, -1, -1, 2, 0, -1, 1], [1, 2, -2, -1, -2, -1, 3, -1],
+          [3, 6, -1, -1, 3, 0, -3, 3], [3, 6, 1, 2, 2, -2, -1, 1],
+          [-2, -4, 3, -1, -2, -1, -2, 2]], [2636, 1318, 0, 0, 0, 0, 0, 0]),
+        # a zero first pivot: elimination swaps in the second row
+        ([[0, 1, -3, -2, 0, -1, 1, -1], [1, 2, -3, 3, -1, -1, -1, -2],
+          [3, 0, 0, 0, 3, 1, 0, 2], [3, 1, 2, 1, -3, 1, 3, 1],
+          [-1, 0, 2, 2, 2, -2, -1, 0], [-1, 1, -1, 1, -1, -3, 3, 0],
+          [1, -1, -3, 0, 1, 1, 2, -2]], [5049, 7674, -690, 1161, -3078, 6093, -2721, -90]),
+    ])
+    def test_elimination_past_the_expansion(self, rows, minors):
+        assert minors_by_det(rows) == minors
+        assert maximal_minors(rows) == minors
+
+
+class TestExpansion:
+    def test_import_compiles_nothing(self):
+        # shapes compile on first use, so a process that only imports pays
+        # for none of them
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = "import gridlift, gridlift.exact as e; print(e._expansion.cache_info().currsize)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "0\n"
+
+    def test_no_shape_above_six(self):
+        # Bareiss runs past 6 x 6: a 7 x 8 matrix and its 7 x 7 minors call
+        # _expansion for no shape at all
+        rows = [[(3 * i + 5 * j) % 7 - 3 for j in range(8)] for i in range(7)]
+        before = _expansion.cache_info()
+        maximal_minors(rows)
+        _det_int([r[:7] for r in rows])
+        assert _expansion.cache_info() == before
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 2), (3, 3), (3, 4), (4, 7), (6, 7)])
+    def test_minors_in_reverse_lexicographic_order(self, n, m):
+        rows = [[(7 * i * i + 3 * j + i * j) % 11 - 5 for j in range(m)] for i in range(n)]
+        expected = [
+            det_by_permutations([[r[c] for c in cols] for r in rows])
+            for cols in reversed(list(itertools.combinations(range(m), n)))
+        ]
+        assert _expansion(n, m)(rows) == expected

@@ -373,6 +373,42 @@ def test_detects_stack_walk():
     assert stack_walks(source) == ["f"]
 
 
+def code_runners(source: str) -> list:
+    """The top-level function or class around each exec or eval call, None
+    for a call at module level."""
+    out = []
+    for node in ast.parse(source).body:
+        named = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and (
+                getattr(call.func, "id", None) in ("exec", "eval")
+                or getattr(call.func, "attr", None) in ("exec", "eval")
+            ):
+                out.append(node.name if named else None)
+    return out
+
+
+def test_only_the_expansion_compiles_source():
+    # exact._expansion builds its source from a matrix shape alone; any other
+    # exec or eval could let input data reach compiled code
+    found = [
+        (path.stem, name)
+        for path in [PACKAGE_DIR / "__init__.py", *MODULES]
+        for name in code_runners(path.read_text())
+    ]
+    assert found == [("exact", "_expansion")]
+
+
+def test_detects_code_runner():
+    source = (
+        "def f(s):\n    exec(s, {})\n\n"
+        "class A:\n    def g(self, s):\n        return builtins.eval(s)\n\n"
+        "X = eval('1')\n"
+        "def h(s):\n    return s.evaluate()\n"
+    )
+    assert code_runners(source) == ["f", "A", None]
+
+
 def test_tree_is_one_child_table():
     # node 0 is the root and ids are preorder: a root or parent field
     # could only disagree with the child table

@@ -376,8 +376,8 @@ class TestFacetPlanes:
             assert got == (None if expected is None else constant_first(expected))
 
     def test_vertical_facet(self):
-        # a tetrahedron whose base facet's shadow is degenerate:
-        # maximal_minors falls back
+        # a tetrahedron whose base facet's shadow is degenerate: its
+        # shadow minor is 0
         coords = [(0, 0, 0), (4, 0, 0), (2, 0, 5), (1, 3, 1)]
         realization = Realization(
             d=3,
