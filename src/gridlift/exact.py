@@ -20,12 +20,13 @@ volume of their simplex. On top of it sit:
 Determinants are computed fraction-free: each point is scaled to an integer
 homogeneous column (p D, D), D the lcm of its denominators, and the integer
 determinant is divided by the product of scales. It is a Laplace expansion
-compiled per shape (_expansion) up to 6 x 6, and Bareiss elimination above.
-maximal_minors gives all d+1 maximal minors of a d x (d+1) integer matrix:
-on a facet's d lifted rows, its hyperplane's cofactors and its shadow. So
-facet_planes makes one call per facet, and ridge_stresses reads each
-ridge's creasing determinant and shadows off its two facets' planes: one
-(d+1)-term integer dot product per ridge, no Fraction built.
+compiled per size (_expansion) up to 7 x 7, and fraction-free elimination
+above. _expansion also compiles the facet plane up to d = 6: from a facet's
+d lifted rows, its hyperplane's cofactors and its shadow in one call, which
+maximal_minors makes by elimination above. So facet_planes makes one call
+per facet, and ridge_stresses reads each ridge's creasing determinant and
+shadows off its two facets' planes: one (d+1)-term integer dot product per
+ridge, no Fraction built.
 """
 
 from __future__ import annotations
@@ -59,12 +60,18 @@ def as_point_seq(points: Sequence[Sequence]) -> PointSeq:
 
 
 @cache
-def _expansion(n: int, m: int) -> Callable[[Sequence[Sequence[int]]], list[int]]:
-    """The n x n minors of an n x m integer matrix in reverse lexicographic
-    column order (for m = n+1, entry j drops column j): a division-free
-    Laplace expansion down the rows, compiled from n and m on first use."""
+def _expansion(n: int, plane: bool) -> Callable:
+    """A division-free Laplace expansion down n rows, compiled on first use:
+    with plane false, the determinant of an n x n integer matrix; with
+    plane true, the Plane of a facet from all rows and its n vertex ids,
+    ascending: the cofactors of det[S | q], S its n x (n+1) rows (entry j
+    is (-1)^(n+j) times the minor without column j), the last of them (its
+    shadow), the product of its rows' D and its id sum."""
+    m = n + plane
     rows = [[f"r{i}_{j}" for j in range(m)] for i in range(n)]
-    lines = ["def expansion(rows):", f"    {rows} = rows".replace("'", "")]
+    ids = [f"v{i}" if plane else str(i) for i in range(n)]
+    lines = [f"def expansion({', '.join(['rows', *ids]) if plane else 'rows'}):"]
+    lines += [f"    {', '.join(r)}, = rows[{v}]" for r, v in zip(rows, ids)]
     minor = {(j,): rows[-1][j] for j in range(m)}
     for k, top in enumerate(reversed(rows[:-1]), 2):
         for cols in combinations(range(m), k):
@@ -72,79 +79,70 @@ def _expansion(n: int, m: int) -> Callable[[Sequence[Sequence[int]]], list[int]]
             minor[cols] = "s" + "_".join(map(str, cols))
             signed = "".join(f" {'+-'[i % 2]} {t}" for i, t in enumerate(terms))
             lines.append(f"    {minor[cols]} = {signed[3:]}")
-    result = ", ".join(minor[cols] for cols in reversed(list(combinations(range(m), n))))
-    exec("\n".join([*lines, f"    return [{result}]"]), scope := {})
+    # the minors in reverse lexicographic order: entry j drops column j
+    minors = [minor[cols] for cols in reversed(list(combinations(range(m), n)))]
+    result = minors[0]
+    if plane:
+        cof = ", ".join("-" * ((n + j) % 2) + x for j, x in enumerate(minors))
+        result = f"[{cof}], {minors[n]}, {' * '.join(r[0] for r in rows)}, {' + '.join(ids)}"
+    exec("\n".join([*lines, f"    return {result}"]), scope := {})
     return scope["expansion"]
+
+
+def _eliminate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]] | None]:
+    """Fraction-free elimination, by Bareiss's exact division, of a copy of
+    d x m integer rows: det(B), B the leading d x d block, and the rows, or
+    0 and None when B is singular. For m > d it clears above each pivot too
+    (Gauss-Jordan), so [B | C] becomes [det(B) I | adj(B) C]. A row swap
+    negates one row, which keeps det(B) and the solution of B x = C."""
+    d, m = len(rows), len(rows[0])
+    a = [list(r) for r in rows]
+    prev = 1
+    for k in range(d):
+        if a[k][k] == 0:
+            i = next((i for i in range(k + 1, d) if a[i][k]), None)
+            if i is None:
+                return 0, None
+            a[k], a[i] = a[i], [-x for x in a[k]]
+        row_k = a[k]
+        pivot = row_k[k]
+        cols = range(k + 1, m)
+        for i in range(k + 1, d) if m == d else range(d):
+            if i != k:
+                row_i = a[i]
+                lead = row_i[k]
+                for j in cols:
+                    # exact division: Bareiss guarantees divisibility by prev
+                    row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
+        prev = pivot
+    return prev, a
 
 
 def _det_int(a: Sequence[Sequence[int]]) -> int:
     """Determinant of a small integer matrix, left unchanged: _expansion
-    up to 6 x 6, fraction-free Bareiss on a copy above that."""
+    up to 7 x 7, _eliminate above that."""
     n = len(a)
-    if n <= 6:
-        return _expansion(n, n)(a)[0]
-    a = [list(r) for r in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            row_i, row_k = a[i], a[k]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                # exact division: Bareiss guarantees divisibility by prev
-                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+    if n <= 7:
+        return _expansion(n, False)(a)
+    return _eliminate(a)[0]
 
 
 def maximal_minors(rows: Sequence[Sequence[int]]) -> list[int]:
-    """All d+1 maximal minors of a d x (d+1) integer matrix: entry j is
-    the determinant without column j. Up to d = 6 they are _expansion's.
+    """The d+1 maximal minors of a d x (d+1) integer matrix, signed as the
+    cofactors of det[rows | q]: entry j is (-1)^(d+j) times the minor
+    without column j.
 
-    Above that, with B the leading d x d block and b the last column, one
-    fraction-free Gauss-Jordan elimination (Bareiss's exact division, on the
-    rows above each pivot too) takes [B | b] to [det(B) I | adj(B) b], up to
-    the sign of its row swaps: det(B) is minor d, and for j < d the Cramer
-    numerator det(B with column j replaced by b) is minor j after moving b
-    to the end past d-1-j columns. A singular B falls back to one
-    determinant per minor.
+    By _eliminate, with B the leading d x d block, entry d is det(B) and
+    entry j < d the negated Cramer numerator det(B with column j replaced
+    by the last column), since moving that column to the end passes d-1-j
+    others. A singular B falls back to one determinant per minor.
     """
     d = len(rows)
-    if d <= 6:
-        return _expansion(d, d + 1)(rows)
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(d):
-        if a[k][k] == 0:
-            for i in range(k + 1, d):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return [_det_int([[*r[:j], *r[j + 1 :]] for r in rows]) for j in range(d + 1)]
-        pivot = a[k][k]
-        row_k = a[k]
-        for i in range(d):
-            if i != k:
-                row_i = a[i]
-                lead = row_i[k]
-                for j in range(k + 1, d + 1):
-                    row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
-        prev = pivot
-    minors = [r[d] if (d - 1 - j) % 2 == 0 else -r[d] for j, r in enumerate(a)]
-    minors.append(prev)
-    return minors if sign > 0 else [-m for m in minors]
+    det, a = _eliminate(rows)
+    if a is None:
+        minors = [_det_int([[*r[:j], *r[j + 1 :]] for r in rows]) for j in range(d + 1)]
+        return [m if (d + j) % 2 == 0 else -m for j, m in enumerate(minors)]
+    return [-r[d] for r in a] + [det]
 
 
 def homogeneous_column(p: Sequence) -> list[int]:
@@ -276,22 +274,23 @@ Plane = tuple[list[int], int, int, int]
 def facet_planes(
     d: int, rows: Sequence[Sequence[int]], facets: dict[int, Sequence[int]]
 ) -> dict[int, Plane]:
-    """One hyperplane per facet, from one maximal_minors call each.
+    """One hyperplane per facet, its Plane, from one kernel call each.
 
     rows[v] is vertex v's lifted point as an integer homogeneous row
     (D_v, X_v..., Z_v), D_v > 0: the point (X_v, Z_v) / D_v; facets maps
-    every key (BASE_FACET_KEY too) to d distinct vertices. The minors of
-    facet S's rows, sorted, give the d+1 cofactors of h_S(q) = det[S | q]
-    (the row q appended) and, without the Z column, S's shadow sigma(S).
+    every key (BASE_FACET_KEY too) to d distinct vertices. The d+1 signed
+    maximal minors of facet S's rows, sorted, are the cofactors of
+    h_S(q) = det[S | q] (the row q appended); the last, without the Z
+    column, is S's shadow sigma(S). The kernel is _expansion's, fetched
+    once, up to d = 6, and maximal_minors above.
     """
-    scaled = any(r[0] != 1 for r in rows)
+    if d <= 6:
+        plane = _expansion(d, True)
+        return {key: plane(rows, *sorted(verts)) for key, verts in facets.items()}
     planes = {}
     for key, verts in facets.items():
-        minors = maximal_minors([rows[v] for v in sorted(verts)])
-        # the cofactor of row entry j carries (-1)^(d+j)
-        cof = [m if (d + j) % 2 == 0 else -m for j, m in enumerate(minors)]
-        scale = prod(rows[v][0] for v in verts) if scaled else 1
-        planes[key] = (cof, minors[d], scale, sum(verts))
+        cof = maximal_minors([rows[v] for v in sorted(verts)])
+        planes[key] = (cof, cof[d], prod(rows[v][0] for v in verts), sum(verts))
     return planes
 
 

@@ -19,23 +19,29 @@ node v's real bracket is node_brackets[v] / bracket_scale; the perturbed
 complex of the rounding stage has integer grid points (D = 1) and scale 1.
 The complex carries the stacking tree it embeds, which the lift and round
 stages replay; d, R_eff = L^{d-1} and the facet table are properties, so
-nothing can disagree with the tree and L. It caches the two tables every
-stage reads, rather than replaying the tree each time: node_facets
-(facets.facet_layout, which also numbers the vertices) and the ridge table
-of the facet table. Nothing here checks its arguments: the tree was
-checked where it entered (facets.check_tree) and the weights by
-trees.check_balanced.
+nothing can disagree with the tree and L. It caches the three tables
+every stage reads, rather than replaying the tree each time: node_facets
+(facets.facet_layout, which also numbers the vertices), node_ridges (each
+node facet's ridges, by position) and ridge_adjacency (each ridge's two
+facets). build_flat's one walk over the stackings numbers the ridges, in
+the order ridge_adjacency keeps, and checks every child's facet against its
+parent's and every ridge's two facets, so a facet table that forms no
+closed surface is a flat stage error; the stress replay indexes its ridges
+by these numbers and builds no ridge key. The certificate builds its own
+ridge table from the output with facets.build_ridge_adjacency. Nothing
+here checks its arguments: the tree was checked where it entered
+(facets.check_tree) and the weights by trees.check_balanced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd, lcm
 from typing import Sequence
 
-from .errors import GeometryError, StageInvariantError
-from .facets import BASE_FACET_KEY, FacetKey, Ridge, TreeRep
-from .facets import build_ridge_adjacency, facet_layout
+from .errors import StageInvariantError
+from .facets import BASE_FACET_KEY, FacetKey, Ridge, TreeRep, facet_layout
 from .trees import WeightedTree
 
 # A vertex as (D, N_1, ..., N_{d-1}): the point N / D, D > 0, in lowest terms.
@@ -49,6 +55,7 @@ class FlatComplex:
     coords: list[Column]  # homogeneous column by vertex id; D = 1 once perturbed
     ridge_adjacency: dict[Ridge, tuple[FacetKey, FacetKey]]
     node_facets: dict[int, tuple[int, ...]]  # facet_layout: every node, incl. historical
+    node_ridges: list[tuple[int, ...]]  # by node id: its facet's ridge numbers, by position
     node_brackets: dict[int, int]  # bracket of each node facet times bracket_scale
     bracket_scale: int  # R on the exact complex, 1 once perturbed
     tree: TreeRep  # the stacking tree this complex embeds
@@ -122,7 +129,17 @@ def stacked_column(
 
 
 def build_flat(wt: WeightedTree) -> FlatComplex:
-    """Embed the whole weighted tree; exact, deterministic."""
+    """Embed the whole weighted tree; exact, deterministic.
+
+    One walk over the stackings places each new vertex, checks each
+    child's facet against its parent's, and numbers the ridges in creation
+    order: the base's d ridges, then each stacking's C(d, 2) new ones,
+    pairs (i, j) with i < j in lexicographic order. node_ridges[v][k] is
+    the number of the ridge of node v's facet opposite its vertex k: child
+    j keeps its parent's ridge j, and the new ridge between children i and
+    j is ridge i of child j and ridge j of child i. The ridge table follows
+    that numbering, each ridge with its two facets in facet-table order.
+    """
     tree = wt.tree
     d = tree.dim
     R = wt.root_weight
@@ -131,20 +148,46 @@ def build_flat(wt: WeightedTree) -> FlatComplex:
     weight = wt.weight
     layout = facet_layout(tree)
     node_brackets = {0: R_eff * weight[0]}
+    base = layout[0]
+    keys = [tuple(sorted(base[:j] + base[j + 1 :])) for j in range(d)]
+    node_ridges: list[tuple[int, ...]] = [()] * len(tree.children)
+    node_ridges[0] = tuple(range(d))
+    pairs = list(combinations(range(d), 2))
     for v in tree.interior_ids:
         children = tree.children[v]
-        p = layout[children[0]][0]  # the one guard of the layout's numbering
+        facet = layout[v]
+        p = layout[children[0]][0]  # the guard of the layout's vertex numbering
         if p != len(coords):
             raise StageInvariantError(
                 "flat", f"node {v} stacks vertex {p}, expected {len(coords)}", v
             )
+        for j, c in enumerate(children):
+            if layout[c] != facet[:j] + (p,) + facet[j + 1 :]:
+                raise StageInvariantError(
+                    "flat", f"node {c} has facet {layout[c]}, not node {v}'s with "
+                    f"vertex {p} at position {j}", c
+                )
         cw = [weight[c] for c in children]
-        coords.append(stacked_column([coords[u] for u in layout[v]], cw, weight[v]))
+        coords.append(stacked_column([coords[u] for u in facet], cw, weight[v]))
         node_brackets.update((c, R_eff * w) for c, w in zip(children, cw))
-    # the ridge table is built from the complex's own facet table
-    flat = FlatComplex(coords, {}, layout, node_brackets, R, tree, L)
-    try:
-        flat.ridge_adjacency = build_ridge_adjacency(d, flat.facet_table)
-    except GeometryError as exc:
-        raise StageInvariantError("flat", str(exc)) from exc
-    return flat
+        ridges = [list(node_ridges[v]) for _ in range(d)]
+        for i, j in pairs:
+            ridges[i][j] = ridges[j][i] = len(keys)
+            keys.append((*sorted(facet[:i] + facet[i + 1 : j] + facet[j + 1 :]), p))
+        for c, r in zip(children, ridges):
+            node_ridges[c] = tuple(r)
+    # the facets of each ridge, in facet-table order: the base's, then leaves by id
+    incidence = [[BASE_FACET_KEY] for _ in range(d)] + [[] for _ in range(len(keys) - d)]
+    for leaf in tree.leaf_ids:
+        for r in node_ridges[leaf]:
+            incidence[r].append(leaf)
+    adjacency = dict(zip(keys, map(tuple, incidence)))
+    if len(adjacency) < len(keys):
+        ridge = next(r for i, r in enumerate(keys) if r in keys[:i])
+        raise StageInvariantError("flat", f"ridge {ridge} is numbered twice", ridge)
+    for ridge, facets in adjacency.items():
+        if len(facets) != 2:
+            raise StageInvariantError(
+                "flat", f"ridge {ridge} lies in {len(facets)} facets", ridge
+            )
+    return FlatComplex(coords, adjacency, layout, node_ridges, node_brackets, R, tree, L)

@@ -25,7 +25,11 @@ one dot product per ridge), and independently by replaying the stackings
 with two local update rules: subdividing a facet creates the new interior
 ridges with a known positive stress and lowers each boundary ridge of the
 facet by the shift over the incident new facet's volume. The two routes
-agree exactly on every ridge of a shift-defined lifting. build_lifted, the
+agree exactly on every ridge of a shift-defined lifting. The replay runs
+over the complex's own ridge numbering (flat.build_flat's walk): it indexes
+one list by ridge number, which node_ridges gives by facet position, and
+keys it once, in ridge_adjacency's order, the direct route's order too, so
+the cross-check pairs the two ridge by ridge with no lookup. build_lifted, the
 one entry point of the exact lift and the perturbed relift alike, takes a
 complex alone: it lifts by that complex's own shifts (adjusted_shifts),
 takes both routes and raises on the first ridge where they disagree.
@@ -120,39 +124,34 @@ def incremental_stresses(flat: FlatComplex, zeta: dict[int, int]) -> dict[Ridge,
     every boundary ridge of D drops by zeta over the volume of its new
     incident facet; every ridge between two new facets S, T starts at
     zeta * |D| / (|S| |T|). With the brackets held as integers under the
-    scale k, these are zeta k / |S| and zeta k |D| / (|S| |T|).
+    scale k, these are zeta k / |S| and zeta k |D| / (|S| |T|). The replay
+    runs over the complex's ridge numbers (node_ridges): ridge j of the
+    facet is child j's boundary ridge, and the new ridges come in their
+    numbering order, so the table is one list, keyed once at the end in
+    ridge_adjacency's order.
     """
     brackets, scale = flat.node_brackets, flat.bracket_scale
-    layout, children = flat.node_facets, flat.tree.children
-    st: dict[Ridge, Pair] = {}
+    node_ridges, children = flat.node_ridges, flat.tree.children
     d = flat.d
-    base = layout[0]
-    for j in range(d):
-        st[tuple(sorted(base[:j] + base[j + 1 :]))] = (0, 1)
+    st: list[Pair] = [(0, 1)] * d
     for node in flat.tree.interior_ids:
-        facet = layout[node]
-        p = layout[children[node][0]][0]  # the stacked vertex
         num = zeta[node] * scale
         cbr = [abs(brackets[c]) for c in children[node]]
         dbr = abs(brackets[node])
-        for j in range(d):
-            ridge = tuple(sorted(facet[:j] + facet[j + 1 :]))
-            a, b = st[ridge]
+        for r, c in zip(node_ridges[node], cbr):
+            a, b = st[r]
             # the drop t / c in lowest terms, over the lcm of b and c: the
             # drop is mostly an integer or shares the ridge's denominator,
             # so a ridge that many stackings lower keeps a small one
-            c = cbr[j]
             g = gcd(num, c)
             t, c = num // g, c // g
             g = gcd(b, c)
             c //= g
-            st[ridge] = (a * c - t * (b // g), b * c)
+            st[r] = (a * c - t * (b // g), b * c)
         for i in range(d):
             for j in range(i + 1, d):
-                kept = [facet[k] for k in range(d) if k not in (i, j)]
-                ridge = tuple(sorted(kept + [p]))
-                st[ridge] = (num * dbr, cbr[i] * cbr[j])
-    return st
+                st.append((num * dbr, cbr[i] * cbr[j]))
+    return dict(zip(flat.ridge_adjacency, st))
 
 
 def adjusted_shifts(flat: FlatComplex) -> dict[int, int]:
@@ -175,17 +174,20 @@ def build_lifted(flat: FlatComplex) -> tuple[list[tuple[int, ...]], dict[Ridge, 
     """Lifted rows by the complex's own shifts, and the direct stresses,
     cross-checked against the incremental replay.
 
-    Any ridge disagreement raises, since the two routes must match exactly
-    for any shift-defined lifting. Pairs are compared by cross-multiplication.
+    Both tables list the ridges in ridge_adjacency's order, which is
+    checked first; then any ridge disagreement raises, since the two routes
+    must match exactly for any shift-defined lifting. Pairs are compared by
+    cross-multiplication.
     """
     zeta = adjusted_shifts(flat)
     rows = lift_heights(flat, zeta)
     direct = direct_stresses(flat, rows)
     incremental = incremental_stresses(flat, zeta)
-    if set(incremental) != set(direct):
-        raise StageInvariantError("lifting", "stress tables cover different ridges")
-    for ridge, (n1, d1) in direct.items():
-        n2, d2 = incremental[ridge]
+    if list(incremental) != list(direct):
+        raise StageInvariantError(
+            "lifting", "stress tables do not list the same ridges in the same order"
+        )
+    for (ridge, (n1, d1)), (n2, d2) in zip(direct.items(), incremental.values()):
         if n1 * d2 != n2 * d1:
             raise StageInvariantError(
                 "lifting",

@@ -1,7 +1,8 @@
 """References that the package's integer stages and linear certificate
-routes are held against: Fraction definitions, the exhaustive convexity
-oracle, and two facet lists that find_facet is held against; and the
-package's modules, as these tests imported them."""
+routes are held against: Fraction definitions, the ridge-keyed stress
+replay, the exhaustive convexity oracle, and two facet lists that
+find_facet is held against; and the package's modules, as these tests
+imported them."""
 
 from fractions import Fraction
 from math import gcd
@@ -11,8 +12,10 @@ from typing import Sequence
 import gridlift
 from gridlift import GeometryError, InvalidInputError, Realization
 from gridlift.exact import _det_int, bracket, homogeneous_column, stress_of_ridge
-from gridlift.facets import BASE_FACET_KEY, facet_layout
+from gridlift.facets import BASE_FACET_KEY, build_ridge_adjacency, facet_layout
 from gridlift.flat import base_simplex
+from gridlift.lifting import adjusted_shifts, incremental_stresses
+from gridlift.rounding import perturb_flat
 from gridlift.verify import (
     _facets_in_order,
     _surface,
@@ -93,6 +96,52 @@ def check_lifted_rows(complex_, zeta, rows) -> None:
         assert row[0] > 0 and gcd(*row) == 1
         m = row[0] // column[0]
         assert m >= 1 and row[:-1] == tuple(m * x for x in column)
+
+
+def incremental_stresses_by_key(flat, zeta) -> dict:
+    """lifting.incremental_stresses keyed by ridge as it was before the
+    replay ran over ridge numbers: each update finds its ridge by the
+    sorted vertex ids of the facet less a vertex, or less two vertices and
+    plus the stacked one. The same pairs, in the same creation order."""
+    brackets, scale = flat.node_brackets, flat.bracket_scale
+    layout, children = flat.node_facets, flat.tree.children
+    st = {}
+    d = flat.d
+    base = layout[0]
+    for j in range(d):
+        st[tuple(sorted(base[:j] + base[j + 1 :]))] = (0, 1)
+    for node in flat.tree.interior_ids:
+        facet = layout[node]
+        p = layout[children[node][0]][0]  # the stacked vertex
+        num = zeta[node] * scale
+        cbr = [abs(brackets[c]) for c in children[node]]
+        dbr = abs(brackets[node])
+        for j in range(d):
+            ridge = tuple(sorted(facet[:j] + facet[j + 1 :]))
+            a, b = st[ridge]
+            c = cbr[j]
+            g = gcd(num, c)
+            t, c = num // g, c // g
+            g = gcd(b, c)
+            c //= g
+            st[ridge] = (a * c - t * (b // g), b * c)
+        for i in range(d):
+            for j in range(i + 1, d):
+                kept = [facet[k] for k in range(d) if k not in (i, j)]
+                st[tuple(sorted(kept + [p]))] = (num * dbr, cbr[i] * cbr[j])
+    return st
+
+
+def check_ridge_tables(flat) -> None:
+    """The flat walk's ridge table is build_ridge_adjacency's, ridge for
+    ridge and pair for pair, and on the complex and its perturbation the
+    replay over ridge numbers gives incremental_stresses_by_key's pairs in
+    its order."""
+    assert flat.ridge_adjacency == build_ridge_adjacency(flat.d, flat.facet_table)
+    for complex_ in (flat, perturb_flat(flat)):
+        zeta = adjusted_shifts(complex_)
+        replay = incremental_stresses(complex_, zeta)
+        assert list(replay.items()) == list(incremental_stresses_by_key(complex_, zeta).items())
 
 
 def point(column: Sequence[int]) -> tuple[Fraction, ...]:

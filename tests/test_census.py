@@ -27,7 +27,12 @@ from gridlift.lifting import (
 )
 from gridlift.rounding import perturb_flat
 from gridlift.trees import balance_weights, tree_from_nested, tree_to_json
-from reference import check_lifted_rows, nonseparating_triangles, tree_facets
+from reference import (
+    check_lifted_rows,
+    check_ridge_tables,
+    nonseparating_triangles,
+    tree_facets,
+)
 
 
 def compositions(total: int, parts: int):
@@ -111,6 +116,21 @@ def test_direct_stresses_equal_incremental(d, k):
             for ridge, (num, den) in direct.items():
                 inc_num, inc_den = incremental[ridge]
                 assert num * inc_den == inc_num * den, tree_to_json(tree)
+
+
+# 9524 trees at d = 3, 1136 at d = 4 and 326 at d = 5
+RIDGE_CENSUS = [(3, k) for k in range(1, 8)] + [(4, k) for k in range(1, 6)] + [
+    (5, k) for k in range(1, 5)
+]
+
+
+@pytest.mark.parametrize("d,k", RIDGE_CENSUS)
+def test_ridge_numbering_equals_keyed_tables(d, k):
+    # the walk's ridge table against build_ridge_adjacency, and the replay
+    # over ridge numbers against the replay keyed by sorted ridges, on the
+    # exact and the perturbed complex
+    for tree in all_trees(d, k):
+        check_ridge_tables(build_flat(balance_weights(tree)))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

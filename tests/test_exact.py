@@ -467,7 +467,7 @@ def signed_permutations(n):
 
 def det_by_permutations(a):
     """Leibniz expansion over every permutation: the reference for _det_int
-    and, one minor at a time, for maximal_minors."""
+    and, one minor at a time, for maximal_minors and the compiled plane."""
     return sum(
         sign * math.prod(map(operator.getitem, a, perm))
         for perm, sign in signed_permutations(len(a))
@@ -476,9 +476,9 @@ def det_by_permutations(a):
 
 @st.composite
 def square_matrices(draw):
-    """An n x n integer matrix, n = 1..7, often with zero leading pivots
+    """An n x n integer matrix, n = 1..8, often with zero leading pivots
     (so elimination must swap rows) or singular."""
-    n = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 8))
     entries = st.integers(-(2**40), 2**40) | st.integers(-3, 3)
     a = [[draw(entries) for _ in range(n)] for _ in range(n)]
     shape = draw(st.sampled_from(["any", "zero_pivots", "zero_column", "dependent_rows"]))
@@ -515,14 +515,24 @@ class TestDetInt:
         ([[1, 1, 0, 0], [1, 1, 1, 0], [0, 1, 1, 1], [0, 0, 1, 1]], -1),
         ([[0, 0, 0, 2], [0, 0, 3, 0], [0, 5, 0, 0], [7, 0, 0, 0]], 210),
         ([[1, 2, 3, 4, 5], [2, 4, 6, 8, 10], [0, 1, 0, 2, 7], [3, 0, 1, 1, 1], [1, 1, 1, 1, 1]], 0),
-        # 7 x 7 is past the compiled expansion: Bareiss swaps rows for a
-        # zero first pivot, and stops early where column 1 is twice column 0
+        # 7 x 7, the largest compiled expansion: a zero first pivot, and
+        # column 1 twice column 0
         ([[0, 1, 1, -2, -1, 1, 0], [0, 1, -3, 1, -3, 3, 0], [2, 1, -2, -2, 2, 0, 1],
           [3, 1, 0, 0, 2, 3, -2], [-2, 2, -2, 3, 1, 0, 2], [-3, 2, 3, -3, -2, 3, 1],
           [-3, -1, 3, -3, 3, 3, -1]], 3527),
         ([[1, 2, 1, -3, 2, 2, -2], [2, 4, 1, -1, -1, -3, -3], [0, 0, 2, 0, -3, -1, 3],
           [-3, -6, -2, -3, -1, 0, 3], [0, 0, -3, -3, 1, 1, 3], [-3, -6, 2, 1, -1, 1, -1],
           [1, 2, -3, -1, -3, -3, -3]], 0),
+        # 8 x 8 is past the expansion: elimination swaps rows for a zero
+        # first pivot, and stops early where column 1 is twice column 0
+        ([[0, -1, 2, -1, 3, 2, 3, 2], [2, 1, -3, 3, 0, 3, -2, 2],
+          [-3, -2, -3, -1, 0, 3, -2, 0], [1, -3, 1, -2, -3, 2, -2, 0],
+          [-1, -2, 3, 3, 0, -2, 3, 3], [-3, -2, 1, 1, 0, -2, -2, -3],
+          [3, -3, -2, 3, -2, -2, 3, -2], [-1, -1, -2, 1, 2, 2, -2, -2]], 3726),
+        ([[2, 4, 0, -1, -3, -1, 0, -2], [-2, -4, -3, -1, -1, 3, 1, 1],
+          [-3, -6, 2, 2, -1, -3, -1, -1], [3, 6, 0, 2, -1, -2, 0, 0],
+          [2, 4, -3, -1, -3, 2, -1, 3], [0, 0, 1, 3, 0, -1, 0, 1],
+          [3, 6, 0, -3, 2, -2, 1, -2], [-3, -6, -2, 3, 0, -1, 1, -1]], 0),
     ])
     def test_swaps_and_singular(self, a, det):
         assert det_by_permutations(a) == det
@@ -531,12 +541,14 @@ class TestDetInt:
         assert a == before
 
 
-def minors_by_det(rows):
-    """One det_by_permutations per maximal minor: the reference for
-    maximal_minors, which shares no code with it."""
+def cofactors_by_det(rows):
+    """One det_by_permutations per maximal minor, signed as the cofactor of
+    column j in det[rows | q]: the reference for maximal_minors and the
+    compiled plane, which share no code with it."""
+    d = len(rows)
     return [
-        det_by_permutations([[*r[:j], *r[j + 1 :]] for r in rows])
-        for j in range(len(rows) + 1)
+        (-1) ** (d + j) * det_by_permutations([[*r[:j], *r[j + 1 :]] for r in rows])
+        for j in range(d + 1)
     ]
 
 
@@ -567,31 +579,31 @@ class TestMaximalMinors:
     @settings(max_examples=300, deadline=None)
     def test_equals_one_det_per_minor(self, rows):
         before = [r[:] for r in rows]
-        assert maximal_minors(rows) == minors_by_det(rows)
+        assert maximal_minors(rows) == cofactors_by_det(rows)
         assert rows == before  # the input is left alone
 
     def test_fallback_on_singular_leading_block(self):
         rows = [[1, 2, 3, 4, 5], [2, 4, 6, 8, 1], [0, 1, 0, 2, 7], [3, 0, 1, 1, 1]]
         minors = maximal_minors(rows)
         assert minors[-1] == 0
-        assert minors == minors_by_det(rows)
+        assert minors == cofactors_by_det(rows)
 
     @pytest.mark.parametrize("rows, minors", [
-        # 7 x 8 is past the compiled expansion. The leading block's column 1
-        # is twice its column 0, so elimination falls back to one
-        # determinant per minor
+        # 7 x 8 is past the compiled plane, where facet_planes calls
+        # maximal_minors. The leading block's column 1 is twice its column
+        # 0, so elimination falls back to one determinant per minor
         ([[-3, -6, 2, -1, 0, -1, 2, -1], [1, 2, -1, 2, 0, -3, 1, -3],
           [2, 4, -1, -1, 2, 0, -1, 1], [1, 2, -2, -1, -2, -1, 3, -1],
           [3, 6, -1, -1, 3, 0, -3, 3], [3, 6, 1, 2, 2, -2, -1, 1],
-          [-2, -4, 3, -1, -2, -1, -2, 2]], [2636, 1318, 0, 0, 0, 0, 0, 0]),
+          [-2, -4, 3, -1, -2, -1, -2, 2]], [-2636, 1318, 0, 0, 0, 0, 0, 0]),
         # a zero first pivot: elimination swaps in the second row
         ([[0, 1, -3, -2, 0, -1, 1, -1], [1, 2, -3, 3, -1, -1, -1, -2],
           [3, 0, 0, 0, 3, 1, 0, 2], [3, 1, 2, 1, -3, 1, 3, 1],
           [-1, 0, 2, 2, 2, -2, -1, 0], [-1, 1, -1, 1, -1, -3, 3, 0],
-          [1, -1, -3, 0, 1, 1, 2, -2]], [5049, 7674, -690, 1161, -3078, 6093, -2721, -90]),
+          [1, -1, -3, 0, 1, 1, 2, -2]], [-5049, 7674, 690, 1161, 3078, 6093, 2721, -90]),
     ])
     def test_elimination_past_the_expansion(self, rows, minors):
-        assert minors_by_det(rows) == minors
+        assert cofactors_by_det(rows) == minors
         assert maximal_minors(rows) == minors
 
 
@@ -608,20 +620,39 @@ class TestExpansion:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "0\n"
 
-    def test_no_shape_above_six(self):
-        # Bareiss runs past 6 x 6: a 7 x 8 matrix and its 7 x 7 minors call
-        # _expansion for no shape at all
-        rows = [[(3 * i + 5 * j) % 7 - 3 for j in range(8)] for i in range(7)]
+    def test_no_shape_past_the_cut(self):
+        # determinants compile up to 7 x 7 and facet planes up to d = 6:
+        # elimination runs past them, on nonsingular blocks here, calling
+        # _expansion for no shape
+        rows = [[(3 * i * i + 5 * j + i * j) % 11 - 5 for j in range(8)] for i in range(7)]
+        facets = {key: tuple(range(key, key + 7)) for key in range(3)}
+        lifted = [[1, *((v * v + 3 * j * v + j) % 13 for j in range(7))] for v in range(9)]
         before = _expansion.cache_info()
         maximal_minors(rows)
-        _det_int([r[:7] for r in rows])
+        facet_planes(7, lifted, facets)
+        _det_int([*rows, [j * j for j in range(8)]])
         assert _expansion.cache_info() == before
+        # one lookup, the 7 x 7 determinant's
+        _det_int([r[:7] for r in rows])
+        after = _expansion.cache_info()
+        assert after.hits + after.misses == before.hits + before.misses + 1
 
-    @pytest.mark.parametrize("n, m", [(1, 1), (1, 2), (3, 3), (3, 4), (4, 7), (6, 7)])
+    # m = n is the determinant form, m = n + 1 the plane form
+    @pytest.mark.parametrize("n, m", [
+        (1, 1), (3, 3), (7, 7), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)
+    ])
     def test_minors_in_reverse_lexicographic_order(self, n, m):
         rows = [[(7 * i * i + 3 * j + i * j) % 11 - 5 for j in range(m)] for i in range(n)]
-        expected = [
-            det_by_permutations([[r[c] for c in cols] for r in rows])
-            for cols in reversed(list(itertools.combinations(range(m), n)))
-        ]
-        assert _expansion(n, m)(rows) == expected
+        if m == n:
+            assert _expansion(n, False)(rows) == det_by_permutations(rows)
+            return
+        # the facet's rows sit among others and are named by ascending ids
+        ids = list(range(1, 2 * n, 2))
+        lifted = [[j - v for j in range(m)] for v in range(2 * n)]
+        for v, r in zip(ids, rows):
+            lifted[v] = r
+        cofactors, shadow, scale, id_sum = _expansion(n, True)(lifted, *ids)
+        assert cofactors == cofactors_by_det(rows)
+        assert shadow == det_by_permutations([r[:n] for r in rows])
+        assert scale == math.prod(r[0] for r in rows)
+        assert id_sum == sum(ids)

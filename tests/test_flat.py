@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from gridlift import StageInvariantError, gen_tree
 from gridlift import flat
 from gridlift.exact import bracket
-from gridlift.facets import BASE_FACET_KEY
+from gridlift.facets import BASE_FACET_KEY, TreeRep
 from gridlift.flat import base_simplex, build_flat, stacked_column
-from gridlift.trees import balance_weights
+from gridlift.trees import WeightedTree, balance_weights
 from reference import flat_points, homogeneous_row, point, real_brackets, reference_flat_points
 
 F = Fraction
@@ -124,10 +124,58 @@ class TestTetFlat:
         with pytest.raises(StageInvariantError) as info:
             build_flat(tet_weighted)
         assert info.value.stage == "flat"
-        assert info.value.message == "ridge (0, 2) lies in 3 facets"
+        assert info.value.message == (
+            "node 3 has facet (0, 3, 2), not node 0's with vertex 3 at position 2"
+        )
+        assert info.value.witness == 3
+
+    @pytest.mark.parametrize("j", range(4))
+    def test_corrupted_child_facet_is_a_flat_stage_error(self, monkeypatch, j):
+        # the walk checks every child's facet, a leaf's too: child j of the
+        # root, a leaf for j = 0, 2 and interior for j = 1, 3, has its last
+        # two vertices swapped
+        wt = balance_weights(gen_tree("random", 4, 3, 0))
+        c = wt.tree.children[0][j]
+        original = flat.facet_layout
+
+        def swapped(tree):
+            layout = original(tree)
+            *head, a, b = layout[c]
+            return {**layout, c: (*head, b, a)}
+
+        monkeypatch.setattr(flat, "facet_layout", swapped)
+        with pytest.raises(StageInvariantError) as info:
+            build_flat(wt)
+        facet = swapped(wt.tree)[c]
+        assert info.value.stage == "flat"
+        assert info.value.message == (
+            f"node {c} has facet {facet}, not node 0's with vertex 4 at position {j}"
+        )
+        assert info.value.witness == c
+
+    def test_repeated_ridge_is_a_flat_stage_error(self, tet_weighted, monkeypatch):
+        # a base facet that repeats a vertex, and children stacked on it
+        # consistently: two base ridges get one key
+        layout = {0: (0, 1, 1), 1: (3, 1, 1), 2: (0, 3, 1), 3: (0, 1, 3)}
+        monkeypatch.setattr(flat, "facet_layout", lambda tree: layout)
+        with pytest.raises(StageInvariantError) as info:
+            build_flat(tet_weighted)
+        assert info.value.stage == "flat"
+        assert info.value.message == "ridge (0, 1) is numbered twice"
+        assert info.value.witness == (0, 1)
+
+    def test_ridge_in_one_facet_is_a_flat_stage_error(self):
+        # a root with two children, which check_tree rejects: the base
+        # ridge opposite vertex 2 has no leaf beside the base
+        wt = WeightedTree(TreeRep(3, [(1, 2), (), ()]), [2, 1, 1], {0: 0})
+        with pytest.raises(StageInvariantError) as info:
+            build_flat(wt)
+        assert info.value.stage == "flat"
+        assert info.value.message == "ridge (0, 1) lies in 1 facets"
+        assert info.value.witness == (0, 1)
 
     def test_misnumbered_stacking_is_a_flat_stage_error(self, tet_weighted, monkeypatch):
-        # the one guard of the table's numbering, which the lift, the stress
+        # the guard of the table's vertex numbering, which the lift, the stress
         # replay and the graph read from it: the stacked vertex of node v is
         # the first vertex of its child 0's facet, and here it is one too high
         original = flat.facet_layout

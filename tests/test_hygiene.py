@@ -162,6 +162,7 @@ def names_in_body(source: str, function: str) -> set[str]:
     ("flat", "build_flat"),
     ("flat", "stacked_column"),
     ("rounding", "perturb_flat"),
+    ("exact", "_eliminate"),
     ("exact", "maximal_minors"),
     ("exact", "facet_planes"),
     ("exact", "ridge_stresses"),
@@ -210,6 +211,15 @@ def test_flat_stages_build_no_fraction_at_runtime(monkeypatch):
         assert any(r[0] > 1 for r in rows)
         assert all(type(x) is int for r in rows for x in r)
     assert built == []
+
+
+def test_replay_builds_no_ridge_key():
+    # build_flat numbers every ridge once: the stress replay indexes its
+    # table by those numbers, and the flat stage's ridge table comes from
+    # the same walk, not from a second pass that sorts every facet's ridges
+    source = (PACKAGE_DIR / "lifting.py").read_text()
+    assert {"sorted", "tuple"}.isdisjoint(names_in_body(source, "incremental_stresses"))
+    assert "build_ridge_adjacency" not in read_names((PACKAGE_DIR / "flat.py").read_text())
 
 
 def test_lift_places_vertices_with_the_flat_rule():
@@ -307,7 +317,8 @@ def test_complex_and_grid_params_hold_no_duplicate_fields():
     # properties, and the vertex ids are read from node_facets
     fields = [f.name for f in dataclasses.fields(FlatComplex)]
     assert fields == [
-        "coords", "ridge_adjacency", "node_facets", "node_brackets", "bracket_scale", "tree", "L"
+        "coords", "ridge_adjacency", "node_facets", "node_ridges", "node_brackets",
+        "bracket_scale", "tree", "L",
     ]
     # facet_layout is the one node -> facet table, with no stacked-vertex map beside it
     assert type(facet_layout(TreeRep(3, [(1, 2, 3), (), (), ()]))) is dict

@@ -24,6 +24,7 @@ from gridlift.rounding import perturb_flat
 from gridlift.trees import balance_weights
 from reference import (
     check_lifted_rows,
+    check_ridge_tables,
     facet_lookup,
     flat_points,
     homogeneous_row,
@@ -366,6 +367,17 @@ class TestStressMapCrossCheck:
         assert info.value.stage == "lifting"
         assert info.value.witness == ridge
 
+    def test_replay_in_another_order_is_caught(self, monkeypatch, tet_flat):
+        # the cross-check pairs the tables by position, so their ridge
+        # orders must agree, not just their ridge sets
+        original = lifting.incremental_stresses
+        monkeypatch.setattr(
+            lifting, "incremental_stresses", lambda *args: dict(reversed(original(*args).items()))
+        )
+        with pytest.raises(StageInvariantError, match="in the same order") as info:
+            build_lifted(tet_flat)
+        assert info.value.stage == "lifting"
+
     def test_equal_values_in_different_terms_pass(self, monkeypatch, tet_flat):
         # the routes need not agree on the pairs, only on their values
         original = lifting.incremental_stresses
@@ -376,6 +388,18 @@ class TestStressMapCrossCheck:
         monkeypatch.setattr(lifting, "incremental_stresses", rescaled)
         rows, stresses = build_lifted(tet_flat)
         assert table(stresses) == table(direct_stresses(tet_flat, rows))
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("shape,sizes", [
+    ("random", [1, 2, 9, 25]), ("serpentine", [2, 9, 25]), ("balanced_rounds", [1, 2, 3])
+])
+def test_ridge_numbering_equals_keyed_tables(shape, sizes, d):
+    # the walk's ridge table against build_ridge_adjacency, and the replay
+    # over ridge numbers against the replay keyed by sorted ridges, on the
+    # exact and the perturbed complex; a balanced_rounds size counts rounds
+    for size in sizes:
+        check_ridge_tables(build_flat(balance_weights(gen_tree(shape, d, size, seed=d))))
 
 
 def reference_table(complex_, heights):

@@ -314,6 +314,32 @@ class TestGlobalRoutes:
 
 
 @lru_cache(maxsize=None)
+def count_plane_calls(monkeypatch):
+    """Wrap each plane kernel that exact._expansion compiles from now on;
+    returns the list of the vertex ids of its calls."""
+    calls = []
+    original = exact._expansion
+
+    def counting_expansion(n, plane):
+        kernel = original(n, plane)
+        if not plane:
+            return kernel
+
+        def counted(rows, *ids):
+            calls.append(ids)
+            return kernel(rows, *ids)
+
+        return counted
+
+    monkeypatch.setattr(exact, "_expansion", counting_expansion)
+    return calls
+
+
+def sorted_facets(realization):
+    """Every facet of a realization, the base's too, as sorted ids, sorted."""
+    return sorted(tuple(sorted(f)) for f in facet_table(realization).values())
+
+
 def small_realization(d, k, seed):
     return run_pipeline(gen_tree("random", d, k, seed))[0]
 
@@ -525,23 +551,17 @@ class TestStressRouteAgainstReference:
 
     def test_one_plane_per_facet_and_no_fraction(self, monkeypatch):
         realization = small_realization(5, 30, 1)
-        minors_calls = []
+        plane_calls = count_plane_calls(monkeypatch)
         built = []
-        original_minors = exact.maximal_minors
         original_new = Fraction.__new__
-
-        def counting_minors(rows):
-            minors_calls.append(len(rows))
-            return original_minors(rows)
 
         def counting_new(cls, *args, **kwargs):
             built.append(args)
             return original_new(cls, *args, **kwargs)
 
-        monkeypatch.setattr(exact, "maximal_minors", counting_minors)
         monkeypatch.setattr(Fraction, "__new__", counting_new)
         assert verify_convexity_stress(realization) == (True, [])
-        assert len(minors_calls) == len(realization.facets) + 1
+        assert sorted(plane_calls) == sorted_facets(realization)
         assert built == []
 
     def test_witness_prints_the_reduced_stress(self):
@@ -761,11 +781,11 @@ class TestOneRidgeTable:
         assert len(tables) == len(checks) == 1
 
     def test_one_plane_table(self, monkeypatch):
-        # one maximal_minors per facet, the base's too, serves both routes
+        # one compiled plane call per facet, the base's too, serves both routes
         realization = small_realization(5, 30, 1)
-        minors = wrap_every_binding(monkeypatch, exact.maximal_minors)
+        plane_calls = count_plane_calls(monkeypatch)
         assert make_certificate(realization).ok
-        assert len(minors) == len(realization.facets) + 1
+        assert sorted(plane_calls) == sorted_facets(realization)
 
     @pytest.mark.parametrize("name", CORRUPTED)
     def test_same_witnesses_as_the_public_routes(self, name):
