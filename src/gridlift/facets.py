@@ -4,9 +4,9 @@ A facet table maps each facet key to the facet's ordered vertex ids: the
 base facet first, under BASE_FACET_KEY, then the leaves by node id of the
 stacking tree's child table (TreeRep). A tree is checked once, where it
 enters (check_tree; check_dim is its dimension half), and facet_layout
-replays it into every node's facet, the one table that numbers the
-vertices. The construction and the verifier both take these from here, so
-the certificate's trusted code needs nothing from the construction to know
+replays it into every node's facet, for the verifier and the graph
+writer; the construction numbers its facets in a walk of its own. So the
+certificate's trusted code needs nothing from the construction to know
 which facets meet at a ridge or which facets a tree stacks.
 """
 
@@ -87,7 +87,7 @@ def check_tree(tree: TreeRep) -> None:
 
 
 def facet_layout(tree: TreeRep) -> dict[int, tuple[int, ...]]:
-    """Ordered facet of every node, the table that numbers the vertices.
+    """Ordered facet of every node, the stacking replay of a tree.
 
     The root facet is (0, ..., d-1); child j's facet is its parent's with
     position j replaced by the parent's stacked vertex, d + i for the i-th

@@ -21,15 +21,16 @@ The complex carries the stacking tree it embeds, which the lift and round
 stages replay; d, R_eff = L^{d-1} and the facet table are properties, so
 nothing can disagree with the tree and L. It caches the three tables
 every stage reads, rather than replaying the tree each time: node_facets
-(facets.facet_layout, which also numbers the vertices), node_ridges (each
-node facet's ridges, by position) and ridge_adjacency (each ridge's two
-facets). build_flat's one walk over the stackings numbers the ridges, in
-the order ridge_adjacency keeps, and checks every child's facet against its
-parent's and every ridge's two facets, so a facet table that forms no
-closed surface is a flat stage error; the stress replay indexes its ridges
-by these numbers and builds no ridge key. The certificate builds its own
-ridge table from the output with facets.build_ridge_adjacency. Nothing
-here checks its arguments: the tree was checked where it entered
+(every node's ordered facet), node_ridges (each node facet's ridges, by
+position) and ridge_adjacency (each ridge's two facets). build_flat's one
+walk over the stackings numbers the vertices, the node facets and the
+ridges, in the order ridge_adjacency keeps, and checks that every ridge
+lies in two facets, so a tree whose facets form no closed surface is a
+flat stage error; the stress replay indexes its ridges by these numbers
+and builds no ridge key. The certificate replays the tree on its own
+(facets.facet_layout) and builds its own ridge table from the output
+(facets.build_ridge_adjacency), so it shares no numbering with this walk.
+Nothing here checks its arguments: the tree was checked where it entered
 (facets.check_tree) and the weights by trees.check_balanced.
 """
 
@@ -41,7 +42,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .errors import StageInvariantError
-from .facets import BASE_FACET_KEY, FacetKey, Ridge, TreeRep, facet_layout
+from .facets import BASE_FACET_KEY, FacetKey, Ridge, TreeRep
 from .trees import WeightedTree
 
 # A vertex as (D, N_1, ..., N_{d-1}): the point N / D, D > 0, in lowest terms.
@@ -54,7 +55,7 @@ class FlatComplex:
 
     coords: list[Column]  # homogeneous column by vertex id; D = 1 once perturbed
     ridge_adjacency: dict[Ridge, tuple[FacetKey, FacetKey]]
-    node_facets: dict[int, tuple[int, ...]]  # facet_layout: every node, incl. historical
+    node_facets: dict[int, tuple[int, ...]]  # every node's facet, incl. historical
     node_ridges: list[tuple[int, ...]]  # by node id: its facet's ridge numbers, by position
     node_brackets: dict[int, int]  # bracket of each node facet times bracket_scale
     bracket_scale: int  # R on the exact complex, 1 once perturbed
@@ -131,14 +132,22 @@ def stacked_column(
 def build_flat(wt: WeightedTree) -> FlatComplex:
     """Embed the whole weighted tree; exact, deterministic.
 
-    One walk over the stackings places each new vertex, checks each
-    child's facet against its parent's, and numbers the ridges in creation
-    order: the base's d ridges, then each stacking's C(d, 2) new ones,
-    pairs (i, j) with i < j in lexicographic order. node_ridges[v][k] is
-    the number of the ridge of node v's facet opposite its vertex k: child
-    j keeps its parent's ridge j, and the new ridge between children i and
-    j is ridge i of child j and ridge j of child i. The ridge table follows
-    that numbering, each ridge with its two facets in facet-table order.
+    One walk over the stackings, in ascending node id, numbers everything
+    in creation order. The root's facet is (0, ..., d-1); node v stacks
+    vertex p = len(coords), placed at once, and child j's facet is node v's
+    with p at position j. The ridges are the base's d, then each stacking's
+    C(d, 2) new ones, pairs (i, j) with i < j in lexicographic order.
+    node_ridges[v][k] is the number of the ridge of node v's facet opposite
+    its vertex k: child j keeps its parent's ridge j, and the new ridge
+    between children i and j is ridge i of child j and ridge j of child i.
+    The ridge table follows that numbering, each ridge with its two facets
+    in facet-table order.
+
+    No ridge is numbered twice, so the table has one key per number: the
+    d base keys are distinct subsets of range(d); every key made at
+    stacking p ends in p, the largest vertex id so far, so no earlier key
+    equals it; and the C(d, 2) keys of one stacking each drop a different
+    pair from a facet of d distinct vertices.
     """
     tree = wt.tree
     d = tree.dim
@@ -146,27 +155,17 @@ def build_flat(wt: WeightedTree) -> FlatComplex:
     coords, L = base_simplex(d, R)
     R_eff = L ** (d - 1)
     weight = wt.weight
-    layout = facet_layout(tree)
+    base = tuple(range(d))
+    node_facets = {0: base}
     node_brackets = {0: R_eff * weight[0]}
-    base = layout[0]
-    keys = [tuple(sorted(base[:j] + base[j + 1 :])) for j in range(d)]
+    keys = [base[:j] + base[j + 1 :] for j in range(d)]
     node_ridges: list[tuple[int, ...]] = [()] * len(tree.children)
     node_ridges[0] = tuple(range(d))
     pairs = list(combinations(range(d), 2))
     for v in tree.interior_ids:
         children = tree.children[v]
-        facet = layout[v]
-        p = layout[children[0]][0]  # the guard of the layout's vertex numbering
-        if p != len(coords):
-            raise StageInvariantError(
-                "flat", f"node {v} stacks vertex {p}, expected {len(coords)}", v
-            )
-        for j, c in enumerate(children):
-            if layout[c] != facet[:j] + (p,) + facet[j + 1 :]:
-                raise StageInvariantError(
-                    "flat", f"node {c} has facet {layout[c]}, not node {v}'s with "
-                    f"vertex {p} at position {j}", c
-                )
+        facet = node_facets[v]
+        p = len(coords)
         cw = [weight[c] for c in children]
         coords.append(stacked_column([coords[u] for u in facet], cw, weight[v]))
         node_brackets.update((c, R_eff * w) for c, w in zip(children, cw))
@@ -174,20 +173,18 @@ def build_flat(wt: WeightedTree) -> FlatComplex:
         for i, j in pairs:
             ridges[i][j] = ridges[j][i] = len(keys)
             keys.append((*sorted(facet[:i] + facet[i + 1 : j] + facet[j + 1 :]), p))
-        for c, r in zip(children, ridges):
-            node_ridges[c] = tuple(r)
+        for j, c in enumerate(children):
+            node_facets[c] = facet[:j] + (p,) + facet[j + 1 :]
+            node_ridges[c] = tuple(ridges[j])
     # the facets of each ridge, in facet-table order: the base's, then leaves by id
     incidence = [[BASE_FACET_KEY] for _ in range(d)] + [[] for _ in range(len(keys) - d)]
     for leaf in tree.leaf_ids:
         for r in node_ridges[leaf]:
             incidence[r].append(leaf)
     adjacency = dict(zip(keys, map(tuple, incidence)))
-    if len(adjacency) < len(keys):
-        ridge = next(r for i, r in enumerate(keys) if r in keys[:i])
-        raise StageInvariantError("flat", f"ridge {ridge} is numbered twice", ridge)
     for ridge, facets in adjacency.items():
         if len(facets) != 2:
             raise StageInvariantError(
                 "flat", f"ridge {ridge} lies in {len(facets)} facets", ridge
             )
-    return FlatComplex(coords, adjacency, layout, node_ridges, node_brackets, R, tree, L)
+    return FlatComplex(coords, adjacency, node_facets, node_ridges, node_brackets, R, tree, L)

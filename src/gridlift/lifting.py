@@ -63,10 +63,10 @@ def lift_heights(flat: FlatComplex, zeta: dict[int, int]) -> list[tuple[int, ...
     """Replay the stackings, raising each new vertex by its shift.
 
     Returns each vertex's lifted row (D, X..., Z), its height Z / D: a base
-    vertex's column with Z = 0, and each stacking's vertex, its child 0's
-    first vertex in node_facets, placed by stacked_column from its facet's
-    rows and the child brackets (which a common bracket scale leaves
-    alone), then raised by shift * D. The placed row is primitive, as
+    vertex's column with Z = 0, and each stacking's vertex, the next id as
+    in build_flat's walk, placed by stacked_column from its facet's rows
+    and the child brackets (which a common bracket scale leaves alone),
+    then raised by shift * D. The placed row is primitive, as
     gcd(D, X, Z + shift D) = gcd(D, X, Z). Heights are linear in the
     shifts, so adjusted_shifts' shifts, the real ones times k^2, give the
     real heights times k^2. Shifts and node brackets are positive by
@@ -90,14 +90,13 @@ def lift_heights(flat: FlatComplex, zeta: dict[int, int]) -> list[tuple[int, ...
         D, *X, Z = stacked_column(
             [rows[u] for u in layout[node]], [brackets[c] for c in children[node]], shadow
         )
-        p = layout[children[node][0]][0]
+        p = len(rows)
         col = coords[p]
         m = D // col[0]
         if [D, *X] != [m * x for x in col]:
             raise StageInvariantError(
                 "lifting", f"vertex {p} placed off its flat column {col}", p
             )
-        # p == len(rows): build_flat's gate on the layout's numbering
         rows.append((D, *X, Z + shift * D))
     return rows
 

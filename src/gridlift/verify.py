@@ -42,8 +42,8 @@ a vertex or the base; a malformed tree is InvalidInputError (check_tree).
 The verifier imports from the package only errors, exact (the integer
 determinant kernels, the plane table and the per-ridge stress rule, which
 the construction is a client of too) and facets (the facet-table format,
-the ridge table, the tree check and the replay that the combinatorial
-check compares against), so no construction stage is trusted code.
+the ridge table, the tree check and the replay, which the construction's
+own walk does not call), so no construction stage is trusted code.
 """
 
 from __future__ import annotations
@@ -306,7 +306,7 @@ def verify_bounds(realization: Realization) -> tuple[bool, list[str]]:
     and 6 R_eff^3 (height), with R_eff from the realization's metadata, a
     positive int (not a bool) or a witness."""
     d = realization.d
-    R_eff = realization.metadata["R_eff"]
+    R_eff = realization.metadata.get("R_eff")
     if type(R_eff) is not int or R_eff <= 0:
         return False, [f"metadata R_eff {R_eff!r} is not a positive integer"]
     bound_xy = 10 * d * d * R_eff * R_eff

@@ -133,10 +133,12 @@ def incremental_stresses_by_key(flat, zeta) -> dict:
 
 
 def check_ridge_tables(flat) -> None:
-    """The flat walk's ridge table is build_ridge_adjacency's, ridge for
-    ridge and pair for pair, and on the complex and its perturbation the
-    replay over ridge numbers gives incremental_stresses_by_key's pairs in
-    its order."""
+    """The flat walk's node facets are facet_layout's, node for node and
+    in order, its ridge table is build_ridge_adjacency's, ridge for ridge
+    and pair for pair, and on the complex and its perturbation the replay
+    over ridge numbers gives incremental_stresses_by_key's pairs in its
+    order."""
+    assert list(flat.node_facets.items()) == list(facet_layout(flat.tree).items())
     assert flat.ridge_adjacency == build_ridge_adjacency(flat.d, flat.facet_table)
     for complex_ in (flat, perturb_flat(flat)):
         zeta = adjusted_shifts(complex_)

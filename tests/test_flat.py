@@ -1,11 +1,11 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridlift import StageInvariantError, gen_tree
-from gridlift import flat
+from gridlift import StageInvariantError, gen_tree, pipeline, run_pipeline
 from gridlift.exact import bracket
 from gridlift.facets import BASE_FACET_KEY, TreeRep
 from gridlift.flat import base_simplex, build_flat, stacked_column
@@ -111,59 +111,6 @@ class TestTetFlat:
         assert len(tet_flat.ridge_adjacency) == 6
         assert tet_flat.ridge_adjacency[(0, 1)] == (BASE_FACET_KEY, 3)
 
-    def test_open_surface_is_a_flat_stage_error(self, tet_weighted, monkeypatch):
-        # the layout drops leaf 3's facet and repeats leaf 2's in its place
-        # (leaf 1 is child 0, whose facet numbers the stacked vertex)
-        original = flat.facet_layout
-
-        def drop_leaf(tree):
-            layout = original(tree)
-            return {**layout, 3: layout[2]}
-
-        monkeypatch.setattr(flat, "facet_layout", drop_leaf)
-        with pytest.raises(StageInvariantError) as info:
-            build_flat(tet_weighted)
-        assert info.value.stage == "flat"
-        assert info.value.message == (
-            "node 3 has facet (0, 3, 2), not node 0's with vertex 3 at position 2"
-        )
-        assert info.value.witness == 3
-
-    @pytest.mark.parametrize("j", range(4))
-    def test_corrupted_child_facet_is_a_flat_stage_error(self, monkeypatch, j):
-        # the walk checks every child's facet, a leaf's too: child j of the
-        # root, a leaf for j = 0, 2 and interior for j = 1, 3, has its last
-        # two vertices swapped
-        wt = balance_weights(gen_tree("random", 4, 3, 0))
-        c = wt.tree.children[0][j]
-        original = flat.facet_layout
-
-        def swapped(tree):
-            layout = original(tree)
-            *head, a, b = layout[c]
-            return {**layout, c: (*head, b, a)}
-
-        monkeypatch.setattr(flat, "facet_layout", swapped)
-        with pytest.raises(StageInvariantError) as info:
-            build_flat(wt)
-        facet = swapped(wt.tree)[c]
-        assert info.value.stage == "flat"
-        assert info.value.message == (
-            f"node {c} has facet {facet}, not node 0's with vertex 4 at position {j}"
-        )
-        assert info.value.witness == c
-
-    def test_repeated_ridge_is_a_flat_stage_error(self, tet_weighted, monkeypatch):
-        # a base facet that repeats a vertex, and children stacked on it
-        # consistently: two base ridges get one key
-        layout = {0: (0, 1, 1), 1: (3, 1, 1), 2: (0, 3, 1), 3: (0, 1, 3)}
-        monkeypatch.setattr(flat, "facet_layout", lambda tree: layout)
-        with pytest.raises(StageInvariantError) as info:
-            build_flat(tet_weighted)
-        assert info.value.stage == "flat"
-        assert info.value.message == "ridge (0, 1) is numbered twice"
-        assert info.value.witness == (0, 1)
-
     def test_ridge_in_one_facet_is_a_flat_stage_error(self):
         # a root with two children, which check_tree rejects: the base
         # ridge opposite vertex 2 has no leaf beside the base
@@ -174,24 +121,25 @@ class TestTetFlat:
         assert info.value.message == "ridge (0, 1) lies in 1 facets"
         assert info.value.witness == (0, 1)
 
-    def test_misnumbered_stacking_is_a_flat_stage_error(self, tet_weighted, monkeypatch):
-        # the guard of the table's vertex numbering, which the lift, the stress
-        # replay and the graph read from it: the stacked vertex of node v is
-        # the first vertex of its child 0's facet, and here it is one too high
-        original = flat.facet_layout
+    def test_swapped_leaf_facet_is_a_rounding_stage_error(self, monkeypatch):
+        # a leaf's node facet with its last two vertices swapped keeps its
+        # ridges, so the flat and lift stages pass it, but its grid bracket
+        # changes sign: the rounding stage's volume check names the node
+        tree = gen_tree("random", 4, 3, 0)
+        leaf = tree.leaf_ids[0]
 
-        def off_by_one(tree):
-            layout = original(tree)
-            first = tree.children[0][0]
-            p, *rest = layout[first]
-            return {**layout, first: (p + 1, *rest)}
+        def swapped(wt):
+            flat = build_flat(wt)
+            *head, a, b = flat.node_facets[leaf]
+            facets = {**flat.node_facets, leaf: (*head, b, a)}
+            return dataclasses.replace(flat, node_facets=facets)
 
-        monkeypatch.setattr(flat, "facet_layout", off_by_one)
+        monkeypatch.setattr(pipeline, "build_flat", swapped)
         with pytest.raises(StageInvariantError) as info:
-            build_flat(tet_weighted)
-        assert info.value.stage == "flat"
-        assert info.value.message == "node 0 stacks vertex 4, expected 3"
-        assert info.value.witness == 0
+            run_pipeline(tree)
+        assert info.value.stage == "rounding"
+        assert info.value.message == f"facet of node {leaf} flipped or collapsed"
+        assert info.value.witness == leaf
 
 
 class TestTwoStackFlat:

@@ -214,12 +214,15 @@ def test_flat_stages_build_no_fraction_at_runtime(monkeypatch):
 
 
 def test_replay_builds_no_ridge_key():
-    # build_flat numbers every ridge once: the stress replay indexes its
-    # table by those numbers, and the flat stage's ridge table comes from
-    # the same walk, not from a second pass that sorts every facet's ridges
+    # build_flat numbers every vertex, node facet and ridge once: the stress
+    # replay indexes its table by those numbers, and the flat stage's facets
+    # and ridge table come from the same walk, not from a second replay of
+    # the tree or a second pass that sorts every facet's ridges; those two
+    # are the certificate's
     source = (PACKAGE_DIR / "lifting.py").read_text()
     assert {"sorted", "tuple"}.isdisjoint(names_in_body(source, "incremental_stresses"))
-    assert "build_ridge_adjacency" not in read_names((PACKAGE_DIR / "flat.py").read_text())
+    flat_reads = read_names((PACKAGE_DIR / "flat.py").read_text())
+    assert {"build_ridge_adjacency", "facet_layout"}.isdisjoint(flat_reads)
 
 
 def test_lift_places_vertices_with_the_flat_rule():
@@ -320,7 +323,8 @@ def test_complex_and_grid_params_hold_no_duplicate_fields():
         "coords", "ridge_adjacency", "node_facets", "node_ridges", "node_brackets",
         "bracket_scale", "tree", "L",
     ]
-    # facet_layout is the one node -> facet table, with no stacked-vertex map beside it
+    # facet_layout, the certificate's and the graph writer's replay of the
+    # tree, is a plain node -> facet dict, with no stacked-vertex map beside it
     assert type(facet_layout(TreeRep(3, [(1, 2, 3), (), (), ()]))) is dict
     assert list(inspect.signature(grid_params).parameters) == ["d", "L"]
     # the complex fixes its shifts and its grid steps 1/inv and 1/inv_z, so

@@ -698,6 +698,18 @@ class TestBounds:
         cert = make_certificate(bad)
         assert (cert.ok, cert.bounds_ok, cert.witnesses) == (False, False, [witness])
 
+    def test_missing_R_eff_is_a_witness(self, tet_result):
+        # no R_eff in the metadata reads as None, the same witness as above;
+        # the certificate runs verify_bounds only when the key is there
+        realization, _ = tet_result
+        bare = Realization(
+            realization.d, realization.coords, realization.facets, realization.base_facet, {}
+        )
+        witness = "metadata R_eff None is not a positive integer"
+        assert verify_bounds(bare) == (False, [witness])
+        cert = make_certificate(bare)
+        assert (cert.ok, cert.bounds_ok, cert.witnesses) == (True, None, [])
+
 
 class TestCombinatorics:
     def test_fixture(self, tet_result, tet_tree):
@@ -711,6 +723,24 @@ class TestCombinatorics:
         ok, witnesses = verify_combinatorics(realization, other)
         assert ok is False
         assert witnesses
+
+    def test_swapped_leaf_facet_is_the_replay_witness(self):
+        # the one comparison of the construction's facets with facet_layout:
+        # a leaf facet with its last two vertices swapped keeps its vertices,
+        # so both convexity routes, which take each plane over sorted vertex
+        # ids, still pass
+        tree = gen_tree("random", 4, 3, 0)
+        realization, _ = run_pipeline(tree)
+        leaf = tree.leaf_ids[0]
+        *head, a, b = realization.facets[leaf]
+        swapped = dataclasses.replace(
+            realization, facets={**realization.facets, leaf: (*head, b, a)}
+        )
+        cert = make_certificate(swapped, tree)
+        assert cert.convex_by_stress is True
+        assert cert.convex_global is True
+        assert cert.combinatorics_ok is False
+        assert cert.witnesses == ["leaf facet table does not match the tree replay"]
 
     def test_facet_count(self, two_stack_tree):
         realization, report = run_pipeline(two_stack_tree)
