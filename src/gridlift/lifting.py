@@ -43,9 +43,10 @@ takes, the height of vertex v being Z / D. The shifts are integers too, the
 real ones times k^2, so both lifts run in scaled units: heights are the
 real ones times k^2, and both stress routes give integer pairs
 (exact.Pair), not necessarily in lowest terms. The cross-check compares
-them by cross-multiplication, and stress_extrema divides by the scale once,
-making Fractions only of the three extrema that the gates compare and
-report.
+them by cross-multiplication and, in the same pass, keeps the least
+interior and the least and greatest base stress; each gate divides these
+three by its lift's scale once, and they are the only Fractions the gates
+compare and report.
 """
 
 from __future__ import annotations
@@ -169,14 +170,21 @@ def adjusted_shifts(flat: FlatComplex) -> dict[int, int]:
     return out
 
 
-def build_lifted(flat: FlatComplex) -> tuple[list[tuple[int, ...]], dict[Ridge, Pair]]:
-    """Lifted rows by the complex's own shifts, and the direct stresses,
+Extrema = tuple[tuple[int, int, Ridge], ...]  # (numerator, denominator, ridge) each
+
+
+def build_lifted(flat: FlatComplex) -> tuple[list[tuple[int, ...]], Extrema]:
+    """Lifted rows by the complex's own shifts, and the least interior and
+    the least and greatest base stress of the direct stresses,
     cross-checked against the incremental replay.
 
     Both tables list the ridges in ridge_adjacency's order, which is
     checked first; then any ridge disagreement raises, since the two routes
-    must match exactly for any shift-defined lifting. Pairs are compared by
-    cross-multiplication.
+    must match exactly for any shift-defined lifting. The same pass keeps
+    the three extrema, in scaled units, ties to the first ridge in
+    adjacency order. Every construction gate compares them against its own
+    bounds, so a gate holds on all ridges exactly when it holds on them.
+    Pairs are compared by cross-multiplication.
     """
     zeta = adjusted_shifts(flat)
     rows = lift_heights(flat, zeta)
@@ -186,7 +194,10 @@ def build_lifted(flat: FlatComplex) -> tuple[list[tuple[int, ...]], dict[Ridge, 
         raise StageInvariantError(
             "lifting", "stress tables do not list the same ridges in the same order"
         )
-    for (ridge, (n1, d1)), (n2, d2) in zip(direct.items(), incremental.values()):
+    interior = base_lo = base_hi = None  # (numerator, denominator, ridge)
+    for (ridge, (n1, d1)), (n2, d2), keys in zip(
+        direct.items(), incremental.values(), flat.ridge_adjacency.values()
+    ):
         if n1 * d2 != n2 * d1:
             raise StageInvariantError(
                 "lifting",
@@ -194,50 +205,30 @@ def build_lifted(flat: FlatComplex) -> tuple[list[tuple[int, ...]], dict[Ridge, 
                 f"direct {n1}/{d1}, incremental {n2}/{d2}",
                 ridge,
             )
-    return rows, direct
-
-
-Extremum = tuple[Fraction, Ridge]  # a stress and the ridge it belongs to
-
-
-def stress_extrema(
-    adjacency: dict[Ridge, tuple[int, int]], stresses: dict[Ridge, Pair], scale: int
-) -> tuple[Extremum, Extremum, Extremum]:
-    """The least interior stress and the least and greatest base stress.
-
-    The stresses are the real ones times the positive integer scale, which
-    each extremum is divided by. Every construction gate compares these
-    three against its own bounds, so a gate holds on all ridges exactly when
-    it holds on them. The pairs are compared by cross-multiplication, and
-    only the three extrema become Fractions. Ties go to the first ridge in
-    adjacency order.
-    """
-    interior = base_lo = base_hi = None  # (numerator, denominator, ridge)
-    for ridge, (k1, k2) in adjacency.items():
-        n, d = stresses[ridge]
-        if BASE_FACET_KEY in (k1, k2):
-            if base_lo is None or n * base_lo[1] < base_lo[0] * d:
-                base_lo = (n, d, ridge)
-            if base_hi is None or n * base_hi[1] > base_hi[0] * d:
-                base_hi = (n, d, ridge)
-        elif interior is None or n * interior[1] < interior[0] * d:
-            interior = (n, d, ridge)
-    return tuple((Fraction(n, d * scale), ridge) for n, d, ridge in (interior, base_lo, base_hi))
+        if BASE_FACET_KEY in keys:
+            if base_lo is None or n1 * base_lo[1] < base_lo[0] * d1:
+                base_lo = (n1, d1, ridge)
+            if base_hi is None or n1 * base_hi[1] > base_hi[0] * d1:
+                base_hi = (n1, d1, ridge)
+        elif interior is None or n1 * interior[1] < interior[0] * d1:
+            interior = (n1, d1, ridge)
+    return rows, (interior, base_lo, base_hi)
 
 
 def check_lift_bounds(
-    flat: FlatComplex, rows: list[tuple[int, ...]], stresses: dict[Ridge, Pair]
+    flat: FlatComplex, rows: list[tuple[int, ...]], extrema: Extrema
 ) -> dict[str, Fraction]:
     """Stage gate: interior stresses >= 1, base stresses inside (-R_eff, 0).
 
     The lift by adjusted_shifts has stresses times k^2, k the bracket
-    scale; the extrema are gated and returned in real units. Any violation
-    is an implementation bug, not an input problem, hence the stage error.
+    scale; build_lifted's extrema are divided by it once, then gated and
+    returned in real units. Any violation is an implementation bug, not an
+    input problem, hence the stage error.
     """
-    R_eff = flat.R_eff
-    (w_in, r_in), (w_lo, r_lo), (w_hi, r_hi) = stress_extrema(
-        flat.ridge_adjacency, stresses, flat.bracket_scale**2
-    )
+    R_eff, k2 = flat.R_eff, flat.bracket_scale**2
+    (w_in, r_in), (w_lo, r_lo), (w_hi, r_hi) = [
+        (Fraction(n, den * k2), ridge) for n, den, ridge in extrema
+    ]
     if w_in < 1:
         raise StageInvariantError(
             "lifting", f"interior ridge {r_in} stress {w_in} below 1", r_in

@@ -44,7 +44,7 @@ from .errors import StageInvariantError
 from .exact import _det_int
 from .facets import BASE_FACET_KEY, Realization
 from .flat import FlatComplex
-from .lifting import build_lifted, stress_extrema
+from .lifting import build_lifted
 
 # Bound though only lifting calls them: the benchmark's tracer names the span
 # rounding.adjusted_shifts, and its test checks this lift_heights binding.
@@ -124,7 +124,7 @@ def round_and_scale(perturbed: FlatComplex) -> tuple[Realization, dict]:
     The relift's shifts are those of the perturbed complex itself. The
     complex and the shifts are in units of its grid, so the relift's heights
     are the real ones times s^2 and its stresses the real ones times s,
-    s = inv^(d-1); stress_extrema divides the gated extrema by s, so each
+    s = inv^(d-1); build_lifted's extrema are divided by s once, so each
     gate keeps its bound. The snapped heights are integers in units of
     1/inv_z, which makes every output point (X_v, H_v) integer by
     construction; the snapped points are left to the certificate, which
@@ -134,11 +134,10 @@ def round_and_scale(perturbed: FlatComplex) -> tuple[Realization, dict]:
     inv, inv_z = grid_params(d, perturbed.L)
     s = inv ** (d - 1)
     s2 = s * s
-    rows, stresses = build_lifted(perturbed)
-    (min_interior, r_in), (min_base, r_lo), (max_base, r_hi) = stress_extrema(
-        perturbed.ridge_adjacency, stresses, s
-    )
-    del stresses  # only its extrema are gated; freed before the output is built
+    rows, extrema = build_lifted(perturbed)
+    (min_interior, r_in), (min_base, r_lo), (max_base, r_hi) = [
+        (Fraction(n, den * s), ridge) for n, den, ridge in extrema
+    ]
     if min_interior < Fraction(4, 5):
         raise StageInvariantError(
             "rounding", f"perturbed interior stress {min_interior} below 4/5", r_in

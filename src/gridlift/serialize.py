@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import InvalidInputError
 from .exact import _det_int
 from .facets import Realization, check_dim
-from .trees import _is_int, load_json
+from .trees import load_json
 from .verify import Certificate
 
 
@@ -80,7 +80,7 @@ def _vertex_ids(value, d: int, n: int, what: str) -> tuple[int, ...]:
     """d distinct vertex ids in range(n), or InvalidInputError."""
     if not isinstance(value, list) or len(value) != d:
         raise InvalidInputError(f"{what} must list {d} vertex ids")
-    if not all(_is_int(v) and 0 <= v < n for v in value):
+    if not all(type(v) is int and 0 <= v < n for v in value):
         raise InvalidInputError(f"{what} has a vertex id outside 0..{n - 1}")
     if len(set(value)) != d:
         raise InvalidInputError(f"{what} repeats a vertex id")
@@ -110,14 +110,14 @@ def realization_from_json(text: str | bytes) -> Realization:
         raise InvalidInputError("coords must be a list of coordinate rows")
     if any(len(p) != d for p in rows):
         raise InvalidInputError("every coordinate row must have length dim")
-    if not all(_is_int(c) for p in rows for c in p):
+    if not all(type(c) is int for p in rows for c in p):
         raise InvalidInputError("every coordinate must be an integer")
     n = len(rows)
     if not isinstance(facet_rows, list):
         raise InvalidInputError("facets must be a list of [node, vertex ids] pairs")
     facets = {}
     for row in facet_rows:
-        if not (isinstance(row, list) and len(row) == 2 and _is_int(row[0])):
+        if not (isinstance(row, list) and len(row) == 2 and type(row[0]) is int):
             raise InvalidInputError("facets must be a list of [node, vertex ids] pairs")
         node, verts = row
         if node < 0:
@@ -132,7 +132,7 @@ def realization_from_json(text: str | bytes) -> Realization:
     meta = {}
     for k, v in metadata.items():
         meta[k] = parse_rat(v) if isinstance(v, str) else v
-    if "R_eff" in meta and not (_is_int(meta["R_eff"]) and meta["R_eff"] > 0):
+    if "R_eff" in meta and not (type(meta["R_eff"]) is int and meta["R_eff"] > 0):
         raise InvalidInputError("metadata R_eff must be a positive integer")
     coords = [tuple(p) for p in rows]
     return Realization(d=d, coords=coords, facets=facets, base_facet=base, metadata=meta)

@@ -255,9 +255,9 @@ def gen_tree(shape: str, dim: int, size: int, seed: int = 0) -> TreeRep:
     balanced_rounds: `size` rounds, each expanding every current leaf.
     """
     check_dim(dim)
-    if not _is_int(size) or size < 1:
+    if type(size) is not int or size < 1:
         raise InvalidInputError(f"size must be an integer >= 1, got {size!r}")
-    if not _is_int(seed):
+    if type(seed) is not int:
         raise InvalidInputError(f"seed must be an integer, got {seed!r}")
     if shape == "random":
         rng = SplitMix64(seed)
@@ -302,16 +302,11 @@ class PolytopeGraph:
         return dump_json({"n": self.n, "edges": self.edges()})
 
 
-def _is_int(x) -> bool:
-    """An int proper: no bool, no other subclass (an IntEnum), as check_dim."""
-    return type(x) is int
-
-
 def graph_from_edges(n: int, edges: list[list[int]]) -> PolytopeGraph:
     """Graph on vertices 0..n-1 from a list of [u, v] pairs of distinct ids;
     any other shape or type (bools, floats, tuples), and fewer pairs than
     any stacked polytope on n vertices has edges, is invalid input."""
-    if not _is_int(n) or n < 1:
+    if type(n) is not int or n < 1:
         raise InvalidInputError("n must be a positive integer")
     if not isinstance(edges, list):
         raise InvalidInputError("edges must be a list of [u, v] pairs")
@@ -326,7 +321,7 @@ def graph_from_edges(n: int, edges: list[list[int]]) -> PolytopeGraph:
         if not (
             isinstance(e, list)
             and len(e) == 2
-            and all(_is_int(x) and 0 <= x < n for x in e)
+            and all(type(x) is int and 0 <= x < n for x in e)
             and e[0] != e[1]
         ):
             raise InvalidInputError(f"bad edge {e!r} for n={n}")
@@ -358,13 +353,13 @@ def check_graph(g: PolytopeGraph) -> None:
     """InvalidInputError unless n is an int (not a bool) >= 1 and adjacency
     a list of n sets of ids in 0..n-1, loop-free, each edge at both ends."""
     n, adj = g.n, g.adjacency
-    if not _is_int(n) or n < 1:
+    if type(n) is not int or n < 1:
         raise InvalidInputError("n must be a positive integer")
     if type(adj) is not list or len(adj) != n or not all(isinstance(a, set) for a in adj):
         raise InvalidInputError(f"adjacency must be a list of {n} sets")
     for u, nbrs in enumerate(adj):
         for v in nbrs:
-            if not _is_int(v) or not 0 <= v < n or v == u or u not in adj[v]:
+            if type(v) is not int or not 0 <= v < n or v == u or u not in adj[v]:
                 raise InvalidInputError(f"vertex {u} lists {v!r}, not another id that lists {u}")
 
 
@@ -390,7 +385,7 @@ def tree_from_graph(g: PolytopeGraph, base: Sequence[int] | None = None) -> Tree
         base = find_facet(g)  # checks g
     else:
         check_graph(g)
-        if not isinstance(base, (list, tuple)) or not all(map(_is_int, base)):
+        if not isinstance(base, (list, tuple)) or not all(type(v) is int for v in base):
             raise InvalidInputError("base must be a list or tuple of int vertex ids")
         base = tuple(base)
     d, n, adj = len(base), g.n, g.adjacency
@@ -503,7 +498,7 @@ def gen_lowerbound_graph(kind: str, n: int = 0) -> PolytopeGraph:
         return PolytopeGraph(len(adj), adj)
     if kind != "gamma":
         raise InvalidInputError(f"unknown generator kind {kind!r}")
-    if not _is_int(n) or n <= 0 or n % 36 != 0:
+    if type(n) is not int or n <= 0 or n % 36 != 0:
         raise InvalidInputError("gamma requires n to be a positive multiple of 36")
     extra = n - len(adj)  # n - 20 new vertices over 36 faces
     per, rem = divmod(extra, 36)

@@ -34,10 +34,11 @@ instead of masked. The pipeline checks its snapped integers only here: the
 stress route's height precheck and stress signs, and verify_bounds' caps.
 
 The _surface first rejects a vertex that is not a point of d ints (bools
-are not), with the witness verify_bounds gives, a leaf under the base's
-key, and a facet naming a vertex id outside the coordinate list, so a
-malformed realization fails a certificate instead of raising or aliasing
-a vertex or the base; a malformed tree is InvalidInputError (check_tree).
+are not), with the witness verify_bounds gives, a leaf key that is not an
+int >= 0 (the base's key included), a facet that is not a tuple, and a
+facet naming a vertex id outside the coordinate list, so a malformed
+realization fails a certificate instead of raising or aliasing a vertex
+or the base; a malformed tree is InvalidInputError (check_tree).
 
 The verifier imports from the package only errors, exact (the integer
 determinant kernels, the plane table and the per-ridge stress rule, which
@@ -80,16 +81,24 @@ def _is_integer_point(p: tuple, d: int) -> bool:
 
 
 def _input_witnesses(realization: Realization) -> list[str]:
-    """What every route rejects before it indexes a point (a negative id or
-    a bool aliases a vertex, and a set of ids hides a bool)."""
+    """What every route rejects before it sorts the facets or indexes a
+    point (mixed keys do not sort, a negative id or a bool aliases a
+    vertex, and a set of ids hides a bool)."""
     d, n = realization.d, len(realization.coords)
     witnesses = [
         f"vertex {vid} is not an integer point of length {d}"
         for vid, p in enumerate(realization.coords)
         if not _is_integer_point(p, d)
     ]
-    if BASE_FACET_KEY in realization.facets:  # _surface's merge would drop one
-        witnesses.append(f"a leaf facet has the base facet's key {BASE_FACET_KEY}")
+    unsorted = [(BASE_FACET_KEY, realization.base_facet), *realization.facets.items()]
+    shape = [f"facet {_label(k)} is not a tuple" for k, vs in unsorted if type(vs) is not tuple]
+    for key in realization.facets:
+        if key == BASE_FACET_KEY:  # _surface's merge would drop one
+            shape.append(f"a leaf facet has the base facet's key {BASE_FACET_KEY}")
+        elif type(key) is not int or key < 0:
+            shape.append(f"leaf facet key {key!r} is not an int >= 0")
+    if shape:
+        return witnesses + shape
     return witnesses + [
         f"facet {_label(key)} names vertex {v!r}, not one of 0..{n - 1}"
         for key, verts in _facets_in_order(realization)

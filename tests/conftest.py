@@ -26,7 +26,7 @@ def tet_flat(tet_weighted):
 
 @pytest.fixture(scope="session")
 def tet_lifted(tet_flat):
-    """Heights and checked stresses of the tetrahedron's exact lift."""
+    """Rows and checked stress extrema of the tetrahedron's exact lift."""
     return build_lifted(tet_flat)
 
 

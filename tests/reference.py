@@ -215,6 +215,19 @@ def reference_stresses(points, adjacency, facet_vertices) -> dict:
     return out
 
 
+def extreme_stresses(adjacency, values) -> list[tuple[Fraction, tuple]]:
+    """The least interior, least base and greatest base stress of a table
+    of Fraction values, each with its ridge, by min and max over the
+    ridges in adjacency order: each keeps the first of equal values."""
+    interior = [(values[r], r) for r, keys in adjacency.items() if BASE_FACET_KEY not in keys]
+    base = [(values[r], r) for r, keys in adjacency.items() if BASE_FACET_KEY in keys]
+
+    def value(pair):
+        return pair[0]
+
+    return [min(interior, key=value), min(base, key=value), max(base, key=value)]
+
+
 def reference_heavy_paths(tree):
     """Heavy-child table (interior node -> child index) and the maximal
     heavy paths as (path, light edges), listed by ascending top id.

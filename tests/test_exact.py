@@ -363,7 +363,8 @@ class TestStressTable:
         assert list(stresses) == [r for r in adjacency if r not in failures]
 
     def test_tetrahedron(self, tet_lifted, tet_flat):
-        rows, lifted_stresses = tet_lifted
+        rows, _ = tet_lifted
+        lifted_stresses = direct_stresses(tet_flat, rows)
         points = [(*p, F(r[-1], r[0])) for p, r in zip(flat_points(tet_flat), rows)]
         table = tet_flat.facet_table
         stresses, failures = kernel_table(3, points, tet_flat.ridge_adjacency, table)

@@ -43,6 +43,7 @@ CASES = {
     "tree-d5-random-n15": ("tree", ("random", 5, 10, 9)),
     "tree-d6-random-n40": ("tree", ("random", 6, 34, 13)),
     "tree-d7-random-n30": ("tree", ("random", 7, 23, 17)),
+    "tree-d8-random-n20": ("tree", ("random", 8, 12, 19)),
     "tree-d3-serpentine-n300": ("tree", ("serpentine", 3, 297, 0)),
     "graph-b3": ("graph", lambda: gen_lowerbound_graph("b3")),
     "graph-gamma-36": ("graph", lambda: gen_lowerbound_graph("gamma", 36)),

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from gridlift import StageInvariantError, gen_tree
 from gridlift import lifting
 from gridlift.exact import facet_planes, ridge_stresses
-from gridlift.facets import BASE_FACET_KEY
 from gridlift.flat import build_flat
 from gridlift.lifting import (
     adjusted_shifts,
@@ -18,13 +17,13 @@ from gridlift.lifting import (
     direct_stresses,
     incremental_stresses,
     lift_heights,
-    stress_extrema,
 )
 from gridlift.rounding import perturb_flat
 from gridlift.trees import balance_weights
 from reference import (
     check_lifted_rows,
     check_ridge_tables,
+    extreme_stresses,
     facet_lookup,
     flat_points,
     homogeneous_row,
@@ -48,6 +47,14 @@ def table(stresses):
 def lifted(complex_, heights):
     """A complex's points lifted to rational heights, as integer rows."""
     return [homogeneous_row((*p, h)) for p, h in zip(flat_points(complex_), heights)]
+
+
+def with_stresses(monkeypatch, complex_, stresses):
+    """Have both stress routes return one table, in ridge_adjacency's order,
+    so build_lifted's cross-check passes and keeps that table's extrema."""
+    ordered = {ridge: stresses[ridge] for ridge in complex_.ridge_adjacency}
+    monkeypatch.setattr(lifting, "direct_stresses", lambda *args: dict(ordered))
+    monkeypatch.setattr(lifting, "incremental_stresses", lambda *args: dict(ordered))
 
 
 def kernel(complex_, rows):
@@ -158,9 +165,9 @@ class TestBarycentricLift:
 
 
 class TestStresses:
-    def test_tetrahedron_values(self, tet_lifted):
+    def test_tetrahedron_values(self, tet_lifted, tet_flat):
         # the real stresses 4 and -4/3 times bracket_scale^2 = 9
-        st = table(tet_lifted[1])
+        st = table(direct_stresses(tet_flat, tet_lifted[0]))
         for ridge in [(0, 3), (1, 3), (2, 3)]:
             assert st[ridge] == 4 * 9
         for ridge in [(0, 1), (0, 2), (1, 2)]:
@@ -222,9 +229,12 @@ class TestStresses:
 
 
 class TestLiftGate:
+    # the tetrahedron's ridges in adjacency order: base (1, 2), (0, 2),
+    # (0, 1), then interior (2, 3), (1, 3), (0, 3); its lift's stresses are
+    # the real ones times bracket_scale^2 = 9
     def test_tetrahedron_extrema(self, tet_lifted, tet_flat):
-        z, stresses = tet_lifted
-        info = check_lift_bounds(tet_flat, z, stresses)
+        rows, extrema = tet_lifted
+        info = check_lift_bounds(tet_flat, rows, extrema)
         assert info["min_interior_stress"] == 4
         assert info["min_base_stress"] == F(-4, 3)
         assert info["max_base_stress"] == F(-4, 3)
@@ -233,43 +243,43 @@ class TestLiftGate:
     def test_interior_at_least_lambda(self, d, size, seed):
         tree = gen_tree("random", d, size, seed)
         flat = build_flat(balance_weights(tree))
-        z, stresses = build_lifted(flat)
-        info = check_lift_bounds(flat, z, stresses)
+        rows, extrema = build_lifted(flat)
+        info = check_lift_bounds(flat, rows, extrema)
         lam = F(flat.R_eff, flat.bracket_scale)
         assert info["min_interior_stress"] >= lam >= 1
         assert -flat.R_eff < info["min_base_stress"]
         assert info["max_base_stress"] < 0
 
     def test_gate_rejects_tampered_stress(self, tet_lifted, tet_flat):
-        z, stresses = tet_lifted
-        bad = dict(stresses)
-        bad[(0, 3)] = (1, 2)
+        rows, (_, lo, hi) = tet_lifted
         with pytest.raises(StageInvariantError):
-            check_lift_bounds(tet_flat, z, bad)
+            check_lift_bounds(tet_flat, rows, ((1, 2, (0, 3)), lo, hi))
 
     def test_gate_names_the_low_vertex(self, two_stack_tree):
         flat = build_flat(balance_weights(two_stack_tree))
-        rows, stresses = build_lifted(flat)
+        rows, extrema = build_lifted(flat)
         rows = list(rows)
         rows[flat.d + 1] = (*rows[flat.d + 1][:-1], 0)
         with pytest.raises(StageInvariantError) as info:
-            check_lift_bounds(flat, rows, stresses)
+            check_lift_bounds(flat, rows, extrema)
         assert info.value.stage == "lifting"
         assert info.value.witness == flat.d + 1
 
     def test_gate_names_the_extreme_ridge(self, tet_lifted, tet_flat):
-        interior = [
-            r for r, keys in tet_flat.ridge_adjacency.items()
-            if BASE_FACET_KEY not in keys
-        ]
-        z, stresses = tet_lifted
-        bad = dict(stresses)
-        bad[interior[0]] = (1, 2)
-        bad[interior[1]] = (2, 6)
-        with pytest.raises(StageInvariantError) as info:
-            check_lift_bounds(tet_flat, z, bad)
-        assert info.value.stage == "lifting"
-        assert info.value.witness == interior[1]
+        # each extremum out of bounds in turn: the gate names its ridge
+        for at, pair, ridge in [
+            (0, (1, 2), (1, 3)),  # interior stress 1/18
+            (1, (-36, 1), (0, 2)),  # least base stress -4 = -R_eff
+            (2, (0, 5), (0, 1)),  # greatest base stress 0
+        ]:
+            rows, extrema = tet_lifted
+            extrema = list(extrema)
+            extrema[at] = (*pair, ridge)
+            with pytest.raises(StageInvariantError) as info:
+                check_lift_bounds(tet_flat, rows, tuple(extrema))
+            assert info.value.stage == "lifting"
+            assert info.value.witness == ridge
+            assert f"ridge {ridge} stress {F(*pair) / 9} " in info.value.message
 
     @pytest.mark.parametrize("interior,base,ok", [
         (F(1), F(-4, 3), True),  # the interior floor 1 is inclusive
@@ -278,63 +288,98 @@ class TestLiftGate:
         (F(4), F(-399, 100), True),
     ])
     def test_gate_boundaries(self, tet_lifted, tet_flat, interior, base, ok):
+        # one base ridge at `base`, the others at -4/3
         assert tet_flat.R_eff == 4
-        adjacency = tet_flat.ridge_adjacency
-        z, stresses = tet_lifted
-        bad = dict(stresses)
-        ridge_in = next(r for r, keys in adjacency.items() if BASE_FACET_KEY not in keys)
-        ridge_base = next(r for r, keys in adjacency.items() if BASE_FACET_KEY in keys)
-        # the lift's stresses are the real ones times bracket_scale^2 = 9
-        bad[ridge_in] = (interior.numerator * 9, interior.denominator)
-        bad[ridge_base] = (base.numerator * 9, base.denominator)
+        rows, _ = tet_lifted
+        lo, hi = sorted([base, F(-4, 3)])
+        extrema = tuple(
+            (w.numerator * 9, w.denominator, ridge)
+            for w, ridge in ((interior, (2, 3)), (lo, (1, 2)), (hi, (0, 2)))
+        )
         if ok:
-            info = check_lift_bounds(tet_flat, z, bad)
+            info = check_lift_bounds(tet_flat, rows, extrema)
             assert info["min_interior_stress"] == interior
-            assert info["min_base_stress"] == min(base, F(-4, 3))
+            assert info["min_base_stress"] == lo
+            assert info["max_base_stress"] == hi
         else:
             with pytest.raises(StageInvariantError) as info:
-                check_lift_bounds(tet_flat, z, bad)
-            assert info.value.witness == ridge_base
+                check_lift_bounds(tet_flat, rows, extrema)
+            assert info.value.witness == ((1, 2) if base == lo else (0, 2))
 
 
 class TestStressExtrema:
-    ADJACENCY = {(0, 1): (BASE_FACET_KEY, 5), (0, 2): (5, 6), (1, 2): (6, 7),
-                 (1, 3): (BASE_FACET_KEY, 7)}
+    """build_lifted's least interior, least base and greatest base stress,
+    kept in its cross-check pass (both routes give each table below), and
+    the lift gate's division of them by the scale."""
 
-    def test_ties_go_to_the_first_ridge(self):
-        stresses = {(0, 1): (-1, 1), (0, 2): (3, 1), (1, 2): (3, 1), (1, 3): (-1, 1)}
-        assert stress_extrema(self.ADJACENCY, stresses, 1) == (
-            (F(3), (0, 2)), (F(-1), (0, 1)), (F(-1), (0, 1))
+    def extrema(self, monkeypatch, tet_flat, stresses):
+        with_stresses(monkeypatch, tet_flat, stresses)
+        return build_lifted(tet_flat)[1]
+
+    def test_tetrahedron(self, tet_lifted):
+        # unreduced pairs, as the direct route gives them
+        assert tet_lifted[1] == ((576, 16, (2, 3)), (-192, 16, (1, 2)), (-192, 16, (1, 2)))
+
+    def test_ties_go_to_the_first_ridge(self, monkeypatch, tet_flat):
+        stresses = {(1, 2): (-1, 1), (0, 2): (-1, 1), (0, 1): (-1, 1),
+                    (2, 3): (3, 1), (1, 3): (3, 1), (0, 3): (3, 1)}
+        assert self.extrema(monkeypatch, tet_flat, stresses) == (
+            (3, 1, (2, 3)), (-1, 1, (1, 2)), (-1, 1, (1, 2))
         )
 
-    def test_ties_between_differently_scaled_pairs(self):
+    def test_ties_between_differently_scaled_pairs(self, monkeypatch, tet_flat):
         # equal values, unequal pairs: the first ridge still wins each tie,
-        # and the extrema come out as reduced Fractions
-        stresses = {(0, 1): (-2, 6), (0, 2): (9, 3), (1, 2): (3, 1), (1, 3): (-7, 21)}
-        assert stress_extrema(self.ADJACENCY, stresses, 1) == (
-            (F(3), (0, 2)), (F(-1, 3), (0, 1)), (F(-1, 3), (0, 1))
+        # and keeps its own pair
+        stresses = {(1, 2): (-2, 6), (0, 2): (-7, 21), (0, 1): (-1, 3),
+                    (2, 3): (9, 3), (1, 3): (3, 1), (0, 3): (6, 2)}
+        assert self.extrema(monkeypatch, tet_flat, stresses) == (
+            (9, 3, (2, 3)), (-2, 6, (1, 2)), (-2, 6, (1, 2))
         )
-        stresses = {(0, 1): (-7, 21), (0, 2): (3, 1), (1, 2): (9, 3), (1, 3): (-2, 6)}
-        assert stress_extrema(self.ADJACENCY, stresses, 1) == (
-            (F(3), (0, 2)), (F(-1, 3), (0, 1)), (F(-1, 3), (0, 1))
+        stresses = {(1, 2): (-7, 21), (0, 2): (-2, 6), (0, 1): (-1, 3),
+                    (2, 3): (3, 1), (1, 3): (9, 3), (0, 3): (6, 2)}
+        assert self.extrema(monkeypatch, tet_flat, stresses) == (
+            (3, 1, (2, 3)), (-7, 21, (1, 2)), (-7, 21, (1, 2))
         )
 
-    def test_negative_stresses(self):
+    def test_negative_stresses(self, monkeypatch, tet_flat):
         # cross-multiplication by positive denominators keeps the order of
         # negative values: -5/2 < -7/3 < -1/1000
-        stresses = {(0, 1): (-7, 3), (0, 2): (-5, 2), (1, 2): (-1, 1000),
-                    (1, 3): (-5, 2)}
-        assert stress_extrema(self.ADJACENCY, stresses, 1) == (
-            (F(-5, 2), (0, 2)), (F(-5, 2), (1, 3)), (F(-7, 3), (0, 1))
+        stresses = {(1, 2): (-7, 3), (0, 2): (-5, 2), (0, 1): (-5, 2),
+                    (2, 3): (-1, 1000), (1, 3): (-5, 2), (0, 3): (-5, 2)}
+        assert self.extrema(monkeypatch, tet_flat, stresses) == (
+            (-5, 2, (1, 3)), (-5, 2, (0, 2)), (-7, 3, (1, 2))
         )
 
-
-    def test_extrema_are_divided_by_the_scale(self):
-        # stresses held times 3 come out in real units, reduced
-        stresses = {(0, 1): (-2, 1), (0, 2): (9, 1), (1, 2): (12, 2), (1, 3): (-1, 1)}
-        assert stress_extrema(self.ADJACENCY, stresses, 3) == (
-            (F(2), (1, 2)), (F(-2, 3), (0, 1)), (F(-1, 3), (1, 3))
+    def test_base_and_interior_ridges_are_kept_apart(self, monkeypatch, tet_flat):
+        # the least stress overall is interior and the greatest is on the
+        # base: neither leaks into the other's extrema
+        stresses = {(1, 2): (-2, 1), (0, 2): (5, 1), (0, 1): (-3, 1),
+                    (2, 3): (4, 1), (1, 3): (-9, 1), (0, 3): (1, 1)}
+        assert self.extrema(monkeypatch, tet_flat, stresses) == (
+            (-9, 1, (1, 3)), (-3, 1, (0, 1)), (5, 1, (0, 2))
         )
+
+    def test_gate_names_the_least_of_two_low_ridges(self, monkeypatch, tet_flat):
+        # two interior stresses below 1 in real units (times 9): the lift
+        # gate names the least one
+        stresses = {**direct_stresses(tet_flat, lift_heights(tet_flat, {0: 16})),
+                    (2, 3): (1, 2), (1, 3): (2, 6)}
+        with_stresses(monkeypatch, tet_flat, stresses)
+        with pytest.raises(StageInvariantError) as info:
+            check_lift_bounds(tet_flat, *build_lifted(tet_flat))
+        assert info.value.stage == "lifting"
+        assert info.value.witness == (1, 3)
+
+    def test_extrema_are_divided_by_the_scale(self, tet_lifted, tet_flat):
+        # extrema held times 9, in unreduced pairs, come out in real units,
+        # reduced, each with its ridge's witness
+        rows, _ = tet_lifted
+        extrema = ((36, 2, (1, 3)), (-30, 3, (0, 1)), (-6, 6, (1, 2)))
+        assert check_lift_bounds(tet_flat, rows, extrema) == {
+            "min_interior_stress": F(2),
+            "min_base_stress": F(-10, 9),
+            "max_base_stress": F(-1, 9),
+        }
 
 
 class TestStressMapCrossCheck:
@@ -350,8 +395,7 @@ class TestStressMapCrossCheck:
             build_lifted(tet_flat)
 
     def test_one_numerator_unit_is_caught(self, monkeypatch, tet_flat):
-        rows, stresses = build_lifted(tet_flat)
-        assert table(stresses) == table(direct_stresses(tet_flat, rows))
+        build_lifted(tet_flat)  # the untampered routes agree
         original = lifting.incremental_stresses
         ridge = (1, 3)
 
@@ -379,15 +423,16 @@ class TestStressMapCrossCheck:
         assert info.value.stage == "lifting"
 
     def test_equal_values_in_different_terms_pass(self, monkeypatch, tet_flat):
-        # the routes need not agree on the pairs, only on their values
+        # the routes need not agree on the pairs, only on their values; the
+        # extrema keep the direct route's pairs
+        expected = build_lifted(tet_flat)
         original = lifting.incremental_stresses
 
         def rescaled(*args):
             return {r: (7 * n, 7 * d) for r, (n, d) in original(*args).items()}
 
         monkeypatch.setattr(lifting, "incremental_stresses", rescaled)
-        rows, stresses = build_lifted(tet_flat)
-        assert table(stresses) == table(direct_stresses(tet_flat, rows))
+        assert build_lifted(tet_flat) == expected
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
@@ -423,13 +468,17 @@ class TestPairsMatchFractionReferences:
         perturbed = perturb_flat(flat)
         for complex_ in (flat, perturbed):
             zeta = adjusted_shifts(complex_)
-            rows, stresses = build_lifted(complex_)
+            rows, extrema = build_lifted(complex_)
             heights = fractions(rows)
             # primitive rows over the complex's own columns; the integer
             # shifts, as a real shift each, give the reference heights
             check_lifted_rows(complex_, zeta, rows)
             expected = reference_table(complex_, heights)
-            assert table(stresses) == expected
+            assert table(direct_stresses(complex_, rows)) == expected
+            # the extrema that the cross-check pass keeps, ties included
+            assert [(F(n, den), r) for n, den, r in extrema] == extreme_stresses(
+                complex_.ridge_adjacency, expected
+            )
             assert table(incremental_stresses(complex_, zeta)) == expected
             # integer heights, floored from the rows
             floored = [r[-1] // r[0] for r in rows]

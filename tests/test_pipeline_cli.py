@@ -397,21 +397,19 @@ class TestCli:
         assert capsys.readouterr().err == "error: --base applies to graph inputs only\n"
 
     def test_stage_failure_prints_json_line(self, tmp_path, capsys, monkeypatch, tet_tree):
-        # lower two interior stresses of the relift only: the rounding stage
-        # names the least one, and the CLI passes it on as JSON
+        # lower the relift's least interior stress only, on an interior
+        # ridge: the rounding stage names that ridge, and the CLI passes it
+        # on as JSON
         original = rounding.build_lifted
         ridges = []
 
         def tampered(flat, *args):
-            z, stresses = original(flat, *args)
+            z, (_, *base) = original(flat, *args)
             interior = [
                 r for r, keys in flat.ridge_adjacency.items() if BASE_FACET_KEY not in keys
             ]
-            ridges.extend(interior[:2])
-            stresses = dict(stresses)
-            stresses[interior[0]] = (0, 1)
-            stresses[interior[1]] = (-1, 1)
-            return z, stresses
+            ridges.append(interior[1])
+            return z, ((-1, 1, interior[1]), *base)
 
         monkeypatch.setattr(rounding, "build_lifted", tampered)
         tree_f = tmp_path / "tet.json"
@@ -423,7 +421,7 @@ class TestCli:
         assert json.loads(failure) == {
             "stage": "rounding",
             "message": "perturbed interior stress -1/518400 below 4/5",
-            "witness": list(ridges[1]),
+            "witness": list(ridges[0]),
         }
 
     def test_verify_failure_names_the_ridge(self, tmp_path, capsys, monkeypatch):

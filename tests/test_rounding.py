@@ -11,10 +11,10 @@ from gridlift import rounding
 from gridlift.exact import bracket
 from gridlift.facets import BASE_FACET_KEY
 from gridlift.flat import build_flat
-from gridlift.lifting import adjusted_shifts, build_lifted, direct_stresses, stress_extrema
+from gridlift.lifting import adjusted_shifts, build_lifted, direct_stresses
 from gridlift.rounding import check_volume_ratios, grid_params, perturb_flat, round_and_scale
 from gridlift.trees import balance_weights
-from reference import flat_points, homogeneous_row, real_brackets
+from reference import extreme_stresses, flat_points, homogeneous_row, real_brackets
 
 F = Fraction
 
@@ -51,14 +51,18 @@ def reference_round(flat):
         bracket_scale=k,
     )
     ratios = [brackets[node] / b for node, b in real_brackets(flat).items()]
-    rows, stresses = build_lifted(pe)
+    rows, _ = build_lifted(pe)
     z = [F(r[-1], r[0] * k * k) for r in rows]
-    (w_in, _), (w_lo, _), _ = stress_extrema(pe.ridge_adjacency, stresses, k * k)
+    relift = direct_stresses(pe, rows)
+    (w_in, _), (w_lo, _), _ = extreme_stresses(
+        pe.ridge_adjacency, {r: F(n, den * k * k) for r, (n, den) in relift.items()}
+    )
     z_snapped = [floor_to_multiple(h, alpha_z) for h in z]
-    (w_in_rounded, _), _, _ = stress_extrema(
-        pe.ridge_adjacency,
-        direct_stresses(pe, [homogeneous_row((*p, h)) for p, h in zip(coords, z_snapped)]),
-        1,
+    snapped = direct_stresses(
+        pe, [homogeneous_row((*p, h)) for p, h in zip(coords, z_snapped)]
+    )
+    (w_in_rounded, _), _, _ = extreme_stresses(
+        pe.ridge_adjacency, {r: F(*w) for r, w in snapped.items()}
     )
     scaled = []
     for p, h in zip(coords, z_snapped):
@@ -286,8 +290,9 @@ class TestRoundAndScale:
     # real values. The snapped heights' stresses are the certificate's,
     # tested through the CLI in test_pipeline_cli
     def test_gate_names_the_extreme_ridge(self, monkeypatch, tet_flat):
-        # lower two interior stresses of the relift (build_lifted, as the
-        # round stage binds it): the least one is the witness
+        # lower the relift's least interior stress (build_lifted, as the
+        # round stage binds it, keeps it) to 1/2 on another ridge: that
+        # ridge is the witness
         pe = perturb_flat(tet_flat)
         interior = [
             r for r, keys in pe.ridge_adjacency.items() if BASE_FACET_KEY not in keys
@@ -295,11 +300,9 @@ class TestRoundAndScale:
         original = rounding.build_lifted
 
         def tampered(*args):
-            z, stresses = original(*args)
-            stresses = dict(stresses)
-            stresses[interior[0]] = (79 * 720**2, 100)
-            stresses[interior[1]] = (720**2, 2)
-            return z, stresses
+            z, (least, *base) = original(*args)
+            assert least[2] != interior[1]
+            return z, ((720**2, 2, interior[1]), *base)
 
         monkeypatch.setattr(rounding, "build_lifted", tampered)
         with pytest.raises(StageInvariantError) as info:
@@ -317,12 +320,12 @@ class TestRoundAndScale:
         sunk = []
 
         def tampered(flat, *args):
-            rows, stresses = original(flat, *args)
+            rows, extrema = original(flat, *args)
             rows = list(rows)
             top = max(range(len(rows)), key=lambda v: F(rows[v][-1], rows[v][0]))
             sunk.append(next(v for v in range(flat.d, len(rows)) if v != top))
             rows[sunk[0]] = (*rows[sunk[0]][:-1], 0)
-            return rows, stresses
+            return rows, extrema
 
         monkeypatch.setattr(rounding, "build_lifted", tampered)
         with pytest.raises(StageInvariantError) as info:
@@ -343,10 +346,9 @@ class TestRoundAndScale:
         original = rounding.build_lifted
 
         def tampered(*args):
-            z, stresses = original(*args)
-            stresses = dict(stresses)
-            stresses[ridge] = (4 * 720**2 + 5 * excess, 5)  # 4/5 * 720^2 + excess
-            return z, stresses
+            z, (_, *base) = original(*args)
+            # 4/5 * 720^2 + excess
+            return z, ((4 * 720**2 + 5 * excess, 5, ridge), *base)
 
         monkeypatch.setattr(rounding, "build_lifted", tampered)
         if raises:

@@ -666,6 +666,30 @@ def test_leaf_under_the_base_key_is_a_witness():
     assert verify_convexity_global(bad) == (False, [witness])
 
 
+@pytest.mark.parametrize("case", ["str key", "int base", "list facet"])
+def test_malformed_facet_table_is_a_witness(case):
+    # witnesses, not a TypeError from sorting mixed keys or iterating an
+    # int: the routes check the table's shape before they sort or walk it
+    realization = small_realization(3, 4, 1)
+    key = min(realization.facets)
+    if case == "str key":
+        facets = {"x" if k == key else k: v for k, v in realization.facets.items()}
+        bad = dataclasses.replace(realization, facets=facets)
+        witness = "leaf facet key 'x' is not an int >= 0"
+    elif case == "int base":
+        bad = dataclasses.replace(realization, base_facet=5)
+        witness = "facet base is not a tuple"
+    else:
+        facets = {**realization.facets, key: list(realization.facets[key])}
+        bad = dataclasses.replace(realization, facets=facets)
+        witness = f"facet {key} is not a tuple"
+    cert = make_certificate(bad, gen_tree("random", 3, 4, 1))
+    assert cert.ok is False and cert.witnesses[0] == witness
+    assert cert.convex_by_stress is cert.convex_global is False
+    assert verify_convexity_stress(bad) == (False, [witness])
+    assert verify_convexity_global(bad) == (False, [witness])
+
+
 class TestBounds:
     def test_fixture(self, tet_result):
         realization, _ = tet_result
