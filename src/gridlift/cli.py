@@ -206,6 +206,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # every option takes one str or int, but argparse can read an option
+        # given "--" as its value (--base=--) as an empty list
+        for name, value in vars(args).items():
+            if name != "func" and type(value) not in (str, int, type(None)):
+                raise InvalidInputError(f"--{name} needs a value")
         return args.func(args)
     except InvalidInputError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -1,32 +1,25 @@
-"""Exact rational geometry kernel.
+"""Exact integer geometry: facet planes and ridge stresses.
 
-Everything downstream reduces to signed simplex volumes ("brackets") of
-point sequences, evaluated exactly over the rationals. The bracket of k
-points in Q^{k-1} is the determinant of the matrix whose columns are the
-points with a row of ones appended; it equals (k-1)! times the signed
-volume of their simplex. On top of it sit:
+The construction's lifts and the certificate take every ridge stress from
+two functions here, on the facet-table format of the facets module and
+each vertex as an integer homogeneous row (D, X..., Z), D > 0.
+facet_planes takes each facet's hyperplane once, as the d+1 cofactors of
+its rows, the last of them its shadow (its projection's bracket).
+ridge_stresses reads each ridge's stress off its two facets' planes, one
+(d+1)-term integer dot product per ridge, and lists one entry per ridge
+in its ridge table's order: an integer pair (Pair), compared by
+cross-multiplication, or the reason the stress is undefined.
 
-- creasing: how two lifted facets sharing a ridge fold along it,
-- stress_of_ridge: the creasing with a fixed orientation convention, which
-  is the quantity whose sign pattern certifies convexity. It is the
-  per-ridge reference definition;
-- ridge_stresses: the same stresses for every ridge of a lifted complex,
-  the one rule that computes them for the construction's lifts and the
-  certificate alike. It takes each vertex as an integer homogeneous row
-  (D, X..., Z), D > 0, and the hyperplanes facet_planes takes once per
-  facet of the facet-table format that the facets module defines; its
-  stresses are integer pairs (Pair), compared by cross-multiplication.
+Determinants are fraction-free: a Laplace expansion compiled once per
+size (_expansion) up to 7 x 7, which also gives a facet's whole plane in
+one call up to d = 6, and Bareiss elimination (_eliminate) above.
 
-Determinants are computed fraction-free: each point is scaled to an integer
-homogeneous column (p D, D), D the lcm of its denominators, and the integer
-determinant is divided by the product of scales. It is a Laplace expansion
-compiled per size (_expansion) up to 7 x 7, and fraction-free elimination
-above. _expansion also compiles the facet plane up to d = 6: from a facet's
-d lifted rows, its hyperplane's cofactors and its shadow in one call, which
-maximal_minors makes by elimination above. So facet_planes makes one call
-per facet, and ridge_stresses reads each ridge's creasing determinant and
-shadows off its two facets' planes: one (d+1)-term integer dot product per
-ridge, no Fraction built.
+The Fraction definitions the two are held to are the reference, which
+only the tests and the benchmark's tracer read: bracket, the signed
+(k-1)!-scaled volume of k points in Q^{k-1} (the determinant of the
+points as columns over a ones row); creasing, how two lifted facets
+sharing a ridge fold along it; and stress_of_ridge, the creasing with
+the orientation convention whose sign pattern certifies convexity.
 """
 
 from __future__ import annotations
@@ -65,8 +58,8 @@ def _expansion(n: int, plane: bool) -> Callable:
     with plane false, the determinant of an n x n integer matrix; with
     plane true, the Plane of a facet from all rows and its n vertex ids,
     ascending: the cofactors of det[S | q], S its n x (n+1) rows (entry j
-    is (-1)^(n+j) times the minor without column j), the last of them (its
-    shadow), the product of its rows' D and its id sum."""
+    is (-1)^(n+j) times the minor without column j, the last its shadow),
+    the product of its rows' D and its id sum."""
     m = n + plane
     rows = [[f"r{i}_{j}" for j in range(m)] for i in range(n)]
     ids = [f"v{i}" if plane else str(i) for i in range(n)]
@@ -84,7 +77,7 @@ def _expansion(n: int, plane: bool) -> Callable:
     result = minors[0]
     if plane:
         cof = ", ".join("-" * ((n + j) % 2) + x for j, x in enumerate(minors))
-        result = f"[{cof}], {minors[n]}, {' * '.join(r[0] for r in rows)}, {' + '.join(ids)}"
+        result = f"[{cof}], {' * '.join(r[0] for r in rows)}, {' + '.join(ids)}"
     exec("\n".join([*lines, f"    return {result}"]), scope := {})
     return scope["expansion"]
 
@@ -267,8 +260,9 @@ def stress_of_ridge(
 # by cross-multiplication, and a Fraction is made only for a value that is
 # reported.
 Pair = tuple[int, int]
-# A facet's (cofactors, shadow, product of its rows' D_v, vertex id sum)
-Plane = tuple[list[int], int, int, int]
+# A facet's (cofactors, product of its rows' D_v, vertex id sum); its
+# shadow is cofactors[d]
+Plane = tuple[list[int], int, int]
 
 
 def facet_planes(
@@ -290,7 +284,7 @@ def facet_planes(
     planes = {}
     for key, verts in facets.items():
         cof = maximal_minors([rows[v] for v in sorted(verts)])
-        planes[key] = (cof, cof[d], prod(rows[v][0] for v in verts), sum(verts))
+        planes[key] = (cof, prod(rows[v][0] for v in verts), sum(verts))
     return planes
 
 
@@ -299,13 +293,13 @@ def ridge_stresses(
     rows: Sequence[Sequence[int]],
     adjacency: dict[tuple[int, ...], tuple[int, int]],
     planes: dict[int, Plane],
-) -> tuple[dict[tuple[int, ...], Pair], dict[tuple[int, ...], str]]:
+) -> list[Pair | str]:
     """stress_of_ridge for every ridge, from the facet_planes of rows.
 
     adjacency maps each ridge X, sorted, to its two facet keys; a ridge of
     the base facet (BASE_FACET_KEY) is a base ridge (base_flag). Returns
-    the stresses as pairs and, for the ridges where stress_of_ridge would
-    raise, its message instead; both in adjacency order.
+    one entry per ridge, in adjacency order: its stress as a pair or, where
+    stress_of_ridge would raise, its message.
 
     A ridge X of facets S and T, with extra vertices e0 and e1, has the
     stress -det(X, e0, e1) / (|sigma(X, e0)| sigma(X, e1)) in bracket terms
@@ -319,20 +313,19 @@ def ridge_stresses(
     ridge costs one (d+1)-term dot product, and the scale is skipped when
     every D_v is 1.
     """
-    stresses: dict[tuple[int, ...], Pair] = {}
-    failures: dict[tuple[int, ...], str] = {}
+    stresses: list[Pair | str] = []
     for ridge, (k1, k2) in adjacency.items():
-        cof, shadow_S, scale, sum_S = planes[k1]
-        _, shadow_T, _, sum_T = planes[k2]
+        cof, scale, sum_S = planes[k1]
+        cof_T, _, sum_T = planes[k2]
         # a facet's extra vertex is its vertex sum less the ridge's
         on_ridge = sum(ridge)
         e0, e1 = sum_S - on_ridge, sum_T - on_ridge
         # positions in the sorted facets; only their parity matters
         p, q = bisect_left(ridge, e0), bisect_left(ridge, e1)
-        s0 = -shadow_S if p % 2 else shadow_S
-        s1 = -shadow_T if q % 2 else shadow_T
+        s0 = -cof[d] if p % 2 else cof[d]
+        s1 = -cof_T[d] if q % 2 else cof_T[d]
         if s0 == 0 or s1 == 0:
-            failures[ridge] = FLAT_RIDGE
+            stresses.append(FLAT_RIDGE)
             continue
         is_base = BASE_FACET_KEY in (k1, k2)
         flip = False
@@ -342,14 +335,14 @@ def ridge_stresses(
             flat_S = ridge_flat and rows[e0][d] == 0
             flat_T = ridge_flat and rows[e1][d] == 0
             if flat_S == flat_T:
-                failures[ridge] = BASE_NOT_FLAT
+                stresses.append(BASE_NOT_FLAT)
                 continue
             # left and right swap, and the stress changes sign
             flip = flat_S
         # an interior ridge has its extra vertices on opposite sides; a base
         # ridge on one side, and the base facet's left/right label flips
         if ((s0 > 0) != (s1 > 0)) == is_base:
-            failures[ridge] = NO_ORIENTATION
+            stresses.append(NO_ORIENTATION)
             continue
         h = sum(map(mul, cof, rows[e1]))
         # -det(X, e0, e1) = (-1)^p h_S(e1); over |s0 s1| > 0 the numerator
@@ -357,5 +350,5 @@ def ridge_stresses(
         num = -h if (p % 2 == 1) ^ (s1 < 0) ^ flip else h
         if scale != 1:
             num *= scale // rows[e0][0]
-        stresses[ridge] = (num, abs(s0 * s1))
-    return stresses, failures
+        stresses.append((num, abs(s0 * s1)))
+    return stresses

@@ -25,14 +25,14 @@ one dot product per ridge), and independently by replaying the stackings
 with two local update rules: subdividing a facet creates the new interior
 ridges with a known positive stress and lowers each boundary ridge of the
 facet by the shift over the incident new facet's volume. The two routes
-agree exactly on every ridge of a shift-defined lifting. The replay runs
-over the complex's own ridge numbering (flat.build_flat's walk): it indexes
-one list by ridge number, which node_ridges gives by facet position, and
-keys it once, in ridge_adjacency's order, the direct route's order too, so
-the cross-check pairs the two ridge by ridge with no lookup. build_lifted, the
-one entry point of the exact lift and the perturbed relift alike, takes a
-complex alone: it lifts by that complex's own shifts (adjusted_shifts),
-takes both routes and raises on the first ridge where they disagree.
+agree exactly on every ridge of a shift-defined lifting. Both list their
+stresses by ridge number, in ridge_adjacency's order (flat.build_flat's
+walk), the replay by the numbers node_ridges gives by facet position, so
+the cross-check zips the table with the two lists, with no ridge key and
+no lookup. build_lifted, the one entry point of the exact lift and the
+perturbed relift alike, takes a complex alone: it lifts by that complex's
+own shifts (adjusted_shifts), takes both routes and raises on the first
+ridge where they disagree.
 
 Nothing between the brackets and the gates is a Fraction. The complex
 holds its brackets as integers under one common scale k (R on the exact
@@ -102,22 +102,23 @@ def lift_heights(flat: FlatComplex, zeta: dict[int, int]) -> list[tuple[int, ...
     return rows
 
 
-def direct_stresses(flat: FlatComplex, rows: list[tuple[int, ...]]) -> dict[Ridge, Pair]:
-    """Stress of every ridge, from one hyperplane per facet of the lift.
+def direct_stresses(flat: FlatComplex, rows: list[tuple[int, ...]]) -> list[Pair]:
+    """Stress list by ridge number, from one hyperplane per facet of the lift.
 
     rows[v] is vertex v lifted, as an integer homogeneous row (D, X..., Z),
     D > 0. Raises the GeometryError of the first ridge, in adjacency order,
     whose stress is undefined.
     """
     planes = facet_planes(flat.d, rows, flat.facet_table)
-    stresses, failures = ridge_stresses(flat.d, rows, flat.ridge_adjacency, planes)
-    if failures:
-        raise GeometryError(next(iter(failures.values())))
+    stresses = ridge_stresses(flat.d, rows, flat.ridge_adjacency, planes)
+    for stress in stresses:
+        if type(stress) is str:
+            raise GeometryError(stress)
     return stresses
 
 
-def incremental_stresses(flat: FlatComplex, zeta: dict[int, int]) -> dict[Ridge, Pair]:
-    """Stress table built by replaying the stackings with local updates.
+def incremental_stresses(flat: FlatComplex, zeta: dict[int, int]) -> list[Pair]:
+    """Stress list by ridge number, replaying the stackings with local updates.
 
     Before the first stacking the surface is flat, so the base boundary
     ridges start at stress zero. Stacking with shift zeta on a facet D:
@@ -127,8 +128,7 @@ def incremental_stresses(flat: FlatComplex, zeta: dict[int, int]) -> dict[Ridge,
     scale k, these are zeta k / |S| and zeta k |D| / (|S| |T|). The replay
     runs over the complex's ridge numbers (node_ridges): ridge j of the
     facet is child j's boundary ridge, and the new ridges come in their
-    numbering order, so the table is one list, keyed once at the end in
-    ridge_adjacency's order.
+    numbering order, which is ridge_adjacency's.
     """
     brackets, scale = flat.node_brackets, flat.bracket_scale
     node_ridges, children = flat.node_ridges, flat.tree.children
@@ -151,7 +151,7 @@ def incremental_stresses(flat: FlatComplex, zeta: dict[int, int]) -> dict[Ridge,
         for i in range(d):
             for j in range(i + 1, d):
                 st.append((num * dbr, cbr[i] * cbr[j]))
-    return dict(zip(flat.ridge_adjacency, st))
+    return st
 
 
 def adjusted_shifts(flat: FlatComplex) -> dict[int, int]:
@@ -178,26 +178,26 @@ def build_lifted(flat: FlatComplex) -> tuple[list[tuple[int, ...]], Extrema]:
     the least and greatest base stress of the direct stresses,
     cross-checked against the incremental replay.
 
-    Both tables list the ridges in ridge_adjacency's order, which is
-    checked first; then any ridge disagreement raises, since the two routes
-    must match exactly for any shift-defined lifting. The same pass keeps
-    the three extrema, in scaled units, ties to the first ridge in
-    adjacency order. Every construction gate compares them against its own
-    bounds, so a gate holds on all ridges exactly when it holds on them.
-    Pairs are compared by cross-multiplication.
+    Both list one stress per ridge number, the direct one per entry of
+    ridge_adjacency, so their lengths are checked first; then one pass
+    zips the table with both, and any ridge disagreement raises, since the
+    two routes must match exactly for any shift-defined lifting. The same
+    pass keeps the three extrema, in scaled units, ties to the first ridge
+    in adjacency order. Every construction gate compares them against its
+    own bounds, so a gate holds on all ridges exactly when it holds on
+    them. Pairs are compared by cross-multiplication.
     """
     zeta = adjusted_shifts(flat)
     rows = lift_heights(flat, zeta)
     direct = direct_stresses(flat, rows)
     incremental = incremental_stresses(flat, zeta)
-    if list(incremental) != list(direct):
+    if len(incremental) != len(direct):
         raise StageInvariantError(
-            "lifting", "stress tables do not list the same ridges in the same order"
+            "lifting", f"stress lists of {len(direct)} and {len(incremental)} ridges"
         )
     interior = base_lo = base_hi = None  # (numerator, denominator, ridge)
-    for (ridge, (n1, d1)), (n2, d2), keys in zip(
-        direct.items(), incremental.values(), flat.ridge_adjacency.values()
-    ):
+    adjacency = flat.ridge_adjacency.items()
+    for (ridge, keys), (n1, d1), (n2, d2) in zip(adjacency, direct, incremental):
         if n1 * d2 != n2 * d1:
             raise StageInvariantError(
                 "lifting",

@@ -3,8 +3,8 @@
 Two routes, each making all of its own checks and writing its own
 witnesses, read one _surface: the ridge table and the plane table, where
 exact.facet_planes takes each facet's hyperplane once, on the rows
-(1, x, z) of its integer vertices, as d+1 cofactors with its shadow and
-its vertex sum.
+(1, x, z) of its integer vertices, as d+1 cofactors (the last its
+shadow) and its vertex sum.
 
 * stress route: recompute every ridge stress from the final coordinates,
   never taken from the construction, and check interior ridges positive,
@@ -137,8 +137,8 @@ def _stress_route(
 ) -> tuple[list[str], tuple[int, int] | None]:
     """The stress route on the _surface of input that passed its check: the
     witnesses, and the least interior stress (ties to the first ridge in
-    adjacency order; None if it stops before the stresses). A ridge's
-    stress costs one (d+1)-term dot product.
+    adjacency order; None if it stops before the stresses). It zips the
+    table with exact.ridge_stresses' list: one dot product per ridge.
     """
     witnesses: list[str] = []
     heights = [p[-1] for p in realization.coords]
@@ -160,13 +160,13 @@ def _stress_route(
         return [f"ridge structure broken: {table}"], None
 
     rows, planes = plane_table
-    stresses, failures = ridge_stresses(realization.d, rows, table, planes)
     least = None
-    for ridge, keys in table.items():
-        if ridge in failures:
-            witnesses.append(f"ridge {ridge}: {failures[ridge]}")
+    stresses = ridge_stresses(realization.d, rows, table, planes)
+    for (ridge, keys), stress in zip(table.items(), stresses):
+        if type(stress) is str:
+            witnesses.append(f"ridge {ridge}: {stress}")
             continue
-        num, den = stresses[ridge]
+        num, den = stress
         # a base ridge folds by 0 only under a non-base vertex at height
         # zero, which the precheck rejects, so num is never 0 there
         if BASE_FACET_KEY in keys:
@@ -297,8 +297,8 @@ def _global_route(
     probes: dict[int, dict[int, None]] = {key: {} for key in planes}
     for ridge, (k1, k2) in table.items():
         on_ridge = sum(ridge)
-        probes[k1][planes[k2][3] - on_ridge] = None
-        probes[k2][planes[k1][3] - on_ridge] = None
+        probes[k1][planes[k2][2] - on_ridge] = None
+        probes[k2][planes[k1][2] - on_ridge] = None
     # the vertex centroid o as the row (n, vertex sum)
     centroid = (len(rows), *map(sum, zip(*realization.coords)))
     oriented = {}

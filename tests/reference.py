@@ -1,8 +1,8 @@
 """References that the package's integer stages and linear certificate
 routes are held against: Fraction definitions, the ridge-keyed stress
-replay, the exhaustive convexity oracle, and two facet lists that
-find_facet is held against; and the package's modules, as these tests
-imported them."""
+replay, stress lists keyed back by ridge, the exhaustive convexity oracle,
+and two facet lists that find_facet is held against; and the package's
+modules, as these tests imported them."""
 
 from fractions import Fraction
 from math import gcd
@@ -143,7 +143,19 @@ def check_ridge_tables(flat) -> None:
     for complex_ in (flat, perturb_flat(flat)):
         zeta = adjusted_shifts(complex_)
         replay = incremental_stresses(complex_, zeta)
-        assert list(replay.items()) == list(incremental_stresses_by_key(complex_, zeta).items())
+        assert list(zip(complex_.ridge_adjacency, replay, strict=True)) == list(
+            incremental_stresses_by_key(complex_, zeta).items()
+        )
+
+
+def by_ridge(table, stresses) -> dict:
+    """A stress list by ridge number, one entry per ridge of its ridge table,
+    keyed by the table's ridges in its order: each pair (numerator,
+    denominator) as a Fraction, each failure as its message."""
+    assert type(stresses) is list and len(stresses) == len(table)
+    return {
+        ridge: w if isinstance(w, str) else Fraction(*w) for ridge, w in zip(table, stresses)
+    }
 
 
 def point(column: Sequence[int]) -> tuple[Fraction, ...]:

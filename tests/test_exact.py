@@ -34,6 +34,7 @@ from gridlift.flat import build_flat
 from gridlift.lifting import direct_stresses, lift_heights
 from gridlift.trees import balance_weights
 from reference import (
+    by_ridge,
     facet_lookup,
     flat_points,
     height_on_hyperplane,
@@ -329,47 +330,43 @@ def lifted_complexes(draw, dims=(3, 4, 5)):
     return points, dataclasses.replace(flat, node_facets=layout)
 
 
-def as_fractions(stresses):
-    return {ridge: F(*w) for ridge, w in stresses.items()}
-
-
 def rows_of(points):
     """Each point p as the integer homogeneous row (D, p D), D the lcm of
     its denominators."""
     return [homogeneous_row(p) for p in points]
 
 
-def kernel_table(d, points, adjacency, facets):
-    """ridge_stresses on the rows of `points` and their facet_planes, with
-    the stress pairs as Fractions."""
+def kernel_list(d, points, adjacency, facets):
+    """ridge_stresses on the rows of `points` and their facet_planes: one
+    entry per ridge, a pair over a positive denominator or a message."""
     rows = rows_of(points)
-    stresses, failures = ridge_stresses(d, rows, adjacency, facet_planes(d, rows, facets))
-    assert all(den > 0 for _, den in stresses.values())
-    return as_fractions(stresses), failures
+    stresses = ridge_stresses(d, rows, adjacency, facet_planes(d, rows, facets))
+    assert all(w[1] > 0 for w in stresses if not isinstance(w, str))
+    return stresses
 
 
 class TestStressTable:
     @given(lifted_complexes(dims=(3, 4, 5, 6, 7)))
     @settings(max_examples=150, deadline=None)
     def test_equals_stress_of_ridge(self, complex_):
+        # keyed back by ridge number, so each entry, a message included, is
+        # held to its own ridge's reference
         points, flat = complex_
         d, table = flat.d, flat.facet_table
         adjacency = build_ridge_adjacency(d, table)
-        stresses, failures = kernel_table(d, points, adjacency, table)
+        stresses = kernel_list(d, points, adjacency, table)
         expected = reference_stresses(points, adjacency, table.__getitem__)
-        assert {**stresses, **failures} == expected
-        # adjacency order is kept, so witnesses come out in the same order
-        assert list(failures) == [r for r in adjacency if isinstance(expected[r], str)]
-        assert list(stresses) == [r for r in adjacency if r not in failures]
+        assert by_ridge(adjacency, stresses) == expected
 
     def test_tetrahedron(self, tet_lifted, tet_flat):
         rows, _ = tet_lifted
-        lifted_stresses = direct_stresses(tet_flat, rows)
+        adjacency = tet_flat.ridge_adjacency
         points = [(*p, F(r[-1], r[0])) for p, r in zip(flat_points(tet_flat), rows)]
-        table = tet_flat.facet_table
-        stresses, failures = kernel_table(3, points, tet_flat.ridge_adjacency, table)
-        assert failures == {}
-        assert stresses == as_fractions(lifted_stresses)
+        stresses = kernel_list(3, points, adjacency, tet_flat.facet_table)
+        # direct_stresses raises on a message, so equality rules them out
+        assert by_ridge(adjacency, stresses) == by_ridge(
+            adjacency, direct_stresses(tet_flat, rows)
+        )
 
     def test_many_lifts(self, tet_flat):
         # the construction lifts one flat complex by several sets of heights
@@ -380,7 +377,7 @@ class TestStressTable:
                 points, tet_flat.ridge_adjacency, facet_lookup(tet_flat)
             )
             stresses = direct_stresses(tet_flat, rows)
-            assert as_fractions(stresses) == expected
+            assert by_ridge(tet_flat.ridge_adjacency, stresses) == expected
 
     def test_degenerate_shadow_message(self):
         # apex 3 lifted straight above base vertex 1: the shadows of both
@@ -388,10 +385,10 @@ class TestStressTable:
         points = [(0, 0, 0), (6, 0, 0), (0, 6, 0), (6, 0, 5)]
         table = {BASE_FACET_KEY: (0, 1, 2), 0: (3, 1, 2), 1: (0, 3, 2), 2: (0, 1, 3)}
         adjacency = build_ridge_adjacency(3, table)
-        _, failures = kernel_table(3, points, adjacency, table)
+        got = by_ridge(adjacency, kernel_list(3, points, adjacency, table))
         expected = reference_stresses(points, adjacency, table.__getitem__)
-        assert failures[(0, 3)] == FLAT_RIDGE == expected[(0, 3)]
-        assert {r: m for r, m in expected.items() if isinstance(m, str)} == failures
+        assert got[(0, 3)] == FLAT_RIDGE == expected[(0, 3)]
+        assert got == expected
 
     @pytest.mark.parametrize("d", [4, 5, 7])
     def test_every_failure_kind(self, d):
@@ -409,11 +406,18 @@ class TestStressTable:
         table = flat.facet_table
         other = next(v for f in table.values() if n - 1 in f for v in f if v != n - 1)
         points[n - 1] = points[other][:-1] + points[n - 1][-1:]
-        stresses, failures = kernel_table(d, points, flat.ridge_adjacency, table)
-        assert {FLAT_RIDGE, NO_ORIENTATION, BASE_NOT_FLAT} <= set(failures.values())
-        assert stresses
-        expected = reference_stresses(points, flat.ridge_adjacency, table.__getitem__)
-        assert {**stresses, **failures} == expected
+        adjacency = flat.ridge_adjacency
+        stresses = kernel_list(d, points, adjacency, table)
+        messages = [w for w in stresses if isinstance(w, str)]
+        assert {FLAT_RIDGE, NO_ORIENTATION, BASE_NOT_FLAT} <= set(messages)
+        assert len(messages) < len(stresses)
+        expected = reference_stresses(points, adjacency, table.__getitem__)
+        # one entry per ridge, each message at its ridge's position
+        assert len(stresses) == len(adjacency)
+        assert [w if isinstance(w, str) else None for w in stresses] == [
+            w if isinstance(w, str) else None for w in expected.values()
+        ]
+        assert by_ridge(adjacency, stresses) == expected
 
 
 def as_flat_complex(points, flat):
@@ -444,14 +448,15 @@ class TestFacetStressPlan:
         )
         table = flat.facet_table
         planes = facet_planes(d, rows, table)
-        stresses, failures = ridge_stresses(d, rows, flat.ridge_adjacency, planes)
+        stresses = ridge_stresses(d, rows, flat.ridge_adjacency, planes)
         expected = reference_stresses(points, flat.ridge_adjacency, table.__getitem__)
-        assert {**as_fractions(stresses), **failures} == expected
+        assert by_ridge(flat.ridge_adjacency, stresses) == expected
         # direct_stresses raises the first failure, in adjacency order
+        failures = [w for w in stresses if isinstance(w, str)]
         if failures:
             with pytest.raises(GeometryError) as exc:
                 direct_stresses(flat, rows)
-            assert str(exc.value) == next(iter(failures.values()))
+            assert str(exc.value) == failures[0]
         else:
             assert direct_stresses(flat, rows) == stresses
 
@@ -652,8 +657,9 @@ class TestExpansion:
         lifted = [[j - v for j in range(m)] for v in range(2 * n)]
         for v, r in zip(ids, rows):
             lifted[v] = r
-        cofactors, shadow, scale, id_sum = _expansion(n, True)(lifted, *ids)
+        cofactors, scale, id_sum = _expansion(n, True)(lifted, *ids)
         assert cofactors == cofactors_by_det(rows)
-        assert shadow == det_by_permutations([r[:n] for r in rows])
+        # the last cofactor is the shadow, the minor without the Z column
+        assert cofactors[n] == det_by_permutations([r[:n] for r in rows])
         assert scale == math.prod(r[0] for r in rows)
         assert id_sum == sum(ids)

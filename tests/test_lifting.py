@@ -21,6 +21,7 @@ from gridlift.lifting import (
 from gridlift.rounding import perturb_flat
 from gridlift.trees import balance_weights
 from reference import (
+    by_ridge,
     check_lifted_rows,
     check_ridge_tables,
     extreme_stresses,
@@ -39,27 +40,23 @@ def fractions(rows):
     return [F(r[-1], r[0]) for r in rows]
 
 
-def table(stresses):
-    """A stress table of (numerator, denominator) pairs, as Fractions."""
-    return {ridge: F(*w) for ridge, w in stresses.items()}
-
-
 def lifted(complex_, heights):
     """A complex's points lifted to rational heights, as integer rows."""
     return [homogeneous_row((*p, h)) for p, h in zip(flat_points(complex_), heights)]
 
 
 def with_stresses(monkeypatch, complex_, stresses):
-    """Have both stress routes return one table, in ridge_adjacency's order,
-    so build_lifted's cross-check passes and keeps that table's extrema."""
-    ordered = {ridge: stresses[ridge] for ridge in complex_.ridge_adjacency}
-    monkeypatch.setattr(lifting, "direct_stresses", lambda *args: dict(ordered))
-    monkeypatch.setattr(lifting, "incremental_stresses", lambda *args: dict(ordered))
+    """Have both stress routes return one list, a ridge-keyed table's pairs
+    by ridge number, so build_lifted's cross-check passes and keeps that
+    table's extrema."""
+    ordered = [stresses[ridge] for ridge in complex_.ridge_adjacency]
+    monkeypatch.setattr(lifting, "direct_stresses", lambda *args: list(ordered))
+    monkeypatch.setattr(lifting, "incremental_stresses", lambda *args: list(ordered))
 
 
 def kernel(complex_, rows):
-    """ridge_stresses on a complex lifted to rows: the stresses and the
-    failures that direct_stresses would raise."""
+    """ridge_stresses on a complex lifted to rows: each ridge's stress, or
+    the failure that direct_stresses would raise."""
     planes = facet_planes(complex_.d, rows, complex_.facet_table)
     return ridge_stresses(complex_.d, rows, complex_.ridge_adjacency, planes)
 
@@ -167,7 +164,7 @@ class TestBarycentricLift:
 class TestStresses:
     def test_tetrahedron_values(self, tet_lifted, tet_flat):
         # the real stresses 4 and -4/3 times bracket_scale^2 = 9
-        st = table(direct_stresses(tet_flat, tet_lifted[0]))
+        st = by_ridge(tet_flat.ridge_adjacency, direct_stresses(tet_flat, tet_lifted[0]))
         for ridge in [(0, 3), (1, 3), (2, 3)]:
             assert st[ridge] == 4 * 9
         for ridge in [(0, 1), (0, 2), (1, 2)]:
@@ -175,7 +172,7 @@ class TestStresses:
 
     def test_doubling_shift_doubles_stress(self, tet_flat):
         rows = lift_heights(tet_flat, {0: 32})
-        st = table(direct_stresses(tet_flat, rows))
+        st = by_ridge(tet_flat.ridge_adjacency, direct_stresses(tet_flat, rows))
         assert st[(0, 3)] == 8 * 9
         assert st[(0, 1)] == F(-8, 3) * 9
 
@@ -189,7 +186,9 @@ class TestStresses:
         rows = lift_heights(flat, zeta)
         direct = direct_stresses(flat, rows)
         incremental = incremental_stresses(flat, zeta)
-        assert table(direct) == table(incremental)
+        assert by_ridge(flat.ridge_adjacency, direct) == by_ridge(
+            flat.ridge_adjacency, incremental
+        )
 
     def test_incremental_on_arbitrary_shifts(self):
         # agreement is not tied to the balanced shift values
@@ -198,8 +197,8 @@ class TestStresses:
         flat = build_flat(wt)
         zeta = {v: 3 + 2 * i for i, v in enumerate(flat.tree.interior_ids)}
         rows = lift_heights(flat, zeta)
-        assert table(direct_stresses(flat, rows)) == table(
-            incremental_stresses(flat, zeta)
+        assert by_ridge(flat.ridge_adjacency, direct_stresses(flat, rows)) == by_ridge(
+            flat.ridge_adjacency, incremental_stresses(flat, zeta)
         )
 
     @pytest.mark.parametrize("d,size,seed", [(3, 1, 0), (3, 12, 1), (4, 8, 2), (6, 5, 3)])
@@ -218,9 +217,9 @@ class TestStresses:
             rows = lift_heights(complex_, zeta)
             floored = [r[-1] // r[0] for r in rows]
             pairs = [
-                *incremental_stresses(complex_, zeta).values(),
-                *kernel(complex_, rows)[0].values(),
-                *kernel(complex_, lifted(complex_, floored))[0].values(),
+                *incremental_stresses(complex_, zeta),
+                *kernel(complex_, rows),
+                *kernel(complex_, lifted(complex_, floored)),
             ]
             values = [*(x for r in rows for x in r), *(x for pair in pairs for x in pair)]
             assert all(type(v) is int for v in values)
@@ -362,7 +361,8 @@ class TestStressExtrema:
     def test_gate_names_the_least_of_two_low_ridges(self, monkeypatch, tet_flat):
         # two interior stresses below 1 in real units (times 9): the lift
         # gate names the least one
-        stresses = {**direct_stresses(tet_flat, lift_heights(tet_flat, {0: 16})),
+        lift = direct_stresses(tet_flat, lift_heights(tet_flat, {0: 16}))
+        stresses = {**dict(zip(tet_flat.ridge_adjacency, lift)),
                     (2, 3): (1, 2), (1, 3): (2, 6)}
         with_stresses(monkeypatch, tet_flat, stresses)
         with pytest.raises(StageInvariantError) as info:
@@ -400,9 +400,10 @@ class TestStressMapCrossCheck:
         ridge = (1, 3)
 
         def off_by_one(*args):
-            out = dict(original(*args))
-            num, den = out[ridge]
-            out[ridge] = (num + 1, den)
+            out = original(*args)
+            r = list(tet_flat.ridge_adjacency).index(ridge)
+            num, den = out[r]
+            out[r] = (num + 1, den)
             return out
 
         monkeypatch.setattr(lifting, "incremental_stresses", off_by_one)
@@ -412,13 +413,24 @@ class TestStressMapCrossCheck:
         assert info.value.witness == ridge
 
     def test_replay_in_another_order_is_caught(self, monkeypatch, tet_flat):
-        # the cross-check pairs the tables by position, so their ridge
-        # orders must agree, not just their ridge sets
+        # the cross-check pairs the lists by ridge number, so a replay in
+        # another ridge order disagrees on the first ridge whose value moved
         original = lifting.incremental_stresses
         monkeypatch.setattr(
-            lifting, "incremental_stresses", lambda *args: dict(reversed(original(*args).items()))
+            lifting, "incremental_stresses", lambda *args: original(*args)[::-1]
         )
-        with pytest.raises(StageInvariantError, match="in the same order") as info:
+        with pytest.raises(StageInvariantError, match="stress mismatch") as info:
+            build_lifted(tet_flat)
+        assert info.value.stage == "lifting"
+        assert info.value.witness == next(iter(tet_flat.ridge_adjacency))
+
+    def test_short_replay_is_caught(self, monkeypatch, tet_flat):
+        # a replay that misses a ridge would leave it unchecked in the zip
+        original = lifting.incremental_stresses
+        monkeypatch.setattr(
+            lifting, "incremental_stresses", lambda *args: original(*args)[:-1]
+        )
+        with pytest.raises(StageInvariantError, match="stress lists of 6 and 5 ridges") as info:
             build_lifted(tet_flat)
         assert info.value.stage == "lifting"
 
@@ -429,7 +441,7 @@ class TestStressMapCrossCheck:
         original = lifting.incremental_stresses
 
         def rescaled(*args):
-            return {r: (7 * n, 7 * d) for r, (n, d) in original(*args).items()}
+            return [(7 * n, 7 * d) for n, d in original(*args)]
 
         monkeypatch.setattr(lifting, "incremental_stresses", rescaled)
         assert build_lifted(tet_flat) == expected
@@ -474,13 +486,14 @@ class TestPairsMatchFractionReferences:
             # shifts, as a real shift each, give the reference heights
             check_lifted_rows(complex_, zeta, rows)
             expected = reference_table(complex_, heights)
-            assert table(direct_stresses(complex_, rows)) == expected
+            adjacency = complex_.ridge_adjacency
+            assert by_ridge(adjacency, direct_stresses(complex_, rows)) == expected
             # the extrema that the cross-check pass keeps, ties included
             assert [(F(n, den), r) for n, den, r in extrema] == extreme_stresses(
-                complex_.ridge_adjacency, expected
+                adjacency, expected
             )
-            assert table(incremental_stresses(complex_, zeta)) == expected
+            assert by_ridge(adjacency, incremental_stresses(complex_, zeta)) == expected
             # integer heights, floored from the rows
             floored = [r[-1] // r[0] for r in rows]
-            pairs, failures = kernel(complex_, lifted(complex_, floored))
-            assert {**table(pairs), **failures} == reference_table(complex_, floored)
+            stresses = kernel(complex_, lifted(complex_, floored))
+            assert by_ridge(adjacency, stresses) == reference_table(complex_, floored)

@@ -477,6 +477,33 @@ class TestCli:
         assert main(["realize", "--input", str(graph_f), "--base", base]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["realize", "--base=--"],
+        ["realize", "--input=--"],
+        ["realize", "--output=--"],
+        ["realize", "--report=--"],
+        ["realize", "--format=--"],
+        ["gen", "--shape", "random", "--n=--"],
+        ["gen", "--shape", "random", "--dim=--"],
+    ], ids=["base", "input", "output", "report", "format", "n", "dim"])
+    def test_option_given_dashes(self, tmp_path, capsys, monkeypatch, tet_tree, argv):
+        # argparse hands "--opt=--" over as [] on some interpreters and as
+        # the string "--" on others: either way an exit 2 with an error
+        # line, or an exit 0 that wrote a file named "--", never a traceback;
+        # a graph on stdin, as --base applies to graphs only
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(graph_from_tree(tet_tree).to_json()))
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage error
+            code = exc.code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert (tmp_path / "--").is_file()
+        else:
+            assert code == 2 and "error: " in err
+            assert "Traceback" not in err
+
     def test_deep_tree_exit_2(self, tmp_path, capsys, tet_result):
         # nested tree JSON nests one level per stacking of a serpentine chain
         assert main(["gen", "--shape", "serpentine", "--n", "1500"]) == 2

@@ -14,7 +14,7 @@ from gridlift.flat import build_flat
 from gridlift.lifting import adjusted_shifts, build_lifted, direct_stresses
 from gridlift.rounding import check_volume_ratios, grid_params, perturb_flat, round_and_scale
 from gridlift.trees import balance_weights
-from reference import extreme_stresses, flat_points, homogeneous_row, real_brackets
+from reference import by_ridge, extreme_stresses, flat_points, homogeneous_row, real_brackets
 
 F = Fraction
 
@@ -55,14 +55,15 @@ def reference_round(flat):
     z = [F(r[-1], r[0] * k * k) for r in rows]
     relift = direct_stresses(pe, rows)
     (w_in, _), (w_lo, _), _ = extreme_stresses(
-        pe.ridge_adjacency, {r: F(n, den * k * k) for r, (n, den) in relift.items()}
+        pe.ridge_adjacency,
+        {r: w / (k * k) for r, w in by_ridge(pe.ridge_adjacency, relift).items()},
     )
     z_snapped = [floor_to_multiple(h, alpha_z) for h in z]
     snapped = direct_stresses(
         pe, [homogeneous_row((*p, h)) for p, h in zip(coords, z_snapped)]
     )
     (w_in_rounded, _), _, _ = extreme_stresses(
-        pe.ridge_adjacency, {r: F(*w) for r, w in snapped.items()}
+        pe.ridge_adjacency, by_ridge(pe.ridge_adjacency, snapped)
     )
     scaled = []
     for p, h in zip(coords, z_snapped):

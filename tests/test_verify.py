@@ -33,6 +33,7 @@ from gridlift.verify import (
     verify_convexity_stress,
 )
 from reference import (
+    by_ridge,
     facet_lookup,
     facet_table,
     package_modules,
@@ -150,8 +151,8 @@ class TestZeroStressBaseRidge:
         # 0 either: with both facets in z = 0 it cannot tell which is the base
         rows = [(1, *p) for p in bad.coords]
         planes = facet_planes(3, rows, facet_table(bad))
-        _, failures = ridge_stresses(3, rows, adjacency, planes)
-        assert failures[ridge] == BASE_NOT_FLAT
+        stresses = by_ridge(adjacency, ridge_stresses(3, rows, adjacency, planes))
+        assert stresses[ridge] == BASE_NOT_FLAT
 
 
 class TestOraclesAgreeOnCorruptions:
@@ -539,15 +540,12 @@ class TestStressRouteAgainstReference:
         facets = facet_table(realization)
         adjacency = build_ridge_adjacency(d, facets)
         planes = facet_planes(d, rows, facets)
-        stresses, failures = ridge_stresses(d, rows, adjacency, planes)
+        stresses = ridge_stresses(d, rows, adjacency, planes)
         expected = reference_stresses(
             [tuple(Fraction(c) for c in p) for p in coords], adjacency, facets.__getitem__
         )
-        assert failures == {r: w for r, w in expected.items() if isinstance(w, str)}
-        assert stresses.keys() == expected.keys() - failures.keys()
-        for ridge, (num, den) in stresses.items():
-            w = expected[ridge]
-            assert den > 0 and num * w.denominator == w.numerator * den
+        assert by_ridge(adjacency, stresses) == expected
+        assert all(w[1] > 0 for w in stresses if not isinstance(w, str))
 
     def test_one_plane_per_facet_and_no_fraction(self, monkeypatch):
         realization = small_realization(5, 30, 1)
