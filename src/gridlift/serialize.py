@@ -15,9 +15,9 @@ from fractions import Fraction
 
 from .errors import InvalidInputError
 from .exact import _det_int
-from .facets import Realization, check_dim
+from .facets import Realization
 from .trees import load_json
-from .verify import Certificate
+from .verify import Certificate, input_witnesses
 
 
 def rat_str(x: Fraction | int) -> str:
@@ -76,24 +76,13 @@ def realization_to_json(r: Realization) -> str:
     return json.dumps(realization_doc(r), sort_keys=True)
 
 
-def _vertex_ids(value, d: int, n: int, what: str) -> tuple[int, ...]:
-    """d distinct vertex ids in range(n), or InvalidInputError."""
-    if not isinstance(value, list) or len(value) != d:
-        raise InvalidInputError(f"{what} must list {d} vertex ids")
-    if not all(type(v) is int and 0 <= v < n for v in value):
-        raise InvalidInputError(f"{what} has a vertex id outside 0..{n - 1}")
-    if len(set(value)) != d:
-        raise InvalidInputError(f"{what} repeats a vertex id")
-    return tuple(value)
-
-
 def realization_from_json(text: str | bytes) -> Realization:
     """Parse a realization, accepting only what the verifier can certify.
 
-    Coordinates must be JSON integers (not floats, not booleans), every
-    facet and the base facet must list d distinct vertex ids in range, and
-    facet keys must be nonnegative integers (a negative key would alias the
-    base facet's key); anything else is an InvalidInputError.
+    The reader checks the JSON's shape (the four keys, facets as [node, ids]
+    pairs with int nodes, each node once, metadata rationals as parse_rat
+    reads them and R_eff a positive int); the rest is verify.input_witnesses,
+    the certificate's own rule, whose first witness is the InvalidInputError.
     """
     doc = load_json(text)
     # accept the combined realize output {"realization": ..., "report": ...}
@@ -104,38 +93,33 @@ def realization_from_json(text: str | bytes) -> Realization:
     for key in ("dim", "coords", "facets", "base_facet"):
         if key not in doc:
             raise InvalidInputError(f"malformed realization JSON: missing {key!r}")
-    d, rows, facet_rows = doc["dim"], doc["coords"], doc["facets"]
-    check_dim(d)
-    if not isinstance(rows, list) or not all(isinstance(p, list) for p in rows):
-        raise InvalidInputError("coords must be a list of coordinate rows")
-    if any(len(p) != d for p in rows):
-        raise InvalidInputError("every coordinate row must have length dim")
-    if not all(type(c) is int for p in rows for c in p):
-        raise InvalidInputError("every coordinate must be an integer")
-    n = len(rows)
-    if not isinstance(facet_rows, list):
+    if not isinstance(doc["facets"], list):
         raise InvalidInputError("facets must be a list of [node, vertex ids] pairs")
     facets = {}
-    for row in facet_rows:
+    for row in doc["facets"]:
         if not (isinstance(row, list) and len(row) == 2 and type(row[0]) is int):
             raise InvalidInputError("facets must be a list of [node, vertex ids] pairs")
-        node, verts = row
-        if node < 0:
-            raise InvalidInputError(f"facet key {node} is negative")
-        if node in facets:
-            raise InvalidInputError(f"facet {node} is listed twice")
-        facets[node] = _vertex_ids(verts, d, n, f"facet {node}")
-    base = _vertex_ids(doc["base_facet"], d, n, "base_facet")
-    metadata = doc.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise InvalidInputError("metadata must be an object")
-    meta = {}
-    for k, v in metadata.items():
-        meta[k] = parse_rat(v) if isinstance(v, str) else v
-    if "R_eff" in meta and not (type(meta["R_eff"]) is int and meta["R_eff"] > 0):
-        raise InvalidInputError("metadata R_eff must be a positive integer")
-    coords = [tuple(p) for p in rows]
-    return Realization(d=d, coords=coords, facets=facets, base_facet=base, metadata=meta)
+        if row[0] in facets:
+            raise InvalidInputError(f"facet {row[0]} is listed twice")
+        facets[row[0]] = _tuple(row[1])
+    coords, metadata = doc["coords"], doc.get("metadata", {})
+    if isinstance(coords, list):
+        coords = [_tuple(p) for p in coords]
+    if isinstance(metadata, dict):
+        metadata = {k: parse_rat(v) if isinstance(v, str) else v for k, v in metadata.items()}
+        R_eff = metadata.get("R_eff")
+        if "R_eff" in metadata and not (type(R_eff) is int and R_eff > 0):
+            raise InvalidInputError("metadata R_eff must be a positive integer")
+    realization = Realization(doc["dim"], coords, facets, _tuple(doc["base_facet"]), metadata)
+    witnesses = input_witnesses(realization)
+    if witnesses:
+        raise InvalidInputError(witnesses[0])
+    return realization
+
+
+def _tuple(value):
+    """A JSON list as a tuple, anything else as it is, for the rule to judge."""
+    return tuple(value) if isinstance(value, list) else value
 
 
 def report_doc(report, include_timing: bool = True) -> dict:

@@ -33,12 +33,12 @@ agree; the certificate records both verdicts so disagreement is visible
 instead of masked. The pipeline checks its snapped integers only here: the
 stress route's height precheck and stress signs, and verify_bounds' caps.
 
-The _surface first rejects a vertex that is not a point of d ints (bools
-are not), with the witness verify_bounds gives, a leaf key that is not an
-int >= 0 (the base's key included), a facet that is not a tuple, and a
-facet naming a vertex id outside the coordinate list, so a malformed
-realization fails a certificate instead of raising or aliasing a vertex
-or the base; a malformed tree is InvalidInputError (check_tree).
+One rule, input_witnesses, says what a realization is, for every route
+and for serialize.realization_from_json, which raises its first witness. A
+malformed realization (a bad d or container, a point that is not d ints,
+bools included, or a facet that is not d distinct ids in range under a key
+>= 0) fails a certificate instead of raising or aliasing a vertex or the
+base; a malformed tree is InvalidInputError (check_tree).
 
 The verifier imports from the package only errors, exact (the integer
 determinant kernels, the plane table and the per-ridge stress rule, which
@@ -53,10 +53,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
-from .errors import GeometryError
+from .errors import GeometryError, InvalidInputError
 from .exact import _det_int, facet_planes, ridge_stresses
 from .facets import BASE_FACET_KEY, Realization, TreeRep, build_ridge_adjacency
-from .facets import check_tree, facet_layout
+from .facets import check_dim, check_tree, facet_layout
 
 
 @dataclass
@@ -77,13 +77,30 @@ class Certificate:
 
 
 def _is_integer_point(p: tuple, d: int) -> bool:
-    return len(p) == d and all(type(c) is int for c in p)
+    return type(p) is tuple and len(p) == d and all(type(c) is int for c in p)
 
 
-def _input_witnesses(realization: Realization) -> list[str]:
-    """What every route rejects before it sorts the facets or indexes a
-    point (mixed keys do not sort, a negative id or a bool aliases a
-    vertex, and a set of ids hides a bool)."""
+def _frame_witnesses(realization: Realization) -> list[str]:
+    """check_dim's message, else each container of the wrong type."""
+    try:
+        check_dim(realization.d)
+    except InvalidInputError as exc:
+        return [str(exc)]
+    return [
+        f"{name} is not a {kind.__name__}"
+        for name, kind in (("coords", list), ("facets", dict), ("metadata", dict))
+        if not isinstance(getattr(realization, name), kind)
+    ]
+
+
+def input_witnesses(realization: Realization) -> list[str]:
+    """The _frame_witnesses alone, else the bad points, facets and leaf keys,
+    then each facet's ids out of range or not d distinct: checked before a
+    route sorts the facets or indexes a point (mixed keys do not sort, a
+    negative id or a bool aliases a vertex, and a set of ids hides a bool)."""
+    witnesses = _frame_witnesses(realization)
+    if witnesses:
+        return witnesses
     d, n = realization.d, len(realization.coords)
     witnesses = [
         f"vertex {vid} is not an integer point of length {d}"
@@ -99,20 +116,22 @@ def _input_witnesses(realization: Realization) -> list[str]:
             shape.append(f"leaf facet key {key!r} is not an int >= 0")
     if shape:
         return witnesses + shape
-    return witnesses + [
-        f"facet {_label(key)} names vertex {v!r}, not one of 0..{n - 1}"
-        for key, verts in _facets_in_order(realization)
-        for v in verts
-        if not (type(v) is int and 0 <= v < n)
-    ]
+    for key, verts in _facets_in_order(realization):
+        found = len(witnesses)
+        for v in verts:
+            if not (type(v) is int and 0 <= v < n):
+                witnesses.append(f"facet {_label(key)} names vertex {v!r}, not one of 0..{n - 1}")
+        if len(verts) != d or (len(witnesses) == found and len(set(verts)) != d):
+            witnesses.append(f"facet {_label(key)} is {verts}, not {d} distinct vertices")
+    return witnesses
 
 
 def _surface(realization: Realization) -> tuple[list[str], dict | str | None, tuple | None]:
-    """The _input_witnesses; if none, the table ridge -> its two facets, or
-    the reason the facets form no closed surface (a facet is not d distinct
-    vertices, or a ridge not in two facets); if closed, the rows (1, *p) of
-    the points and their exact.facet_planes."""
-    witnesses = _input_witnesses(realization)
+    """The input_witnesses; if none, the table ridge -> its two facets, or
+    the reason the facets form no closed surface (a ridge not in two
+    facets); if closed, the rows (1, *p) of the points and their
+    exact.facet_planes."""
+    witnesses = input_witnesses(realization)
     if witnesses:
         return witnesses, None, None
     facets = {BASE_FACET_KEY: realization.base_facet, **realization.facets}
@@ -313,7 +332,13 @@ def _global_route(
 def verify_bounds(realization: Realization) -> tuple[bool, list[str]]:
     """Every coordinate inside the paper's caps 10 d^2 R_eff^2 (horizontal)
     and 6 R_eff^3 (height), with R_eff from the realization's metadata, a
-    positive int (not a bool) or a witness."""
+    positive int (not a bool) or a witness; the input_witnesses first."""
+    witnesses = input_witnesses(realization)
+    return (False, witnesses) if witnesses else _bounds(realization)
+
+
+def _bounds(realization: Realization) -> tuple[bool, list[str]]:
+    """verify_bounds past the _frame_witnesses; a malformed point is a witness."""
     d = realization.d
     R_eff = realization.metadata.get("R_eff")
     if type(R_eff) is not int or R_eff <= 0:
@@ -332,8 +357,14 @@ def verify_bounds(realization: Realization) -> tuple[bool, list[str]]:
 
 def verify_combinatorics(realization: Realization, tree: TreeRep) -> tuple[bool, list[str]]:
     """Facet structure matches the stacking replay of the tree; a tree
-    that fails check_tree is InvalidInputError."""
+    that fails check_tree is InvalidInputError; the input_witnesses first."""
     check_tree(tree)
+    witnesses = input_witnesses(realization)
+    return (False, witnesses) if witnesses else _combinatorics(realization, tree)
+
+
+def _combinatorics(realization: Realization, tree: TreeRep) -> tuple[bool, list[str]]:
+    """verify_combinatorics past check_tree and the _frame_witnesses."""
     node_facets = facet_layout(tree)
     d, n, leaves = tree.dim, len(realization.coords), tree.leaf_ids
     witnesses = []
@@ -353,8 +384,13 @@ def make_certificate(realization: Realization, tree: TreeRep | None = None) -> C
     the routes first give them (a malformed point fails several).
 
     One _surface serves both convexity routes; each route alone builds its
-    own. A tree that fails check_tree raises InvalidInputError."""
+    own; input failing the _frame_witnesses gets them alone. A tree that
+    fails check_tree raises InvalidInputError."""
+    if tree is not None:
+        check_tree(tree)
     s_wit, table, plane_table = _surface(realization)
+    if s_wit and _frame_witnesses(realization):
+        return Certificate(False, False, witnesses=s_wit)
     g_wit, min_interior = s_wit, None
     if not s_wit:
         s_wit, min_interior = _stress_route(realization, table, plane_table)
@@ -362,10 +398,10 @@ def make_certificate(realization: Realization, tree: TreeRep | None = None) -> C
     witnesses = s_wit + g_wit
     b_ok = c_ok = None
     if "R_eff" in realization.metadata:
-        b_ok, b_wit = verify_bounds(realization)
+        b_ok, b_wit = _bounds(realization)
         witnesses += b_wit
     if tree is not None:
-        c_ok, c_wit = verify_combinatorics(realization, tree)
+        c_ok, c_wit = _combinatorics(realization, tree)
         witnesses += c_wit
     return Certificate(
         not s_wit, not g_wit, b_ok, c_ok, list(dict.fromkeys(witnesses)), min_interior

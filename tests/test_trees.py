@@ -262,6 +262,14 @@ class TestDimContract:
             DIM_ENTRY_POINTS[entry](dim, tet_result[0])
         assert str(info.value) == f"dimension must be an integer >= 3, got {dim!r}"
 
+    @pytest.mark.parametrize("dim", ["3", 3.0, True, 2])
+    def test_certificate_gives_a_witness(self, dim, tet_result):
+        # a realization's own d is read by the certificate's input rule: a
+        # witness with check_dim's text, where a tree's d raises above
+        cert = make_certificate(dataclasses.replace(tet_result[0], d=dim))
+        assert cert.ok is False
+        assert cert.witnesses == [f"dimension must be an integer >= 3, got {dim!r}"]
+
     def test_covers_every_dim_parameter(self):
         functions = [getattr(gridlift, name) for name in gridlift.__all__]
         takes_dim = {

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import re
 from fractions import Fraction
@@ -25,7 +26,7 @@ from gridlift.facets import BASE_FACET_KEY, build_ridge_adjacency
 from gridlift.verify import (
     _facet_side_witnesses,
     _facets_in_order,
-    _input_witnesses,
+    input_witnesses,
     _surface,
     verify_bounds,
     verify_combinatorics,
@@ -277,18 +278,17 @@ class TestGlobalRoutes:
         ((4, 1), "facet 4 is (4, 1), not 3 distinct vertices"),
     ])
     def test_malformed_facet_fails_both_routes(self, facet, message):
+        # the input rule rejects both short facets before either route
+        # builds the ridge table, with the text the table's own check gives
         surface = malformed_facet_surface(facet)
         with pytest.raises(GeometryError, match=re.escape(message)):
             build_ridge_adjacency(3, facet_table(surface))
+        witnesses = [message, "facet 5 is (4, 4, 2), not 3 distinct vertices"]
         cert = make_certificate(surface)
         assert cert.ok is False
-        assert cert.witnesses == [
-            f"ridge structure broken: {message}",
-            f"facets form no closed surface: {message}",
-        ]
-        assert verify_convexity_exhaustive(surface) == (
-            False, [f"facets form no closed surface: {message}"]
-        )
+        assert cert.witnesses == input_witnesses(surface) == witnesses
+        assert verify_convexity_stress(surface) == (False, witnesses)
+        assert verify_convexity_exhaustive(surface) == (False, witnesses)
 
     def test_double_wound_surface_fails_only_the_ray(self):
         surface = double_wound_bipyramid()
@@ -637,7 +637,7 @@ class TestBoolIsNoInteger:
         cert = make_certificate(realization)
         assert cert.ok is False and cert.witnesses[0] == witness
         assert verify_convexity_stress(realization) == (False, [witness])
-        with pytest.raises(InvalidInputError, match="every coordinate must be an integer"):
+        with pytest.raises(InvalidInputError, match=f"^{witness}$"):
             realization_from_json(realization_to_json(realization))
 
     def test_bool_vertex_id(self):
@@ -686,6 +686,71 @@ def test_malformed_facet_table_is_a_witness(case):
     assert cert.convex_by_stress is cert.convex_global is False
     assert verify_convexity_stress(bad) == (False, [witness])
     assert verify_convexity_global(bad) == (False, [witness])
+
+
+def with_point(realization, vid, point):
+    """The coordinate list with vertex vid's point replaced, as it is."""
+    coords = list(realization.coords)
+    coords[vid] = point
+    return coords
+
+
+# in-memory realizations that fail the input rule before it reads a facet
+# id: the field replaced, its new value, and the rule's first witness
+MALFORMED_REALIZATIONS = {
+    "facets_as_list": ("facets", lambda r: list(r.facets.items()), "facets is not a dict"),
+    "metadata_none": ("metadata", lambda r: None, "metadata is not a dict"),
+    "d_str": ("d", lambda r: "3", "dimension must be an integer >= 3, got '3'"),
+    "d_bool": ("d", lambda r: True, "dimension must be an integer >= 3, got True"),
+    "d_2": ("d", lambda r: 2, "dimension must be an integer >= 3, got 2"),
+    "coords_none": ("coords", lambda r: None, "coords is not a list"),
+    "point_7": (
+        "coords", lambda r: with_point(r, 5, 7), "vertex 5 is not an integer point of length 3"
+    ),
+    "point_none": (
+        "coords", lambda r: with_point(r, 5, None), "vertex 5 is not an integer point of length 3"
+    ),
+    "base_as_list": ("base_facet", lambda r: list(r.base_facet), "facet base is not a tuple"),
+}
+# the fields a realization document carries as they are; its facets and
+# base are lists that the reader turns into a dict and a tuple
+JSON_KEYS = {"d": "dim", "coords": "coords", "metadata": "metadata"}
+
+
+class TestMalformedRealization:
+    """No public verify function raises on a malformed in-memory
+    realization: each gives the input rule's first witness first, and
+    realization_from_json raises that witness wherever JSON can carry it."""
+
+    @staticmethod
+    def malformed(name):
+        field, value, witness = MALFORMED_REALIZATIONS[name]
+        realization = small_realization(3, 4, 1)
+        return dataclasses.replace(realization, **{field: value(realization)}), witness
+
+    @pytest.mark.parametrize("name", MALFORMED_REALIZATIONS)
+    def test_every_entry_point_gives_the_witness(self, name):
+        bad, witness = self.malformed(name)
+        tree = gen_tree("random", 3, 4, 1)
+        assert input_witnesses(bad)[0] == witness
+        cert = make_certificate(bad, tree)
+        assert cert.ok is False and cert.witnesses[0] == witness
+        routes = [verify_convexity_stress, verify_convexity_global, verify_bounds]
+        results = [route(bad) for route in routes] + [verify_combinatorics(bad, tree)]
+        for ok, witnesses in results:
+            assert ok is False and witnesses[0] == witness
+
+    @pytest.mark.parametrize(
+        "name", [name for name, case in MALFORMED_REALIZATIONS.items() if case[0] in JSON_KEYS]
+    )
+    def test_reader_raises_the_certificates_first_witness(self, name):
+        bad, _ = self.malformed(name)
+        field = MALFORMED_REALIZATIONS[name][0]
+        doc = json.loads(realization_to_json(small_realization(3, 4, 1)))
+        doc[JSON_KEYS[field]] = getattr(bad, field)  # tuples dump as lists
+        with pytest.raises(InvalidInputError) as info:
+            realization_from_json(json.dumps(doc))
+        assert str(info.value) == make_certificate(bad).witnesses[0]
 
 
 class TestBounds:
@@ -828,7 +893,7 @@ class TestOneRidgeTable:
     def test_one_table_and_one_input_check(self, monkeypatch):
         realization = small_realization(4, 20, 1)
         tables = wrap_every_binding(monkeypatch, build_ridge_adjacency)
-        checks = wrap_every_binding(monkeypatch, _input_witnesses)
+        checks = wrap_every_binding(monkeypatch, input_witnesses)
         assert make_certificate(realization).ok
         assert len(tables) == len(checks) == 1
 
