@@ -4,11 +4,11 @@ The construction's lifts and the certificate take every ridge stress from
 two functions here, on the facet-table format of the facets module and
 each vertex as an integer homogeneous row (D, X..., Z), D > 0.
 facet_planes takes each facet's hyperplane once, as the d+1 cofactors of
-its rows, the last of them its shadow (its projection's bracket).
-ridge_stresses reads each ridge's stress off its two facets' planes, one
-(d+1)-term integer dot product per ridge, and lists one entry per ridge
-in its ridge table's order: an integer pair (Pair), compared by
-cross-multiplication, or the reason the stress is undefined.
+its rows (the last its shadow, its projection's bracket) and its sorted
+ids. ridge_stresses reads a ridge's stress off its facets' planes at the
+extra vertices its record places in those ids, one (d+1)-term integer dot
+product per ridge, and lists one entry per ridge in its table's order: an
+integer pair (Pair), compared by cross-multiplication, or why it is undefined.
 
 Determinants are fraction-free: a Laplace expansion compiled once per
 size (_expansion) up to 7 x 7, which also gives a facet's whole plane in
@@ -24,7 +24,6 @@ the orientation convention whose sign pattern certifies convexity.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -59,7 +58,7 @@ def _expansion(n: int, plane: bool) -> Callable:
     plane true, the Plane of a facet from all rows and its n vertex ids,
     ascending: the cofactors of det[S | q], S its n x (n+1) rows (entry j
     is (-1)^(n+j) times the minor without column j, the last its shadow),
-    the product of its rows' D and its id sum."""
+    the product of its rows' D and the ids as a tuple."""
     m = n + plane
     rows = [[f"r{i}_{j}" for j in range(m)] for i in range(n)]
     ids = [f"v{i}" if plane else str(i) for i in range(n)]
@@ -77,7 +76,7 @@ def _expansion(n: int, plane: bool) -> Callable:
     result = minors[0]
     if plane:
         cof = ", ".join("-" * ((n + j) % 2) + x for j, x in enumerate(minors))
-        result = f"[{cof}], {' * '.join(r[0] for r in rows)}, {' + '.join(ids)}"
+        result = f"[{cof}], {' * '.join(r[0] for r in rows)}, ({', '.join(ids)},)"
     exec("\n".join([*lines, f"    return {result}"]), scope := {})
     return scope["expansion"]
 
@@ -260,9 +259,9 @@ def stress_of_ridge(
 # by cross-multiplication, and a Fraction is made only for a value that is
 # reported.
 Pair = tuple[int, int]
-# A facet's (cofactors, product of its rows' D_v, vertex id sum); its
+# A facet's (cofactors, product of its rows' D_v, sorted vertex ids); its
 # shadow is cofactors[d]
-Plane = tuple[list[int], int, int]
+Plane = tuple[list[int], int, tuple[int, ...]]
 
 
 def facet_planes(
@@ -280,26 +279,24 @@ def facet_planes(
     """
     if d <= 6:
         plane = _expansion(d, True)
-        return {key: plane(rows, *sorted(verts)) for key, verts in facets.items()}
-    planes = {}
-    for key, verts in facets.items():
-        cof = maximal_minors([rows[v] for v in sorted(verts)])
-        planes[key] = (cof, prod(rows[v][0] for v in verts), sum(verts))
-    return planes
+    else:
+        def plane(rows, *ids):
+            return maximal_minors([rows[v] for v in ids]), prod(rows[v][0] for v in ids), ids
+    return {key: plane(rows, *sorted(verts)) for key, verts in facets.items()}
 
 
 def ridge_stresses(
     d: int,
     rows: Sequence[Sequence[int]],
-    adjacency: dict[tuple[int, ...], tuple[int, int]],
+    adjacency: dict[tuple[int, ...], tuple[int, int, int, int]],
     planes: dict[int, Plane],
 ) -> list[Pair | str]:
     """stress_of_ridge for every ridge, from the facet_planes of rows.
 
-    adjacency maps each ridge X, sorted, to its two facet keys; a ridge of
-    the base facet (BASE_FACET_KEY) is a base ridge (base_flag). Returns
-    one entry per ridge, in adjacency order: its stress as a pair or, where
-    stress_of_ridge would raise, its message.
+    adjacency maps each ridge X, sorted, to its record (k1, p, k2, q), as
+    facets.build_ridge_adjacency gives it; k1 is the base (BASE_FACET_KEY)
+    on a base ridge (base_flag). Returns one entry per ridge, in adjacency
+    order: its stress as a pair or, where stress_of_ridge would raise, its message.
 
     A ridge X of facets S and T, with extra vertices e0 and e1, has the
     stress -det(X, e0, e1) / (|sigma(X, e0)| sigma(X, e1)) in bracket terms
@@ -314,26 +311,21 @@ def ridge_stresses(
     every D_v is 1.
     """
     stresses: list[Pair | str] = []
-    for ridge, (k1, k2) in adjacency.items():
-        cof, scale, sum_S = planes[k1]
-        cof_T, _, sum_T = planes[k2]
-        # a facet's extra vertex is its vertex sum less the ridge's
-        on_ridge = sum(ridge)
-        e0, e1 = sum_S - on_ridge, sum_T - on_ridge
-        # positions in the sorted facets; only their parity matters
-        p, q = bisect_left(ridge, e0), bisect_left(ridge, e1)
+    for k1, p, k2, q in adjacency.values():
+        cof, scale, S = planes[k1]
+        cof_T, _, T = planes[k2]
+        e0, e1 = S[p], T[q]
         s0 = -cof[d] if p % 2 else cof[d]
         s1 = -cof_T[d] if q % 2 else cof_T[d]
         if s0 == 0 or s1 == 0:
             stresses.append(FLAT_RIDGE)
             continue
-        is_base = BASE_FACET_KEY in (k1, k2)
+        is_base = k1 == BASE_FACET_KEY
         flip = False
         if is_base:
             # the base facet is the one lying entirely in z = 0
-            ridge_flat = not any(rows[v][d] for v in ridge)
-            flat_S = ridge_flat and rows[e0][d] == 0
-            flat_T = ridge_flat and rows[e1][d] == 0
+            flat_S = not any(rows[v][d] for v in S)
+            flat_T = not any(rows[v][d] for v in T)
             if flat_S == flat_T:
                 stresses.append(BASE_NOT_FLAT)
                 continue

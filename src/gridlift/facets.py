@@ -64,9 +64,11 @@ def check_dim(d: object) -> None:
 
 
 def check_tree(tree: TreeRep) -> None:
-    """InvalidInputError unless check_dim passes, the root and every other
-    interior node have dim children, and the child ids are 1..n-1, once
-    each, each above its parent's."""
+    """InvalidInputError unless tree is a TreeRep, check_dim passes, the
+    root and every other interior node have dim children, and the child ids
+    are 1..n-1, once each, each above its parent's."""
+    if not isinstance(tree, TreeRep):
+        raise InvalidInputError(f"a tree must be a TreeRep, got {type(tree).__name__}")
     d, children = tree.dim, tree.children
     check_dim(d)
     if not isinstance(children, list) or not children:
@@ -115,29 +117,29 @@ class Realization:
 
 def build_ridge_adjacency(
     d: int, facets: dict[FacetKey, tuple[int, ...]]
-) -> dict[Ridge, tuple[FacetKey, FacetKey]]:
-    """Each ridge and the keys of its two facets, in facet-table order.
+) -> dict[Ridge, tuple[FacetKey, int, FacetKey, int]]:
+    """Each ridge and its record (k1, p, k2, q): its two facets' keys, in
+    facet-table order, and where each one's extra vertex sits in its sorted
+    ids, so that a facet's ridge j is its sorted ids less position j.
 
     Raises GeometryError when a facet is not d distinct vertices, or when
     some ridge does not lie in exactly two facets, that is, when the facets
-    form no closed surface. So every ridge of the table is its facets'
-    vertices less one: a facet's extra vertex is its vertex sum less the
-    ridge's.
+    form no closed surface.
     """
-    incidence: dict[Ridge, list[FacetKey]] = {}
+    incidence: dict[Ridge, list[int]] = {}
     for key, facet in facets.items():
         if len(facet) != d or len(set(facet)) != d:
             label = "base" if key == BASE_FACET_KEY else key
             raise GeometryError(
                 f"facet {label} is {tuple(facet)}, not {d} distinct vertices"
             )
-        for j in range(d):
-            ridge = tuple(sorted(facet[:j] + facet[j + 1 :]))
-            incidence.setdefault(ridge, []).append(key)
-    out: dict[Ridge, tuple[FacetKey, FacetKey]] = {}
-    for ridge, keys in incidence.items():
-        if len(keys) != 2:
-            raise GeometryError(f"ridge {ridge} lies in {len(keys)} facets")
-        out[ridge] = (keys[0], keys[1])
+        ids = tuple(sorted(facet))
+        # the ridges opposite facet[0], facet[1], ...: the order of the witnesses
+        for j in map(ids.index, facet):
+            incidence.setdefault(ids[:j] + ids[j + 1 :], []).extend((key, j))
+    out: dict[Ridge, tuple[FacetKey, int, FacetKey, int]] = {}
+    for ridge, record in incidence.items():
+        if len(record) != 4:
+            raise GeometryError(f"ridge {ridge} lies in {len(record) // 2} facets")
+        out[ridge] = tuple(record)
     return out
-

@@ -22,7 +22,7 @@ stages replay; d, R_eff = L^{d-1} and the facet table are properties, so
 nothing can disagree with the tree and L. It caches the three tables
 every stage reads, rather than replaying the tree each time: node_facets
 (every node's ordered facet), node_ridges (each node facet's ridges, by
-position) and ridge_adjacency (each ridge's two facets). build_flat's one
+position) and ridge_adjacency (each ridge's facet record). build_flat's one
 walk over the stackings numbers the vertices, the node facets and the
 ridges, in the order ridge_adjacency keeps, and checks that every ridge
 lies in two facets, so a tree whose facets form no closed surface is a
@@ -54,7 +54,8 @@ class FlatComplex:
     """Flat embedded stacking complex over Q^{d-1}, in integers."""
 
     coords: list[Column]  # homogeneous column by vertex id; D = 1 once perturbed
-    ridge_adjacency: dict[Ridge, tuple[FacetKey, FacetKey]]
+    # each ridge's record (k1, p, k2, q), as facets.build_ridge_adjacency gives it
+    ridge_adjacency: dict[Ridge, tuple[FacetKey, int, FacetKey, int]]
     node_facets: dict[int, tuple[int, ...]]  # every node's facet, incl. historical
     node_ridges: list[tuple[int, ...]]  # by node id: its facet's ridge numbers, by position
     node_brackets: dict[int, int]  # bracket of each node facet times bracket_scale
@@ -140,8 +141,9 @@ def build_flat(wt: WeightedTree) -> FlatComplex:
     node_ridges[v][k] is the number of the ridge of node v's facet opposite
     its vertex k: child j keeps its parent's ridge j, and the new ridge
     between children i and j is ridge i of child j and ridge j of child i.
-    The ridge table follows that numbering, each ridge with its two facets
-    in facet-table order.
+    The ridge table follows that numbering, each ridge with its record:
+    base ridge j drops base vertex j, at position j, and a leaf's ridge k
+    drops its vertex k, at its position in the sorted facet.
 
     No ridge is numbered twice, so the table has one key per number: the
     d base keys are distinct subsets of range(d); every key made at
@@ -177,14 +179,15 @@ def build_flat(wt: WeightedTree) -> FlatComplex:
             node_facets[c] = facet[:j] + (p,) + facet[j + 1 :]
             node_ridges[c] = tuple(ridges[j])
     # the facets of each ridge, in facet-table order: the base's, then leaves by id
-    incidence = [[BASE_FACET_KEY] for _ in range(d)] + [[] for _ in range(len(keys) - d)]
+    incidence = [[BASE_FACET_KEY, j] for j in range(d)] + [[] for _ in range(len(keys) - d)]
     for leaf in tree.leaf_ids:
-        for r in node_ridges[leaf]:
-            incidence[r].append(leaf)
+        facet = node_facets[leaf]
+        for r, position in zip(node_ridges[leaf], map(sorted(facet).index, facet)):
+            incidence[r] += leaf, position
     adjacency = dict(zip(keys, map(tuple, incidence)))
-    for ridge, facets in adjacency.items():
-        if len(facets) != 2:
+    for ridge, record in adjacency.items():
+        if len(record) != 4:
             raise StageInvariantError(
-                "flat", f"ridge {ridge} lies in {len(facets)} facets", ridge
+                "flat", f"ridge {ridge} lies in {len(record) // 2} facets", ridge
             )
     return FlatComplex(coords, adjacency, node_facets, node_ridges, node_brackets, R, tree, L)

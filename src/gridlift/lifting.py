@@ -205,7 +205,7 @@ def build_lifted(flat: FlatComplex) -> tuple[list[tuple[int, ...]], Extrema]:
                 f"direct {n1}/{d1}, incremental {n2}/{d2}",
                 ridge,
             )
-        if BASE_FACET_KEY in keys:
+        if keys[0] == BASE_FACET_KEY:
             if base_lo is None or n1 * base_lo[1] < base_lo[0] * d1:
                 base_lo = (n1, d1, ridge)
             if base_hi is None or n1 * base_hi[1] > base_hi[0] * d1:

@@ -350,8 +350,11 @@ def graph_from_tree(tree: TreeRep) -> PolytopeGraph:
 
 
 def check_graph(g: PolytopeGraph) -> None:
-    """InvalidInputError unless n is an int (not a bool) >= 1 and adjacency
-    a list of n sets of ids in 0..n-1, loop-free, each edge at both ends."""
+    """InvalidInputError unless g is a PolytopeGraph, n an int (not a bool)
+    >= 1 and adjacency a list of n sets of ids in 0..n-1, loop-free, each
+    edge at both ends."""
+    if not isinstance(g, PolytopeGraph):
+        raise InvalidInputError(f"a graph must be a PolytopeGraph, got {type(g).__name__}")
     n, adj = g.n, g.adjacency
     if type(n) is not int or n < 1:
         raise InvalidInputError("n must be a positive integer")

@@ -1,10 +1,10 @@
 """Certify convexity of an integer realization from its coordinates alone.
 
 Two routes, each making all of its own checks and writing its own
-witnesses, read one _surface: the ridge table and the plane table, where
-exact.facet_planes takes each facet's hyperplane once, on the rows
-(1, x, z) of its integer vertices, as d+1 cofactors (the last its
-shadow) and its vertex sum.
+witnesses, read one _surface: the ridge table, whose records place each
+facet's extra vertex, and the plane table, where exact.facet_planes takes
+each facet's hyperplane once, on the rows (1, x, z) of its integer
+vertices, as d+1 cofactors (the last its shadow) and its sorted ids.
 
 * stress route: recompute every ridge stress from the final coordinates,
   never taken from the construction, and check interior ridges positive,
@@ -188,7 +188,7 @@ def _stress_route(
         num, den = stress
         # a base ridge folds by 0 only under a non-base vertex at height
         # zero, which the precheck rejects, so num is never 0 there
-        if BASE_FACET_KEY in keys:
+        if keys[0] == BASE_FACET_KEY:
             if num >= 0:
                 witnesses.append(f"base ridge {ridge} has stress {Fraction(num, den)} >= 0")
             continue
@@ -312,12 +312,11 @@ def _global_route(
         return witnesses
     rows, planes = plane_table
     # probes[key]: across each ridge of facet key, the other facet's extra
-    # vertex (its vertex sum less the ridge's), once each, first seen first
+    # vertex, at its record's position, once each, first seen first
     probes: dict[int, dict[int, None]] = {key: {} for key in planes}
-    for ridge, (k1, k2) in table.items():
-        on_ridge = sum(ridge)
-        probes[k1][planes[k2][2] - on_ridge] = None
-        probes[k2][planes[k1][2] - on_ridge] = None
+    for k1, p, k2, q in table.values():
+        probes[k1][planes[k2][2][q]] = None
+        probes[k2][planes[k1][2][p]] = None
     # the vertex centroid o as the row (n, vertex sum)
     centroid = (len(rows), *map(sum, zip(*realization.coords)))
     oriented = {}

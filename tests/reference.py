@@ -132,14 +132,41 @@ def incremental_stresses_by_key(flat, zeta) -> dict:
     return st
 
 
+def check_ridge_records(d, adjacency, facets) -> None:
+    """Each record (k1, p, k2, q) of a ridge table names two facets of the
+    facet table, in its order, whose sorted ids less position p, and less
+    position q, are the ridge; k1 is the base exactly on the base facet's d
+    ridges."""
+    order = {key: i for i, key in enumerate(facets)}
+    base_ridges = []
+    for ridge, (k1, p, k2, q) in adjacency.items():
+        assert order[k1] < order[k2]
+        for key, pos in ((k1, p), (k2, q)):
+            ids = sorted(facets[key])
+            assert 0 <= pos < d and tuple(ids[:pos] + ids[pos + 1 :]) == ridge
+        if k1 == BASE_FACET_KEY:
+            base_ridges.append(ridge)
+    base = sorted(facets[BASE_FACET_KEY])
+    assert sorted(base_ridges) == sorted(tuple(base[:j] + base[j + 1 :]) for j in range(d))
+
+
 def check_ridge_tables(flat) -> None:
     """The flat walk's node facets are facet_layout's, node for node and
     in order, its ridge table is build_ridge_adjacency's, ridge for ridge
-    and pair for pair, and on the complex and its perturbation the replay
-    over ridge numbers gives incremental_stresses_by_key's pairs in its
-    order."""
+    and record for record (both facet keys and both positions of their
+    extra vertices), so that both tables' records pass check_ridge_records,
+    and on the complex and its perturbation the replay over ridge numbers
+    gives incremental_stresses_by_key's pairs in its order."""
     assert list(flat.node_facets.items()) == list(facet_layout(flat.tree).items())
-    assert flat.ridge_adjacency == build_ridge_adjacency(flat.d, flat.facet_table)
+    table = build_ridge_adjacency(flat.d, flat.facet_table)
+    assert flat.ridge_adjacency == table
+    # the builder lists each ridge where a facet first gives it, a facet's
+    # ridges opposite its vertices in order: the certificate's witness order
+    first_seen = dict.fromkeys(
+        tuple(sorted(f[:j] + f[j + 1 :])) for f in flat.facet_table.values() for j in range(flat.d)
+    )
+    assert list(table) == list(first_seen)
+    check_ridge_records(flat.d, table, flat.facet_table)
     for complex_ in (flat, perturb_flat(flat)):
         zeta = adjusted_shifts(complex_)
         replay = incremental_stresses(complex_, zeta)
@@ -212,9 +239,11 @@ def facet_lookup(complex_):
 
 def reference_stresses(points, adjacency, facet_vertices) -> dict:
     """stress_of_ridge on every ridge of lifted points: its value, or its
-    GeometryError message."""
+    GeometryError message. Each facet's extra vertex is found by a search
+    of its vertices, not read from the record's positions."""
     out = {}
-    for ridge, keys in adjacency.items():
+    for ridge, (k1, _, k2, _) in adjacency.items():
+        keys = (k1, k2)
         X = [points[v] for v in ridge]
         S, T = (
             X + [points[next(v for v in facet_vertices(k) if v not in ridge)]]
@@ -231,8 +260,8 @@ def extreme_stresses(adjacency, values) -> list[tuple[Fraction, tuple]]:
     """The least interior, least base and greatest base stress of a table
     of Fraction values, each with its ridge, by min and max over the
     ridges in adjacency order: each keeps the first of equal values."""
-    interior = [(values[r], r) for r, keys in adjacency.items() if BASE_FACET_KEY not in keys]
-    base = [(values[r], r) for r, keys in adjacency.items() if BASE_FACET_KEY in keys]
+    interior = [(values[r], r) for r, keys in adjacency.items() if keys[0] != BASE_FACET_KEY]
+    base = [(values[r], r) for r, keys in adjacency.items() if keys[0] == BASE_FACET_KEY]
 
     def value(pair):
         return pair[0]

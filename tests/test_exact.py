@@ -657,9 +657,9 @@ class TestExpansion:
         lifted = [[j - v for j in range(m)] for v in range(2 * n)]
         for v, r in zip(ids, rows):
             lifted[v] = r
-        cofactors, scale, id_sum = _expansion(n, True)(lifted, *ids)
+        cofactors, scale, facet_ids = _expansion(n, True)(lifted, *ids)
         assert cofactors == cofactors_by_det(rows)
         # the last cofactor is the shadow, the minor without the Z column
         assert cofactors[n] == det_by_permutations([r[:n] for r in rows])
         assert scale == math.prod(r[0] for r in rows)
-        assert id_sum == sum(ids)
+        assert facet_ids == tuple(ids)

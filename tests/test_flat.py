@@ -109,7 +109,9 @@ class TestTetFlat:
 
     def test_ridges(self, tet_flat):
         assert len(tet_flat.ridge_adjacency) == 6
-        assert tet_flat.ridge_adjacency[(0, 1)] == (BASE_FACET_KEY, 3)
+        # base (0, 1, 2) less vertex 2 at position 2, and leaf 3's facet
+        # (0, 1, 3) less vertex 3 at position 2
+        assert tet_flat.ridge_adjacency[(0, 1)] == (BASE_FACET_KEY, 2, 3, 2)
 
     def test_ridge_in_one_facet_is_a_flat_stage_error(self):
         # a root with two children, which check_tree rejects: the base

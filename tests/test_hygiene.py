@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import gridlift
+from gridlift.exact import facet_planes
 from gridlift.facets import TreeRep, facet_layout
 from gridlift.flat import FlatComplex, build_flat
 from gridlift.lifting import adjusted_shifts, build_lifted, direct_stresses, lift_heights
@@ -300,7 +301,41 @@ def test_trusted_base_stays_small():
     # the lines a certificate has to trust: verify and its import closure
     trusted = {"verify"} | package_closure("verify")
     lines = sum(len((PACKAGE_DIR / f"{m}.py").read_text().splitlines()) for m in trusted)
-    assert lines <= 942
+    assert lines <= 935
+
+
+def test_no_module_imports_bisect():
+    # a ridge record says where each facet's extra vertex sits, so no code
+    # searches a sorted ridge for it
+    for path in PACKAGE_DIR.glob("*.py"):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module)
+        assert "bisect" not in imported, path.name
+
+
+@pytest.mark.parametrize("module,function", [
+    ("exact", "ridge_stresses"), ("verify", "_global_route")
+])
+def test_stress_passes_read_no_ridge(module, function):
+    # both read each facet's extra vertex off its plane's sorted ids at the
+    # record's position: neither reads a ridge's ids, so neither takes a
+    # vertex sum less the ridge's
+    source = (PACKAGE_DIR / f"{module}.py").read_text()
+    assert {"ridge", "bisect_left"}.isdisjoint(names_in_body(source, function))
+
+
+# the expansion's plane up to d = 6, maximal_minors above
+@pytest.mark.parametrize("d", [3, 6, 7])
+def test_plane_holds_sorted_ids(d):
+    rows = [[1, *((v * v + 3 * j * v + j) % 13 for j in range(d))] for v in range(d + 3)]
+    # ids in descending order, so the plane has to sort them
+    facets = {key: tuple(reversed(range(key + 1, key + 1 + d))) for key in range(3)}
+    for key, (_, _, ids) in facet_planes(d, rows, facets).items():
+        assert type(ids) is tuple and ids == tuple(sorted(facets[key]))
 
 
 @pytest.mark.parametrize("module", ["lifting", "rounding", "pipeline"])

@@ -406,7 +406,7 @@ class TestCli:
         def tampered(flat, *args):
             z, (_, *base) = original(flat, *args)
             interior = [
-                r for r, keys in flat.ridge_adjacency.items() if BASE_FACET_KEY not in keys
+                r for r, keys in flat.ridge_adjacency.items() if keys[0] != BASE_FACET_KEY
             ]
             ridges.append(interior[1])
             return z, ((-1, 1, interior[1]), *base)

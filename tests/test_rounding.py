@@ -296,7 +296,7 @@ class TestRoundAndScale:
         # ridge is the witness
         pe = perturb_flat(tet_flat)
         interior = [
-            r for r, keys in pe.ridge_adjacency.items() if BASE_FACET_KEY not in keys
+            r for r, keys in pe.ridge_adjacency.items() if keys[0] != BASE_FACET_KEY
         ]
         original = rounding.build_lifted
 
@@ -342,7 +342,7 @@ class TestRoundAndScale:
         # unit below it does not
         pe = perturb_flat(tet_flat)
         ridge = next(
-            r for r, keys in pe.ridge_adjacency.items() if BASE_FACET_KEY not in keys
+            r for r, keys in pe.ridge_adjacency.items() if keys[0] != BASE_FACET_KEY
         )
         original = rounding.build_lifted
 

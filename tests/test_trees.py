@@ -7,6 +7,7 @@ import random
 import time
 import tracemalloc
 from enum import IntEnum
+from functools import partial
 
 import pytest
 
@@ -200,6 +201,12 @@ MALFORMED_TREES = {
     "dim_True": (True, [(1,), ()], [[None]]),
     "dim_str": ("3", [(1, 2, 3), *LEAVES], [[None, None, None]]),
 }
+# objects handed over where a TreeRep belongs
+NOT_TREES = {
+    "str": "x",
+    "tree_document": {"dim": 3, "tree": [None, None, None]},
+    "graph": PolytopeGraph(1, [set()]),
+}
 
 
 class TestTreeContract:
@@ -221,6 +228,17 @@ class TestTreeContract:
         for nested in nested_forms:
             with pytest.raises(InvalidInputError):
                 tree_from_nested(dim, nested)
+
+    @pytest.mark.parametrize("name", NOT_TREES)
+    def test_every_entry_point_rejects_a_non_tree(self, name, tet_result):
+        # one isinstance test in check_tree, before any field is read; None
+        # is make_certificate's "no tree", so it is left to the other two
+        for entry in (run_pipeline, graph_from_tree, partial(make_certificate, tet_result[0])):
+            with pytest.raises(InvalidInputError, match="^a tree must be a TreeRep, got "):
+                entry(NOT_TREES[name])
+        for entry in (run_pipeline, graph_from_tree):
+            with pytest.raises(InvalidInputError, match="^a tree must be a TreeRep, got "):
+                entry(None)
 
     def test_accepts_any_order_with_children_above_parents(self):
         # breadth-first ids: node 2 is the root's second child, not the
@@ -316,6 +334,10 @@ MALFORMED_GRAPHS = {
     "id_out_of_range": PolytopeGraph(4, k4_with({0: {1, 2, 3, 4}})),
     "bool_id": PolytopeGraph(4, k4_with({2: {0, True, 3}})),
     "one_way_edge": PolytopeGraph(4, k4_with({0: {1, 2}})),
+    # objects handed over where a PolytopeGraph belongs
+    "none": None,
+    "graph_document": {"n": 4, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]},
+    "tree": TreeRep(3, TET_CHILDREN),
 }
 
 

@@ -136,10 +136,9 @@ class TestZeroStressBaseRidge:
         # base plane: the two facets of their common base ridge are then
         # coplanar, the only way a base ridge can fold by 0
         adjacency = build_ridge_adjacency(3, facet_table(instance))
-        ridge, keys = next(
-            (r, keys) for r, keys in adjacency.items() if BASE_FACET_KEY in keys
+        ridge, (_, _, key, _) = next(
+            (r, keys) for r, keys in adjacency.items() if keys[0] == BASE_FACET_KEY
         )
-        key = next(k for k in keys if k != BASE_FACET_KEY)
         vid = next(v for v in facet_lookup(instance)(key) if v not in ridge)
         assert vid not in instance.base_facet
         x, y, _ = instance.coords[vid]
@@ -437,13 +436,13 @@ def stress_route_by_reference(realization):
     adjacency = build_ridge_adjacency(realization.d, facet_table(realization))
     points = [tuple(Fraction(c) for c in p) for p in coords]
     facet_vertices = facet_lookup(realization)
-    for ridge, keys in adjacency.items():
+    for ridge, (k1, _, k2, _) in adjacency.items():
         X = [points[v] for v in ridge]
         S, T = (
             X + [points[next(v for v in facet_vertices(k) if v not in ridge)]]
-            for k in keys
+            for k in (k1, k2)
         )
-        is_base = BASE_FACET_KEY in keys
+        is_base = BASE_FACET_KEY in (k1, k2)
         try:
             w = stress_of_ridge(X, S, T, base_flag=is_base)
         except GeometryError as exc:
