@@ -12,7 +12,8 @@ integer pair (Pair), compared by cross-multiplication, or why it is undefined.
 
 Determinants are fraction-free: a Laplace expansion compiled once per
 size (_expansion) up to 7 x 7, which also gives a facet's whole plane in
-one call up to d = 6, and Bareiss elimination (_eliminate) above.
+one call up to d = 6 (from its edge vectors when every D is 1, as for the
+certificate's integer points), and Bareiss elimination (_eliminate) above.
 
 The Fraction definitions the two are held to are the reference, which
 only the tests and the benchmark's tracer read: bracket, the signed
@@ -34,8 +35,7 @@ from typing import Callable, Sequence
 from .errors import GeometryError
 from .facets import BASE_FACET_KEY
 
-Point = tuple[Fraction, ...]
-PointSeq = tuple[Point, ...]
+PointSeq = tuple[tuple[Fraction, ...], ...]
 
 # stress_of_ridge raises these; ridge_stresses reports them per ridge
 FLAT_RIDGE = "flat degeneracy: facet extra point on ridge span"
@@ -43,40 +43,45 @@ BASE_NOT_FLAT = "base_flag set but base facet is not identifiable by z = 0"
 NO_ORIENTATION = "no consistent left/right orientation for ridge"
 
 
-def as_point(values: Sequence) -> Point:
-    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
-
-
 def as_point_seq(points: Sequence[Sequence]) -> PointSeq:
-    return tuple(as_point(p) for p in points)
+    return tuple(tuple(c if isinstance(c, Fraction) else Fraction(c) for c in p) for p in points)
 
 
 @cache
-def _expansion(n: int, plane: bool) -> Callable:
+def _expansion(n: int, plane: bool, points: bool = False) -> Callable:
     """A division-free Laplace expansion down n rows, compiled on first use:
     with plane false, the determinant of an n x n integer matrix; with
     plane true, the Plane of a facet from all rows and its n vertex ids,
     ascending: the cofactors of det[S | q], S its n x (n+1) rows (entry j
     is (-1)^(n+j) times the minor without column j, the last its shadow),
-    the product of its rows' D and the ids as a tuple."""
+    the product of its rows' D and the ids as a tuple. With points true
+    too, for rows (1, p) and n >= 2, it expands the n-1 edge rows p_i - p_0
+    over p's n columns, whose minors are S's without columns 1..n (row 0 is
+    (1, p_0), the others lead with 0); entry 0 is -(entries 1..n . p_0)."""
     m = n + plane
     rows = [[f"r{i}_{j}" for j in range(m)] for i in range(n)]
     ids = [f"v{i}" if plane else str(i) for i in range(n)]
     lines = [f"def expansion({', '.join(['rows', *ids]) if plane else 'rows'}):"]
     lines += [f"    {', '.join(r)}, = rows[{v}]" for r, v in zip(rows, ids)]
-    minor = {(j,): rows[-1][j] for j in range(m)}
-    for k, top in enumerate(reversed(rows[:-1]), 2):
-        for cols in combinations(range(m), k):
+    mat = [[f"e{i}_{j}" for j in range(1, m)] for i in range(1, n)] if points else rows
+    lines += [f"    e{i}_{j} = r{i}_{j} - r0_{j}" for i in range(1, n * points) for j in range(1, m)]
+    w = len(mat[0])
+    minor = {(j,): mat[-1][j] for j in range(w)}
+    for k, top in enumerate(reversed(mat[:-1]), 2):
+        for cols in combinations(range(w), k):
             terms = [f"{top[c]} * {minor[cols[:i] + cols[i + 1 :]]}" for i, c in enumerate(cols)]
             minor[cols] = "s" + "_".join(map(str, cols))
             signed = "".join(f" {'+-'[i % 2]} {t}" for i, t in enumerate(terms))
             lines.append(f"    {minor[cols]} = {signed[3:]}")
     # the minors in reverse lexicographic order: entry j drops column j
-    minors = [minor[cols] for cols in reversed(list(combinations(range(m), n)))]
+    minors = [minor[cols] for cols in reversed(list(combinations(range(w), len(mat))))]
     result = minors[0]
     if plane:
-        cof = ", ".join("-" * ((n + j) % 2) + x for j, x in enumerate(minors))
-        result = f"[{cof}], {' * '.join(r[0] for r in rows)}, ({', '.join(ids)},)"
+        cof = ["-" * ((n + j) % 2) + x for j, x in enumerate(minors, points)]
+        if points:
+            cof.insert(0, f"-({' + '.join(f'{c} * r0_{j}' for j, c in enumerate(cof, 1))})")
+        scale = "1" if points else " * ".join(r[0] for r in rows)
+        result = f"[{', '.join(cof)}], {scale}, ({', '.join(ids)},)"
     exec("\n".join([*lines, f"    return {result}"]), scope := {})
     return scope["expansion"]
 
@@ -275,10 +280,11 @@ def facet_planes(
     maximal minors of facet S's rows, sorted, are the cofactors of
     h_S(q) = det[S | q] (the row q appended); the last, without the Z
     column, is S's shadow sigma(S). The kernel is _expansion's, fetched
-    once, up to d = 6, and maximal_minors above.
+    once, up to d = 6: its points mode, from edge vectors, when every D_v
+    is 1 (integer points), else its homogeneous one; maximal_minors above.
     """
     if d <= 6:
-        plane = _expansion(d, True)
+        plane = _expansion(d, True, all(r[0] == 1 for r in rows))
     else:
         def plane(rows, *ids):
             return maximal_minors([rows[v] for v in ids]), prod(rows[v][0] for v in ids), ids

@@ -130,9 +130,7 @@ def build_ridge_adjacency(
     for key, facet in facets.items():
         if len(facet) != d or len(set(facet)) != d:
             label = "base" if key == BASE_FACET_KEY else key
-            raise GeometryError(
-                f"facet {label} is {tuple(facet)}, not {d} distinct vertices"
-            )
+            raise GeometryError(f"facet {label} is {tuple(facet)}, not {d} distinct vertices")
         ids = tuple(sorted(facet))
         # the ridges opposite facet[0], facet[1], ...: the order of the witnesses
         for j in map(ids.index, facet):

@@ -485,7 +485,8 @@ def gen_lowerbound_graph(kind: str, n: int = 0) -> PolytopeGraph:
     """Hard-instance graph families in dimension 3.
 
     b3: the tetrahedron with every face stacked once per round, two rounds
-    (20 vertices, 36 faces, the 12 newest of degree 3).
+    (20 vertices, 36 faces, the 12 newest of degree 3). n must be 0 (the
+    default) or 20.
 
     gamma: b3 with a serpentine chain of stackings glued into each of the 36
     faces. n must be a positive multiple of 36; the n - 20 extra vertices
@@ -498,6 +499,8 @@ def gen_lowerbound_graph(kind: str, n: int = 0) -> PolytopeGraph:
             _stack_face(adj, faces, idx)
 
     if kind == "b3":
+        if type(n) is not int or n not in (0, 20):
+            raise InvalidInputError(f"b3 has 20 vertices, got n={n!r}")
         return PolytopeGraph(len(adj), adj)
     if kind != "gamma":
         raise InvalidInputError(f"unknown generator kind {kind!r}")

@@ -3,8 +3,8 @@
 Two routes, each making all of its own checks and writing its own
 witnesses, read one _surface: the ridge table, whose records place each
 facet's extra vertex, and the plane table, where exact.facet_planes takes
-each facet's hyperplane once, on the rows (1, x, z) of its integer
-vertices, as d+1 cofactors (the last its shadow) and its sorted ids.
+each facet's hyperplane once from its integer vertices (up to d = 6, the
+edge vectors alone) as d+1 cofactors (the last its shadow) and its sorted ids.
 
 * stress route: recompute every ridge stress from the final coordinates,
   never taken from the construction, and check interior ridges positive,
@@ -159,19 +159,15 @@ def _stress_route(
     adjacency order; None if it stops before the stresses). It zips the
     table with exact.ridge_stresses' list: one dot product per ridge.
     """
-    witnesses: list[str] = []
     heights = [p[-1] for p in realization.coords]
-
-    for vid, z in enumerate(heights):
-        if z < 0:
-            witnesses.append(f"vertex {vid} below height zero")
-    base_set = set(realization.base_facet)
-    for vid in realization.base_facet:
-        if heights[vid] != 0:
-            witnesses.append(f"base vertex {vid} not at height zero")
-    for vid, z in enumerate(heights):
-        if vid not in base_set and z == 0:
-            witnesses.append(f"non-base vertex {vid} at height zero")
+    base = realization.base_facet
+    witnesses = [f"vertex {vid} below height zero" for vid, z in enumerate(heights) if z < 0]
+    witnesses += [f"base vertex {vid} not at height zero" for vid in base if heights[vid] != 0]
+    witnesses += [
+        f"non-base vertex {vid} at height zero"
+        for vid, z in enumerate(heights)
+        if z == 0 and vid not in base
+    ]
     if witnesses:
         return witnesses, None
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridlift import GeometryError, gen_tree
+from gridlift import GeometryError, exact, gen_tree
 from gridlift.exact import (
     BASE_NOT_FLAT,
     FLAT_RIDGE,
@@ -643,23 +643,87 @@ class TestExpansion:
         after = _expansion.cache_info()
         assert after.hits + after.misses == before.hits + before.misses + 1
 
-    # m = n is the determinant form, m = n + 1 the plane form
-    @pytest.mark.parametrize("n, m", [
-        (1, 1), (3, 3), (7, 7), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)
+    # m = n is the determinant form, m = n + 1 the plane form, homogeneous
+    # or, with points, on rows (1, p)
+    CASES = [(1, 1, False), (3, 3, False), (7, 7, False)]
+    CASES += [(n, n + 1, points) for points in (False, True) for n in range(1 + points, 7)]
+
+    @pytest.mark.parametrize("n, m, points", CASES, ids=[
+        f"{n}-{m}" + "-points" * points for n, m, points in CASES
     ])
-    def test_minors_in_reverse_lexicographic_order(self, n, m):
+    def test_minors_in_reverse_lexicographic_order(self, n, m, points):
         rows = [[(7 * i * i + 3 * j + i * j) % 11 - 5 for j in range(m)] for i in range(n)]
         if m == n:
             assert _expansion(n, False)(rows) == det_by_permutations(rows)
             return
+        if points:
+            rows = [[1, *r[1:]] for r in rows]
         # the facet's rows sit among others and are named by ascending ids
         ids = list(range(1, 2 * n, 2))
         lifted = [[j - v for j in range(m)] for v in range(2 * n)]
         for v, r in zip(ids, rows):
             lifted[v] = r
-        cofactors, scale, facet_ids = _expansion(n, True)(lifted, *ids)
+        cofactors, scale, facet_ids = _expansion(n, True, points)(lifted, *ids)
         assert cofactors == cofactors_by_det(rows)
         # the last cofactor is the shadow, the minor without the Z column
         assert cofactors[n] == det_by_permutations([r[:n] for r in rows])
         assert scale == math.prod(r[0] for r in rows)
         assert facet_ids == tuple(ids)
+
+
+@st.composite
+def integer_point_facets(draw):
+    """d = 3..6 and d integer points as rows (1, p), with coordinates near
+    0 or +-2^64, often with a repeated point or one on the line through two
+    others; returns d, the rows and whether the points are affinely
+    dependent by construction."""
+    d = draw(st.integers(3, 6))
+    near = st.sampled_from([0, 2**64, -(2**64)])
+    coords = st.integers(-3, 3) | st.builds(operator.add, near, st.integers(-3, 3))
+    points = [[draw(coords | st.integers(-(2**64), 2**64)) for _ in range(d)] for _ in range(d)]
+    shape = draw(st.sampled_from(["any", "repeated", "collinear"]))
+    i, k, l = draw(st.permutations(range(d)))[:3]
+    if shape == "repeated":
+        points[i] = list(points[k])
+    elif shape == "collinear":
+        t = draw(st.integers(-3, 3))
+        points[i] = [a + t * (b - a) for a, b in zip(points[k], points[l])]
+    return d, [[1, *p] for p in points], shape != "any"
+
+
+class TestPointsPlane:
+    """_expansion's points mode, the certificate's plane kernel, against the
+    homogeneous mode and one determinant per cofactor."""
+
+    @given(integer_point_facets())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_homogeneous_plane_and_the_reference(self, case):
+        d, rows, dependent = case
+        ids = tuple(range(d))
+        plane = _expansion(d, True, True)(rows, *ids)
+        assert plane == _expansion(d, True)(rows, *ids)
+        assert plane == (cofactors_by_det(rows), 1, ids)
+        if dependent:
+            assert plane[0] == [0] * (d + 1)
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    @pytest.mark.parametrize("D", [1, 2])
+    def test_facet_planes_takes_points_only_when_every_D_is_1(self, monkeypatch, d, D):
+        rows = [[1, *((v * v + 3 * j * v + j) % 13 - 6 for j in range(d))] for v in range(d + 2)]
+        # the last vertex, in facet 2 alone, as a homogeneous row (D, D p):
+        # with D = 2 the whole table takes the homogeneous kernel
+        rows[d + 1] = [D, *(D * c for c in rows[d + 1][1:])]
+        facets = {key: tuple(range(key, key + d)) for key in range(3)}
+        kernels = []
+        original = exact._expansion
+
+        def recording(*args):
+            kernels.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(exact, "_expansion", recording)
+        planes = facet_planes(d, rows, facets)
+        assert kernels == [(d, True, D == 1)]
+        for key, ids in facets.items():
+            facet_rows = [rows[v] for v in ids]
+            assert planes[key] == (cofactors_by_det(facet_rows), D ** (d + 1 in ids), ids)

@@ -504,6 +504,18 @@ class TestCli:
             assert code == 2 and "error: " in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("n", ["100", "19", "-20"])
+    def test_b3_with_another_n_exit_2(self, capsys, n):
+        assert main(["gen", "--shape", "b3", "--n", n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: b3 has 20 vertices, got n={n}\n"
+
+    @pytest.mark.parametrize("argv", [[], ["--n", "0"], ["--n", "20"]], ids=["default", "0", "20"])
+    def test_b3_default_or_20_gives_the_graph(self, capsys, argv):
+        assert main(["gen", "--shape", "b3", *argv]) == 0
+        assert capsys.readouterr().out == gen_lowerbound_graph("b3").to_json() + "\n"
+
     def test_deep_tree_exit_2(self, tmp_path, capsys, tet_result):
         # nested tree JSON nests one level per stacking of a serpentine chain
         assert main(["gen", "--shape", "serpentine", "--n", "1500"]) == 2

@@ -427,6 +427,7 @@ INT_SLOTS = {
     "graph_from_edges_n": (4, lambda x: graph_from_edges(x, K4_EDGES)),
     "graph_from_edges_id": (1, lambda x: graph_from_edges(4, [[0, x], *K4_EDGES[1:]])),
     "gamma_n": (36, lambda x: gen_lowerbound_graph("gamma", x)),
+    "b3_n": (20, lambda x: gen_lowerbound_graph("b3", x)),
 }
 
 
@@ -869,6 +870,12 @@ class TestLowerBoundGraphs:
             g = gen_lowerbound_graph("gamma", 36 * m)
             assert g.n == 36 * m
             assert len(g.edges()) == 3 * g.n - 6
+
+    def test_b3_takes_n_0_or_20_only(self):
+        assert gen_lowerbound_graph("b3", 20).to_json() == gen_lowerbound_graph("b3").to_json()
+        for n in (100, 19, 21, -20, 36, "20", 20.0, True):
+            with pytest.raises(InvalidInputError, match="b3 has 20 vertices"):
+                gen_lowerbound_graph("b3", n)
 
     def test_gamma_rejects_bad_n(self):
         for n in (0, 35, 37, -36, "72", 72.0):

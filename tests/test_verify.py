@@ -320,8 +320,8 @@ def count_plane_calls(monkeypatch):
     calls = []
     original = exact._expansion
 
-    def counting_expansion(n, plane):
-        kernel = original(n, plane)
+    def counting_expansion(n, plane, *points):
+        kernel = original(n, plane, *points)
         if not plane:
             return kernel
 
