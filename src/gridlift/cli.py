@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -61,7 +62,17 @@ def _read_input(path: str | None) -> str:
 def _write_output(path: str | None, text: str) -> None:
     text = text if text.endswith("\n") else text + "\n"
     if path is None or path == "-":
-        sys.stdout.write(text)
+        if sys.stdout is None:  # descriptor 1 was closed at start-up
+            raise InvalidInputError("cannot write standard output: it is closed")
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as e:
+            # a closed pipe; as the signal module's documentation advises,
+            # whatever the buffer still holds goes to the null device, so
+            # that the flush at exit prints no second error
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise _file_error("write", "standard output", e) from None
         return
     try:
         Path(path).write_text(text)

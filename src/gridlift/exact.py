@@ -12,8 +12,9 @@ integer pair (Pair), compared by cross-multiplication, or why it is undefined.
 
 Determinants are fraction-free: a Laplace expansion compiled once per
 size (_expansion) up to 7 x 7, which also gives a facet's whole plane in
-one call up to d = 6 (from its edge vectors when every D is 1, as for the
-certificate's integer points), and Bareiss elimination (_eliminate) above.
+one call up to d = 6 (from its edge vectors, which need no D factors when
+every D is 1, as for the certificate's integer points, and with them pay
+from d = 4), and Bareiss elimination (_eliminate) above.
 
 The Fraction definitions the two are held to are the reference, which
 only the tests and the benchmark's tracer read: bracket, the signed
@@ -48,23 +49,28 @@ def as_point_seq(points: Sequence[Sequence]) -> PointSeq:
 
 
 @cache
-def _expansion(n: int, plane: bool, points: bool = False) -> Callable:
-    """A division-free Laplace expansion down n rows, compiled on first use:
-    with plane false, the determinant of an n x n integer matrix; with
-    plane true, the Plane of a facet from all rows and its n vertex ids,
-    ascending: the cofactors of det[S | q], S its n x (n+1) rows (entry j
-    is (-1)^(n+j) times the minor without column j, the last its shadow),
-    the product of its rows' D and the ids as a tuple. With points true
-    too, for rows (1, p) and n >= 2, it expands the n-1 edge rows p_i - p_0
-    over p's n columns, whose minors are S's without columns 1..n (row 0 is
-    (1, p_0), the others lead with 0); entry 0 is -(entries 1..n . p_0)."""
+def _expansion(n: int, plane: bool, edges: bool = False, unit: bool = False) -> Callable:
+    """A Laplace expansion down n rows, compiled on first use: with plane
+    false, the determinant of an n x n integer matrix; with plane true, the
+    Plane of a facet from all rows and its n vertex ids, ascending: the
+    cofactors of det[S | q], S its n x (n+1) rows (entry j is (-1)^(n+j)
+    times the minor without column j, the last its shadow), the product of
+    its rows' D and the ids as a tuple. With edges true too (n >= 2), it
+    expands the edge rows e_i = D_0 r_i - D_i r_0, i = 1..n-1, over X, Z:
+    each scales S's minors by D_0 and zeroes its D entry, so S's minor
+    without column j >= 1 is e's divided exactly by D_0^(n-2); entry 0 is
+    -(entries 1..n . r_0[1:]) / D_0, as h_S(r_0) = 0. With unit true as
+    well, for rows (1, p), the D factors are left out: e_i = r_i - r_0."""
     m = n + plane
     rows = [[f"r{i}_{j}" for j in range(m)] for i in range(n)]
     ids = [f"v{i}" if plane else str(i) for i in range(n)]
     lines = [f"def expansion({', '.join(['rows', *ids]) if plane else 'rows'}):"]
     lines += [f"    {', '.join(r)}, = rows[{v}]" for r, v in zip(rows, ids)]
-    mat = [[f"e{i}_{j}" for j in range(1, m)] for i in range(1, n)] if points else rows
-    lines += [f"    e{i}_{j} = r{i}_{j} - r0_{j}" for i in range(1, n * points) for j in range(1, m)]
+    mat = [[f"e{i}_{j}" for j in range(1, m)] for i in range(1, n)] if edges else rows
+    edge = "r{i}_{j} - r0_{j}" if unit else "r0_0 * r{i}_{j} - r{i}_0 * r0_{j}"
+    lines += [
+        f"    e{i}_{j} = " + edge.format(i=i, j=j) for i in range(1, n * edges) for j in range(1, m)
+    ]
     w = len(mat[0])
     minor = {(j,): mat[-1][j] for j in range(w)}
     for k, top in enumerate(reversed(mat[:-1]), 2):
@@ -77,10 +83,13 @@ def _expansion(n: int, plane: bool, points: bool = False) -> Callable:
     minors = [minor[cols] for cols in reversed(list(combinations(range(w), len(mat))))]
     result = minors[0]
     if plane:
-        cof = ["-" * ((n + j) % 2) + x for j, x in enumerate(minors, points)]
-        if points:
-            cof.insert(0, f"-({' + '.join(f'{c} * r0_{j}' for j, c in enumerate(cof, 1))})")
-        scale = "1" if points else " * ".join(r[0] for r in rows)
+        cof = ["-" * ((n + j) % 2) + x for j, x in enumerate(minors, edges)]
+        if edges:
+            lines += [f"    q = r0_0 ** {n - 2}"] * (not unit)
+            lines += [f"    c{j} = {c}" + " // q" * (not unit) for j, c in enumerate(cof, 1)]
+            dot = " + ".join(f"c{j} * r0_{j}" for j in range(1, n + 1))
+            cof = [f"-({dot})" + " // r0_0" * (not unit), *(f"c{j}" for j in range(1, n + 1))]
+        scale = "1" if unit else " * ".join(r[0] for r in rows)
         result = f"[{', '.join(cof)}], {scale}, ({', '.join(ids)},)"
     exec("\n".join([*lines, f"    return {result}"]), scope := {})
     return scope["expansion"]
@@ -280,11 +289,13 @@ def facet_planes(
     maximal minors of facet S's rows, sorted, are the cofactors of
     h_S(q) = det[S | q] (the row q appended); the last, without the Z
     column, is S's shadow sigma(S). The kernel is _expansion's, fetched
-    once, up to d = 6: its points mode, from edge vectors, when every D_v
-    is 1 (integer points), else its homogeneous one; maximal_minors above.
+    once, up to d = 6: from edge vectors without D factors when every D_v
+    is 1 (integer points), else with them from d = 4 and from the full
+    rows at d = 3, where the edges measure slower; maximal_minors above.
     """
     if d <= 6:
-        plane = _expansion(d, True, all(r[0] == 1 for r in rows))
+        unit = all(r[0] == 1 for r in rows)
+        plane = _expansion(d, True, unit or d >= 4, unit)
     else:
         def plane(rows, *ids):
             return maximal_minors([rows[v] for v in ids]), prod(rows[v][0] for v in ids), ids

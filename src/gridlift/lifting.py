@@ -44,9 +44,9 @@ real ones times k^2, so both lifts run in scaled units: heights are the
 real ones times k^2, and both stress routes give integer pairs
 (exact.Pair), not necessarily in lowest terms. The cross-check compares
 them by cross-multiplication and, in the same pass, keeps the least
-interior and the least and greatest base stress; each gate divides these
-three by its lift's scale once, and they are the only Fractions the gates
-compare and report.
+interior and the least and greatest base stress as the replay's pairs,
+the smaller of the two; each gate divides these three by its lift's scale
+once, and they are the only Fractions the gates compare and report.
 """
 
 from __future__ import annotations
@@ -174,18 +174,20 @@ Extrema = tuple[tuple[int, int, Ridge], ...]  # (numerator, denominator, ridge) 
 
 
 def build_lifted(flat: FlatComplex) -> tuple[list[tuple[int, ...]], Extrema]:
-    """Lifted rows by the complex's own shifts, and the least interior and
-    the least and greatest base stress of the direct stresses,
-    cross-checked against the incremental replay.
+    """Lifted rows by the complex's own shifts, the direct stresses
+    cross-checked against the incremental replay, and the least interior
+    and the least and greatest base stress.
 
     Both list one stress per ridge number, the direct one per entry of
     ridge_adjacency, so their lengths are checked first; then one pass
     zips the table with both, and any ridge disagreement raises, since the
     two routes must match exactly for any shift-defined lifting. The same
     pass keeps the three extrema, in scaled units, ties to the first ridge
-    in adjacency order. Every construction gate compares them against its
-    own bounds, so a gate holds on all ridges exactly when it holds on
-    them. Pairs are compared by cross-multiplication.
+    in adjacency order, as the replay's pairs: once a ridge's two pairs are
+    equal in value, the replay's is the smaller, often by half its bits or
+    more. Every construction gate compares them against its own bounds, so
+    a gate holds on all ridges exactly when it holds on them. Pairs are
+    compared by cross-multiplication.
     """
     zeta = adjusted_shifts(flat)
     rows = lift_heights(flat, zeta)
@@ -206,12 +208,12 @@ def build_lifted(flat: FlatComplex) -> tuple[list[tuple[int, ...]], Extrema]:
                 ridge,
             )
         if keys[0] == BASE_FACET_KEY:
-            if base_lo is None or n1 * base_lo[1] < base_lo[0] * d1:
-                base_lo = (n1, d1, ridge)
-            if base_hi is None or n1 * base_hi[1] > base_hi[0] * d1:
-                base_hi = (n1, d1, ridge)
-        elif interior is None or n1 * interior[1] < interior[0] * d1:
-            interior = (n1, d1, ridge)
+            if base_lo is None or n2 * base_lo[1] < base_lo[0] * d2:
+                base_lo = (n2, d2, ridge)
+            if base_hi is None or n2 * base_hi[1] > base_hi[0] * d2:
+                base_hi = (n2, d2, ridge)
+        elif interior is None or n2 * interior[1] < interior[0] * d2:
+            interior = (n2, d2, ridge)
     return rows, (interior, base_lo, base_hi)
 
 

@@ -163,11 +163,8 @@ def _stress_route(
     base = realization.base_facet
     witnesses = [f"vertex {vid} below height zero" for vid, z in enumerate(heights) if z < 0]
     witnesses += [f"base vertex {vid} not at height zero" for vid in base if heights[vid] != 0]
-    witnesses += [
-        f"non-base vertex {vid} at height zero"
-        for vid, z in enumerate(heights)
-        if z == 0 and vid not in base
-    ]
+    witnesses += [f"non-base vertex {vid} at height zero"
+                  for vid, z in enumerate(heights) if z == 0 and vid not in base]
     if witnesses:
         return witnesses, None
 
@@ -223,11 +220,8 @@ def _facet_side_witnesses(
         return None, [f"facet {_label(key)}: vertices balance across its hyperplane"]
     if at_o > 0:
         cof = [-c for c in cof]
-    witnesses = [
-        f"facet {_label(key)}: vertex {vid} not strictly inside"
-        for vid in probes
-        if sum(map(mul, cof, rows[vid])) >= 0
-    ]
+    witnesses = [f"facet {_label(key)}: vertex {vid} not strictly inside"
+                 for vid in probes if sum(map(mul, cof, rows[vid])) >= 0]
     return cof, witnesses
 
 
@@ -262,21 +256,16 @@ def _ray_witnesses(
             if det != 0 and (det > 0) != positive:
                 break
         else:
-            witnesses.append(
-                f"facet {key}: the ray from the centroid through the base facet "
-                f"crosses it"
-            )
+            ray = "the ray from the centroid through the base facet crosses it"
+            witnesses.append(f"facet {key}: {ray}")
     return witnesses
 
 
 def _surface_witnesses(realization: Realization, table: dict | str) -> list[str]:
     """Witnesses for the vertices on no facet, then for a broken ridge table."""
     used = set(realization.base_facet).union(*realization.facets.values())
-    witnesses = [
-        f"vertex {vid} lies on no facet"
-        for vid in range(len(realization.coords))
-        if vid not in used
-    ]
+    n = len(realization.coords)
+    witnesses = [f"vertex {vid} lies on no facet" for vid in range(n) if vid not in used]
     if isinstance(table, str):
         witnesses.append(f"facets form no closed surface: {table}")
     return witnesses
@@ -317,9 +306,7 @@ def _global_route(
     centroid = (len(rows), *map(sum, zip(*realization.coords)))
     oriented = {}
     for key, _ in _facets_in_order(realization):
-        oriented[key], wit = _facet_side_witnesses(
-            rows, planes[key][0], key, probes[key], centroid
-        )
+        oriented[key], wit = _facet_side_witnesses(rows, planes[key][0], key, probes[key], centroid)
         witnesses += wit
     return witnesses or _ray_witnesses(realization, oriented, centroid)
 

@@ -643,27 +643,29 @@ class TestExpansion:
         after = _expansion.cache_info()
         assert after.hits + after.misses == before.hits + before.misses + 1
 
-    # m = n is the determinant form, m = n + 1 the plane form, homogeneous
-    # or, with points, on rows (1, p)
-    CASES = [(1, 1, False), (3, 3, False), (7, 7, False)]
-    CASES += [(n, n + 1, points) for points in (False, True) for n in range(1 + points, 7)]
+    # m = n is the determinant form, m = n + 1 the plane form: from the
+    # full rows, from edge rows ("edges") or, on rows (1, p), from edge rows
+    # without the D factors ("points")
+    CASES = [(1, 1, ""), (3, 3, ""), (7, 7, "")]
+    CASES += [(n, n + 1, mode) for mode in ("", "points", "edges") for n in range(1 + bool(mode), 7)]
 
-    @pytest.mark.parametrize("n, m, points", CASES, ids=[
-        f"{n}-{m}" + "-points" * points for n, m, points in CASES
+    @pytest.mark.parametrize("n, m, mode", CASES, ids=[
+        f"{n}-{m}" + f"-{mode}" * bool(mode) for n, m, mode in CASES
     ])
-    def test_minors_in_reverse_lexicographic_order(self, n, m, points):
+    def test_minors_in_reverse_lexicographic_order(self, n, m, mode):
         rows = [[(7 * i * i + 3 * j + i * j) % 11 - 5 for j in range(m)] for i in range(n)]
         if m == n:
             assert _expansion(n, False)(rows) == det_by_permutations(rows)
             return
-        if points:
+        if mode == "points":
             rows = [[1, *r[1:]] for r in rows]
         # the facet's rows sit among others and are named by ascending ids
         ids = list(range(1, 2 * n, 2))
         lifted = [[j - v for j in range(m)] for v in range(2 * n)]
         for v, r in zip(ids, rows):
             lifted[v] = r
-        cofactors, scale, facet_ids = _expansion(n, True, points)(lifted, *ids)
+        kernel = _expansion(n, True, bool(mode), mode == "points")
+        cofactors, scale, facet_ids = kernel(lifted, *ids)
         assert cofactors == cofactors_by_det(rows)
         # the last cofactor is the shadow, the minor without the Z column
         assert cofactors[n] == det_by_permutations([r[:n] for r in rows])
@@ -691,17 +693,64 @@ def integer_point_facets(draw):
     return d, [[1, *p] for p in points], shape != "any"
 
 
+@st.composite
+def homogeneous_facets(draw):
+    """d = 3..6 and d homogeneous rows (D, X..., Z), D from 1 to about 2^64
+    and mixed within the facet, X and Z near 0 or +-2^64, row 0 (the edge
+    rows' pivot) often with the largest D, often with a point repeated (a
+    multiple of another row) or on the segment between two others; returns
+    d, the rows and whether the points are affinely dependent by
+    construction."""
+    d = draw(st.integers(3, 6))
+    big = st.integers(2**64 - 3, 2**64)
+    Ds = st.integers(1, 3) | big | st.integers(1, 2**64)
+    near = st.sampled_from([0, 2**64, -(2**64)])
+    coords = st.integers(-3, 3) | st.builds(operator.add, near, st.integers(-3, 3))
+    rows = [[draw(Ds), *(draw(coords | st.integers(-(2**64), 2**64)) for _ in range(d))]
+            for _ in range(d)]
+    shape = draw(st.sampled_from(["any", "repeated", "collinear"]))
+    i, k, l = draw(st.permutations(range(d)))[:3]
+    if shape == "repeated":
+        c = draw(st.integers(1, 3))
+        rows[i] = [c * x for x in rows[k]]
+    elif shape == "collinear":
+        a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        rows[i] = [a * x + b * y for x, y in zip(rows[k], rows[l])]
+    if draw(st.booleans()):
+        top = max(range(d), key=lambda v: rows[v][0])
+        rows[0], rows[top] = rows[top], rows[0]
+    return d, rows, shape != "any"
+
+
+class TestEdgePlane:
+    """_expansion's edge rows D_0 r_i - D_i r_0 on homogeneous rows, the
+    lifts' plane kernel from d = 4, against the full rows and one
+    determinant per cofactor."""
+
+    @given(homogeneous_facets())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_full_rows_and_the_reference(self, case):
+        d, rows, dependent = case
+        ids = tuple(range(d))
+        plane = _expansion(d, True, True)(rows, *ids)
+        assert plane == _expansion(d, True)(rows, *ids)
+        assert plane == (cofactors_by_det(rows), math.prod(r[0] for r in rows), ids)
+        if dependent:
+            assert plane[0] == [0] * (d + 1)
+
+
 class TestPointsPlane:
     """_expansion's points mode, the certificate's plane kernel, against the
-    homogeneous mode and one determinant per cofactor."""
+    full rows, the edge rows and one determinant per cofactor."""
 
     @given(integer_point_facets())
     @settings(max_examples=200, deadline=None)
     def test_equals_the_homogeneous_plane_and_the_reference(self, case):
         d, rows, dependent = case
         ids = tuple(range(d))
-        plane = _expansion(d, True, True)(rows, *ids)
+        plane = _expansion(d, True, True, True)(rows, *ids)
         assert plane == _expansion(d, True)(rows, *ids)
+        assert plane == _expansion(d, True, True)(rows, *ids)
         assert plane == (cofactors_by_det(rows), 1, ids)
         if dependent:
             assert plane[0] == [0] * (d + 1)
@@ -711,7 +760,7 @@ class TestPointsPlane:
     def test_facet_planes_takes_points_only_when_every_D_is_1(self, monkeypatch, d, D):
         rows = [[1, *((v * v + 3 * j * v + j) % 13 - 6 for j in range(d))] for v in range(d + 2)]
         # the last vertex, in facet 2 alone, as a homogeneous row (D, D p):
-        # with D = 2 the whole table takes the homogeneous kernel
+        # with D = 2 the whole table takes a homogeneous kernel
         rows[d + 1] = [D, *(D * c for c in rows[d + 1][1:])]
         facets = {key: tuple(range(key, key + d)) for key in range(3)}
         kernels = []
@@ -723,7 +772,10 @@ class TestPointsPlane:
 
         monkeypatch.setattr(exact, "_expansion", recording)
         planes = facet_planes(d, rows, facets)
-        assert kernels == [(d, True, D == 1)]
+        # integer points take the points mode; other rows take the edge rows
+        # from d = 4 and the full rows at d = 3
+        points, edges, full = (True, True), (True, False), (False, False)
+        assert kernels == [(d, True, *(points if D == 1 else full if d == 3 else edges))]
         for key, ids in facets.items():
             facet_rows = [rows[v] for v in ids]
             assert planes[key] == (cofactors_by_det(facet_rows), D ** (d + 1 in ids), ids)

@@ -316,8 +316,9 @@ class TestStressExtrema:
         return build_lifted(tet_flat)[1]
 
     def test_tetrahedron(self, tet_lifted):
-        # unreduced pairs, as the direct route gives them
-        assert tet_lifted[1] == ((576, 16, (2, 3)), (-192, 16, (1, 2)), (-192, 16, (1, 2)))
+        # the replay's pairs, not reduced (the direct route gives 576/16 and
+        # -192/16 for the same values)
+        assert tet_lifted[1] == ((576, 16, (2, 3)), (-12, 1, (1, 2)), (-12, 1, (1, 2)))
 
     def test_ties_go_to_the_first_ridge(self, monkeypatch, tet_flat):
         stresses = {(1, 2): (-1, 1), (0, 2): (-1, 1), (0, 1): (-1, 1),
@@ -436,15 +437,16 @@ class TestStressMapCrossCheck:
 
     def test_equal_values_in_different_terms_pass(self, monkeypatch, tet_flat):
         # the routes need not agree on the pairs, only on their values; the
-        # extrema keep the direct route's pairs
-        expected = build_lifted(tet_flat)
-        original = lifting.incremental_stresses
-
-        def rescaled(*args):
-            return [(7 * n, 7 * d) for n, d in original(*args)]
-
-        monkeypatch.setattr(lifting, "incremental_stresses", rescaled)
-        assert build_lifted(tet_flat) == expected
+        # extrema keep the replay's pairs
+        rows, extrema = build_lifted(tet_flat)
+        scaled = tuple((7 * n, 7 * d, ridge) for n, d, ridge in extrema)
+        for route, expected in (("direct_stresses", extrema), ("incremental_stresses", scaled)):
+            original = getattr(lifting, route)
+            monkeypatch.setattr(
+                lifting, route, lambda *args, f=original: [(7 * n, 7 * d) for n, d in f(*args)]
+            )
+            assert build_lifted(tet_flat) == (rows, expected)
+            monkeypatch.setattr(lifting, route, original)
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 6, 7])

@@ -563,6 +563,52 @@ class TestCli:
         assert err.startswith(f"error: cannot {culprit.format(**paths)}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--shape", "random", "--n", "6"],
+        ["balance", "--input", "{tree}"],
+        ["realize", "--input", "{tree}"],
+        ["realize", "--input", "{tree}", "--output", "{out}", "--report", "-"],
+        ["verify", "--input", "{realization}"],
+        ["stats"],
+    ], ids=["gen", "balance", "realize", "realize_report", "verify", "stats"])
+    def test_closed_stdout_exit_2(self, tmp_path, tet_tree, tet_result, argv):
+        # standard output is a pipe whose read end is closed before the
+        # write: invalid output, not a traceback, and nothing more at exit
+        paths = {
+            "tree": tmp_path / "tet.json",
+            "realization": tmp_path / "r.json",
+            "out": tmp_path / "out.json",
+        }
+        paths["tree"].write_text(tree_to_json(tet_tree))
+        paths["realization"].write_text(realization_to_json(tet_result[0]))
+        src = Path(__file__).resolve().parents[1] / "src"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "gridlift", *(a.format(**paths) for a in argv)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: cannot write standard output: ")
+        assert done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
+
+    def test_no_stdout_exit_2(self):
+        # descriptor 1 closed before the interpreter starts: sys.stdout is None
+        src = Path(__file__).resolve().parents[1] / "src"
+        start = "import os, sys; os.close(1); os.execv(sys.executable, sys.argv[1:])"
+        done = subprocess.run(
+            [sys.executable, "-c", start, sys.executable, "-m", "gridlift", "stats"],
+            stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+        )
+        assert done.returncode == 2
+        assert done.stderr == "error: cannot write standard output: it is closed\n"
+
     @pytest.mark.parametrize("command", ["realize", "verify"])
     @pytest.mark.parametrize("doc", [
         '{"dim": 3, "tree": %s}',
