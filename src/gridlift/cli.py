@@ -5,9 +5,10 @@ thin shell over the library; inputs and outputs are JSON documents (or OFF
 meshes for 3-dimensional realizations). realize reads a tree, which names
 its dimension, or a graph, which fixes its own by its edge count. Exit
 codes: 0 success, 2 invalid input (a file that cannot be read, decoded or
-written included), 3 certificate, stage or geometry failure. A stage or
-geometry failure also prints its stage, message and witness as one JSON
-line on stderr; both are null for a geometry failure, which names no stage.
+written included, and a closed standard output), 3 certificate, stage or
+geometry failure. A stage or geometry failure also prints its stage,
+message and witness as one JSON line on stderr; both are null for a
+geometry failure, which names no stage.
 """
 
 from __future__ import annotations
